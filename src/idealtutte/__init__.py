@@ -1,10 +1,12 @@
 """Exact Tutte, coboundary, and characteristic polynomials of ideal
 arrangements of root systems (families A, B, C, D at any rank; G2, F4, E6).
 
-Classical types go through the finite field method: closed-form weighted
-point counts at a plan of valid primes, then exact Lagrange interpolation.
-Exceptional types go through the basis-activity formula.  A corank-nullity
-brute-force oracle cross-validates both.
+Classical types go through the finite field method: one dynamic program over
+the blocks of exchangeable coordinates gives the coboundary polynomial
+directly, with no primes and no interpolation.  The paper's route, weighted
+point counts at a plan of valid primes and exact Lagrange interpolation, is
+kept for verification.  Exceptional types go through the basis-activity
+formula.  A corank-nullity brute-force oracle cross-validates both.
 """
 
 from .errors import (

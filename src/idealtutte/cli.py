@@ -43,7 +43,7 @@ from .rootsystems import (
 ENGINE_CHOICES = ("auto", "ffmethod", "crapo", "oracle")
 FORMAT_CHOICES = ("json", "latex", "text")
 CACHE_ENV = "TUTTE_CACHE_DIR"
-CACHE_VERSION = "1"
+CACHE_VERSION = "2"
 
 IDEAL_SPEC_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -166,7 +166,7 @@ class _Cache:
             os.path.expanduser("~"), ".cache", "idealtutte"
         )
 
-    def key(self, ideal, command, engine):
+    def key(self, ideal, command, engine, primes):
         comp_bits = ideal.complement_mask()
         raw = json.dumps(
             [
@@ -175,6 +175,7 @@ class _Cache:
                 str(ideal.rst),
                 format(comp_bits, "x"),
                 engine,
+                primes,
             ]
         )
         return hashlib.sha256(raw.encode()).hexdigest()
@@ -199,16 +200,28 @@ class _Cache:
         os.replace(tmp, path)
 
 
+def _primes_from_args(args):
+    """The --primes list, or None when the option is absent."""
+    if getattr(args, "primes", None) is None:
+        return None
+    primes = json.loads(args.primes)
+    if not isinstance(primes, list) or not all(
+        isinstance(p, int) and not isinstance(p, bool) for p in primes
+    ):
+        raise ConstraintError(f"--primes takes a JSON list of integers, not {args.primes}")
+    return primes
+
+
 def _compute_polynomial(ideal, command, engine, args):
+    primes = _primes_from_args(args)
     cache = _Cache(args)
-    key = cache.key(ideal, command, engine)
+    key = cache.key(ideal, command, engine, primes)
     hit = cache.get(key)
     if hit is not None:
         return BivariatePolynomial.from_json_dict(hit["polynomial"]), hit["provenance"]
-    primes = json.loads(args.primes) if getattr(args, "primes", None) else None
     t0 = time.time()
     if command == "coboundary":
-        poly = specialize.coboundary_of_ideal(ideal, engine=engine)
+        poly = specialize.coboundary_of_ideal(ideal, engine=engine, primes=primes)
     else:
         poly = specialize.tutte_of_ideal(
             ideal, engine=engine, primes=primes, max_subsets=args.max_subsets
@@ -219,9 +232,12 @@ def _compute_polynomial(ideal, command, engine, args):
         "hyperplanes": len(ideal.complement_indices()),
         "wall_time_s": round(time.time() - t0, 4),
     }
-    if engine == "ffmethod" or (engine == "auto" and ideal.rst.is_classical):
-        rank = arrangement_of(ideal).rank()
-        prov["primes"] = list(ffmethod.prime_plan("A" if ideal.rst.family == "A" else ideal.rst.family, rank).primes)
+    if engine == "ffmethod":
+        if primes is None:
+            prov["route"] = "direct"
+        else:
+            prov["route"] = "interpolation"
+            prov["primes"] = ffmethod.interpolation_primes(ideal, primes)
     cache.put(key, {"polynomial": poly.to_json_dict(), "provenance": prov})
     return poly, prov
 
@@ -289,7 +305,9 @@ def cmd_polynomial(args, command):
 def cmd_charpoly(args):
     ideal = _ideal_from_args(args)
     engine = _resolve_engine(args.engine, ideal.rst)
-    chi = specialize.characteristic_polynomial(ideal, engine=engine)
+    chi = specialize.characteristic_polynomial(
+        ideal, engine=engine, primes=_primes_from_args(args)
+    )
     text = chi.to_text("q")
     if args.out:
         with open(args.out, "w") as fh:
@@ -321,6 +339,37 @@ def cmd_minors(args):
     return 0
 
 
+def _verify_ffmethod_routes(ideal, primes, max_points):
+    """Cross-check the finite-field pipeline on one classical ideal: the direct
+    coboundary polynomial against the prime-interpolation route (over the
+    given primes, or else the prime plan), then the counting model against
+    exhaustive point counting at the first plan prime, guard permitting.
+    Returns how many brute-force counts were made."""
+    comp = complement(ideal)
+    rst = ideal.rst
+    plan = ffmethod.prime_plan(rst.family, arrangement_of(ideal).rank())
+    direct = ffmethod.coboundary_polynomial(ideal)
+    interpolated = ffmethod.coboundary_polynomial(
+        ideal, primes=plan.primes if primes is None else primes
+    )
+    if direct != interpolated:
+        raise VerificationMismatch(
+            f"direct and interpolated coboundary polynomials disagree on {ideal!r}: "
+            f"{direct.to_text()} vs {interpolated.to_text()}"
+        )
+    p = plan.primes[0]
+    n = rst.ambient_dim
+    if p ** n > max_points:
+        return 0
+    model = ffmethod.CountingModel(n, comp.hyperplanes)
+    bf = ffmethod.count_points_bruteforce(comp.hyperplanes, n, p, max_points=max_points)
+    if model.point_count_profile(p) != list(bf.counts):
+        raise VerificationMismatch(
+            f"counting model and brute force disagree at p={p} on {ideal!r}"
+        )
+    return 1
+
+
 def cmd_verify(args):
     rst = root_system_type(args.type, args.rank)
     poset = root_poset(rst)
@@ -330,6 +379,8 @@ def cmd_verify(args):
             raise ConstraintError(f"unknown engine {e!r}")
     if len(engines) < 2:
         raise ConstraintError("verify needs at least two engines")
+    resolved = [_resolve_engine(e, rst) for e in engines]
+    primes = _primes_from_args(args)
     if args.all_ideals:
         ideals = enumerate_ideals(poset)
     else:
@@ -337,10 +388,10 @@ def cmd_verify(args):
     checked = 0
     counted = 0
     for ideal in ideals:
-        polys = []
-        for e in engines:
-            eng = _resolve_engine(e, rst)
-            polys.append((e, specialize.tutte_of_ideal(ideal, engine=eng)))
+        polys = [
+            (e, specialize.tutte_of_ideal(ideal, engine=eng))
+            for e, eng in zip(engines, resolved)
+        ]
         base_name, base = polys[0]
         for name, poly in polys[1:]:
             if poly != base:
@@ -348,28 +399,15 @@ def cmd_verify(args):
                     f"{base_name} and {name} disagree on {ideal!r}: "
                     f"{base.to_text()} vs {poly.to_text()}"
                 )
-        if rst.is_classical and "ffmethod" in engines:
-            # additionally cross-check the coboundary profile at the first
-            # plan prime against exhaustive point counting, guard permitting
-            from .ideals import arrangement_of, complement
-
-            comp = complement(ideal)
-            if comp.roots:
-                rank = arrangement_of(ideal).rank()
-                p = ffmethod.prime_plan(rst.family, rank).primes[0]
-                n = rst.ambient_dim
-                if p ** n <= args.max_points:
-                    model = ffmethod.CountingModel(n, comp.hyperplanes)
-                    bf = ffmethod.count_points_bruteforce(
-                        comp.hyperplanes, n, p, max_points=args.max_points
-                    )
-                    if model.point_count_profile(p) != list(bf.counts):
-                        raise VerificationMismatch(
-                            f"counting model and brute force disagree at p={p} on {ideal!r}"
-                        )
-                    counted += 1
+        if "ffmethod" in resolved:
+            counted += _verify_ffmethod_routes(ideal, primes, args.max_points)
         checked += 1
-    extra = f" (+{counted} brute-force point-count checks)" if counted else ""
+    extra = ""
+    if "ffmethod" in resolved:
+        extra = (
+            f" (+{checked} direct-vs-interpolation checks, "
+            f"+{counted} brute-force point-count checks)"
+        )
     print(
         f"verified {checked} ideal(s) of {rst} across engines "
         f"{', '.join(engines)}{extra}"
@@ -396,7 +434,11 @@ def build_parser():
             p.add_argument("--engine", choices=ENGINE_CHOICES, default="auto")
         p.add_argument("--format", choices=FORMAT_CHOICES, default="text")
         p.add_argument("--out", help="write the result to this file")
-        p.add_argument("--primes", help="override interpolation primes (JSON list)")
+        p.add_argument(
+            "--primes",
+            help="take the finite field method's prime-interpolation route over "
+            "these primes (JSON list)",
+        )
         p.add_argument("--max-points", type=int, default=ffmethod.DEFAULT_MAX_POINTS)
         p.add_argument("--max-subsets", type=int, default=crapo.DEFAULT_MAX_BASIS_SUBSETS)
         p.add_argument("--no-cache", action="store_true")

@@ -3,8 +3,9 @@ formula and the corank-nullity brute-force oracle.
 
 All rank computations are exact.  The generic paths use division-free integer
 elimination; the batched path used for large basis enumerations works in
-float64/int64 but certifies every result with an exact integer identity and
-falls back to rational arithmetic wherever certification fails.
+float64/int64 but certifies every batch with an exact integer identity and
+falls back to exact integer arithmetic for any batch that drifts or fails
+certification.
 """
 
 from __future__ import annotations
@@ -182,12 +183,23 @@ def activity(cfg, basis):
     return BasisActivity(basis, internal, external)
 
 
+def _exact_activities(cfg, bases, hist=None):
+    """Tally (internal, external) activities of the given bases, exactly."""
+    hist = {} if hist is None else hist
+    for basis in bases:
+        act = activity(cfg, basis)
+        k = (act.internal, act.external)
+        hist[k] = hist.get(k, 0) + 1
+    return hist
+
+
 def tutte_crapo(cfg, max_subsets=DEFAULT_MAX_BASIS_SUBSETS, batched=None):
     """Tutte polynomial as the basis-activity sum: T = sum x^i(B) y^e(B).
 
     For large enumerations the batched path processes candidate bases with
     vectorized arithmetic; every batch is certified by an exact integer
-    residual identity before its activities are trusted.
+    residual identity before its activities are trusted, and is recomputed
+    exactly when it is not.
     """
     m, r = len(cfg), cfg.rank
     if comb(m, r) > max_subsets:
@@ -201,12 +213,8 @@ def tutte_crapo(cfg, max_subsets=DEFAULT_MAX_BASIS_SUBSETS, batched=None):
             return _tutte_crapo_batched(cfg)
         except ImportError:
             pass
-    coeffs = {}
-    for basis in enumerate_bases(cfg, max_subsets=max_subsets):
-        act = activity(cfg, basis)
-        k = (act.internal, act.external)
-        coeffs[k] = coeffs.get(k, 0) + 1
-    return BivariatePolynomial(coeffs, ("x", "y"))
+    hist = _exact_activities(cfg, enumerate_bases(cfg, max_subsets=max_subsets))
+    return BivariatePolynomial(hist, ("x", "y"))
 
 
 def tutte_corank_nullity(cfg, max_elements=DEFAULT_MAX_ORACLE_ELEMENTS):
@@ -296,61 +304,72 @@ def _tutte_crapo_batched(cfg, chunk=4096):
     max_abs = int(np.abs(W).max(initial=1))
     if hadamard > 2 ** 48 or hadamard * max_abs * r > 2 ** 61:
         # certified int64 arithmetic would overflow; use the exact path
-        coeffs = {}
-        for basis in enumerate_bases(cfg):
-            act = activity(cfg, basis)
-            k = (act.internal, act.external)
-            coeffs[k] = coeffs.get(k, 0) + 1
-        return BivariatePolynomial(coeffs, ("x", "y"))
+        return BivariatePolynomial(_exact_activities(cfg, enumerate_bases(cfg)), ("x", "y"))
 
     hist = {}
     Wf = W.astype(np.float64)
-    all_idx = np.arange(m)
     combos = itertools.combinations(range(m), r)
     while True:
         block = list(itertools.islice(combos, chunk))
         if not block:
             break
-        idx = np.array(block, dtype=np.int64)  # (B, r)
-        mats = Wf[idx]  # (B, r, r)
-        dets = np.linalg.det(mats)
-        rdets = np.rint(dets)
-        if np.abs(dets - rdets).max(initial=0.0) > 0.01:
-            raise ArithmeticError("float determinant drifted; Hadamard guard failed")
-        keep = rdets != 0
-        if not keep.any():
+        counts = _certified_batch(W, Wf, block)
+        if counts is None:
+            # float drift or a failed certificate: redo this batch exactly
+            bases = (c for c in block if rank_of([cfg.vectors[i] for i in c]) == r)
+            _exact_activities(cfg, bases, hist)
             continue
-        bidx = idx[keep]  # (Nb, r)
-        bdet = rdets[keep].astype(np.int64)
-        nb = len(bidx)
-        # expansion coefficients of every element over each basis, scaled by det:
-        # x = sum_b lambda_b(x) * basisvec_b  <=>  M^T lambda = x
-        sol = np.linalg.solve(
-            Wf[bidx].transpose(0, 2, 1), np.broadcast_to(Wf.T, (nb, r, m)).copy()
-        )
-        adjx = np.rint(sol * bdet[:, None, None])
-        if np.abs(sol * bdet[:, None, None] - adjx).max(initial=0.0) > 0.01:
-            raise ArithmeticError("float solve drifted; Hadamard guard failed")
-        adjx = adjx.astype(np.int64)
-        # certify: M^T applied to adjx must reproduce det * X^T exactly
-        lhs = np.einsum("brk,bkx->brx", W[bidx].transpose(0, 2, 1), adjx)
-        rhs = bdet[:, None, None] * np.broadcast_to(W.T, (nb, r, m))
-        if not np.array_equal(lhs, rhs):
-            raise ArithmeticError("certification failed for a batch")
-        nonzero = adjx != 0  # (Nb, r, m)
-        in_basis = np.zeros((nb, m), dtype=bool)
-        np.put_along_axis(in_basis, bidx, True, axis=1)
-        # external activity: x not in B is active iff every basis row with a
-        # nonzero coefficient on x sits after x in the order
-        basis_pos = bidx[:, :, None]  # (Nb, r, 1)
-        support_min = np.where(nonzero, basis_pos, m + 1).min(axis=1)  # (Nb, m)
-        ext = (~in_basis) & (support_min > all_idx[None, :])
-        e_counts = ext.sum(axis=1)
-        # internal activity: basis row b is active iff no earlier non-basis x
-        # carries a nonzero coefficient on b
-        xmask = (~in_basis)[:, None, :] & nonzero  # (Nb, r, m)
-        xmin = np.where(xmask, all_idx[None, None, :], m + 1).min(axis=2)  # (Nb, r)
-        i_counts = (xmin > bidx).sum(axis=1)
-        for i, e in zip(i_counts.tolist(), e_counts.tolist()):
+        for i, e in counts:
             hist[(i, e)] = hist.get((i, e), 0) + 1
     return BivariatePolynomial(hist, ("x", "y"))
+
+
+def _certified_batch(W, Wf, block):
+    """(internal, external) activities of the bases among one batch of
+    candidate index tuples, or None when float drift or a failed exact
+    certificate means the batch cannot be trusted."""
+    import numpy as np
+
+    m, r = W.shape
+    idx = np.array(block, dtype=np.int64)  # (B, r)
+    dets = np.linalg.det(Wf[idx])
+    rdets = np.rint(dets)
+    if np.abs(dets - rdets).max(initial=0.0) > 0.01:
+        return None
+    keep = rdets != 0
+    if not keep.any():
+        return []
+    bidx = idx[keep]  # (Nb, r)
+    bdet = rdets[keep].astype(np.int64)
+    nb = len(bidx)
+    # expansion coefficients of every element over each basis, scaled by det:
+    # x = sum_b lambda_b(x) * basisvec_b  <=>  M^T lambda = x
+    sol = np.linalg.solve(
+        Wf[bidx].transpose(0, 2, 1), np.broadcast_to(Wf.T, (nb, r, m)).copy()
+    )
+    scaled = sol * bdet[:, None, None]
+    adjx = np.rint(scaled)
+    if np.abs(scaled - adjx).max(initial=0.0) > 0.01:
+        return None
+    adjx = adjx.astype(np.int64)
+    # certify: M^T applied to adjx must reproduce det * X^T exactly
+    lhs = np.einsum("brk,bkx->brx", W[bidx].transpose(0, 2, 1), adjx)
+    rhs = bdet[:, None, None] * np.broadcast_to(W.T, (nb, r, m))
+    if not np.array_equal(lhs, rhs):
+        return None
+    all_idx = np.arange(m)
+    nonzero = adjx != 0  # (Nb, r, m)
+    in_basis = np.zeros((nb, m), dtype=bool)
+    np.put_along_axis(in_basis, bidx, True, axis=1)
+    # external activity: x not in B is active iff every basis row with a
+    # nonzero coefficient on x sits after x in the order
+    basis_pos = bidx[:, :, None]  # (Nb, r, 1)
+    support_min = np.where(nonzero, basis_pos, m + 1).min(axis=1)  # (Nb, m)
+    ext = (~in_basis) & (support_min > all_idx[None, :])
+    e_counts = ext.sum(axis=1)
+    # internal activity: basis row b is active iff no earlier non-basis x
+    # carries a nonzero coefficient on b
+    xmask = (~in_basis)[:, None, :] & nonzero  # (Nb, r, m)
+    xmin = np.where(xmask, all_idx[None, None, :], m + 1).min(axis=2)  # (Nb, r)
+    i_counts = (xmin > bidx).sum(axis=1)
+    return list(zip(i_counts.tolist(), e_counts.tolist()))

@@ -1,21 +1,23 @@
 """The finite field method for ideal arrangements of classical root systems:
-minor sets and valid primes, closed-form coboundary evaluations at primes via
-the block partition, the brute-force point-counting oracle, and the full
-interpolation pipeline producing exact coboundary polynomials.
+the counting model whose one dynamic program yields the coboundary polynomial
+directly, the paper's prime route (minor sets, valid prime plans, evaluation
+at primes and Lagrange interpolation) kept for verification, the brute-force
+point-counting oracle, and closed forms for full arrangements.
 
-The evaluation at a prime p sums, over all ways of distributing each block of
+The count over F_p sums, over all ways of distributing each block of
 exchangeable coordinates across the residues of F_p, the multinomial weight
 times t to the number of hyperplanes the distribution satisfies.  Residues are
-consumed in the symmetric pairs {c, p-c} (plus 0), which keeps the dynamic
-program independent of which residue is which and lets one transition table
-serve every step.
+consumed as 0 and then the symmetric pairs {c, p-c}, which keeps the dynamic
+program independent of which residue is which.  A pair left empty changes
+nothing, so the program records only non-empty pairs; the count at any odd p,
+and chi-bar(q, t) itself, follow from that record by binomial weights.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, factorial
 
 from .errors import ConstraintError, GuardExceeded, InconsistencyError, UnsupportedTypeError
 from .exactpoly import BivariatePolynomial, UnivariatePolynomial, lagrange_interpolate
@@ -225,7 +227,8 @@ def count_points_bruteforce(tuples, n, p, max_points=DEFAULT_MAX_POINTS):
 
 class CountingModel:
     """Blocks of exchangeable coordinates plus pair-incidence flags for one
-    hyperplane tuple set; evaluates the weighted point count at any odd prime.
+    hyperplane tuple set.  One dynamic program gives both its coboundary
+    polynomial and its weighted point count at any odd prime.
 
     Blocks are taken from a BlockPartition when available (the partition in
     accordance with an ideal) or computed directly as the coordinate classes
@@ -274,6 +277,7 @@ class CountingModel:
         self._verify_uniform(tset)
         self._pair_kernel = {}
         self._zero_kernel = {}
+        self._profile = None
 
     @classmethod
     def from_block_partition(cls, bp, tuples):
@@ -342,7 +346,7 @@ class CountingModel:
                         )
 
     # transition tables are independent of the prime, so they are built once
-    # per starting state and reused across every residue step of every prime.
+    # per starting state and reused across every residue step.
 
     def _alloc_zero(self, state):
         key = state
@@ -383,24 +387,22 @@ class CountingModel:
         return out
 
     def _alloc_pair(self, state):
-        key = state
-        cached = self._pair_kernel.get(key)
+        """Every non-empty allocation of one residue pair {c, p-c}, a
+        coordinates of each block to c and b to p-c, merged by (rest, t-exponent).
+
+        The empty allocation is the identity and is left to pair_profile's
+        binomial weights.  Swapping c and p-c maps an allocation to one with
+        the same rest, weight and exponent, so only allocations whose first
+        unequal (a, b) has a > b are enumerated, at double weight.
+        """
+        cached = self._pair_kernel.get(state)
         if cached is not None:
             return cached
-        nb = len(state)
-        out = []
-
-        def rec(bi, aa, bb, weight, de):
-            if bi == nb:
-                out.append(
-                    (
-                        tuple(r - a - b for r, a, b in zip(state, aa, bb)),
-                        weight,
-                        de,
-                    )
-                )
-                return
-            r = state[bi]
+        # partial allocations over the blocks so far:
+        # (a's, b's, rest, weight, t-exponent, still a == b everywhere)
+        partial = [((), (), (), 1, 0, True)]
+        for bi, r in enumerate(state):
+            within = []
             for a in range(r + 1):
                 for b in range(r - a + 1):
                     d = 0
@@ -408,56 +410,129 @@ class CountingModel:
                         d += a * (a - 1) // 2 + b * (b - 1) // 2
                     if self.neg_within[bi]:
                         d += a * b
-                    for bj in range(bi):
-                        if self.pos_cross[(bj, bi)]:
-                            d += aa[bj] * a + bb[bj] * b
-                        if self.neg_cross[(bj, bi)]:
-                            d += aa[bj] * b + bb[bj] * a
-                    aa.append(a)
-                    bb.append(b)
-                    rec(
-                        bi + 1,
-                        aa,
-                        bb,
-                        weight * comb(r, a) * comb(r - a, b),
-                        de + d,
-                    )
-                    aa.pop()
-                    bb.pop()
-
-        rec(0, [], [], 1, 0)
-        self._pair_kernel[key] = out
+                    within.append((a, b, r - a - b, comb(r, a) * comb(r - a, b), d))
+            canonical = [o for o in within if o[0] >= o[1]]
+            # a hyperplane x_i = x_j (x_i = -x_j) across blocks holds when i, j
+            # take the same (opposite) residue of the pair
+            cross = [
+                (bj, self.pos_cross[(bj, bi)], self.neg_cross[(bj, bi)]) for bj in range(bi)
+            ]
+            grown = []
+            for aa, bb, rest, weight, de, tied in partial:
+                at_c = at_minus_c = 0
+                for bj, pc, nc in cross:
+                    if pc:
+                        at_c += aa[bj]
+                        at_minus_c += bb[bj]
+                    if nc:
+                        at_c += bb[bj]
+                        at_minus_c += aa[bj]
+                for a, b, left, w, d in canonical if tied else within:
+                    grown.append((
+                        aa + (a,), bb + (b,), rest + (left,), weight * w,
+                        de + d + a * at_c + b * at_minus_c, tied and a == b,
+                    ))
+            partial = grown
+        merged = {}
+        for _, _, rest, w, de, tied in partial:
+            if rest != state:
+                merged[(rest, de)] = merged.get((rest, de), 0) + (w if tied else 2 * w)
+        out = [(rest, w, de) for (rest, de), w in merged.items()]
+        self._pair_kernel[state] = out
         return out
+
+    def _step(self, states, kernel):
+        """Apply one residue (or residue pair) allocation to every live state."""
+        nxt = {}
+        for st, poly in states.items():
+            for st2, w, de in kernel(st):
+                tgt = nxt.setdefault(st2, {})
+                for e, c in poly.items():
+                    tgt[e + de] = tgt.get(e + de, 0) + c * w
+        return nxt
+
+    def pair_profile(self):
+        """F_u for u = 0, 1, ...: dense t-coefficient lists of the weight that
+        exhausts every block after residue 0 and exactly u non-empty residue
+        pairs.
+
+        An empty pair leaves the state unchanged, so over (p-1)/2 pairs the
+        count is sum_u C((p-1)/2, u) F_u.  Each non-empty pair consumes at
+        least one coordinate, so the loop ends within m steps.  Computed once
+        per model.
+        """
+        if self._profile is not None:
+            return self._profile
+        sizes = tuple(len(b) for b in self.blocks)
+        done = tuple(0 for _ in sizes)
+        states = self._step({sizes: {0: 1}}, self._alloc_zero)
+        profile = []
+        while True:
+            dense = [0] * (len(self.tuples) + 1)
+            for e, c in states.pop(done, {}).items():
+                dense[e] += c
+            profile.append(dense)
+            if not states:
+                break
+            states = self._step(states, self._alloc_pair)
+        self._profile = tuple(profile)
+        return self._profile
 
     def point_count_profile(self, p):
         """Dense coefficient list of sum over F_p^m of t^(#satisfied hyperplanes)."""
         if p % 2 == 0:
             raise ConstraintError("the counting model requires an odd prime")
-        sizes = tuple(len(b) for b in self.blocks)
-        states = {sizes: {0: 1}}
-        # residue 0, then (p-1)/2 interchangeable residue pairs
-        nxt = {}
-        for st, poly in states.items():
-            for st2, w, de in self._alloc_zero(st):
-                tgt = nxt.setdefault(st2, {})
-                for e, c in poly.items():
-                    tgt[e + de] = tgt.get(e + de, 0) + c * w
-        states = nxt
-        for _ in range((p - 1) // 2):
-            nxt = {}
-            for st, poly in states.items():
-                for st2, w, de in self._alloc_pair(st):
-                    tgt = nxt.setdefault(st2, {})
-                    for e, c in poly.items():
-                        tgt[e + de] = tgt.get(e + de, 0) + c * w
-            states = nxt
-        final = states.get(tuple(0 for _ in sizes), {})
+        pairs = (p - 1) // 2
         out = [0] * (len(self.tuples) + 1)
-        for e, c in final.items():
-            out[e] += c
+        for u, f in enumerate(self.pair_profile()):
+            w = comb(pairs, u)
+            for e, c in enumerate(f):
+                out[e] += w * c
         if sum(out) != p ** self.m:
             raise InconsistencyError("point count does not total p^m")
         return out
+
+    def coboundary(self):
+        """chi-bar(q, t) exactly, with no primes and no interpolation.
+
+        N(q, t) = sum_u C((q-1)/2, u) F_u(t) agrees with the point count at
+        every odd prime, so it is the point-count polynomial, and chi-bar is
+        N / q^(m - rank).  C((q-1)/2, u) = prod_{k<u} (q-1-2k) / (2^u u!),
+        and each division is checked exact.
+        """
+        num = {}
+        falling = [1]  # q-coefficients of prod_{k<u} (q - 1 - 2k)
+        for u, f in enumerate(self.pair_profile()):
+            d = 2 ** u * factorial(u)
+            for e, c in enumerate(f):
+                if not c:
+                    continue
+                if c % d:
+                    raise InconsistencyError(
+                        f"F_{u} coefficient {c} at t^{e} not divisible by 2^u u! = {d}"
+                    )
+                for dq, a in enumerate(falling):
+                    num[(dq, e)] = num.get((dq, e), 0) + a * (c // d)
+            shifted = [0] + falling
+            for k, a in enumerate(falling):
+                shifted[k] -= (2 * u + 1) * a
+            falling = shifted
+        shift = self.m - self.rank
+        out = {}
+        for (dq, dt), c in num.items():
+            if not c:
+                continue
+            if dq < shift:
+                raise InconsistencyError(
+                    f"point-count polynomial not divisible by q^(m-rank) = q^{shift}"
+                )
+            out[(dq - shift, dt)] = c
+        at_one = {}
+        for (dq, _), c in out.items():
+            at_one[dq] = at_one.get(dq, 0) + c
+        if {k: c for k, c in at_one.items() if c} != {self.rank: 1}:
+            raise InconsistencyError(f"chi-bar(q, 1) is not q^{self.rank}")
+        return BivariatePolynomial(out, ("q", "t"))
 
     def coboundary_at_prime(self, p):
         """chi-bar(p, t): the profile divided by p^(m - rank), exactly."""
@@ -569,36 +644,47 @@ def coboundary_full(family, n):
 def coboundary_polynomial(ideal, primes=None):
     """Exact coboundary polynomial chi-bar(q, t) of a classical ideal arrangement.
 
-    Decomposes the complement into connected components, evaluates each
-    component's closed form over its prime plan, interpolates, and multiplies;
-    the coboundary polynomial is rank-relative, so components simply multiply.
-    An explicit prime list overrides the plan (it must hold enough odd primes
-    outside the family's minor set).
+    Decomposes the complement into connected components and multiplies their
+    coboundary polynomials (chi-bar is rank-relative, so components simply
+    multiply).  By default each component's chi-bar comes straight from its
+    counting model's pair profile.  An explicit prime list selects the
+    paper's route instead: evaluate each component at its first rank+1
+    usable primes (odd, outside the family's minor set) and interpolate.
     """
     rst = ideal.rst
     if not rst.is_classical:
         raise UnsupportedTypeError(
             f"the finite field pipeline covers classical types, not {rst.family}"
         )
-    comp = complement(ideal)
-    if not comp.roots:
-        return BivariatePolynomial.one(("q", "t"))
     result = BivariatePolynomial.one(("q", "t"))
-    for component in decompose_components(comp):
+    for component in decompose_components(complement(ideal)):
         model = CountingModel(component.size, component.tuples)
         if primes is None:
-            plan_primes = prime_plan(component.family, model.rank).primes
-        else:
-            bad = classical_minor_magnitudes(component.family, component.size)
-            usable = [p for p in primes if p % 2 and p not in bad]
-            if len(usable) < model.rank + 1:
-                raise ConstraintError(
-                    f"need {model.rank + 1} valid primes, got {usable}"
-                )
-            plan_primes = tuple(usable[: model.rank + 1])
-        points = [(p, model.coboundary_at_prime(p)) for p in plan_primes]
-        result = result * lagrange_interpolate(points)
+            result = result * model.coboundary()
+            continue
+        plan = _component_primes(component, model.rank, primes)
+        result = result * lagrange_interpolate(
+            [(p, model.coboundary_at_prime(p)) for p in plan]
+        )
     return result
+
+
+def _component_primes(component, rank, primes):
+    """The first rank+1 primes of an explicit list that are valid for a component."""
+    bad = classical_minor_magnitudes(component.family, component.size)
+    usable = [p for p in primes if p > 2 and p % 2 and p not in bad]
+    if len(usable) < rank + 1:
+        raise ConstraintError(f"need {rank + 1} valid primes, got {usable}")
+    return tuple(usable[: rank + 1])
+
+
+def interpolation_primes(ideal, primes):
+    """Every prime the interpolation route evaluates at for this ideal, sorted."""
+    used = set()
+    for component in decompose_components(complement(ideal)):
+        rank = crapo.rank_of([tuple_normal(t, component.size) for t in component.tuples])
+        used.update(_component_primes(component, rank, primes))
+    return sorted(used)
 
 
 def tutte_via_ffmethod(ideal, primes=None):

@@ -54,11 +54,13 @@ def tutte_of_ideal(ideal, engine="auto", primes=None, max_subsets=None):
 
     auto routes classical types through the finite-field pipeline and
     exceptional types through the basis-activity formula; oracle forces the
-    corank-nullity expansion.
+    corank-nullity expansion.  ``primes`` selects the finite-field pipeline's
+    interpolation route and is refused by every other engine.
     """
     rst = ideal.rst
     if engine == "auto":
         engine = "ffmethod" if rst.is_classical else "crapo"
+    _check_primes(engine, primes)
     if engine == "ffmethod":
         return ffmethod.tutte_via_ffmethod(ideal, primes=primes)
     comp_roots = ideal.complement_roots()
@@ -78,17 +80,26 @@ def tutte_of_ideal(ideal, engine="auto", primes=None, max_subsets=None):
     raise ConstraintError(f"unknown engine {engine!r}")
 
 
-def coboundary_of_ideal(ideal, engine="auto"):
+def _check_primes(engine, primes):
+    if primes is not None and engine != "ffmethod":
+        raise ConstraintError(
+            f"primes select the finite-field interpolation route; engine {engine} takes none"
+        )
+
+
+def coboundary_of_ideal(ideal, engine="auto", primes=None):
     """Coboundary polynomial of an ideal arrangement.
 
-    Classical types use the finite-field pipeline directly; otherwise the
-    Tutte polynomial is computed first and converted through
+    The finite-field pipeline (auto on classical types) gives it directly;
+    otherwise the Tutte polynomial is computed first and converted through
     chi-bar(q, t) = (t-1)^rank T(q/(t-1) + 1, t), carried out exactly by
     reversing the coboundary-to-Tutte substitution.
     """
-    rst = ideal.rst
-    if engine == "auto" and rst.is_classical:
-        return ffmethod.coboundary_polynomial(ideal)
+    if engine == "auto":
+        engine = "ffmethod" if ideal.rst.is_classical else "crapo"
+    _check_primes(engine, primes)
+    if engine == "ffmethod":
+        return ffmethod.coboundary_polynomial(ideal, primes=primes)
     tutte = tutte_of_ideal(ideal, engine=engine)
     return tutte_to_coboundary(tutte, arrangement_of(ideal).rank())
 
@@ -111,8 +122,8 @@ def tutte_to_coboundary(tutte, rank):
     return out
 
 
-def characteristic_polynomial(ideal, engine="auto"):
-    tutte = tutte_of_ideal(ideal, engine=engine)
+def characteristic_polynomial(ideal, engine="auto", primes=None):
+    tutte = tutte_of_ideal(ideal, engine=engine, primes=primes)
     arr = arrangement_of(ideal)
     return tutte_to_characteristic(tutte, arr.dim, arr.rank())
 

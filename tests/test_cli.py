@@ -60,7 +60,50 @@ def test_json_round_trip_and_provenance(capsys, tmp_path):
     poly = BivariatePolynomial.from_json_dict(data)
     assert poly.evaluate(2, 2) == 2 ** 4
     assert data["provenance"]["engine"] == "ffmethod"
-    assert data["provenance"]["primes"] == [3, 5, 7]
+    assert data["provenance"]["route"] == "direct"
+    assert "primes" not in data["provenance"]
+
+
+def test_primes_select_interpolation_route(capsys, tmp_path):
+    base = ("--type", "B", "--rank", "3", "--full", "--cache-dir", str(tmp_path))
+    primes = ("--primes", "[3, 5, 7, 11, 13, 17]")
+    _, direct, _ = run(capsys, "tutte", *base, "--format", "json")
+    code, out, _ = run(capsys, "tutte", *base, "--format", "json", *primes)
+    assert code == 0
+    data = json.loads(out)
+    # a cached direct result is not replayed for the interpolation route
+    assert data["provenance"]["route"] == "interpolation"
+    # rank 3 takes the first four primes; 13 and 17 go unused
+    assert data["provenance"]["primes"] == [3, 5, 7, 11]
+    assert data["terms"] == json.loads(direct)["terms"]
+    for command in ("coboundary", "charpoly"):
+        _, want, _ = run(capsys, command, *base)
+        code, got, _ = run(capsys, command, *base, *primes)
+        assert code == 0 and got == want
+        code, _, err = run(capsys, command, *base, "--primes", "[3, 5]")
+        assert code == 1 and "valid primes" in err
+
+
+def test_primes_refused_for_exceptional_types(capsys, tmp_path):
+    for command in ("tutte", "coboundary", "charpoly"):
+        code, out, err = run(
+            capsys, command, "--type", "G2", "--roots", "[[3,1],[3,2]]",
+            "--primes", "[3, 5, 7]", "--cache-dir", str(tmp_path),
+        )
+        assert code == 1 and not out and "primes" in err
+
+
+def test_verify_checks_direct_against_interpolation(capsys, monkeypatch):
+    args = ("verify", "--type", "B", "--rank", "3", "--all-ideals", "--no-cache")
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert "+20 direct-vs-interpolation checks" in out
+    from idealtutte import ffmethod
+
+    real = ffmethod.lagrange_interpolate
+    monkeypatch.setattr(ffmethod, "lagrange_interpolate", lambda pts: real(pts) + 1)
+    code, _, err = run(capsys, *args)
+    assert code == 3 and "interpolated" in err
 
 
 def test_latex_output_wellformed(capsys, tmp_path):

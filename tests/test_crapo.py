@@ -86,6 +86,44 @@ def test_corank_nullity_guard():
         tutte_corank_nullity(cfg, max_elements=24)
 
 
+@pytest.fixture(scope="module")
+def f4_full():
+    cfg = VectorConfig([r.simple_coords for r in positive_roots(root_system_type("F4"))])
+    return cfg, tutte_crapo(cfg, batched=False)
+
+
+@pytest.mark.parametrize("fault", ["drift", "uncertified"])
+def test_batched_falls_back_to_exact_on_bad_batches(f4_full, monkeypatch, fault):
+    np = pytest.importorskip("numpy")
+    from idealtutte import crapo
+
+    cfg, want = f4_full
+    real_solve = np.linalg.solve
+    calls = []
+
+    def faulty_solve(a, b):
+        sol = real_solve(a, b)
+        calls.append(None)
+        if len(calls) != 2:  # spoil only the second of the three batches
+            return sol
+        if fault == "drift":
+            return sol + 0.25
+        # stays integral after scaling by det, so only the certificate catches it
+        return sol + 1.0 / np.rint(np.linalg.det(a))[:, None, None]
+
+    exact = []
+    real_exact = crapo._exact_activities
+
+    def spy(cfg, bases, hist=None):
+        exact.append(None)
+        return real_exact(cfg, bases, hist)
+
+    monkeypatch.setattr(np.linalg, "solve", faulty_solve)
+    monkeypatch.setattr(crapo, "_exact_activities", spy)
+    assert _tutte_crapo_batched(cfg) == want
+    assert len(calls) == 3 and len(exact) == 1
+
+
 def test_batched_equals_python_on_random_configs():
     rng = random.Random(20240817)
     for _ in range(12):

@@ -1,8 +1,8 @@
 import pytest
 
 from conftest import WORKED_CLASSICAL, load_poly, worked_ideal
-from idealtutte.errors import ConstraintError, GuardExceeded
-from idealtutte.exactpoly import UnivariatePolynomial, coboundary_to_tutte
+from idealtutte.errors import ConstraintError, GuardExceeded, InconsistencyError
+from idealtutte.exactpoly import BivariatePolynomial, UnivariatePolynomial, coboundary_to_tutte
 from idealtutte.ffmethod import (
     CountingModel,
     arrangement_rank,
@@ -145,6 +145,44 @@ def test_counting_model_automorphism_blocks():
     # one isolated coordinate splits off
     model = CountingModel(3, [(1, 2)])
     assert model.blocks == [[1, 2], [3]]
+
+
+def test_pair_profile_single_hyperplane():
+    # x1 = x2: F_0 = t (both on residue 0); one non-empty pair takes both
+    # coordinates (2 + 2t ways) or one after the other took residue 0 (4);
+    # two pairs take one each (8)
+    model = CountingModel(2, [(1, 2)])
+    assert model.pair_profile() == ([0, 1], [6, 2], [8, 0])
+    assert model.point_count_profile(5) == [20, 5]
+    assert model.coboundary() == BivariatePolynomial(
+        {(1, 0): 1, (0, 0): -1, (0, 1): 1}, ("q", "t")
+    )
+
+
+def test_pair_profile_reads_out_every_prime():
+    # one DP serves every prime: the read-out equals brute force at several
+    ideal = worked_ideal("b")
+    comp = complement(ideal)
+    n = ideal.rst.ambient_dim
+    model = CountingModel(n, comp.hyperplanes)
+    for p in (3, 5, 7):
+        assert model.point_count_profile(p) == list(
+            count_points_bruteforce(comp.hyperplanes, n, p).counts
+        )
+
+
+def test_direct_coboundary_checks_its_divisions():
+    model = CountingModel(2, [(1, 2)])
+    f0, f1, f2 = model.pair_profile()
+    model._profile = (f0, [f1[0] + 1, f1[1] - 1], f2)  # F_1 no longer divisible by 2
+    with pytest.raises(InconsistencyError):
+        model.coboundary()
+    model._profile = (f0, [f1[0] + 2, f1[1] - 2], f2)  # divisible, but not by q^(m-rank)
+    with pytest.raises(InconsistencyError):
+        model.coboundary()
+    model._profile = (f0, [f1[0] + 2, f1[1]], f2)  # the count no longer totals p^m
+    with pytest.raises(InconsistencyError):
+        model.point_count_profile(3)
 
 
 # ---- the full pipeline ------------------------------------------------------------

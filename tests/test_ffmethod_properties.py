@@ -1,0 +1,64 @@
+"""Hypothesis property tests for the finite-field pipeline on random small
+classical ideals: the direct coboundary route against exhaustive point counts
+and against the paper's prime-interpolation route.  They sit beside the
+fixed-seed sweeps in test_ffmethod and test_properties."""
+
+from functools import lru_cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from idealtutte.ffmethod import (
+    arrangement_rank,
+    coboundary_polynomial,
+    count_points_bruteforce,
+    prime_plan,
+)
+from idealtutte.ideals import complement, ideal_from_root_coords
+from idealtutte.rootsystems import root_poset, root_system_type
+
+# every type here has at most 6 coordinates, so 7^n stays far below the
+# brute-force counter's point guard
+TYPES = (
+    [("A", n) for n in range(1, 6)]
+    + [(f, n) for f in "BC" for n in range(2, 5)]
+    + [("D", 4), ("D", 5)]
+)
+
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@lru_cache(maxsize=None)
+def _poset(family, rank):
+    return root_poset(root_system_type(family, rank))
+
+
+@st.composite
+def classical_ideals(draw):
+    """The union of the up-sets of a few roots of a small classical type."""
+    family, rank = draw(st.sampled_from(TYPES))
+    poset = _poset(family, rank)
+    roots = sorted(r.simple_coords for r in poset.roots)
+    picks = draw(st.lists(st.sampled_from(roots), max_size=4))
+    coords = [c for c in roots if any(all(a <= b for a, b in zip(p, c)) for p in picks)]
+    return ideal_from_root_coords(poset, coords)
+
+
+@PROPERTY_SETTINGS
+@given(ideal=classical_ideals(), p=st.sampled_from([3, 5, 7]))
+def test_direct_route_matches_brute_force_counts(ideal, p):
+    n = ideal.rst.ambient_dim
+    hyperplanes = complement(ideal).hyperplanes
+    cb = coboundary_polynomial(ideal)
+    scale = p ** (n - arrangement_rank(ideal))
+    profile = [0] * (len(hyperplanes) + 1)
+    for (dq, dt), c in cb.coeffs.items():
+        profile[dt] += scale * c * p ** dq
+    assert profile == list(count_points_bruteforce(hyperplanes, n, p).counts)
+
+
+@PROPERTY_SETTINGS
+@given(ideal=classical_ideals())
+def test_direct_route_matches_prime_interpolation(ideal):
+    primes = prime_plan(ideal.rst.family, arrangement_rank(ideal)).primes
+    assert coboundary_polynomial(ideal) == coboundary_polynomial(ideal, primes=primes)
