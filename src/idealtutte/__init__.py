@@ -65,6 +65,7 @@ from .crapo import (
     rank_of,
     tutte_corank_nullity,
     tutte_crapo,
+    tutte_crapo_exact,
 )
 from .ffmethod import (
     CountingModel,

@@ -180,14 +180,26 @@ class _Cache:
         )
         return hashlib.sha256(raw.encode()).hexdigest()
 
-    def get(self, key):
+    def get(self, key, variables):
+        """The cached (polynomial, provenance) pair, or None on a miss.
+
+        An entry that cannot be read or decoded, or is not a polynomial in
+        ``variables`` with provenance, is a miss too; the caller recomputes
+        and overwrites it.
+        """
         if not self.enabled:
             return None
         path = os.path.join(self.dir, key + ".json")
-        if not os.path.exists(path):
+        try:
+            with open(path) as fh:
+                entry = json.load(fh)
+            poly = BivariatePolynomial.from_json_dict(entry["polynomial"])
+            prov = entry["provenance"]
+        except (OSError, ValueError, LookupError, TypeError):
             return None
-        with open(path) as fh:
-            return json.load(fh)
+        if poly.variables != tuple(variables) or not isinstance(prov, dict):
+            return None
+        return poly, prov
 
     def put(self, key, value):
         if not self.enabled:
@@ -216,12 +228,14 @@ def _compute_polynomial(ideal, command, engine, args):
     primes = _primes_from_args(args)
     cache = _Cache(args)
     key = cache.key(ideal, command, engine, primes)
-    hit = cache.get(key)
+    hit = cache.get(key, ("q", "t") if command == "coboundary" else ("x", "y"))
     if hit is not None:
-        return BivariatePolynomial.from_json_dict(hit["polynomial"]), hit["provenance"]
+        return hit
     t0 = time.time()
     if command == "coboundary":
-        poly = specialize.coboundary_of_ideal(ideal, engine=engine, primes=primes)
+        poly = specialize.coboundary_of_ideal(
+            ideal, engine=engine, primes=primes, max_subsets=args.max_subsets
+        )
     else:
         poly = specialize.tutte_of_ideal(
             ideal, engine=engine, primes=primes, max_subsets=args.max_subsets
@@ -306,7 +320,7 @@ def cmd_charpoly(args):
     ideal = _ideal_from_args(args)
     engine = _resolve_engine(args.engine, ideal.rst)
     chi = specialize.characteristic_polynomial(
-        ideal, engine=engine, primes=_primes_from_args(args)
+        ideal, engine=engine, primes=_primes_from_args(args), max_subsets=args.max_subsets
     )
     text = chi.to_text("q")
     if args.out:
@@ -389,7 +403,7 @@ def cmd_verify(args):
     counted = 0
     for ideal in ideals:
         polys = [
-            (e, specialize.tutte_of_ideal(ideal, engine=eng))
+            (e, specialize.tutte_of_ideal(ideal, engine=eng, max_subsets=args.max_subsets))
             for e, eng in zip(engines, resolved)
         ]
         base_name, base = polys[0]
@@ -423,56 +437,77 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, ideal_input=True):
+    # each subcommand registers only the options it reads
+    def system(p):
         p.add_argument("--type", required=True, help="A, B, C, D, G2, F4, or E6")
         p.add_argument("--rank", type=int, default=None)
-        if ideal_input:
-            p.add_argument("--boxes", help="JSON list of generating boxes, e.g. [[1,4],[2,0]]")
-            p.add_argument("--roots", help="JSON list of simple-coordinate root vectors")
-            p.add_argument("--ideal-file", help="path to a JSON ideal spec")
-            p.add_argument("--full", action="store_true", help="the full arrangement (empty ideal)")
-            p.add_argument("--engine", choices=ENGINE_CHOICES, default="auto")
+
+    def formats(p):
         p.add_argument("--format", choices=FORMAT_CHOICES, default="text")
-        p.add_argument("--out", help="write the result to this file")
+
+    def ideal_input(p):
+        p.add_argument("--boxes", help="JSON list of generating boxes, e.g. [[1,4],[2,0]]")
+        p.add_argument("--roots", help="JSON list of simple-coordinate root vectors")
+        p.add_argument("--ideal-file", help="path to a JSON ideal spec")
+        p.add_argument("--full", action="store_true", help="the full arrangement (empty ideal)")
         p.add_argument(
             "--primes",
             help="take the finite field method's prime-interpolation route over "
             "these primes (JSON list)",
         )
-        p.add_argument("--max-points", type=int, default=ffmethod.DEFAULT_MAX_POINTS)
-        p.add_argument("--max-subsets", type=int, default=crapo.DEFAULT_MAX_BASIS_SUBSETS)
+        p.add_argument(
+            "--max-subsets", type=int, default=crapo.DEFAULT_MAX_BASIS_SUBSETS,
+            help="refuse more basis candidates (crapo) or subsets (oracle) than this",
+        )
+
+    def polynomial(p):
+        system(p)
+        ideal_input(p)
+        p.add_argument("--engine", choices=ENGINE_CHOICES, default="auto")
+        p.add_argument("--out", help="write the result to this file")
+
+    def cached(p):
         p.add_argument("--no-cache", action="store_true")
         p.add_argument("--cache-dir")
 
     p = sub.add_parser("roots", help="list the positive roots")
-    common(p, ideal_input=False)
+    system(p)
+    formats(p)
     p.set_defaults(func=cmd_roots)
 
     p = sub.add_parser("ideals", help="enumerate ideals")
-    common(p, ideal_input=False)
+    system(p)
+    formats(p)
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(func=cmd_ideals)
 
     p = sub.add_parser("tutte", help="Tutte polynomial of an ideal arrangement")
-    common(p)
+    polynomial(p)
+    formats(p)
+    cached(p)
     p.set_defaults(func=lambda a: cmd_polynomial(a, "tutte"))
 
     p = sub.add_parser("coboundary", help="coboundary polynomial of an ideal arrangement")
-    common(p)
+    polynomial(p)
+    formats(p)
+    cached(p)
     p.set_defaults(func=lambda a: cmd_polynomial(a, "coboundary"))
 
     p = sub.add_parser("charpoly", help="characteristic polynomial of an ideal arrangement")
-    common(p)
+    polynomial(p)
     p.set_defaults(func=cmd_charpoly)
 
     p = sub.add_parser("verify", help="cross-check engines on one or all ideals")
-    common(p)
+    system(p)
+    ideal_input(p)
+    p.add_argument("--max-points", type=int, default=ffmethod.DEFAULT_MAX_POINTS)
     p.add_argument("--all-ideals", action="store_true")
     p.add_argument("--engines", default="auto,oracle")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("minors", help="minor set of the positive-root matrix")
-    common(p, ideal_input=False)
+    system(p)
+    formats(p)
     p.set_defaults(func=cmd_minors)
 
     return ap

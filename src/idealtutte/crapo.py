@@ -1,17 +1,20 @@
 """Tutte polynomials of integer vector configurations: Crapo's basis-activity
 formula and the corank-nullity brute-force oracle.
 
-All rank computations are exact.  The generic paths use division-free integer
-elimination; the batched path used for large basis enumerations works in
-float64/int64 but certifies every batch with an exact integer identity and
-falls back to exact integer arithmetic for any batch that drifts or fails
-certification.
+All rank computations are exact.  ``tutte_crapo`` runs one vectorized engine
+at every size: it scores candidate bases in batches in float64/int64,
+certifies every batch with an exact integer identity, and recomputes any
+batch that drifts or fails certification with the literal activity
+definition.  Configurations whose minors could overflow the certificate's
+int64 arithmetic go to that literal route as a whole.  The literal route is
+also public as ``tutte_crapo_exact``, the reference the tests compare
+against; rank computations there use division-free integer elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, hypot, inf, prod
 
 from .errors import GuardExceeded
 from .exactpoly import BivariatePolynomial
@@ -124,15 +127,10 @@ def enumerate_bases(cfg, max_subsets=DEFAULT_MAX_BASIS_SUBSETS):
     are pruned without ever touching their supersets.
     """
     m, r = len(cfg), cfg.rank
-    if comb(m, r) > max_subsets:
-        raise GuardExceeded(
-            f"C({m},{r}) = {comb(m, r)} basis candidates exceeds guard {max_subsets}"
-        )
+    _check_basis_guard(m, r, max_subsets)
     if r == 0:
         yield ()
         return
-
-    out = []
 
     def walk(start, chosen, ech):
         if len(chosen) == r:
@@ -193,26 +191,32 @@ def _exact_activities(cfg, bases, hist=None):
     return hist
 
 
-def tutte_crapo(cfg, max_subsets=DEFAULT_MAX_BASIS_SUBSETS, batched=None):
-    """Tutte polynomial as the basis-activity sum: T = sum x^i(B) y^e(B).
-
-    For large enumerations the batched path processes candidate bases with
-    vectorized arithmetic; every batch is certified by an exact integer
-    residual identity before its activities are trusted, and is recomputed
-    exactly when it is not.
-    """
-    m, r = len(cfg), cfg.rank
+def _check_basis_guard(m, r, max_subsets):
     if comb(m, r) > max_subsets:
         raise GuardExceeded(
             f"C({m},{r}) = {comb(m, r)} basis candidates exceeds guard {max_subsets}"
         )
-    if batched is None:
-        batched = comb(m, r) >= 20000
-    if batched and r > 0:
-        try:
-            return _tutte_crapo_batched(cfg)
-        except ImportError:
-            pass
+
+
+def tutte_crapo(cfg, max_subsets=DEFAULT_MAX_BASIS_SUBSETS):
+    """Tutte polynomial as the basis-activity sum: T = sum x^i(B) y^e(B).
+
+    Candidate bases are scored in batches with vectorized arithmetic; every
+    batch is certified by an exact integer residual identity before its
+    activities are trusted, and is recomputed exactly when it is not.
+    """
+    m, r = len(cfg), cfg.rank
+    _check_basis_guard(m, r, max_subsets)
+    if r == 0:
+        # only loops: the one empty basis, with every element externally active
+        return BivariatePolynomial({(0, m): 1}, ("x", "y"))
+    return _tutte_crapo_batched(cfg)
+
+
+def tutte_crapo_exact(cfg, max_subsets=DEFAULT_MAX_BASIS_SUBSETS):
+    """The basis-activity sum by the literal route: every basis from
+    ``enumerate_bases`` and its activities from ``activity``, all in exact
+    integer arithmetic.  Slow; the reference for ``tutte_crapo``."""
     hist = _exact_activities(cfg, enumerate_bases(cfg, max_subsets=max_subsets))
     return BivariatePolynomial(hist, ("x", "y"))
 
@@ -254,7 +258,7 @@ def tutte_corank_nullity(cfg, max_elements=DEFAULT_MAX_ORACLE_ELEMENTS):
     return BivariatePolynomial(out, ("x", "y"))
 
 
-# ---- batched basis/activity engine ----------------------------------------
+# ---- vectorized basis/activity engine -------------------------------------
 
 
 def _row_space_coordinates(cfg):
@@ -297,16 +301,20 @@ def _tutte_crapo_batched(cfg, chunk=4096):
     import numpy as np
 
     m, r = len(cfg), cfg.rank
-    W = np.array(_row_space_coordinates(cfg), dtype=np.int64)  # (m, r)
-    # Hadamard bound on any r x r minor; keeps float dets and int64 products exact.
-    norms = np.sqrt((W.astype(np.float64) ** 2).sum(axis=1))
-    hadamard = float(np.sort(norms)[-r:].prod()) if r else 1.0
-    max_abs = int(np.abs(W).max(initial=1))
+    coords = _row_space_coordinates(cfg)
+    # Hadamard bound on any r x r minor; keeps float dets and int64 products
+    # exact.  Taken on Python ints: the coordinates need not fit int64.
+    max_abs = max(abs(x) for v in coords for x in v)
+    hadamard = inf
+    if max_abs <= 2 ** 61:
+        hadamard = prod(sorted(hypot(*v) for v in coords)[-r:])
     if hadamard > 2 ** 48 or hadamard * max_abs * r > 2 ** 61:
-        # certified int64 arithmetic would overflow; use the exact path
-        return BivariatePolynomial(_exact_activities(cfg, enumerate_bases(cfg)), ("x", "y"))
+        # certified int64 arithmetic would overflow; use the exact route
+        # (the caller has already applied its basis-candidate guard)
+        return tutte_crapo_exact(cfg, max_subsets=comb(m, r))
 
     hist = {}
+    W = np.array(coords, dtype=np.int64)  # (m, r)
     Wf = W.astype(np.float64)
     combos = itertools.combinations(range(m), r)
     while True:

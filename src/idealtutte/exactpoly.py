@@ -15,6 +15,9 @@ from math import comb
 from .errors import ConstraintError, InconsistencyError
 
 
+_COEFF_RE = re.compile(r"-?[0-9]+")
+
+
 class BivariatePolynomial:
     """Sparse exact polynomial in two variables.
 
@@ -176,8 +179,36 @@ class BivariatePolynomial:
 
     @classmethod
     def from_json_dict(cls, data):
-        coeffs = {(int(t["dx"]), int(t["dy"])): int(t["c"]) for t in data["terms"]}
-        return cls(coeffs, tuple(data.get("variables", ("x", "y"))))
+        """Inverse of ``to_json_dict``; ValueError on anything it would not write.
+
+        ``variables`` must be two names and every term exactly ``dx``, ``dy``
+        (non-negative ints, no degree twice) and ``c`` (a decimal string), as
+        in docs/polynomial.schema.json.  Other top-level keys (a CLI result's
+        ``provenance``) are ignored.
+        """
+        try:
+            variables, terms = data["variables"], data["terms"]
+        except (TypeError, KeyError):
+            raise ValueError("a polynomial needs 'variables' and 'terms'") from None
+        if not (
+            isinstance(variables, list)
+            and len(variables) == 2
+            and all(isinstance(v, str) for v in variables)
+        ):
+            raise ValueError(f"variables {variables!r} are not two names")
+        if not isinstance(terms, list):
+            raise ValueError(f"terms {terms!r} are not a list")
+        coeffs = {}
+        for t in terms:
+            if not (isinstance(t, dict) and t.keys() == {"dx", "dy", "c"}):
+                raise ValueError(f"term {t!r} is not an object of dx, dy and c")
+            da, db, c = t["dx"], t["dy"], t["c"]
+            if type(da) is not int or type(db) is not int or min(da, db) < 0:
+                raise ValueError(f"term {t!r} needs non-negative integer degrees")
+            if not (isinstance(c, str) and _COEFF_RE.fullmatch(c)) or (da, db) in coeffs:
+                raise ValueError(f"term {t!r} needs a decimal coefficient, once per degree")
+            coeffs[(da, db)] = int(c)
+        return cls(coeffs, variables)
 
     def __repr__(self):
         return self.to_text()

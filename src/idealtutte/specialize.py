@@ -87,11 +87,12 @@ def _check_primes(engine, primes):
         )
 
 
-def coboundary_of_ideal(ideal, engine="auto", primes=None):
+def coboundary_of_ideal(ideal, engine="auto", primes=None, max_subsets=None):
     """Coboundary polynomial of an ideal arrangement.
 
     The finite-field pipeline (auto on classical types) gives it directly;
-    otherwise the Tutte polynomial is computed first and converted through
+    otherwise the Tutte polynomial is computed first, under the same
+    ``max_subsets`` guard as ``tutte_of_ideal``, and converted through
     chi-bar(q, t) = (t-1)^rank T(q/(t-1) + 1, t), carried out exactly by
     reversing the coboundary-to-Tutte substitution.
     """
@@ -100,7 +101,7 @@ def coboundary_of_ideal(ideal, engine="auto", primes=None):
     _check_primes(engine, primes)
     if engine == "ffmethod":
         return ffmethod.coboundary_polynomial(ideal, primes=primes)
-    tutte = tutte_of_ideal(ideal, engine=engine)
+    tutte = tutte_of_ideal(ideal, engine=engine, max_subsets=max_subsets)
     return tutte_to_coboundary(tutte, arrangement_of(ideal).rank())
 
 
@@ -122,8 +123,10 @@ def tutte_to_coboundary(tutte, rank):
     return out
 
 
-def characteristic_polynomial(ideal, engine="auto", primes=None):
-    tutte = tutte_of_ideal(ideal, engine=engine, primes=primes)
+def characteristic_polynomial(ideal, engine="auto", primes=None, max_subsets=None):
+    """chi(q) of an ideal arrangement, from its Tutte polynomial computed by
+    ``tutte_of_ideal`` with the same engine, primes and guard."""
+    tutte = tutte_of_ideal(ideal, engine=engine, primes=primes, max_subsets=max_subsets)
     arr = arrangement_of(ideal)
     return tutte_to_characteristic(tutte, arr.dim, arr.rank())
 

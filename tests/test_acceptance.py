@@ -43,7 +43,7 @@ def test_crit1_ig_both_routes():
     ig = exceptional_ideal("G2", IDEAL_G)
     vectors = [r.simple_coords for r in ig.complement_roots()]
     want = load_poly("tutte_ig.txt", ("x", "y"))
-    via_crapo = tutte_crapo(VectorConfig(vectors, dim=2), batched=False)
+    via_crapo = tutte_crapo(VectorConfig(vectors, dim=2))
     via_oracle = tutte_corank_nullity(VectorConfig(vectors, dim=2))
     ok = via_crapo == want and via_oracle == want
     report(f"1(G2 ideal, both engines): {'PASS' if ok else 'FAIL'} [{time.time()-t0:.2f}s]")
@@ -170,7 +170,7 @@ def sweep_results():
             if poset.rst.is_classical:
                 primary = tutte_via_ffmethod(ideal)
             else:
-                primary = tutte_crapo(cfg, batched=False)
+                primary = tutte_crapo(cfg)
             out[(family, rank, ideal.mask)] = {
                 "ideal": ideal,
                 "cfg": cfg,

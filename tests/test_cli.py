@@ -30,7 +30,7 @@ def test_minors_b3(capsys, tmp_path):
 def test_verify_sweep_exit_zero(capsys, tmp_path):
     code, out, _ = run(
         capsys, "verify", "--type", "A", "--rank", "4", "--all-ideals",
-        "--engines", "crapo,oracle", "--no-cache",
+        "--engines", "crapo,oracle",
     )
     assert code == 0
     assert "verified 42 ideal(s)" in out
@@ -65,10 +65,11 @@ def test_json_round_trip_and_provenance(capsys, tmp_path):
 
 
 def test_primes_select_interpolation_route(capsys, tmp_path):
-    base = ("--type", "B", "--rank", "3", "--full", "--cache-dir", str(tmp_path))
+    base = ("--type", "B", "--rank", "3", "--full")
+    cache = ("--cache-dir", str(tmp_path))
     primes = ("--primes", "[3, 5, 7, 11, 13, 17]")
-    _, direct, _ = run(capsys, "tutte", *base, "--format", "json")
-    code, out, _ = run(capsys, "tutte", *base, "--format", "json", *primes)
+    _, direct, _ = run(capsys, "tutte", *base, *cache, "--format", "json")
+    code, out, _ = run(capsys, "tutte", *base, *cache, "--format", "json", *primes)
     assert code == 0
     data = json.loads(out)
     # a cached direct result is not replayed for the interpolation route
@@ -76,25 +77,26 @@ def test_primes_select_interpolation_route(capsys, tmp_path):
     # rank 3 takes the first four primes; 13 and 17 go unused
     assert data["provenance"]["primes"] == [3, 5, 7, 11]
     assert data["terms"] == json.loads(direct)["terms"]
-    for command in ("coboundary", "charpoly"):
-        _, want, _ = run(capsys, command, *base)
-        code, got, _ = run(capsys, command, *base, *primes)
+    for command, opts in (("coboundary", cache), ("charpoly", ())):
+        _, want, _ = run(capsys, command, *base, *opts)
+        code, got, _ = run(capsys, command, *base, *opts, *primes)
         assert code == 0 and got == want
-        code, _, err = run(capsys, command, *base, "--primes", "[3, 5]")
+        code, _, err = run(capsys, command, *base, *opts, "--primes", "[3, 5]")
         assert code == 1 and "valid primes" in err
 
 
 def test_primes_refused_for_exceptional_types(capsys, tmp_path):
-    for command in ("tutte", "coboundary", "charpoly"):
+    cache = ("--cache-dir", str(tmp_path))
+    for command, opts in (("tutte", cache), ("coboundary", cache), ("charpoly", ())):
         code, out, err = run(
             capsys, command, "--type", "G2", "--roots", "[[3,1],[3,2]]",
-            "--primes", "[3, 5, 7]", "--cache-dir", str(tmp_path),
+            "--primes", "[3, 5, 7]", *opts,
         )
         assert code == 1 and not out and "primes" in err
 
 
 def test_verify_checks_direct_against_interpolation(capsys, monkeypatch):
-    args = ("verify", "--type", "B", "--rank", "3", "--all-ideals", "--no-cache")
+    args = ("verify", "--type", "B", "--rank", "3", "--all-ideals")
     code, out, _ = run(capsys, *args)
     assert code == 0
     assert "+20 direct-vs-interpolation checks" in out
@@ -179,7 +181,89 @@ def test_parse_ideal_spec_schema_rejects_junk():
 def test_charpoly_command(capsys, tmp_path):
     code, out, _ = run(
         capsys, "charpoly", "--type", "G2", "--roots", "[[3,1],[3,2]]",
-        "--no-cache",
     )
     assert code == 0
     assert out.strip() == "q^3 - 4q^2 + 3q"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("tutte", "--no-cache"), ("coboundary", "--no-cache"), ("charpoly",), ("verify",)],
+)
+def test_max_subsets_guard_on_every_polynomial_command(capsys, argv):
+    # C(24, 4) = 10626 basis candidates exceed the guard of 100 before any work
+    code, out, err = run(capsys, *argv, "--type", "F4", "--full", "--max-subsets", "100")
+    assert code == 2 and not out and "10626" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tutte", "--engine", "oracle", "--no-cache"),
+        ("coboundary", "--engine", "oracle", "--no-cache"),
+        ("charpoly", "--engine", "oracle"),
+        ("verify", "--engines", "crapo,oracle"),
+    ],
+)
+def test_default_max_subsets_admits_26_oracle_elements(capsys, monkeypatch, argv):
+    # the default guard of 10^8 subsets holds the oracle to 2^26
+    from idealtutte import crapo
+
+    seen = []
+    real = crapo.tutte_corank_nullity
+
+    def spy(cfg, max_elements):
+        seen.append(max_elements)
+        return real(cfg, max_elements=max_elements)
+
+    monkeypatch.setattr(crapo, "tutte_corank_nullity", spy)
+    code, _, _ = run(capsys, *argv, "--type", "G2", "--roots", "[[3,1],[3,2]]")
+    assert code == 0 and seen == [26]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        '{"polynomial": {"terms": [',  # truncated
+        "\udcff",  # not UTF-8
+        '{"x": 1}',
+        "[1, 2]",
+        '{"polynomial": {"terms": 3, "variables": ["x", "y"]}, "provenance": {}}',
+        '{"polynomial": {"terms": [], "variables": ["x", "y"]}, "provenance": [1]}',
+        '{"polynomial": {"terms": [], "variables": ["x"]}, "provenance": {}}',
+        '{"polynomial": {"terms": [], "variables": ["q", "t"]}, "provenance": {}}',
+        '{"polynomial": {"terms": [{"dx": -1, "dy": 0, "c": "1"}], "variables": ["x", "y"]},'
+        ' "provenance": {}}',
+        '{"polynomial": {"terms": [{"dx": 1.5, "dy": 0, "c": "1"}], "variables": ["x", "y"]},'
+        ' "provenance": {}}',
+        '{"polynomial": {"terms": [{"dx": 1, "dy": 0, "c": "one"}], "variables": ["x", "y"]},'
+        ' "provenance": {}}',
+    ],
+)
+def test_bad_cache_entry_is_a_miss(capsys, tmp_path, entry):
+    args = ("tutte", "--type", "G2", "--roots", "[[3,1],[3,2]]", "--cache-dir", str(tmp_path))
+    code, want, _ = run(capsys, *args)
+    (path,) = tmp_path.glob("*.json")
+    good = path.read_text()
+    path.write_text(entry, errors="surrogateescape")
+    code, got, err = run(capsys, *args)
+    assert code == 0 and got == want and not err
+    # recomputed and overwritten with a good entry
+    assert json.loads(path.read_text())["polynomial"] == json.loads(good)["polynomial"]
+
+
+CACHE_OPTIONS = [("--no-cache",), ("--cache-dir", "somewhere")]
+COMPUTE_OPTIONS = [("--primes", "[3]"), ("--max-points", "10"), ("--max-subsets", "10"),
+                   ("--out", "somewhere"), *CACHE_OPTIONS]
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(c, o) for c in ("roots", "ideals", "minors") for o in COMPUTE_OPTIONS]
+    + [(c, o) for c in ("charpoly", "verify") for o in CACHE_OPTIONS],
+)
+def test_commands_refuse_options_they_do_not_read(capsys, command, option):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--type", "G2", *option])
+    assert exc.value.code == 2
+    capsys.readouterr()

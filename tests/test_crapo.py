@@ -11,6 +11,7 @@ from idealtutte.crapo import (
     rank_of,
     tutte_corank_nullity,
     tutte_crapo,
+    tutte_crapo_exact,
 )
 from idealtutte.errors import GuardExceeded
 from idealtutte.exactpoly import parse_polynomial
@@ -66,9 +67,9 @@ def test_activity_tabulation_reproduces_tutte():
 def test_tutte_crapo_vs_printed_g2():
     cfg = VectorConfig(ig_complement())
     want = parse_polynomial("x^2 + y^2 + 2x + 2y")
-    assert tutte_crapo(cfg, batched=False) == want
+    assert tutte_crapo_exact(cfg) == want
     assert tutte_corank_nullity(cfg) == want
-    assert _tutte_crapo_batched(cfg) == want
+    assert tutte_crapo(cfg) == want
     # the least basis contributes the x^2 term
     first = next(enumerate_bases(cfg))
     act = activity(cfg, first)
@@ -89,7 +90,7 @@ def test_corank_nullity_guard():
 @pytest.fixture(scope="module")
 def f4_full():
     cfg = VectorConfig([r.simple_coords for r in positive_roots(root_system_type("F4"))])
-    return cfg, tutte_crapo(cfg, batched=False)
+    return cfg, tutte_crapo_exact(cfg)
 
 
 @pytest.mark.parametrize("fault", ["drift", "uncertified"])
@@ -124,27 +125,43 @@ def test_batched_falls_back_to_exact_on_bad_batches(f4_full, monkeypatch, fault)
     assert len(calls) == 3 and len(exact) == 1
 
 
+def test_overflow_branch_takes_exact_route(monkeypatch):
+    # minors above the Hadamard limit, then coordinates beyond int64 and float:
+    # the certified kernel must not run, and the result stays exact
+    from idealtutte import crapo
+
+    def no_batches(*args):
+        raise AssertionError("certified kernel ran on an overflowing configuration")
+
+    monkeypatch.setattr(crapo, "_certified_batch", no_batches)
+    big = 10 ** 7
+    for vecs in (
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (big, 3, big), (2, big, -big), (big, big, 1)],
+        [(1, 0), (0, 1), (2 ** 1100, 1), (0, 3)],
+    ):
+        cfg = VectorConfig(vecs)
+        assert tutte_crapo(cfg) == tutte_corank_nullity(cfg)
+
+
 def test_batched_equals_python_on_random_configs():
     rng = random.Random(20240817)
     for _ in range(12):
         m, d = rng.randint(3, 8), rng.randint(2, 4)
         vecs = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(m)]
         cfg = VectorConfig(vecs)
-        if cfg.rank == 0:
-            continue
-        t_py = tutte_crapo(cfg, batched=False)
-        assert _tutte_crapo_batched(cfg) == t_py
-        assert tutte_corank_nullity(cfg) == t_py
+        t_exact = tutte_crapo_exact(cfg)
+        assert tutte_crapo(cfg) == t_exact
+        assert tutte_corank_nullity(cfg) == t_exact
 
 
 def test_order_independence():
     rng = random.Random(7)
     base = [r.simple_coords for r in positive_roots(root_system_type("A", 3))]
-    want = tutte_crapo(VectorConfig(base), batched=False)
+    want = tutte_crapo(VectorConfig(base))
     perm = list(base)
     for _ in range(10):
         rng.shuffle(perm)
-        assert tutte_crapo(VectorConfig(perm), batched=False) == want
+        assert tutte_crapo(VectorConfig(perm)) == want
 
 
 def test_specialization_identities_on_g2_sweep():
@@ -154,7 +171,7 @@ def test_specialization_identities_on_g2_sweep():
     for ideal in enumerate_ideals(poset):
         vectors = [r.simple_coords for r in ideal.complement_roots()]
         cfg = VectorConfig(vectors, dim=2)
-        t = tutte_crapo(cfg, batched=False)
+        t = tutte_crapo(cfg)
         assert t == tutte_corank_nullity(cfg)
         assert t.evaluate(2, 2) == 2 ** len(vectors)
         assert t.evaluate(1, 1) == sum(1 for _ in enumerate_bases(cfg)) or not vectors
@@ -169,7 +186,7 @@ def test_crapo_equals_oracle_on_classical_sweeps():
         for ideal in enumerate_ideals(poset):
             vectors = [r.simple_coords for r in ideal.complement_roots()]
             cfg = VectorConfig(vectors, dim=rank)
-            assert tutte_crapo(cfg, batched=False) == tutte_corank_nullity(cfg)
+            assert tutte_crapo(cfg) == tutte_corank_nullity(cfg)
 
 
 def test_crapo_equals_oracle_random_f4_ideals():
@@ -193,7 +210,7 @@ def test_crapo_equals_oracle_random_f4_ideals():
             continue
         vectors = [r.simple_coords for r in ideal.complement_roots()]
         cfg = VectorConfig(vectors, dim=4)
-        assert tutte_crapo(cfg, batched=False) == tutte_corank_nullity(cfg)
+        assert tutte_crapo(cfg) == tutte_corank_nullity(cfg)
         done += 1
     fi = exceptional_ideal("F4", IDEAL_F)
     cfg = VectorConfig([r.simple_coords for r in fi.complement_roots()], dim=4)
@@ -205,7 +222,7 @@ def test_independent_set_count():
     import itertools
 
     cfg = VectorConfig(A2_BRAID)
-    t = tutte_crapo(cfg, batched=False)
+    t = tutte_crapo(cfg)
     assert t.evaluate(2, 1) == 7  # {}, 3 singletons, 3 pairs
 
     rng = random.Random(31)
@@ -221,7 +238,7 @@ def test_independent_set_count():
             for sub in itertools.combinations(range(m), k)
             if rank_of([vecs[i] for i in sub]) == k
         )
-        assert tutte_crapo(cfg, batched=False).evaluate(2, 1) == direct
+        assert tutte_crapo(cfg).evaluate(2, 1) == direct
 
 
 def test_deletion_contraction_spot():

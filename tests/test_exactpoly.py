@@ -62,6 +62,31 @@ def test_json_round_trip():
     assert BivariatePolynomial.from_json_dict(p.to_json_dict()) == p
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"terms": []},
+        [],
+        {"variables": ["x"], "terms": []},
+        {"variables": ["x", 1], "terms": []},
+        {"variables": ["x", "y"], "terms": 3},
+        {"variables": ["x", "y"], "terms": [[1, 0, "1"]]},
+        {"variables": ["x", "y"], "terms": [{"dx": -1, "dy": 0, "c": "1"}]},
+        {"variables": ["x", "y"], "terms": [{"dx": 1.5, "dy": 0, "c": "1"}]},
+        {"variables": ["x", "y"], "terms": [{"dx": True, "dy": 0, "c": "1"}]},
+        {"variables": ["x", "y"], "terms": [{"dx": 1, "c": "1"}]},
+        {"variables": ["x", "y"], "terms": [{"dx": 1, "dy": 0, "c": 1}]},
+        {"variables": ["x", "y"], "terms": [{"dx": 1, "dy": 0, "c": "one"}]},
+        {"variables": ["x", "y"], "terms": [{"dx": 1, "dy": 0, "c": "+1"}]},
+        {"variables": ["x", "y"], "terms": [{"dx": 1, "dy": 0, "c": "1", "e": 0}]},
+        {"variables": ["x", "y"], "terms": [{"dx": 1, "dy": 0, "c": "1"}] * 2},
+    ],
+)
+def test_json_decoding_is_strict(data):
+    with pytest.raises(ValueError):
+        BivariatePolynomial.from_json_dict(data)
+
+
 def test_univariate_ops():
     p = UnivariatePolynomial([2, -3, 1])  # (q-1)(q-2)
     assert p.evaluate(1) == 0 and p.evaluate(3) == 2

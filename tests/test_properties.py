@@ -85,11 +85,11 @@ def test_crapo_order_invariance_random():
         if rank_of(vecs) == 0:
             continue
         configs += 1
-        want = tutte_crapo(VectorConfig(vecs), batched=False)
+        want = tutte_crapo(VectorConfig(vecs))
         perm = list(vecs)
         for _ in range(20):
             rng.shuffle(perm)
-            assert tutte_crapo(VectorConfig(perm), batched=False) == want
+            assert tutte_crapo(VectorConfig(perm)) == want
 
 
 def test_deletion_contraction_random():
