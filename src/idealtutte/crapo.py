@@ -1,26 +1,29 @@
 """Tutte polynomials of integer vector configurations: Crapo's basis-activity
 formula and the corank-nullity brute-force oracle.
 
-All rank computations are exact.  ``tutte_crapo`` runs one vectorized engine
-at every size: it scores candidate bases in batches in float64/int64,
-certifies every batch with an exact integer identity, and recomputes any
-batch that drifts or fails certification with the literal activity
-definition.  Configurations whose minors could overflow the certificate's
-int64 arithmetic go to that literal route as a whole.  The literal route is
-also public as ``tutte_crapo_exact``, the reference the tests compare
-against; rank computations there use division-free integer elimination.
+All arithmetic is exact.  ``tutte_crapo`` runs one integer engine at every
+size: a prefix tree of int64 minors finds the bases, and every activity is a
+lookup in their exchange table (B - b + x is a basis exactly when x has a
+nonzero coefficient on b).  Configurations whose minors could overflow int64
+take the literal route as a whole.  That route is also public as
+``tutte_crapo_exact``, the reference the tests compare against; its rank
+computations use division-free integer elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 from math import comb, hypot, inf, prod
 
-from .errors import GuardExceeded
+from .errors import GuardExceeded, InconsistencyError
 from .exactpoly import BivariatePolynomial
 
 DEFAULT_MAX_BASIS_SUBSETS = 10 ** 8
 DEFAULT_MAX_ORACLE_ELEMENTS = 24
+# cells (index x row, or prefix extension x Laplace term) per vectorized step
+_CHUNK = 1 << 20
 
 
 class _Echelon:
@@ -181,16 +184,6 @@ def activity(cfg, basis):
     return BasisActivity(basis, internal, external)
 
 
-def _exact_activities(cfg, bases, hist=None):
-    """Tally (internal, external) activities of the given bases, exactly."""
-    hist = {} if hist is None else hist
-    for basis in bases:
-        act = activity(cfg, basis)
-        k = (act.internal, act.external)
-        hist[k] = hist.get(k, 0) + 1
-    return hist
-
-
 def _check_basis_guard(m, r, max_subsets):
     if comb(m, r) > max_subsets:
         raise GuardExceeded(
@@ -201,23 +194,46 @@ def _check_basis_guard(m, r, max_subsets):
 def tutte_crapo(cfg, max_subsets=DEFAULT_MAX_BASIS_SUBSETS):
     """Tutte polynomial as the basis-activity sum: T = sum x^i(B) y^e(B).
 
-    Candidate bases are scored in batches with vectorized arithmetic; every
-    batch is certified by an exact integer residual identity before its
-    activities are trusted, and is recomputed exactly when it is not.
+    Exact integer arithmetic throughout: the bases come from a prefix tree of
+    int64 minors and the activities from lookups in their exchange table.
+    Every result is checked against T(2,2) = 2^m and the degree bounds.
     """
     m, r = len(cfg), cfg.rank
     _check_basis_guard(m, r, max_subsets)
     if r == 0:
         # only loops: the one empty basis, with every element externally active
-        return BivariatePolynomial({(0, m): 1}, ("x", "y"))
-    return _tutte_crapo_batched(cfg)
+        t = BivariatePolynomial({(0, m): 1}, ("x", "y"))
+    else:
+        coords = _row_space_coordinates(cfg)
+        # Hadamard bound on any minor of up to r nonzero rows (every such row
+        # has norm >= 1), and on a Laplace sum of r entry-times-minor
+        # products.  Taken on Python ints: the coordinates need not fit int64.
+        max_abs = max(abs(x) for v in coords for x in v)
+        hadamard = inf
+        if max_abs <= 2 ** 61:
+            hadamard = prod(sorted(hypot(*v) for v in coords)[-r:])
+        if hadamard > 2 ** 48 or hadamard * max_abs * r > 2 ** 61:
+            # int64 minors could overflow; the caller's guard already passed
+            t = tutte_crapo_exact(cfg, max_subsets=comb(m, r))
+        else:
+            t = BivariatePolynomial(_exchange_tally(coords, r), ("x", "y"))
+    if t.evaluate(2, 2) != 2 ** m or t.degree(0) > r or t.degree(1) > m - r:
+        raise InconsistencyError(
+            f"basis-activity sum of {m} elements of rank {r} fails T(2,2) = 2^m "
+            f"or the degree bounds: {t}"
+        )
+    return t
 
 
 def tutte_crapo_exact(cfg, max_subsets=DEFAULT_MAX_BASIS_SUBSETS):
     """The basis-activity sum by the literal route: every basis from
     ``enumerate_bases`` and its activities from ``activity``, all in exact
     integer arithmetic.  Slow; the reference for ``tutte_crapo``."""
-    hist = _exact_activities(cfg, enumerate_bases(cfg, max_subsets=max_subsets))
+    hist = {}
+    for basis in enumerate_bases(cfg, max_subsets=max_subsets):
+        act = activity(cfg, basis)
+        k = (act.internal, act.external)
+        hist[k] = hist.get(k, 0) + 1
     return BivariatePolynomial(hist, ("x", "y"))
 
 
@@ -258,7 +274,7 @@ def tutte_corank_nullity(cfg, max_elements=DEFAULT_MAX_ORACLE_ELEMENTS):
     return BivariatePolynomial(out, ("x", "y"))
 
 
-# ---- vectorized basis/activity engine -------------------------------------
+# ---- exact exchange-table engine ------------------------------------------
 
 
 def _row_space_coordinates(cfg):
@@ -266,8 +282,11 @@ def _row_space_coordinates(cfg):
 
     Vectors are solved against an integer basis of the row space and scaled
     per-vector to clear denominators; scaling changes no ranks, so the matroid
-    is preserved exactly while determinants become r x r.
+    is preserved exactly while determinants become r x r.  Vectors that
+    already span their whole space are their own coordinates.
     """
+    if len(cfg.vectors[0]) == cfg.rank:
+        return list(cfg.vectors)
     ech = _Echelon()
     for v in cfg.vectors:
         ech.add(v)
@@ -295,89 +314,107 @@ def _row_space_coordinates(cfg):
     return out
 
 
-def _tutte_crapo_batched(cfg, chunk=4096):
-    import itertools
+def _exchange_tally(coords, r):
+    """(internal, external) -> number of bases, for integer coordinates of rank
+    r whose minors and Laplace products stay inside int64.
 
+    By Cramer's rule the coefficient of x on basis element b is nonzero
+    exactly when B - b + x is a basis, so once every basis is known the
+    activities are table lookups.  ``table[colex(F), x]`` is True when the
+    (r-1)-subset F plus x is a basis; then b is internally active when the
+    first element that completes B - b is b itself, and x is externally
+    active when every basis element whose exchange admits x comes after x.
+    """
     import numpy as np
 
-    m, r = len(cfg), cfg.rank
-    coords = _row_space_coordinates(cfg)
-    # Hadamard bound on any r x r minor; keeps float dets and int64 products
-    # exact.  Taken on Python ints: the coordinates need not fit int64.
-    max_abs = max(abs(x) for v in coords for x in v)
-    hadamard = inf
-    if max_abs <= 2 ** 61:
-        hadamard = prod(sorted(hypot(*v) for v in coords)[-r:])
-    if hadamard > 2 ** 48 or hadamard * max_abs * r > 2 ** 61:
-        # certified int64 arithmetic would overflow; use the exact route
-        # (the caller has already applied its basis-candidate guard)
-        return tutte_crapo_exact(cfg, max_subsets=comb(m, r))
+    W = np.array(coords, dtype=np.int64)
+    m = len(W)
+    bases = _bases(W, r)
+    # binom[c, i] = C(c, i); a sorted set a_0 < a_1 < ... has colex rank
+    # sum_i C(a_i, i + 1), and dropping a_j shifts every later a_i down one
+    binom = np.array([[comb(c, i) for i in range(r + 1)] for c in range(m)], dtype=np.int64)
+    pos = np.arange(r)
 
-    hist = {}
-    W = np.array(coords, dtype=np.int64)  # (m, r)
-    Wf = W.astype(np.float64)
-    combos = itertools.combinations(range(m), r)
-    while True:
-        block = list(itertools.islice(combos, chunk))
-        if not block:
-            break
-        counts = _certified_batch(W, Wf, block)
-        if counts is None:
-            # float drift or a failed certificate: redo this batch exactly
-            bases = (c for c in block if rank_of([cfg.vectors[i] for i in c]) == r)
-            _exact_activities(cfg, bases, hist)
-            continue
-        for i, e in counts:
-            hist[(i, e)] = hist.get((i, e), 0) + 1
-    return BivariatePolynomial(hist, ("x", "y"))
+    def drop_ranks(c):
+        keep = binom[c, pos + 1]
+        shift = binom[c, pos]
+        before = keep.cumsum(axis=1) - keep
+        after = shift[:, ::-1].cumsum(axis=1)[:, ::-1] - shift
+        return before + after  # (n, r): colex rank of B - c_j
+
+    table = np.zeros((comb(m, r - 1), m), dtype=bool)
+    step = max(1, _CHUNK // (r * m))
+    for lo in range(0, len(bases), step):
+        c = bases[lo : lo + step]
+        table[drop_ranks(c), c] = True
+
+    def pack(bits):  # bool rows of length m -> little-endian uint64 words
+        packed = np.zeros((len(bits), -(-m // 64) * 8), dtype=np.uint8)
+        packed[:, : -(-m // 8)] = np.packbits(bits, axis=1, bitorder="little")
+        return packed.view("<u8")
+
+    table = pack(table)
+    below = pack(np.tri(m, m, -1, dtype=bool))  # below[c]: the elements x < c
+    width = m - r + 1
+    tally = np.zeros((r + 1) * width, dtype=np.int64)
+    for lo in range(0, len(bases), step):
+        c = bases[lo : lo + step]
+        rows = table[drop_ranks(c)]  # (n, r, words): the x completing B - c_j
+        low = below[c]
+        internal = r - (rows & low).any(axis=2).sum(axis=1)
+        admits_earlier = np.bitwise_or.reduce(rows & ~low, axis=1)  # (n, words)
+        admitted = np.unpackbits(admits_earlier.view(np.uint8), axis=1)
+        external = m - admitted.sum(axis=1, dtype=np.int64)
+        tally += np.bincount(internal * width + external, minlength=len(tally))
+    return {divmod(k, width): int(n) for k, n in enumerate(tally.tolist()) if n}
 
 
-def _certified_batch(W, Wf, block):
-    """(internal, external) activities of the bases among one batch of
-    candidate index tuples, or None when float drift or a failed exact
-    certificate means the batch cannot be trusted."""
+def _bases(W, r):
+    """Every basis of the rows of the int64 array W (m x r, rank r), as an
+    (N, r) int32 array of index tuples in lexicographic order.
+
+    A prefix tree over increasing index tuples: each prefix of k rows carries
+    all of its k x k minors, a new row extends them by Laplace expansion along
+    that row, and a prefix whose minors all vanish is dropped with every
+    superset.  Prefixes that could not be completed to r rows are never made.
+    """
     import numpy as np
 
-    m, r = W.shape
-    idx = np.array(block, dtype=np.int64)  # (B, r)
-    dets = np.linalg.det(Wf[idx])
-    rdets = np.rint(dets)
-    if np.abs(dets - rdets).max(initial=0.0) > 0.01:
-        return None
-    keep = rdets != 0
-    if not keep.any():
-        return []
-    bidx = idx[keep]  # (Nb, r)
-    bdet = rdets[keep].astype(np.int64)
-    nb = len(bidx)
-    # expansion coefficients of every element over each basis, scaled by det:
-    # x = sum_b lambda_b(x) * basisvec_b  <=>  M^T lambda = x
-    sol = np.linalg.solve(
-        Wf[bidx].transpose(0, 2, 1), np.broadcast_to(Wf.T, (nb, r, m)).copy()
-    )
-    scaled = sol * bdet[:, None, None]
-    adjx = np.rint(scaled)
-    if np.abs(scaled - adjx).max(initial=0.0) > 0.01:
-        return None
-    adjx = adjx.astype(np.int64)
-    # certify: M^T applied to adjx must reproduce det * X^T exactly
-    lhs = np.einsum("brk,bkx->brx", W[bidx].transpose(0, 2, 1), adjx)
-    rhs = bdet[:, None, None] * np.broadcast_to(W.T, (nb, r, m))
-    if not np.array_equal(lhs, rhs):
-        return None
-    all_idx = np.arange(m)
-    nonzero = adjx != 0  # (Nb, r, m)
-    in_basis = np.zeros((nb, m), dtype=bool)
-    np.put_along_axis(in_basis, bidx, True, axis=1)
-    # external activity: x not in B is active iff every basis row with a
-    # nonzero coefficient on x sits after x in the order
-    basis_pos = bidx[:, :, None]  # (Nb, r, 1)
-    support_min = np.where(nonzero, basis_pos, m + 1).min(axis=1)  # (Nb, m)
-    ext = (~in_basis) & (support_min > all_idx[None, :])
-    e_counts = ext.sum(axis=1)
-    # internal activity: basis row b is active iff no earlier non-basis x
-    # carries a nonzero coefficient on b
-    xmask = (~in_basis)[:, None, :] & nonzero  # (Nb, r, m)
-    xmin = np.where(xmask, all_idx[None, None, :], m + 1).min(axis=2)  # (Nb, r)
-    i_counts = (xmin > bidx).sum(axis=1)
-    return list(zip(i_counts.tolist(), e_counts.tolist()))
+    m = len(W)
+    elements = np.arange(m)
+    first = np.flatnonzero(W.any(axis=1) & (elements <= m - r))
+    prefixes = first.astype(np.int32)[:, None]
+    minors = W[first]  # 1 x 1 minors, one per column
+    for k in range(1, r):
+        cols, sub, sign = _laplace_terms(r, k + 1)
+        step = max(1, _CHUNK // (m * cols.size))
+        grown, grown_minors = [], []
+        for lo in range(0, len(prefixes), step):
+            p = prefixes[lo : lo + step]
+            fits = (elements > p[:, -1:]) & (elements <= m - r + k)
+            pi, x = np.nonzero(fits)
+            new = (sign * W[x][:, cols] * minors[lo + pi][:, sub]).sum(axis=2)
+            live = new.any(axis=1)
+            grown.append(np.column_stack((p[pi[live]], x[live].astype(np.int32))))
+            grown_minors.append(new[live])
+        prefixes = np.concatenate(grown)
+        minors = np.concatenate(grown_minors)
+    return prefixes
+
+
+@lru_cache(maxsize=None)
+def _laplace_terms(r, n):
+    """Laplace expansion of every n x n minor (columns T, from combinations of
+    range(r) in lexicographic order) along its last row: for each T and each
+    t in T, the column t, the index of T - t among the (n-1)-subsets and the
+    cofactor sign.  Three (C(r, n), n) int64 arrays."""
+    import numpy as np
+
+    smaller = {T: i for i, T in enumerate(combinations(range(r), n - 1))}
+    cols, sub, sign = [], [], []
+    for T in combinations(range(r), n):
+        cols.append(T)
+        sub.append([smaller[T[:p] + T[p + 1 :]] for p in range(n)])
+        sign.append([(-1) ** (n - 1 + p) for p in range(n)])
+    return (np.array(cols, dtype=np.int64), np.array(sub, dtype=np.int64),
+            np.array(sign, dtype=np.int64))

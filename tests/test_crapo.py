@@ -5,7 +5,8 @@ import pytest
 from conftest import exceptional_ideal
 from idealtutte.crapo import (
     VectorConfig,
-    _tutte_crapo_batched,
+    _bases,
+    _row_space_coordinates,
     activity,
     enumerate_bases,
     rank_of,
@@ -13,8 +14,8 @@ from idealtutte.crapo import (
     tutte_crapo,
     tutte_crapo_exact,
 )
-from idealtutte.errors import GuardExceeded
-from idealtutte.exactpoly import parse_polynomial
+from idealtutte.errors import GuardExceeded, InconsistencyError
+from idealtutte.exactpoly import BivariatePolynomial, parse_polynomial
 from idealtutte.rootsystems import positive_roots, root_poset, root_system_type
 
 A2_BRAID = [(1, -1, 0), (1, 0, -1), (0, 1, -1)]
@@ -93,47 +94,104 @@ def f4_full():
     return cfg, tutte_crapo_exact(cfg)
 
 
-@pytest.mark.parametrize("fault", ["drift", "uncertified"])
-def test_batched_falls_back_to_exact_on_bad_batches(f4_full, monkeypatch, fault):
-    np = pytest.importorskip("numpy")
-    from idealtutte import crapo
+def _kernel_bases(cfg):
+    import numpy as np
+
+    W = np.array(_row_space_coordinates(cfg), dtype=np.int64)
+    return [tuple(b) for b in _bases(W, cfg.rank).tolist()]
+
+
+def test_kernel_bases_equal_enumerate_bases(f4_full):
+    from idealtutte.ideals import enumerate_ideals
+
+    configs = [f4_full[0]]
+    for ideal in enumerate_ideals(root_poset(root_system_type("G2"))):
+        vectors = [r.simple_coords for r in ideal.complement_roots()]
+        configs.append(VectorConfig(vectors, dim=2))
+    rng = random.Random(5150)
+    while len(configs) < 40:
+        m, d = rng.randint(1, 10), rng.randint(1, 6)
+        vecs = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(m)]
+        configs.append(VectorConfig(vecs))
+    for cfg in configs:
+        if cfg.rank:
+            assert _kernel_bases(cfg) == list(enumerate_bases(cfg))
+
+
+def test_tutte_crapo_uses_no_float_linear_algebra(f4_full, monkeypatch):
+    import numpy as np
 
     cfg, want = f4_full
-    real_solve = np.linalg.solve
-    calls = []
 
-    def faulty_solve(a, b):
-        sol = real_solve(a, b)
-        calls.append(None)
-        if len(calls) != 2:  # spoil only the second of the three batches
-            return sol
-        if fault == "drift":
-            return sol + 0.25
-        # stays integral after scaling by det, so only the certificate catches it
-        return sol + 1.0 / np.rint(np.linalg.det(a))[:, None, None]
+    def refuse(*args, **kwargs):
+        raise AssertionError("float linear algebra called")
 
-    exact = []
-    real_exact = crapo._exact_activities
+    for name in ("det", "solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert tutte_crapo(cfg) == want
 
-    def spy(cfg, bases, hist=None):
-        exact.append(None)
-        return real_exact(cfg, bases, hist)
 
-    monkeypatch.setattr(np.linalg, "solve", faulty_solve)
-    monkeypatch.setattr(crapo, "_exact_activities", spy)
-    assert _tutte_crapo_batched(cfg) == want
-    assert len(calls) == 3 and len(exact) == 1
+def _uniform_rank2(n):
+    """T of the uniform matroid U(2, n): x^2 + (n-2)x + sum_j (n-1-j) y^j."""
+    terms = {(2, 0): 1, (1, 0): n - 2}
+    terms.update({(0, j): n - 1 - j for j in range(1, n - 1)})
+    return BivariatePolynomial(terms, ("x", "y"))
+
+
+@pytest.mark.parametrize(
+    "vectors, dim, want",
+    [
+        # rank 1: the exchange table has the one empty (r-1)-subset
+        ([(0, 0), (1, 2), (2, 4), (0, 0), (-3, -6)], 2, "x y^2 + y^3 + y^4"),
+        ([(5,)], 1, "x"),
+        # r = m: exactly one basis
+        ([(1, 0, 0), (1, 1, 0), (0, 1, 1)], 3, "x^3"),
+        # zero vectors (loops) in a configuration of rank 2 < dim 4
+        ([(0, 0, 0, 0), (1, 2, 0, 1), (0, 0, 0, 0), (2, 4, 0, 2), (1, 0, 1, 0), (3, 2, 2, 1)],
+         4, None),
+    ],
+)
+def test_kernel_edge_cases(vectors, dim, want):
+    cfg = VectorConfig(vectors, dim=dim)
+    t = tutte_crapo(cfg)
+    assert t == tutte_crapo_exact(cfg) == tutte_corank_nullity(cfg)
+    if want is not None:
+        assert t == parse_polynomial(want)
+    assert _kernel_bases(cfg) == list(enumerate_bases(cfg))
+
+
+def test_kernel_past_int8_indices():
+    # 130 pairwise independent vectors in rank 2: element indices above 127
+    cfg = VectorConfig([(1, k) for k in range(130)])
+    assert tutte_crapo(cfg) == _uniform_rank2(130)
+    assert _uniform_rank2(3) == parse_polynomial("x^2 + x + y")
+
+
+def test_tampered_tally_fails_self_certificate(monkeypatch):
+    from idealtutte import crapo
+
+    real = crapo._exchange_tally
+
+    def tampered(coords, r):
+        tally = real(coords, r)
+        tally[(0, 1)] = tally.get((0, 1), 0) + 1
+        return tally
+
+    cfg = VectorConfig(A2_BRAID)
+    monkeypatch.setattr(crapo, "_exchange_tally", tampered)
+    with pytest.raises(InconsistencyError):
+        tutte_crapo(cfg)
 
 
 def test_overflow_branch_takes_exact_route(monkeypatch):
     # minors above the Hadamard limit, then coordinates beyond int64 and float:
-    # the certified kernel must not run, and the result stays exact
+    # the int64 kernel must not run, and the result stays exact
     from idealtutte import crapo
 
-    def no_batches(*args):
-        raise AssertionError("certified kernel ran on an overflowing configuration")
+    def no_kernel(*args):
+        raise AssertionError("int64 kernel ran on an overflowing configuration")
 
-    monkeypatch.setattr(crapo, "_certified_batch", no_batches)
+    monkeypatch.setattr(crapo, "_exchange_tally", no_kernel)
     big = 10 ** 7
     for vecs in (
         [(1, 0, 0), (0, 1, 0), (0, 0, 1), (big, 3, big), (2, big, -big), (big, big, 1)],

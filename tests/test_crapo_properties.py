@@ -1,9 +1,10 @@
 """Hypothesis property test for the basis-activity engine: on random small
-integer configurations the certified vectorized engine (tutte_crapo) equals
-the literal route (tutte_crapo_exact).  The draws cover configurations whose
-rank is below their dimension, rank 1, parallel and zero vectors (loops),
-and coordinates large enough that the engine's int64 certificate could
-overflow, so it hands the whole configuration to the literal route."""
+integer configurations the exact int64 engine (tutte_crapo) equals the
+literal route (tutte_crapo_exact).  The draws reach rank 6, the depth of the
+engine's prefix tree on E6, and cover configurations whose rank is below
+their dimension, rank 1, parallel and zero vectors (loops), and coordinates
+large enough that the engine's int64 minors could overflow, so it hands the
+whole configuration to the literal route."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,22 +13,22 @@ from idealtutte.crapo import VectorConfig, tutte_crapo, tutte_crapo_exact
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
-# 2: small entries, always the vectorized engine; 10**6: at rank 3 or more the
+# 2: small entries, always the int64 engine; 10**6: at rank 3 or more the
 # Hadamard bound on the minors exceeds 2^48, the overflow branch
 SCALES = (2, 10 ** 6)
 
 
 @st.composite
 def configurations(draw):
-    """Up to 7 vectors in dimension 1-4, each an integer combination of
+    """Up to 10 vectors in dimension 1-6, each an integer combination of
     ``k <= dim`` generators, a multiple of an earlier vector, or zero."""
-    dim = draw(st.integers(1, 4))
+    dim = draw(st.integers(1, 6))
     k = draw(st.integers(1, dim))
     bound = draw(st.sampled_from(SCALES))
     entries = st.integers(-bound, bound)
     gens = draw(st.lists(st.lists(entries, min_size=dim, max_size=dim), min_size=k, max_size=k))
     vectors = []
-    for _ in range(draw(st.integers(1, 7))):
+    for _ in range(draw(st.integers(1, 10))):
         kind = draw(st.sampled_from(("span", "parallel", "zero")))
         if kind == "zero":
             v = [0] * dim
