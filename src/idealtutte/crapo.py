@@ -2,27 +2,27 @@
 formula and the corank-nullity brute-force oracle.
 
 All arithmetic is exact.  ``tutte_crapo`` runs one integer engine at every
-size: a prefix tree of int64 minors finds the bases, and every activity is a
-lookup in their exchange table (B - b + x is a basis exactly when x has a
-nonzero coefficient on b).  Configurations whose minors could overflow int64
-take the literal route as a whole.  That route is also public as
-``tutte_crapo_exact``, the reference the tests compare against; its rank
-computations use division-free integer elimination.
+size: a prefix tree of fraction-free int64 eliminations finds the bases, and
+every activity is a lookup in their exchange table (B - b + x is a basis
+exactly when x has a nonzero coefficient on b).  Configurations whose
+eliminations could overflow int64 take the literal route as a whole.  That
+route is also public as ``tutte_crapo_exact``, the reference the tests compare
+against; its rank computations use division-free integer elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
-from math import comb, hypot, inf, prod
+from math import comb, hypot, prod
 
 from .errors import GuardExceeded, InconsistencyError
 from .exactpoly import BivariatePolynomial
 
 DEFAULT_MAX_BASIS_SUBSETS = 10 ** 8
 DEFAULT_MAX_ORACLE_ELEMENTS = 24
-# cells (index x row, or prefix extension x Laplace term) per vectorized step
+# bytes the kernel may hold in bases and exchange table for one configuration
+MAX_KERNEL_BYTES = 1 << 29
+# array cells per vectorized step
 _CHUNK = 1 << 20
 
 
@@ -191,12 +191,22 @@ def _check_basis_guard(m, r, max_subsets):
         )
 
 
+def _check_kernel_bytes(need, m, r):
+    if need > MAX_KERNEL_BYTES:
+        raise GuardExceeded(
+            f"the bases and exchange table of {m} elements of rank {r} need "
+            f"at least {need} bytes, over the kernel's {MAX_KERNEL_BYTES}"
+        )
+
+
 def tutte_crapo(cfg, max_subsets=DEFAULT_MAX_BASIS_SUBSETS):
     """Tutte polynomial as the basis-activity sum: T = sum x^i(B) y^e(B).
 
     Exact integer arithmetic throughout: the bases come from a prefix tree of
-    int64 minors and the activities from lookups in their exchange table.
-    Every result is checked against T(2,2) = 2^m and the degree bounds.
+    fraction-free int64 eliminations and the activities from lookups in their
+    exchange table.  Every result is checked against T(2,2) = 2^m and the
+    degree bounds.  Raises ``GuardExceeded`` past ``max_subsets`` candidates
+    or past ``MAX_KERNEL_BYTES`` of bases and table.
     """
     m, r = len(cfg), cfg.rank
     _check_basis_guard(m, r, max_subsets)
@@ -205,15 +215,17 @@ def tutte_crapo(cfg, max_subsets=DEFAULT_MAX_BASIS_SUBSETS):
         t = BivariatePolynomial({(0, m): 1}, ("x", "y"))
     else:
         coords = _row_space_coordinates(cfg)
-        # Hadamard bound on any minor of up to r nonzero rows (every such row
-        # has norm >= 1), and on a Laplace sum of r entry-times-minor
-        # products.  Taken on Python ints: the coordinates need not fit int64.
+        # Hadamard bound on any minor of up to r nonzero integer rows (every
+        # such row has norm >= 1).  Every value the kernel forms is a minor,
+        # a partial sum of a dot product that equals a minor (bounded by the
+        # same product of norms), or a product of two minors: all under 2^60.
+        # Taken on Python ints: the coordinates need not fit int64.
         max_abs = max(abs(x) for v in coords for x in v)
-        hadamard = inf
-        if max_abs <= 2 ** 61:
+        hadamard = max_abs  # a lower bound, enough to refuse
+        if max_abs <= 2 ** 30:
             hadamard = prod(sorted(hypot(*v) for v in coords)[-r:])
-        if hadamard > 2 ** 48 or hadamard * max_abs * r > 2 ** 61:
-            # int64 minors could overflow; the caller's guard already passed
+        if hadamard > 2 ** 30:
+            # int64 could overflow; the caller's guard already passed
             t = tutte_crapo_exact(cfg, max_subsets=comb(m, r))
         else:
             t = BivariatePolynomial(_exchange_tally(coords, r), ("x", "y"))
@@ -316,23 +328,34 @@ def _row_space_coordinates(cfg):
 
 def _exchange_tally(coords, r):
     """(internal, external) -> number of bases, for integer coordinates of rank
-    r whose minors and Laplace products stay inside int64.
+    r whose Hadamard bound is at most 2^30.
 
     By Cramer's rule the coefficient of x on basis element b is nonzero
     exactly when B - b + x is a basis, so once every basis is known the
     activities are table lookups.  ``table[colex(F), x]`` is True when the
-    (r-1)-subset F plus x is a basis; then b is internally active when the
-    first element that completes B - b is b itself, and x is externally
-    active when every basis element whose exchange admits x comes after x.
+    (r-1)-subset F plus x is a basis; then b is internally active when no
+    element below b completes B - b, and x is externally active when every
+    basis element whose exchange admits x comes after x.
     """
     import numpy as np
 
     W = np.array(coords, dtype=np.int64)
     m = len(W)
-    bases = _bases(W, r)
+    blocks = _bases(W, r)
+    # the table rows are bit sets of the m elements in 64-bit words: 8 bytes
+    # per 64 elements instead of one per element, and the lookups below work
+    # a word at a time
+    words = -(-m // 64)
+    table_bytes = comb(m, r - 1) * words * 8
+    _check_kernel_bytes(sum(c.nbytes for c in blocks) + table_bytes, m, r)
     # binom[c, i] = C(c, i); a sorted set a_0 < a_1 < ... has colex rank
-    # sum_i C(a_i, i + 1), and dropping a_j shifts every later a_i down one
-    binom = np.array([[comb(c, i) for i in range(r + 1)] for c in range(m)], dtype=np.int64)
+    # sum_i C(a_i, i + 1), and dropping a_j shifts every later a_i down one.
+    # Only entries with c - i <= m - r are ever read (a_i <= m - r + i), and
+    # those are at most C(m, r).
+    binom = np.array(
+        [[comb(c, i) if c - i <= m - r else 0 for i in range(r + 1)] for c in range(m)],
+        dtype=np.int64,
+    )
     pos = np.arange(r)
 
     def drop_ranks(c):
@@ -342,79 +365,75 @@ def _exchange_tally(coords, r):
         after = shift[:, ::-1].cumsum(axis=1)[:, ::-1] - shift
         return before + after  # (n, r): colex rank of B - c_j
 
-    table = np.zeros((comb(m, r - 1), m), dtype=bool)
     step = max(1, _CHUNK // (r * m))
-    for lo in range(0, len(bases), step):
-        c = bases[lo : lo + step]
-        table[drop_ranks(c), c] = True
-
-    def pack(bits):  # bool rows of length m -> little-endian uint64 words
-        packed = np.zeros((len(bits), -(-m // 64) * 8), dtype=np.uint8)
-        packed[:, : -(-m // 8)] = np.packbits(bits, axis=1, bitorder="little")
-        return packed.view("<u8")
-
-    table = pack(table)
-    below = pack(np.tri(m, m, -1, dtype=bool))  # below[c]: the elements x < c
-    width = m - r + 1
-    tally = np.zeros((r + 1) * width, dtype=np.int64)
-    for lo in range(0, len(bases), step):
-        c = bases[lo : lo + step]
+    chunks = [c[lo : lo + step] for c in blocks for lo in range(0, len(c), step)]
+    table = np.zeros(table_bytes // 8, dtype=np.uint64)
+    for c in chunks:
+        bit = np.left_shift(np.uint64(1), (c & 63).astype(np.uint64))
+        np.bitwise_or.at(table, drop_ranks(c) * words + (c >> 6), bit)
+    table = table.reshape(-1, words)
+    # below[c]: the elements x < c, in words like the table rows
+    below = np.array(
+        [[(1 << min(64, max(0, c - 64 * w))) - 1 for w in range(words)] for c in range(m)],
+        dtype=np.uint64,
+    )
+    cols = m - r + 1
+    tally = np.zeros((r + 1) * cols, dtype=np.int64)
+    for c in chunks:
         rows = table[drop_ranks(c)]  # (n, r, words): the x completing B - c_j
         low = below[c]
         internal = r - (rows & low).any(axis=2).sum(axis=1)
-        admits_earlier = np.bitwise_or.reduce(rows & ~low, axis=1)  # (n, words)
-        admitted = np.unpackbits(admits_earlier.view(np.uint8), axis=1)
-        external = m - admitted.sum(axis=1, dtype=np.int64)
-        tally += np.bincount(internal * width + external, minlength=len(tally))
-    return {divmod(k, width): int(n) for k, n in enumerate(tally.tolist()) if n}
+        admitted = np.bitwise_or.reduce(rows & ~low, axis=1)  # by some c_j <= x
+        external = m - np.bitwise_count(admitted).sum(axis=1, dtype=np.int64)
+        tally += np.bincount(internal * cols + external, minlength=len(tally))
+    return {divmod(k, cols): int(n) for k, n in enumerate(tally.tolist()) if n}
 
 
 def _bases(W, r):
-    """Every basis of the rows of the int64 array W (m x r, rank r), as an
-    (N, r) int32 array of index tuples in lexicographic order.
+    """Every basis of the rows of the int64 array W (m x r, rank r), as index
+    tuples in lexicographic order: a list of (n, r) int32 blocks.
 
-    A prefix tree over increasing index tuples: each prefix of k rows carries
-    all of its k x k minors, a new row extends them by Laplace expansion along
-    that row, and a prefix whose minors all vanish is dropped with every
-    superset.  Prefixes that could not be completed to r rows are never made.
+    Depth first over a prefix tree of increasing index tuples, one bounded
+    block of prefixes at a time.  A prefix of k rows carries a fraction-free
+    (Bareiss) basis N of the vectors orthogonal to them, r - k integer rows
+    whose entries are k x k minors of W, and the pivot d of its last step.
+    Row x extends the prefix exactly when u = N W[x] is nonzero; then with the
+    first nonzero u_s, every N_t becomes (u_s N_t - u_t N_s) / d (exact, by
+    Sylvester's identity), row s is dropped and d becomes u_s.  A prefix with
+    no extension is dropped with every superset, and prefixes that could not
+    be completed to r rows are never made.
     """
     import numpy as np
 
     m = len(W)
     elements = np.arange(m)
-    first = np.flatnonzero(W.any(axis=1) & (elements <= m - r))
-    prefixes = first.astype(np.int32)[:, None]
-    minors = W[first]  # 1 x 1 minors, one per column
-    for k in range(1, r):
-        cols, sub, sign = _laplace_terms(r, k + 1)
-        step = max(1, _CHUNK // (m * cols.size))
-        grown, grown_minors = [], []
-        for lo in range(0, len(prefixes), step):
-            p = prefixes[lo : lo + step]
-            fits = (elements > p[:, -1:]) & (elements <= m - r + k)
-            pi, x = np.nonzero(fits)
-            new = (sign * W[x][:, cols] * minors[lo + pi][:, sub]).sum(axis=2)
-            live = new.any(axis=1)
-            grown.append(np.column_stack((p[pi[live]], x[live].astype(np.int32))))
-            grown_minors.append(new[live])
-        prefixes = np.concatenate(grown)
-        minors = np.concatenate(grown_minors)
-    return prefixes
-
-
-@lru_cache(maxsize=None)
-def _laplace_terms(r, n):
-    """Laplace expansion of every n x n minor (columns T, from combinations of
-    range(r) in lexicographic order) along its last row: for each T and each
-    t in T, the column t, the index of T - t among the (n-1)-subsets and the
-    cofactor sign.  Three (C(r, n), n) int64 arrays."""
-    import numpy as np
-
-    smaller = {T: i for i, T in enumerate(combinations(range(r), n - 1))}
-    cols, sub, sign = [], [], []
-    for T in combinations(range(r), n):
-        cols.append(T)
-        sub.append([smaller[T[:p] + T[p + 1 :]] for p in range(n)])
-        sign.append([(-1) ** (n - 1 + p) for p in range(n)])
-    return (np.array(cols, dtype=np.int64), np.array(sub, dtype=np.int64),
-            np.array(sign, dtype=np.int64))
+    root = (np.zeros((1, 0), dtype=np.int32), np.eye(r, dtype=np.int64)[None],
+            np.ones(1, dtype=np.int64))
+    stack, found, count = [root], [], 0
+    while stack:
+        prefixes, normals, pivots = stack.pop()
+        k = prefixes.shape[1]
+        block = max(1, _CHUNK // (m * r * (r - k)))
+        if len(prefixes) > block:
+            # later blocks wait below the earlier ones: lexicographic order
+            for lo in reversed(range(0, len(prefixes), block)):
+                stack.append(tuple(a[lo : lo + block] for a in (prefixes, normals, pivots)))
+            continue
+        last = prefixes[:, -1:] if k else -1
+        u = normals @ W.T  # (n, r - k, m)
+        pi, x = np.nonzero(u.any(axis=1) & (elements > last) & (elements <= m - r + k))
+        grown = np.column_stack((prefixes[pi], x.astype(np.int32)))
+        if k + 1 == r:
+            found.append(grown)
+            count += len(grown)
+            _check_kernel_bytes(4 * r * count, m, r)
+            continue
+        n, u = normals[pi], u[pi, :, x]
+        s = (u != 0).argmax(axis=1)
+        at = np.arange(len(s))
+        us = u[at, s]
+        n = us[:, None, None] * n - u[:, :, None] * n[at, s][:, None, :]
+        n //= pivots[pi, None, None]  # exact
+        n = n[np.arange(r - k) != s[:, None]].reshape(len(s), r - k - 1, r)
+        stack.append((grown, n, us))
+    return found

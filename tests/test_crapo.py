@@ -98,7 +98,7 @@ def _kernel_bases(cfg):
     import numpy as np
 
     W = np.array(_row_space_coordinates(cfg), dtype=np.int64)
-    return [tuple(b) for b in _bases(W, cfg.rank).tolist()]
+    return [tuple(b) for block in _bases(W, cfg.rank) for b in block.tolist()]
 
 
 def test_kernel_bases_equal_enumerate_bases(f4_full):
@@ -165,6 +165,65 @@ def test_kernel_past_int8_indices():
     cfg = VectorConfig([(1, k) for k in range(130)])
     assert tutte_crapo(cfg) == _uniform_rank2(130)
     assert _uniform_rank2(3) == parse_polynomial("x^2 + x + y")
+
+
+def _identity(n):
+    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "n, extra, want",
+    [
+        # U(30, 31): the prefix tree passes level 15, where a 30-row prefix
+        # has C(30, 15) minors; it must carry only its elimination
+        (30, (1,) * 30, " + ".join(f"x^{k}" for k in range(2, 31)) + " + x + y"),
+        # 69 elements of rank 68: C(68, 34) > 2^63, beyond an int64 binomial table
+        (68, (1, 1) + (0,) * 66, "x^68 + x^67 + x^66 y"),
+    ],
+)
+def test_kernel_high_rank_few_candidates(n, extra, want):
+    cfg = VectorConfig(_identity(n) + [extra])
+    t = tutte_crapo(cfg)
+    assert t == tutte_crapo_exact(cfg) == parse_polynomial(want)
+    assert _kernel_bases(cfg) == list(enumerate_bases(cfg))
+
+
+def test_kernel_exact_near_its_int64_bound(monkeypatch):
+    # Hadamard bounds just under 2^30: the kernel runs, and its products of two
+    # minors come close to 2^60
+    from idealtutte import crapo
+
+    rng = random.Random(2 ** 30)
+    cases = []
+    for dim, bound in ((2, 2 ** 13), (3, 250), (4, 40)):
+        for _ in range(4):
+            vecs = [tuple(rng.randint(-bound, bound) for _ in range(dim)) for _ in range(5)]
+            # dependent elements, so that every zero test matters
+            a, b, c = rng.sample(vecs, 3)
+            vecs += [tuple(x + y for x, y in zip(a, b)), tuple(-x for x in c), a]
+            cfg = VectorConfig(vecs)
+            cases.append((cfg, tutte_crapo_exact(cfg)))
+
+    def no_exact(*args, **kwargs):
+        raise AssertionError("the literal route ran under the kernel's bound")
+
+    monkeypatch.setattr(crapo, "tutte_crapo_exact", no_exact)
+    for cfg, want in cases:
+        assert tutte_crapo(cfg) == want
+
+
+def test_kernel_memory_guard(monkeypatch, f4_full):
+    from idealtutte import crapo
+
+    # the bases alone outgrow the budget while the prefix tree runs
+    monkeypatch.setattr(crapo, "MAX_KERNEL_BYTES", 5000)
+    with pytest.raises(GuardExceeded, match="bytes"):
+        tutte_crapo(f4_full[0])
+    # 31 bases (3720 bytes) pass, then the 465-row table (3720 bytes) is refused
+    with pytest.raises(GuardExceeded, match="bytes"):
+        tutte_crapo(VectorConfig(_identity(30) + [(1,) * 30]))
+    monkeypatch.setattr(crapo, "MAX_KERNEL_BYTES", 7440)
+    assert tutte_crapo(VectorConfig(_identity(30) + [(1,) * 30])).evaluate(1, 1) == 31
 
 
 def test_tampered_tally_fails_self_certificate(monkeypatch):

@@ -3,8 +3,8 @@ integer configurations the exact int64 engine (tutte_crapo) equals the
 literal route (tutte_crapo_exact).  The draws reach rank 6, the depth of the
 engine's prefix tree on E6, and cover configurations whose rank is below
 their dimension, rank 1, parallel and zero vectors (loops), and coordinates
-large enough that the engine's int64 minors could overflow, so it hands the
-whole configuration to the literal route."""
+large enough that the engine's int64 eliminations could overflow, so it
+hands the whole configuration to the literal route."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +13,8 @@ from idealtutte.crapo import VectorConfig, tutte_crapo, tutte_crapo_exact
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
-# 2: small entries, always the int64 engine; 10**6: at rank 3 or more the
-# Hadamard bound on the minors exceeds 2^48, the overflow branch
+# 2: small entries, always the int64 engine; 10**6: above rank 1 the
+# Hadamard bound on the minors nearly always exceeds 2^30, the overflow branch
 SCALES = (2, 10 ** 6)
 
 
