@@ -8,6 +8,7 @@ of valid primes, then exact Lagrange interpolation) is run as a check.
 """
 
 from idealtutte import (
+    CountingModel,
     arrangement_of,
     coboundary_polynomial,
     coboundary_to_tutte,
@@ -22,7 +23,6 @@ from idealtutte import (
     signature_table,
     tutte_to_characteristic,
 )
-from idealtutte.ffmethod import coboundary_ideal_at_prime
 
 poset = root_poset(root_system_type("B", 6))
 ideal = ideal_from_boxes(poset, [(1, 4), (2, 0), (4, -5)])
@@ -45,7 +45,8 @@ rank = arrangement_of(ideal).rank()
 plan = prime_plan("B", rank)
 print(f"\nrank {rank}; prime plan {plan.primes}")
 p = plan.primes[0]
-profile = coboundary_ideal_at_prime(bp, p)
+model = CountingModel(6, bp.hyperplanes, blocks=bp.blocks)
+profile = model.coboundary_at_prime(p)
 print(f"chi-bar({p}, t) = {profile.to_text('t')}")
 
 cb = coboundary_polynomial(ideal)

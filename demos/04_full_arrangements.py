@@ -1,13 +1,16 @@
-"""Full classical arrangements: closed-form coboundary evaluations, the braid
+"""Full classical arrangements: coboundary evaluations at a prime, the braid
 arrangement of A12, Weyl-order region counts, and minor sets/prime plans.
+
+A full arrangement is the single-block case of the counting model: every
+coordinate is exchangeable with every other.
 """
 
 import math
 import time
 
 from idealtutte import (
+    CountingModel,
     coboundary_full,
-    coboundary_full_at_prime,
     coboundary_to_tutte,
     minor_set,
     positive_roots,
@@ -15,11 +18,12 @@ from idealtutte import (
     region_count,
     root_system_type,
 )
+from idealtutte.ffmethod import full_arrangement_tuples
 
-# closed forms at a single prime
+# the one-block counting model read out at a single prime
 print("chi-bar at p = 3 for small full arrangements:")
 for family, n in (("A", 3), ("B", 2), ("D", 4)):
-    prof = coboundary_full_at_prime(family, n, 3)
+    prof = CountingModel(n, full_arrangement_tuples(family, n)).coboundary_at_prime(3)
     print(f"  {family}, n={n}: {prof.to_text('t')}")
 
 # minor sets decide which primes reduce correctly

@@ -73,8 +73,6 @@ from .ffmethod import (
     PrimePlan,
     TProfile,
     coboundary_full,
-    coboundary_full_at_prime,
-    coboundary_ideal_at_prime,
     coboundary_polynomial,
     count_points_bruteforce,
     minor_set,
@@ -89,6 +87,7 @@ from .specialize import (
     coboundary_of_ideal,
     ideal_exponents,
     region_count,
+    resolve_engine,
     tutte_of_ideal,
 )
 

@@ -8,6 +8,7 @@ mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -40,76 +41,30 @@ from .rootsystems import (
     root_system_type,
 )
 
-ENGINE_CHOICES = ("auto", "ffmethod", "crapo", "oracle")
 FORMAT_CHOICES = ("json", "latex", "text")
 CACHE_ENV = "TUTTE_CACHE_DIR"
 CACHE_VERSION = "2"
 
-IDEAL_SPEC_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "ideal specification",
-    "type": "object",
-    "properties": {
-        "type": {"enum": ["A", "B", "C", "D", "G2", "F4", "E6"]},
-        "rank": {"type": "integer", "minimum": 1},
-        "generating_boxes": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "items": {"type": "integer"},
-                "minItems": 2,
-                "maxItems": 2,
-            },
-        },
-        "roots": {
-            "type": "array",
-            "items": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-        },
-    },
-    "required": ["type"],
-    "additionalProperties": False,
-}
 
-POLYNOMIAL_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "exact polynomial",
-    "type": "object",
-    "properties": {
-        "variables": {
-            "type": "array",
-            "items": {"type": "string"},
-            "minItems": 2,
-            "maxItems": 2,
-        },
-        "terms": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "dx": {"type": "integer", "minimum": 0},
-                    "dy": {"type": "integer", "minimum": 0},
-                    "c": {"type": "string", "pattern": "^-?[0-9]+$"},
-                },
-                "required": ["dx", "dy", "c"],
-                "additionalProperties": False,
-            },
-        },
-    },
-    "required": ["terms"],
-    "additionalProperties": True,
-}
+@functools.cache
+def _schema_validator(name):
+    """A Draft-7 validator for the packaged schema ``schemas/<name>``, built once."""
+    from importlib.resources import files
+
+    import jsonschema
+
+    schema = json.loads((files(__package__) / "schemas" / name).read_text())
+    return jsonschema.Draft7Validator(schema)
 
 
 def parse_ideal_spec(data):
-    """Turn a validated ideal-spec dict into an Ideal."""
-    try:
-        import jsonschema
+    """Turn an ideal-spec dict, validated against schemas/ideal-spec.schema.json,
+    into an Ideal."""
+    from jsonschema.exceptions import best_match
 
-        jsonschema.validate(data, IDEAL_SPEC_SCHEMA)
-    except ImportError:
-        pass
-    except Exception as exc:  # jsonschema.ValidationError
-        raise ConstraintError(f"ideal spec rejected by schema: {exc}") from None
+    error = best_match(_schema_validator("ideal-spec.schema.json").iter_errors(data))
+    if error is not None:
+        raise ConstraintError(f"ideal spec rejected by schema: {error}")
     rst = root_system_type(data["type"], data.get("rank"))
     poset = root_poset(rst)
     has_boxes = "generating_boxes" in data
@@ -224,8 +179,7 @@ def _primes_from_args(args):
     return primes
 
 
-def _compute_polynomial(ideal, command, engine, args):
-    primes = _primes_from_args(args)
+def _compute_polynomial(ideal, command, engine, primes, args):
     cache = _Cache(args)
     key = cache.key(ideal, command, engine, primes)
     hit = cache.get(key, ("q", "t") if command == "coboundary" else ("x", "y"))
@@ -254,14 +208,6 @@ def _compute_polynomial(ideal, command, engine, args):
             prov["primes"] = ffmethod.interpolation_primes(ideal, primes)
     cache.put(key, {"polynomial": poly.to_json_dict(), "provenance": prov})
     return poly, prov
-
-
-def _resolve_engine(engine, rst):
-    if engine == "ffmethod" and not rst.is_classical:
-        raise ConstraintError(f"engine ffmethod rejects exceptional type {rst.family}")
-    if engine == "auto":
-        return "ffmethod" if rst.is_classical else "crapo"
-    return engine
 
 
 def cmd_roots(args):
@@ -310,17 +256,19 @@ def cmd_ideals(args):
 
 def cmd_polynomial(args, command):
     ideal = _ideal_from_args(args)
-    engine = _resolve_engine(args.engine, ideal.rst)
-    poly, prov = _compute_polynomial(ideal, command, engine, args)
+    primes = _primes_from_args(args)
+    engine = specialize.resolve_engine(args.engine, ideal.rst, primes)
+    poly, prov = _compute_polynomial(ideal, command, engine, primes, args)
     _emit(args, poly, prov)
     return 0
 
 
 def cmd_charpoly(args):
     ideal = _ideal_from_args(args)
-    engine = _resolve_engine(args.engine, ideal.rst)
+    primes = _primes_from_args(args)
+    engine = specialize.resolve_engine(args.engine, ideal.rst, primes)
     chi = specialize.characteristic_polynomial(
-        ideal, engine=engine, primes=_primes_from_args(args), max_subsets=args.max_subsets
+        ideal, engine=engine, primes=primes, max_subsets=args.max_subsets
     )
     text = chi.to_text("q")
     if args.out:
@@ -388,12 +336,9 @@ def cmd_verify(args):
     rst = root_system_type(args.type, args.rank)
     poset = root_poset(rst)
     engines = [e.strip() for e in args.engines.split(",")]
-    for e in engines:
-        if e not in ENGINE_CHOICES:
-            raise ConstraintError(f"unknown engine {e!r}")
+    resolved = [specialize.resolve_engine(e, rst) for e in engines]
     if len(engines) < 2:
         raise ConstraintError("verify needs at least two engines")
-    resolved = [_resolve_engine(e, rst) for e in engines]
     primes = _primes_from_args(args)
     if args.all_ideals:
         ideals = enumerate_ideals(poset)
@@ -463,7 +408,7 @@ def build_parser():
     def polynomial(p):
         system(p)
         ideal_input(p)
-        p.add_argument("--engine", choices=ENGINE_CHOICES, default="auto")
+        p.add_argument("--engine", choices=specialize.ENGINES, default="auto")
         p.add_argument("--out", help="write the result to this file")
 
     def cached(p):

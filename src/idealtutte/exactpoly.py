@@ -183,8 +183,8 @@ class BivariatePolynomial:
 
         ``variables`` must be two names and every term exactly ``dx``, ``dy``
         (non-negative ints, no degree twice) and ``c`` (a decimal string), as
-        in docs/polynomial.schema.json.  Other top-level keys (a CLI result's
-        ``provenance``) are ignored.
+        in the package's schemas/polynomial.schema.json.  Other top-level keys
+        (a CLI result's ``provenance``) are ignored.
         """
         try:
             variables, terms = data["variables"], data["terms"]

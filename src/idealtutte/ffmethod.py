@@ -1,8 +1,9 @@
 """The finite field method for ideal arrangements of classical root systems:
 the counting model whose one dynamic program yields the coboundary polynomial
-directly, the paper's prime route (minor sets, valid prime plans, evaluation
-at primes and Lagrange interpolation) kept for verification, the brute-force
-point-counting oracle, and closed forms for full arrangements.
+directly (a full arrangement is the single-block case), the paper's prime
+route (minor sets, valid prime plans, evaluation at primes and Lagrange
+interpolation) kept for verification, and the brute-force point-counting
+oracle.
 
 The count over F_p sums, over all ways of distributing each block of
 exchangeable coordinates across the residues of F_p, the multinomial weight
@@ -21,7 +22,13 @@ from math import comb, factorial
 
 from .errors import ConstraintError, GuardExceeded, InconsistencyError, UnsupportedTypeError
 from .exactpoly import BivariatePolynomial, UnivariatePolynomial, lagrange_interpolate
-from .ideals import complement, decompose_components, tuple_normal
+from .ideals import (
+    automorphism_blocks,
+    block_incidence,
+    complement,
+    decompose_components,
+    tuple_normal,
+)
 from . import crapo
 
 DEFAULT_MAX_POINTS = 10 ** 8
@@ -186,164 +193,63 @@ def count_points_bruteforce(tuples, n, p, max_points=DEFAULT_MAX_POINTS):
         raise GuardExceeded(f"p^n = {p ** n} exceeds guard {max_points}")
     tuples = [tuple(t) for t in tuples]
     rank = crapo.rank_of([tuple_normal(t, n) for t in tuples]) if tuples else 0
-    try:
-        import numpy as np
-    except ImportError:
-        np = None
-    if np is not None:
-        total = p ** n
-        chunk = 1 << 20
-        weights = p ** np.arange(n, dtype=np.int64)
-        counts = np.zeros(len(tuples) + 1, dtype=np.int64)
-        for start in range(0, total, chunk):
-            idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            grid = (idx[None, :] // weights[:, None]) % p
-            hits = np.zeros(idx.shape[0], dtype=np.int64)
-            for (i, j) in tuples:
-                if j == 0:
-                    hits += grid[i - 1] == 0
-                elif j > 0:
-                    hits += grid[i - 1] == grid[j - 1]
-                else:
-                    hits += grid[i - 1] == (p - grid[-j - 1]) % p
-            counts += np.bincount(hits, minlength=len(tuples) + 1)
-        return TProfile(tuple(int(c) for c in counts), p, n, rank)
-    counts = [0] * (len(tuples) + 1)
-    for x in itertools.product(range(p), repeat=n):
-        k = 0
+    import numpy as np
+
+    total = p ** n
+    chunk = 1 << 20
+    weights = p ** np.arange(n, dtype=np.int64)
+    counts = np.zeros(len(tuples) + 1, dtype=np.int64)
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        grid = (idx[None, :] // weights[:, None]) % p
+        hits = np.zeros(idx.shape[0], dtype=np.int64)
         for (i, j) in tuples:
             if j == 0:
-                k += x[i - 1] == 0
+                hits += grid[i - 1] == 0
             elif j > 0:
-                k += x[i - 1] == x[j - 1]
+                hits += grid[i - 1] == grid[j - 1]
             else:
-                k += x[i - 1] == (p - x[-j - 1]) % p
-        counts[k] += 1
-    return TProfile(tuple(counts), p, n, rank)
+                hits += grid[i - 1] == (p - grid[-j - 1]) % p
+        counts += np.bincount(hits, minlength=len(tuples) + 1)
+    return TProfile(tuple(int(c) for c in counts), p, n, rank)
 
 
 # ---- the counting model and its dynamic program ------------------------------
 
 
 class CountingModel:
-    """Blocks of exchangeable coordinates plus pair-incidence flags for one
-    hyperplane tuple set.  One dynamic program gives both its coboundary
-    polynomial and its weighted point count at any odd prime.
+    """Blocks of exchangeable coordinates plus their ``incidence``
+    (``ideals.block_incidence``) for one hyperplane tuple set.  One dynamic
+    program gives both its coboundary polynomial and its weighted point count
+    at any odd prime.
 
-    Blocks are taken from a BlockPartition when available (the partition in
-    accordance with an ideal) or computed directly as the coordinate classes
-    under hyperplane-set automorphisms.
+    ``blocks`` defaults to the coordinate classes under hyperplane-set
+    automorphisms; the partition in accordance with an ideal is passed as
+    ``CountingModel(n, bp.hyperplanes, blocks=bp.blocks)``.  Either way the
+    blocks must partition 1..m with uniform incidence, else ConstraintError.
     """
 
     def __init__(self, m, tuples, blocks=None):
         self.m = m
         self.tuples = sorted(tuple(t) for t in tuples)
+        for i, j in self.tuples:
+            # the incidence flags read only normal tuples (i, j), i < |j|
+            if not (1 <= i <= m and (j == 0 or i < abs(j) <= m)):
+                raise ConstraintError(f"{(i, j)} is not a hyperplane tuple on 1..{m}")
         tset = set(self.tuples)
         self.rank = (
             crapo.rank_of([tuple_normal(t, m) for t in self.tuples]) if self.tuples else 0
         )
         if blocks is None:
-            blocks = self._automorphism_blocks(m, tset)
+            blocks = automorphism_blocks(m, tset)
         self.blocks = [list(b) for b in blocks]
         covered = sorted(x for b in self.blocks for x in b)
         if covered != list(range(1, m + 1)):
             raise ConstraintError("blocks must partition 1..m")
-        nb = len(self.blocks)
-
-        def pos(i, j):
-            a, b = min(i, j), max(i, j)
-            return (a, b) in tset
-
-        def neg(i, j):
-            a, b = min(i, j), max(i, j)
-            return (a, -b) in tset
-
-        def zero(i):
-            return (i, 0) in tset
-
-        self.pos_within = [
-            pos(b[0], b[1]) if len(b) > 1 else False for b in self.blocks
-        ]
-        self.neg_within = [
-            neg(b[0], b[1]) if len(b) > 1 else False for b in self.blocks
-        ]
-        self.zero_flags = [zero(b[0]) for b in self.blocks]
-        self.pos_cross = {}
-        self.neg_cross = {}
-        for i in range(nb):
-            for j in range(i + 1, nb):
-                self.pos_cross[(i, j)] = pos(self.blocks[i][0], self.blocks[j][0])
-                self.neg_cross[(i, j)] = neg(self.blocks[i][0], self.blocks[j][0])
-        self._verify_uniform(tset)
+        self.incidence = block_incidence(self.blocks, tset)
         self._pair_kernel = {}
         self._zero_kernel = {}
         self._profile = None
-
-    @classmethod
-    def from_block_partition(cls, bp, tuples):
-        return cls(bp.rst.n_param, tuples, blocks=bp.blocks)
-
-    @staticmethod
-    def _automorphism_blocks(m, tset):
-        def pos(i, j):
-            a, b = min(i, j), max(i, j)
-            return (a, b) in tset
-
-        def neg(i, j):
-            a, b = min(i, j), max(i, j)
-            return (a, -b) in tset
-
-        def zero(i):
-            return (i, 0) in tset
-
-        def equivalent(i, j):
-            if zero(i) != zero(j):
-                return False
-            for z in range(1, m + 1):
-                if z in (i, j):
-                    continue
-                if pos(i, z) != pos(j, z) or neg(i, z) != neg(j, z):
-                    return False
-            return True
-
-        blocks = []
-        for x in range(1, m + 1):
-            for b in blocks:
-                if equivalent(b[0], x):
-                    b.append(x)
-                    break
-            else:
-                blocks.append([x])
-        return blocks
-
-    def _verify_uniform(self, tset):
-        def pos(i, j):
-            a, b = min(i, j), max(i, j)
-            return (a, b) in tset
-
-        def neg(i, j):
-            a, b = min(i, j), max(i, j)
-            return (a, -b) in tset
-
-        for bi, blk in enumerate(self.blocks):
-            for x in blk:
-                if ((x, 0) in tset) != self.zero_flags[bi]:
-                    raise ConstraintError(f"zero column not uniform on block {blk}")
-            for a in range(len(blk)):
-                for b in range(a + 1, len(blk)):
-                    if (
-                        pos(blk[a], blk[b]) != self.pos_within[bi]
-                        or neg(blk[a], blk[b]) != self.neg_within[bi]
-                    ):
-                        raise ConstraintError(f"pairs not uniform within block {blk}")
-        for (i, j), pc in self.pos_cross.items():
-            ncx = self.neg_cross[(i, j)]
-            for a in self.blocks[i]:
-                for b in self.blocks[j]:
-                    if pos(a, b) != pc or neg(a, b) != ncx:
-                        raise ConstraintError(
-                            f"pairs not uniform across blocks {self.blocks[i]} x {self.blocks[j]}"
-                        )
 
     # transition tables are independent of the prime, so they are built once
     # per starting state and reused across every residue step.
@@ -354,6 +260,7 @@ class CountingModel:
         if cached is not None:
             return cached
         nb = len(state)
+        inc = self.incidence
         out = []
 
         def rec(bi, alloc, weight, de):
@@ -365,17 +272,17 @@ class CountingModel:
             r = state[bi]
             for a in range(r + 1):
                 d = 0
-                if self.pos_within[bi]:
+                if inc.pos_within[bi]:
                     d += a * (a - 1) // 2
-                if self.neg_within[bi]:
+                if inc.neg_within[bi]:
                     d += a * (a - 1) // 2
-                if self.zero_flags[bi]:
+                if inc.zero_flags[bi]:
                     d += a
                 for bj in range(bi):
                     cross = 0
-                    if self.pos_cross[(bj, bi)]:
+                    if inc.pos_cross[(bj, bi)]:
                         cross += 1
-                    if self.neg_cross[(bj, bi)]:
+                    if inc.neg_cross[(bj, bi)]:
                         cross += 1
                     d += cross * alloc[bj] * a
                 alloc.append(a)
@@ -398,6 +305,7 @@ class CountingModel:
         cached = self._pair_kernel.get(state)
         if cached is not None:
             return cached
+        inc = self.incidence
         # partial allocations over the blocks so far:
         # (a's, b's, rest, weight, t-exponent, still a == b everywhere)
         partial = [((), (), (), 1, 0, True)]
@@ -406,16 +314,16 @@ class CountingModel:
             for a in range(r + 1):
                 for b in range(r - a + 1):
                     d = 0
-                    if self.pos_within[bi]:
+                    if inc.pos_within[bi]:
                         d += a * (a - 1) // 2 + b * (b - 1) // 2
-                    if self.neg_within[bi]:
+                    if inc.neg_within[bi]:
                         d += a * b
                     within.append((a, b, r - a - b, comb(r, a) * comb(r - a, b), d))
             canonical = [o for o in within if o[0] >= o[1]]
             # a hyperplane x_i = x_j (x_i = -x_j) across blocks holds when i, j
             # take the same (opposite) residue of the pair
             cross = [
-                (bj, self.pos_cross[(bj, bi)], self.neg_cross[(bj, bi)]) for bj in range(bi)
+                (bj, inc.pos_cross[(bj, bi)], inc.neg_cross[(bj, bi)]) for bj in range(bi)
             ]
             grown = []
             for aa, bb, rest, weight, de, tied in partial:
@@ -536,106 +444,31 @@ class CountingModel:
 
     def coboundary_at_prime(self, p):
         """chi-bar(p, t): the profile divided by p^(m - rank), exactly."""
-        prof = self.point_count_profile(p)
-        d = p ** (self.m - self.rank)
-        out = []
-        for c in prof:
-            if c % d:
-                raise InconsistencyError(
-                    f"profile entry {c} not divisible by p^(m-rank) = {d}"
-                )
-            out.append(c // d)
-        return UnivariatePolynomial(out)
-
-
-def coboundary_ideal_at_prime(bp, p):
-    """Closed-form evaluation chi-bar(p, t) for an ideal arrangement from its
-    block partition.  p must come from a valid prime plan (odd, not a minor)."""
-    model = CountingModel.from_block_partition(bp, bp.hyperplanes)
-    return model.coboundary_at_prime(p)
+        return TProfile(tuple(self.point_count_profile(p)), p, self.m, self.rank).coboundary()
 
 
 # ---- full classical arrangements --------------------------------------------
 
 
-def _compositions(n):
-    """Ordered partitions (compositions) of n into positive parts."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first,) + rest
-
-
-def coboundary_full_at_prime(family, n, p):
-    """chi-bar of the full classical arrangement at an odd prime, in closed form.
-
-    A sums over compositions of n with binomial(p, u) weights divided by p; B
-    and D split off the zero-valued coordinates (t-exponent a^2 resp. a(a-1))
-    and distribute the rest over (p-1)/2 sign-symmetric residue pairs with
-    doubled multiplicities.  Type C shares the B arrangement.
-    """
-    if family == "C":
-        family = "B"
-    if p % 2 == 0 or p < 3:
-        raise ConstraintError("need an odd prime")
-    if family == "A":
-        total = UnivariatePolynomial.zero()
-        for parts in _compositions(n):
-            u = len(parts)
-            w = comb(p, u) * _multinomial(n, parts)
-            e = sum(a * (a - 1) // 2 for a in parts)
-            total = total + UnivariatePolynomial([0] * e + [w])
-        coeffs = []
-        for c in total.coeffs:
-            if c % p:
-                raise InconsistencyError("type A sum not divisible by p")
-            coeffs.append(c // p)
-        return UnivariatePolynomial(coeffs)
-    if family in ("B", "D"):
-        total = UnivariatePolynomial.zero()
-        for a in range(n + 1):
-            ea = a * a if family == "B" else a * (a - 1)
-            base = comb(n, a)
-            for parts in _compositions(n - a):
-                u = len(parts)
-                w = base * comb((p - 1) // 2, u) * _multinomial(n - a, parts) * 2 ** (n - a)
-                e = ea + sum(b * (b - 1) // 2 for b in parts)
-                total = total + UnivariatePolynomial([0] * e + [w])
-        return total
-    raise UnsupportedTypeError(family)
-
-
-def _multinomial(n, parts):
-    out = 1
-    rem = n
-    for a in parts:
-        out *= comb(rem, a)
-        rem -= a
-    return out
-
-
 def full_arrangement_tuples(family, n):
     """Hyperplane tuples of the full classical arrangement."""
+    if family not in ("A", "B", "C", "D"):
+        raise UnsupportedTypeError(f"full arrangements are for classical families, not {family}")
     out = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     if family in ("B", "C", "D"):
         out += [(i, -j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     if family in ("B", "C"):
         out += [(i, 0) for i in range(1, n + 1)]
-    if family == "A":
-        pass
     return sorted(out)
 
 
 def coboundary_full(family, n):
-    """Exact chi-bar(q, t) of the full classical arrangement via interpolation."""
-    rank = n - 1 if family == "A" else n
-    plan = prime_plan(family, rank)
-    points = [
-        (p, coboundary_full_at_prime(family, n, p)) for p in plan.primes
-    ]
-    return lagrange_interpolate(points)
+    """Exact chi-bar(q, t) of the full classical arrangement.
+
+    Every coordinate is exchangeable with every other, so the counting model
+    has a single block and its one dynamic program gives chi-bar directly.
+    """
+    return CountingModel(n, full_arrangement_tuples(family, n)).coboundary()
 
 
 # ---- the ideal pipeline ------------------------------------------------------

@@ -1,6 +1,7 @@
 """Ideals of positive root systems: enumeration, ideal arrangements, the shifted
 Young diagram view (generating boxes, fullness, connectivity), signatures, the
-block partition in accordance with an ideal, and component decomposition.
+block partition in accordance with an ideal, the block incidence model that
+the counting engine consumes, and component decomposition.
 
 Classical roots are named throughout by the hyperplane tuple notation:
 (i, j) is x_i = x_j, (i, -j) is x_i = -x_j, (i, 0) is x_i = 0, always with
@@ -12,6 +13,7 @@ presentation and only their diagram views raise.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from . import crapo
@@ -477,8 +479,8 @@ def signature_table(comp):
 @dataclass
 class BlockPartition:
     """The partition A^(1)|...|A^(r)|B^(1)|...|B^(s) of [n], with signatures,
-    the adjacency index sets of the counting theorems, and the exact
-    pair-incidence flags consumed by the finite-field counting engine."""
+    the adjacency index sets of the counting theorems, and the block
+    incidence over the combined block list (A-blocks then B-blocks)."""
 
     rst: object
     a_blocks: list
@@ -491,12 +493,7 @@ class BlockPartition:
     s_sets: list = field(default_factory=list)      # S^(v) per B-block
     r0: list = field(default_factory=list)
     s0: list = field(default_factory=list)
-    # engine flags over the combined block list (A-blocks then B-blocks)
-    pos_within: list = field(default_factory=list)
-    neg_within: list = field(default_factory=list)
-    zero_flags: list = field(default_factory=list)
-    pos_cross: dict = field(default_factory=dict)
-    neg_cross: dict = field(default_factory=dict)
+    incidence: BlockIncidence = None
 
     @property
     def blocks(self):
@@ -554,7 +551,7 @@ def partition_in_accordance(comp):
     ]
     bp.r0 = [l + 1 for l in range(r) if s0 & sA[l]]
     bp.s0 = [h + 1 for h in range(s) if s0 & sBneg[h]]
-    _fill_engine_flags(bp, tset)
+    bp.incidence = block_incidence(bp.blocks, tset)
     return bp
 
 
@@ -568,55 +565,6 @@ def _group_consecutive(members, key):
     return blocks
 
 
-def _fill_engine_flags(bp, tset):
-    """Exact pair-incidence flags per block, verified uniform over the blocks."""
-    blocks = bp.blocks
-    nb = len(blocks)
-
-    def pos(i, j):
-        a, b = min(i, j), max(i, j)
-        return (a, b) in tset
-
-    def neg(i, j):
-        a, b = min(i, j), max(i, j)
-        return (a, -b) in tset
-
-    def zero(i):
-        return (i, 0) in tset
-
-    bp.pos_within = []
-    bp.neg_within = []
-    bp.zero_flags = []
-    for blk in blocks:
-        z = zero(blk[0])
-        pw = pos(blk[0], blk[1]) if len(blk) > 1 else False
-        nw = neg(blk[0], blk[1]) if len(blk) > 1 else False
-        for x in blk:
-            if zero(x) != z:
-                raise ConstraintError(f"block {blk} not uniform on the zero column")
-        for a in range(len(blk)):
-            for b in range(a + 1, len(blk)):
-                if pos(blk[a], blk[b]) != pw or neg(blk[a], blk[b]) != nw:
-                    raise ConstraintError(f"block {blk} not pair-uniform")
-        bp.pos_within.append(pw)
-        bp.neg_within.append(nw)
-        bp.zero_flags.append(z)
-    bp.pos_cross = {}
-    bp.neg_cross = {}
-    for i in range(nb):
-        for j in range(i + 1, nb):
-            pc = pos(blocks[i][0], blocks[j][0])
-            ncx = neg(blocks[i][0], blocks[j][0])
-            for a in blocks[i]:
-                for b in blocks[j]:
-                    if pos(a, b) != pc or neg(a, b) != ncx:
-                        raise ConstraintError(
-                            f"blocks {blocks[i]} x {blocks[j]} not pair-uniform"
-                        )
-            bp.pos_cross[(i, j)] = pc
-            bp.neg_cross[(i, j)] = ncx
-
-
 def reconstruct_tuples(bp):
     """Rebuild the hyperplane tuple set from the block partition and its flags.
 
@@ -625,29 +573,127 @@ def reconstruct_tuples(bp):
     over B-blocks, and the zero column, each switched by its incidence flag.
     """
     blocks = bp.blocks
+    inc = bp.incidence
     out = set()
     for bi, blk in enumerate(blocks):
-        if bp.pos_within[bi]:
+        if inc.pos_within[bi]:
             out.update(
                 (blk[a], blk[b]) for a in range(len(blk)) for b in range(a + 1, len(blk))
             )
-        if bp.neg_within[bi]:
+        if inc.neg_within[bi]:
             out.update(
                 (blk[a], -blk[b]) for a in range(len(blk)) for b in range(a + 1, len(blk))
             )
-        if bp.zero_flags[bi]:
+        if inc.zero_flags[bi]:
             out.update((x, 0) for x in blk)
-    for (i, j), flag in bp.pos_cross.items():
+    for (i, j), flag in inc.pos_cross.items():
         if flag:
             for a in blocks[i]:
                 for b in blocks[j]:
                     out.add((min(a, b), max(a, b)))
-    for (i, j), flag in bp.neg_cross.items():
+    for (i, j), flag in inc.neg_cross.items():
         if flag:
             for a in blocks[i]:
                 for b in blocks[j]:
                     out.add((min(a, b), -max(a, b)))
     return out
+
+
+# ---- the incidence model ---------------------------------------------------
+
+
+def _pos(tset, i, j):
+    """Whether x_i = x_j is among the hyperplane tuples."""
+    return (min(i, j), max(i, j)) in tset
+
+
+def _neg(tset, i, j):
+    """Whether x_i = -x_j is among the hyperplane tuples."""
+    return (min(i, j), -max(i, j)) in tset
+
+
+def _zero(tset, i):
+    """Whether x_i = 0 is among the hyperplane tuples."""
+    return (i, 0) in tset
+
+
+@dataclass(frozen=True)
+class BlockIncidence:
+    """Which hyperplanes hold within each block of coordinates and across each
+    pair of blocks: x_i = x_j (pos), x_i = -x_j (neg), x_i = 0 (zero).
+
+    The cross flags are keyed by block-index pairs (i, j) with i < j.
+    """
+
+    pos_within: tuple
+    neg_within: tuple
+    zero_flags: tuple
+    pos_cross: dict
+    neg_cross: dict
+
+
+def block_incidence(blocks, tuple_set):
+    """The incidence flags of a list of coordinate blocks in a hyperplane tuple set.
+
+    Each flag is read off the first members and verified on every member:
+    ConstraintError unless the zero column is uniform on each block and the
+    pos/neg flags are uniform on every pair within a block and across two
+    blocks.
+    """
+    tset = tuple_set
+    pos_within, neg_within, zero_flags = [], [], []
+    for blk in blocks:
+        z = _zero(tset, blk[0])
+        pw = len(blk) > 1 and _pos(tset, blk[0], blk[1])
+        nw = len(blk) > 1 and _neg(tset, blk[0], blk[1])
+        if any(_zero(tset, x) != z for x in blk):
+            raise ConstraintError(f"block {blk} not uniform on the zero column")
+        for a, b in itertools.combinations(blk, 2):
+            if _pos(tset, a, b) != pw or _neg(tset, a, b) != nw:
+                raise ConstraintError(f"block {blk} not pair-uniform")
+        pos_within.append(pw)
+        neg_within.append(nw)
+        zero_flags.append(z)
+    pos_cross, neg_cross = {}, {}
+    for (i, bi), (j, bj) in itertools.combinations(enumerate(blocks), 2):
+        pc = _pos(tset, bi[0], bj[0])
+        nc = _neg(tset, bi[0], bj[0])
+        for a in bi:
+            for b in bj:
+                if _pos(tset, a, b) != pc or _neg(tset, a, b) != nc:
+                    raise ConstraintError(f"blocks {bi} x {bj} not pair-uniform")
+        pos_cross[(i, j)] = pc
+        neg_cross[(i, j)] = nc
+    return BlockIncidence(
+        tuple(pos_within), tuple(neg_within), tuple(zero_flags), pos_cross, neg_cross
+    )
+
+
+def automorphism_blocks(m, tuple_set):
+    """Coordinates 1..m grouped into classes of exchangeable coordinates:
+    x and y share a class when they carry the same zero flag and the same
+    pos/neg flags against every third coordinate."""
+    tset = tuple_set
+
+    def equivalent(i, j):
+        if _zero(tset, i) != _zero(tset, j):
+            return False
+        for z in range(1, m + 1):
+            if z in (i, j):
+                continue
+            if _pos(tset, i, z) != _pos(tset, j, z) or _neg(tset, i, z) != _neg(tset, j, z):
+                return False
+        return True
+
+    blocks = []
+    for x in range(1, m + 1):
+        for b in blocks:
+            if equivalent(b[0], x):
+                b.append(x)
+                break
+        else:
+            blocks.append([x])
+    return blocks
 
 
 # ---- arrangements and components -------------------------------------------

@@ -1,8 +1,8 @@
 """Derived quantities: characteristic polynomials, region counts, ideal
 exponents from the height partition, and the exponent-factorization
-cross-check.  Also hosts the engine dispatcher that picks the finite-field
-pipeline for classical types and the basis-activity formula for exceptional
-ones.
+cross-check.  Also hosts the one engine dispatcher, ``resolve_engine``, which
+picks the finite-field pipeline for classical types and the basis-activity
+formula for exceptional ones.
 """
 
 from __future__ import annotations
@@ -49,42 +49,56 @@ def ideal_exponents(ideal):
     return IdealExponents(tuple(lam_sorted), tuple(sorted(exps, reverse=True)))
 
 
+ENGINES = ("auto", "ffmethod", "crapo", "oracle")
+
+
+def resolve_engine(engine, rst, primes=None):
+    """The engine that computes for ``engine`` on the root system ``rst``.
+
+    auto is the finite-field pipeline on classical types and the
+    basis-activity formula on exceptional ones.  ConstraintError for an
+    unknown engine, for ffmethod on an exceptional type, and for ``primes``
+    (the finite-field pipeline's interpolation route) given to any other
+    engine.
+    """
+    if engine not in ENGINES:
+        raise ConstraintError(f"unknown engine {engine!r}")
+    if engine == "auto":
+        engine = "ffmethod" if rst.is_classical else "crapo"
+    elif engine == "ffmethod" and not rst.is_classical:
+        raise ConstraintError(f"engine ffmethod rejects exceptional type {rst.family}")
+    if primes is not None and engine != "ffmethod":
+        raise ConstraintError(
+            f"primes select the finite-field interpolation route; engine {engine} takes none"
+        )
+    return engine
+
+
 def tutte_of_ideal(ideal, engine="auto", primes=None, max_subsets=None):
     """Tutte polynomial of an ideal arrangement by the requested engine.
 
     auto routes classical types through the finite-field pipeline and
     exceptional types through the basis-activity formula; oracle forces the
     corank-nullity expansion.  ``primes`` selects the finite-field pipeline's
-    interpolation route and is refused by every other engine.
+    interpolation route and is refused by every other engine (both decided
+    by ``resolve_engine``).
     """
-    rst = ideal.rst
-    if engine == "auto":
-        engine = "ffmethod" if rst.is_classical else "crapo"
-    _check_primes(engine, primes)
+    engine = resolve_engine(engine, ideal.rst, primes)
     if engine == "ffmethod":
         return ffmethod.tutte_via_ffmethod(ideal, primes=primes)
     comp_roots = ideal.complement_roots()
     vectors = [r.simple_coords for r in comp_roots]
-    cfg = crapo.VectorConfig(vectors, dim=rst.rank)
+    cfg = crapo.VectorConfig(vectors, dim=ideal.rst.rank)
     if engine == "crapo":
         if max_subsets is not None:
             return crapo.tutte_crapo(cfg, max_subsets=max_subsets)
         return crapo.tutte_crapo(cfg)
-    if engine == "oracle":
-        if max_subsets is not None:
-            # the guard counts subsets, i.e. 2^elements
-            return crapo.tutte_corank_nullity(
-                cfg, max_elements=max(0, int(max_subsets).bit_length() - 1)
-            )
-        return crapo.tutte_corank_nullity(cfg)
-    raise ConstraintError(f"unknown engine {engine!r}")
-
-
-def _check_primes(engine, primes):
-    if primes is not None and engine != "ffmethod":
-        raise ConstraintError(
-            f"primes select the finite-field interpolation route; engine {engine} takes none"
+    # the oracle; its guard counts subsets, i.e. 2^elements
+    if max_subsets is not None:
+        return crapo.tutte_corank_nullity(
+            cfg, max_elements=max(0, int(max_subsets).bit_length() - 1)
         )
+    return crapo.tutte_corank_nullity(cfg)
 
 
 def coboundary_of_ideal(ideal, engine="auto", primes=None, max_subsets=None):
@@ -96,9 +110,7 @@ def coboundary_of_ideal(ideal, engine="auto", primes=None, max_subsets=None):
     chi-bar(q, t) = (t-1)^rank T(q/(t-1) + 1, t), carried out exactly by
     reversing the coboundary-to-Tutte substitution.
     """
-    if engine == "auto":
-        engine = "ffmethod" if ideal.rst.is_classical else "crapo"
-    _check_primes(engine, primes)
+    engine = resolve_engine(engine, ideal.rst, primes)
     if engine == "ffmethod":
         return ffmethod.coboundary_polynomial(ideal, primes=primes)
     tutte = tutte_of_ideal(ideal, engine=engine, max_subsets=max_subsets)

@@ -1,8 +1,11 @@
 import json
+from importlib.resources import files
 
+import jsonschema
 import pytest
 
 from idealtutte.cli import main, parse_ideal_spec
+from idealtutte.errors import ConstraintError
 from idealtutte.exactpoly import BivariatePolynomial, latex_is_wellformed, parse_polynomial
 
 
@@ -176,6 +179,50 @@ def test_parse_ideal_spec_schema_rejects_junk():
         parse_ideal_spec({"type": "B", "rank": 6, "extra": 1})
     with pytest.raises(Exception):
         parse_ideal_spec({"type": "Z"})
+
+
+@pytest.mark.parametrize("spec", [
+    {"type": "B", "rank": 6, "extra": 1},
+    {"type": "Z"},
+    {"type": "B", "rank": 0, "generating_boxes": [[1, 2]]},
+    {"type": "B", "rank": 3, "generating_boxes": [[1, 2, 3]]},
+    {"type": "G2", "roots": [[-1, 0]]},
+    {"rank": 3, "generating_boxes": [[1, 2]]},
+    [1, 2],
+])
+def test_ideal_specs_are_checked_against_the_schema(capsys, tmp_path, spec):
+    with pytest.raises(ConstraintError, match="rejected by schema"):
+        parse_ideal_spec(spec)
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "tutte", "--type", "B", "--ideal-file", str(path), "--no-cache")
+    assert code == 1 and not out and "rejected by schema" in err
+
+
+def packaged_schema(name):
+    return json.loads((files("idealtutte") / "schemas" / name).read_text())
+
+
+@pytest.mark.parametrize("name", ["ideal-spec.schema.json", "polynomial.schema.json"])
+def test_packaged_schemas_are_valid_draft7(name):
+    jsonschema.Draft7Validator.check_schema(packaged_schema(name))
+
+
+def test_emitted_json_and_cache_entries_follow_polynomial_schema(capsys, tmp_path):
+    validator = jsonschema.Draft7Validator(packaged_schema("polynomial.schema.json"))
+    assert not validator.is_valid({"variables": ["x", "y"], "terms": [{"dx": 0, "dy": 0, "c": 1}]})
+    systems = (("--type", "B", "--rank", "3", "--full"), ("--type", "G2", "--roots", "[[3,1],[3,2]]"))
+    for command in ("tutte", "coboundary"):
+        for system in systems:
+            code, out, _ = run(
+                capsys, command, *system, "--format", "json", "--cache-dir", str(tmp_path)
+            )
+            assert code == 0
+            validator.validate(json.loads(out))
+    entries = sorted(tmp_path.glob("*.json"))
+    assert len(entries) == 4
+    for path in entries:
+        validator.validate(json.loads(path.read_text())["polynomial"])
 
 
 def test_charpoly_command(capsys, tmp_path):

@@ -1,14 +1,19 @@
+from math import comb
+
 import pytest
 
 from conftest import WORKED_CLASSICAL, load_poly, worked_ideal
-from idealtutte.errors import ConstraintError, GuardExceeded, InconsistencyError
+from idealtutte.errors import (
+    ConstraintError,
+    GuardExceeded,
+    InconsistencyError,
+    UnsupportedTypeError,
+)
 from idealtutte.exactpoly import BivariatePolynomial, UnivariatePolynomial, coboundary_to_tutte
 from idealtutte.ffmethod import (
     CountingModel,
     arrangement_rank,
     coboundary_full,
-    coboundary_full_at_prime,
-    coboundary_ideal_at_prime,
     coboundary_polynomial,
     count_points_bruteforce,
     full_arrangement_tuples,
@@ -92,7 +97,63 @@ def test_profile_guard():
         count_points_bruteforce([(1, 2)], 12, 11, max_points=10 ** 6)
 
 
-# ---- closed forms at primes ------------------------------------------------------
+# ---- Ardila's closed forms for full arrangements, the test oracle ----------------
+
+
+def _compositions(n):
+    """Ordered partitions (compositions) of n into positive parts."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
+
+
+def _multinomial(n, parts):
+    out = 1
+    rem = n
+    for a in parts:
+        out *= comb(rem, a)
+        rem -= a
+    return out
+
+
+def coboundary_full_at_prime(family, n, p):
+    """chi-bar of the full classical arrangement at an odd prime, in closed form.
+
+    A sums over compositions of n with binomial(p, u) weights divided by p; B
+    and D split off the zero-valued coordinates (t-exponent a^2 resp. a(a-1))
+    and distribute the rest over (p-1)/2 sign-symmetric residue pairs with
+    doubled multiplicities.  Type C shares the B arrangement.
+    """
+    if family == "C":
+        family = "B"
+    assert p % 2 and p >= 3
+    total = UnivariatePolynomial.zero()
+    if family == "A":
+        for parts in _compositions(n):
+            w = comb(p, len(parts)) * _multinomial(n, parts)
+            e = sum(a * (a - 1) // 2 for a in parts)
+            total = total + UnivariatePolynomial([0] * e + [w])
+        assert all(c % p == 0 for c in total.coeffs)
+        return UnivariatePolynomial([c // p for c in total.coeffs])
+    for a in range(n + 1):
+        ea = a * a if family == "B" else a * (a - 1)
+        for parts in _compositions(n - a):
+            w = comb(n, a) * comb((p - 1) // 2, len(parts))
+            w *= _multinomial(n - a, parts) * 2 ** (n - a)
+            e = ea + sum(b * (b - 1) // 2 for b in parts)
+            total = total + UnivariatePolynomial([0] * e + [w])
+    return total
+
+
+def at_q(cb, q):
+    """chi-bar(q, t) as a polynomial in t at the integer q."""
+    coeffs = [0] * (cb.degree(1) + 1)
+    for (dq, dt), c in cb.coeffs.items():
+        coeffs[dt] += c * q ** dq
+    return UnivariatePolynomial(coeffs)
 
 
 def test_full_formula_examples():
@@ -109,13 +170,29 @@ def test_full_formula_matches_brute_force(family, n, p):
     assert got == count_points_bruteforce(tuples, n, p).coboundary()
 
 
+@pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_full_arrangement_dp_matches_closed_forms(family, n):
+    cb = coboundary_full(family, n)
+    for p in (3, 5, 7):
+        assert at_q(cb, p) == coboundary_full_at_prime(family, n, p), (family, n, p)
+
+
+@pytest.mark.parametrize("family", ["G", "G2", "E", "F4", "Z"])
+def test_full_arrangements_reject_non_classical_families(family):
+    with pytest.raises(UnsupportedTypeError):
+        full_arrangement_tuples(family, 3)
+    with pytest.raises(UnsupportedTypeError):
+        coboundary_full(family, 3)
+
+
 def test_ideal_closed_form_examples():
     # a single A-block of size 2 is one hyperplane: chi-bar(3, t) = t + 2
     poset = root_poset(root_system_type("A", 1))
     ideal = ideal_from_mask(poset, 0)
     bp = partition_in_accordance(complement(ideal))
-    prof = coboundary_ideal_at_prime(bp, 3)
-    assert prof == UnivariatePolynomial([2, 1])
+    model = CountingModel(ideal.rst.n_param, bp.hyperplanes, blocks=bp.blocks)
+    assert model.coboundary_at_prime(3) == UnivariatePolynomial([2, 1])
 
 
 def test_ideal_closed_form_equals_brute_force_on_worked_examples():
@@ -124,8 +201,9 @@ def test_ideal_closed_form_equals_brute_force_on_worked_examples():
         comp = complement(ideal)
         bp = partition_in_accordance(comp)
         n = ideal.rst.ambient_dim
+        model = CountingModel(n, bp.hyperplanes, blocks=bp.blocks)
         for p in (3, 5):
-            prof = coboundary_ideal_at_prime(bp, p)
+            prof = model.coboundary_at_prime(p)
             assert prof == count_points_bruteforce(comp.hyperplanes, n, p).coboundary(), (
                 label,
                 p,
@@ -145,6 +223,31 @@ def test_counting_model_automorphism_blocks():
     # one isolated coordinate splits off
     model = CountingModel(3, [(1, 2)])
     assert model.blocks == [[1, 2], [3]]
+
+
+def test_counting_model_rejects_bad_blocks():
+    braid = [(1, 2), (1, 3), (2, 3)]
+    # blocks that do not partition 1..m: a coordinate missing, repeated, or out of range
+    for blocks in ([[1, 2]], [[1, 2], [2, 3]], [[1, 2, 3, 4]], [[0, 1, 2, 3]]):
+        with pytest.raises(ConstraintError, match="partition"):
+            CountingModel(3, braid, blocks=blocks)
+    # non-uniform blocks: within a block, across two blocks, on the zero column
+    with pytest.raises(ConstraintError, match="pair-uniform"):
+        CountingModel(3, [(1, 2)], blocks=[[1, 2, 3]])
+    with pytest.raises(ConstraintError, match="pair-uniform"):
+        CountingModel(3, [(1, 3)], blocks=[[1], [2, 3]])
+    with pytest.raises(ConstraintError, match="pair-uniform"):
+        CountingModel(3, [(1, -2)], blocks=[[1], [2, 3]])
+    with pytest.raises(ConstraintError, match="zero column"):
+        CountingModel(2, [(1, 0)], blocks=[[1, 2]])
+
+
+@pytest.mark.parametrize("t", [(2, 1), (2, -1), (1, 1), (0, 2), (1, 4), (4, 0), (1, -4)])
+def test_counting_model_rejects_malformed_tuples(t):
+    # (2, 1) names the hyperplane x_1 = x_2 out of normal form, which the
+    # incidence flags would not see
+    with pytest.raises(ConstraintError, match="hyperplane tuple"):
+        CountingModel(3, [t])
 
 
 def test_pair_profile_single_hyperplane():
