@@ -1,5 +1,5 @@
 """Full classical arrangements: coboundary evaluations at a prime, the braid
-arrangement of A12, Weyl-order region counts, and minor sets/prime plans.
+arrangement of A12, Weyl-order region counts, and minor sets.
 
 A full arrangement is the single-block case of the counting model: every
 coordinate is exchangeable with every other.
@@ -14,7 +14,6 @@ from idealtutte import (
     coboundary_to_tutte,
     minor_set,
     positive_roots,
-    prime_plan,
     region_count,
     root_system_type,
 )
@@ -33,8 +32,7 @@ for family, rank in (("A", 3), ("B", 3), ("B", 4)):
         tuple(c // 2 for c in r.ambient2)
         for r in positive_roots(root_system_type(family, rank))
     ]
-    print(f"  {family}{rank}: {minor_set(vectors).magnitudes()}  "
-          f"plan for rank {rank}: {prime_plan(family, rank).primes}")
+    print(f"  {family}{rank}: {minor_set(vectors).magnitudes()}")
 
 # region counts of full arrangements are the Weyl group orders
 print("\nregions of full arrangements vs Weyl group orders:")

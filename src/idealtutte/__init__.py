@@ -3,10 +3,10 @@ arrangements of root systems (families A, B, C, D at any rank; G2, F4, E6).
 
 Classical types go through the finite field method: one dynamic program over
 the blocks of exchangeable coordinates gives the coboundary polynomial
-directly, with no primes and no interpolation.  The paper's route, weighted
-point counts at a plan of valid primes and exact Lagrange interpolation, is
-kept for verification.  Exceptional types go through the basis-activity
-formula.  A corank-nullity brute-force oracle cross-validates both.
+directly, with no primes and no interpolation.  The same program's weighted
+point counts at odd q, and exhaustive point counts at q = 3, check it.
+Exceptional types go through the basis-activity formula.  A corank-nullity
+brute-force oracle cross-validates both.
 """
 
 from .errors import (
@@ -70,13 +70,11 @@ from .crapo import (
 from .ffmethod import (
     CountingModel,
     MinorProfile,
-    PrimePlan,
     TProfile,
     coboundary_full,
     coboundary_polynomial,
     count_points_bruteforce,
     minor_set,
-    prime_plan,
     tutte_via_ffmethod,
 )
 from .specialize import (

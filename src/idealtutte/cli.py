@@ -24,9 +24,8 @@ from .errors import (
     UnsupportedTypeError,
     VerificationMismatch,
 )
-from .exactpoly import BivariatePolynomial
+from .exactpoly import BivariatePolynomial, UnivariatePolynomial
 from .ideals import (
-    arrangement_of,
     complement,
     enumerate_ideals,
     ideal_from_boxes,
@@ -121,7 +120,7 @@ class _Cache:
             os.path.expanduser("~"), ".cache", "idealtutte"
         )
 
-    def key(self, ideal, command, engine, primes):
+    def key(self, ideal, command, engine):
         comp_bits = ideal.complement_mask()
         raw = json.dumps(
             [
@@ -130,7 +129,6 @@ class _Cache:
                 str(ideal.rst),
                 format(comp_bits, "x"),
                 engine,
-                primes,
             ]
         )
         return hashlib.sha256(raw.encode()).hexdigest()
@@ -167,32 +165,20 @@ class _Cache:
         os.replace(tmp, path)
 
 
-def _primes_from_args(args):
-    """The --primes list, or None when the option is absent."""
-    if getattr(args, "primes", None) is None:
-        return None
-    primes = json.loads(args.primes)
-    if not isinstance(primes, list) or not all(
-        isinstance(p, int) and not isinstance(p, bool) for p in primes
-    ):
-        raise ConstraintError(f"--primes takes a JSON list of integers, not {args.primes}")
-    return primes
-
-
-def _compute_polynomial(ideal, command, engine, primes, args):
+def _compute_polynomial(ideal, command, engine, args):
     cache = _Cache(args)
-    key = cache.key(ideal, command, engine, primes)
+    key = cache.key(ideal, command, engine)
     hit = cache.get(key, ("q", "t") if command == "coboundary" else ("x", "y"))
     if hit is not None:
         return hit
     t0 = time.time()
     if command == "coboundary":
         poly = specialize.coboundary_of_ideal(
-            ideal, engine=engine, primes=primes, max_subsets=args.max_subsets
+            ideal, engine=engine, max_subsets=args.max_subsets
         )
     else:
         poly = specialize.tutte_of_ideal(
-            ideal, engine=engine, primes=primes, max_subsets=args.max_subsets
+            ideal, engine=engine, max_subsets=args.max_subsets
         )
     prov = {
         "engine": engine,
@@ -200,12 +186,6 @@ def _compute_polynomial(ideal, command, engine, primes, args):
         "hyperplanes": len(ideal.complement_indices()),
         "wall_time_s": round(time.time() - t0, 4),
     }
-    if engine == "ffmethod":
-        if primes is None:
-            prov["route"] = "direct"
-        else:
-            prov["route"] = "interpolation"
-            prov["primes"] = ffmethod.interpolation_primes(ideal, primes)
     cache.put(key, {"polynomial": poly.to_json_dict(), "provenance": prov})
     return poly, prov
 
@@ -256,19 +236,17 @@ def cmd_ideals(args):
 
 def cmd_polynomial(args, command):
     ideal = _ideal_from_args(args)
-    primes = _primes_from_args(args)
-    engine = specialize.resolve_engine(args.engine, ideal.rst, primes)
-    poly, prov = _compute_polynomial(ideal, command, engine, primes, args)
+    engine = specialize.resolve_engine(args.engine, ideal.rst)
+    poly, prov = _compute_polynomial(ideal, command, engine, args)
     _emit(args, poly, prov)
     return 0
 
 
 def cmd_charpoly(args):
     ideal = _ideal_from_args(args)
-    primes = _primes_from_args(args)
-    engine = specialize.resolve_engine(args.engine, ideal.rst, primes)
+    engine = specialize.resolve_engine(args.engine, ideal.rst)
     chi = specialize.characteristic_polynomial(
-        ideal, engine=engine, primes=primes, max_subsets=args.max_subsets
+        ideal, engine=engine, max_subsets=args.max_subsets
     )
     text = chi.to_text("q")
     if args.out:
@@ -301,29 +279,33 @@ def cmd_minors(args):
     return 0
 
 
-def _verify_ffmethod_routes(ideal, primes, max_points):
+def _verify_ffmethod_routes(ideal, max_points):
     """Cross-check the finite-field pipeline on one classical ideal: the direct
-    coboundary polynomial against the prime-interpolation route (over the
-    given primes, or else the prime plan), then the counting model against
-    exhaustive point counting at the first plan prime, guard permitting.
-    Returns how many brute-force counts were made."""
+    coboundary polynomial against the whole complement's counting model at
+    q = 3, 5, ..., 2 rank + 3 (both have q-degree at most rank, so these
+    rank + 1 points pin the polynomial), then the counting model against
+    exhaustive point counting at p = 3, guard permitting.  Returns how many
+    brute-force counts were made."""
     comp = complement(ideal)
-    rst = ideal.rst
-    plan = ffmethod.prime_plan(rst.family, arrangement_of(ideal).rank())
+    n = ideal.rst.ambient_dim
+    model = ffmethod.CountingModel(n, comp.hyperplanes)
     direct = ffmethod.coboundary_polynomial(ideal)
-    interpolated = ffmethod.coboundary_polynomial(
-        ideal, primes=plan.primes if primes is None else primes
-    )
-    if direct != interpolated:
+    if direct.degree(0) > model.rank:
         raise VerificationMismatch(
-            f"direct and interpolated coboundary polynomials disagree on {ideal!r}: "
-            f"{direct.to_text()} vs {interpolated.to_text()}"
+            f"direct coboundary polynomial exceeds q-degree {model.rank} on {ideal!r}"
         )
-    p = plan.primes[0]
-    n = rst.ambient_dim
+    for q in range(3, 2 * model.rank + 4, 2):
+        at_q = [0] * (direct.degree(1) + 1)
+        for (a, b), c in direct.coeffs.items():
+            at_q[b] += c * q ** a
+        if UnivariatePolynomial(at_q) != model.coboundary_at_prime(q):
+            raise VerificationMismatch(
+                f"direct coboundary polynomial and counting model disagree at q={q} "
+                f"on {ideal!r}"
+            )
+    p = 3
     if p ** n > max_points:
         return 0
-    model = ffmethod.CountingModel(n, comp.hyperplanes)
     bf = ffmethod.count_points_bruteforce(comp.hyperplanes, n, p, max_points=max_points)
     if model.point_count_profile(p) != list(bf.counts):
         raise VerificationMismatch(
@@ -339,7 +321,6 @@ def cmd_verify(args):
     resolved = [specialize.resolve_engine(e, rst) for e in engines]
     if len(engines) < 2:
         raise ConstraintError("verify needs at least two engines")
-    primes = _primes_from_args(args)
     if args.all_ideals:
         ideals = enumerate_ideals(poset)
     else:
@@ -359,12 +340,12 @@ def cmd_verify(args):
                     f"{base.to_text()} vs {poly.to_text()}"
                 )
         if "ffmethod" in resolved:
-            counted += _verify_ffmethod_routes(ideal, primes, args.max_points)
+            counted += _verify_ffmethod_routes(ideal, args.max_points)
         checked += 1
     extra = ""
     if "ffmethod" in resolved:
         extra = (
-            f" (+{checked} direct-vs-interpolation checks, "
+            f" (+{checked} direct-vs-evaluation checks, "
             f"+{counted} brute-force point-count checks)"
         )
     print(
@@ -395,11 +376,6 @@ def build_parser():
         p.add_argument("--roots", help="JSON list of simple-coordinate root vectors")
         p.add_argument("--ideal-file", help="path to a JSON ideal spec")
         p.add_argument("--full", action="store_true", help="the full arrangement (empty ideal)")
-        p.add_argument(
-            "--primes",
-            help="take the finite field method's prime-interpolation route over "
-            "these primes (JSON list)",
-        )
         p.add_argument(
             "--max-subsets", type=int, default=crapo.DEFAULT_MAX_BASIS_SUBSETS,
             help="refuse more basis candidates (crapo) or subsets (oracle) than this",

@@ -19,7 +19,6 @@ from .errors import GuardExceeded, InconsistencyError
 from .exactpoly import BivariatePolynomial
 
 DEFAULT_MAX_BASIS_SUBSETS = 10 ** 8
-DEFAULT_MAX_ORACLE_ELEMENTS = 24
 # bytes the kernel may hold in bases and exchange table for one configuration
 MAX_KERNEL_BYTES = 1 << 29
 # array cells per vectorized step
@@ -249,16 +248,21 @@ def tutte_crapo_exact(cfg, max_subsets=DEFAULT_MAX_BASIS_SUBSETS):
     return BivariatePolynomial(hist, ("x", "y"))
 
 
-def tutte_corank_nullity(cfg, max_elements=DEFAULT_MAX_ORACLE_ELEMENTS):
+def tutte_corank_nullity(cfg, max_subsets=2 ** 24, *, max_elements=None):
     """Brute-force Tutte polynomial over all 2^m subarrangements.
 
     T(x, y) = sum over subsets S of (x-1)^(r - r(S)) (y-1)^(|S| - r(S)).
     Subset ranks come from a depth-first include/exclude walk that shares
-    echelon state, so each subset costs one incremental reduction.
+    echelon state, so each subset costs one incremental reduction.  Raises
+    ``GuardExceeded`` before any work when 2^m exceeds ``max_subsets``;
+    ``max_elements`` is the older spelling of the guard, 2^max_elements
+    subsets, kept for the benchmark's reference generator.
     """
     m, r = len(cfg), cfg.rank
-    if m > max_elements:
-        raise GuardExceeded(f"{m} elements exceeds 2^{max_elements} subset guard")
+    if max_elements is not None:
+        max_subsets = 2 ** max_elements
+    if 2 ** m > max_subsets:
+        raise GuardExceeded(f"2^{m} subsets exceeds guard {max_subsets}")
     # counts[(size, rank)] = number of subsets
     counts = {}
 

@@ -2,8 +2,8 @@
 
 Bivariate polynomials are sparse maps (deg_a, deg_b) -> int; univariate
 polynomials are dense coefficient lists.  Rationals appear only inside
-Lagrange interpolation and are asserted integral before anything leaves
-this module.
+Lagrange interpolation, a reference route that no pipeline takes, and are
+asserted integral before anything leaves this module.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ class BivariatePolynomial:
     @classmethod
     def one(cls, variables=("x", "y")):
         return cls({(0, 0): 1}, variables)
-
-    @classmethod
-    def monomial(cls, da, db, c=1, variables=("x", "y")):
-        return cls({(da, db): c}, variables)
 
     def is_zero(self):
         return not self.coeffs
@@ -274,11 +270,7 @@ def parse_polynomial(text, variables=("x", "y")):
 
 
 class UnivariatePolynomial:
-    """Dense exact polynomial in one variable.
-
-    Coefficients are integers in all externally visible values; Fractions may
-    pass through transiently during interpolation.
-    """
+    """Dense exact polynomial in one variable with integer coefficients."""
 
     __slots__ = ("coeffs",)
 
@@ -333,7 +325,7 @@ class UnivariatePolynomial:
         return UnivariatePolynomial([-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return UnivariatePolynomial([c * other for c in self.coeffs])
         other = self._coerce(other)
         if self.is_zero() or other.is_zero():
@@ -350,7 +342,7 @@ class UnivariatePolynomial:
     def _coerce(self, other):
         if isinstance(other, UnivariatePolynomial):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return UnivariatePolynomial([other])
         raise TypeError(type(other))
 
@@ -392,7 +384,8 @@ def lagrange_interpolate(points):
     ``points`` is a list of ``(q_value, UnivariatePolynomial in t)``.  The
     result has q-degree < len(points) and integer coefficients; a fractional
     coefficient raises InconsistencyError since every counting routine that
-    feeds this function produces exact integer data.
+    feeds this function produces exact integer data.  No pipeline calls it;
+    it is the reference route from prime evaluations back to chi-bar.
     """
     if not points:
         raise ConstraintError("no interpolation points")

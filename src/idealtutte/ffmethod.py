@@ -1,9 +1,8 @@
 """The finite field method for ideal arrangements of classical root systems:
 the counting model whose one dynamic program yields the coboundary polynomial
-directly (a full arrangement is the single-block case), the paper's prime
-route (minor sets, valid prime plans, evaluation at primes and Lagrange
-interpolation) kept for verification, and the brute-force point-counting
-oracle.
+directly (a full arrangement is the single-block case), the minor set of the
+paper's theorem on which primes reduce correctly, and the brute-force
+point-counting oracle.
 
 The count over F_p sums, over all ways of distributing each block of
 exchangeable coordinates across the residues of F_p, the multinomial weight
@@ -21,8 +20,9 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 from .errors import ConstraintError, GuardExceeded, InconsistencyError, UnsupportedTypeError
-from .exactpoly import BivariatePolynomial, UnivariatePolynomial, lagrange_interpolate
+from .exactpoly import BivariatePolynomial, UnivariatePolynomial, coboundary_to_tutte
 from .ideals import (
+    arrangement_of,
     automorphism_blocks,
     block_incidence,
     complement,
@@ -34,7 +34,7 @@ from . import crapo
 DEFAULT_MAX_POINTS = 10 ** 8
 
 
-# ---- minor sets and prime plans ---------------------------------------------
+# ---- minor sets -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -103,56 +103,6 @@ def minor_set(vectors, max_order=None, max_minors=5_000_000):
     if 0 in minors:
         minors.add(0)
     return MinorProfile(tuple(vectors), frozenset(minors), max_order)
-
-
-@dataclass(frozen=True)
-class PrimePlan:
-    """Interpolation abscissae: primes over which reduction is correct."""
-
-    primes: tuple
-    family: str
-    rank: int
-
-
-def _odd_primes():
-    yield 3
-    cand = 5
-    while True:
-        if all(cand % p for p in range(3, cand) if p * p <= cand):
-            yield cand
-        cand += 2
-
-
-def classical_minor_magnitudes(family, n):
-    """Magnitudes of the minor set of the positive-root matrix of a classical type.
-
-    Type A gives {0, 1}; B (and with it C and D, whose rows are a subset up to
-    scaling) gives {0} with all powers of two up to 2^floor(n/2).
-    """
-    if family == "A":
-        return {0, 1}
-    if family in ("B", "C", "D"):
-        return {0} | {2 ** k for k in range(n // 2 + 1)}
-    raise UnsupportedTypeError(family)
-
-
-def prime_plan(family, rank, count=None):
-    """The first rank+1 odd primes avoiding the family's minor magnitudes.
-
-    Odd primes are always valid for the classical families (only powers of two
-    occur), so the plan simply starts at 3.
-    """
-    if family not in ("A", "B", "C", "D"):
-        raise UnsupportedTypeError(f"prime plans are for classical families, not {family}")
-    bad = classical_minor_magnitudes(family, max(rank, 2))
-    want = (rank + 1) if count is None else count
-    out = []
-    for p in _odd_primes():
-        if p not in bad:
-            out.append(p)
-        if len(out) == want:
-            break
-    return PrimePlan(tuple(out), family, rank)
 
 
 # ---- brute-force point counting ---------------------------------------------
@@ -474,15 +424,13 @@ def coboundary_full(family, n):
 # ---- the ideal pipeline ------------------------------------------------------
 
 
-def coboundary_polynomial(ideal, primes=None):
+def coboundary_polynomial(ideal):
     """Exact coboundary polynomial chi-bar(q, t) of a classical ideal arrangement.
 
     Decomposes the complement into connected components and multiplies their
     coboundary polynomials (chi-bar is rank-relative, so components simply
-    multiply).  By default each component's chi-bar comes straight from its
-    counting model's pair profile.  An explicit prime list selects the
-    paper's route instead: evaluate each component at its first rank+1
-    usable primes (odd, outside the family's minor set) and interpolate.
+    multiply).  Each component's chi-bar comes straight from its counting
+    model's pair profile.
     """
     rst = ideal.rst
     if not rst.is_classical:
@@ -491,45 +439,11 @@ def coboundary_polynomial(ideal, primes=None):
         )
     result = BivariatePolynomial.one(("q", "t"))
     for component in decompose_components(complement(ideal)):
-        model = CountingModel(component.size, component.tuples)
-        if primes is None:
-            result = result * model.coboundary()
-            continue
-        plan = _component_primes(component, model.rank, primes)
-        result = result * lagrange_interpolate(
-            [(p, model.coboundary_at_prime(p)) for p in plan]
-        )
+        result = result * CountingModel(component.size, component.tuples).coboundary()
     return result
 
 
-def _component_primes(component, rank, primes):
-    """The first rank+1 primes of an explicit list that are valid for a component."""
-    bad = classical_minor_magnitudes(component.family, component.size)
-    usable = [p for p in primes if p > 2 and p % 2 and p not in bad]
-    if len(usable) < rank + 1:
-        raise ConstraintError(f"need {rank + 1} valid primes, got {usable}")
-    return tuple(usable[: rank + 1])
-
-
-def interpolation_primes(ideal, primes):
-    """Every prime the interpolation route evaluates at for this ideal, sorted."""
-    used = set()
-    for component in decompose_components(complement(ideal)):
-        rank = crapo.rank_of([tuple_normal(t, component.size) for t in component.tuples])
-        used.update(_component_primes(component, rank, primes))
-    return sorted(used)
-
-
-def tutte_via_ffmethod(ideal, primes=None):
+def tutte_via_ffmethod(ideal):
     """Tutte polynomial of a classical ideal arrangement via the coboundary route."""
-    from .exactpoly import coboundary_to_tutte
-
-    cb = coboundary_polynomial(ideal, primes=primes)
-    rank = arrangement_rank(ideal)
-    return coboundary_to_tutte(cb, rank)
-
-
-def arrangement_rank(ideal):
-    from .ideals import arrangement_of
-
-    return arrangement_of(ideal).rank()
+    cb = coboundary_polynomial(ideal)
+    return coboundary_to_tutte(cb, arrangement_of(ideal).rank())

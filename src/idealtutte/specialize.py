@@ -52,14 +52,12 @@ def ideal_exponents(ideal):
 ENGINES = ("auto", "ffmethod", "crapo", "oracle")
 
 
-def resolve_engine(engine, rst, primes=None):
+def resolve_engine(engine, rst):
     """The engine that computes for ``engine`` on the root system ``rst``.
 
     auto is the finite-field pipeline on classical types and the
     basis-activity formula on exceptional ones.  ConstraintError for an
-    unknown engine, for ffmethod on an exceptional type, and for ``primes``
-    (the finite-field pipeline's interpolation route) given to any other
-    engine.
+    unknown engine and for ffmethod on an exceptional type.
     """
     if engine not in ENGINES:
         raise ConstraintError(f"unknown engine {engine!r}")
@@ -67,41 +65,31 @@ def resolve_engine(engine, rst, primes=None):
         engine = "ffmethod" if rst.is_classical else "crapo"
     elif engine == "ffmethod" and not rst.is_classical:
         raise ConstraintError(f"engine ffmethod rejects exceptional type {rst.family}")
-    if primes is not None and engine != "ffmethod":
-        raise ConstraintError(
-            f"primes select the finite-field interpolation route; engine {engine} takes none"
-        )
     return engine
 
 
-def tutte_of_ideal(ideal, engine="auto", primes=None, max_subsets=None):
+def tutte_of_ideal(ideal, engine="auto", max_subsets=None):
     """Tutte polynomial of an ideal arrangement by the requested engine.
 
     auto routes classical types through the finite-field pipeline and
-    exceptional types through the basis-activity formula; oracle forces the
-    corank-nullity expansion.  ``primes`` selects the finite-field pipeline's
-    interpolation route and is refused by every other engine (both decided
-    by ``resolve_engine``).
+    exceptional types through the basis-activity formula (as decided by
+    ``resolve_engine``); oracle forces the corank-nullity expansion.
+    ``max_subsets`` bounds the basis candidates (crapo) or the subsets
+    (oracle) before any work is done.
     """
-    engine = resolve_engine(engine, ideal.rst, primes)
+    engine = resolve_engine(engine, ideal.rst)
     if engine == "ffmethod":
-        return ffmethod.tutte_via_ffmethod(ideal, primes=primes)
+        return ffmethod.tutte_via_ffmethod(ideal)
     comp_roots = ideal.complement_roots()
     vectors = [r.simple_coords for r in comp_roots]
     cfg = crapo.VectorConfig(vectors, dim=ideal.rst.rank)
+    guard = {} if max_subsets is None else {"max_subsets": max_subsets}
     if engine == "crapo":
-        if max_subsets is not None:
-            return crapo.tutte_crapo(cfg, max_subsets=max_subsets)
-        return crapo.tutte_crapo(cfg)
-    # the oracle; its guard counts subsets, i.e. 2^elements
-    if max_subsets is not None:
-        return crapo.tutte_corank_nullity(
-            cfg, max_elements=max(0, int(max_subsets).bit_length() - 1)
-        )
-    return crapo.tutte_corank_nullity(cfg)
+        return crapo.tutte_crapo(cfg, **guard)
+    return crapo.tutte_corank_nullity(cfg, **guard)
 
 
-def coboundary_of_ideal(ideal, engine="auto", primes=None, max_subsets=None):
+def coboundary_of_ideal(ideal, engine="auto", max_subsets=None):
     """Coboundary polynomial of an ideal arrangement.
 
     The finite-field pipeline (auto on classical types) gives it directly;
@@ -110,9 +98,9 @@ def coboundary_of_ideal(ideal, engine="auto", primes=None, max_subsets=None):
     chi-bar(q, t) = (t-1)^rank T(q/(t-1) + 1, t), carried out exactly by
     reversing the coboundary-to-Tutte substitution.
     """
-    engine = resolve_engine(engine, ideal.rst, primes)
+    engine = resolve_engine(engine, ideal.rst)
     if engine == "ffmethod":
-        return ffmethod.coboundary_polynomial(ideal, primes=primes)
+        return ffmethod.coboundary_polynomial(ideal)
     tutte = tutte_of_ideal(ideal, engine=engine, max_subsets=max_subsets)
     return tutte_to_coboundary(tutte, arrangement_of(ideal).rank())
 
@@ -135,10 +123,10 @@ def tutte_to_coboundary(tutte, rank):
     return out
 
 
-def characteristic_polynomial(ideal, engine="auto", primes=None, max_subsets=None):
+def characteristic_polynomial(ideal, engine="auto", max_subsets=None):
     """chi(q) of an ideal arrangement, from its Tutte polynomial computed by
-    ``tutte_of_ideal`` with the same engine, primes and guard."""
-    tutte = tutte_of_ideal(ideal, engine=engine, primes=primes, max_subsets=max_subsets)
+    ``tutte_of_ideal`` with the same engine and guard."""
+    tutte = tutte_of_ideal(ideal, engine=engine, max_subsets=max_subsets)
     arr = arrangement_of(ideal)
     return tutte_to_characteristic(tutte, arr.dim, arr.rank())
 

@@ -7,6 +7,7 @@ import pytest
 from idealtutte.cli import main, parse_ideal_spec
 from idealtutte.errors import ConstraintError
 from idealtutte.exactpoly import BivariatePolynomial, latex_is_wellformed, parse_polynomial
+from idealtutte.ideals import arrangement_of
 
 
 def run(capsys, *argv):
@@ -63,52 +64,31 @@ def test_json_round_trip_and_provenance(capsys, tmp_path):
     poly = BivariatePolynomial.from_json_dict(data)
     assert poly.evaluate(2, 2) == 2 ** 4
     assert data["provenance"]["engine"] == "ffmethod"
-    assert data["provenance"]["route"] == "direct"
-    assert "primes" not in data["provenance"]
-
-
-def test_primes_select_interpolation_route(capsys, tmp_path):
-    base = ("--type", "B", "--rank", "3", "--full")
-    cache = ("--cache-dir", str(tmp_path))
-    primes = ("--primes", "[3, 5, 7, 11, 13, 17]")
-    _, direct, _ = run(capsys, "tutte", *base, *cache, "--format", "json")
-    code, out, _ = run(capsys, "tutte", *base, *cache, "--format", "json", *primes)
-    assert code == 0
-    data = json.loads(out)
-    # a cached direct result is not replayed for the interpolation route
-    assert data["provenance"]["route"] == "interpolation"
-    # rank 3 takes the first four primes; 13 and 17 go unused
-    assert data["provenance"]["primes"] == [3, 5, 7, 11]
-    assert data["terms"] == json.loads(direct)["terms"]
-    for command, opts in (("coboundary", cache), ("charpoly", ())):
-        _, want, _ = run(capsys, command, *base, *opts)
-        code, got, _ = run(capsys, command, *base, *opts, *primes)
-        assert code == 0 and got == want
-        code, _, err = run(capsys, command, *base, *opts, "--primes", "[3, 5]")
-        assert code == 1 and "valid primes" in err
-
-
-def test_primes_refused_for_exceptional_types(capsys, tmp_path):
-    cache = ("--cache-dir", str(tmp_path))
-    for command, opts in (("tutte", cache), ("coboundary", cache), ("charpoly", ())):
-        code, out, err = run(
-            capsys, command, "--type", "G2", "--roots", "[[3,1],[3,2]]",
-            "--primes", "[3, 5, 7]", *opts,
-        )
-        assert code == 1 and not out and "primes" in err
+    assert set(data["provenance"]) == {"engine", "system", "hyperplanes", "wall_time_s"}
 
 
 def test_verify_checks_direct_against_interpolation(capsys, monkeypatch):
+    # the direct chi-bar at rank+1 odd q against the counting model there:
+    # the interpolation check, pointwise
     args = ("verify", "--type", "B", "--rank", "3", "--all-ideals")
     code, out, _ = run(capsys, *args)
     assert code == 0
-    assert "+20 direct-vs-interpolation checks" in out
+    assert "+20 direct-vs-evaluation checks" in out
     from idealtutte import ffmethod
 
-    real = ffmethod.lagrange_interpolate
-    monkeypatch.setattr(ffmethod, "lagrange_interpolate", lambda pts: real(pts) + 1)
-    code, _, err = run(capsys, *args)
-    assert code == 3 and "interpolated" in err
+    real = ffmethod.coboundary_polynomial
+
+    def tampered(ideal):
+        # adding (t-1)^rank (q-1) keeps chi-bar(q, 1) and survives the
+        # Tutte transform, so both engine runs agree on the wrong answer
+        rank = arrangement_of(ideal).rank()
+        t_minus_1 = BivariatePolynomial({(0, 1): 1, (0, 0): -1}, ("q", "t"))
+        q_minus_1 = BivariatePolynomial({(1, 0): 1, (0, 0): -1}, ("q", "t"))
+        return real(ideal) + t_minus_1 ** rank * q_minus_1
+
+    monkeypatch.setattr(ffmethod, "coboundary_polynomial", tampered)
+    code, _, err = run(capsys, *args, "--engines", "ffmethod,ffmethod")
+    assert code == 3 and "counting model disagree at q=3" in err
 
 
 def test_latex_output_wellformed(capsys, tmp_path):
@@ -259,13 +239,14 @@ def test_default_max_subsets_admits_26_oracle_elements(capsys, monkeypatch, argv
     seen = []
     real = crapo.tutte_corank_nullity
 
-    def spy(cfg, max_elements):
-        seen.append(max_elements)
-        return real(cfg, max_elements=max_elements)
+    def spy(cfg, max_subsets):
+        seen.append(max_subsets)
+        return real(cfg, max_subsets=max_subsets)
 
     monkeypatch.setattr(crapo, "tutte_corank_nullity", spy)
     code, _, _ = run(capsys, *argv, "--type", "G2", "--roots", "[[3,1],[3,2]]")
-    assert code == 0 and seen == [26]
+    # passed straight through: 2^26 <= 10^8 < 2^27
+    assert code == 0 and seen == [10 ** 8]
 
 
 @pytest.mark.parametrize(
@@ -307,7 +288,9 @@ COMPUTE_OPTIONS = [("--primes", "[3]"), ("--max-points", "10"), ("--max-subsets"
 @pytest.mark.parametrize(
     "command, option",
     [(c, o) for c in ("roots", "ideals", "minors") for o in COMPUTE_OPTIONS]
-    + [(c, o) for c in ("charpoly", "verify") for o in CACHE_OPTIONS],
+    + [(c, o) for c in ("charpoly", "verify") for o in CACHE_OPTIONS]
+    # chi-bar comes from one dynamic program; there is no prime route to select
+    + [(c, ("--primes", "[3]")) for c in ("tutte", "coboundary", "charpoly", "verify")],
 )
 def test_commands_refuse_options_they_do_not_read(capsys, command, option):
     with pytest.raises(SystemExit) as exc:

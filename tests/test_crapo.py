@@ -84,8 +84,22 @@ def test_corank_nullity_trivial_cases():
 
 def test_corank_nullity_guard():
     cfg = VectorConfig([(1, i % 3) for i in range(30)])
-    with pytest.raises(GuardExceeded):
-        tutte_corank_nullity(cfg, max_elements=24)
+    for guard in ({}, {"max_subsets": 2 ** 29}, {"max_elements": 24}):
+        with pytest.raises(GuardExceeded):
+            tutte_corank_nullity(cfg, **guard)
+
+
+def test_corank_nullity_guard_refuses_27_elements_before_any_work(monkeypatch):
+    # the CLI's default guard of 10^8 subsets admits 2^26 but not 2^27
+    from idealtutte import crapo
+
+    def no_work():
+        raise AssertionError("the oracle started its subset walk")
+
+    cfg = VectorConfig([(1, i) for i in range(27)])
+    monkeypatch.setattr(crapo, "_Echelon", no_work)
+    with pytest.raises(GuardExceeded, match=r"2\^27"):
+        tutte_corank_nullity(cfg, max_subsets=10 ** 8)
 
 
 @pytest.fixture(scope="module")

@@ -12,16 +12,14 @@ from idealtutte.errors import (
 from idealtutte.exactpoly import BivariatePolynomial, UnivariatePolynomial, coboundary_to_tutte
 from idealtutte.ffmethod import (
     CountingModel,
-    arrangement_rank,
     coboundary_full,
     coboundary_polynomial,
     count_points_bruteforce,
     full_arrangement_tuples,
     minor_set,
-    prime_plan,
     tutte_via_ffmethod,
 )
-from idealtutte.ideals import complement, ideal_from_mask, partition_in_accordance
+from idealtutte.ideals import arrangement_of, complement, ideal_from_mask, partition_in_accordance
 from idealtutte.rootsystems import positive_roots, root_poset, root_system_type
 
 
@@ -59,16 +57,6 @@ def test_minor_set_single_row():
 def test_minor_set_guard():
     with pytest.raises(GuardExceeded):
         minor_set([(1,) * 30] * 40, max_order=20, max_minors=1000)
-
-
-# ---- prime plans ---------------------------------------------------------------
-
-
-def test_prime_plans():
-    assert prime_plan("A", 2).primes == (3, 5, 7)
-    assert prime_plan("B", 6).primes == (3, 5, 7, 11, 13, 17, 19)
-    assert prime_plan("D", 4).primes == (3, 5, 7, 11, 13)
-    assert all(p % 2 for p in prime_plan("C", 9).primes)
 
 
 # ---- brute-force point counts ---------------------------------------------------
@@ -322,18 +310,9 @@ def test_pipeline_rejects_exceptional():
         coboundary_polynomial(ideal_from_mask(poset, 0))
 
 
-def test_pipeline_with_prime_override():
-    ideal = worked_ideal("d")
-    default = coboundary_polynomial(ideal)
-    shifted = coboundary_polynomial(ideal, primes=[5, 7, 11, 13, 17, 19, 23])
-    assert default == shifted
-    with pytest.raises(ConstraintError):
-        coboundary_polynomial(ideal, primes=[3, 5])
-
-
 def test_theorem_identity_profile_vs_closed_form_sweep():
     # p^(n-rank) * chi-bar(p, .) equals the brute-force profile for every
-    # ideal of B3 and D4 at the first plan primes
+    # ideal of B3 and D4 at the primes 3 and 5
     from idealtutte.ideals import enumerate_ideals
 
     for family, rank in (("B", 3), ("D", 4)):
@@ -354,7 +333,7 @@ def test_chi_bar_at_one_is_q_rank():
     for label in WORKED_CLASSICAL:
         ideal = worked_ideal(label)
         cb = coboundary_polynomial(ideal)
-        r = arrangement_rank(ideal)
+        r = arrangement_of(ideal).rank()
         for q in (7, 97):
             assert cb.evaluate(q, 1) == q ** r
 
@@ -363,4 +342,4 @@ def test_q_degree_bounded_by_rank():
     for label in WORKED_CLASSICAL:
         ideal = worked_ideal(label)
         cb = coboundary_polynomial(ideal)
-        assert cb.degree(0) <= arrangement_rank(ideal)
+        assert cb.degree(0) <= arrangement_of(ideal).rank()

@@ -1,20 +1,17 @@
 """Hypothesis property tests for the finite-field pipeline on random small
 classical ideals: the direct coboundary route against exhaustive point counts
-and against the paper's prime-interpolation route.  They sit beside the
-fixed-seed sweeps in test_ffmethod and test_properties."""
+and against the paper's route, Lagrange interpolation of the counting model's
+values at rank+1 odd primes.  They sit beside the fixed-seed sweeps in
+test_ffmethod and test_properties."""
 
 from functools import lru_cache
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idealtutte.ffmethod import (
-    arrangement_rank,
-    coboundary_polynomial,
-    count_points_bruteforce,
-    prime_plan,
-)
-from idealtutte.ideals import complement, ideal_from_root_coords
+from idealtutte.exactpoly import lagrange_interpolate
+from idealtutte.ffmethod import CountingModel, coboundary_polynomial, count_points_bruteforce
+from idealtutte.ideals import arrangement_of, complement, ideal_from_root_coords
 from idealtutte.rootsystems import root_poset, root_system_type
 
 # every type here has at most 6 coordinates, so 7^n stays far below the
@@ -50,7 +47,7 @@ def test_direct_route_matches_brute_force_counts(ideal, p):
     n = ideal.rst.ambient_dim
     hyperplanes = complement(ideal).hyperplanes
     cb = coboundary_polynomial(ideal)
-    scale = p ** (n - arrangement_rank(ideal))
+    scale = p ** (n - arrangement_of(ideal).rank())
     profile = [0] * (len(hyperplanes) + 1)
     for (dq, dt), c in cb.coeffs.items():
         profile[dt] += scale * c * p ** dq
@@ -60,5 +57,7 @@ def test_direct_route_matches_brute_force_counts(ideal, p):
 @PROPERTY_SETTINGS
 @given(ideal=classical_ideals())
 def test_direct_route_matches_prime_interpolation(ideal):
-    primes = prime_plan(ideal.rst.family, arrangement_rank(ideal)).primes
-    assert coboundary_polynomial(ideal) == coboundary_polynomial(ideal, primes=primes)
+    model = CountingModel(ideal.rst.ambient_dim, complement(ideal).hyperplanes)
+    primes = (3, 5, 7, 11, 13, 17)[: model.rank + 1]
+    points = [(p, model.coboundary_at_prime(p)) for p in primes]
+    assert coboundary_polynomial(ideal) == lagrange_interpolate(points)

@@ -9,7 +9,6 @@ from idealtutte.exactpoly import (
     UnivariatePolynomial,
     lagrange_interpolate,
 )
-from idealtutte.ffmethod import prime_plan
 from idealtutte.ideals import (
     Ideal,
     complement,
@@ -66,7 +65,7 @@ def test_interpolation_round_trip_random():
             if rng.random() < 0.5
         }
         poly = BivariatePolynomial(coeffs, ("q", "t"))
-        primes = prime_plan("A", qdeg).primes
+        primes = (3, 5, 7, 11, 13, 17, 19, 23, 29)[: qdeg + 1]
         points = []
         for p in primes:
             prof = [0] * (tdeg + 1)
