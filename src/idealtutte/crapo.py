@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb, hypot, prod
 
 from .errors import GuardExceeded, InconsistencyError
-from .exactpoly import BivariatePolynomial
+from .exactpoly import BivariatePolynomial, _taylor_shift
 
 DEFAULT_MAX_BASIS_SUBSETS = 10 ** 8
 # bytes the kernel may hold in bases and exchange table for one configuration
@@ -277,17 +277,9 @@ def tutte_corank_nullity(cfg, max_subsets=2 ** 24, *, max_elements=None):
         walk(i + 1, size + 1, ech2)
 
     walk(0, 0, _Echelon())
-    out = {}
-    for (size, rs), cnt in counts.items():
-        a, b = r - rs, size - rs
-        # expand cnt * (x-1)^a (y-1)^b
-        for i in range(a + 1):
-            ca = comb(a, i) * (-1) ** (a - i)
-            for j in range(b + 1):
-                cb = comb(b, j) * (-1) ** (b - j)
-                k = (i, j)
-                out[k] = out.get(k, 0) + cnt * ca * cb
-    return BivariatePolynomial(out, ("x", "y"))
+    # the rank-generating polynomial sum cnt X^(r-rs) Y^(size-rs), at X = x-1, Y = y-1
+    rgp = {(r - rs, size - rs): cnt for (size, rs), cnt in counts.items()}
+    return BivariatePolynomial(_taylor_shift(rgp, -1, -1), ("x", "y"))
 
 
 # ---- exact exchange-table engine ------------------------------------------

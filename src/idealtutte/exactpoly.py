@@ -4,12 +4,17 @@ Bivariate polynomials are sparse maps (deg_a, deg_b) -> int; univariate
 polynomials are dense coefficient lists.  Rationals appear only inside
 Lagrange interpolation, a reference route that no pipeline takes, and are
 asserted integral before anything leaves this module.
+
+Both directions between chi-bar(q, t) and T(x, y), and the corank-nullity
+oracle's change of variables, are Taylor shifts by +-1 along an axis
+(``_taylor_shift``) around a re-indexing of the degrees.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 from .errors import ConstraintError, InconsistencyError
@@ -428,50 +433,67 @@ def lagrange_interpolate(points):
     return BivariatePolynomial(out, ("q", "t"))
 
 
+def _taylor_shift(coeffs, sx, sy):
+    """Coefficient map of p(x + sx, y + sy) from that of p(x, y), with sx, sy in {-1, 0, 1}.
+
+    Each non-zero shift runs Horner's scheme on every line of coefficients
+    along its axis: one prefix sum per degree, O(d^2) exact additions per
+    line.  A shift by -1 is the shift by +1 conjugated by p(z) -> p(-z), so
+    odd degrees change sign on the way in and on the way out.
+    """
+    for axis, s in ((0, sx), (1, sy)):
+        if not s:
+            continue
+        lines = {}
+        for k, c in coeffs.items():
+            lines.setdefault(k[1 - axis], {})[k[axis]] = c
+        coeffs = {}
+        for other, line in lines.items():
+            degrees = range(max(line), -1, -1)
+            # highest degree first, so each Horner pass is a prefix sum
+            rev = [line.get(d, 0) * (s if d & 1 else 1) for d in degrees]
+            for n in range(len(rev), 1, -1):
+                rev[:n] = accumulate(rev[:n])
+            for d, c in zip(degrees, rev):
+                if c:
+                    coeffs[(d, other) if axis == 0 else (other, d)] = c * (s if d & 1 else 1)
+    return coeffs
+
+
 def coboundary_to_tutte(cb, rank):
     """Transform a coboundary polynomial in (q, t) into the Tutte polynomial in (x, y).
 
-    Substitutes q -> (x-1)(y-1), t -> y and divides by (y-1)^rank; a nonzero
-    division remainder means the claimed rank or the coboundary data is wrong.
+    T(x, y) = chi-bar((x-1)(y-1), y) / (y-1)^rank.  With X = x-1 and Y = y-1
+    this is T = sum_a X^a Y^(a-rank) sum_b c_ab (Y+1)^b, so each q-column is
+    shifted t -> Y+1, loses its rank-a lowest Y-coefficients, and the result
+    is shifted back along both axes.  A q-degree above rank, or a nonzero
+    dropped coefficient (chi-bar not divisible by (t-1)^rank), means the
+    claimed rank or the coboundary data is wrong: InconsistencyError.
     """
-    sub = BivariatePolynomial.zero(("x", "y"))
-    # (x-1)(y-1) = xy - x - y + 1
-    q_image = BivariatePolynomial(
-        {(1, 1): 1, (1, 0): -1, (0, 1): -1, (0, 0): 1}, ("x", "y")
-    )
-    powers = {0: BivariatePolynomial.one(("x", "y"))}
-    qdeg = max((dq for dq, _ in cb.coeffs), default=0)
-    for d in range(1, qdeg + 1):
-        powers[d] = powers[d - 1] * q_image
-    for (dq, dt), c in cb.coeffs.items():
-        sub = sub + powers[dq] * BivariatePolynomial({(0, dt): c}, ("x", "y"))
-    return _divide_by_y_minus_one(sub, rank)
+    out = {}
+    for (a, b), c in _taylor_shift(cb.coeffs, 0, 1).items():
+        if a > rank:
+            raise InconsistencyError(f"coboundary has q-degree {a} above rank {rank}")
+        if b < rank - a:
+            raise InconsistencyError(
+                f"coboundary not divisible by (t-1)^rank: coefficient {c} of q^{a} (t-1)^{b}"
+            )
+        out[(a, b - rank + a)] = c
+    return BivariatePolynomial(_taylor_shift(out, -1, -1), ("x", "y"))
 
 
-def _divide_by_y_minus_one(poly, times):
-    """Exact repeated division by (y - 1) with remainder check."""
-    cur = poly
-    for _ in range(times):
-        by_x = {}
-        for (dx, dy), c in cur.coeffs.items():
-            col = by_x.setdefault(dx, {})
-            col[dy] = c
-        out = {}
-        for dx, col in by_x.items():
-            deg = max(col)
-            # synthetic division of sum c_dy y^dy by (y - 1)
-            carry = 0
-            for dy in range(deg, 0, -1):
-                carry += col.get(dy, 0)
-                if carry:
-                    out[(dx, dy - 1)] = carry
-            if carry + col.get(0, 0) != 0:
-                raise InconsistencyError(
-                    "coboundary not divisible by (y-1)^rank: "
-                    f"remainder {carry + col.get(0, 0)} at x^{dx}"
-                )
-        cur = BivariatePolynomial(out, ("x", "y"))
-    return cur
+def tutte_to_coboundary(tutte, rank):
+    """Inverse transform: chi-bar(q, t) = (t-1)^rank T(q/(t-1) + 1, t).
+
+    The same shifts in reverse: T(X+1, Y+1) = sum d_ab X^a Y^b becomes
+    sum d_ab q^a Y^(rank-a+b), then each q-column is shifted Y -> t-1.
+    ConstraintError when an x-degree exceeds rank.
+    """
+    if tutte.degree(0) > rank:
+        raise ConstraintError("x-degree exceeds rank")
+    shifted = _taylor_shift(tutte.coeffs, 1, 1)
+    cols = {(a, rank - a + b): c for (a, b), c in shifted.items()}
+    return BivariatePolynomial(_taylor_shift(cols, 0, -1), ("q", "t"))
 
 
 def tutte_to_characteristic(tutte, n, rank):

@@ -100,8 +100,6 @@ def minor_set(vectors, max_order=None, max_minors=5_000_000):
                 d = _det([[vectors[r][c] for c in cols] for r in rows])
                 minors.add(d)
                 minors.add(-d)
-    if 0 in minors:
-        minors.add(0)
     return MinorProfile(tuple(vectors), frozenset(minors), max_order)
 
 
@@ -205,8 +203,7 @@ class CountingModel:
     # per starting state and reused across every residue step.
 
     def _alloc_zero(self, state):
-        key = state
-        cached = self._zero_kernel.get(key)
+        cached = self._zero_kernel.get(state)
         if cached is not None:
             return cached
         nb = len(state)
@@ -240,7 +237,7 @@ class CountingModel:
                 alloc.pop()
 
         rec(0, [], 1, 0)
-        self._zero_kernel[key] = out
+        self._zero_kernel[state] = out
         return out
 
     def _alloc_pair(self, state):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from . import crapo, ffmethod
 from .errors import ConstraintError, InconsistencyError
-from .exactpoly import tutte_to_characteristic
+from .exactpoly import tutte_to_characteristic, tutte_to_coboundary
 from .ideals import arrangement_of
 
 
@@ -95,32 +95,13 @@ def coboundary_of_ideal(ideal, engine="auto", max_subsets=None):
     The finite-field pipeline (auto on classical types) gives it directly;
     otherwise the Tutte polynomial is computed first, under the same
     ``max_subsets`` guard as ``tutte_of_ideal``, and converted through
-    chi-bar(q, t) = (t-1)^rank T(q/(t-1) + 1, t), carried out exactly by
-    reversing the coboundary-to-Tutte substitution.
+    ``exactpoly.tutte_to_coboundary``.
     """
     engine = resolve_engine(engine, ideal.rst)
     if engine == "ffmethod":
         return ffmethod.coboundary_polynomial(ideal)
     tutte = tutte_of_ideal(ideal, engine=engine, max_subsets=max_subsets)
     return tutte_to_coboundary(tutte, arrangement_of(ideal).rank())
-
-
-def tutte_to_coboundary(tutte, rank):
-    """Inverse transform: chi-bar(q, t) from T(x, y) with the given rank."""
-    from .exactpoly import BivariatePolynomial
-
-    # chi-bar(q,t) = (t-1)^r T(q/(t-1)+1, t): expand T termwise with exact
-    # division at the end.  Work in the ring Z[q, t] by clearing (t-1) powers:
-    # (t-1)^r x^a y^b -> (q + (t-1))^a t^b (t-1)^(r-a);  a <= r always.
-    out = BivariatePolynomial.zero(("q", "t"))
-    tm1 = BivariatePolynomial({(0, 1): 1, (0, 0): -1}, ("q", "t"))
-    qplus = BivariatePolynomial({(1, 0): 1, (0, 1): 1, (0, 0): -1}, ("q", "t"))
-    for (a, b), c in tutte.coeffs.items():
-        if a > rank:
-            raise ConstraintError("x-degree exceeds rank")
-        term = (qplus ** a) * (tm1 ** (rank - a)) * BivariatePolynomial({(0, b): c}, ("q", "t"))
-        out = out + term
-    return out
 
 
 def characteristic_polynomial(ideal, engine="auto", max_subsets=None):

@@ -11,6 +11,7 @@ from idealtutte.exactpoly import (
     parse_polynomial,
     tutte_to_characteristic,
 )
+from idealtutte.ffmethod import coboundary_full
 
 
 def bp(text, variables=("x", "y")):
@@ -129,9 +130,22 @@ def test_coboundary_to_tutte_examples():
 
 
 def test_coboundary_to_tutte_bad_rank():
+    # (t-1)^2 does not divide it
     cb = bp("t + q - 1", ("q", "t"))
     with pytest.raises(InconsistencyError):
         coboundary_to_tutte(cb, 2)
+    # (t-1)^1 divides it, but its q-degree is rank + 1
+    with pytest.raises(InconsistencyError):
+        coboundary_to_tutte(bp("q^2t - q^2", ("q", "t")), 1)
+
+
+def test_coboundary_to_tutte_full_a25():
+    # 300 hyperplanes of rank 24: T(2, 2) = 2^300 and T(1, 1) counts the
+    # spanning trees of K25, 25^23 by Cayley's formula
+    tutte = coboundary_to_tutte(coboundary_full("A", 25), 24)
+    assert tutte.evaluate(2, 2) == 2 ** 300
+    assert tutte.evaluate(1, 1) == 25 ** 23
+    assert (tutte.degree(0), tutte.degree(1)) == (24, 300 - 24)
 
 
 def test_tutte_to_characteristic_examples():

@@ -1,13 +1,19 @@
-"""Randomized property suites with fixed seeds; together with the sweeps these
-cover well over a thousand independently generated cases."""
+"""Randomized property suites with fixed seeds (the Hypothesis ones run
+derandomized); together with the sweeps these cover well over a thousand
+independently generated cases."""
 
 import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idealtutte.crapo import VectorConfig, rank_of, tutte_corank_nullity, tutte_crapo
 from idealtutte.exactpoly import (
     BivariatePolynomial,
     UnivariatePolynomial,
+    coboundary_to_tutte,
     lagrange_interpolate,
+    tutte_to_coboundary,
 )
 from idealtutte.ideals import (
     Ideal,
@@ -73,6 +79,43 @@ def test_interpolation_round_trip_random():
                 prof[dt] += c * p ** dq
             points.append((p, UnivariatePolynomial(prof)))
         assert lagrange_interpolate(points) == poly
+
+
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def tutte_like(draw):
+    """(T, rank): random integer coefficients with x-degree at most rank."""
+    rank = draw(st.integers(0, 7))
+    coeffs = draw(st.dictionaries(
+        st.tuples(st.integers(0, rank), st.integers(0, 9)), st.integers(-60, 60), max_size=12
+    ))
+    return BivariatePolynomial(coeffs, ("x", "y")), rank
+
+
+def termwise_tutte_to_coboundary(tutte, rank):
+    """Reference: expand (t-1)^rank x^a y^b as (q + t - 1)^a (t-1)^(rank-a) t^b, term by term."""
+    out = BivariatePolynomial.zero(("q", "t"))
+    tm1 = BivariatePolynomial({(0, 1): 1, (0, 0): -1}, ("q", "t"))
+    qplus = BivariatePolynomial({(1, 0): 1, (0, 1): 1, (0, 0): -1}, ("q", "t"))
+    for (a, b), c in tutte.coeffs.items():
+        out = out + qplus ** a * tm1 ** (rank - a) * BivariatePolynomial({(0, b): c}, ("q", "t"))
+    return out
+
+
+@PROPERTY_SETTINGS
+@given(tutte_like())
+def test_tutte_coboundary_round_trip(case):
+    tutte, rank = case
+    assert coboundary_to_tutte(tutte_to_coboundary(tutte, rank), rank) == tutte
+
+
+@PROPERTY_SETTINGS
+@given(tutte_like())
+def test_tutte_to_coboundary_matches_termwise_expansion(case):
+    tutte, rank = case
+    assert tutte_to_coboundary(tutte, rank) == termwise_tutte_to_coboundary(tutte, rank)
 
 
 def test_crapo_order_invariance_random():
