@@ -13,7 +13,7 @@ against; its rank computations use division-free integer elimination.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, hypot, prod
+from math import comb, gcd, hypot, lcm, prod
 
 from .errors import GuardExceeded, InconsistencyError
 from .exactpoly import BivariatePolynomial, _taylor_shift
@@ -48,18 +48,13 @@ class _Echelon:
         v = self.reduce(vec)
         for p, a in enumerate(v):
             if a:
-                g = 0
-                for x in v:
-                    g = _gcd(g, x)
+                g = gcd(*v)
                 if g > 1:
                     v = [x // g for x in v]
                 self.rows.append(v)
                 self.pivots.append(p)
                 return True
         return False
-
-    def contains(self, vec):
-        return not any(self.reduce(vec))
 
     def snapshot(self):
         e = _Echelon()
@@ -70,13 +65,6 @@ class _Echelon:
     @property
     def rank(self):
         return len(self.rows)
-
-
-def _gcd(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def rank_of(vectors):
@@ -315,9 +303,7 @@ def _row_space_coordinates(cfg):
                     rem[k] -= c * rows[i][k]
         if any(rem):
             raise ArithmeticError("vector escapes its own row space")
-        denom = 1
-        for c in coeffs:
-            denom = denom * c.denominator // _gcd(denom, c.denominator)
+        denom = lcm(*(c.denominator for c in coeffs))
         out.append(tuple(int(c * denom) for c in coeffs))
     return out
 

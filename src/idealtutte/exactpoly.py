@@ -15,7 +15,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import accumulate
-from math import comb
 
 from .errors import ConstraintError, InconsistencyError
 
@@ -289,10 +288,6 @@ class UnivariatePolynomial:
     def zero(cls):
         return cls([])
 
-    @classmethod
-    def constant(cls, c):
-        return cls([c])
-
     def degree(self):
         return len(self.coeffs) - 1
 
@@ -500,22 +495,13 @@ def tutte_to_characteristic(tutte, n, rank):
     """Characteristic polynomial chi(q) = (-1)^rank q^(n-rank) T(1-q, 0)."""
     if rank > n:
         raise ConstraintError(f"rank {rank} exceeds ambient dimension {n}")
-    # T(1-q, 0): keep dy == 0 terms, substitute x = 1 - q.
-    acc = [0] * (max((dx for dx, dy in tutte.coeffs if dy == 0), default=0) + 1)
-    for (dx, dy), c in tutte.coeffs.items():
-        if dy != 0:
-            continue
-        # (1-q)^dx
-        for k in range(dx + 1):
-            acc[k] += c * comb(dx, k) * (-1) ** k
+    # T(1-q, 0): negate the odd x-degrees of the y^0 column, then shift x by -1
+    column = {(dx, 0): -c if dx & 1 else c for (dx, dy), c in tutte.coeffs.items() if dy == 0}
+    shifted = _taylor_shift(column, -1, 0)
     sign = (-1) ** rank
-    out = [0] * (n - rank) + [sign * c for c in acc]
-    return UnivariatePolynomial(out)
-
-
-def evaluate(poly, a, b):
-    """Module-level exact evaluation of a BivariatePolynomial."""
-    return poly.evaluate(a, b)
+    top = max((dx for dx, _ in shifted), default=-1)
+    acc = [sign * shifted.get((k, 0), 0) for k in range(top + 1)]
+    return UnivariatePolynomial([0] * (n - rank) + acc)
 
 
 def latex_is_wellformed(s):

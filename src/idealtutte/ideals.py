@@ -5,20 +5,24 @@ the counting engine consumes, and component decomposition.
 
 Classical roots are named throughout by the hyperplane tuple notation:
 (i, j) is x_i = x_j, (i, -j) is x_i = -x_j, (i, 0) is x_i = 0, always with
-i < |j|.  For families A, B, C every ideal complement is an open set of the
-diagram topology (a box set closed toward the lower right); the D diagram
-flattens one incomparable pair per row, so a few D ideals lack a box
-presentation and only their diagram views raise.
+i < |j|.  The diagram's boxes are the root poset's tuples, laid out by
+``grid_position``, the one per-family table here: a box generates every box
+weakly below and to its right, and the row maxima are the rightmost boxes.
+For families A, B, C every ideal complement is an open set of the diagram
+topology (a box set closed toward the lower right); the D diagram flattens one
+incomparable pair per row, so a few D ideals lack a box presentation and only
+their diagram views raise.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
 from . import crapo
 from .errors import ConstraintError, UnsupportedTypeError
-from .rootsystems import hyperplane_tuple
+from .rootsystems import hyperplane_tuple, root_poset
 
 
 class Ideal:
@@ -164,77 +168,8 @@ def enumerate_ideals(poset):
 
 
 def diagram_boxes(rst):
-    """All boxes of the shifted Young diagram, as hyperplane tuples."""
-    f, n = rst.family, rst.n_param
-    out = []
-    if f == "A":
-        for i in range(1, n):
-            for j in range(i + 1, n + 1):
-                out.append((i, j))
-    elif f in ("B", "C"):
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                out.append((i, j))
-                out.append((i, -j))
-            out.append((i, 0))
-    else:  # D
-        for i in range(1, n):
-            for j in range(i + 1, n + 1):
-                out.append((i, j))
-                out.append((i, -j))
-    return out
-
-
-def _pos_b(n, v):
-    """Position of v in the order 1 < 2 < ... < n < 0 < -n < ... < -1."""
-    if v == 0:
-        return n + 1
-    return v if v > 0 else 2 * n + 2 + v
-
-def _pos_c(n, v):
-    """Position of v in the order 1 < ... < n < -n < ... < -1 (no 0)."""
-    return v if v > 0 else 2 * n + 1 + v
-
-
-def generated_box_set(rst, box):
-    """The box set generated by one box: everything toward the lower right."""
-    f, n = rst.family, rst.n_param
-    i0, j0 = box
-    out = set()
-    if f == "A":
-        for u in range(i0, j0):
-            for v in range(u + 1, j0 + 1):
-                out.add((u, v))
-        return out
-    if f == "B":
-        top = _pos_b(n, j0)
-        for (u, v) in diagram_boxes(rst):
-            if u >= i0 and _pos_b(n, v) <= top:
-                out.add((u, v))
-        return out
-    if f == "C":
-        if j0 > 0:
-            for (u, v) in diagram_boxes(rst):
-                if v != 0 and u >= i0 and _pos_c(n, v) <= _pos_c(n, j0):
-                    out.add((u, v))
-        elif j0 < 0:
-            for (u, v) in diagram_boxes(rst):
-                if v != 0 and u >= i0 and _pos_c(n, v) <= _pos_c(n, j0):
-                    out.add((u, v))
-            for u in range(-j0, n + 1):
-                out.add((u, 0))
-        else:
-            if i0 + 1 <= n:
-                out |= generated_box_set(rst, (i0, -(i0 + 1)))
-            for u in range(i0, n + 1):
-                out.add((u, 0))
-        return out
-    # D
-    top = _pos_c(n, j0)
-    for (u, v) in diagram_boxes(rst):
-        if u >= i0 and u <= n - 1 and _pos_c(n, v) <= top:
-            out.add((u, v))
-    return out
+    """All boxes of the shifted Young diagram: the positive roots' hyperplane tuples."""
+    return [hyperplane_tuple(rst, r.ambient2) for r in root_poset(rst).roots]
 
 
 def grid_position(rst, box):
@@ -261,14 +196,25 @@ def grid_position(rst, box):
     return (i, 2 * n - v)
 
 
+@functools.lru_cache(maxsize=None)
+def _grid(rst):
+    """{box: (row, column)} over the whole diagram."""
+    return {b: grid_position(rst, b) for b in diagram_boxes(rst)}
+
+
+def generated_box_set(rst, box):
+    """The box set generated by one box: everything weakly below and to its right."""
+    grid = _grid(rst)
+    row, col = grid[box]
+    return {b for b, (r, c) in grid.items() if r >= row and c >= col}
+
+
 def rightmost_boxes(rst):
     """The rightmost box of every diagram row; their presence defines fullness."""
-    f, n = rst.family, rst.n_param
-    if f == "A":
-        return [(i, i + 1) for i in range(1, n)]
-    if f in ("B", "C"):
-        return [(i, i + 1) for i in range(1, n)] + [(n, 0)]
-    return [(i, i + 1) for i in range(1, n)]
+    last = {}
+    for b, (row, _) in sorted(_grid(rst).items(), key=lambda kv: kv[1]):
+        last[row] = b
+    return list(last.values())
 
 
 class IdealComplement:
@@ -401,62 +347,25 @@ def _components_by_coordinates(boxes):
 # ---- signatures and the partition in accordance ----------------------------
 
 
-def _signature_interval(rst, gen):
-    """Generator (i, j) as a signature interval [lo, hi] in the type's linear order.
-
-    Returns (row, hi_position, order_fn).  For C a zero generator (i, 0)
-    behaves as the interval [i, -(i+1)]; for B the zero column sits inside
-    the order itself.
-    """
-    f, n = rst.family, rst.n_param
-    i, j = gen
-    if f == "A":
-        return i, j, lambda v: v
-    if f == "B":
-        return i, _pos_b(n, j), lambda v: _pos_b(n, v)
-    # C and D share the order without zero
-    if f == "C" and j == 0:
-        # (i, 0) generates its row's tail plus the zero column below; as a
-        # signature interval it reaches -(i+1), or stops at n in the corner
-        hi = _pos_c(n, -(i + 1)) if i + 1 <= n else _pos_c(n, n)
-        return i, hi, lambda v: _pos_c(n, v)
-    return i, _pos_c(n, j), lambda v: _pos_c(n, v)
-
-
 def signature(comp, x):
     """Signature s(x): indices of the generating boxes whose box set mentions x.
 
-    Implemented by the per-type interval closed forms; x = 0 is only
-    meaningful for B and C diagrams, negative x only where the diagram has
-    negative columns.
+    x = 0 is only meaningful for B and C diagrams, negative x only where the
+    diagram has negative columns.
     """
     rst = comp.rst
     f = rst.family
     gens = generating_boxes(comp)
     x = int(x)
-    if x == 0:
-        if f == "A" or f == "D":
-            raise UnsupportedTypeError(f"signature of 0 undefined for type {f}")
-        if f == "B":
-            n = rst.n_param
-            return {
-                l + 1
-                for l, g in enumerate(gens)
-                if _pos_b(n, g[1]) >= _pos_b(n, 0)
-            }
-        return {l + 1 for l, g in enumerate(gens) if g[1] <= 0}
+    if x == 0 and f in ("A", "D"):
+        raise UnsupportedTypeError(f"signature of 0 undefined for type {f}")
     if x < 0 and f == "A":
         raise UnsupportedTypeError("type A has no negative columns")
-    out = set()
-    for l, g in enumerate(gens):
-        row, hi, order = _signature_interval(rst, g)
-        if x > 0:
-            if row <= x and order(x) <= hi:
-                out.add(l + 1)
-        else:
-            if order(x) <= hi:
-                out.add(l + 1)
-    return out
+    return {
+        l + 1
+        for l, g in enumerate(gens)
+        if any(x in box for box in generated_box_set(rst, g))
+    }
 
 
 def signature_table(comp):
@@ -466,13 +375,9 @@ def signature_table(comp):
     zero column is present, then negative columns.
     """
     appearing = set()
-    for (i, j) in comp.tuple_set():
-        appearing.add(i)
-        if j > 0:
-            appearing.add(j)
-        else:
-            appearing.add(j)  # 0 or the negative column value
-    order = sorted(appearing, key=lambda v: (v <= 0, v == 0, abs(v) if v > 0 else -v))
+    for box in comp.tuple_set():
+        appearing.update(box)
+    order = sorted(appearing, key=lambda v: (v <= 0, v == 0, abs(v)))
     return {x: signature(comp, x) for x in order}
 
 
@@ -498,9 +403,6 @@ class BlockPartition:
     @property
     def blocks(self):
         return self.a_blocks + self.b_blocks
-
-    def block_sizes(self):
-        return [len(b) for b in self.blocks]
 
 
 def partition_in_accordance(comp):

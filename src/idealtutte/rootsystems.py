@@ -327,7 +327,7 @@ def positive_roots(rst):
     return root_poset(rst).roots
 
 
-def root_leq(u, v, poset=None):
+def root_leq(u, v):
     """Dominance test: v - u has nonnegative coefficients over the simple system."""
     return all(a <= b for a, b in zip(u.simple_coords, v.simple_coords))
 

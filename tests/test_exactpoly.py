@@ -5,7 +5,6 @@ from idealtutte.exactpoly import (
     BivariatePolynomial,
     UnivariatePolynomial,
     coboundary_to_tutte,
-    evaluate,
     lagrange_interpolate,
     latex_is_wellformed,
     parse_polynomial,
@@ -34,9 +33,9 @@ def test_no_zero_coefficients_stored():
 
 
 def test_evaluate_examples():
-    assert evaluate(bp("x^2 + x + y"), 1, 1) == 3
-    assert evaluate(bp("x^2 + y^2 + 2x + 2y"), 1, 1) == 6
-    assert evaluate(bp("x^2 + y^2 + 2x + 2y"), 2, 2) == 16  # 2^4 hyperplanes
+    assert bp("x^2 + x + y").evaluate(1, 1) == 3
+    assert bp("x^2 + y^2 + 2x + 2y").evaluate(1, 1) == 6
+    assert bp("x^2 + y^2 + 2x + 2y").evaluate(2, 2) == 16  # 2^4 hyperplanes
 
 
 def test_parse_round_trip():

@@ -18,6 +18,7 @@ from idealtutte.ideals import (
     iter_ideals,
     partition_in_accordance,
     reconstruct_tuples,
+    rightmost_boxes,
     signature,
     signature_table,
 )
@@ -120,6 +121,159 @@ def test_arrangement_of_worked_g2(g2_poset):
     assert len(arr) == 4 and arr.rank() == 2
 
 
+# ---- the per-family closed forms, kept as the reference for the grid layout ---
+
+
+def _pos_b(n, v):
+    """Position of v in the order 1 < 2 < ... < n < 0 < -n < ... < -1."""
+    if v == 0:
+        return n + 1
+    return v if v > 0 else 2 * n + 2 + v
+
+
+def _pos_c(n, v):
+    """Position of v in the order 1 < ... < n < -n < ... < -1 (no 0)."""
+    return v if v > 0 else 2 * n + 1 + v
+
+
+def reference_diagram_boxes(rst):
+    """The diagram's boxes enumerated family by family."""
+    f, n = rst.family, rst.n_param
+    out = []
+    if f == "A":
+        for i in range(1, n):
+            for j in range(i + 1, n + 1):
+                out.append((i, j))
+    elif f in ("B", "C"):
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                out.append((i, j))
+                out.append((i, -j))
+            out.append((i, 0))
+    else:  # D
+        for i in range(1, n):
+            for j in range(i + 1, n + 1):
+                out.append((i, j))
+                out.append((i, -j))
+    return out
+
+
+def reference_generated_box_set(rst, box):
+    """The generated box set from the per-family linear orders."""
+    f, n = rst.family, rst.n_param
+    i0, j0 = box
+    out = set()
+    if f == "A":
+        for u in range(i0, j0):
+            for v in range(u + 1, j0 + 1):
+                out.add((u, v))
+        return out
+    if f == "B":
+        top = _pos_b(n, j0)
+        for (u, v) in reference_diagram_boxes(rst):
+            if u >= i0 and _pos_b(n, v) <= top:
+                out.add((u, v))
+        return out
+    if f == "C":
+        if j0 > 0:
+            for (u, v) in reference_diagram_boxes(rst):
+                if v != 0 and u >= i0 and _pos_c(n, v) <= _pos_c(n, j0):
+                    out.add((u, v))
+        elif j0 < 0:
+            for (u, v) in reference_diagram_boxes(rst):
+                if v != 0 and u >= i0 and _pos_c(n, v) <= _pos_c(n, j0):
+                    out.add((u, v))
+            for u in range(-j0, n + 1):
+                out.add((u, 0))
+        else:
+            if i0 + 1 <= n:
+                out |= reference_generated_box_set(rst, (i0, -(i0 + 1)))
+            for u in range(i0, n + 1):
+                out.add((u, 0))
+        return out
+    # D
+    top = _pos_c(n, j0)
+    for (u, v) in reference_diagram_boxes(rst):
+        if u >= i0 and u <= n - 1 and _pos_c(n, v) <= top:
+            out.add((u, v))
+    return out
+
+
+def reference_rightmost_boxes(rst):
+    f, n = rst.family, rst.n_param
+    if f in ("B", "C"):
+        return [(i, i + 1) for i in range(1, n)] + [(n, 0)]
+    return [(i, i + 1) for i in range(1, n)]
+
+
+def _signature_interval(rst, gen):
+    """Generator (i, j) as a signature interval [lo, hi] in the type's linear order.
+
+    Returns (row, hi_position, order_fn).  For C a zero generator (i, 0)
+    behaves as the interval [i, -(i+1)]; for B the zero column sits inside
+    the order itself.
+    """
+    f, n = rst.family, rst.n_param
+    i, j = gen
+    if f == "A":
+        return i, j, lambda v: v
+    if f == "B":
+        return i, _pos_b(n, j), lambda v: _pos_b(n, v)
+    # C and D share the order without zero
+    if f == "C" and j == 0:
+        # (i, 0) generates its row's tail plus the zero column below; as a
+        # signature interval it reaches -(i+1), or stops at n in the corner
+        hi = _pos_c(n, -(i + 1)) if i + 1 <= n else _pos_c(n, n)
+        return i, hi, lambda v: _pos_c(n, v)
+    return i, _pos_c(n, j), lambda v: _pos_c(n, v)
+
+
+def reference_signature(comp, x):
+    """Signature by the per-type interval closed forms, for x inside the diagram."""
+    rst = comp.rst
+    f = rst.family
+    gens = generating_boxes(comp)
+    if x == 0:
+        if f == "B":
+            n = rst.n_param
+            return {
+                l + 1
+                for l, g in enumerate(gens)
+                if _pos_b(n, g[1]) >= _pos_b(n, 0)
+            }
+        return {l + 1 for l, g in enumerate(gens) if g[1] <= 0}
+    out = set()
+    for l, g in enumerate(gens):
+        row, hi, order = _signature_interval(rst, g)
+        if x > 0:
+            if row <= x and order(x) <= hi:
+                out.add(l + 1)
+        else:
+            if order(x) <= hi:
+                out.add(l + 1)
+    return out
+
+
+REFERENCE_TYPES = (
+    [("A", r) for r in range(1, 13)]
+    + [(f, r) for f in ("B", "C") for r in range(2, 11)]
+    + [("D", r) for r in range(4, 11)]
+)
+
+
+def test_grid_layout_matches_closed_forms():
+    # the poset's tuples laid out by grid_position reproduce the per-family
+    # enumeration, generated box sets and rightmost boxes
+    for family, rank in REFERENCE_TYPES:
+        rst = root_system_type(family, rank)
+        boxes = diagram_boxes(rst)
+        assert set(boxes) == set(reference_diagram_boxes(rst)), rst
+        assert len(set(boxes)) == len(boxes), rst
+        for b in boxes:
+            assert generated_box_set(rst, b) == reference_generated_box_set(rst, b), (rst, b)
+        assert rightmost_boxes(rst) == reference_rightmost_boxes(rst), rst
+
+
 # ---- diagrams, boxes, signatures ----------------------------------------------
 
 
@@ -220,14 +374,18 @@ def test_signature_of_absent_integer_is_empty():
     poset = root_poset(root_system_type("A", 7))
     small = ideal_from_boxes(poset, [(1, 3)])
     assert signature(complement(small), 7) == set()
+    # past the diagram's last column no box mentions x
+    for family, rank, box, x in (("B", 4, (1, -2), 5), ("C", 4, (1, 0), 5), ("D", 5, (1, -2), 6)):
+        poset = root_poset(root_system_type(family, rank))
+        comp = complement(ideal_from_boxes(poset, [box]))
+        assert signature(comp, x) == set(), (family, box, x)
 
 
 def test_signature_definitional_scan_agreement():
-    # closed forms == literal scan of the generated box sets, for every ideal
+    # the definition == the interval closed forms, for every ideal
     for family, rank in (("A", 4), ("B", 3), ("C", 3), ("D", 4)):
         poset = root_poset(root_system_type(family, rank))
-        rst = poset.rst
-        n = rst.n_param
+        n = poset.rst.n_param
         for ideal in enumerate_ideals(poset):
             comp = complement(ideal)
             if not comp.roots:
@@ -236,23 +394,13 @@ def test_signature_definitional_scan_agreement():
                 gens = generating_boxes(comp)
             except ConstraintError:
                 continue  # no diagram presentation (D fork split)
-            gsets = [generated_box_set(rst, g) for g in gens]
             values = list(range(1, n + 1))
             if family != "A":
                 values += [-v for v in range(1, n + 1)]
             if family in ("B", "C"):
                 values.append(0)
             for x in values:
-                by_scan = {
-                    l + 1
-                    for l, gs in enumerate(gsets)
-                    if any(x == i or x == j for (i, j) in gs)
-                }
-                try:
-                    by_form = signature(comp, x)
-                except UnsupportedTypeError:
-                    continue
-                assert by_form == by_scan, (family, rank, gens, x)
+                assert signature(comp, x) == reference_signature(comp, x), (family, rank, gens, x)
 
 
 def test_signature_zero_rejected_for_a_and_d():
