@@ -40,7 +40,7 @@ print("\npartition in accordance:", " | ".join(str(set(b)) for b in bp.blocks))
 print("A-block adjacency R:", bp.r_sets, " B-block adjacency R_A:", bp.ra_sets, "S:", bp.s_sets)
 print("zero column sets R0:", bp.r0, "S0:", bp.s0)
 
-rank = arrangement_of(ideal).rank()
+rank = arrangement_of(ideal).rank
 print(f"\nrank {rank}")
 model = CountingModel(6, bp.hyperplanes, blocks=bp.blocks)
 profile = model.coboundary_at_prime(3)

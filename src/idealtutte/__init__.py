@@ -38,7 +38,6 @@ from .rootsystems import (
     root_system_type,
 )
 from .ideals import (
-    Arrangement,
     BlockPartition,
     Ideal,
     IdealComplement,

@@ -1,7 +1,8 @@
 """Command-line surface: parse ideal specs, run polynomial pipelines, select
 engines, verify engine pairs, emit JSON/LaTeX/text, and cache results.
 
-Exit codes: 0 success, 1 validation error, 2 guard refusal, 3 verification
+Exit codes: 0 success, 1 validation error, 2 guard refusal or usage error
+(argparse: an unknown option, or not exactly one ideal input), 3 verification
 mismatch.
 """
 
@@ -78,21 +79,24 @@ def parse_ideal_spec(data):
 
 
 def _ideal_from_args(args):
-    if getattr(args, "ideal_file", None):
+    """The ideal named by the one ideal input the parser admitted."""
+    if args.ideal_file is not None:
         with open(args.ideal_file) as fh:
-            return parse_ideal_spec(json.load(fh))
+            ideal = parse_ideal_spec(json.load(fh))
+        rst = ideal.rst
+        if rst.family != args.type.upper() or args.rank not in (None, rst.rank):
+            given = args.type + ("" if args.rank is None else f" --rank {args.rank}")
+            raise ConstraintError(f"--ideal-file holds a {rst} ideal, not --type {given}")
+        return ideal
+    if args.full:
+        return ideal_from_mask(root_poset(root_system_type(args.type, args.rank)), 0)
     spec = {"type": args.type}
     if args.rank is not None:
         spec["rank"] = args.rank
-    if getattr(args, "boxes", None):
+    if args.boxes is not None:
         spec["generating_boxes"] = json.loads(args.boxes)
-    elif getattr(args, "roots", None):
-        spec["roots"] = json.loads(args.roots)
-    elif getattr(args, "full", False):
-        rst = root_system_type(args.type, args.rank)
-        return ideal_from_mask(root_poset(rst), 0)
     else:
-        raise ConstraintError("need --boxes, --roots, --ideal-file, or --full")
+        spec["roots"] = json.loads(args.roots)
     return parse_ideal_spec(spec)
 
 
@@ -372,14 +376,17 @@ def build_parser():
         p.add_argument("--format", choices=FORMAT_CHOICES, default="text")
 
     def ideal_input(p):
-        p.add_argument("--boxes", help="JSON list of generating boxes, e.g. [[1,4],[2,0]]")
-        p.add_argument("--roots", help="JSON list of simple-coordinate root vectors")
-        p.add_argument("--ideal-file", help="path to a JSON ideal spec")
-        p.add_argument("--full", action="store_true", help="the full arrangement (empty ideal)")
+        """Exactly one ideal input; returns the group, for verify's --all-ideals."""
+        one = p.add_mutually_exclusive_group(required=True)
+        one.add_argument("--boxes", help="JSON list of generating boxes, e.g. [[1,4],[2,0]]")
+        one.add_argument("--roots", help="JSON list of simple-coordinate root vectors")
+        one.add_argument("--ideal-file", help="path to a JSON ideal spec")
+        one.add_argument("--full", action="store_true", help="the full arrangement (empty ideal)")
         p.add_argument(
             "--max-subsets", type=int, default=crapo.DEFAULT_MAX_BASIS_SUBSETS,
             help="refuse more basis candidates (crapo) or subsets (oracle) than this",
         )
+        return one
 
     def polynomial(p):
         system(p)
@@ -420,9 +427,8 @@ def build_parser():
 
     p = sub.add_parser("verify", help="cross-check engines on one or all ideals")
     system(p)
-    ideal_input(p)
+    ideal_input(p).add_argument("--all-ideals", action="store_true")
     p.add_argument("--max-points", type=int, default=ffmethod.DEFAULT_MAX_POINTS)
-    p.add_argument("--all-ideals", action="store_true")
     p.add_argument("--engines", default="auto,oracle")
     p.set_defaults(func=cmd_verify)
 

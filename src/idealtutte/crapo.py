@@ -1,19 +1,21 @@
 """Tutte polynomials of integer vector configurations: Crapo's basis-activity
 formula and the corank-nullity brute-force oracle.
 
-All arithmetic is exact.  ``tutte_crapo`` runs one integer engine at every
-size: a prefix tree of fraction-free int64 eliminations finds the bases, and
-every activity is a lookup in their exchange table (B - b + x is a basis
-exactly when x has a nonzero coefficient on b).  Configurations whose
-eliminations could overflow int64 take the literal route as a whole.  That
-route is also public as ``tutte_crapo_exact``, the reference the tests compare
-against; its rank computations use division-free integer elimination.
+All arithmetic is exact.  A ``VectorConfig`` is eliminated once, for its rank
+and pivot columns; the activities depend only on which subsets are bases, so
+the vectors restricted to those columns serve as r-dimensional coordinates.
+``tutte_crapo`` runs one integer engine on them at every size: a prefix tree
+of fraction-free int64 eliminations finds the bases, and every activity is a
+lookup in their exchange table (B - b + x is a basis exactly when x has a
+nonzero coefficient on b).  Configurations whose eliminations could overflow
+int64 take the literal route as a whole.  That route is also public as
+``tutte_crapo_exact``, the reference the tests compare against; its rank
+computations use division-free integer elimination.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb, gcd, hypot, lcm, prod
+from math import comb, gcd, hypot, prod
 
 from .errors import GuardExceeded, InconsistencyError
 from .exactpoly import BivariatePolynomial, _taylor_shift
@@ -30,9 +32,11 @@ class _Echelon:
 
     __slots__ = ("rows", "pivots")
 
-    def __init__(self):
+    def __init__(self, vectors=()):
         self.rows = []
         self.pivots = []
+        for v in vectors:
+            self.add(v)
 
     def reduce(self, vec):
         v = list(vec)
@@ -69,30 +73,34 @@ class _Echelon:
 
 def rank_of(vectors):
     """Exact rank of a list of integer vectors."""
-    ech = _Echelon()
-    for v in vectors:
-        ech.add(v)
-    return ech.rank
+    return _Echelon(vectors).rank
 
 
 class VectorConfig:
-    """An ordered integer vector configuration; the order is the activity order."""
+    """An ordered integer vector configuration; the order is the activity order.
+
+    One echelon pass gives ``rank`` and ``pivots``, the sorted pivot columns.
+    Each echelon row is zero at the earlier rows' pivots and nonzero at its
+    own, so restricting the vectors to those columns is injective on their
+    span: ``pivot_coordinates`` keeps every rank in r coordinates.
+    """
 
     def __init__(self, vectors, dim=None):
         self.vectors = tuple(tuple(int(x) for x in v) for v in vectors)
-        if self.vectors:
-            dims = {len(v) for v in self.vectors}
-            if len(dims) != 1:
-                raise ValueError("mixed vector dimensions")
-            self.dim = dims.pop()
-        else:
-            self.dim = 0 if dim is None else dim
-        if dim is not None:
-            self.dim = dim
-        self.rank = rank_of(self.vectors)
+        dims = {len(v) for v in self.vectors}
+        if len(dims) > 1:
+            raise ValueError("mixed vector dimensions")
+        self.dim = dim if dim is not None else max(dims, default=0)
+        ech = _Echelon(self.vectors)
+        self.rank = ech.rank
+        self.pivots = tuple(sorted(ech.pivots))
 
     def __len__(self):
         return len(self.vectors)
+
+    def pivot_coordinates(self):
+        """The vectors restricted to the pivot columns: same matroid, r entries each."""
+        return [tuple(v[p] for p in self.pivots) for v in self.vectors]
 
 
 class BasisActivity:
@@ -189,11 +197,14 @@ def _check_kernel_bytes(need, m, r):
 def tutte_crapo(cfg, max_subsets=DEFAULT_MAX_BASIS_SUBSETS):
     """Tutte polynomial as the basis-activity sum: T = sum x^i(B) y^e(B).
 
-    Exact integer arithmetic throughout: the bases come from a prefix tree of
-    fraction-free int64 eliminations and the activities from lookups in their
-    exchange table.  Every result is checked against T(2,2) = 2^m and the
-    degree bounds.  Raises ``GuardExceeded`` past ``max_subsets`` candidates
-    or past ``MAX_KERNEL_BYTES`` of bases and table.
+    Exact integer arithmetic throughout, on the vectors restricted to the
+    configuration's pivot columns (the same bases in r coordinates): the bases
+    come from a prefix tree of fraction-free int64 eliminations and the
+    activities from lookups in their exchange table.  When the Hadamard bound
+    of those coordinates exceeds 2^30 the literal route runs instead.  Every
+    result is checked against T(2,2) = 2^m and the degree bounds.  Raises
+    ``GuardExceeded`` past ``max_subsets`` candidates or past
+    ``MAX_KERNEL_BYTES`` of bases and table.
     """
     m, r = len(cfg), cfg.rank
     _check_basis_guard(m, r, max_subsets)
@@ -201,7 +212,7 @@ def tutte_crapo(cfg, max_subsets=DEFAULT_MAX_BASIS_SUBSETS):
         # only loops: the one empty basis, with every element externally active
         t = BivariatePolynomial({(0, m): 1}, ("x", "y"))
     else:
-        coords = _row_space_coordinates(cfg)
+        coords = cfg.pivot_coordinates()
         # Hadamard bound on any minor of up to r nonzero integer rows (every
         # such row has norm >= 1).  Every value the kernel forms is a minor,
         # a partial sum of a dot product that equals a minor (bounded by the
@@ -271,41 +282,6 @@ def tutte_corank_nullity(cfg, max_subsets=2 ** 24, *, max_elements=None):
 
 
 # ---- exact exchange-table engine ------------------------------------------
-
-
-def _row_space_coordinates(cfg):
-    """Re-express every vector in an r-dimensional integer coordinate system.
-
-    Vectors are solved against an integer basis of the row space and scaled
-    per-vector to clear denominators; scaling changes no ranks, so the matroid
-    is preserved exactly while determinants become r x r.  Vectors that
-    already span their whole space are their own coordinates.
-    """
-    if len(cfg.vectors[0]) == cfg.rank:
-        return list(cfg.vectors)
-    ech = _Echelon()
-    for v in cfg.vectors:
-        ech.add(v)
-    rows = ech.rows
-    pivots = ech.pivots
-    r = len(rows)
-    out = []
-    for v in cfg.vectors:
-        # back-substitute v over the echelon rows
-        coeffs = [Fraction(0)] * r
-        rem = [Fraction(x) for x in v]
-        for i in range(r):
-            p = pivots[i]
-            if rem[p]:
-                c = rem[p] / rows[i][p]
-                coeffs[i] = c
-                for k in range(len(rem)):
-                    rem[k] -= c * rows[i][k]
-        if any(rem):
-            raise ArithmeticError("vector escapes its own row space")
-        denom = lcm(*(c.denominator for c in coeffs))
-        out.append(tuple(int(c * denom) for c in coeffs))
-    return out
 
 
 def _exchange_tally(coords, r):

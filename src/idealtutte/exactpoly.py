@@ -107,18 +107,6 @@ class BivariatePolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power")
-        result = BivariatePolynomial.one(self.variables)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def _coerce(self, other):
         if isinstance(other, BivariatePolynomial):
             return other

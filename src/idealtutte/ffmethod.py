@@ -443,4 +443,4 @@ def coboundary_polynomial(ideal):
 def tutte_via_ffmethod(ideal):
     """Tutte polynomial of a classical ideal arrangement via the coboundary route."""
     cb = coboundary_polynomial(ideal)
-    return coboundary_to_tutte(cb, arrangement_of(ideal).rank())
+    return coboundary_to_tutte(cb, arrangement_of(ideal).rank)

@@ -260,14 +260,17 @@ def generating_boxes(comp):
     """
     tset = comp.tuple_set()  # raises for non-classical
     rst = comp.rst
-    gsets = {b: generated_box_set(rst, b) for b in tset}
-    gens = sorted(
-        (b for b in tset if not any(b != b2 and b in gsets[b2] for b2 in tset)),
-        key=lambda b: b[0],
-    )
+    grid = _grid(rst)
+
+    def dominated(b):
+        # b lies in the generated set of another box of the complement
+        row, col = grid[b]
+        return any(b2 != b and grid[b2][0] <= row and grid[b2][1] <= col for b2 in tset)
+
+    gens = sorted((b for b in tset if not dominated(b)), key=lambda b: b[0])
     union = set()
     for g in gens:
-        union |= gsets[g]
+        union |= generated_box_set(rst, g)
     if union != tset:
         raise ConstraintError(
             f"complement of {rst} ideal is not an open diagram set: "
@@ -353,32 +356,30 @@ def signature(comp, x):
     x = 0 is only meaningful for B and C diagrams, negative x only where the
     diagram has negative columns.
     """
-    rst = comp.rst
-    f = rst.family
-    gens = generating_boxes(comp)
+    f = comp.rst.family
+    table = signature_table(comp)
     x = int(x)
     if x == 0 and f in ("A", "D"):
         raise UnsupportedTypeError(f"signature of 0 undefined for type {f}")
     if x < 0 and f == "A":
         raise UnsupportedTypeError("type A has no negative columns")
-    return {
-        l + 1
-        for l, g in enumerate(gens)
-        if any(x in box for box in generated_box_set(rst, g))
-    }
+    return table.get(x, set())
 
 
 def signature_table(comp):
-    """Signatures of every integer appearing in some box of the complement.
+    """Signatures of every integer appearing in some box of the complement,
+    built in one pass over the generators' box sets (which cover it).
 
     Keys follow the worked-example layout: positive indices, then 0 when a
     zero column is present, then negative columns.
     """
-    appearing = set()
-    for box in comp.tuple_set():
-        appearing.update(box)
-    order = sorted(appearing, key=lambda v: (v <= 0, v == 0, abs(v)))
-    return {x: signature(comp, x) for x in order}
+    table = {}
+    for l, g in enumerate(generating_boxes(comp), 1):
+        for box in generated_box_set(comp.rst, g):
+            for x in box:
+                table.setdefault(x, set()).add(l)
+    order = sorted(table, key=lambda v: (v <= 0, v == 0, abs(v)))
+    return {x: table[x] for x in order}
 
 
 @dataclass
@@ -419,11 +420,9 @@ def partition_in_accordance(comp):
     n = rst.n_param
     tset = comp.tuple_set()
     negatives = {j for (_, j) in tset if j < 0}
-    sig = {x: frozenset(signature(comp, x)) for x in range(1, n + 1)}
-    nsig = {
-        x: (frozenset(signature(comp, -x)) if rst.family != "A" else frozenset())
-        for x in range(1, n + 1)
-    }
+    table = signature_table(comp)
+    sig = {x: frozenset(table.get(x, ())) for x in range(1, n + 1)}
+    nsig = {x: frozenset(table.get(-x, ())) for x in range(1, n + 1)}
     a_members = [x for x in range(1, n + 1) if -x not in negatives]
     b_members = [x for x in range(1, n + 1) if -x in negatives]
     a_blocks = _group_consecutive(a_members, key=lambda x: sig[x])
@@ -437,7 +436,7 @@ def partition_in_accordance(comp):
         hyperplanes=tuple(sorted(tset)),
     )
     if rst.family in ("B", "C"):
-        bp.signatures[0] = signature(comp, 0)
+        bp.signatures[0] = table.get(0, set())
     # theorem-style adjacency sets
     r = len(a_blocks)
     s = len(b_blocks)
@@ -601,26 +600,11 @@ def automorphism_blocks(m, tuple_set):
 # ---- arrangements and components -------------------------------------------
 
 
-@dataclass(frozen=True)
-class Arrangement:
-    """A central arrangement given by integer normal vectors."""
-
-    normals: tuple
-    dim: int
-
-    def __len__(self):
-        return len(self.normals)
-
-    def rank(self):
-        return crapo.rank_of(self.normals)
-
-
 def arrangement_of(ideal):
-    """The ideal arrangement: normals are the doubled coordinates of the complement."""
-    comp_roots = ideal.complement_roots()
-    return Arrangement(
-        normals=tuple(r.ambient2 for r in comp_roots),
-        dim=ideal.rst.ambient_dim,
+    """The ideal arrangement as a ``crapo.VectorConfig``: its normals are the
+    doubled coordinates of the complement, in R^ambient_dim."""
+    return crapo.VectorConfig(
+        [r.ambient2 for r in ideal.complement_roots()], dim=ideal.rst.ambient_dim
     )
 
 

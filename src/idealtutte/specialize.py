@@ -101,7 +101,7 @@ def coboundary_of_ideal(ideal, engine="auto", max_subsets=None):
     if engine == "ffmethod":
         return ffmethod.coboundary_polynomial(ideal)
     tutte = tutte_of_ideal(ideal, engine=engine, max_subsets=max_subsets)
-    return tutte_to_coboundary(tutte, arrangement_of(ideal).rank())
+    return tutte_to_coboundary(tutte, arrangement_of(ideal).rank)
 
 
 def characteristic_polynomial(ideal, engine="auto", max_subsets=None):
@@ -109,7 +109,7 @@ def characteristic_polynomial(ideal, engine="auto", max_subsets=None):
     ``tutte_of_ideal`` with the same engine and guard."""
     tutte = tutte_of_ideal(ideal, engine=engine, max_subsets=max_subsets)
     arr = arrangement_of(ideal)
-    return tutte_to_characteristic(tutte, arr.dim, arr.rank())
+    return tutte_to_characteristic(tutte, arr.dim, arr.rank)
 
 
 def region_count(tutte, n, rank):
@@ -149,7 +149,7 @@ def check_exponent_factorization(ideal, engine="auto"):
     exps = ideal_exponents(ideal)
     chi = characteristic_polynomial(ideal, engine=engine)
     arr = arrangement_of(ideal)
-    n, rank = arr.dim, arr.rank()
+    n, rank = arr.dim, arr.rank
     work = chi
     # strip q^(n - rank)
     for _ in range(n - rank):

@@ -191,7 +191,7 @@ def test_crit2_engine_equivalence(sweep_results):
         ideal = data["ideal"]
         comp = complement(ideal)
         n = ideal.rst.ambient_dim
-        r = arrangement_of(ideal).rank()
+        r = arrangement_of(ideal).rank
         primes = (3, 5, 7, 11, 13)[: r + 1]
         points = [
             (p, count_points_bruteforce(comp.hyperplanes, n, p).coboundary())

@@ -81,10 +81,13 @@ def test_verify_checks_direct_against_interpolation(capsys, monkeypatch):
     def tampered(ideal):
         # adding (t-1)^rank (q-1) keeps chi-bar(q, 1) and survives the
         # Tutte transform, so both engine runs agree on the wrong answer
-        rank = arrangement_of(ideal).rank()
+        rank = arrangement_of(ideal).rank
         t_minus_1 = BivariatePolynomial({(0, 1): 1, (0, 0): -1}, ("q", "t"))
         q_minus_1 = BivariatePolynomial({(1, 0): 1, (0, 0): -1}, ("q", "t"))
-        return real(ideal) + t_minus_1 ** rank * q_minus_1
+        extra = q_minus_1
+        for _ in range(rank):
+            extra = extra * t_minus_1
+        return real(ideal) + extra
 
     monkeypatch.setattr(ffmethod, "coboundary_polynomial", tampered)
     code, _, err = run(capsys, *args, "--engines", "ffmethod,ffmethod")
@@ -115,8 +118,6 @@ def test_cache_determinism(capsys, tmp_path):
 
 
 def test_validation_error_exit_1(capsys):
-    code, _, err = run(capsys, "tutte", "--type", "B", "--rank", "6")
-    assert code == 1 and "error" in err
     code, _, err = run(capsys, "tutte", "--type", "E8", "--rank", "8", "--full")
     assert code == 1
     # bad ideal: names the violating pair
@@ -152,6 +153,40 @@ def test_ideal_file_and_out_file(capsys, tmp_path):
     assert code == 0
     got = parse_polynomial(out_path.read_text(), ("q", "t"))
     assert got.evaluate(3, 1) == 3 ** 6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # no ideal input at all
+        ("tutte", "--type", "B", "--rank", "6"),
+        ("verify", "--type", "B", "--rank", "3"),
+        ("tutte", "--type", "B", "--rank", "3", "--boxes", "[[1,2]]", "--roots", "[[1,1,1]]"),
+        ("coboundary", "--type", "B", "--rank", "3", "--full", "--boxes", "[[1,2]]"),
+        ("charpoly", "--type", "B", "--rank", "3", "--full", "--ideal-file", "spec.json"),
+        ("verify", "--type", "B", "--rank", "3", "--all-ideals", "--boxes", "[[1,2]]"),
+        ("verify", "--type", "B", "--rank", "3", "--all-ideals", "--full"),
+    ],
+)
+def test_conflicting_or_missing_ideal_inputs_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and not out.out
+    assert "not allowed with argument" in out.err or "is required" in out.err
+
+
+@pytest.mark.parametrize(
+    "system",
+    [("--type", "A", "--rank", "3"), ("--type", "G2", "--rank", "3"), ("--type", "F4")],
+)
+def test_ideal_file_of_another_system_exit_1(capsys, tmp_path, system):
+    path = tmp_path / "g2.json"
+    path.write_text(json.dumps({"type": "G2", "roots": [[3, 1], [3, 2]]}))
+    code, out, err = run(capsys, "tutte", *system, "--ideal-file", str(path), "--no-cache")
+    assert code == 1 and not out and "holds a G2 ideal" in err
+    code, out, _ = run(capsys, "tutte", "--type", "g2", "--ideal-file", str(path), "--no-cache")
+    assert code == 0 and parse_polynomial(out.strip()) == parse_polynomial("x^2 + y^2 + 2x + 2y")
 
 
 def test_parse_ideal_spec_schema_rejects_junk():

@@ -6,7 +6,6 @@ from conftest import exceptional_ideal
 from idealtutte.crapo import (
     VectorConfig,
     _bases,
-    _row_space_coordinates,
     activity,
     enumerate_bases,
     rank_of,
@@ -111,7 +110,7 @@ def f4_full():
 def _kernel_bases(cfg):
     import numpy as np
 
-    W = np.array(_row_space_coordinates(cfg), dtype=np.int64)
+    W = np.array(cfg.pivot_coordinates(), dtype=np.int64)
     return [tuple(b) for block in _bases(W, cfg.rank) for b in block.tolist()]
 
 
@@ -224,6 +223,26 @@ def test_kernel_exact_near_its_int64_bound(monkeypatch):
     monkeypatch.setattr(crapo, "tutte_crapo_exact", no_exact)
     for cfg, want in cases:
         assert tutte_crapo(cfg) == want
+
+
+def test_non_spanning_kernel_reads_pivot_columns(monkeypatch):
+    # rank 3 in R^4: on its pivot columns the Hadamard bound is about 2.4e7,
+    # under the kernel's 2^30, so the int64 kernel runs (coordinates solved
+    # over an echelon basis and rescaled by hand would reach about 2.8e11)
+    from idealtutte import crapo
+
+    cfg = VectorConfig([
+        (-56, 76, 15, -7), (-15, 32, -64, 35), (-58, -50, -8, 22),
+        (-183, -44, 206, -75), (-142, 216, -98, 56), (-77, -270, -118, 115),
+    ])
+    assert cfg.rank == 3 and len(cfg.pivots) == 3
+    want = tutte_crapo_exact(cfg)
+
+    def no_exact(*args, **kwargs):
+        raise AssertionError("the literal route ran under the kernel's bound")
+
+    monkeypatch.setattr(crapo, "tutte_crapo_exact", no_exact)
+    assert tutte_crapo(cfg) == want
 
 
 def test_kernel_memory_guard(monkeypatch, f4_full):

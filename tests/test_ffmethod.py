@@ -333,7 +333,7 @@ def test_chi_bar_at_one_is_q_rank():
     for label in WORKED_CLASSICAL:
         ideal = worked_ideal(label)
         cb = coboundary_polynomial(ideal)
-        r = arrangement_of(ideal).rank()
+        r = arrangement_of(ideal).rank
         for q in (7, 97):
             assert cb.evaluate(q, 1) == q ** r
 
@@ -342,4 +342,4 @@ def test_q_degree_bounded_by_rank():
     for label in WORKED_CLASSICAL:
         ideal = worked_ideal(label)
         cb = coboundary_polynomial(ideal)
-        assert cb.degree(0) <= arrangement_of(ideal).rank()
+        assert cb.degree(0) <= arrangement_of(ideal).rank

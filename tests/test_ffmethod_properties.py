@@ -47,7 +47,7 @@ def test_direct_route_matches_brute_force_counts(ideal, p):
     n = ideal.rst.ambient_dim
     hyperplanes = complement(ideal).hyperplanes
     cb = coboundary_polynomial(ideal)
-    scale = p ** (n - arrangement_of(ideal).rank())
+    scale = p ** (n - arrangement_of(ideal).rank)
     profile = [0] * (len(hyperplanes) + 1)
     for (dq, dt), c in cb.coeffs.items():
         profile[dt] += scale * c * p ** dq

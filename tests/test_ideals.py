@@ -109,16 +109,17 @@ def test_ideal_validation_names_violating_pair(g2_poset):
 
 def test_arrangement_of_extremes(a3_poset):
     full_ideal = ideal_from_mask(a3_poset, (1 << len(a3_poset)) - 1)
-    assert len(arrangement_of(full_ideal)) == 0
+    nothing = arrangement_of(full_ideal)
+    assert len(nothing) == 0 and nothing.rank == 0 and nothing.dim == 4
     empty = ideal_from_mask(root_poset(root_system_type("A", 2)), 0)
     arr = arrangement_of(empty)
-    assert len(arr) == 3 and arr.rank() == 2
+    assert len(arr) == 3 and arr.rank == 2 and arr.dim == 3
 
 
 def test_arrangement_of_worked_g2(g2_poset):
     ig = ideal_from_root_coords(g2_poset, IDEAL_G)
     arr = arrangement_of(ig)
-    assert len(arr) == 4 and arr.rank() == 2
+    assert len(arr) == 4 and arr.rank == 2 and arr.dim == 3
 
 
 # ---- the per-family closed forms, kept as the reference for the grid layout ---
@@ -489,7 +490,7 @@ def test_component_ranks_add_up():
     poset = root_poset(root_system_type("A", 5))
     ideal = ideal_from_boxes(poset, [(1, 2), (4, 6)])
     comps = decompose_components(complement(ideal))
-    assert sum(c.rank() for c in comps) == arrangement_of(ideal).rank()
+    assert sum(c.rank() for c in comps) == arrangement_of(ideal).rank
 
 
 def test_component_row_compression_b3():

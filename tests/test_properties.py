@@ -101,7 +101,10 @@ def termwise_tutte_to_coboundary(tutte, rank):
     tm1 = BivariatePolynomial({(0, 1): 1, (0, 0): -1}, ("q", "t"))
     qplus = BivariatePolynomial({(1, 0): 1, (0, 1): 1, (0, 0): -1}, ("q", "t"))
     for (a, b), c in tutte.coeffs.items():
-        out = out + qplus ** a * tm1 ** (rank - a) * BivariatePolynomial({(0, b): c}, ("q", "t"))
+        term = BivariatePolynomial({(0, b): c}, ("q", "t"))
+        for factor in [qplus] * a + [tm1] * (rank - a):
+            term = term * factor
+        out = out + term
     return out
 
 

@@ -130,7 +130,7 @@ def test_tutte_to_coboundary_round_trip():
     for label in ("a", "d"):
         ideal = worked_ideal(label)
         t = tutte_of_ideal(ideal)
-        r = arrangement_of(ideal).rank()
+        r = arrangement_of(ideal).rank
         assert coboundary_to_tutte(tutte_to_coboundary(t, r), r) == t
 
 
