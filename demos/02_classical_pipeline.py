@@ -59,4 +59,4 @@ print("T(2,2) = 2^#hyperplanes:", tutte.evaluate(2, 2) == 2 ** len(comp))
 
 chi = tutte_to_characteristic(tutte, 6, rank)
 print("\ncharacteristic polynomial:", chi.to_text("q"))
-print("regions:", region_count(tutte, 6, rank))
+print("regions:", region_count(tutte))

@@ -44,7 +44,7 @@ for family, n in (("A", 4), ("B", 3), ("B", 4), ("D", 4)):
         "B": 2 ** n * math.factorial(n),
         "D": 2 ** (n - 1) * math.factorial(n),
     }[family]
-    print(f"  {family}, n={n}: {region_count(tutte, n, rank)} (Weyl order {order})")
+    print(f"  {family}, n={n}: {region_count(tutte)} (Weyl order {order})")
 
 # the braid arrangement of A12: 78 hyperplanes in R^13
 t0 = time.time()

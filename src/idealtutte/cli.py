@@ -42,6 +42,7 @@ from .rootsystems import (
 )
 
 FORMAT_CHOICES = ("json", "latex", "text")
+LISTING_FORMATS = ("json", "text")  # roots, ideals and minors print no LaTeX
 CACHE_ENV = "TUTTE_CACHE_DIR"
 CACHE_VERSION = "2"
 
@@ -372,8 +373,8 @@ def build_parser():
         p.add_argument("--type", required=True, help="A, B, C, D, G2, F4, or E6")
         p.add_argument("--rank", type=int, default=None)
 
-    def formats(p):
-        p.add_argument("--format", choices=FORMAT_CHOICES, default="text")
+    def formats(p, choices=FORMAT_CHOICES):
+        p.add_argument("--format", choices=choices, default="text")
 
     def ideal_input(p):
         """Exactly one ideal input; returns the group, for verify's --all-ideals."""
@@ -400,12 +401,12 @@ def build_parser():
 
     p = sub.add_parser("roots", help="list the positive roots")
     system(p)
-    formats(p)
+    formats(p, LISTING_FORMATS)
     p.set_defaults(func=cmd_roots)
 
     p = sub.add_parser("ideals", help="enumerate ideals")
     system(p)
-    formats(p)
+    formats(p, LISTING_FORMATS)
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(func=cmd_ideals)
 
@@ -434,7 +435,7 @@ def build_parser():
 
     p = sub.add_parser("minors", help="minor set of the positive-root matrix")
     system(p)
-    formats(p)
+    formats(p, LISTING_FORMATS)
     p.set_defaults(func=cmd_minors)
 
     return ap

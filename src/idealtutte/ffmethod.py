@@ -6,11 +6,12 @@ point-counting oracle.
 
 The count over F_p sums, over all ways of distributing each block of
 exchangeable coordinates across the residues of F_p, the multinomial weight
-times t to the number of hyperplanes the distribution satisfies.  Residues are
-consumed as 0 and then the symmetric pairs {c, p-c}, which keeps the dynamic
-program independent of which residue is which.  A pair left empty changes
-nothing, so the program records only non-empty pairs; the count at any odd p,
-and chi-bar(q, t) itself, follow from that record by binomial weights.
+times t to the number of hyperplanes the distribution satisfies.  The dynamic
+program consumes the symmetric pairs {c, p-c}, which keeps it independent of
+which residue is which; residue 0 takes whatever coordinates the pairs leave,
+and the hyperplanes it satisfies have a closed form.  A pair left empty
+changes nothing, so the program records only non-empty pairs; the count at any
+odd p, and chi-bar(q, t) itself, follow from that record by binomial weights.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def count_points_bruteforce(tuples, n, p, max_points=DEFAULT_MAX_POINTS):
     if p ** n > max_points:
         raise GuardExceeded(f"p^n = {p ** n} exceeds guard {max_points}")
     tuples = [tuple(t) for t in tuples]
-    rank = crapo.rank_of([tuple_normal(t, n) for t in tuples]) if tuples else 0
+    rank = crapo.rank_of([tuple_normal(t, n) for t in tuples])
     import numpy as np
 
     total = p ** n
@@ -168,8 +169,8 @@ def count_points_bruteforce(tuples, n, p, max_points=DEFAULT_MAX_POINTS):
 class CountingModel:
     """Blocks of exchangeable coordinates plus their ``incidence``
     (``ideals.block_incidence``) for one hyperplane tuple set.  One dynamic
-    program gives both its coboundary polynomial and its weighted point count
-    at any odd prime.
+    program over the residue pairs, with residue 0 in closed form, gives both
+    its coboundary polynomial and its weighted point count at any odd prime.
 
     ``blocks`` defaults to the coordinate classes under hyperplane-set
     automorphisms; the partition in accordance with an ideal is passed as
@@ -185,9 +186,7 @@ class CountingModel:
             if not (1 <= i <= m and (j == 0 or i < abs(j) <= m)):
                 raise ConstraintError(f"{(i, j)} is not a hyperplane tuple on 1..{m}")
         tset = set(self.tuples)
-        self.rank = (
-            crapo.rank_of([tuple_normal(t, m) for t in self.tuples]) if self.tuples else 0
-        )
+        self.rank = crapo.rank_of([tuple_normal(t, m) for t in self.tuples])
         if blocks is None:
             blocks = automorphism_blocks(m, tset)
         self.blocks = [list(b) for b in blocks]
@@ -196,49 +195,22 @@ class CountingModel:
             raise ConstraintError("blocks must partition 1..m")
         self.incidence = block_incidence(self.blocks, tset)
         self._pair_kernel = {}
-        self._zero_kernel = {}
         self._profile = None
 
-    # transition tables are independent of the prime, so they are built once
-    # per starting state and reused across every residue step.
+    def _zero_exponent(self, state):
+        """t-exponent of sending every coordinate left in ``state`` to residue 0.
 
-    def _alloc_zero(self, state):
-        cached = self._zero_kernel.get(state)
-        if cached is not None:
-            return cached
-        nb = len(state)
+        At 0, x_i = x_j, x_i = -x_j and x_i = 0 all hold; a coordinate at 0
+        and one at a nonzero residue satisfy neither x_i = x_j nor x_i = -x_j.
+        """
         inc = self.incidence
-        out = []
-
-        def rec(bi, alloc, weight, de):
-            if bi == nb:
-                out.append(
-                    (tuple(r - a for r, a in zip(state, alloc)), weight, de)
-                )
-                return
-            r = state[bi]
-            for a in range(r + 1):
-                d = 0
-                if inc.pos_within[bi]:
-                    d += a * (a - 1) // 2
-                if inc.neg_within[bi]:
-                    d += a * (a - 1) // 2
-                if inc.zero_flags[bi]:
-                    d += a
-                for bj in range(bi):
-                    cross = 0
-                    if inc.pos_cross[(bj, bi)]:
-                        cross += 1
-                    if inc.neg_cross[(bj, bi)]:
-                        cross += 1
-                    d += cross * alloc[bj] * a
-                alloc.append(a)
-                rec(bi + 1, alloc, weight * comb(r, a), de + d)
-                alloc.pop()
-
-        rec(0, [], 1, 0)
-        self._zero_kernel[state] = out
-        return out
+        de = 0
+        for bi, r in enumerate(state):
+            de += (inc.pos_within[bi] + inc.neg_within[bi]) * comb(r, 2)
+            de += inc.zero_flags[bi] * r
+            for bj in range(bi):
+                de += (inc.pos_cross[(bj, bi)] + inc.neg_cross[(bj, bi)]) * state[bj] * r
+        return de
 
     def _alloc_pair(self, state):
         """Every non-empty allocation of one residue pair {c, p-c}, a
@@ -296,40 +268,36 @@ class CountingModel:
         self._pair_kernel[state] = out
         return out
 
-    def _step(self, states, kernel):
-        """Apply one residue (or residue pair) allocation to every live state."""
-        nxt = {}
-        for st, poly in states.items():
-            for st2, w, de in kernel(st):
-                tgt = nxt.setdefault(st2, {})
-                for e, c in poly.items():
-                    tgt[e + de] = tgt.get(e + de, 0) + c * w
-        return nxt
-
     def pair_profile(self):
         """F_u for u = 0, 1, ...: dense t-coefficient lists of the weight that
-        exhausts every block after residue 0 and exactly u non-empty residue
-        pairs.
+        exhausts every block with exactly u non-empty residue pairs and
+        residue 0.
 
-        An empty pair leaves the state unchanged, so over (p-1)/2 pairs the
-        count is sum_u C((p-1)/2, u) F_u.  Each non-empty pair consumes at
-        least one coordinate, so the loop ends within m steps.  Computed once
-        per model.
+        Starting from the full block sizes, each round first closes every live
+        state into F_u (residue 0 takes whatever the pairs left, at weight 1
+        and ``_zero_exponent``), then applies one more non-empty pair.  An
+        empty pair leaves the state unchanged, so over (p-1)/2 pairs the count
+        is sum_u C((p-1)/2, u) F_u.  Each non-empty pair consumes at least one
+        coordinate, so the loop ends within m + 1 rounds.  Computed once per
+        model.
         """
         if self._profile is not None:
             return self._profile
-        sizes = tuple(len(b) for b in self.blocks)
-        done = tuple(0 for _ in sizes)
-        states = self._step({sizes: {0: 1}}, self._alloc_zero)
+        states = {tuple(len(b) for b in self.blocks): {0: 1}}
         profile = []
-        while True:
+        while states:
             dense = [0] * (len(self.tuples) + 1)
-            for e, c in states.pop(done, {}).items():
-                dense[e] += c
+            nxt = {}
+            for st, poly in states.items():
+                zero = self._zero_exponent(st)
+                for e, c in poly.items():
+                    dense[e + zero] += c
+                for st2, w, de in self._alloc_pair(st):
+                    tgt = nxt.setdefault(st2, {})
+                    for e, c in poly.items():
+                        tgt[e + de] = tgt.get(e + de, 0) + c * w
             profile.append(dense)
-            if not states:
-                break
-            states = self._step(states, self._alloc_pair)
+            states = nxt
         self._profile = tuple(profile)
         return self._profile
 

@@ -623,16 +623,11 @@ def tuple_normal(t, n):
 @dataclass(frozen=True)
 class IdealComponent:
     """One connected component of an ideal complement, relabeled to compressed
-    coordinates.  Components without negative or zero columns are A-like
-    regardless of the parent type."""
+    coordinates."""
 
-    family: str
     index_map: tuple          # old index of each new coordinate, 1-based
     tuples: tuple             # relabeled hyperplane tuples
     size: int                 # number of compressed coordinates
-
-    def rank(self):
-        return crapo.rank_of([tuple_normal(t, self.size) for t in self.tuples])
 
 
 def decompose_components(comp):
@@ -644,7 +639,6 @@ def decompose_components(comp):
     than the drawn diagram's grid components, which for the D family may split
     dependent hyperplanes.)
     """
-    rst = comp.rst
     boxes = comp.tuple_set()
     out = []
     for boxset in _components_by_coordinates(boxes):
@@ -658,12 +652,8 @@ def decompose_components(comp):
                 for (i, j) in boxset
             )
         )
-        fam = rst.family
-        if fam != "A" and all(j > 0 for (_, j) in tuples):
-            fam = "A"
         out.append(
             IdealComponent(
-                family=fam,
                 index_map=tuple(indices),
                 tuples=tuples,
                 size=len(indices),

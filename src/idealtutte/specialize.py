@@ -112,10 +112,10 @@ def characteristic_polynomial(ideal, engine="auto", max_subsets=None):
     return tutte_to_characteristic(tutte, arr.dim, arr.rank)
 
 
-def region_count(tutte, n, rank):
-    """Number of chambers: (-1)^n chi(-1), always strictly positive."""
-    chi = tutte_to_characteristic(tutte, n, rank)
-    val = (-1) ** n * chi.evaluate(-1)
+def region_count(tutte):
+    """Number of chambers of a central arrangement: T(2, 0), which equals
+    Zaslavsky's (-1)^n chi(-1), always strictly positive."""
+    val = tutte.evaluate(2, 0)
     if val <= 0:
         raise InconsistencyError(f"nonpositive region count {val}")
     return val

@@ -259,11 +259,11 @@ def test_crit4_specializations(sweep_results):
     for (family, n), order in weyl.items():
         r = n - 1 if family == "A" else n
         tutte = coboundary_to_tutte(coboundary_full(family, n), r)
-        if region_count(tutte, n, r) != order:
+        if region_count(tutte) != order:
             failures += 1
     g2 = root_poset(root_system_type("G2"))
     t_g2 = tutte_of_ideal(ideal_from_mask(g2, 0), engine="crapo")
-    if region_count(t_g2, 2, 2) != 12:
+    if region_count(t_g2) != 12:
         failures += 1
     dt = time.time() - t0
     report(f"4(specialization identities): {'PASS' if failures == 0 else 'FAIL'} [{dt:.1f}s]")

@@ -325,7 +325,9 @@ COMPUTE_OPTIONS = [("--primes", "[3]"), ("--max-points", "10"), ("--max-subsets"
     [(c, o) for c in ("roots", "ideals", "minors") for o in COMPUTE_OPTIONS]
     + [(c, o) for c in ("charpoly", "verify") for o in CACHE_OPTIONS]
     # chi-bar comes from one dynamic program; there is no prime route to select
-    + [(c, ("--primes", "[3]")) for c in ("tutte", "coboundary", "charpoly", "verify")],
+    + [(c, ("--primes", "[3]")) for c in ("tutte", "coboundary", "charpoly", "verify")]
+    # only tutte and coboundary have a LaTeX rendering
+    + [(c, ("--format", "latex")) for c in ("roots", "ideals", "minors")],
 )
 def test_commands_refuse_options_they_do_not_read(capsys, command, option):
     with pytest.raises(SystemExit) as exc:

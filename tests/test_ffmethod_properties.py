@@ -1,8 +1,9 @@
 """Hypothesis property tests for the finite-field pipeline on random small
 classical ideals: the direct coboundary route against exhaustive point counts
 and against the paper's route, Lagrange interpolation of the counting model's
-values at rank+1 odd primes.  They sit beside the fixed-seed sweeps in
-test_ffmethod and test_properties."""
+values at rank+1 odd primes.  A third property runs the counting model on
+random tuple sets that no ideal complement produces.  They sit beside the
+fixed-seed sweeps in test_ffmethod and test_properties."""
 
 from functools import lru_cache
 
@@ -61,3 +62,30 @@ def test_direct_route_matches_prime_interpolation(ideal):
     primes = (3, 5, 7, 11, 13, 17)[: model.rank + 1]
     points = [(p, model.coboundary_at_prime(p)) for p in primes]
     assert coboundary_polynomial(ideal) == lagrange_interpolate(points)
+
+
+@st.composite
+def normal_tuple_sets(draw):
+    """A random set of normal hyperplane tuples (i, j), i < |j|, or (i, 0), on
+    m <= 5 coordinates.  Unlike ideal complements, these may hold x_i = -x_j
+    inside an automorphism block without x_i = x_j."""
+    m = draw(st.integers(1, 5))
+    normal = [(i, 0) for i in range(1, m + 1)] + [
+        (i, s * j) for i in range(1, m + 1) for j in range(i + 1, m + 1) for s in (1, -1)
+    ]
+    return m, draw(st.lists(st.sampled_from(normal), unique=True))
+
+
+@PROPERTY_SETTINGS
+@given(mt=normal_tuple_sets())
+def test_counting_model_matches_brute_force_on_any_tuple_set(mt):
+    m, tuples = mt
+    model = CountingModel(m, tuples)
+    cb = model.coboundary()
+    for p in (3, 5, 7):
+        expected = list(count_points_bruteforce(tuples, m, p).counts)
+        assert model.point_count_profile(p) == expected
+        profile = [0] * (len(tuples) + 1)
+        for (dq, dt), c in cb.coeffs.items():
+            profile[dt] += p ** (m - model.rank) * c * p ** dq
+        assert profile == expected
