@@ -3,7 +3,7 @@ engines, verify engine pairs, emit JSON/LaTeX/text, and cache results.
 
 Exit codes: 0 success, 1 validation error, 2 guard refusal or usage error
 (argparse: an unknown option, or not exactly one ideal input), 3 verification
-mismatch.
+mismatch, 141 (128 + SIGPIPE) standard output closed early by its reader.
 """
 
 from __future__ import annotations
@@ -445,7 +445,14 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader (say, `head`) is gone: send what is still buffered to
+        # devnull so the flush at interpreter exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except VerificationMismatch as exc:
         print(f"verification mismatch: {exc}", file=sys.stderr)
         return 3

@@ -7,16 +7,20 @@ point-counting oracle.
 The count over F_p sums, over all ways of distributing each block of
 exchangeable coordinates across the residues of F_p, the multinomial weight
 times t to the number of hyperplanes the distribution satisfies.  The dynamic
-program consumes the symmetric pairs {c, p-c}, which keeps it independent of
-which residue is which; residue 0 takes whatever coordinates the pairs leave,
-and the hyperplanes it satisfies have a closed form.  A pair left empty
-changes nothing, so the program records only non-empty pairs; the count at any
-odd p, and chi-bar(q, t) itself, follow from that record by binomial weights.
+program consumes the nonzero residues in steps, which keeps it independent of
+which residue is which; residue 0 takes whatever coordinates the steps leave,
+and the hyperplanes it satisfies have a closed form.  Each step takes s
+residues: a symmetric pair {c, p-c} (s = 2) when some hyperplane is x_i = -x_j
+or x_i = 0, else one residue c (s = 1), since x_i = x_j alone never relates
+distinct residues.  A step left empty changes nothing, so the program records
+only non-empty steps; the count at any odd p, and chi-bar(q, t) itself, follow
+from that record by the binomial weights C((p-1)/s, u).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from math import comb, factorial
 
@@ -169,8 +173,11 @@ def count_points_bruteforce(tuples, n, p, max_points=DEFAULT_MAX_POINTS):
 class CountingModel:
     """Blocks of exchangeable coordinates plus their ``incidence``
     (``ideals.block_incidence``) for one hyperplane tuple set.  One dynamic
-    program over the residue pairs, with residue 0 in closed form, gives both
-    its coboundary polynomial and its weighted point count at any odd prime.
+    program over the nonzero residues, with residue 0 in closed form, gives
+    both its coboundary polynomial and its weighted point count at any odd
+    prime.  Its allocation kernel is chosen from the incidence flags: one
+    residue per step (stride 1) when every hyperplane is x_i = x_j, else one
+    pair {c, p-c} per step (stride 2).
 
     ``blocks`` defaults to the coordinate classes under hyperplane-set
     automorphisms; the partition in accordance with an ideal is passed as
@@ -193,8 +200,10 @@ class CountingModel:
         covered = sorted(x for b in self.blocks for x in b)
         if covered != list(range(1, m + 1)):
             raise ConstraintError("blocks must partition 1..m")
-        self.incidence = block_incidence(self.blocks, tset)
-        self._pair_kernel = {}
+        inc = self.incidence = block_incidence(self.blocks, tset)
+        paired = any(inc.neg_within) or any(inc.neg_cross.values()) or any(inc.zero_flags)
+        self.stride = 2 if paired else 1
+        self._kernel = {}
         self._profile = None
 
     def _zero_exponent(self, state):
@@ -216,12 +225,12 @@ class CountingModel:
         """Every non-empty allocation of one residue pair {c, p-c}, a
         coordinates of each block to c and b to p-c, merged by (rest, t-exponent).
 
-        The empty allocation is the identity and is left to pair_profile's
+        The empty allocation is the identity and is left to residue_profile's
         binomial weights.  Swapping c and p-c maps an allocation to one with
         the same rest, weight and exponent, so only allocations whose first
         unequal (a, b) has a > b are enumerated, at double weight.
         """
-        cached = self._pair_kernel.get(state)
+        cached = self._kernel.get(state)
         if cached is not None:
             return cached
         inc = self.incidence
@@ -265,38 +274,74 @@ class CountingModel:
             if rest != state:
                 merged[(rest, de)] = merged.get((rest, de), 0) + (w if tied else 2 * w)
         out = [(rest, w, de) for (rest, de), w in merged.items()]
-        self._pair_kernel[state] = out
+        self._kernel[state] = out
         return out
 
-    def pair_profile(self):
+    def _alloc_single(self, state):
+        """Every non-empty allocation of one residue c, a coordinates of each
+        block to c; for components whose every hyperplane is x_i = x_j, which
+        holds between two coordinates exactly when they share a residue.
+
+        The t-exponent depends on the a's alone, which the rest determines, so
+        there is one allocation per rest and nothing to merge.
+        """
+        cached = self._kernel.get(state)
+        if cached is not None:
+            return cached
+        inc = self.incidence
+        # partial allocations over the blocks so far: (rest, weight, t-exponent)
+        partial = [((), 1, 0)]
+        for bi, r in enumerate(state):
+            linked = [bj for bj in range(bi) if inc.pos_cross[(bj, bi)]]
+            within = [
+                (r - a, a, comb(r, a), inc.pos_within[bi] * a * (a - 1) // 2)
+                for a in range(r + 1)
+            ]
+            grown = []
+            for rest, weight, de in partial:
+                at_c = sum([state[bj] - rest[bj] for bj in linked])
+                for left, a, w, d in within:
+                    grown.append((rest + (left,), weight * w, de + d + a * at_c))
+            partial = grown
+        out = partial[1:]  # partial[0] gives every a = 0, the empty allocation
+        self._kernel[state] = out
+        return out
+
+    def residue_profile(self):
         """F_u for u = 0, 1, ...: dense t-coefficient lists of the weight that
-        exhausts every block with exactly u non-empty residue pairs and
-        residue 0.
+        exhausts every block with exactly u non-empty steps and residue 0,
+        where a step is one residue pair (stride 2) or one residue (stride 1).
 
         Starting from the full block sizes, each round first closes every live
-        state into F_u (residue 0 takes whatever the pairs left, at weight 1
-        and ``_zero_exponent``), then applies one more non-empty pair.  An
-        empty pair leaves the state unchanged, so over (p-1)/2 pairs the count
-        is sum_u C((p-1)/2, u) F_u.  Each non-empty pair consumes at least one
-        coordinate, so the loop ends within m + 1 rounds.  Computed once per
-        model.
+        state into F_u (residue 0 takes whatever the steps left, at weight 1
+        and ``_zero_exponent``), then applies one more non-empty step.  An
+        empty step leaves the state unchanged, so over the (p-1)/s steps the
+        count is sum_u C((p-1)/s, u) F_u.  Each non-empty step consumes at
+        least one coordinate, so the loop ends within m + 1 rounds.  Computed
+        once per model.
+
+        Each state's t-polynomial is one integer, the coefficient of t^e in
+        bits [e * width, (e + 1) * width): multiplying by w t^de is one
+        multiplication and one shift.  Every weight is positive, and a
+        coefficient counts at most the maps from the m coordinates to
+        residue 0 and the s * u residues of u <= m steps, at most
+        (s m + 1)^m < 2^width, so no field carries into the next.
         """
         if self._profile is not None:
             return self._profile
-        states = {tuple(len(b) for b in self.blocks): {0: 1}}
+        alloc = self._alloc_single if self.stride == 1 else self._alloc_pair
+        width = ((self.stride * self.m + 1) ** self.m).bit_length()
+        mask = (1 << width) - 1
+        states = {tuple(len(b) for b in self.blocks): 1}
         profile = []
         while states:
-            dense = [0] * (len(self.tuples) + 1)
-            nxt = {}
+            closed = 0
+            nxt = defaultdict(int)
             for st, poly in states.items():
-                zero = self._zero_exponent(st)
-                for e, c in poly.items():
-                    dense[e + zero] += c
-                for st2, w, de in self._alloc_pair(st):
-                    tgt = nxt.setdefault(st2, {})
-                    for e, c in poly.items():
-                        tgt[e + de] = tgt.get(e + de, 0) + c * w
-            profile.append(dense)
+                closed += poly << (self._zero_exponent(st) * width)
+                for st2, w, de in alloc(st):
+                    nxt[st2] += (poly * w) << (de * width)
+            profile.append([(closed >> (e * width)) & mask for e in range(len(self.tuples) + 1)])
             states = nxt
         self._profile = tuple(profile)
         return self._profile
@@ -305,10 +350,10 @@ class CountingModel:
         """Dense coefficient list of sum over F_p^m of t^(#satisfied hyperplanes)."""
         if p % 2 == 0:
             raise ConstraintError("the counting model requires an odd prime")
-        pairs = (p - 1) // 2
+        steps = (p - 1) // self.stride
         out = [0] * (len(self.tuples) + 1)
-        for u, f in enumerate(self.pair_profile()):
-            w = comb(pairs, u)
+        for u, f in enumerate(self.residue_profile()):
+            w = comb(steps, u)
             for e, c in enumerate(f):
                 out[e] += w * c
         if sum(out) != p ** self.m:
@@ -318,27 +363,29 @@ class CountingModel:
     def coboundary(self):
         """chi-bar(q, t) exactly, with no primes and no interpolation.
 
-        N(q, t) = sum_u C((q-1)/2, u) F_u(t) agrees with the point count at
-        every odd prime, so it is the point-count polynomial, and chi-bar is
-        N / q^(m - rank).  C((q-1)/2, u) = prod_{k<u} (q-1-2k) / (2^u u!),
-        and each division is checked exact.
+        N(q, t) = sum_u C((q-1)/s, u) F_u(t), with s the stride, agrees with
+        the point count at every odd prime, so it is the point-count
+        polynomial, and chi-bar is N / q^(m - rank).
+        C((q-1)/s, u) = prod_{k<u} (q-1-sk) / (s^u u!), and each division is
+        checked exact.
         """
+        s = self.stride
         num = {}
-        falling = [1]  # q-coefficients of prod_{k<u} (q - 1 - 2k)
-        for u, f in enumerate(self.pair_profile()):
-            d = 2 ** u * factorial(u)
+        falling = [1]  # q-coefficients of prod_{k<u} (q - 1 - sk)
+        for u, f in enumerate(self.residue_profile()):
+            d = s ** u * factorial(u)
             for e, c in enumerate(f):
                 if not c:
                     continue
                 if c % d:
                     raise InconsistencyError(
-                        f"F_{u} coefficient {c} at t^{e} not divisible by 2^u u! = {d}"
+                        f"F_{u} coefficient {c} at t^{e} not divisible by s^u u! = {d}"
                     )
                 for dq, a in enumerate(falling):
                     num[(dq, e)] = num.get((dq, e), 0) + a * (c // d)
             shifted = [0] + falling
             for k, a in enumerate(falling):
-                shifted[k] -= (2 * u + 1) * a
+                shifted[k] -= (s * u + 1) * a
             falling = shifted
         shift = self.m - self.rank
         out = {}
@@ -395,7 +442,7 @@ def coboundary_polynomial(ideal):
     Decomposes the complement into connected components and multiplies their
     coboundary polynomials (chi-bar is rank-relative, so components simply
     multiply).  Each component's chi-bar comes straight from its counting
-    model's pair profile.
+    model's residue profile.
     """
     rst = ideal.rst
     if not rst.is_classical:

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from importlib.resources import files
 
 import jsonschema
@@ -334,3 +338,40 @@ def test_commands_refuse_options_they_do_not_read(capsys, command, option):
         main([command, "--type", "G2", *option])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def _cli_process(argv, stdout):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "idealtutte.cli", *argv],
+        env=env, stdout=stdout, stderr=subprocess.PIPE,
+    )
+
+
+def test_listing_piped_into_a_reader_that_stops_after_one_line():
+    # the 1430 A7 ideals print about 580 kB, more than a pipe holds, so the
+    # writer is still printing when the reader goes away
+    proc = _cli_process(
+        ["ideals", "--type", "A", "--rank", "7", "--format", "text"], subprocess.PIPE
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert first.strip() and err == b""
+
+
+def test_short_listing_into_a_closed_pipe():
+    # the A4 listing fits the stdout buffer, so the closed pipe shows only
+    # when it is flushed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = _cli_process(["ideals", "--type", "A", "--rank", "4", "--format", "text"], write_end)
+    os.close(write_end)
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""

@@ -238,12 +238,26 @@ def test_counting_model_rejects_malformed_tuples(t):
         CountingModel(3, [t])
 
 
-def test_pair_profile_single_hyperplane():
-    # x1 = x2: F_0 = t (both on residue 0); one non-empty pair takes both
-    # coordinates (2 + 2t ways) or one after the other took residue 0 (4);
-    # two pairs take one each (8)
+def test_residue_profile_single_hyperplane():
+    # x1 = x2 needs no pairing, so one residue is one step: F_0 = t (both on
+    # residue 0); one non-empty residue takes both coordinates (t) or one
+    # while the other stays on residue 0 (2); two residues take one each (2)
     model = CountingModel(2, [(1, 2)])
-    assert model.pair_profile() == ([0, 1], [6, 2], [8, 0])
+    assert model.stride == 1
+    assert model.residue_profile() == ([0, 1], [2, 1], [2, 0])
+    assert model.point_count_profile(5) == [20, 5]
+    assert model.coboundary() == BivariatePolynomial(
+        {(1, 0): 1, (0, 0): -1, (0, 1): 1}, ("q", "t")
+    )
+
+
+def test_pair_profile_single_hyperplane():
+    # x1 = -x2 pairs c with p-c: F_0 = t (both on residue 0); one non-empty
+    # pair takes both coordinates (2 + 2t ways) or one after the other took
+    # residue 0 (4); two pairs take one each (8)
+    model = CountingModel(2, [(1, -2)])
+    assert model.stride == 2
+    assert model.residue_profile() == ([0, 1], [6, 2], [8, 0])
     assert model.point_count_profile(5) == [20, 5]
     assert model.coboundary() == BivariatePolynomial(
         {(1, 0): 1, (0, 0): -1, (0, 1): 1}, ("q", "t")
@@ -262,18 +276,30 @@ def test_pair_profile_reads_out_every_prime():
         )
 
 
-def test_direct_coboundary_checks_its_divisions():
-    model = CountingModel(2, [(1, 2)])
-    f0, f1, f2 = model.pair_profile()
-    model._profile = (f0, [f1[0] + 1, f1[1] - 1], f2)  # F_1 no longer divisible by 2
-    with pytest.raises(InconsistencyError):
+def _tamper_checks(model, f0, f1, f2, indivisible):
+    model._profile = indivisible
+    with pytest.raises(InconsistencyError, match="not divisible by s"):
         model.coboundary()
     model._profile = (f0, [f1[0] + 2, f1[1] - 2], f2)  # divisible, but not by q^(m-rank)
-    with pytest.raises(InconsistencyError):
+    with pytest.raises(InconsistencyError, match="q\\^\\(m-rank\\)"):
         model.coboundary()
     model._profile = (f0, [f1[0] + 2, f1[1]], f2)  # the count no longer totals p^m
-    with pytest.raises(InconsistencyError):
+    with pytest.raises(InconsistencyError, match="total"):
         model.point_count_profile(3)
+
+
+def test_direct_coboundary_checks_its_divisions():
+    # the single-residue kernel divides F_1 by 1, so the first divisibility
+    # check that can fail is F_2's, by 2
+    model = CountingModel(2, [(1, 2)])
+    f0, f1, f2 = model.residue_profile()
+    _tamper_checks(model, f0, f1, f2, (f0, f1, [f2[0] + 1, f2[1] - 1]))
+
+
+def test_direct_coboundary_checks_its_divisions_pair_kernel():
+    model = CountingModel(2, [(1, -2)])
+    f0, f1, f2 = model.residue_profile()
+    _tamper_checks(model, f0, f1, f2, (f0, [f1[0] + 1, f1[1] - 1], f2))
 
 
 # ---- the full pipeline ------------------------------------------------------------

@@ -1,18 +1,26 @@
 """Hypothesis property tests for the finite-field pipeline on random small
 classical ideals: the direct coboundary route against exhaustive point counts
 and against the paper's route, Lagrange interpolation of the counting model's
-values at rank+1 odd primes.  A third property runs the counting model on
-random tuple sets that no ideal complement produces.  They sit beside the
-fixed-seed sweeps in test_ffmethod and test_properties."""
+values at rank+1 odd primes.  Further properties run the counting model on
+random tuple sets that no ideal complement produces: any tuple set, sets of
+x_i = x_j hyperplanes only (the single-residue kernel), and such sets with
+one hyperplane added that switches the model to the pair kernel.  They sit
+beside the fixed-seed sweeps in test_ffmethod and test_properties."""
 
 from functools import lru_cache
+from math import prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idealtutte.exactpoly import lagrange_interpolate
 from idealtutte.ffmethod import CountingModel, coboundary_polynomial, count_points_bruteforce
-from idealtutte.ideals import arrangement_of, complement, ideal_from_root_coords
+from idealtutte.ideals import (
+    arrangement_of,
+    complement,
+    decompose_components,
+    ideal_from_root_coords,
+)
 from idealtutte.rootsystems import root_poset, root_system_type
 
 # every type here has at most 6 coordinates, so 7^n stays far below the
@@ -76,10 +84,9 @@ def normal_tuple_sets(draw):
     return m, draw(st.lists(st.sampled_from(normal), unique=True))
 
 
-@PROPERTY_SETTINGS
-@given(mt=normal_tuple_sets())
-def test_counting_model_matches_brute_force_on_any_tuple_set(mt):
-    m, tuples = mt
+def _assert_matches_brute_force(m, tuples):
+    """The model's point counts and p^(m - rank) chi-bar(p, t) at p = 3, 5, 7
+    against exhaustive counts; returns the model."""
     model = CountingModel(m, tuples)
     cb = model.coboundary()
     for p in (3, 5, 7):
@@ -89,3 +96,59 @@ def test_counting_model_matches_brute_force_on_any_tuple_set(mt):
         for (dq, dt), c in cb.coeffs.items():
             profile[dt] += p ** (m - model.rank) * c * p ** dq
         assert profile == expected
+    return model
+
+
+@PROPERTY_SETTINGS
+@given(mt=normal_tuple_sets())
+def test_counting_model_matches_brute_force_on_any_tuple_set(mt):
+    _assert_matches_brute_force(*mt)
+
+
+@st.composite
+def pos_only_tuple_sets(draw):
+    """Any graph on m <= 6 coordinates, as hyperplanes x_i = x_j."""
+    m = draw(st.integers(1, 6))
+    edges = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    tuples = draw(st.lists(st.sampled_from(edges), unique=True)) if edges else []
+    return m, tuples
+
+
+@PROPERTY_SETTINGS
+@given(mt=pos_only_tuple_sets())
+def test_single_residue_kernel_matches_brute_force(mt):
+    model = _assert_matches_brute_force(*mt)
+    assert model.stride == 1
+
+
+@PROPERTY_SETTINGS
+@given(mt=pos_only_tuple_sets(), data=st.data())
+def test_one_negative_or_zero_hyperplane_switches_to_the_pair_kernel(mt, data):
+    m, tuples = mt
+    extra = data.draw(st.sampled_from(
+        [(i, 0) for i in range(1, m + 1)]
+        + [(i, -j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    ))
+    assert _assert_matches_brute_force(m, tuples).stride == 1
+    assert _assert_matches_brute_force(m, tuples + [extra]).stride == 2
+
+
+# an A7 ideal of the benchmark's random pool (seed 1) whose complement has a
+# component on 8 coordinates in blocks of sizes 1, 2, 2, 2, 1
+BENCH_A7 = [
+    (0, 0, 0, 0, 1, 1, 1), (0, 0, 0, 1, 1, 1, 1), (0, 0, 1, 1, 1, 0, 0),
+    (0, 0, 1, 1, 1, 1, 0), (0, 0, 1, 1, 1, 1, 1), (0, 1, 1, 1, 1, 0, 0),
+    (0, 1, 1, 1, 1, 1, 0), (0, 1, 1, 1, 1, 1, 1), (1, 1, 1, 0, 0, 0, 0),
+    (1, 1, 1, 1, 0, 0, 0), (1, 1, 1, 1, 1, 0, 0), (1, 1, 1, 1, 1, 1, 0),
+    (1, 1, 1, 1, 1, 1, 1),
+]
+
+
+def test_single_residue_kernel_size_on_a_bench_component():
+    ideal = ideal_from_root_coords(_poset("A", 7), BENCH_A7)
+    comp = max(decompose_components(complement(ideal)), key=lambda c: c.size)
+    model = CountingModel(comp.size, comp.tuples)
+    sizes = tuple(len(b) for b in model.blocks)
+    assert model.stride == 1 and sorted(sizes) == [1, 1, 2, 2, 2]
+    # one residue takes a_i <= s_i of each block, not all zero
+    assert len(model._alloc_single(sizes)) <= prod(s + 1 for s in sizes) - 1
