@@ -1,6 +1,11 @@
 """Command-line surface: parse ideal specs, run polynomial pipelines, select
 engines, verify engine pairs, emit JSON/LaTeX/text, and cache results.
 
+The argument parser is built on the first ``main`` call and reused by every
+later one in the process (``build_parser``); the polynomial commands report
+in their JSON provenance whether the result came from the cache, and a cache
+that cannot be written costs only a warning on stderr.
+
 Exit codes: 0 success, 1 validation error, 2 guard refusal or usage error
 (argparse: an unknown option, or not exactly one ideal input), 3 verification
 mismatch, 141 (128 + SIGPIPE) standard output closed early by its reader.
@@ -9,6 +14,7 @@ mismatch, 141 (128 + SIGPIPE) standard output closed early by its reader.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -160,22 +166,37 @@ class _Cache:
         return poly, prov
 
     def put(self, key, value):
+        """Store ``value`` under ``key``.
+
+        A cache that cannot be written costs only the entry: one warning on
+        stderr and no temporary file left behind; the caller still emits
+        the result.
+        """
         if not self.enabled:
             return
-        os.makedirs(self.dir, exist_ok=True)
-        path = os.path.join(self.dir, key + ".json")
-        fd, tmp = tempfile.mkstemp(dir=self.dir, suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            json.dump(value, fh, sort_keys=True)
-        os.replace(tmp, path)
+        tmp = None
+        try:
+            os.makedirs(self.dir, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=self.dir, suffix=".tmp")
+            with os.fdopen(fd, "w") as fh:
+                json.dump(value, fh, sort_keys=True)
+            os.replace(tmp, os.path.join(self.dir, key + ".json"))
+        except OSError as exc:
+            if tmp is not None:
+                with contextlib.suppress(OSError):
+                    os.remove(tmp)
+            print(f"warning: result not cached: {exc}", file=sys.stderr)
 
 
 def _compute_polynomial(ideal, command, engine, args):
+    """The (polynomial, provenance) pair, from the cache or computed; the
+    provenance says which under ``cache``, a key the stored entry lacks."""
     cache = _Cache(args)
     key = cache.key(ideal, command, engine)
     hit = cache.get(key, ("q", "t") if command == "coboundary" else ("x", "y"))
     if hit is not None:
-        return hit
+        poly, prov = hit
+        return poly, {**prov, "cache": "hit"}
     t0 = time.time()
     if command == "coboundary":
         poly = specialize.coboundary_of_ideal(
@@ -192,7 +213,7 @@ def _compute_polynomial(ideal, command, engine, args):
         "wall_time_s": round(time.time() - t0, 4),
     }
     cache.put(key, {"polynomial": poly.to_json_dict(), "provenance": prov})
-    return poly, prov
+    return poly, {**prov, "cache": "miss"}
 
 
 def cmd_roots(args):
@@ -360,7 +381,18 @@ def cmd_verify(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser of every subcommand, built on the first call and
+    shared by every later one in the process.
+
+    ``parse_args`` gives each call a fresh ``Namespace`` and leaves the parser
+    as it was, so reuse carries nothing from one ``main`` call to the next.
+    The returned parser is shared: do not mutate it.  Each subcommand's
+    ``func`` (its ``cmd_...`` function) and the ``--max-subsets`` and
+    ``--max-points`` defaults are read when the parser is first built; a
+    fresh, unshared parser is ``build_parser.__wrapped__()``.
+    """
     ap = argparse.ArgumentParser(
         prog="idealtutte",
         description="Exact Tutte/coboundary/characteristic polynomials of ideal "
@@ -442,8 +474,7 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit

@@ -203,7 +203,15 @@ class CountingModel:
         inc = self.incidence = block_incidence(self.blocks, tset)
         paired = any(inc.neg_within) or any(inc.neg_cross.values()) or any(inc.zero_flags)
         self.stride = 2 if paired else 1
-        self._kernel = {}
+        # per block, the earlier blocks bj some hyperplane links it to:
+        # (bj, has x_i = x_j, has x_i = -x_j)
+        self._cross = [
+            [(bj, inc.pos_cross[(bj, bi)], inc.neg_cross[(bj, bi)]) for bj in range(bi)
+             if inc.pos_cross[(bj, bi)] or inc.neg_cross[(bj, bi)]]
+            for bi in range(len(self.blocks))
+        ]
+        self._options = {}  # (block index, size) -> one block's allocations
+        self._kernel = {}  # state -> (zero exponent, non-empty allocations)
         self._profile = None
 
     def _zero_exponent(self, state):
@@ -217,9 +225,37 @@ class CountingModel:
         for bi, r in enumerate(state):
             de += (inc.pos_within[bi] + inc.neg_within[bi]) * comb(r, 2)
             de += inc.zero_flags[bi] * r
-            for bj in range(bi):
-                de += (inc.pos_cross[(bj, bi)] + inc.neg_cross[(bj, bi)]) * state[bj] * r
+            for bj, pc, nc in self._cross[bi]:
+                de += (pc + nc) * state[bj] * r
         return de
+
+    def _step(self, state):
+        """(zero exponent, non-empty allocations of one step) of ``state``,
+        computed once per model."""
+        entry = self._kernel.get(state)
+        if entry is None:
+            alloc = self._alloc_single if self.stride == 1 else self._alloc_pair
+            entry = self._kernel[state] = (self._zero_exponent(state), alloc(state))
+        return entry
+
+    def _pair_options(self, bi, r):
+        """Block ``bi``'s allocations (a, b, left, weight, t-exponent) of r
+        coordinates, a to c and b to p-c, and the half of them with a >= b;
+        built once per (block, size)."""
+        opts = self._options.get((bi, r))
+        if opts is None:
+            inc = self.incidence
+            within = []
+            for a in range(r + 1):
+                for b in range(r - a + 1):
+                    d = 0
+                    if inc.pos_within[bi]:
+                        d += a * (a - 1) // 2 + b * (b - 1) // 2
+                    if inc.neg_within[bi]:
+                        d += a * b
+                    within.append((a, b, r - a - b, comb(r, a) * comb(r - a, b), d))
+            opts = self._options[(bi, r)] = (within, [o for o in within if o[0] >= o[1]])
+        return opts
 
     def _alloc_pair(self, state):
         """Every non-empty allocation of one residue pair {c, p-c}, a
@@ -230,29 +266,14 @@ class CountingModel:
         the same rest, weight and exponent, so only allocations whose first
         unequal (a, b) has a > b are enumerated, at double weight.
         """
-        cached = self._kernel.get(state)
-        if cached is not None:
-            return cached
-        inc = self.incidence
         # partial allocations over the blocks so far:
         # (a's, b's, rest, weight, t-exponent, still a == b everywhere)
         partial = [((), (), (), 1, 0, True)]
         for bi, r in enumerate(state):
-            within = []
-            for a in range(r + 1):
-                for b in range(r - a + 1):
-                    d = 0
-                    if inc.pos_within[bi]:
-                        d += a * (a - 1) // 2 + b * (b - 1) // 2
-                    if inc.neg_within[bi]:
-                        d += a * b
-                    within.append((a, b, r - a - b, comb(r, a) * comb(r - a, b), d))
-            canonical = [o for o in within if o[0] >= o[1]]
+            within, canonical = self._pair_options(bi, r)
             # a hyperplane x_i = x_j (x_i = -x_j) across blocks holds when i, j
             # take the same (opposite) residue of the pair
-            cross = [
-                (bj, inc.pos_cross[(bj, bi)], inc.neg_cross[(bj, bi)]) for bj in range(bi)
-            ]
+            cross = self._cross[bi]
             grown = []
             for aa, bb, rest, weight, de, tied in partial:
                 at_c = at_minus_c = 0
@@ -273,9 +294,18 @@ class CountingModel:
         for _, _, rest, w, de, tied in partial:
             if rest != state:
                 merged[(rest, de)] = merged.get((rest, de), 0) + (w if tied else 2 * w)
-        out = [(rest, w, de) for (rest, de), w in merged.items()]
-        self._kernel[state] = out
-        return out
+        return [(rest, w, de) for (rest, de), w in merged.items()]
+
+    def _single_options(self, bi, r):
+        """Block ``bi``'s allocations (left, a, weight, t-exponent) of r
+        coordinates, a to c; built once per (block, size)."""
+        opts = self._options.get((bi, r))
+        if opts is None:
+            pw = self.incidence.pos_within[bi]
+            opts = self._options[(bi, r)] = [
+                (r - a, a, comb(r, a), pw * a * (a - 1) // 2) for a in range(r + 1)
+            ]
+        return opts
 
     def _alloc_single(self, state):
         """Every non-empty allocation of one residue c, a coordinates of each
@@ -285,27 +315,18 @@ class CountingModel:
         The t-exponent depends on the a's alone, which the rest determines, so
         there is one allocation per rest and nothing to merge.
         """
-        cached = self._kernel.get(state)
-        if cached is not None:
-            return cached
-        inc = self.incidence
         # partial allocations over the blocks so far: (rest, weight, t-exponent)
         partial = [((), 1, 0)]
         for bi, r in enumerate(state):
-            linked = [bj for bj in range(bi) if inc.pos_cross[(bj, bi)]]
-            within = [
-                (r - a, a, comb(r, a), inc.pos_within[bi] * a * (a - 1) // 2)
-                for a in range(r + 1)
-            ]
+            cross = self._cross[bi]  # every hyperplane here is x_i = x_j
+            within = self._single_options(bi, r)
             grown = []
             for rest, weight, de in partial:
-                at_c = sum([state[bj] - rest[bj] for bj in linked])
+                at_c = sum([state[bj] - rest[bj] for bj, _, _ in cross])
                 for left, a, w, d in within:
                     grown.append((rest + (left,), weight * w, de + d + a * at_c))
             partial = grown
-        out = partial[1:]  # partial[0] gives every a = 0, the empty allocation
-        self._kernel[state] = out
-        return out
+        return partial[1:]  # partial[0] gives every a = 0, the empty allocation
 
     def residue_profile(self):
         """F_u for u = 0, 1, ...: dense t-coefficient lists of the weight that
@@ -329,7 +350,6 @@ class CountingModel:
         """
         if self._profile is not None:
             return self._profile
-        alloc = self._alloc_single if self.stride == 1 else self._alloc_pair
         width = ((self.stride * self.m + 1) ** self.m).bit_length()
         mask = (1 << width) - 1
         states = {tuple(len(b) for b in self.blocks): 1}
@@ -338,8 +358,9 @@ class CountingModel:
             closed = 0
             nxt = defaultdict(int)
             for st, poly in states.items():
-                closed += poly << (self._zero_exponent(st) * width)
-                for st2, w, de in alloc(st):
+                de0, moves = self._step(st)
+                closed += poly << (de0 * width)
+                for st2, w, de in moves:
                     nxt[st2] += (poly * w) << (de * width)
             profile.append([(closed >> (e * width)) & mask for e in range(len(self.tuples) + 1)])
             states = nxt

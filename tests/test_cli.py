@@ -68,7 +68,27 @@ def test_json_round_trip_and_provenance(capsys, tmp_path):
     poly = BivariatePolynomial.from_json_dict(data)
     assert poly.evaluate(2, 2) == 2 ** 4
     assert data["provenance"]["engine"] == "ffmethod"
-    assert set(data["provenance"]) == {"engine", "system", "hyperplanes", "wall_time_s"}
+    assert set(data["provenance"]) == {"cache", "engine", "system", "hyperplanes", "wall_time_s"}
+    assert data["provenance"]["cache"] == "miss"
+
+
+def test_provenance_reports_a_cache_hit(capsys, tmp_path):
+    args = ("coboundary", "--type", "C", "--rank", "4", "--boxes", "[[1,4],[2,-3]]",
+            "--format", "json", "--cache-dir", str(tmp_path))
+    code1, out1, _ = run(capsys, *args)
+    (path,) = tmp_path.glob("*.json")
+    stored = path.read_bytes()
+    code2, out2, _ = run(capsys, *args)
+    assert code1 == code2 == 0
+    first, second = json.loads(out1), json.loads(out2)
+    assert first["provenance"]["cache"] == "miss" and second["provenance"]["cache"] == "hit"
+    assert first["terms"] == second["terms"]
+    # the hit replays the stored provenance; the entry itself never records a hit or miss
+    assert {k: v for k, v in second["provenance"].items() if k != "cache"} == json.loads(
+        stored)["provenance"]
+    assert path.read_bytes() == stored and "cache" not in json.loads(stored)["provenance"]
+    code3, out3, _ = run(capsys, *args[:-2], "--no-cache")
+    assert code3 == 0 and json.loads(out3)["provenance"]["cache"] == "miss"
 
 
 def test_verify_checks_direct_against_interpolation(capsys, monkeypatch):
@@ -119,6 +139,84 @@ def test_cache_determinism(capsys, tmp_path):
     code2, out2, _ = run(capsys, *args)
     assert code2 == 0
     assert json.loads(out1)["terms"] == json.loads(out2)["terms"]
+
+
+def test_cache_dir_under_a_regular_file_still_prints_the_result(capsys, tmp_path):
+    args = ("tutte", "--type", "B", "--rank", "3", "--full")
+    code, want, _ = run(capsys, *args, "--no-cache")
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    code, got, err = run(capsys, *args, "--cache-dir", str(blocker / "cache"))
+    assert code == 0 and got == want
+    assert err.startswith("warning: result not cached") and err.count("\n") == 1
+    assert blocker.read_text() == ""
+
+
+def test_cache_entry_that_cannot_be_replaced_leaves_no_temporary_file(capsys, tmp_path):
+    args = ("tutte", "--type", "G2", "--roots", "[[3,1],[3,2]]")
+    code, want, _ = run(capsys, *args, "--cache-dir", str(tmp_path / "first"))
+    (entry,) = (tmp_path / "first").glob("*.json")
+    # a directory where the entry belongs: the read is a miss, the replace fails
+    cache = tmp_path / "second"
+    (cache / entry.name).mkdir(parents=True)
+    code, got, err = run(capsys, *args, "--cache-dir", str(cache))
+    assert code == 0 and got == want and err.startswith("warning: result not cached")
+    assert [p.name for p in cache.iterdir()] == [entry.name]
+
+
+def _normalized(out):
+    """stdout with the wall time, which differs from run to run, left out."""
+    try:
+        body = json.loads(out)
+    except ValueError:
+        return out
+    body["provenance"].pop("wall_time_s")
+    return body
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys, tmp_path, monkeypatch):
+    from idealtutte import cli
+
+    g2 = ("--type", "G2", "--roots", "[[3,1],[3,2]]")
+    sequence = [
+        ("tutte", "--type", "B", "--rank", "3", "--full", "--format", "json"),
+        ("tutte", "--type", "B", "--rank", "3", "--full", "--no-such-option"),
+        ("coboundary", *g2, "--engine", "crapo", "--no-cache", "--format", "latex"),
+        ("tutte", "--type", "B", "--rank", "3", "--full"),
+        ("tutte", "--type", "B", "--rank", "3", "--full", "--boxes", "[[1,2]]"),
+        ("charpoly", *g2),
+    ]
+
+    def outcomes(cache):
+        seen = []
+        for argv in sequence:
+            if argv[0] != "charpoly" and "--no-cache" not in argv:
+                argv = (*argv, "--cache-dir", str(cache))
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            seen.append((code, _normalized(out.out), out.err))
+        return seen
+
+    shared = outcomes(tmp_path / "shared")
+    assert cli.build_parser() is cli.build_parser()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = outcomes(tmp_path / "fresh")
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0, 2, 0]
+    assert shared == fresh
+    # the json, latex and engine options of earlier calls do not carry over
+    assert isinstance(shared[0][1], dict) and isinstance(shared[3][1], str)
+    assert parse_polynomial(shared[3][1].strip()) == BivariatePolynomial.from_json_dict(
+        shared[0][1])
+    for argv in (sequence[0], sequence[2], sequence[3], sequence[5]):
+        got = vars(cli.build_parser().parse_args(list(argv)))
+        want = vars(cli.build_parser.__wrapped__().parse_args(list(argv)))
+        assert got.pop("func").__code__ is want.pop("func").__code__ and got == want
+    last = vars(cli.build_parser().parse_args(list(sequence[3])))
+    assert last["format"] == "text" and last["engine"] == "auto" and not last["no_cache"]
 
 
 def test_validation_error_exit_1(capsys):
