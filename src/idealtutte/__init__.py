@@ -5,8 +5,10 @@ Classical types go through the finite field method: one dynamic program over
 the blocks of exchangeable coordinates gives the coboundary polynomial
 directly, with no primes and no interpolation.  The same program's weighted
 point counts at odd q, and exhaustive point counts at q = 3, check it.
-Exceptional types go through the basis-activity formula.  A corank-nullity
-brute-force oracle cross-validates both.
+Exceptional types are read off the lattice of flats of their full
+arrangement, built once per root system, and checked against the
+basis-activity formula.  A corank-nullity brute-force oracle cross-validates
+all of them.
 """
 
 from .errors import (

@@ -417,7 +417,8 @@ def build_parser():
         one.add_argument("--full", action="store_true", help="the full arrangement (empty ideal)")
         p.add_argument(
             "--max-subsets", type=int, default=crapo.DEFAULT_MAX_BASIS_SUBSETS,
-            help="refuse more basis candidates (crapo) or subsets (oracle) than this",
+            help="refuse more basis candidates (crapo) or subsets (oracle) than "
+            "this; bounds only those two engines",
         )
         return one
 

@@ -213,26 +213,39 @@ def tutte_crapo(cfg, max_subsets=DEFAULT_MAX_BASIS_SUBSETS):
         t = BivariatePolynomial({(0, m): 1}, ("x", "y"))
     else:
         coords = cfg.pivot_coordinates()
-        # Hadamard bound on any minor of up to r nonzero integer rows (every
-        # such row has norm >= 1).  Every value the kernel forms is a minor,
-        # a partial sum of a dot product that equals a minor (bounded by the
-        # same product of norms), or a product of two minors: all under 2^60.
-        # Taken on Python ints: the coordinates need not fit int64.
-        max_abs = max(abs(x) for v in coords for x in v)
-        hadamard = max_abs  # a lower bound, enough to refuse
-        if max_abs <= 2 ** 30:
-            hadamard = prod(sorted(hypot(*v) for v in coords)[-r:])
-        if hadamard > 2 ** 30:
-            # int64 could overflow; the caller's guard already passed
-            t = tutte_crapo_exact(cfg, max_subsets=comb(m, r))
-        else:
+        if int64_safe(coords, r):
             t = BivariatePolynomial(_exchange_tally(coords, r), ("x", "y"))
+        else:
+            # the caller's guard already passed
+            t = tutte_crapo_exact(cfg, max_subsets=comb(m, r))
+    certify_tutte(t, m, r, "basis-activity sum")
+    return t
+
+
+def int64_safe(coords, r):
+    """Whether fraction-free int64 elimination on these integer coordinates
+    of rank r cannot overflow: their Hadamard bound is at most 2^30.
+
+    The bound holds for any minor of up to r nonzero integer rows (every such
+    row has norm >= 1).  Every value an elimination forms is a minor, a
+    partial sum of a dot product that equals a minor (bounded by the same
+    product of norms), or a product of two minors: all under 2^60.  Taken on
+    Python ints: the coordinates need not fit int64.
+    """
+    max_abs = max(abs(x) for v in coords for x in v)
+    if max_abs > 2 ** 30:  # a lower bound on the Hadamard bound, enough to refuse
+        return False
+    return prod(sorted(hypot(*v) for v in coords)[-r:]) <= 2 ** 30
+
+
+def certify_tutte(t, m, r, source):
+    """InconsistencyError unless the Tutte polynomial t of m elements of rank
+    r has T(2,2) = 2^m, x-degree at most r and y-degree at most m - r."""
     if t.evaluate(2, 2) != 2 ** m or t.degree(0) > r or t.degree(1) > m - r:
         raise InconsistencyError(
-            f"basis-activity sum of {m} elements of rank {r} fails T(2,2) = 2^m "
+            f"{source} of {m} elements of rank {r} fails T(2,2) = 2^m "
             f"or the degree bounds: {t}"
         )
-    return t
 
 
 def tutte_crapo_exact(cfg, max_subsets=DEFAULT_MAX_BASIS_SUBSETS):
@@ -355,9 +368,8 @@ def _bases(W, r):
     block of prefixes at a time.  A prefix of k rows carries a fraction-free
     (Bareiss) basis N of the vectors orthogonal to them, r - k integer rows
     whose entries are k x k minors of W, and the pivot d of its last step.
-    Row x extends the prefix exactly when u = N W[x] is nonzero; then with the
-    first nonzero u_s, every N_t becomes (u_s N_t - u_t N_s) / d (exact, by
-    Sylvester's identity), row s is dropped and d becomes u_s.  A prefix with
+    Row x extends the prefix exactly when u = N W[x] is nonzero; then one
+    ``bareiss_step`` gives the grown prefix's N and d.  A prefix with
     no extension is dropped with every superset, and prefixes that could not
     be completed to r rows are never made.
     """
@@ -386,12 +398,26 @@ def _bases(W, r):
             count += len(grown)
             _check_kernel_bytes(4 * r * count, m, r)
             continue
-        n, u = normals[pi], u[pi, :, x]
-        s = (u != 0).argmax(axis=1)
-        at = np.arange(len(s))
-        us = u[at, s]
-        n = us[:, None, None] * n - u[:, :, None] * n[at, s][:, None, :]
-        n //= pivots[pi, None, None]  # exact
-        n = n[np.arange(r - k) != s[:, None]].reshape(len(s), r - k - 1, r)
-        stack.append((grown, n, us))
+        stack.append((grown, *bareiss_step(normals[pi], u[pi, :, x], pivots[pi])))
     return found
+
+
+def bareiss_step(normals, u, pivots):
+    """One fraction-free elimination step on a batch of normal bases.
+
+    ``normals`` is (n, k, r): each entry a basis of the vectors orthogonal to
+    some set of rows, whose last step had pivot ``pivots`` (n,).  ``u`` is
+    (n, k): the images N w of one new vector w per entry, each nonzero.  With
+    the first nonzero u_s, every N_t becomes (u_s N_t - u_t N_s) / d (exact,
+    by Sylvester's identity) and row s is dropped.  Returns the (n, k - 1, r)
+    normals orthogonal to the rows and w, and the new pivots u_s.
+    """
+    import numpy as np
+
+    n, k, r = normals.shape
+    s = (u != 0).argmax(axis=1)
+    at = np.arange(n)
+    us = u[at, s]
+    out = us[:, None, None] * normals - u[:, :, None] * normals[at, s][:, None, :]
+    out //= pivots[:, None, None]  # exact
+    return out[np.arange(k) != s[:, None]].reshape(n, k - 1, r), us

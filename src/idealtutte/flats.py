@@ -1,0 +1,229 @@
+"""The lattice of flats of a full exceptional arrangement, and the coboundary
+polynomial of every one of its ideals read off it.
+
+Every ideal arrangement D is a subarrangement of its root system's full
+arrangement M, of rank r.  Grouping Ardila's point count of Crapo's
+coboundary polynomial by the flat of M on which each point lies gives, for
+every D,
+
+    q^(r - r(D)) chi-bar_D(q, t) = sum over flats F of M of chi_{M/F}(q) t^|F & D|,
+
+where chi_{M/F}(q) = q^(r - r(F)) - sum over flats G > F of chi_{M/G}(q)
+counts the points on F and on no larger flat.  (Expand t^|F & D| as the sum
+of (t-1)^|S| over S in F & D; the flats above the closure of S contribute
+q^(r - r(S)), which is Crapo's subset expansion.)  So one lattice per root
+system serves all its ideals: ``flat_lattice`` builds it on the first request
+and keeps it for the process, and each ideal then costs one pass over the
+flats' bitmasks.  G2 has 8 flats, F4 268 and E6 4598.
+"""
+
+from __future__ import annotations
+
+import functools
+
+from . import crapo
+from .errors import GuardExceeded, InconsistencyError
+from .exactpoly import BivariatePolynomial, UnivariatePolynomial, coboundary_to_tutte
+from .ideals import ideal_from_mask
+from .rootsystems import root_poset
+from .specialize import ideal_exponents
+
+# every coefficient the engine forms is at most 3^m in absolute value (the
+# coefficients of sum_S q^(r - r(S)) (t-1)^|S| over the subsets S of m
+# vectors add up to at most sum_S 2^|S| = 3^m), under 2^63 for m <= 39; int64
+# sums that wrap on the way still end exact
+MAX_VECTORS = 39
+
+
+class FlatLattice:
+    """The flats of a vector configuration of rank ``rank``, by rank.
+
+    ``masks`` (uint64) has bit i set when vector i lies on the flat,
+    ``ranks`` the rank of each flat (weakly increasing, so the least flat
+    comes first and the whole configuration last), and ``chi[F, j]`` (int64)
+    is the coefficient of q^j in chi_{M/F}(q).  Few of those rows differ
+    (12 of E6's 4598): ``kinds`` holds each distinct row once and ``kind``
+    the row of each flat.
+    """
+
+    def __init__(self, masks, ranks, chi):
+        import numpy as np
+
+        self.masks, self.ranks, self.chi = masks, ranks, chi
+        self.rank = chi.shape[1] - 1
+        index = {}
+        self.kind = np.array(_kinds(chi, index), dtype=np.intp)
+        self.kinds = np.array(list(index), dtype=np.int64).reshape(len(index), -1)
+
+    def __len__(self):
+        return len(self.masks)
+
+    def restrict(self, mask):
+        """(chi-bar_D(q, t), r(D)) of the subconfiguration D whose vectors are
+        the bits of ``mask``.
+
+        r(D) is the rank of the smallest flat containing D.  The sum over the
+        flats is binned by |F & D| and must vanish below q^(r - r(D)), which
+        is divided out; InconsistencyError otherwise.
+        """
+        import numpy as np
+
+        counts = np.bitwise_count(self.masks & np.uint64(mask)).astype(np.intp)
+        m = mask.bit_count()
+        # the flats holding all of D; the first of them has the least rank
+        rank = int(self.ranks[np.argmax(counts == m)])
+        # table[j] sums the chi rows of the flats F with |F & D| = j: flats
+        # counted by (j, kind), times the distinct rows
+        k = len(self.kinds)
+        hist = np.bincount(counts * k + self.kind, minlength=(m + 1) * k)
+        table = hist.reshape(m + 1, k) @ self.kinds
+        shift = self.rank - rank
+        if table[:, :shift].any():
+            raise InconsistencyError(
+                f"flat sum of {m} elements of rank {rank} is not divisible by "
+                f"q^{shift}"
+            )
+        ts, qs = np.nonzero(table)
+        coeffs = zip((qs - shift).tolist(), ts.tolist(), table[ts, qs].tolist())
+        return BivariatePolynomial({(a, b): c for a, b, c in coeffs}, ("q", "t")), rank
+
+
+def build_lattice(vectors):
+    """The ``FlatLattice`` of a configuration of at most ``MAX_VECTORS``
+    integer vectors.
+
+    Works on the vectors restricted to their pivot columns (the same
+    matroid, in r coordinates) and enumerates the flats bottom up.  A flat F
+    carries a basis B_F of its own vectors and a fraction-free basis N_F of
+    the vectors orthogonal to it, so the images N_F w of the vectors w off F
+    are nonzero, and the covers of F are their parallel classes: one sort
+    per rank groups the primitive, sign-normalized images, and each new flat
+    takes one ``crapo.bareiss_step`` from the first pair that reaches it.
+    Then ``_characteristic_rows`` fills chi_{M/F} top down.  Raises
+    ``GuardExceeded`` for more than ``MAX_VECTORS`` vectors or coordinates
+    whose eliminations could overflow int64, and ``InconsistencyError``
+    unless the chi_{M/F} sum to q^r.
+    """
+    import numpy as np
+
+    cfg = crapo.VectorConfig(vectors)
+    m, r = len(cfg), cfg.rank
+    coords = cfg.pivot_coordinates()
+    if m > MAX_VECTORS or (r and not crapo.int64_safe(coords, r)):
+        raise GuardExceeded(
+            f"flats of {m} vectors of rank {r} need at most {MAX_VECTORS} vectors "
+            "whose eliminations fit int64"
+        )
+    W = np.array(coords, dtype=np.int64).reshape(m, r)
+    bits = np.left_shift(np.uint64(1), np.arange(m, dtype=np.uint64))
+    # the least flat holds the zero vectors
+    levels = [np.bitwise_or.reduce(bits[~W.any(axis=1)], keepdims=True)]
+    bases = [np.zeros((1, 0), dtype=np.intp)]
+    normals = np.eye(r, dtype=np.int64)[None]
+    pivots = np.ones(1, dtype=np.int64)
+    for _ in range(r):
+        u = normals @ W.T  # (flats, r - k, m): each vector's image off each flat
+        f, y = np.nonzero(u.any(axis=1))
+        img = u[f, :, y]
+        img //= np.gcd.reduce(img, axis=1)[:, None]
+        img *= np.sign(img[np.arange(len(img)), (img != 0).argmax(axis=1)])[:, None]
+        # the parallel classes: equal (flat, primitive image) rows
+        key = np.column_stack((f, img))
+        order = np.lexsort(key.T[::-1])
+        key = key[order]
+        start = np.flatnonzero(np.r_[True, (key[1:] != key[:-1]).any(axis=1)])
+        covers = np.bitwise_or.reduceat(bits[y[order]], start) | levels[-1][f[order[start]]]
+        level, first = np.unique(covers, return_index=True)
+        pair = order[start[first]]
+        f, y = f[pair], y[pair]
+        normals, pivots = crapo.bareiss_step(normals[f], u[f, :, y], pivots[f])
+        levels.append(level)
+        bases.append(np.column_stack((bases[-1][f], y)))
+    chi = _characteristic_rows(levels, bases, m)
+    if chi.sum(axis=0).tolist() != [0] * r + [1]:
+        raise InconsistencyError(f"the chi_(M/F) of {m} vectors do not sum to q^{r}")
+    ranks = np.repeat(np.arange(r + 1), [len(level) for level in levels])
+    return FlatLattice(np.concatenate(levels), ranks, chi)
+
+
+def _characteristic_rows(levels, bases, m):
+    """chi[F, j], the coefficient of q^j in chi_{M/F}(q) = q^(r - r(F)) minus
+    the chi_{M/G} of every flat G strictly above F, filled top down, for the
+    flats of each rank (``levels``, uint64 masks over m vectors) with a basis
+    of each (``bases``).
+
+    A flat G contains F exactly when it holds F's basis, so the flats above F
+    are the AND of the bitsets, over the flats above, of F's basis vectors;
+    their chi rows are summed as a count per distinct row.
+    """
+    import numpy as np
+
+    r = len(levels) - 1
+    chi = np.zeros((sum(map(len, levels)), r + 1), dtype=np.int64)
+    kind = np.zeros(len(chi), dtype=np.intp)
+    index = {}  # distinct chi row -> kind
+    vectors = np.arange(m, dtype=np.uint64)[:, None]
+    hi = len(chi)
+    for k in range(r, -1, -1):
+        lo = hi - len(levels[k])
+        above = np.concatenate(levels[k + 1 :] or [np.zeros(0, dtype=np.uint64)])
+        # holds[v]: bit j set when vector v lies on the j-th flat above
+        holds = _bitsets((above >> vectors) & np.uint64(1))
+        of_kind = _bitsets(kind[hi:] == np.arange(len(index))[:, None])
+        up = np.bitwise_and.reduce(holds[bases[k]], axis=1)
+        counts = np.bitwise_count(up[:, None, :] & of_kind).sum(axis=2, dtype=np.int64)
+        rows = np.array(list(index), dtype=np.int64).reshape(len(index), r + 1)
+        chi[lo:hi] = -(counts @ rows)
+        chi[lo:hi, r - k] = 1
+        kind[lo:hi] = _kinds(chi[lo:hi], index)
+        hi = lo
+    return chi
+
+
+def _bitsets(rows):
+    """Each row of a 0/1 matrix as a bitset in uint64 words."""
+    import numpy as np
+
+    packed = np.packbits(rows.astype(bool), axis=1, bitorder="little")
+    return np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
+
+
+def _kinds(rows, index):
+    """The number of each row in ``index``, adding the rows it lacks."""
+    return [index.setdefault(row, len(index)) for row in map(tuple, rows.tolist())]
+
+
+@functools.cache
+def flat_lattice(rst):
+    """The ``FlatLattice`` of the full arrangement of a root system (the
+    engine serves G2, F4 and E6), over its simple coordinates in root-poset
+    order, built on the first call and kept for the process.
+
+    Besides the build's own check, chi_M(q) must split as prod (q - e_i) over
+    the exponents of the empty ideal; InconsistencyError otherwise.
+    """
+    poset = root_poset(rst)
+    lattice = build_lattice([root.simple_coords for root in poset.roots])
+    want = UnivariatePolynomial([1])
+    for e in ideal_exponents(ideal_from_mask(poset, 0)).exponents:
+        want = want * UnivariatePolynomial([-e, 1])
+    if UnivariatePolynomial(lattice.chi[0].tolist()) != want:
+        raise InconsistencyError(
+            f"chi of the full {rst} arrangement is not {want.to_text()}"
+        )
+    return lattice
+
+
+def coboundary(ideal):
+    """The coboundary polynomial chi-bar(q, t) of an exceptional ideal arrangement."""
+    return flat_lattice(ideal.rst).restrict(ideal.complement_mask())[0]
+
+
+def tutte(ideal):
+    """The Tutte polynomial of an exceptional ideal arrangement, transformed
+    from its coboundary polynomial and checked like ``crapo.tutte_crapo``'s."""
+    mask = ideal.complement_mask()
+    cb, rank = flat_lattice(ideal.rst).restrict(mask)
+    t = coboundary_to_tutte(cb, rank)
+    crapo.certify_tutte(t, mask.bit_count(), rank, "flat-lattice sum")
+    return t

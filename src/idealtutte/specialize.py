@@ -1,8 +1,8 @@
 """Derived quantities: characteristic polynomials, region counts, ideal
 exponents from the height partition, and the exponent-factorization
 cross-check.  Also hosts the one engine dispatcher, ``resolve_engine``, which
-picks the finite-field pipeline for classical types and the basis-activity
-formula for exceptional ones.
+picks the finite-field pipeline for classical types and the lattice of flats
+for exceptional ones.
 """
 
 from __future__ import annotations
@@ -49,22 +49,24 @@ def ideal_exponents(ideal):
     return IdealExponents(tuple(lam_sorted), tuple(sorted(exps, reverse=True)))
 
 
-ENGINES = ("auto", "ffmethod", "crapo", "oracle")
+ENGINES = ("auto", "ffmethod", "flats", "crapo", "oracle")
 
 
 def resolve_engine(engine, rst):
     """The engine that computes for ``engine`` on the root system ``rst``.
 
-    auto is the finite-field pipeline on classical types and the
-    basis-activity formula on exceptional ones.  ConstraintError for an
-    unknown engine and for ffmethod on an exceptional type.
+    auto is the finite-field pipeline on classical types and the lattice of
+    flats on exceptional ones.  ConstraintError for an unknown engine, for
+    ffmethod on an exceptional type and for flats on a classical one.
     """
     if engine not in ENGINES:
         raise ConstraintError(f"unknown engine {engine!r}")
     if engine == "auto":
-        engine = "ffmethod" if rst.is_classical else "crapo"
+        engine = "ffmethod" if rst.is_classical else "flats"
     elif engine == "ffmethod" and not rst.is_classical:
         raise ConstraintError(f"engine ffmethod rejects exceptional type {rst.family}")
+    elif engine == "flats" and rst.is_classical:
+        raise ConstraintError(f"engine flats rejects classical type {rst.family}")
     return engine
 
 
@@ -72,14 +74,19 @@ def tutte_of_ideal(ideal, engine="auto", max_subsets=None):
     """Tutte polynomial of an ideal arrangement by the requested engine.
 
     auto routes classical types through the finite-field pipeline and
-    exceptional types through the basis-activity formula (as decided by
-    ``resolve_engine``); oracle forces the corank-nullity expansion.
-    ``max_subsets`` bounds the basis candidates (crapo) or the subsets
-    (oracle) before any work is done.
+    exceptional types through the lattice of flats (as decided by
+    ``resolve_engine``); crapo forces the basis-activity formula and oracle
+    the corank-nullity expansion.  ``max_subsets`` bounds the basis
+    candidates (crapo) or the subsets (oracle) before any work is done; the
+    other engines ignore it.
     """
     engine = resolve_engine(engine, ideal.rst)
     if engine == "ffmethod":
         return ffmethod.tutte_via_ffmethod(ideal)
+    if engine == "flats":
+        from . import flats  # flats imports this module
+
+        return flats.tutte(ideal)
     comp_roots = ideal.complement_roots()
     vectors = [r.simple_coords for r in comp_roots]
     cfg = crapo.VectorConfig(vectors, dim=ideal.rst.rank)
@@ -92,14 +99,18 @@ def tutte_of_ideal(ideal, engine="auto", max_subsets=None):
 def coboundary_of_ideal(ideal, engine="auto", max_subsets=None):
     """Coboundary polynomial of an ideal arrangement.
 
-    The finite-field pipeline (auto on classical types) gives it directly;
-    otherwise the Tutte polynomial is computed first, under the same
-    ``max_subsets`` guard as ``tutte_of_ideal``, and converted through
-    ``exactpoly.tutte_to_coboundary``.
+    The finite-field pipeline and the lattice of flats (auto on classical
+    and on exceptional types) give it directly; otherwise the Tutte
+    polynomial is computed first, under the same ``max_subsets`` guard as
+    ``tutte_of_ideal``, and converted through ``exactpoly.tutte_to_coboundary``.
     """
     engine = resolve_engine(engine, ideal.rst)
     if engine == "ffmethod":
         return ffmethod.coboundary_polynomial(ideal)
+    if engine == "flats":
+        from . import flats  # flats imports this module
+
+        return flats.coboundary(ideal)
     tutte = tutte_of_ideal(ideal, engine=engine, max_subsets=max_subsets)
     return tutte_to_coboundary(tutte, arrangement_of(ideal).rank)
 

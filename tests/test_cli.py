@@ -8,6 +8,7 @@ from importlib.resources import files
 import jsonschema
 import pytest
 
+from conftest import IDEAL_E
 from idealtutte.cli import main, parse_ideal_spec
 from idealtutte.errors import ConstraintError
 from idealtutte.exactpoly import BivariatePolynomial, latex_is_wellformed, parse_polynomial
@@ -352,12 +353,47 @@ def test_charpoly_command(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "argv",
-    [("tutte", "--no-cache"), ("coboundary", "--no-cache"), ("charpoly",), ("verify",)],
+    [
+        ("tutte", "--engine", "crapo", "--no-cache"),
+        ("coboundary", "--engine", "crapo", "--no-cache"),
+        ("charpoly", "--engine", "crapo"),
+        ("verify", "--engines", "crapo,oracle"),
+    ],
 )
 def test_max_subsets_guard_on_every_polynomial_command(capsys, argv):
     # C(24, 4) = 10626 basis candidates exceed the guard of 100 before any work
     code, out, err = run(capsys, *argv, "--type", "F4", "--full", "--max-subsets", "100")
     assert code == 2 and not out and "10626" in err
+
+
+def test_max_subsets_guard_leaves_auto_on_exceptional_types(capsys):
+    # auto reads F4 off its lattice of flats: no bases, so nothing to refuse
+    code, out, _ = run(
+        capsys, "charpoly", "--type", "F4", "--full", "--max-subsets", "100"
+    )
+    assert code == 0 and out.strip() == "q^4 - 24q^3 + 190q^2 - 552q + 385"
+
+
+def test_flats_engine_rejects_classical_types(capsys):
+    code, out, err = run(
+        capsys, "tutte", "--type", "B", "--rank", "3", "--full", "--engine", "flats",
+        "--no-cache",
+    )
+    assert code == 1 and not out and "flats rejects classical type B" in err
+
+
+def test_verify_f4_all_ideals_against_crapo(capsys):
+    code, out, _ = run(capsys, "verify", "--type", "F4", "--all-ideals", "--engines", "auto,crapo")
+    assert code == 0
+    assert out.strip() == "verified 105 ideal(s) of F4 across engines auto, crapo"
+
+
+def test_json_provenance_names_the_flats_engine(capsys, tmp_path):
+    code, out, _ = run(
+        capsys, "tutte", "--type", "E6", "--roots", json.dumps([list(c) for c in IDEAL_E]),
+        "--format", "json", "--cache-dir", str(tmp_path),
+    )
+    assert code == 0 and json.loads(out)["provenance"]["engine"] == "flats"
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,149 @@
+"""The lattice-of-flats engine against Crapo's basis activities: every G2 and
+F4 ideal, the worked E6 ideal, E6 full and a fixed sample of E6 ideals, plus
+a Hypothesis property on random integer configurations and the build's
+certificates."""
+
+import random
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from conftest import IDEAL_E, exceptional_ideal, load_poly
+from idealtutte import flats
+from idealtutte.crapo import VectorConfig, tutte_crapo
+from idealtutte.errors import ConstraintError, GuardExceeded, InconsistencyError
+from idealtutte.exactpoly import coboundary_to_tutte, tutte_to_coboundary
+from idealtutte.ideals import arrangement_of, enumerate_ideals, ideal_from_mask
+from idealtutte.rootsystems import root_poset, root_system_type
+from idealtutte.specialize import (
+    coboundary_of_ideal,
+    resolve_engine,
+    tutte_of_ideal,
+)
+
+
+def _ideals(family):
+    return enumerate_ideals(root_poset(root_system_type(family)))
+
+
+def _e6_cases():
+    e6 = _ideals("E6")
+    full = ideal_from_mask(e6[0].poset, 0)
+    return [exceptional_ideal("E6", IDEAL_E), full, *random.Random(14).sample(e6, 40)]
+
+
+def _assert_engines_agree(ideal):
+    want = tutte_of_ideal(ideal, engine="crapo")
+    assert tutte_of_ideal(ideal, engine="flats") == want
+    rank = arrangement_of(ideal).rank
+    assert coboundary_of_ideal(ideal, engine="flats") == tutte_to_coboundary(want, rank)
+
+
+@pytest.mark.parametrize("family, count", [("G2", 8), ("F4", 105)])
+def test_flats_equal_crapo_on_every_ideal(family, count):
+    ideals = _ideals(family)
+    assert len(ideals) == count
+    for ideal in ideals:
+        _assert_engines_agree(ideal)
+
+
+def test_flats_equal_crapo_on_e6():
+    cases = _e6_cases()
+    assert len(set(cases)) == 42
+    for ideal in cases:
+        _assert_engines_agree(ideal)
+    assert tutte_of_ideal(cases[0]) == load_poly("tutte_ie.txt", ("x", "y"))
+
+
+@pytest.mark.parametrize(
+    "family, per_rank",
+    [
+        ("G2", [1, 6, 1]),
+        ("F4", [1, 24, 122, 120, 1]),
+        ("E6", [1, 36, 390, 1530, 2001, 639, 1]),
+    ],
+)
+def test_lattice_sizes(family, per_rank):
+    lattice = flats.flat_lattice(root_system_type(family))
+    assert len(lattice) == sum(per_rank)
+    assert np.bincount(lattice.ranks).tolist() == per_rank
+
+
+def test_auto_is_flats_on_exceptional_types_only():
+    for family in ("G2", "F4", "E6"):
+        assert resolve_engine("auto", root_system_type(family)) == "flats"
+    with pytest.raises(ConstraintError, match="flats rejects classical type B"):
+        resolve_engine("flats", root_system_type("B", 3))
+
+
+def test_lattice_is_built_on_first_request_only():
+    code = (
+        "import idealtutte\n"
+        "from idealtutte import flats, rootsystems\n"
+        "for f in ('G2', 'F4', 'E6'):\n"
+        "    rootsystems.root_poset(rootsystems.root_system_type(f))\n"
+        "assert flats.flat_lattice.cache_info().currsize == 0\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+@pytest.mark.parametrize(
+    "rows, error", [((5,), "do not sum to q"), ((0, 5), "arrangement is not q")]
+)
+def test_corrupt_chi_row_fails_the_build_certificate(monkeypatch, rows, error):
+    # one row off breaks the sum of chi_{M/F} = q^r; moving q from one row to
+    # the bottom one keeps that sum and breaks chi_M = prod (q - e_i)
+    real = flats._characteristic_rows
+
+    def corrupt(masks, ranks, r):
+        chi = real(masks, ranks, r)
+        chi[rows[0], 1] += 1
+        if len(rows) > 1:
+            chi[rows[1], 1] -= 1
+        return chi
+
+    monkeypatch.setattr(flats, "_characteristic_rows", corrupt)
+    with pytest.raises(InconsistencyError, match=error):
+        flats.flat_lattice.__wrapped__(root_system_type("F4"))
+
+
+def test_guard_refuses_what_int64_cannot_hold():
+    with pytest.raises(GuardExceeded):
+        flats.build_lattice([(1, i) for i in range(flats.MAX_VECTORS + 1)])
+    with pytest.raises(GuardExceeded):
+        flats.build_lattice([(2 ** 20, 1), (1, 2 ** 20)])
+
+
+@st.composite
+def configurations(draw):
+    """Up to 9 vectors of full rank in dimension 1-4: random small entries,
+    with parallel copies and zero vectors among them, and a subset mask."""
+    dim = draw(st.integers(1, 4))
+    entries = st.integers(-3, 3)
+    vectors = []
+    for _ in range(draw(st.integers(dim, 9))):
+        kind = draw(st.sampled_from(("random", "random", "parallel", "zero")))
+        if kind == "zero":
+            v = [0] * dim
+        elif kind == "parallel" and vectors:
+            v = [draw(st.sampled_from((-2, -1, 2))) * x for x in draw(st.sampled_from(vectors))]
+        else:
+            v = draw(st.lists(entries, min_size=dim, max_size=dim))
+        vectors.append(tuple(v))
+    assume(VectorConfig(vectors).rank == dim)
+    mask = draw(st.integers(0, (1 << len(vectors)) - 1))
+    return vectors, mask
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=configurations())
+def test_flat_sum_matches_crapo_on_random_subsets(case):
+    vectors, mask = case
+    sub = VectorConfig([v for i, v in enumerate(vectors) if mask >> i & 1], dim=len(vectors[0]))
+    cb, rank = flats.build_lattice(vectors).restrict(mask)
+    assert rank == sub.rank
+    assert coboundary_to_tutte(cb, rank) == tutte_crapo(sub)
