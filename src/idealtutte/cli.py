@@ -4,11 +4,16 @@ engines, verify engine pairs, emit JSON/LaTeX/text, and cache results.
 The argument parser is built on the first ``main`` call and reused by every
 later one in the process (``build_parser``); the polynomial commands report
 in their JSON provenance whether the result came from the cache, and a cache
-that cannot be written costs only a warning on stderr.
+that cannot be written costs only a warning on stderr.  Ideal specs are
+checked against the packaged ``schemas/ideal-spec.schema.json`` by a
+plain-Python check compiled from it once per process (``schemacheck``);
+jsonschema is not imported.
 
-Exit codes: 0 success, 1 validation error, 2 guard refusal or usage error
-(argparse: an unknown option, or not exactly one ideal input), 3 verification
-mismatch, 141 (128 + SIGPIPE) standard output closed early by its reader.
+Exit codes: 0 success, 1 validation error (or an ``--ideal-file`` that
+cannot be read, or an ``--out`` file that cannot be written), 2 guard refusal
+or usage error (argparse: an unknown option, or not exactly one ideal input),
+3 verification mismatch, 141 (128 + SIGPIPE) standard output closed early by
+its reader.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from .rootsystems import (
     root_poset,
     root_system_type,
 )
+from .schemacheck import packaged_check
 
 FORMAT_CHOICES = ("json", "latex", "text")
 LISTING_FORMATS = ("json", "text")  # roots, ideals and minors print no LaTeX
@@ -53,25 +59,12 @@ CACHE_ENV = "TUTTE_CACHE_DIR"
 CACHE_VERSION = "2"
 
 
-@functools.cache
-def _schema_validator(name):
-    """A Draft-7 validator for the packaged schema ``schemas/<name>``, built once."""
-    from importlib.resources import files
-
-    import jsonschema
-
-    schema = json.loads((files(__package__) / "schemas" / name).read_text())
-    return jsonschema.Draft7Validator(schema)
-
-
 def parse_ideal_spec(data):
     """Turn an ideal-spec dict, validated against schemas/ideal-spec.schema.json,
     into an Ideal."""
-    from jsonschema.exceptions import best_match
-
-    error = best_match(_schema_validator("ideal-spec.schema.json").iter_errors(data))
-    if error is not None:
-        raise ConstraintError(f"ideal spec rejected by schema: {error}")
+    failure = packaged_check("ideal-spec.schema.json")(data)
+    if failure is not None:
+        raise ConstraintError(f"ideal spec rejected by schema: {failure}")
     rst = root_system_type(data["type"], data.get("rank"))
     poset = root_poset(rst)
     has_boxes = "generating_boxes" in data
@@ -485,13 +478,21 @@ def main(argv=None):
         # devnull so the flush at interpreter exit stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except OSError as exc:
+        # an --ideal-file that cannot be read or an --out that cannot be
+        # written; BrokenPipeError is an OSError, so its branch comes first
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except VerificationMismatch as exc:
         print(f"verification mismatch: {exc}", file=sys.stderr)
         return 3
     except GuardExceeded as exc:
         print(f"guard refused: {exc}", file=sys.stderr)
         return 2
-    except (ConstraintError, UnsupportedTypeError, IdealTutteError, json.JSONDecodeError) as exc:
+    except (
+        ConstraintError, UnsupportedTypeError, IdealTutteError,
+        json.JSONDecodeError, UnicodeDecodeError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

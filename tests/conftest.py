@@ -1,4 +1,6 @@
+import json
 import pathlib
+from importlib.resources import files
 
 import pytest
 
@@ -7,6 +9,11 @@ from idealtutte.ideals import ideal_from_boxes, ideal_from_root_coords
 from idealtutte.rootsystems import root_poset, root_system_type
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+
+def packaged_schema(name):
+    """The packaged JSON schema ``idealtutte/schemas/<name>``."""
+    return json.loads((files("idealtutte") / "schemas" / name).read_text())
 
 # the worked classical examples: generating boxes of the ideal complements
 WORKED_CLASSICAL = {

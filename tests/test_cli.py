@@ -1,14 +1,14 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
-from importlib.resources import files
 
 import jsonschema
 import pytest
 
-from conftest import IDEAL_E
+from conftest import IDEAL_E, packaged_schema
 from idealtutte.cli import main, parse_ideal_spec
 from idealtutte.errors import ConstraintError
 from idealtutte.exactpoly import BivariatePolynomial, latex_is_wellformed, parse_polynomial
@@ -293,32 +293,34 @@ def test_ideal_file_of_another_system_exit_1(capsys, tmp_path, system):
 
 
 def test_parse_ideal_spec_schema_rejects_junk():
-    with pytest.raises(Exception):
+    with pytest.raises(ConstraintError, match="rejected by schema"):
         parse_ideal_spec({"type": "B", "rank": 6, "extra": 1})
-    with pytest.raises(Exception):
+    with pytest.raises(ConstraintError, match="rejected by schema"):
         parse_ideal_spec({"type": "Z"})
 
 
-@pytest.mark.parametrize("spec", [
-    {"type": "B", "rank": 6, "extra": 1},
-    {"type": "Z"},
-    {"type": "B", "rank": 0, "generating_boxes": [[1, 2]]},
-    {"type": "B", "rank": 3, "generating_boxes": [[1, 2, 3]]},
-    {"type": "G2", "roots": [[-1, 0]]},
-    {"rank": 3, "generating_boxes": [[1, 2]]},
-    [1, 2],
-])
-def test_ideal_specs_are_checked_against_the_schema(capsys, tmp_path, spec):
-    with pytest.raises(ConstraintError, match="rejected by schema"):
+# each rejected spec with the location its rejection names
+REJECTED_SPECS = [
+    ({"type": "B", "rank": 6, "extra": 1}, "$"),
+    ({"type": "Z"}, "$.type"),
+    ({"type": "B", "rank": 0, "generating_boxes": [[1, 2]]}, "$.rank"),
+    ({"type": "B", "rank": 3, "generating_boxes": [[1, 2, 3]]}, "$.generating_boxes[0]"),
+    ({"type": "G2", "roots": [[-1, 0]]}, "$.roots[0][0]"),
+    ({"rank": 3, "generating_boxes": [[1, 2]]}, "$"),
+    ([1, 2], "$"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, where", REJECTED_SPECS, ids=[f"spec{i}" for i in range(len(REJECTED_SPECS))]
+)
+def test_ideal_specs_are_checked_against_the_schema(capsys, tmp_path, spec, where):
+    with pytest.raises(ConstraintError, match=f"rejected by schema: {re.escape(where)}: "):
         parse_ideal_spec(spec)
     path = tmp_path / "ideal.json"
     path.write_text(json.dumps(spec))
     code, out, err = run(capsys, "tutte", "--type", "B", "--ideal-file", str(path), "--no-cache")
     assert code == 1 and not out and "rejected by schema" in err
-
-
-def packaged_schema(name):
-    return json.loads((files("idealtutte") / "schemas" / name).read_text())
 
 
 @pytest.mark.parametrize("name", ["ideal-spec.schema.json", "polynomial.schema.json"])
@@ -477,12 +479,17 @@ def test_commands_refuse_options_they_do_not_read(capsys, command, option):
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
-def _cli_process(argv, stdout):
+def _src_env():
+    """The environment of a fresh interpreter that imports this checkout's package."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def _cli_process(argv, stdout):
     return subprocess.Popen(
         [sys.executable, "-m", "idealtutte.cli", *argv],
-        env=env, stdout=stdout, stderr=subprocess.PIPE,
+        env=_src_env(), stdout=stdout, stderr=subprocess.PIPE,
     )
 
 
@@ -509,3 +516,33 @@ def test_short_listing_into_a_closed_pipe():
     err = proc.stderr.read()
     assert proc.wait(timeout=120) == 141
     assert err == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ("tutte", "--type", "B", "--rank", "3", "--ideal-file", "{tmp}/missing/ideal.json", "--no-cache"),
+    ("tutte", "--type", "B", "--rank", "3", "--ideal-file", "{tmp}/latin1.json", "--no-cache"),
+    ("tutte", "--type", "B", "--rank", "3", "--full", "--out", "{tmp}/missing/t.txt", "--no-cache"),
+    ("charpoly", "--type", "B", "--rank", "3", "--full", "--out", "{tmp}/missing/chi.txt"),
+])
+def test_unreadable_ideal_file_or_unwritable_out_exits_1(tmp_path, argv):
+    (tmp_path / "latin1.json").write_bytes('{"type": "B", "roots": "\xe9"}'.encode("latin-1"))
+    proc = _cli_process([a.format(tmp=tmp_path) for a in argv], subprocess.PIPE)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1 and out == b""
+    assert "Traceback" not in err.decode()
+    lines = err.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_one_shot_request_imports_neither_jsonschema_nor_numpy():
+    code = (
+        "import sys\n"
+        "from idealtutte import cli\n"
+        "argv = ['tutte', '--type', 'B', '--rank', '4', '--roots', '[[1,2,2,2]]', '--no-cache']\n"
+        "assert cli.main(argv) == 0\n"
+        "loaded = {'jsonschema', 'numpy'} & sys.modules.keys()\n"
+        "assert not loaded, loaded\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", code], env=_src_env(), check=True, stdout=subprocess.DEVNULL
+    )
