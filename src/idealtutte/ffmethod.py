@@ -15,6 +15,13 @@ or x_i = 0, else one residue c (s = 1), since x_i = x_j alone never relates
 distinct residues.  A step left empty changes nothing, so the program records
 only non-empty steps; the count at any odd p, and chi-bar(q, t) itself, follow
 from that record by the binomial weights C((p-1)/s, u).
+
+A step that takes a_i coordinates of block i to c and b_i to p-c has weight
+C(r_i, a_i) C(r_i - a_i, b_i) = C(r_i, m_i) C(m_i, a_i), m_i = a_i + b_i, and
+a t-exponent that depends on the a's and b's alone.  So the splits of each
+consumption m are summed once per model into a t-polynomial H(m), and a state
+r has one move per nonzero m <= r, of weight prod_i C(r_i, m_i) H(m); the
+stride decides only whether b may be nonzero.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .errors import ConstraintError, GuardExceeded, InconsistencyError, UnsupportedTypeError
 from .exactpoly import BivariatePolynomial, UnivariatePolynomial, coboundary_to_tutte
@@ -175,9 +182,10 @@ class CountingModel:
     (``ideals.block_incidence``) for one hyperplane tuple set.  One dynamic
     program over the nonzero residues, with residue 0 in closed form, gives
     both its coboundary polynomial and its weighted point count at any odd
-    prime.  Its allocation kernel is chosen from the incidence flags: one
-    residue per step (stride 1) when every hyperplane is x_i = x_j, else one
-    pair {c, p-c} per step (stride 2).
+    prime.  Its step is chosen from the incidence flags: one residue per
+    step (stride 1) when every hyperplane is x_i = x_j, else one pair
+    {c, p-c} per step (stride 2); either way the splits of a step are
+    summed once per model (``_split_table``).
 
     ``blocks`` defaults to the coordinate classes under hyperplane-set
     automorphisms; the partition in accordance with an ideal is passed as
@@ -210,8 +218,13 @@ class CountingModel:
              if inc.pos_cross[(bj, bi)] or inc.neg_cross[(bj, bi)]]
             for bi in range(len(self.blocks))
         ]
-        self._options = {}  # (block index, size) -> one block's allocations
-        self._kernel = {}  # state -> (zero exponent, non-empty allocations)
+        self._sizes = tuple(len(b) for b in self.blocks)
+        # place values of the mixed-radix code of a vector m <= the block sizes
+        self._radix = tuple(
+            prod(n + 1 for n in self._sizes[:bi]) for bi in range(len(self._sizes))
+        )
+        self._splits = None  # code of m -> H(m), built by residue_profile
+        self._kernel = {}  # state -> (zero exponent, moves)
         self._profile = None
 
     def _zero_exponent(self, state):
@@ -229,53 +242,36 @@ class CountingModel:
                 de += (pc + nc) * state[bj] * r
         return de
 
-    def _step(self, state):
-        """(zero exponent, non-empty allocations of one step) of ``state``,
-        computed once per model."""
-        entry = self._kernel.get(state)
-        if entry is None:
-            alloc = self._alloc_single if self.stride == 1 else self._alloc_pair
-            entry = self._kernel[state] = (self._zero_exponent(state), alloc(state))
-        return entry
+    def _split_table(self, width):
+        """H(m) for every consumption vector m <= the full block sizes, in a
+        flat list indexed by the mixed-radix code sum_i m_i radix_i: the
+        packed t-polynomial shifted down by its lowest exponent e, and e.
 
-    def _pair_options(self, bi, r):
-        """Block ``bi``'s allocations (a, b, left, weight, t-exponent) of r
-        coordinates, a to c and b to p-c, and the half of them with a >= b;
-        built once per (block, size)."""
-        opts = self._options.get((bi, r))
-        if opts is None:
-            inc = self.incidence
-            within = []
-            for a in range(r + 1):
-                for b in range(r - a + 1):
-                    d = 0
-                    if inc.pos_within[bi]:
-                        d += a * (a - 1) // 2 + b * (b - 1) // 2
-                    if inc.neg_within[bi]:
-                        d += a * b
-                    within.append((a, b, r - a - b, comb(r, a) * comb(r - a, b), d))
-            opts = self._options[(bi, r)] = (within, [o for o in within if o[0] >= o[1]])
-        return opts
-
-    def _alloc_pair(self, state):
-        """Every non-empty allocation of one residue pair {c, p-c}, a
-        coordinates of each block to c and b to p-c, merged by (rest, t-exponent).
-
-        The empty allocation is the identity and is left to residue_profile's
-        binomial weights.  Swapping c and p-c maps an allocation to one with
-        the same rest, weight and exponent, so only allocations whose first
-        unequal (a, b) has a > b are enumerated, at double weight.
+        H(m)(t) = sum over the splits a + b = m of prod_i C(m_i, a_i) t^de,
+        a_i coordinates of block i to c and b_i to p-c (b = 0 at stride 1).
+        A hyperplane x_i = x_j (x_i = -x_j) holds when i and j take the same
+        (opposite) residue of the step, and x_i = 0 never holds off residue
+        0, so de depends on the split alone, never on the state it is taken
+        from.  At stride 2, swapping c and p-c maps a split to one with the
+        same m, weight and exponent, so only splits whose first unequal
+        (a_i, b_i) has a_i > b_i are enumerated, at double weight.
         """
-        # partial allocations over the blocks so far:
-        # (a's, b's, rest, weight, t-exponent, still a == b everywhere)
-        partial = [((), (), (), 1, 0, True)]
-        for bi, r in enumerate(state):
-            within, canonical = self._pair_options(bi, r)
-            # a hyperplane x_i = x_j (x_i = -x_j) across blocks holds when i, j
-            # take the same (opposite) residue of the pair
+        inc = self.incidence
+        pair = self.stride == 2
+        # partial splits over the blocks so far:
+        # (code of m, a's, b's, weight, t-exponent, still a == b everywhere)
+        partial = [(0, (), (), 1, 0, pair)]
+        for bi, (n, radix) in enumerate(zip(self._sizes, self._radix)):
+            pw, nw = inc.pos_within[bi], inc.neg_within[bi]
+            within = [
+                (a, b, (a + b) * radix, comb(a + b, a),
+                 pw * (a * (a - 1) + b * (b - 1)) // 2 + nw * a * b)
+                for a in range(n + 1) for b in range(n - a + 1 if pair else 1)
+            ]
+            canonical = [o for o in within if o[0] >= o[1]]
             cross = self._cross[bi]
             grown = []
-            for aa, bb, rest, weight, de, tied in partial:
+            for code, aa, bb, weight, de, tied in partial:
                 at_c = at_minus_c = 0
                 for bj, pc, nc in cross:
                     if pc:
@@ -284,49 +280,43 @@ class CountingModel:
                     if nc:
                         at_c += bb[bj]
                         at_minus_c += aa[bj]
-                for a, b, left, w, d in canonical if tied else within:
+                for a, b, dcode, w, d in canonical if tied else within:
                     grown.append((
-                        aa + (a,), bb + (b,), rest + (left,), weight * w,
+                        code + dcode, aa + (a,), bb + (b,), weight * w,
                         de + d + a * at_c + b * at_minus_c, tied and a == b,
                     ))
             partial = grown
-        merged = {}
-        for _, _, rest, w, de, tied in partial:
-            if rest != state:
-                merged[(rest, de)] = merged.get((rest, de), 0) + (w if tied else 2 * w)
-        return [(rest, w, de) for (rest, de), w in merged.items()]
+        table = [0] * prod(n + 1 for n in self._sizes)
+        for code, _, _, weight, de, tied in partial:
+            table[code] += (2 * weight if pair and not tied else weight) << (de * width)
+        out = []
+        for poly in table:
+            e = ((poly & -poly).bit_length() - 1) // width
+            out.append((poly >> (e * width), e))
+        return out
 
-    def _single_options(self, bi, r):
-        """Block ``bi``'s allocations (left, a, weight, t-exponent) of r
-        coordinates, a to c; built once per (block, size)."""
-        opts = self._options.get((bi, r))
-        if opts is None:
-            pw = self.incidence.pos_within[bi]
-            opts = self._options[(bi, r)] = [
-                (r - a, a, comb(r, a), pw * a * (a - 1) // 2) for a in range(r + 1)
+    def _step(self, state):
+        """(zero exponent, moves) of ``state``, computed once per model: one
+        move (rest r - m, packed weight prod_i C(r_i, m_i) H(m), its lowest
+        t-exponent) per nonzero m <= r, so exactly prod_i (r_i + 1) - 1 at
+        either stride.  The empty step is the identity, left to
+        residue_profile's binomial weights."""
+        entry = self._kernel.get(state)
+        if entry is None:
+            # (rest, code of m, prod C(r_i, m_i)) over the blocks so far
+            partial = [((), 0, 1)]
+            for r, radix in zip(state, self._radix):
+                row = [comb(r, k) for k in range(r + 1)]
+                partial = [
+                    (rest + (r - k,), code + k * radix, w * c)
+                    for rest, code, w in partial for k, c in enumerate(row)
+                ]
+            splits = self._splits
+            moves = [  # partial[0] consumes nothing
+                (rest, w * poly, e) for rest, code, w in partial[1:] for poly, e in [splits[code]]
             ]
-        return opts
-
-    def _alloc_single(self, state):
-        """Every non-empty allocation of one residue c, a coordinates of each
-        block to c; for components whose every hyperplane is x_i = x_j, which
-        holds between two coordinates exactly when they share a residue.
-
-        The t-exponent depends on the a's alone, which the rest determines, so
-        there is one allocation per rest and nothing to merge.
-        """
-        # partial allocations over the blocks so far: (rest, weight, t-exponent)
-        partial = [((), 1, 0)]
-        for bi, r in enumerate(state):
-            cross = self._cross[bi]  # every hyperplane here is x_i = x_j
-            within = self._single_options(bi, r)
-            grown = []
-            for rest, weight, de in partial:
-                at_c = sum([state[bj] - rest[bj] for bj, _, _ in cross])
-                for left, a, w, d in within:
-                    grown.append((rest + (left,), weight * w, de + d + a * at_c))
-            partial = grown
-        return partial[1:]  # partial[0] gives every a = 0, the empty allocation
+            entry = self._kernel[state] = (self._zero_exponent(state), moves)
+        return entry
 
     def residue_profile(self):
         """F_u for u = 0, 1, ...: dense t-coefficient lists of the weight that
@@ -341,18 +331,21 @@ class CountingModel:
         least one coordinate, so the loop ends within m + 1 rounds.  Computed
         once per model.
 
-        Each state's t-polynomial is one integer, the coefficient of t^e in
-        bits [e * width, (e + 1) * width): multiplying by w t^de is one
-        multiplication and one shift.  Every weight is positive, and a
-        coefficient counts at most the maps from the m coordinates to
-        residue 0 and the s * u residues of u <= m steps, at most
-        (s m + 1)^m < 2^width, so no field carries into the next.
+        Each t-polynomial is one integer, the coefficient of t^e in bits
+        [e * width, (e + 1) * width): applying a move is one multiplication
+        by its packed weight and one shift by its lowest exponent.  Every
+        weight is positive, so each coefficient of a product, a state's or a
+        move's, is a partial count: at most the maps from the m coordinates
+        to residue 0 and the s * u residues of u <= m steps, at most
+        (s m + 1)^m < 2^width.  So no field carries into the next, though a
+        move's weight has many terms at stride 2.
         """
         if self._profile is not None:
             return self._profile
         width = ((self.stride * self.m + 1) ** self.m).bit_length()
         mask = (1 << width) - 1
-        states = {tuple(len(b) for b in self.blocks): 1}
+        self._splits = self._split_table(width)
+        states = {self._sizes: 1}
         profile = []
         while states:
             closed = 0

@@ -3,12 +3,15 @@ classical ideals: the direct coboundary route against exhaustive point counts
 and against the paper's route, Lagrange interpolation of the counting model's
 values at rank+1 odd primes.  Further properties run the counting model on
 random tuple sets that no ideal complement produces: any tuple set, sets of
-x_i = x_j hyperplanes only (the single-residue kernel), and such sets with
-one hyperplane added that switches the model to the pair kernel.  They sit
-beside the fixed-seed sweeps in test_ffmethod and test_properties."""
+x_i = x_j hyperplanes only (stride 1, one residue per step), such sets with
+one hyperplane added that switches the model to stride 2 (one residue pair
+per step), and tuple sets expanded from coarse blocks with uniform incidence,
+which reach uneven splits inside a block and tied blocks.  Every model they
+build also has the closed-form kernel size.  They sit beside the fixed-seed
+sweeps in test_ffmethod and test_properties."""
 
 from functools import lru_cache
-from math import prod
+from math import comb, prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,18 +87,31 @@ def normal_tuple_sets(draw):
     return m, draw(st.lists(st.sampled_from(normal), unique=True))
 
 
-def _assert_matches_brute_force(m, tuples):
-    """The model's point counts and p^(m - rank) chi-bar(p, t) at p = 3, 5, 7
-    against exhaustive counts; returns the model."""
-    model = CountingModel(m, tuples)
+def _assert_kernel_size(model):
+    """After residue_profile, every state r <= the block sizes n is cached
+    with exactly prod_i (r_i + 1) - 1 moves, one per nonzero consumption
+    m <= r, so the moves total prod_i C(n_i + 2, 2) - prod_i (n_i + 1)."""
+    for state, (_, moves) in model._kernel.items():
+        assert len(moves) == prod(r + 1 for r in state) - 1
+    sizes = [len(b) for b in model.blocks]
+    total = sum(len(moves) for _, moves in model._kernel.values())
+    assert total == prod(comb(n + 2, 2) for n in sizes) - prod(n + 1 for n in sizes)
+
+
+def _assert_matches_brute_force(m, tuples, blocks=None, primes=(3, 5, 7)):
+    """The model's point counts and p^(m - rank) chi-bar(p, t) at each prime
+    against exhaustive counts, and its kernel size in closed form; returns
+    the model."""
+    model = CountingModel(m, tuples, blocks=blocks)
     cb = model.coboundary()
-    for p in (3, 5, 7):
+    for p in primes:
         expected = list(count_points_bruteforce(tuples, m, p).counts)
         assert model.point_count_profile(p) == expected
         profile = [0] * (len(tuples) + 1)
         for (dq, dt), c in cb.coeffs.items():
             profile[dt] += p ** (m - model.rank) * c * p ** dq
         assert profile == expected
+    _assert_kernel_size(model)
     return model
 
 
@@ -144,11 +160,72 @@ BENCH_A7 = [
 ]
 
 
-def test_single_residue_kernel_size_on_a_bench_component():
-    ideal = ideal_from_root_coords(_poset("A", 7), BENCH_A7)
+def _largest_bench_component(family, rank, coords):
+    ideal = ideal_from_root_coords(_poset(family, rank), coords)
     comp = max(decompose_components(complement(ideal)), key=lambda c: c.size)
-    model = CountingModel(comp.size, comp.tuples)
-    sizes = tuple(len(b) for b in model.blocks)
+    return CountingModel(comp.size, comp.tuples)
+
+
+def test_single_residue_kernel_size_on_a_bench_component():
+    model = _largest_bench_component("A", 7, BENCH_A7)
+    sizes = [len(b) for b in model.blocks]
     assert model.stride == 1 and sorted(sizes) == [1, 1, 2, 2, 2]
-    # one residue takes a_i <= s_i of each block, not all zero
-    assert len(model._alloc_single(sizes)) <= prod(s + 1 for s in sizes) - 1
+    model.residue_profile()
+    _assert_kernel_size(model)
+
+
+# the slowest D8 ideal of the benchmark's random pool (seed 1): its largest
+# complement component has 8 coordinates in blocks of sizes 2, 1, 2, 2, 1
+BENCH_D8 = [
+    (0, 0, 1, 1, 1, 1, 1, 0), (0, 0, 1, 1, 1, 1, 1, 1), (0, 0, 1, 1, 1, 2, 1, 1),
+    (0, 0, 1, 1, 2, 2, 1, 1), (0, 0, 1, 2, 2, 2, 1, 1), (0, 1, 1, 1, 1, 0, 0, 0),
+    (0, 1, 1, 1, 1, 1, 0, 0), (0, 1, 1, 1, 1, 1, 0, 1), (0, 1, 1, 1, 1, 1, 1, 0),
+    (0, 1, 1, 1, 1, 1, 1, 1), (0, 1, 1, 1, 1, 2, 1, 1), (0, 1, 1, 1, 2, 2, 1, 1),
+    (0, 1, 1, 2, 2, 2, 1, 1), (0, 1, 2, 2, 2, 2, 1, 1), (1, 1, 1, 1, 1, 0, 0, 0),
+    (1, 1, 1, 1, 1, 1, 0, 0), (1, 1, 1, 1, 1, 1, 0, 1), (1, 1, 1, 1, 1, 1, 1, 0),
+    (1, 1, 1, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 2, 1, 1), (1, 1, 1, 1, 2, 2, 1, 1),
+    (1, 1, 1, 2, 2, 2, 1, 1), (1, 1, 2, 2, 2, 2, 1, 1), (1, 2, 2, 2, 2, 2, 1, 1),
+]
+
+
+def test_pair_kernel_size_on_a_bench_component():
+    model = _largest_bench_component("D", 8, BENCH_D8)
+    sizes = [len(b) for b in model.blocks]
+    assert model.stride == 2 and sorted(sizes) == [1, 1, 2, 2, 2]
+    model.residue_profile()
+    # the pair's (a, b) splits live in each move's weight, not in more moves
+    _assert_kernel_size(model)
+
+
+@st.composite
+def coarse_block_tuple_sets(draw):
+    """Blocks of up to 3 coordinates (m <= 6, coordinates permuted), uniform
+    x_i = x_j, x_i = -x_j and x_i = 0 flags within each block and across each
+    pair of blocks, and the tuple set they expand to."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6).filter(lambda s: sum(s) <= 6))
+    m = sum(sizes)
+    coords = draw(st.permutations(range(1, m + 1)))
+    blocks, start = [], 0
+    for n in sizes:
+        blocks.append(sorted(coords[start:start + n]))
+        start += n
+    tuples = set()
+    for bi, block in enumerate(blocks):
+        pos, neg, zero = (draw(st.booleans()) for _ in range(3))
+        tuples.update((i, 0) for i in block if zero)
+        pairs = [(i, j) for i in block for j in block if i < j]
+        for bj in range(bi):
+            pc, nc = draw(st.booleans()), draw(st.booleans())
+            cross = [(min(i, j), max(i, j)) for i in blocks[bj] for j in block]
+            tuples.update((i, j) for i, j in cross if pc)
+            tuples.update((i, -j) for i, j in cross if nc)
+        tuples.update((i, j) for i, j in pairs if pos)
+        tuples.update((i, -j) for i, j in pairs if neg)
+    return m, sorted(tuples), blocks
+
+
+@PROPERTY_SETTINGS
+@given(mtb=coarse_block_tuple_sets())
+def test_counting_model_on_coarse_blocks_matches_brute_force(mtb):
+    m, tuples, blocks = mtb
+    _assert_matches_brute_force(m, tuples, blocks, (3, 5, 7) if m <= 5 else (3, 5))
