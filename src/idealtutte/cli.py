@@ -28,7 +28,7 @@ import sys
 import tempfile
 import time
 
-from . import crapo, ffmethod, specialize
+from . import __version__, crapo, ffmethod, specialize
 from .errors import (
     ConstraintError,
     GuardExceeded,
@@ -125,10 +125,14 @@ class _Cache:
         )
 
     def key(self, ideal, command, engine):
+        """The entry's name: a hash of the cache format, the package version
+        (so no release serves another's results), the command, the system,
+        the complement and the engine."""
         comp_bits = ideal.complement_mask()
         raw = json.dumps(
             [
                 CACHE_VERSION,
+                __version__,
                 command,
                 str(ideal.rst),
                 format(comp_bits, "x"),

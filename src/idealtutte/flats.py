@@ -15,6 +15,16 @@ q^(r - r(S)), which is Crapo's subset expansion.)  So one lattice per root
 system serves all its ideals: ``flat_lattice`` builds it on the first request
 and keeps it for the process, and each ideal then costs one pass over the
 flats' bitmasks.  G2 has 8 flats, F4 268 and E6 4598.
+
+The lattice comes from the Weyl group W (``orbit_lattice``).  The fixator of
+a subspace is a parabolic subgroup (Steinberg), so every flat is
+W-conjugate to a standard parabolic flat, the roots supported on a set J of
+simple roots, of rank |J|; and chi_{M/F} is the same on each W-orbit.  The
+simple reflections permute the hyperplanes, so the orbits of the 2^r
+standard flats, closed under them, are all the flats, and chi_{M/F} is
+filled once per orbit.  ``build_lattice`` enumerates the flats of any
+integer configuration by linear algebra; it is the reference the tests hold
+the orbit build to.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from . import crapo
 from .errors import GuardExceeded, InconsistencyError
 from .exactpoly import BivariatePolynomial, UnivariatePolynomial, coboundary_to_tutte
 from .ideals import ideal_from_mask
-from .rootsystems import root_poset
+from .rootsystems import root_poset, simple_reflections
 from .specialize import ideal_exponents
 
 # every coefficient the engine forms is at most 3^m in absolute value (the
@@ -36,24 +46,33 @@ MAX_VECTORS = 39
 
 
 class FlatLattice:
-    """The flats of a vector configuration of rank ``rank``, by rank.
+    """The flats of a vector configuration of rank ``rank``, by rank and then
+    by mask value.
 
-    ``masks`` (uint64) has bit i set when vector i lies on the flat,
+    ``masks`` (uint64) has bit i set when vector i lies on the flat, and
     ``ranks`` the rank of each flat (weakly increasing, so the least flat
-    comes first and the whole configuration last), and ``chi[F, j]`` (int64)
-    is the coefficient of q^j in chi_{M/F}(q).  Few of those rows differ
-    (12 of E6's 4598): ``kinds`` holds each distinct row once and ``kind``
-    the row of each flat.
+    comes first and the whole configuration last).  Few chi_{M/F} differ:
+    ``kinds[k, j]`` (int64) is the coefficient of q^j in the k-th of them,
+    and ``kind`` the k of each flat.  Raises ``InconsistencyError`` unless
+    the chi_{M/F} sum to q^r.
     """
 
-    def __init__(self, masks, ranks, chi):
+    def __init__(self, masks, ranks, kind, kinds):
         import numpy as np
 
-        self.masks, self.ranks, self.chi = masks, ranks, chi
-        self.rank = chi.shape[1] - 1
-        index = {}
-        self.kind = np.array(_kinds(chi, index), dtype=np.intp)
-        self.kinds = np.array(list(index), dtype=np.int64).reshape(len(index), -1)
+        self.masks, self.ranks, self.kind, self.kinds = masks, ranks, kind, kinds
+        self.rank = kinds.shape[1] - 1
+        total = np.bincount(kind, minlength=len(kinds)) @ kinds
+        if total.tolist() != [0] * self.rank + [1]:
+            raise InconsistencyError(
+                f"the chi_(M/F) of {int(masks[-1]).bit_count()} vectors do not sum "
+                f"to q^{self.rank}"
+            )
+
+    @property
+    def chi(self):
+        """chi[F, j], the coefficient of q^j in chi_{M/F}(q)."""
+        return self.kinds[self.kind]
 
     def __len__(self):
         return len(self.masks)
@@ -90,7 +109,8 @@ class FlatLattice:
 
 def build_lattice(vectors):
     """The ``FlatLattice`` of a configuration of at most ``MAX_VECTORS``
-    integer vectors.
+    integer vectors: the general-configuration reference that the tests hold
+    ``orbit_lattice`` to (no production path calls it).
 
     Works on the vectors restricted to their pivot columns (the same
     matroid, in r coordinates) and enumerates the flats bottom up.  A flat F
@@ -139,15 +159,12 @@ def build_lattice(vectors):
         normals, pivots = crapo.bareiss_step(normals[f], u[f, :, y], pivots[f])
         levels.append(level)
         bases.append(np.column_stack((bases[-1][f], y)))
-    chi = _characteristic_rows(levels, bases, m)
-    if chi.sum(axis=0).tolist() != [0] * r + [1]:
-        raise InconsistencyError(f"the chi_(M/F) of {m} vectors do not sum to q^{r}")
     ranks = np.repeat(np.arange(r + 1), [len(level) for level in levels])
-    return FlatLattice(np.concatenate(levels), ranks, chi)
+    return FlatLattice(np.concatenate(levels), ranks, *_characteristic_rows(levels, bases, m))
 
 
 def _characteristic_rows(levels, bases, m):
-    """chi[F, j], the coefficient of q^j in chi_{M/F}(q) = q^(r - r(F)) minus
+    """``FlatLattice``'s (kind, kinds) of chi_{M/F}(q) = q^(r - r(F)) minus
     the chi_{M/G} of every flat G strictly above F, filled top down, for the
     flats of each rank (``levels``, uint64 masks over m vectors) with a basis
     of each (``bases``).
@@ -177,7 +194,7 @@ def _characteristic_rows(levels, bases, m):
         chi[lo:hi, r - k] = 1
         kind[lo:hi] = _kinds(chi[lo:hi], index)
         hi = lo
-    return chi
+    return kind, np.array(list(index), dtype=np.int64).reshape(len(index), r + 1)
 
 
 def _bitsets(rows):
@@ -193,19 +210,106 @@ def _kinds(rows, index):
     return [index.setdefault(row, len(index)) for row in map(tuple, rows.tolist())]
 
 
+def orbit_lattice(rst):
+    """The ``FlatLattice`` of the full arrangement of a root system, over its
+    simple coordinates in root-poset order, read off the Weyl group.
+
+    The standard parabolic flats, the roots supported on each subset J of
+    the simple roots, are closed under the simple reflections, each applied
+    to a round's new masks through one 256-entry table per mask byte; each
+    flat carries the J it was reached from, and two J whose flats meet are
+    merged, which leaves one label per W-orbit.  ``_orbit_rows`` then fills
+    chi_{M/F} once per orbit.  Raises ``GuardExceeded`` for more than
+    ``MAX_VECTORS`` positive roots.
+    """
+    import numpy as np
+
+    poset = root_poset(rst)
+    m, r = len(poset), rst.rank
+    if m > MAX_VECTORS:
+        raise GuardExceeded(f"flats of {m} roots need at most {MAX_VECTORS}")
+    bits = np.left_shift(np.uint64(1), np.arange(m, dtype=np.uint64))
+    support = (np.array([root.simple_coords for root in poset.roots]) != 0) @ (1 << np.arange(r))
+    subsets = np.arange(1 << r)
+    inside = (support & ~subsets[:, None]) == 0  # root j supported on J
+    standard = np.bitwise_or.reduce(np.where(inside, bits, np.uint64(0)), axis=1)
+    # tables[i, b, v]: s_i's image of the roots in byte b of a mask whose byte b is v
+    images = np.zeros((r, -(-m // 8) * 8), dtype=np.uint64)
+    images[:, :m] = bits[np.array(simple_reflections(poset))]
+    in_byte = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(bool)
+    tables = np.bitwise_or.reduce(
+        np.where(in_byte, images.reshape(r, -1, 1, 8), np.uint64(0)), axis=3
+    )
+    masks, label = standard, subsets
+    frontier, reached_from = masks, label
+    met = []
+    while len(frontier):
+        reached = np.zeros((r, len(frontier)), dtype=np.uint64)
+        for b in range(tables.shape[1]):
+            byte = (frontier >> np.uint64(8 * b)) & np.uint64(255)
+            reached |= tables[:, b, byte.astype(np.intp)]
+        every = np.concatenate((masks, reached.ravel()))
+        labels = np.concatenate((label, np.tile(reached_from, r)))
+        old = len(masks)
+        masks, first, inverse = np.unique(every, return_index=True, return_inverse=True)
+        label = labels[first]
+        met.append((label[inverse] << r | labels)[label[inverse] != labels])
+        new = first >= old
+        frontier, reached_from = masks[new], label[new]
+    # merge the labels that met, each to the least of its class
+    root = list(range(1 << r))
+
+    def find(j):
+        while root[j] != j:
+            j = root[j]
+        return j
+
+    for pair in set(np.concatenate(met).tolist()):
+        a, b = find(pair >> r), find(pair & (1 << r) - 1)
+        root[max(a, b)] = min(a, b)
+    label = np.array([find(j) for j in range(1 << r)])[label]
+    ranks = np.bitwise_count(label).astype(np.intp)
+    order = np.lexsort((masks, ranks))
+    masks, label, ranks = masks[order], label[order], ranks[order]
+    # number the orbits by their first flat in that order
+    _, first, inverse = np.unique(label, return_index=True, return_inverse=True)
+    kind = np.argsort(np.argsort(first))[inverse]
+    reps = np.sort(first)
+    kinds = _orbit_rows(masks, kind, masks[reps], ranks[reps], r)
+    return FlatLattice(masks, ranks, kind, kinds)
+
+
+def _orbit_rows(masks, kind, reps, ranks, r):
+    """rows[o, j], the coefficient of q^j in chi_{M/F}(q) for the flats F of
+    orbit o, filled from the last orbit back: q^(r - r(F)) minus the
+    chi_{M/G} of every flat G strictly above the orbit's representative
+    flat ``reps[o]``, of rank ``ranks[o]``, as a count of them per orbit.
+    The flats above a flat have larger ranks, and so come in later orbits.
+    """
+    import numpy as np
+
+    rows = np.zeros((len(reps), r + 1), dtype=np.int64)
+    for o in range(len(reps) - 1, -1, -1):
+        f = reps[o]
+        above = kind[((masks & f) == f) & (masks != f)]
+        rows[o] = -(np.bincount(above, minlength=len(reps)) @ rows)
+        rows[o, r - ranks[o]] += 1
+    return rows
+
+
 @functools.cache
 def flat_lattice(rst):
     """The ``FlatLattice`` of the full arrangement of a root system (the
     engine serves G2, F4 and E6), over its simple coordinates in root-poset
-    order, built on the first call and kept for the process.
+    order (``orbit_lattice``), built on the first call and kept for the
+    process.
 
     Besides the build's own check, chi_M(q) must split as prod (q - e_i) over
     the exponents of the empty ideal; InconsistencyError otherwise.
     """
-    poset = root_poset(rst)
-    lattice = build_lattice([root.simple_coords for root in poset.roots])
+    lattice = orbit_lattice(rst)
     want = UnivariatePolynomial([1])
-    for e in ideal_exponents(ideal_from_mask(poset, 0)).exponents:
+    for e in ideal_exponents(ideal_from_mask(root_poset(rst), 0)).exponents:
         want = want * UnivariatePolynomial([-e, 1])
     if UnivariatePolynomial(lattice.chi[0].tolist()) != want:
         raise InconsistencyError(

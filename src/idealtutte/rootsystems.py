@@ -318,6 +318,31 @@ def root_poset(rst):
     return RootPoset(rst)
 
 
+def simple_reflections(poset):
+    """For each simple root alpha_i, the permutation of the positive roots'
+    indices by which s_i(beta) = beta - <beta, alpha_i^vee> alpha_i permutes
+    their hyperplanes.
+
+    The pairing is taken in the doubled standard coordinates, so long and
+    short roots keep their lengths; the image is sign-normalized, so alpha_i
+    maps to itself.
+    """
+    r = poset.rst.rank
+    perms = []
+    for i in range(r):
+        alpha = poset.roots[poset.index_of([int(j == i) for j in range(r)])].ambient2
+        norm = _dot(alpha, alpha)
+        perm = []
+        for beta in poset.roots:
+            image = list(beta.simple_coords)
+            image[i] -= 2 * _dot(beta.ambient2, alpha) // norm
+            if min(image) < 0:
+                image = [-c for c in image]
+            perm.append(poset.index_of(image))
+        perms.append(perm)
+    return perms
+
+
 def positive_roots(rst):
     """All positive roots of the system, canonically indexed.
 

@@ -92,6 +92,22 @@ def test_provenance_reports_a_cache_hit(capsys, tmp_path):
     assert code3 == 0 and json.loads(out3)["provenance"]["cache"] == "miss"
 
 
+def test_entry_stored_by_another_version_is_a_miss(capsys, monkeypatch, tmp_path):
+    from idealtutte import cli
+
+    args = ("coboundary", "--type", "B", "--rank", "4", "--boxes", "[[1,4]]",
+            "--format", "json", "--cache-dir", str(tmp_path))
+    monkeypatch.setattr(cli, "__version__", "0.0.0")
+    code, out, _ = run(capsys, *args)
+    assert code == 0 and json.loads(out)["provenance"]["cache"] == "miss"
+    monkeypatch.undo()
+    code, out, _ = run(capsys, *args)
+    assert code == 0 and json.loads(out)["provenance"]["cache"] == "miss"
+    code, out, _ = run(capsys, *args)
+    assert code == 0 and json.loads(out)["provenance"]["cache"] == "hit"
+    assert len(list(tmp_path.glob("*.json"))) == 2
+
+
 def test_verify_checks_direct_against_interpolation(capsys, monkeypatch):
     # the direct chi-bar at rank+1 odd q against the counting model there:
     # the interpolation check, pointwise

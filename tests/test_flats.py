@@ -92,23 +92,49 @@ def test_lattice_is_built_on_first_request_only():
 
 
 @pytest.mark.parametrize(
-    "rows, error", [((5,), "do not sum to q"), ((0, 5), "arrangement is not q")]
+    "rows, error", [((5,), "do not sum to q"), ((0, -1), "arrangement is not q")]
 )
 def test_corrupt_chi_row_fails_the_build_certificate(monkeypatch, rows, error):
-    # one row off breaks the sum of chi_{M/F} = q^r; moving q from one row to
-    # the bottom one keeps that sum and breaks chi_M = prod (q - e_i)
-    real = flats._characteristic_rows
+    # one orbit's row off breaks the sum of chi_{M/F} = q^r; moving q from the
+    # top flat's row to the bottom one's (both orbits of one flat) keeps that
+    # sum and breaks chi_M = prod (q - e_i)
+    real = flats._orbit_rows
 
-    def corrupt(masks, ranks, r):
-        chi = real(masks, ranks, r)
+    def corrupt(*args):
+        chi = real(*args)
         chi[rows[0], 1] += 1
         if len(rows) > 1:
             chi[rows[1], 1] -= 1
         return chi
 
-    monkeypatch.setattr(flats, "_characteristic_rows", corrupt)
+    monkeypatch.setattr(flats, "_orbit_rows", corrupt)
     with pytest.raises(InconsistencyError, match=error):
         flats.flat_lattice.__wrapped__(root_system_type("F4"))
+
+
+@pytest.mark.parametrize(
+    "family, rank, orbits",
+    [
+        ("G2", None, 4),
+        ("F4", None, 12),
+        ("E6", None, 17),
+        ("A", 5, 11),
+        ("B", 4, 12),
+        ("C", 4, 12),
+        ("D", 4, 11),
+    ],
+)
+def test_orbit_lattice_equals_the_reference_build(family, rank, orbits):
+    # B and C share their hyperplanes but not their root lengths, so the two
+    # check the coroot pairing of the reflections; ``orbits`` counts the
+    # conjugacy classes of parabolic subgroups, one chi row each
+    rst = root_system_type(family, rank)
+    got = flats.orbit_lattice(rst)
+    want = flats.build_lattice([root.simple_coords for root in root_poset(rst).roots])
+    assert got.masks.tolist() == want.masks.tolist()
+    assert got.ranks.tolist() == want.ranks.tolist()
+    assert got.chi.tolist() == want.chi.tolist()
+    assert len(got.kinds) == orbits
 
 
 def test_guard_refuses_what_int64_cannot_hold():
@@ -116,6 +142,8 @@ def test_guard_refuses_what_int64_cannot_hold():
         flats.build_lattice([(1, i) for i in range(flats.MAX_VECTORS + 1)])
     with pytest.raises(GuardExceeded):
         flats.build_lattice([(2 ** 20, 1), (1, 2 ** 20)])
+    with pytest.raises(GuardExceeded):
+        flats.orbit_lattice(root_system_type("A", 9))  # 45 roots
 
 
 @st.composite
