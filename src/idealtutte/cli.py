@@ -176,7 +176,7 @@ class _Cache:
             os.makedirs(self.dir, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.dir, suffix=".tmp")
             with os.fdopen(fd, "w") as fh:
-                json.dump(value, fh, sort_keys=True)
+                fh.write(json.dumps(value, sort_keys=True))
             os.replace(tmp, os.path.join(self.dir, key + ".json"))
         except OSError as exc:
             if tmp is not None:

@@ -5,9 +5,12 @@ polynomials are dense coefficient lists.  Rationals appear only inside
 Lagrange interpolation, a reference route that no pipeline takes, and are
 asserted integral before anything leaves this module.
 
-Both directions between chi-bar(q, t) and T(x, y), and the corank-nullity
-oracle's change of variables, are Taylor shifts by +-1 along an axis
-(``_taylor_shift``) around a re-indexing of the degrees.
+Both directions between chi-bar(q, t) and T(x, y) work on the q-columns of
+chi-bar: each column is divided exactly by (t-1) (synthetic division, with
+its remainder checked) or multiplied by it, and the other axis takes a shift
+by +-1 along the short x-axis, whose degree is at most the rank.  Taylor
+shifts along a whole axis (``_taylor_shift``) serve only the corank-nullity
+oracle's change of variables and the characteristic transform.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import accumulate
+from operator import add, itemgetter, sub
 
 from .errors import ConstraintError, InconsistencyError
 
@@ -39,6 +43,14 @@ class BivariatePolynomial:
             for (da, db), c in dict(coeffs).items():
                 if c:
                     self.coeffs[(int(da), int(db))] = int(c)
+
+    @classmethod
+    def _of(cls, coeffs, variables):
+        """Wrap a coefficient map that is already canonical: int degree
+        pairs to nonzero ints, owned by the new polynomial."""
+        poly = cls.__new__(cls)
+        poly.coeffs, poly.variables = coeffs, variables
+        return poly
 
     @classmethod
     def zero(cls, variables=("x", "y")):
@@ -443,40 +455,87 @@ def _taylor_shift(coeffs, sx, sy):
     return coeffs
 
 
+def _columns(coeffs):
+    """Dense second-axis coefficient lists of a coefficient map, one per
+    first-axis degree up to the largest, all of one length."""
+    if not coeffs:
+        return []
+    width = max(map(itemgetter(1), coeffs)) + 1
+    cols = [[0] * width for _ in range(max(coeffs)[0] + 1)]
+    for (a, b), c in coeffs.items():
+        cols[a][b] = c
+    return cols
+
+
+def _shift_first_axis(cols, op):
+    """Columns of sum_a (x + s)^a cols[a](y) for columns of one length, with
+    s = 1 for ``op`` = add and s = -1 for sub: Horner's scheme along the
+    short first axis, one vector operation per coefficient and step."""
+    out = []
+    for col in reversed(cols):
+        if out:
+            # (x + s) out + col
+            out = [list(map(op, col, out[0]))] + [
+                list(map(op, u, v)) for u, v in zip(out, out[1:])
+            ] + [out[-1]]
+        else:
+            out = [col]
+    return out
+
+
+def _from_columns(cols, variables):
+    return BivariatePolynomial._of(
+        {(a, b): c for a, col in enumerate(cols) for b, c in enumerate(col) if c}, variables
+    )
+
+
 def coboundary_to_tutte(cb, rank):
     """Transform a coboundary polynomial in (q, t) into the Tutte polynomial in (x, y).
 
-    T(x, y) = chi-bar((x-1)(y-1), y) / (y-1)^rank.  With X = x-1 and Y = y-1
-    this is T = sum_a X^a Y^(a-rank) sum_b c_ab (Y+1)^b, so each q-column is
-    shifted t -> Y+1, loses its rank-a lowest Y-coefficients, and the result
-    is shifted back along both axes.  A q-degree above rank, or a nonzero
-    dropped coefficient (chi-bar not divisible by (t-1)^rank), means the
-    claimed rank or the coboundary data is wrong: InconsistencyError.
+    T(x, y) = chi-bar((x-1)(y-1), y) / (y-1)^rank.  Writing chi-bar as
+    sum_a q^a p_a(t), this is T = sum_a (x-1)^a g_a(y) with
+    g_a = p_a / (t-1)^(rank-a): each q-column is divided exactly by (t-1),
+    rank-a times, each time by one synthetic division from the top degree,
+    and the (x-1)^a are expanded along the short x-axis.  A q-degree above
+    rank, or a nonzero remainder (chi-bar not divisible as the rank
+    requires), means the claimed rank or the coboundary data is wrong:
+    InconsistencyError.
     """
-    out = {}
-    for (a, b), c in _taylor_shift(cb.coeffs, 0, 1).items():
-        if a > rank:
-            raise InconsistencyError(f"coboundary has q-degree {a} above rank {rank}")
-        if b < rank - a:
-            raise InconsistencyError(
-                f"coboundary not divisible by (t-1)^rank: coefficient {c} of q^{a} (t-1)^{b}"
-            )
-        out[(a, b - rank + a)] = c
-    return BivariatePolynomial(_taylor_shift(out, -1, -1), ("x", "y"))
+    cols = _columns(cb.coeffs)
+    if len(cols) > rank + 1:
+        raise InconsistencyError(f"coboundary has q-degree {len(cols) - 1} above rank {rank}")
+    for a, col in enumerate(cols):
+        top_first = col[::-1]
+        for done in range(rank - a):
+            # running sums from the top: the quotient's coefficients, then p(1)
+            top_first = list(accumulate(top_first))
+            remainder = top_first.pop()
+            if remainder:
+                raise InconsistencyError(
+                    f"coboundary not divisible by (t-1)^rank: the q^{a} column leaves "
+                    f"remainder {remainder} after {done} divisions by t-1"
+                )
+        # padded back to one length, which _shift_first_axis needs
+        cols[a] = top_first[::-1] + [0] * (len(col) - len(top_first))
+    return _from_columns(_shift_first_axis(cols, sub), ("x", "y"))
 
 
 def tutte_to_coboundary(tutte, rank):
     """Inverse transform: chi-bar(q, t) = (t-1)^rank T(q/(t-1) + 1, t).
 
-    The same shifts in reverse: T(X+1, Y+1) = sum d_ab X^a Y^b becomes
-    sum d_ab q^a Y^(rank-a+b), then each q-column is shifted Y -> t-1.
-    ConstraintError when an x-degree exceeds rank.
+    The same steps backwards: T(x+1, y) = sum_a x^a g_a(y) by Horner's
+    scheme along x, then chi-bar = sum_a q^a (t-1)^(rank-a) g_a(t), each
+    column multiplied by (t-1) rank-a times.  ConstraintError when an
+    x-degree exceeds rank.
     """
     if tutte.degree(0) > rank:
         raise ConstraintError("x-degree exceeds rank")
-    shifted = _taylor_shift(tutte.coeffs, 1, 1)
-    cols = {(a, rank - a + b): c for (a, b), c in shifted.items()}
-    return BivariatePolynomial(_taylor_shift(cols, 0, -1), ("q", "t"))
+    cols = _shift_first_axis(_columns(tutte.coeffs), add)
+    for a, col in enumerate(cols):
+        for _ in range(rank - a):
+            col = list(map(sub, [0] + col, col + [0]))
+        cols[a] = col
+    return _from_columns(cols, ("q", "t"))
 
 
 def tutte_to_characteristic(tutte, n, rank):

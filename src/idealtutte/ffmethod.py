@@ -34,7 +34,6 @@ from math import comb, factorial, prod
 from .errors import ConstraintError, GuardExceeded, InconsistencyError, UnsupportedTypeError
 from .exactpoly import BivariatePolynomial, UnivariatePolynomial, coboundary_to_tutte
 from .ideals import (
-    arrangement_of,
     automorphism_blocks,
     block_incidence,
     complement,
@@ -329,7 +328,10 @@ class CountingModel:
         empty step leaves the state unchanged, so over the (p-1)/s steps the
         count is sum_u C((p-1)/s, u) F_u.  Each non-empty step consumes at
         least one coordinate, so the loop ends within m + 1 rounds.  Computed
-        once per model.
+        once per model, and refused with GuardExceeded before anything is
+        built when the kernel would cache more than
+        ``crapo.MAX_KERNEL_BYTES // 180`` moves: prod_i C(n_i + 2, 2) -
+        prod_i (n_i + 1) over the block sizes n_i.
 
         Each t-polynomial is one integer, the coefficient of t^e in bits
         [e * width, (e + 1) * width): applying a move is one multiplication
@@ -342,6 +344,14 @@ class CountingModel:
         """
         if self._profile is not None:
             return self._profile
+        # every state r <= the block sizes is reachable and caches
+        # prod_i (r_i + 1) - 1 moves, at about 180 bytes each
+        moves = prod(comb(n + 2, 2) for n in self._sizes) - prod(n + 1 for n in self._sizes)
+        if moves > crapo.MAX_KERNEL_BYTES // 180:
+            raise GuardExceeded(
+                f"the counting kernel of blocks {list(self._sizes)} would cache {moves} "
+                f"moves, over {crapo.MAX_KERNEL_BYTES // 180} (MAX_KERNEL_BYTES // 180)"
+            )
         width = ((self.stride * self.m + 1) ** self.m).bit_length()
         mask = (1 << width) - 1
         self._splits = self._split_table(width)
@@ -450,13 +460,14 @@ def coboundary_full(family, n):
 # ---- the ideal pipeline ------------------------------------------------------
 
 
-def coboundary_polynomial(ideal):
-    """Exact coboundary polynomial chi-bar(q, t) of a classical ideal arrangement.
+def _coboundary_and_rank(ideal):
+    """chi-bar(q, t) and the rank of a classical ideal arrangement.
 
     Decomposes the complement into connected components and multiplies their
     coboundary polynomials (chi-bar is rank-relative, so components simply
     multiply).  Each component's chi-bar comes straight from its counting
-    model's residue profile.
+    model's residue profile; the components share no coordinate, so their
+    ranks add up to the arrangement's.
     """
     rst = ideal.rst
     if not rst.is_classical:
@@ -464,12 +475,19 @@ def coboundary_polynomial(ideal):
             f"the finite field pipeline covers classical types, not {rst.family}"
         )
     result = BivariatePolynomial.one(("q", "t"))
+    rank = 0
     for component in decompose_components(complement(ideal)):
-        result = result * CountingModel(component.size, component.tuples).coboundary()
-    return result
+        model = CountingModel(component.size, component.tuples)
+        result = result * model.coboundary()
+        rank += model.rank
+    return result, rank
+
+
+def coboundary_polynomial(ideal):
+    """Exact coboundary polynomial chi-bar(q, t) of a classical ideal arrangement."""
+    return _coboundary_and_rank(ideal)[0]
 
 
 def tutte_via_ffmethod(ideal):
     """Tutte polynomial of a classical ideal arrangement via the coboundary route."""
-    cb = coboundary_polynomial(ideal)
-    return coboundary_to_tutte(cb, arrangement_of(ideal).rank)
+    return coboundary_to_tutte(*_coboundary_and_rank(ideal))

@@ -9,9 +9,11 @@ import jsonschema
 import pytest
 
 from conftest import IDEAL_E, packaged_schema
+from idealtutte import crapo
 from idealtutte.cli import main, parse_ideal_spec
 from idealtutte.errors import ConstraintError
 from idealtutte.exactpoly import BivariatePolynomial, latex_is_wellformed, parse_polynomial
+from idealtutte.ffmethod import CountingModel
 from idealtutte.ideals import arrangement_of
 
 
@@ -158,6 +160,14 @@ def test_cache_determinism(capsys, tmp_path):
     assert json.loads(out1)["terms"] == json.loads(out2)["terms"]
 
 
+def test_cache_entry_bytes_are_the_c_encoder_output(capsys, tmp_path):
+    code, _, _ = run(capsys, "tutte", "--type", "D", "--rank", "4", "--boxes", "[[1,3]]",
+                     "--format", "json", "--cache-dir", str(tmp_path))
+    (path,) = tmp_path.glob("*.json")
+    stored = path.read_text()
+    assert code == 0 and stored == json.dumps(json.loads(stored), sort_keys=True)
+
+
 def test_cache_dir_under_a_regular_file_still_prints_the_result(capsys, tmp_path):
     args = ("tutte", "--type", "B", "--rank", "3", "--full")
     code, want, _ = run(capsys, *args, "--no-cache")
@@ -250,6 +260,20 @@ def test_guard_refusal_exit_2(capsys):
         "--engine", "oracle", "--max-subsets", "1024", "--no-cache",
     )
     assert code == 2 and "guard" in err
+
+
+@pytest.mark.parametrize("budget, code", [(20, 2), (21, 0)])
+def test_counting_kernel_guard_refuses_before_it_allocates(capsys, monkeypatch, budget, code):
+    # B6 full is one block of 6 coordinates: C(8, 2) - 7 = 21 cached moves
+    monkeypatch.setattr(crapo, "MAX_KERNEL_BYTES", 180 * budget)
+    if code:
+        def refuse(*_):
+            raise AssertionError("the kernel was built")
+
+        monkeypatch.setattr(CountingModel, "_split_table", refuse)
+    got, _, err = run(capsys, "tutte", "--type", "B", "--rank", "6", "--full", "--no-cache")
+    assert got == code
+    assert not code or ("guard" in err and "21 moves" in err)
 
 
 def test_ffmethod_rejects_exceptional(capsys):

@@ -1,6 +1,7 @@
-"""Hypothesis property test for the basis-activity engine: on random small
+"""Hypothesis property tests for the basis-activity engine: on random small
 integer configurations the exact int64 engine (tutte_crapo) equals the
-literal route (tutte_crapo_exact).  The draws reach rank 6, the depth of the
+literal route (tutte_crapo_exact), and the coboundary transforms invert
+each other on its Tutte polynomials.  The draws reach rank 6, the depth of the
 engine's prefix tree on E6, and cover configurations whose rank is below
 their dimension, rank 1, parallel and zero vectors (loops), and coordinates
 large enough that the engine's int64 eliminations could overflow, so it
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idealtutte.crapo import VectorConfig, tutte_crapo, tutte_crapo_exact
+from idealtutte.exactpoly import coboundary_to_tutte, tutte_to_coboundary
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -46,3 +48,16 @@ def configurations(draw):
 @given(cfg=configurations())
 def test_vectorized_engine_matches_literal_route(cfg):
     assert tutte_crapo(cfg) == tutte_crapo_exact(cfg)
+
+
+@PROPERTY_SETTINGS
+@given(cfg=configurations())
+def test_coboundary_round_trip_on_configurations(cfg):
+    tutte = tutte_crapo(cfg)
+    cb = tutte_to_coboundary(tutte, cfg.rank)
+    # chi-bar(q, 1) = q^rank
+    at_one = {}
+    for (a, _), c in cb.coeffs.items():
+        at_one[a] = at_one.get(a, 0) + c
+    assert {a: c for a, c in at_one.items() if c} == {cfg.rank: 1}
+    assert coboundary_to_tutte(cb, cfg.rank) == tutte

@@ -1,16 +1,22 @@
 import pytest
 
+from idealtutte import exactpoly, flats
 from idealtutte.errors import ConstraintError, InconsistencyError
 from idealtutte.exactpoly import (
     BivariatePolynomial,
     UnivariatePolynomial,
+    _taylor_shift,
     coboundary_to_tutte,
     lagrange_interpolate,
     latex_is_wellformed,
     parse_polynomial,
     tutte_to_characteristic,
+    tutte_to_coboundary,
 )
-from idealtutte.ffmethod import coboundary_full
+from idealtutte.ffmethod import coboundary_full, coboundary_polynomial
+from idealtutte.ideals import arrangement_of, enumerate_ideals
+from idealtutte.rootsystems import root_poset, root_system_type
+from idealtutte.specialize import tutte_of_ideal
 
 
 def bp(text, variables=("x", "y")):
@@ -144,6 +150,50 @@ def test_coboundary_to_tutte_full_a25():
     assert tutte.evaluate(2, 2) == 2 ** 300
     assert tutte.evaluate(1, 1) == 25 ** 23
     assert (tutte.degree(0), tutte.degree(1)) == (24, 300 - 24)
+
+
+def taylor_shift_to_tutte(cb, rank):
+    """Reference: shift t -> Y+1, drop rank-a powers of Y from each q^a
+    column, then shift both axes by -1."""
+    out = {}
+    for (a, b), c in _taylor_shift(cb.coeffs, 0, 1).items():
+        assert a <= rank and b >= rank - a
+        out[(a, b - rank + a)] = c
+    return BivariatePolynomial(_taylor_shift(out, -1, -1), ("x", "y"))
+
+
+def taylor_shift_to_coboundary(tutte, rank):
+    """Reference: shift both axes by +1, raise each x^a column by Y^(rank-a),
+    then shift Y -> t-1."""
+    shifted = _taylor_shift(tutte.coeffs, 1, 1)
+    cols = {(a, rank - a + b): c for (a, b), c in shifted.items()}
+    return BivariatePolynomial(_taylor_shift(cols, 0, -1), ("q", "t"))
+
+
+@pytest.mark.parametrize(
+    "family, rank",
+    [("G2", None), ("F4", None), ("E6", None), ("A", 6), ("B", 5), ("C", 5), ("D", 5)],
+)
+def test_transforms_equal_the_taylor_shift_composition(family, rank):
+    rst = root_system_type(family, rank)
+    coboundary = flats.coboundary if not rst.is_classical else coboundary_polynomial
+    for ideal in enumerate_ideals(root_poset(rst)):
+        cb, r = coboundary(ideal), arrangement_of(ideal).rank
+        tutte = coboundary_to_tutte(cb, r)
+        assert tutte == taylor_shift_to_tutte(cb, r)
+        assert tutte_to_coboundary(tutte, r) == taylor_shift_to_coboundary(tutte, r) == cb
+
+
+@pytest.mark.parametrize("family, rank", [("F4", None), ("E6", None), ("B", 4)])
+def test_tutte_requests_take_no_taylor_shift(monkeypatch, family, rank):
+    ideals = enumerate_ideals(root_poset(root_system_type(family, rank)))
+    want = [tutte_of_ideal(ideal) for ideal in ideals]
+
+    def refuse(*_):
+        raise AssertionError("a Taylor shift on the request path")
+
+    monkeypatch.setattr(exactpoly, "_taylor_shift", refuse)
+    assert [tutte_of_ideal(ideal) for ideal in ideals] == want
 
 
 def test_tutte_to_characteristic_examples():

@@ -12,6 +12,7 @@ from idealtutte.errors import (
 from idealtutte.exactpoly import BivariatePolynomial, UnivariatePolynomial, coboundary_to_tutte
 from idealtutte.ffmethod import (
     CountingModel,
+    _coboundary_and_rank,
     coboundary_full,
     coboundary_polynomial,
     count_points_bruteforce,
@@ -19,7 +20,13 @@ from idealtutte.ffmethod import (
     minor_set,
     tutte_via_ffmethod,
 )
-from idealtutte.ideals import arrangement_of, complement, ideal_from_mask, partition_in_accordance
+from idealtutte.ideals import (
+    arrangement_of,
+    complement,
+    enumerate_ideals,
+    ideal_from_mask,
+    partition_in_accordance,
+)
 from idealtutte.rootsystems import positive_roots, root_poset, root_system_type
 
 
@@ -312,6 +319,12 @@ def test_pipeline_matches_published_polynomials(label):
         f"coboundary_i{label}.txt", ("q", "t")
     )
     assert tutte_via_ffmethod(ideal) == load_poly(f"tutte_i{label}.txt", ("x", "y"))
+
+
+@pytest.mark.parametrize("family, rank", [("A", 6), ("B", 5), ("C", 5), ("D", 5)])
+def test_component_ranks_add_up_to_the_arrangement_rank(family, rank):
+    for ideal in enumerate_ideals(root_poset(root_system_type(family, rank))):
+        assert _coboundary_and_rank(ideal)[1] == arrangement_of(ideal).rank
 
 
 def test_pipeline_full_ideal_is_one():
