@@ -13,15 +13,13 @@ from idealtutte import (
     coboundary_polynomial,
     coboundary_to_tutte,
     complement,
-    generating_boxes,
     ideal_from_boxes,
-    partition_in_accordance,
     region_count,
     root_poset,
     root_system_type,
-    signature_table,
     tutte_to_characteristic,
 )
+from idealtutte.paper import generating_boxes, partition_in_accordance, signature_table
 
 poset = root_poset(root_system_type("B", 6))
 ideal = ideal_from_boxes(poset, [(1, 4), (2, 0), (4, -5)])

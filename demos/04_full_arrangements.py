@@ -12,12 +12,12 @@ from idealtutte import (
     CountingModel,
     coboundary_full,
     coboundary_to_tutte,
-    minor_set,
     positive_roots,
     region_count,
     root_system_type,
 )
 from idealtutte.ffmethod import full_arrangement_tuples
+from idealtutte.paper import minor_set
 
 # the one-block counting model read out at a single prime
 print("chi-bar at p = 3 for small full arrangements:")

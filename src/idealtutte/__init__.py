@@ -9,6 +9,10 @@ Exceptional types are read off the lattice of flats of their full
 arrangement, built once per root system, and checked against the
 basis-activity formula.  A corank-nullity brute-force oracle cross-validates
 all of them.
+
+The paper's own classical route (signatures, Algorithm P's block partition
+and the minor sets that pick its primes) is the reference module
+``idealtutte.paper``, which no request loads and this package does not export.
 """
 
 from .errors import (
@@ -40,23 +44,16 @@ from .rootsystems import (
     root_system_type,
 )
 from .ideals import (
-    BlockPartition,
     Ideal,
     IdealComplement,
     arrangement_of,
     complement,
     decompose_components,
     enumerate_ideals,
-    generating_boxes,
     ideal_from_boxes,
     ideal_from_mask,
     ideal_from_root_coords,
-    is_connected,
-    is_full,
     iter_ideals,
-    partition_in_accordance,
-    signature,
-    signature_table,
 )
 from .crapo import (
     BasisActivity,
@@ -70,12 +67,10 @@ from .crapo import (
 )
 from .ffmethod import (
     CountingModel,
-    MinorProfile,
     TProfile,
     coboundary_full,
     coboundary_polynomial,
     count_points_bruteforce,
-    minor_set,
     tutte_via_ffmethod,
 )
 from .specialize import (

@@ -281,6 +281,8 @@ def cmd_charpoly(args):
 
 
 def cmd_minors(args):
+    from . import paper  # the paper's route stays off the request path
+
     rst = root_system_type(args.type, args.rank)
     poset = root_poset(rst)
     vectors = []
@@ -289,7 +291,7 @@ def cmd_minors(args):
             vectors.append(r.ambient2)
         else:
             vectors.append(tuple(c // 2 for c in r.ambient2))
-    profile = ffmethod.minor_set(vectors)
+    profile = paper.minor_set(vectors)
     mags = profile.magnitudes()
     if args.format == "json":
         print(json.dumps({"system": str(rst), "minor_magnitudes": mags}))

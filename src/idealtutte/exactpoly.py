@@ -2,8 +2,10 @@
 
 Bivariate polynomials are sparse maps (deg_a, deg_b) -> int; univariate
 polynomials are dense coefficient lists.  Rationals appear only inside
-Lagrange interpolation, a reference route that no pipeline takes, and are
-asserted integral before anything leaves this module.
+Lagrange interpolation, a piece of the paper's prime route that no pipeline
+takes, and are asserted integral before anything leaves this module.  It
+belongs with that route in ``paper``, and stays here until the benchmark's
+tracing, which hooks it by this module's name, follows it there.
 
 Both directions between chi-bar(q, t) and T(x, y) work on the q-columns of
 chi-bar: each column is divided exactly by (t-1) (synthetic division, with

@@ -1,8 +1,8 @@
 """The finite field method for ideal arrangements of classical root systems:
 the counting model whose one dynamic program yields the coboundary polynomial
-directly (a full arrangement is the single-block case), the minor set of the
-paper's theorem on which primes reduce correctly, and the brute-force
-point-counting oracle.
+directly (a full arrangement is the single-block case), and the brute-force
+point-counting oracle.  The minor sets of the paper's theorem on which primes
+reduce correctly live in ``paper``, with the rest of the paper's prime route.
 
 The count over F_p sums, over all ways of distributing each block of
 exchangeable coordinates across the residues of F_p, the multinomial weight
@@ -26,7 +26,6 @@ stride decides only whether b may be nonzero.
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from math import comb, factorial, prod
@@ -43,75 +42,6 @@ from .ideals import (
 from . import crapo
 
 DEFAULT_MAX_POINTS = 10 ** 8
-
-
-# ---- minor sets -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MinorProfile:
-    """All k x k minors (k <= max_order) of the matrix with the given rows.
-
-    The minor set is stored symmetrically: row swaps realize both signs, so d
-    and -d are recorded together.
-    """
-
-    vectors: tuple
-    minors: frozenset
-    max_order: int
-
-    def magnitudes(self):
-        return sorted({abs(d) for d in self.minors})
-
-
-def _det(rows):
-    """Exact determinant by fraction-free elimination."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def minor_set(vectors, max_order=None, max_minors=5_000_000):
-    """Every minor of the matrix whose rows are the given vectors.
-
-    Exhaustive over row and column subsets, so intended for ambient dimension
-    at most 5; the guard refuses anything combinatorially larger.
-    """
-    vectors = [tuple(v) for v in vectors]
-    if not vectors:
-        return MinorProfile((), frozenset(), 0)
-    dim = len(vectors[0])
-    m = len(vectors)
-    if max_order is None:
-        max_order = min(m, dim)
-    if max_order > min(m, dim):
-        raise ConstraintError("max_order exceeds matrix dimensions")
-    total = sum(comb(m, k) * comb(dim, k) for k in range(1, max_order + 1))
-    if total > max_minors:
-        raise GuardExceeded(f"{total} minors exceeds guard {max_minors}")
-    minors = set()
-    for k in range(1, max_order + 1):
-        for rows in itertools.combinations(range(m), k):
-            for cols in itertools.combinations(range(dim), k):
-                d = _det([[vectors[r][c] for c in cols] for r in rows])
-                minors.add(d)
-                minors.add(-d)
-    return MinorProfile(tuple(vectors), frozenset(minors), max_order)
 
 
 # ---- brute-force point counting ---------------------------------------------

@@ -22,10 +22,10 @@ from idealtutte.ffmethod import (
     coboundary_full,
     coboundary_polynomial,
     count_points_bruteforce,
-    minor_set,
     tutte_via_ffmethod,
 )
 from idealtutte.ideals import arrangement_of, complement, enumerate_ideals, ideal_from_mask
+from idealtutte.paper import minor_set
 from idealtutte.rootsystems import positive_roots, root_poset, root_system_type
 from idealtutte.specialize import check_exponent_factorization, region_count, tutte_of_ideal
 

@@ -17,16 +17,10 @@ from idealtutte.ffmethod import (
     coboundary_polynomial,
     count_points_bruteforce,
     full_arrangement_tuples,
-    minor_set,
     tutte_via_ffmethod,
 )
-from idealtutte.ideals import (
-    arrangement_of,
-    complement,
-    enumerate_ideals,
-    ideal_from_mask,
-    partition_in_accordance,
-)
+from idealtutte.ideals import arrangement_of, complement, enumerate_ideals, ideal_from_mask
+from idealtutte.paper import minor_set, partition_in_accordance
 from idealtutte.rootsystems import positive_roots, root_poset, root_system_type
 
 

@@ -10,13 +10,15 @@ from idealtutte.ideals import (
     diagram_boxes,
     enumerate_ideals,
     generated_box_set,
-    generating_boxes,
     ideal_from_boxes,
     ideal_from_mask,
     ideal_from_root_coords,
+    iter_ideals,
+)
+from idealtutte.paper import (
+    generating_boxes,
     is_connected,
     is_full,
-    iter_ideals,
     partition_in_accordance,
     reconstruct_tuples,
     rightmost_boxes,

@@ -16,14 +16,9 @@ from idealtutte.exactpoly import (
     tutte_to_characteristic,
     tutte_to_coboundary,
 )
-from idealtutte.ideals import (
-    Ideal,
-    complement,
-    generating_boxes,
-    partition_in_accordance,
-    reconstruct_tuples,
-)
+from idealtutte.ideals import Ideal, complement
 from idealtutte.errors import ConstraintError
+from idealtutte.paper import generating_boxes, partition_in_accordance, reconstruct_tuples
 from idealtutte.rootsystems import root_poset, root_system_type
 
 
