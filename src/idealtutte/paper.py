@@ -113,13 +113,12 @@ def signature(comp, x):
     diagram has negative columns.
     """
     f = comp.rst.family
-    table = signature_table(comp)
     x = int(x)
     if x == 0 and f in ("A", "D"):
         raise UnsupportedTypeError(f"signature of 0 undefined for type {f}")
     if x < 0 and f == "A":
         raise UnsupportedTypeError("type A has no negative columns")
-    return table.get(x, set())
+    return signature_table(comp).get(x, set())
 
 
 def signature_table(comp):

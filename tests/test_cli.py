@@ -580,7 +580,7 @@ def test_one_shot_request_imports_neither_jsonschema_nor_numpy():
         "from idealtutte import cli\n"
         "argv = ['tutte', '--type', 'B', '--rank', '4', '--roots', '[[1,2,2,2]]', '--no-cache']\n"
         "assert cli.main(argv) == 0\n"
-        "loaded = {'jsonschema', 'numpy'} & sys.modules.keys()\n"
+        "loaded = {'jsonschema', 'numpy', 'idealtutte.paper'} & sys.modules.keys()\n"
         "assert not loaded, loaded\n"
     )
     subprocess.run(

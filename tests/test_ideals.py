@@ -414,6 +414,18 @@ def test_signature_zero_rejected_for_a_and_d():
         signature(complement(worked_ideal("d")), 0)
 
 
+def test_signature_checks_x_before_it_reads_the_diagram():
+    # the first D4 ideal whose complement has no generating-box presentation
+    ideal = ideal_from_root_coords(
+        root_poset(root_system_type("D", 4)), [(1, 1, 1, 0), (1, 1, 1, 1), (1, 2, 1, 1)]
+    )
+    comp = complement(ideal)
+    with pytest.raises(ConstraintError, match="not an open diagram set"):
+        signature_table(comp)
+    with pytest.raises(UnsupportedTypeError, match="signature of 0 undefined for type D"):
+        signature(comp, 0)
+
+
 # ---- the partition in accordance ----------------------------------------------
 
 
