@@ -18,16 +18,17 @@ from that record by the binomial weights C((p-1)/s, u).
 
 A step that takes a_i coordinates of block i to c and b_i to p-c has weight
 C(r_i, a_i) C(r_i - a_i, b_i) = C(r_i, m_i) C(m_i, a_i), m_i = a_i + b_i, and
-a t-exponent that depends on the a's and b's alone.  So the splits of each
-consumption m are summed once per model into a t-polynomial H(m), and a state
-r has one move per nonzero m <= r, of weight prod_i C(r_i, m_i) H(m); the
-stride decides only whether b may be nonzero.
+a t-exponent that depends on the a's and b's alone (b = 0 at stride 1).  So
+the splits of each m are summed once per model into a t-polynomial H(m), and
+a state r with polynomial P_r has one move per nonzero m <= r, of weight
+C(r, m) H(m) = r! H(m) / (m! (r - m)!), k! = prod_i k_i!.  Carrying
+Q_r = r! P_r instead makes the weight H(m) D / m! (D = n!) the same in any r.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
+from itertools import product
 from math import comb, factorial, prod
 
 from .errors import ConstraintError, GuardExceeded, InconsistencyError, UnsupportedTypeError
@@ -114,7 +115,7 @@ class CountingModel:
     prime.  Its step is chosen from the incidence flags: one residue per
     step (stride 1) when every hyperplane is x_i = x_j, else one pair
     {c, p-c} per step (stride 2); either way the splits of a step are
-    summed once per model (``_split_table``).
+    summed once per model into weights that serve every state.
 
     ``blocks`` defaults to the coordinate classes under hyperplane-set
     automorphisms; the partition in accordance with an ideal is passed as
@@ -152,8 +153,6 @@ class CountingModel:
         self._radix = tuple(
             prod(n + 1 for n in self._sizes[:bi]) for bi in range(len(self._sizes))
         )
-        self._splits = None  # code of m -> H(m), built by residue_profile
-        self._kernel = {}  # state -> (zero exponent, moves)
         self._profile = None
 
     def _zero_exponent(self, state):
@@ -172,12 +171,13 @@ class CountingModel:
         return de
 
     def _split_table(self, width):
-        """H(m) for every consumption vector m <= the full block sizes, in a
-        flat list indexed by the mixed-radix code sum_i m_i radix_i: the
-        packed t-polynomial shifted down by its lowest exponent e, and e.
+        """The move weight H(m) D / m! for every m <= n, in a flat list
+        indexed by the mixed-radix code sum_i m_i radix_i: the packed
+        t-polynomial shifted down by its lowest exponent e, and e * width.
 
         H(m)(t) = sum over the splits a + b = m of prod_i C(m_i, a_i) t^de,
-        a_i coordinates of block i to c and b_i to p-c (b = 0 at stride 1).
+        a_i coordinates of block i to c and b_i to p-c (b = 0 at stride 1);
+        the weight's terms are prod_i n_i! / (a_i! b_i!) t^de.
         A hyperplane x_i = x_j (x_i = -x_j) holds when i and j take the same
         (opposite) residue of the step, and x_i = 0 never holds off residue
         0, so de depends on the split alone, never on the state it is taken
@@ -193,7 +193,7 @@ class CountingModel:
         for bi, (n, radix) in enumerate(zip(self._sizes, self._radix)):
             pw, nw = inc.pos_within[bi], inc.neg_within[bi]
             within = [
-                (a, b, (a + b) * radix, comb(a + b, a),
+                (a, b, (a + b) * radix, factorial(n) // (factorial(a) * factorial(b)),
                  pw * (a * (a - 1) + b * (b - 1)) // 2 + nw * a * b)
                 for a in range(n + 1) for b in range(n - a + 1 if pair else 1)
             ]
@@ -220,83 +220,76 @@ class CountingModel:
             table[code] += (2 * weight if pair and not tied else weight) << (de * width)
         out = []
         for poly in table:
-            e = ((poly & -poly).bit_length() - 1) // width
-            out.append((poly >> (e * width), e))
+            shift = ((poly & -poly).bit_length() - 1) // width * width
+            out.append((poly >> shift, shift))
         return out
 
-    def _step(self, state):
-        """(zero exponent, moves) of ``state``, computed once per model: one
-        move (rest r - m, packed weight prod_i C(r_i, m_i) H(m), its lowest
-        t-exponent) per nonzero m <= r, so exactly prod_i (r_i + 1) - 1 at
-        either stride.  The empty step is the identity, left to
-        residue_profile's binomial weights."""
-        entry = self._kernel.get(state)
-        if entry is None:
-            # (rest, code of m, prod C(r_i, m_i)) over the blocks so far
-            partial = [((), 0, 1)]
-            for r, radix in zip(state, self._radix):
-                row = [comb(r, k) for k in range(r + 1)]
-                partial = [
-                    (rest + (r - k,), code + k * radix, w * c)
-                    for rest, code, w in partial for k, c in enumerate(row)
-                ]
-            splits = self._splits
-            moves = [  # partial[0] consumes nothing
-                (rest, w * poly, e) for rest, code, w in partial[1:] for poly, e in [splits[code]]
-            ]
-            entry = self._kernel[state] = (self._zero_exponent(state), moves)
-        return entry
+    def _consumptions(self, state):
+        """Codes of the nonzero m <= ``state``, its prod_i (r_i + 1) - 1 moves;
+        the empty step is left to residue_profile's binomial weights."""
+        codes = [0]
+        for r, radix in zip(state, self._radix):
+            if r:
+                codes += [c + k for k in range(radix, (r + 1) * radix, radix) for c in codes]
+        return codes[1:]
 
     def residue_profile(self):
         """F_u for u = 0, 1, ...: dense t-coefficient lists of the weight that
         exhausts every block with exactly u non-empty steps and residue 0,
         where a step is one residue pair (stride 2) or one residue (stride 1).
 
-        Starting from the full block sizes, each round first closes every live
-        state into F_u (residue 0 takes whatever the steps left, at weight 1
-        and ``_zero_exponent``), then applies one more non-empty step.  An
-        empty step leaves the state unchanged, so over the (p-1)/s steps the
-        count is sum_u C((p-1)/s, u) F_u.  Each non-empty step consumes at
-        least one coordinate, so the loop ends within m + 1 rounds.  Computed
-        once per model, and refused with GuardExceeded before anything is
-        built when the kernel would cache more than
-        ``crapo.MAX_KERNEL_BYTES // 180`` moves: prod_i C(n_i + 2, 2) -
-        prod_i (n_i + 1) over the block sizes n_i.
+        Starting from the full block sizes n, each round first closes every
+        live state into F_u (residue 0 takes whatever the steps left, at
+        ``_zero_exponent``), then applies one more non-empty step.  An empty
+        step leaves the state unchanged, so over the (p-1)/s steps the count
+        is sum_u C((p-1)/s, u) F_u.  The loop ends within m + 1 rounds.
+        Computed once per model, and refused with GuardExceeded before
+        anything is built when one round could expand more than
+        ``crapo.MAX_KERNEL_BYTES // 180`` (state, move) pairs:
+        prod_i C(n_i + 2, 2) - prod_i (n_i + 1) moves.  A state r carries
+        Q_r = r! P_r, from Q_n = D; a move adds Q_r times its weight to
+        D Q_(r-m), r closes at D / r! into D F_u; every division by D is checked.
 
         Each t-polynomial is one integer, the coefficient of t^e in bits
-        [e * width, (e + 1) * width): applying a move is one multiplication
-        by its packed weight and one shift by its lowest exponent.  Every
-        weight is positive, so each coefficient of a product, a state's or a
-        move's, is a partial count: at most the maps from the m coordinates
-        to residue 0 and the s * u residues of u <= m steps, at most
-        (s m + 1)^m < 2^width.  So no field carries into the next, though a
-        move's weight has many terms at stride 2.
+        [e * width, (e + 1) * width): a move is one multiplication and one
+        shift.  Every weight is positive, so each coefficient of a product
+        is at most one of some D Q_r <= D^2 P_r, and one of P_r counts at
+        most the maps from the m coordinates to residue 0 and the s * u
+        residues of u <= m steps, (s m + 1)^m.  So (s m + 1)^m D^2 < 2^width
+        keeps every field from carrying into the next.
         """
         if self._profile is not None:
             return self._profile
-        # every state r <= the block sizes is reachable and caches
-        # prod_i (r_i + 1) - 1 moves, at about 180 bytes each
+        # a round expands each state r <= n at most once, into prod_i (r_i + 1) - 1 moves
         moves = prod(comb(n + 2, 2) for n in self._sizes) - prod(n + 1 for n in self._sizes)
         if moves > crapo.MAX_KERNEL_BYTES // 180:
             raise GuardExceeded(
-                f"the counting kernel of blocks {list(self._sizes)} would cache {moves} "
-                f"moves, over {crapo.MAX_KERNEL_BYTES // 180} (MAX_KERNEL_BYTES // 180)"
+                f"the counting DP of blocks {list(self._sizes)} can expand {moves} moves "
+                f"in one round, over {crapo.MAX_KERNEL_BYTES // 180} (MAX_KERNEL_BYTES // 180)"
             )
-        width = ((self.stride * self.m + 1) ** self.m).bit_length()
+        scale = prod(map(factorial, self._sizes))
+        width = ((self.stride * self.m + 1) ** self.m * scale ** 2).bit_length()
         mask = (1 << width) - 1
-        self._splits = self._split_table(width)
-        states = {self._sizes: 1}
+        weights = self._split_table(width)
+        # per state code: the state, its closing weight D / r! and shift
+        closing = [
+            (r, scale // prod(map(factorial, r)), self._zero_exponent(r) * width)
+            for r in (r[::-1] for r in product(*(range(n + 1) for n in reversed(self._sizes))))
+        ]
+        states = [(len(closing) - 1, scale)]
         profile = []
         while states:
             closed = 0
-            nxt = defaultdict(int)
-            for st, poly in states.items():
-                de0, moves = self._step(st)
-                closed += poly << (de0 * width)
-                for st2, w, de in moves:
-                    nxt[st2] += (poly * w) << (de * width)
+            nxt = [0] * len(closing)
+            for code, q in states:
+                r, close, zero_shift = closing[code]
+                closed += (q * close) << zero_shift
+                for mc in self._consumptions(r):
+                    w, shift = weights[mc]
+                    nxt[code - mc] += (q * w) << shift
+            closed = _divide_exactly(closed, scale)
             profile.append([(closed >> (e * width)) & mask for e in range(len(self.tuples) + 1)])
-            states = nxt
+            states = [(code, _divide_exactly(q, scale)) for code, q in enumerate(nxt) if q]
         self._profile = tuple(profile)
         return self._profile
 
@@ -361,6 +354,13 @@ class CountingModel:
     def coboundary_at_prime(self, p):
         """chi-bar(p, t): the profile divided by p^(m - rank), exactly."""
         return TProfile(tuple(self.point_count_profile(p)), p, self.m, self.rank).coboundary()
+
+
+def _divide_exactly(poly, d):
+    q, rem = divmod(poly, d)
+    if rem:
+        raise InconsistencyError(f"a counting DP polynomial is not divisible by D = {d}")
+    return q
 
 
 # ---- full classical arrangements --------------------------------------------

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import tracemalloc
 from math import comb
 
 import pytest
@@ -301,6 +304,70 @@ def test_direct_coboundary_checks_its_divisions_pair_kernel():
     model = CountingModel(2, [(1, -2)])
     f0, f1, f2 = model.residue_profile()
     _tamper_checks(model, f0, f1, f2, (f0, [f1[0] + 1, f1[1] - 1], f2))
+
+
+def _complete_multipartite(parts, size):
+    """Hyperplanes x_i = x_j between coordinates of different parts of
+    ``parts`` blocks of ``size`` coordinates each."""
+    m = parts * size
+    return m, [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)
+               if (i - 1) // size != (j - 1) // size]
+
+
+@pytest.mark.parametrize("zero", [False, True])
+def test_counting_dp_retains_no_move_table(zero):
+    # K_{2,2,2,2,2,2}: six blocks of 2, 6^6 - 3^6 = 45927 moves at stride 1,
+    # or stride 2 with every x_i = 0 added
+    m, tuples = _complete_multipartite(6, 2)
+    if zero:
+        tuples += [(i, 0) for i in range(1, m + 1)]
+    model = CountingModel(m, tuples)
+    assert model.stride == (2 if zero else 1) and sorted(map(len, model.blocks)) == [2] * 6
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        model.residue_profile()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20
+
+
+@pytest.mark.parametrize("m, tuples", [
+    (2, [(1, 2)]), (2, [(1, -2)]), _complete_multipartite(3, 2), (3, [(1, 0), (2, 0), (3, 0)]),
+])
+def test_counting_dp_checks_its_division_by_d(monkeypatch, m, tuples):
+    # D = prod_i n_i! > 1: one more t^e in the weight of consuming one
+    # coordinate of the first block leaves a state that D does not divide
+    split_table = CountingModel._split_table
+
+    def tampered(self, width):
+        weights = split_table(self, width)
+        w, shift = weights[1]
+        weights[1] = (w + 1, shift)
+        return weights
+
+    monkeypatch.setattr(CountingModel, "_split_table", tampered)
+    model = CountingModel(m, tuples)
+    assert len(model.blocks[0]) >= 2
+    with pytest.raises(InconsistencyError, match="not divisible by D"):
+        model.coboundary()
+
+
+def test_coboundary_polynomials_are_pinned():
+    # every ideal of A6, B5, C5 and D5 in enumeration order, family by family,
+    # as the JSON the CLI emits
+    digest = hashlib.sha256()
+    count = 0
+    for family, rank in [("A", 6), ("B", 5), ("C", 5), ("D", 5)]:
+        for ideal in enumerate_ideals(root_poset(root_system_type(family, rank))):
+            poly = coboundary_polynomial(ideal).to_json_dict()
+            digest.update((json.dumps(poly, sort_keys=True) + "\n").encode())
+            count += 1
+    assert count == 1115
+    assert digest.hexdigest() == (
+        "92de6b203bba87e10610f78d321410fa6f116529090a441cacc0674183418481"
+    )
 
 
 # ---- the full pipeline ------------------------------------------------------------

@@ -7,8 +7,8 @@ x_i = x_j hyperplanes only (stride 1, one residue per step), such sets with
 one hyperplane added that switches the model to stride 2 (one residue pair
 per step), and tuple sets expanded from coarse blocks with uniform incidence,
 which reach uneven splits inside a block and tied blocks.  Every model they
-build also has the closed-form kernel size.  They sit beside the fixed-seed
-sweeps in test_ffmethod and test_properties."""
+build also expands the closed-form number of moves.  They sit beside the
+fixed-seed sweeps in test_ffmethod and test_properties."""
 
 from functools import lru_cache
 from math import comb, prod
@@ -88,13 +88,33 @@ def normal_tuple_sets(draw):
 
 
 def _assert_kernel_size(model):
-    """After residue_profile, every state r <= the block sizes n is cached
-    with exactly prod_i (r_i + 1) - 1 moves, one per nonzero consumption
-    m <= r, so the moves total prod_i C(n_i + 2, 2) - prod_i (n_i + 1)."""
-    for state, (_, moves) in model._kernel.items():
-        assert len(moves) == prod(r + 1 for r in state) - 1
+    """Runs residue_profile and records the moves it expands: every state
+    r <= the block sizes n is expanded, each time into the same
+    prod_i (r_i + 1) - 1 moves, one per nonzero consumption m <= r, so the
+    moves total prod_i C(n_i + 2, 2) - prod_i (n_i + 1)."""
+    assert model._profile is None
     sizes = [len(b) for b in model.blocks]
-    total = sum(len(moves) for _, moves in model._kernel.values())
+    consumptions = model._consumptions
+    expanded = {}
+
+    def spy(state):
+        codes = consumptions(state)
+        assert expanded.setdefault(state, codes) == codes
+        return codes
+
+    model._consumptions = spy
+    try:
+        model.residue_profile()
+    finally:
+        del model._consumptions
+    for state, codes in expanded.items():
+        consumed = {
+            tuple(code // radix % (n + 1) for n, radix in zip(sizes, model._radix))
+            for code in codes
+        }
+        assert len(consumed) == len(codes) == prod(r + 1 for r in state) - 1
+        assert all(any(m) and all(map(int.__le__, m, state)) for m in consumed)
+    total = sum(len(codes) for codes in expanded.values())
     assert total == prod(comb(n + 2, 2) for n in sizes) - prod(n + 1 for n in sizes)
 
 
@@ -103,6 +123,7 @@ def _assert_matches_brute_force(m, tuples, blocks=None, primes=(3, 5, 7)):
     against exhaustive counts, and its kernel size in closed form; returns
     the model."""
     model = CountingModel(m, tuples, blocks=blocks)
+    _assert_kernel_size(model)
     cb = model.coboundary()
     for p in primes:
         expected = list(count_points_bruteforce(tuples, m, p).counts)
@@ -111,7 +132,6 @@ def _assert_matches_brute_force(m, tuples, blocks=None, primes=(3, 5, 7)):
         for (dq, dt), c in cb.coeffs.items():
             profile[dt] += p ** (m - model.rank) * c * p ** dq
         assert profile == expected
-    _assert_kernel_size(model)
     return model
 
 
@@ -170,7 +190,6 @@ def test_single_residue_kernel_size_on_a_bench_component():
     model = _largest_bench_component("A", 7, BENCH_A7)
     sizes = [len(b) for b in model.blocks]
     assert model.stride == 1 and sorted(sizes) == [1, 1, 2, 2, 2]
-    model.residue_profile()
     _assert_kernel_size(model)
 
 
@@ -192,7 +211,6 @@ def test_pair_kernel_size_on_a_bench_component():
     model = _largest_bench_component("D", 8, BENCH_D8)
     sizes = [len(b) for b in model.blocks]
     assert model.stride == 2 and sorted(sizes) == [1, 1, 2, 2, 2]
-    model.residue_profile()
     # the pair's (a, b) splits live in each move's weight, not in more moves
     _assert_kernel_size(model)
 
