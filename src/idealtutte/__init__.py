@@ -1,14 +1,15 @@
 """Exact Tutte, coboundary, and characteristic polynomials of ideal
 arrangements of root systems (families A, B, C, D at any rank; G2, F4, E6).
 
-Classical types go through the finite field method: one dynamic program over
-the blocks of exchangeable coordinates gives the coboundary polynomial
-directly, with no primes and no interpolation.  The same program's weighted
-point counts at odd q, and exhaustive point counts at q = 3, check it.
-Exceptional types are read off the lattice of flats of their full
-arrangement, built once per root system, and checked against the
-basis-activity formula.  A corank-nullity brute-force oracle cross-validates
-all of them.
+Every result comes from one of two objects.  Classical types go through the
+finite field method: one dynamic program over the blocks of exchangeable
+coordinates gives the coboundary polynomial directly, with no primes and no
+interpolation.  Exceptional types read the coboundary polynomial off the
+lattice of flats of their full arrangement, built once per root system.  The
+basis-activity formula and a corank-nullity brute-force oracle give the
+Tutte polynomial instead, and cross-validate the others.  One dispatcher
+(``specialize``) converts between the two and certifies every Tutte
+polynomial it transforms from a coboundary polynomial.
 
 The paper's own classical route (signatures, Algorithm P's block partition
 and the minor sets that pick its primes) is the reference module
@@ -46,10 +47,12 @@ from .rootsystems import (
 from .ideals import (
     Ideal,
     IdealComplement,
+    IdealExponents,
     arrangement_of,
     complement,
     decompose_components,
     enumerate_ideals,
+    ideal_exponents,
     ideal_from_boxes,
     ideal_from_mask,
     ideal_from_root_coords,
@@ -71,15 +74,12 @@ from .ffmethod import (
     coboundary_full,
     coboundary_polynomial,
     count_points_bruteforce,
-    tutte_via_ffmethod,
 )
 from .specialize import (
     FactorizationReport,
-    IdealExponents,
     characteristic_polynomial,
     check_exponent_factorization,
     coboundary_of_ideal,
-    ideal_exponents,
     region_count,
     resolve_engine,
     tutte_of_ideal,

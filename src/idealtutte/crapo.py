@@ -18,7 +18,7 @@ from __future__ import annotations
 from math import comb, gcd, hypot, prod
 
 from .errors import GuardExceeded, InconsistencyError
-from .exactpoly import BivariatePolynomial, _taylor_shift
+from .exactpoly import BivariatePolynomial
 
 DEFAULT_MAX_BASIS_SUBSETS = 10 ** 8
 # bytes the kernel may hold in bases and exchange table for one configuration
@@ -289,9 +289,16 @@ def tutte_corank_nullity(cfg, max_subsets=2 ** 24, *, max_elements=None):
         walk(i + 1, size + 1, ech2)
 
     walk(0, 0, _Echelon())
-    # the rank-generating polynomial sum cnt X^(r-rs) Y^(size-rs), at X = x-1, Y = y-1
-    rgp = {(r - rs, size - rs): cnt for (size, rs), cnt in counts.items()}
-    return BivariatePolynomial(_taylor_shift(rgp, -1, -1), ("x", "y"))
+    # cnt (x-1)^a (y-1)^b per (size, rank) class, a = r - rs and b = size - rs,
+    # expanded by the binomial theorem
+    coeffs = {}
+    for (size, rs), cnt in counts.items():
+        a, b = r - rs, size - rs
+        for i in range(a + 1):
+            for j in range(b + 1):
+                term = cnt * comb(a, i) * comb(b, j) * (-1) ** (a - i + b - j)
+                coeffs[(i, j)] = coeffs.get((i, j), 0) + term
+    return BivariatePolynomial(coeffs, ("x", "y"))
 
 
 # ---- exact exchange-table engine ------------------------------------------

@@ -10,9 +10,8 @@ tracing, which hooks it by this module's name, follows it there.
 Both directions between chi-bar(q, t) and T(x, y) work on the q-columns of
 chi-bar: each column is divided exactly by (t-1) (synthetic division, with
 its remainder checked) or multiplied by it, and the other axis takes a shift
-by +-1 along the short x-axis, whose degree is at most the rank.  Taylor
-shifts along a whole axis (``_taylor_shift``) serve only the corank-nullity
-oracle's change of variables and the characteristic transform.
+by +-1 along the short x-axis, whose degree is at most the rank.  The
+characteristic polynomial is the t^0 column of chi-bar.
 """
 
 from __future__ import annotations
@@ -430,33 +429,6 @@ def lagrange_interpolate(points):
     return BivariatePolynomial(out, ("q", "t"))
 
 
-def _taylor_shift(coeffs, sx, sy):
-    """Coefficient map of p(x + sx, y + sy) from that of p(x, y), with sx, sy in {-1, 0, 1}.
-
-    Each non-zero shift runs Horner's scheme on every line of coefficients
-    along its axis: one prefix sum per degree, O(d^2) exact additions per
-    line.  A shift by -1 is the shift by +1 conjugated by p(z) -> p(-z), so
-    odd degrees change sign on the way in and on the way out.
-    """
-    for axis, s in ((0, sx), (1, sy)):
-        if not s:
-            continue
-        lines = {}
-        for k, c in coeffs.items():
-            lines.setdefault(k[1 - axis], {})[k[axis]] = c
-        coeffs = {}
-        for other, line in lines.items():
-            degrees = range(max(line), -1, -1)
-            # highest degree first, so each Horner pass is a prefix sum
-            rev = [line.get(d, 0) * (s if d & 1 else 1) for d in degrees]
-            for n in range(len(rev), 1, -1):
-                rev[:n] = accumulate(rev[:n])
-            for d, c in zip(degrees, rev):
-                if c:
-                    coeffs[(d, other) if axis == 0 else (other, d)] = c * (s if d & 1 else 1)
-    return coeffs
-
-
 def _columns(coeffs):
     """Dense second-axis coefficient lists of a coefficient map, one per
     first-axis degree up to the largest, all of one length."""
@@ -540,17 +512,18 @@ def tutte_to_coboundary(tutte, rank):
     return _from_columns(cols, ("q", "t"))
 
 
-def tutte_to_characteristic(tutte, n, rank):
-    """Characteristic polynomial chi(q) = (-1)^rank q^(n-rank) T(1-q, 0)."""
+def coboundary_to_characteristic(cb, n, rank):
+    """Characteristic polynomial chi(q) = q^(n-rank) chi-bar(q, 0): the t^0 column."""
     if rank > n:
         raise ConstraintError(f"rank {rank} exceeds ambient dimension {n}")
-    # T(1-q, 0): negate the odd x-degrees of the y^0 column, then shift x by -1
-    column = {(dx, 0): -c if dx & 1 else c for (dx, dy), c in tutte.coeffs.items() if dy == 0}
-    shifted = _taylor_shift(column, -1, 0)
-    sign = (-1) ** rank
-    top = max((dx for dx, _ in shifted), default=-1)
-    acc = [sign * shifted.get((k, 0), 0) for k in range(top + 1)]
-    return UnivariatePolynomial([0] * (n - rank) + acc)
+    column = [cb.coefficient(a, 0) for a in range(cb.degree(0) + 1)]
+    return UnivariatePolynomial([0] * (n - rank) + column)
+
+
+def tutte_to_characteristic(tutte, n, rank):
+    """Characteristic polynomial chi(q) = (-1)^rank q^(n-rank) T(1-q, 0): the
+    t^0 column of ``tutte_to_coboundary``."""
+    return coboundary_to_characteristic(tutte_to_coboundary(tutte, rank), n, rank)
 
 
 def latex_is_wellformed(s):

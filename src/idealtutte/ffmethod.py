@@ -32,7 +32,7 @@ from itertools import product
 from math import comb, factorial, prod
 
 from .errors import ConstraintError, GuardExceeded, InconsistencyError, UnsupportedTypeError
-from .exactpoly import BivariatePolynomial, UnivariatePolynomial, coboundary_to_tutte
+from .exactpoly import BivariatePolynomial, UnivariatePolynomial
 from .ideals import (
     automorphism_blocks,
     block_incidence,
@@ -357,6 +357,15 @@ class CountingModel:
 
 
 def _divide_exactly(poly, d):
+    """poly // d for a packed t-polynomial, InconsistencyError on a remainder.
+
+    The check sees the whole integer, sum_e c_e 2^(e * width), not each field
+    c_e: the remainder mixes the fields' residues.  When d = 2^k it reads the
+    low k bits alone, so only the lowest t-field is checked.  What it misses
+    is caught downstream: ``coboundary`` checks each F_u coefficient's
+    division by s^u u! and chi-bar(q, 1) = q^rank, and
+    ``specialize.tutte_of_ideal`` certifies T(2, 2) = 2^m.
+    """
     q, rem = divmod(poly, d)
     if rem:
         raise InconsistencyError(f"a counting DP polynomial is not divisible by D = {d}")
@@ -390,7 +399,7 @@ def coboundary_full(family, n):
 # ---- the ideal pipeline ------------------------------------------------------
 
 
-def _coboundary_and_rank(ideal):
+def coboundary_and_rank(ideal):
     """chi-bar(q, t) and the rank of a classical ideal arrangement.
 
     Decomposes the complement into connected components and multiplies their
@@ -415,9 +424,4 @@ def _coboundary_and_rank(ideal):
 
 def coboundary_polynomial(ideal):
     """Exact coboundary polynomial chi-bar(q, t) of a classical ideal arrangement."""
-    return _coboundary_and_rank(ideal)[0]
-
-
-def tutte_via_ffmethod(ideal):
-    """Tutte polynomial of a classical ideal arrangement via the coboundary route."""
-    return coboundary_to_tutte(*_coboundary_and_rank(ideal))
+    return coboundary_and_rank(ideal)[0]

@@ -1,7 +1,7 @@
 """Ideals of positive root systems: enumeration, construction from roots or
 from generating boxes, ideal arrangements, the block incidence model that the
-counting engine consumes with its automorphism blocks, and component
-decomposition.
+counting engine consumes with its automorphism blocks, component
+decomposition, and the ideal exponents read off the complement's heights.
 
 Classical roots are named throughout by the hyperplane tuple notation:
 (i, j) is x_i = x_j, (i, -j) is x_i = -x_j, (i, 0) is x_i = 0, always with
@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import crapo
-from .errors import ConstraintError, UnsupportedTypeError
+from .errors import ConstraintError, InconsistencyError, UnsupportedTypeError
 from .rootsystems import hyperplane_tuple, root_poset
 
 
@@ -372,6 +372,40 @@ def arrangement_of(ideal):
     return crapo.VectorConfig(
         [r.ambient2 for r in ideal.complement_roots()], dim=ideal.rst.ambient_dim
     )
+
+
+@dataclass(frozen=True)
+class IdealExponents:
+    """Height partition of an ideal complement and its dual partition."""
+
+    heights: tuple    # lambda_1 >= lambda_2 >= ...
+    exponents: tuple  # m_{lambda_1} >= ... >= m_1
+
+    def total(self):
+        return sum(self.heights)
+
+
+def ideal_exponents(ideal):
+    """Ideal exponents from the height partition of the complement.
+
+    lambda_i counts complement roots of height i; the exponents are the dual
+    partition values m_i = #{j : lambda_j >= lambda_1 - i + 1}, reported in
+    weakly decreasing order.
+    """
+    heights = {}
+    for r in ideal.complement_roots():
+        heights[r.height] = heights.get(r.height, 0) + 1
+    if not heights:
+        return IdealExponents((), ())
+    lam = [heights.get(h, 0) for h in range(1, max(heights) + 1)]
+    if any(a < b for a, b in zip(lam, lam[1:])):
+        raise InconsistencyError(f"height counts {lam} are not weakly decreasing")
+    lam_sorted = sorted(lam, reverse=True)
+    top = lam_sorted[0]
+    exps = [
+        sum(1 for l in lam_sorted if l >= top - i + 1) for i in range(1, top + 1)
+    ]
+    return IdealExponents(tuple(lam_sorted), tuple(sorted(exps, reverse=True)))
 
 
 def tuple_normal(t, n):

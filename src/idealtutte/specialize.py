@@ -1,55 +1,27 @@
-"""Derived quantities: characteristic polynomials, region counts, ideal
-exponents from the height partition, and the exponent-factorization
-cross-check.  Also hosts the one engine dispatcher, ``resolve_engine``, which
-picks the finite-field pipeline for classical types and the lattice of flats
-for exceptional ones.
+"""The one engine dispatcher and what is read off its results.
+
+Each engine returns one polynomial and the arrangement's rank: chi-bar(q, t)
+from the finite-field pipeline and the lattice of flats, T(x, y) from Crapo's
+basis activities and the corank-nullity oracle.  The conversions happen here
+once: ``tutte_of_ideal`` transforms chi-bar and certifies the result, and
+``characteristic_polynomial`` reads chi(q) off chi-bar(q, 0).  Also region
+counts and the ideal-exponent factorization cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import crapo, ffmethod
+from . import crapo, ffmethod, flats
 from .errors import ConstraintError, InconsistencyError
-from .exactpoly import tutte_to_characteristic, tutte_to_coboundary
-from .ideals import arrangement_of
-
-
-@dataclass(frozen=True)
-class IdealExponents:
-    """Height partition of an ideal complement and its dual partition."""
-
-    heights: tuple    # lambda_1 >= lambda_2 >= ...
-    exponents: tuple  # m_{lambda_1} >= ... >= m_1
-
-    def total(self):
-        return sum(self.heights)
-
-
-def ideal_exponents(ideal):
-    """Ideal exponents from the height partition of the complement.
-
-    lambda_i counts complement roots of height i; the exponents are the dual
-    partition values m_i = #{j : lambda_j >= lambda_1 - i + 1}, reported in
-    weakly decreasing order.
-    """
-    heights = {}
-    for r in ideal.complement_roots():
-        heights[r.height] = heights.get(r.height, 0) + 1
-    if not heights:
-        return IdealExponents((), ())
-    lam = [heights.get(h, 0) for h in range(1, max(heights) + 1)]
-    if any(a < b for a, b in zip(lam, lam[1:])):
-        raise InconsistencyError(f"height counts {lam} are not weakly decreasing")
-    lam_sorted = sorted(lam, reverse=True)
-    top = lam_sorted[0]
-    exps = [
-        sum(1 for l in lam_sorted if l >= top - i + 1) for i in range(1, top + 1)
-    ]
-    return IdealExponents(tuple(lam_sorted), tuple(sorted(exps, reverse=True)))
+from .exactpoly import coboundary_to_characteristic, coboundary_to_tutte, tutte_to_coboundary
+# IdealExponents and ideal_exponents live in ideals and stay importable from here
+from .ideals import IdealExponents, arrangement_of, ideal_exponents
 
 
 ENGINES = ("auto", "ffmethod", "flats", "crapo", "oracle")
+# the engines whose result is chi-bar(q, t); crapo and oracle give T(x, y)
+_COBOUNDARY_ENGINES = ("ffmethod", "flats")
 
 
 def resolve_engine(engine, rst):
@@ -70,57 +42,56 @@ def resolve_engine(engine, rst):
     return engine
 
 
+def _compute(ideal, engine, max_subsets):
+    """(polynomial, rank) by a resolved engine: chi-bar(q, t) from ffmethod
+    and flats, T(x, y) from crapo and oracle."""
+    if engine == "ffmethod":
+        return ffmethod.coboundary_and_rank(ideal)
+    if engine == "flats":
+        return flats.flat_lattice(ideal.rst).restrict(ideal.complement_mask())
+    vectors = [r.simple_coords for r in ideal.complement_roots()]
+    cfg = crapo.VectorConfig(vectors, dim=ideal.rst.rank)
+    guard = {} if max_subsets is None else {"max_subsets": max_subsets}
+    tutte = crapo.tutte_crapo if engine == "crapo" else crapo.tutte_corank_nullity
+    return tutte(cfg, **guard), cfg.rank
+
+
 def tutte_of_ideal(ideal, engine="auto", max_subsets=None):
     """Tutte polynomial of an ideal arrangement by the requested engine.
 
     auto routes classical types through the finite-field pipeline and
     exceptional types through the lattice of flats (as decided by
     ``resolve_engine``); crapo forces the basis-activity formula and oracle
-    the corank-nullity expansion.  ``max_subsets`` bounds the basis
-    candidates (crapo) or the subsets (oracle) before any work is done; the
-    other engines ignore it.
+    the corank-nullity expansion.  Every Tutte polynomial transformed from a
+    coboundary polynomial must pass ``crapo.certify_tutte``, else
+    InconsistencyError.  ``max_subsets`` bounds the basis candidates (crapo)
+    or the subsets (oracle) before any work is done; the other engines
+    ignore it.
     """
     engine = resolve_engine(engine, ideal.rst)
-    if engine == "ffmethod":
-        return ffmethod.tutte_via_ffmethod(ideal)
-    if engine == "flats":
-        from . import flats  # flats imports this module
-
-        return flats.tutte(ideal)
-    comp_roots = ideal.complement_roots()
-    vectors = [r.simple_coords for r in comp_roots]
-    cfg = crapo.VectorConfig(vectors, dim=ideal.rst.rank)
-    guard = {} if max_subsets is None else {"max_subsets": max_subsets}
-    if engine == "crapo":
-        return crapo.tutte_crapo(cfg, **guard)
-    return crapo.tutte_corank_nullity(cfg, **guard)
+    poly, rank = _compute(ideal, engine, max_subsets)
+    if engine in _COBOUNDARY_ENGINES:
+        poly = coboundary_to_tutte(poly, rank)
+        m = ideal.complement_mask().bit_count()
+        crapo.certify_tutte(poly, m, rank, f"the {engine} coboundary's Tutte transform")
+    return poly
 
 
 def coboundary_of_ideal(ideal, engine="auto", max_subsets=None):
-    """Coboundary polynomial of an ideal arrangement.
-
-    The finite-field pipeline and the lattice of flats (auto on classical
-    and on exceptional types) give it directly; otherwise the Tutte
-    polynomial is computed first, under the same ``max_subsets`` guard as
-    ``tutte_of_ideal``, and converted through ``exactpoly.tutte_to_coboundary``.
-    """
+    """Coboundary polynomial of an ideal arrangement, by the engine and
+    guard as in ``tutte_of_ideal``; a Tutte polynomial from crapo or oracle
+    is converted by ``exactpoly.tutte_to_coboundary``."""
     engine = resolve_engine(engine, ideal.rst)
-    if engine == "ffmethod":
-        return ffmethod.coboundary_polynomial(ideal)
-    if engine == "flats":
-        from . import flats  # flats imports this module
-
-        return flats.coboundary(ideal)
-    tutte = tutte_of_ideal(ideal, engine=engine, max_subsets=max_subsets)
-    return tutte_to_coboundary(tutte, arrangement_of(ideal).rank)
+    poly, rank = _compute(ideal, engine, max_subsets)
+    return poly if engine in _COBOUNDARY_ENGINES else tutte_to_coboundary(poly, rank)
 
 
 def characteristic_polynomial(ideal, engine="auto", max_subsets=None):
-    """chi(q) of an ideal arrangement, from its Tutte polynomial computed by
-    ``tutte_of_ideal`` with the same engine and guard."""
-    tutte = tutte_of_ideal(ideal, engine=engine, max_subsets=max_subsets)
+    """chi(q) = q^(n - rank) chi-bar(q, 0) of an ideal arrangement in R^n:
+    the t^0 column of ``coboundary_of_ideal`` with the same engine and guard."""
     arr = arrangement_of(ideal)
-    return tutte_to_characteristic(tutte, arr.dim, arr.rank)
+    cb = coboundary_of_ideal(ideal, engine=engine, max_subsets=max_subsets)
+    return coboundary_to_characteristic(cb, arr.dim, arr.rank)
 
 
 def region_count(tutte):

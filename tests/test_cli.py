@@ -264,7 +264,7 @@ def test_guard_refusal_exit_2(capsys):
 
 @pytest.mark.parametrize("budget, code", [(20, 2), (21, 0)])
 def test_counting_kernel_guard_refuses_before_it_allocates(capsys, monkeypatch, budget, code):
-    # B6 full is one block of 6 coordinates: C(8, 2) - 7 = 21 cached moves
+    # B6 full is one block of 6 coordinates: one round expands C(8, 2) - 7 = 21 moves
     monkeypatch.setattr(crapo, "MAX_KERNEL_BYTES", 180 * budget)
     if code:
         def refuse(*_):

@@ -1,11 +1,12 @@
+import random
+from itertools import accumulate
+
 import pytest
 
-from idealtutte import exactpoly, flats
 from idealtutte.errors import ConstraintError, InconsistencyError
 from idealtutte.exactpoly import (
     BivariatePolynomial,
     UnivariatePolynomial,
-    _taylor_shift,
     coboundary_to_tutte,
     lagrange_interpolate,
     latex_is_wellformed,
@@ -13,10 +14,10 @@ from idealtutte.exactpoly import (
     tutte_to_characteristic,
     tutte_to_coboundary,
 )
-from idealtutte.ffmethod import coboundary_full, coboundary_polynomial
+from idealtutte.ffmethod import coboundary_full
 from idealtutte.ideals import arrangement_of, enumerate_ideals
 from idealtutte.rootsystems import root_poset, root_system_type
-from idealtutte.specialize import tutte_of_ideal
+from idealtutte.specialize import characteristic_polynomial, coboundary_of_ideal, tutte_of_ideal
 
 
 def bp(text, variables=("x", "y")):
@@ -152,6 +153,33 @@ def test_coboundary_to_tutte_full_a25():
     assert (tutte.degree(0), tutte.degree(1)) == (24, 300 - 24)
 
 
+def _taylor_shift(coeffs, sx, sy):
+    """Coefficient map of p(x + sx, y + sy) from that of p(x, y), with sx, sy in {-1, 0, 1}.
+
+    Each non-zero shift runs Horner's scheme on every line of coefficients
+    along its axis: one prefix sum per degree, O(d^2) exact additions per
+    line.  A shift by -1 is the shift by +1 conjugated by p(z) -> p(-z), so
+    odd degrees change sign on the way in and on the way out.
+    """
+    for axis, s in ((0, sx), (1, sy)):
+        if not s:
+            continue
+        lines = {}
+        for k, c in coeffs.items():
+            lines.setdefault(k[1 - axis], {})[k[axis]] = c
+        coeffs = {}
+        for other, line in lines.items():
+            degrees = range(max(line), -1, -1)
+            # highest degree first, so each Horner pass is a prefix sum
+            rev = [line.get(d, 0) * (s if d & 1 else 1) for d in degrees]
+            for n in range(len(rev), 1, -1):
+                rev[:n] = accumulate(rev[:n])
+            for d, c in zip(degrees, rev):
+                if c:
+                    coeffs[(d, other) if axis == 0 else (other, d)] = c * (s if d & 1 else 1)
+    return coeffs
+
+
 def taylor_shift_to_tutte(cb, rank):
     """Reference: shift t -> Y+1, drop rank-a powers of Y from each q^a
     column, then shift both axes by -1."""
@@ -175,25 +203,11 @@ def taylor_shift_to_coboundary(tutte, rank):
     [("G2", None), ("F4", None), ("E6", None), ("A", 6), ("B", 5), ("C", 5), ("D", 5)],
 )
 def test_transforms_equal_the_taylor_shift_composition(family, rank):
-    rst = root_system_type(family, rank)
-    coboundary = flats.coboundary if not rst.is_classical else coboundary_polynomial
-    for ideal in enumerate_ideals(root_poset(rst)):
-        cb, r = coboundary(ideal), arrangement_of(ideal).rank
+    for ideal in enumerate_ideals(root_poset(root_system_type(family, rank))):
+        cb, r = coboundary_of_ideal(ideal), arrangement_of(ideal).rank
         tutte = coboundary_to_tutte(cb, r)
         assert tutte == taylor_shift_to_tutte(cb, r)
         assert tutte_to_coboundary(tutte, r) == taylor_shift_to_coboundary(tutte, r) == cb
-
-
-@pytest.mark.parametrize("family, rank", [("F4", None), ("E6", None), ("B", 4)])
-def test_tutte_requests_take_no_taylor_shift(monkeypatch, family, rank):
-    ideals = enumerate_ideals(root_poset(root_system_type(family, rank)))
-    want = [tutte_of_ideal(ideal) for ideal in ideals]
-
-    def refuse(*_):
-        raise AssertionError("a Taylor shift on the request path")
-
-    monkeypatch.setattr(exactpoly, "_taylor_shift", refuse)
-    assert [tutte_of_ideal(ideal) for ideal in ideals] == want
 
 
 def test_tutte_to_characteristic_examples():
@@ -204,3 +218,34 @@ def test_tutte_to_characteristic_examples():
     assert tutte_to_characteristic(
         bp("x^2 + y^2 + 2x + 2y"), 2, 2
     ) == UnivariatePolynomial([3, -4, 1])
+
+
+def taylor_shift_to_characteristic(tutte, n, rank):
+    """Reference: chi(q) = (-1)^rank q^(n-rank) T(1-q, 0), with T(x, 0)
+    reflected to T(-x, 0) and then shifted x -> x - 1."""
+    column = {(dx, 0): -c if dx & 1 else c for (dx, dy), c in tutte.coeffs.items() if dy == 0}
+    shifted = _taylor_shift(column, -1, 0)
+    top = max((dx for dx, _ in shifted), default=-1)
+    return UnivariatePolynomial(
+        [0] * (n - rank) + [(-1) ** rank * shifted.get((k, 0), 0) for k in range(top + 1)]
+    )
+
+
+@pytest.mark.parametrize(
+    "family, rank",
+    [("G2", None), ("F4", None), ("E6", None), ("A", 5), ("B", 4), ("C", 4), ("D", 4)],
+)
+def test_characteristic_polynomial_of_every_engine_equals_the_taylor_shift(family, rank):
+    # every engine's chi against the certified auto Tutte polynomial's; the
+    # oracle's 2^m subsets only up to m = 16
+    rst = root_system_type(family, rank)
+    ideals = enumerate_ideals(root_poset(rst))
+    if family == "E6":
+        ideals = random.Random(21).sample(ideals, 20)
+    engines = ("ffmethod" if rst.is_classical else "flats", "crapo", "oracle")
+    for ideal in ideals:
+        want = taylor_shift_to_characteristic(
+            tutte_of_ideal(ideal), rst.ambient_dim, arrangement_of(ideal).rank
+        )
+        for engine in engines[: 2 if ideal.complement_mask().bit_count() > 16 else 3]:
+            assert characteristic_polynomial(ideal, engine=engine) == want, (ideal, engine)

@@ -15,16 +15,16 @@ from idealtutte.errors import (
 from idealtutte.exactpoly import BivariatePolynomial, UnivariatePolynomial, coboundary_to_tutte
 from idealtutte.ffmethod import (
     CountingModel,
-    _coboundary_and_rank,
+    coboundary_and_rank,
     coboundary_full,
     coboundary_polynomial,
     count_points_bruteforce,
     full_arrangement_tuples,
-    tutte_via_ffmethod,
 )
 from idealtutte.ideals import arrangement_of, complement, enumerate_ideals, ideal_from_mask
 from idealtutte.paper import minor_set, partition_in_accordance
 from idealtutte.rootsystems import positive_roots, root_poset, root_system_type
+from idealtutte.specialize import tutte_of_ideal
 
 
 def true_coordinates(family, rank):
@@ -379,13 +379,14 @@ def test_pipeline_matches_published_polynomials(label):
     assert coboundary_polynomial(ideal) == load_poly(
         f"coboundary_i{label}.txt", ("q", "t")
     )
-    assert tutte_via_ffmethod(ideal) == load_poly(f"tutte_i{label}.txt", ("x", "y"))
+    tutte = tutte_of_ideal(ideal, engine="ffmethod")
+    assert tutte == load_poly(f"tutte_i{label}.txt", ("x", "y"))
 
 
 @pytest.mark.parametrize("family, rank", [("A", 6), ("B", 5), ("C", 5), ("D", 5)])
 def test_component_ranks_add_up_to_the_arrangement_rank(family, rank):
     for ideal in enumerate_ideals(root_poset(root_system_type(family, rank))):
-        assert _coboundary_and_rank(ideal)[1] == arrangement_of(ideal).rank
+        assert coboundary_and_rank(ideal)[1] == arrangement_of(ideal).rank
 
 
 def test_pipeline_full_ideal_is_one():

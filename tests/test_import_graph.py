@@ -1,0 +1,43 @@
+"""The package's modules import one another without a cycle, counting the
+imports made inside functions as well as those at the top of a module."""
+
+import ast
+import graphlib
+import pathlib
+
+import pytest
+
+import idealtutte
+
+PACKAGE = pathlib.Path(idealtutte.__file__).parent
+
+
+def import_graph():
+    """module -> the package modules it imports relatively, anywhere in its
+    source; ``from . import name`` of a non-module name is an edge to
+    ``__init__``."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    graph = {}
+    for module in modules:
+        edges = graph[module] = set()
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+            if not isinstance(node, ast.ImportFrom) or not node.level:
+                continue
+            if node.module:
+                edges.add(node.module.split(".")[0])
+            else:
+                edges.update(a.name if a.name in modules else "__init__" for a in node.names)
+    return graph
+
+
+def test_function_level_imports_are_edges():
+    graph = import_graph()
+    assert "paper" in graph["cli"]  # cmd_minors imports it inside the function
+    assert "__init__" in graph["cli"]  # from . import __version__
+
+
+def test_package_imports_have_no_cycle():
+    try:
+        graphlib.TopologicalSorter(import_graph()).prepare()
+    except graphlib.CycleError as exc:
+        pytest.fail("import cycle: " + " -> ".join(exc.args[1]))

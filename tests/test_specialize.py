@@ -1,15 +1,17 @@
 import pytest
 
 from conftest import IDEAL_F, IDEAL_G, exceptional_ideal, worked_ideal
+from idealtutte import ffmethod, flats
 from idealtutte.errors import InconsistencyError
 from idealtutte.exactpoly import (
+    BivariatePolynomial,
     UnivariatePolynomial,
     coboundary_to_tutte,
     parse_polynomial,
     tutte_to_characteristic,
 )
 from idealtutte.ffmethod import coboundary_full
-from idealtutte.ideals import arrangement_of, ideal_from_mask
+from idealtutte.ideals import arrangement_of, enumerate_ideals, ideal_from_mask
 from idealtutte.rootsystems import root_poset, root_system_type
 from idealtutte.specialize import (
     characteristic_polynomial,
@@ -145,3 +147,26 @@ def test_tutte_of_ideal_engine_equivalence_small():
         t_cr = tutte_of_ideal(ideal, engine="crapo")
         t_or = tutte_of_ideal(ideal, engine="oracle")
         assert t_ff == t_cr == t_or
+
+
+@pytest.mark.parametrize(
+    "family, rank, owner, name",
+    [("B", 4, ffmethod, "coboundary_and_rank"), ("F4", None, flats.FlatLattice, "restrict")],
+)
+def test_tampered_coboundary_fails_the_tutte_certificate(monkeypatch, family, rank, owner, name):
+    # adding (t-1)^rank keeps chi-bar(q, 1) = q^rank and every division by
+    # t - 1 in the transform exact, but adds 1 to T(2, 2) = chi-bar(1, 2)
+    real = getattr(owner, name)
+    t_minus_1 = BivariatePolynomial({(0, 1): 1, (0, 0): -1}, ("q", "t"))
+
+    def tampered(*args):
+        cb, r = real(*args)
+        extra = BivariatePolynomial.one(("q", "t"))
+        for _ in range(r):
+            extra = extra * t_minus_1
+        return cb + extra, r
+
+    monkeypatch.setattr(owner, name, tampered)
+    for ideal in enumerate_ideals(root_poset(root_system_type(family, rank))):
+        with pytest.raises(InconsistencyError, match=r"T\(2,2\) = 2\^m"):
+            tutte_of_ideal(ideal)
