@@ -46,6 +46,7 @@ from .ideals import (
     iter_ideals,
 )
 from .rootsystems import (
+    FAMILIES,
     hyperplane_tuple,
     linear_order_key,
     root_poset,
@@ -401,7 +402,8 @@ def build_parser():
 
     # each subcommand registers only the options it reads
     def system(p):
-        p.add_argument("--type", required=True, help="A, B, C, D, G2, F4, or E6")
+        families = f"{', '.join(FAMILIES[:-1])}, or {FAMILIES[-1]}"
+        p.add_argument("--type", required=True, help=families)
         p.add_argument("--rank", type=int, default=None)
 
     def formats(p, choices=FORMAT_CHOICES):

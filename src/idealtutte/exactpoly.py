@@ -86,6 +86,9 @@ class BivariatePolynomial:
         return NotImplemented
 
     def __hash__(self):
+        # a constant hashes as the int it equals
+        if self.coeffs.keys() <= {(0, 0)}:
+            return hash(self.coefficient(0, 0))
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other):
@@ -306,7 +309,8 @@ class UnivariatePolynomial:
         return NotImplemented
 
     def __hash__(self):
-        return hash(tuple(self.coeffs))
+        # a constant hashes as the int it equals
+        return hash(self.coefficient(0) if len(self.coeffs) <= 1 else tuple(self.coeffs))
 
     def __add__(self, other):
         other = self._coerce(other)

@@ -3,9 +3,10 @@ linear order used by the basis-activity formula.
 
 Roots carry two coordinate systems at once: integer coefficients over the
 simple system, and doubled standard coordinates (so the half-integer roots of
-F4 and E6 stay exact integers).  The partial order is coefficientwise
-dominance in the simple basis, which reproduces the Hasse diagrams of all
-supported families.
+F4 and E6 stay exact integers).  One closure of the simple roots under the
+simple reflections yields both the positive roots and each reflection's
+action on them.  The partial order is coefficientwise dominance in the simple
+basis, which reproduces the Hasse diagrams of all supported families.
 """
 
 from __future__ import annotations
@@ -15,11 +16,26 @@ from dataclasses import dataclass
 
 from .errors import ConstraintError, UnsupportedTypeError
 
+# family -> (positive-root count, simple roots in doubled standard coordinates,
+# Bourbaki conventions); the rank and the ambient dimension are read off them
+_EXCEPTIONAL_SYSTEMS = {
+    "G2": (6, ((2, -2, 0), (-4, 2, 2))),
+    "F4": (24, ((0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1))),
+    "E6": (
+        36,
+        (
+            (1, -1, -1, -1, -1, -1, -1, 1),
+            (2, 2, 0, 0, 0, 0, 0, 0),
+            (-2, 2, 0, 0, 0, 0, 0, 0),
+            (0, -2, 2, 0, 0, 0, 0, 0),
+            (0, 0, -2, 2, 0, 0, 0, 0),
+            (0, 0, 0, -2, 2, 0, 0, 0),
+        ),
+    ),
+}
 CLASSICAL = ("A", "B", "C", "D")
-EXCEPTIONAL = ("G2", "F4", "E6")
+EXCEPTIONAL = tuple(_EXCEPTIONAL_SYSTEMS)
 FAMILIES = CLASSICAL + EXCEPTIONAL
-
-_EXCEPTIONAL_RANK = {"G2": 2, "F4": 4, "E6": 6}
 
 
 @dataclass(frozen=True)
@@ -45,8 +61,8 @@ class RootSystemType:
             raise ConstraintError(f"family {fam} needs rank >= 2")
         if fam == "D" and self.rank < 4:
             raise ConstraintError("family D needs rank >= 4 (D_n, n >= 4)")
-        if fam in _EXCEPTIONAL_RANK and self.rank != _EXCEPTIONAL_RANK[fam]:
-            raise ConstraintError(f"{fam} has fixed rank {_EXCEPTIONAL_RANK[fam]}")
+        if fam in EXCEPTIONAL and self.rank != (fixed := len(simple_system_ambient2(self))):
+            raise ConstraintError(f"{fam} has fixed rank {fixed}")
 
     @property
     def is_classical(self):
@@ -54,28 +70,22 @@ class RootSystemType:
 
     @property
     def ambient_dim(self):
-        if self.family == "A":
-            return self.rank + 1
-        if self.family in ("B", "C", "D"):
-            return self.rank
-        return {"G2": 3, "F4": 4, "E6": 8}[self.family]
+        if self.is_classical:
+            return self.rank + (self.family == "A")
+        return len(simple_system_ambient2(self)[0])
 
     @property
     def n_param(self):
         """The classical parameter n: A_{n-1} has n_param = rank+1, B/C/D_n have n."""
         if not self.is_classical:
             raise UnsupportedTypeError(f"{self.family} has no classical parameter")
-        return self.rank + 1 if self.family == "A" else self.rank
+        return self.ambient_dim
 
     def positive_root_count(self):
         f, r = self.family, self.rank
-        if f == "A":
-            return r * (r + 1) // 2
-        if f in ("B", "C"):
-            return r * r
-        if f == "D":
-            return r * (r - 1)
-        return {"G2": 6, "F4": 24, "E6": 36}[f]
+        if f in EXCEPTIONAL:
+            return _EXCEPTIONAL_SYSTEMS[f][0]
+        return {"A": r * (r + 1) // 2, "B": r * r, "C": r * r, "D": r * (r - 1)}[f]
 
     def __str__(self):
         return self.family if self.family in EXCEPTIONAL else f"{self.family}{self.rank}"
@@ -85,10 +95,9 @@ def root_system_type(family, rank=None):
     """Build a RootSystemType; exceptional families may omit the rank."""
     family = str(family).upper()
     if rank is None:
-        if family in _EXCEPTIONAL_RANK:
-            rank = _EXCEPTIONAL_RANK[family]
-        else:
+        if family not in EXCEPTIONAL:
             raise ConstraintError(f"family {family} requires an explicit rank")
+        rank = len(_EXCEPTIONAL_SYSTEMS[family][1])
     return RootSystemType(family, int(rank))
 
 
@@ -111,96 +120,61 @@ class Root:
 def simple_system_ambient2(rst):
     """Doubled standard coordinates of the simple roots, in Bourbaki conventions."""
     f, r = rst.family, rst.rank
+    if f in EXCEPTIONAL:
+        return _EXCEPTIONAL_SYSTEMS[f][1]
     d = rst.ambient_dim
 
-    def e(i, c=2):
+    def vec(*entries):
         v = [0] * d
-        v[i] = c
-        return v
-
-    def e2(i, j, ci, cj):
-        v = [0] * d
-        v[i] = ci
-        v[j] = cj
+        for k, c in entries:
+            v[k] = c
         return tuple(v)
 
-    if f == "A":
-        return tuple(e2(i, i + 1, 2, -2) for i in range(r))
-    if f == "B":
-        return tuple(e2(i, i + 1, 2, -2) for i in range(r - 1)) + (tuple(e(r - 1)),)
-    if f == "C":
-        return tuple(e2(i, i + 1, 2, -2) for i in range(r - 1)) + (tuple(e(r - 1, 4)),)
-    if f == "D":
-        return tuple(e2(i, i + 1, 2, -2) for i in range(r - 1)) + (e2(r - 2, r - 1, 2, 2),)
-    if f == "G2":
-        return ((2, -2, 0), (-4, 2, 2))
-    if f == "F4":
-        return (
-            (0, 2, -2, 0),
-            (0, 0, 2, -2),
-            (0, 0, 0, 2),
-            (1, -1, -1, -1),
-        )
-    if f == "E6":
-        return (
-            (1, -1, -1, -1, -1, -1, -1, 1),
-            (2, 2, 0, 0, 0, 0, 0, 0),
-            (-2, 2, 0, 0, 0, 0, 0, 0),
-            (0, -2, 2, 0, 0, 0, 0, 0),
-            (0, 0, -2, 2, 0, 0, 0, 0),
-            (0, 0, 0, -2, 2, 0, 0, 0),
-        )
-    raise UnsupportedTypeError(f)
+    last = {
+        "A": ((r - 1, 2), (r, -2)),
+        "B": ((r - 1, 2),),
+        "C": ((r - 1, 4),),
+        "D": ((r - 2, 2), (r - 1, 2)),
+    }[f]
+    return tuple(vec((i, 2), (i + 1, -2)) for i in range(r - 1)) + (vec(*last),)
 
 
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+def _weyl_closure(rst):
+    """The positive roots, {simple coordinates: doubled standard coordinates},
+    and for each simple root alpha_i the images {beta: s_i(beta)} in simple
+    coordinates, with alpha_i mapped to itself.
 
-
-def _generate_positive_roots(rst):
-    """All positive roots by height induction from the simple system.
-
-    A candidate v + alpha_i is a root exactly when the alpha_i-string through
-    v extends upward: q = r - <v, alpha_i^vee> >= 1, where r counts how far the
-    string extends downward.  Everything below height h is known when height
-    h+1 is built, so r is computable.
+    The simple roots are closed under s_i(beta) = beta - <beta, alpha_i^vee>
+    alpha_i.  Each s_i permutes the positive roots other than alpha_i, and
+    some s_i lowers the height of every non-simple positive root, so the
+    closure reaches them all.
     """
     simples = simple_system_ambient2(rst)
-    nsimple = len(simples)
-    norms = [_dot(s, s) for s in simples]
-    known = {}
-    frontier = []
-    for i, s in enumerate(simples):
-        coords = tuple(1 if j == i else 0 for j in range(nsimple))
-        known[coords] = tuple(s)
-        frontier.append(coords)
+    r = len(simples)
+    norms = [sum(c * c for c in s) for s in simples]
+    units = [tuple(int(j == i) for j in range(r)) for i in range(r)]
+    roots = dict(zip(units, simples))
+    images = [{} for _ in range(r)]
+    frontier = units
     while frontier:
         nxt = []
         for coords in frontier:
-            amb = known[coords]
-            for i in range(nsimple):
-                pairing2 = 2 * _dot(amb, simples[i])
+            amb = roots[coords]
+            for i in range(r):
+                pairing2 = 2 * sum(a * c for a, c in zip(amb, simples[i]))
                 if pairing2 % norms[i]:
                     raise ConstraintError("non-crystallographic pairing")
                 cartan = pairing2 // norms[i]
-                down = 0
-                cur = list(coords)
-                while True:
-                    cur[i] -= 1
-                    if cur[i] < 0 or tuple(cur) not in known:
-                        break
-                    down += 1
-                if down - cartan >= 1:
-                    up = tuple(
-                        c + (1 if j == i else 0) for j, c in enumerate(coords)
-                    )
-                    if up not in known:
-                        known[up] = tuple(
-                            a + b for a, b in zip(amb, simples[i])
-                        )
-                        nxt.append(up)
+                if not cartan or coords == units[i]:
+                    images[i][coords] = coords
+                    continue
+                image = coords[:i] + (coords[i] - cartan,) + coords[i + 1 :]
+                images[i][coords] = image
+                if image not in roots:
+                    roots[image] = tuple(a - cartan * s for a, s in zip(amb, simples[i]))
+                    nxt.append(image)
         frontier = nxt
-    return known
+    return roots, images
 
 
 def hyperplane_tuple(rst, ambient2):
@@ -248,7 +222,7 @@ class RootPoset:
 
     def __init__(self, rst):
         self.rst = rst
-        raw = _generate_positive_roots(rst)
+        raw, images = _weyl_closure(rst)
         expected = rst.positive_root_count()
         if len(raw) != expected:
             raise ConstraintError(
@@ -263,20 +237,16 @@ class RootPoset:
             Root(coords, amb, i) for i, (coords, amb) in enumerate(items)
         )
         self._index = {r.simple_coords: r.index for r in self.roots}
-        m = len(self.roots)
-        # up_masks[i] = bitmask of indices j with root_i <= root_j
-        self.up_masks = []
-        for i, u in enumerate(self.roots):
-            mask = 0
-            for j, v in enumerate(self.roots):
-                if all(a <= b for a, b in zip(u.simple_coords, v.simple_coords)):
-                    mask |= 1 << j
-            self.up_masks.append(mask)
-        self.down_masks = [0] * m
-        for i in range(m):
-            for j in range(m):
-                if self.up_masks[i] >> j & 1:
-                    self.down_masks[j] |= 1 << i
+        # reflection_images[i][beta] = s_i(beta), both in simple coordinates
+        self.reflection_images = images
+        # up_masks[i] = bitmask of indices j with root_i <= root_j; down_masks the converse
+        self.up_masks = [
+            sum(1 << v.index for v in self.roots if root_leq(u, v)) for u in self.roots
+        ]
+        self.down_masks = [
+            sum(1 << i for i, up in enumerate(self.up_masks) if up >> j & 1)
+            for j in range(len(self.roots))
+        ]
         self._covers = None
 
     def __len__(self):
@@ -320,27 +290,13 @@ def root_poset(rst):
 
 def simple_reflections(poset):
     """For each simple root alpha_i, the permutation of the positive roots'
-    indices by which s_i(beta) = beta - <beta, alpha_i^vee> alpha_i permutes
-    their hyperplanes.
-
-    The pairing is taken in the doubled standard coordinates, so long and
-    short roots keep their lengths; the image is sign-normalized, so alpha_i
-    maps to itself.
-    """
-    r = poset.rst.rank
-    perms = []
-    for i in range(r):
-        alpha = poset.roots[poset.index_of([int(j == i) for j in range(r)])].ambient2
-        norm = _dot(alpha, alpha)
-        perm = []
-        for beta in poset.roots:
-            image = list(beta.simple_coords)
-            image[i] -= 2 * _dot(beta.ambient2, alpha) // norm
-            if min(image) < 0:
-                image = [-c for c in image]
-            perm.append(poset.index_of(image))
-        perms.append(perm)
-    return perms
+    indices by which s_i permutes their hyperplanes (alpha_i maps to itself),
+    read off the images the root closure recorded."""
+    index = poset._index
+    return [
+        [index[image[root.simple_coords]] for root in poset.roots]
+        for image in poset.reflection_images
+    ]
 
 
 def positive_roots(rst):

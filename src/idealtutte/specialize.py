@@ -3,9 +3,10 @@
 Each engine returns one polynomial and the arrangement's rank: chi-bar(q, t)
 from the finite-field pipeline and the lattice of flats, T(x, y) from Crapo's
 basis activities and the corank-nullity oracle.  The conversions happen here
-once: ``tutte_of_ideal`` transforms chi-bar and certifies the result, and
-``characteristic_polynomial`` reads chi(q) off chi-bar(q, 0).  Also region
-counts and the ideal-exponent factorization cross-check.
+once: every chi-bar an engine returns is certified, ``tutte_of_ideal``
+transforms it, and ``characteristic_polynomial`` reads chi(q) off
+chi-bar(q, 0).  Also region counts and the ideal-exponent factorization
+cross-check.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from . import crapo, ffmethod, flats
 from .errors import ConstraintError, InconsistencyError
 from .exactpoly import coboundary_to_characteristic, coboundary_to_tutte, tutte_to_coboundary
 # IdealExponents and ideal_exponents live in ideals and stay importable from here
-from .ideals import IdealExponents, arrangement_of, ideal_exponents
+from .ideals import IdealExponents, ideal_exponents
 
 
 ENGINES = ("auto", "ffmethod", "flats", "crapo", "oracle")
@@ -44,11 +45,23 @@ def resolve_engine(engine, rst):
 
 def _compute(ideal, engine, max_subsets):
     """(polynomial, rank) by a resolved engine: chi-bar(q, t) from ffmethod
-    and flats, T(x, y) from crapo and oracle."""
-    if engine == "ffmethod":
-        return ffmethod.coboundary_and_rank(ideal)
-    if engine == "flats":
-        return flats.flat_lattice(ideal.rst).restrict(ideal.complement_mask())
+    and flats, T(x, y) from crapo and oracle.  InconsistencyError unless
+    chi-bar(1, 2) = T(2, 2) = 2^m for the m complement roots, with q-degree
+    at most the rank and total degree at most m."""
+    if engine in _COBOUNDARY_ENGINES:
+        mask = ideal.complement_mask()
+        if engine == "ffmethod":
+            cb, rank = ffmethod.coboundary_and_rank(ideal)
+        else:
+            cb, rank = flats.flat_lattice(ideal.rst).restrict(mask)
+        m = mask.bit_count()
+        at_1_2 = sum(c << b for (_, b), c in cb.coeffs.items())  # chi-bar(1, 2)
+        if at_1_2 != 1 << m or any(a > rank or a + b > m for a, b in cb.coeffs):
+            raise InconsistencyError(
+                f"the {engine} coboundary of {m} elements of rank {rank} fails "
+                f"T(2,2) = 2^m or the degree bounds: {cb}"
+            )
+        return cb, rank
     vectors = [r.simple_coords for r in ideal.complement_roots()]
     cfg = crapo.VectorConfig(vectors, dim=ideal.rst.rank)
     guard = {} if max_subsets is None else {"max_subsets": max_subsets}
@@ -62,36 +75,38 @@ def tutte_of_ideal(ideal, engine="auto", max_subsets=None):
     auto routes classical types through the finite-field pipeline and
     exceptional types through the lattice of flats (as decided by
     ``resolve_engine``); crapo forces the basis-activity formula and oracle
-    the corank-nullity expansion.  Every Tutte polynomial transformed from a
-    coboundary polynomial must pass ``crapo.certify_tutte``, else
-    InconsistencyError.  ``max_subsets`` bounds the basis candidates (crapo)
-    or the subsets (oracle) before any work is done; the other engines
-    ignore it.
+    the corank-nullity expansion.  A coboundary polynomial that fails its
+    certificate raises InconsistencyError.  ``max_subsets`` bounds the basis
+    candidates (crapo) or the subsets (oracle) before any work is done; the
+    other engines ignore it.
     """
     engine = resolve_engine(engine, ideal.rst)
     poly, rank = _compute(ideal, engine, max_subsets)
-    if engine in _COBOUNDARY_ENGINES:
-        poly = coboundary_to_tutte(poly, rank)
-        m = ideal.complement_mask().bit_count()
-        crapo.certify_tutte(poly, m, rank, f"the {engine} coboundary's Tutte transform")
-    return poly
+    return coboundary_to_tutte(poly, rank) if engine in _COBOUNDARY_ENGINES else poly
+
+
+def _coboundary_and_rank(ideal, engine, max_subsets):
+    """(chi-bar(q, t), rank) by the engine and guard as in ``tutte_of_ideal``;
+    a Tutte polynomial from crapo or oracle is converted by
+    ``exactpoly.tutte_to_coboundary``."""
+    engine = resolve_engine(engine, ideal.rst)
+    poly, rank = _compute(ideal, engine, max_subsets)
+    if engine not in _COBOUNDARY_ENGINES:
+        poly = tutte_to_coboundary(poly, rank)
+    return poly, rank
 
 
 def coboundary_of_ideal(ideal, engine="auto", max_subsets=None):
     """Coboundary polynomial of an ideal arrangement, by the engine and
-    guard as in ``tutte_of_ideal``; a Tutte polynomial from crapo or oracle
-    is converted by ``exactpoly.tutte_to_coboundary``."""
-    engine = resolve_engine(engine, ideal.rst)
-    poly, rank = _compute(ideal, engine, max_subsets)
-    return poly if engine in _COBOUNDARY_ENGINES else tutte_to_coboundary(poly, rank)
+    guard as in ``tutte_of_ideal``."""
+    return _coboundary_and_rank(ideal, engine, max_subsets)[0]
 
 
 def characteristic_polynomial(ideal, engine="auto", max_subsets=None):
     """chi(q) = q^(n - rank) chi-bar(q, 0) of an ideal arrangement in R^n:
     the t^0 column of ``coboundary_of_ideal`` with the same engine and guard."""
-    arr = arrangement_of(ideal)
-    cb = coboundary_of_ideal(ideal, engine=engine, max_subsets=max_subsets)
-    return coboundary_to_characteristic(cb, arr.dim, arr.rank)
+    cb, rank = _coboundary_and_rank(ideal, engine, max_subsets)
+    return coboundary_to_characteristic(cb, ideal.rst.ambient_dim, rank)
 
 
 def region_count(tutte):
@@ -129,9 +144,9 @@ def check_exponent_factorization(ideal, engine="auto"):
     the families where the ideal arrangements are free with ideal exponents.
     """
     exps = ideal_exponents(ideal)
-    chi = characteristic_polynomial(ideal, engine=engine)
-    arr = arrangement_of(ideal)
-    n, rank = arr.dim, arr.rank
+    cb, rank = _coboundary_and_rank(ideal, engine, None)
+    n = ideal.rst.ambient_dim
+    chi = coboundary_to_characteristic(cb, n, rank)
     work = chi
     # strip q^(n - rank)
     for _ in range(n - rank):

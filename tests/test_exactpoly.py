@@ -93,6 +93,16 @@ def test_json_decoding_is_strict(data):
         BivariatePolynomial.from_json_dict(data)
 
 
+def test_constant_polynomials_hash_as_their_integers():
+    for c in (0, 1, -3):
+        biv, uni = BivariatePolynomial({(0, 0): c}), UnivariatePolynomial([c])
+        assert biv == c == uni
+        assert hash(biv) == hash(c) == hash(uni)
+    assert len({BivariatePolynomial.one(), 1}) == 1
+    assert len({UnivariatePolynomial.zero(), 0}) == 1
+    assert {bp("x + 1"): "p"}[bp("1 + x")] == "p"
+
+
 def test_univariate_ops():
     p = UnivariatePolynomial([2, -3, 1])  # (q-1)(q-2)
     assert p.evaluate(1) == 0 and p.evaluate(3) == 2

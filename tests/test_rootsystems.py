@@ -1,7 +1,9 @@
 import pytest
 
+from conftest import packaged_schema
 from idealtutte.errors import ConstraintError, UnsupportedTypeError
 from idealtutte.rootsystems import (
+    FAMILIES,
     hasse_covers,
     hyperplane_tuple,
     linear_order_key,
@@ -9,6 +11,7 @@ from idealtutte.rootsystems import (
     root_leq,
     root_poset,
     root_system_type,
+    simple_reflections,
     simple_system_ambient2,
     sort_key,
 )
@@ -151,3 +154,40 @@ def test_e6_root_content():
     integer_like = [r for r in p.roots if all(c % 2 == 0 for c in r.ambient2)]
     assert len(integer_like) == 20
     assert len(p.roots) - len(integer_like) == 16
+
+
+REFLECTED = (
+    [("A", r) for r in range(1, 9)]
+    + [(f, r) for f in "BC" for r in range(2, 7)]
+    + [("D", r) for r in range(4, 7)]
+    + [("G2", 2), ("F4", 4), ("E6", 6)]
+)
+
+
+@pytest.mark.parametrize("family,rank", REFLECTED)
+def test_simple_reflections_are_the_ambient_reflections(family, rank):
+    # s_i(beta) = beta - (2 beta.alpha_i / alpha_i.alpha_i) alpha_i, taken in
+    # doubled standard coordinates and sign-normalized, not in simple ones
+    rst = root_system_type(family, rank)
+    poset = root_poset(rst)
+    m = len(poset)
+    by_ambient = {root.ambient2: root.index for root in poset.roots}
+    perms = simple_reflections(poset)
+    assert len(perms) == rank
+    for perm, alpha in zip(perms, simple_system_ambient2(rst)):
+        assert sorted(perm) == list(range(m))
+        assert all(perm[perm[j]] == j for j in range(m))
+        assert perm[by_ambient[alpha]] == by_ambient[alpha]
+        norm = sum(a * a for a in alpha)
+        for root in poset.roots:
+            pairing2 = 2 * sum(b * a for b, a in zip(root.ambient2, alpha))
+            assert pairing2 % norm == 0
+            image = tuple(b - pairing2 // norm * a for b, a in zip(root.ambient2, alpha))
+            if image not in by_ambient:
+                image = tuple(-c for c in image)
+            assert perm[root.index] == by_ambient[image]
+
+
+def test_families_match_the_ideal_spec_schema():
+    schema = packaged_schema("ideal-spec.schema.json")
+    assert schema["properties"]["type"]["enum"] == list(FAMILIES)

@@ -170,3 +170,27 @@ def test_tampered_coboundary_fails_the_tutte_certificate(monkeypatch, family, ra
     for ideal in enumerate_ideals(root_poset(root_system_type(family, rank))):
         with pytest.raises(InconsistencyError, match=r"T\(2,2\) = 2\^m"):
             tutte_of_ideal(ideal)
+
+
+@pytest.mark.parametrize(
+    "family, rank, owner, name",
+    [("B", 4, ffmethod, "coboundary_and_rank"), ("F4", None, flats.FlatLattice, "restrict")],
+)
+def test_tampered_coboundary_fails_every_command(monkeypatch, family, rank, owner, name):
+    # the (t-1)^rank tamper above, caught by the coboundary's own certificate
+    # before any Tutte transform
+    real = getattr(owner, name)
+    t_minus_1 = BivariatePolynomial({(0, 1): 1, (0, 0): -1}, ("q", "t"))
+
+    def tampered(*args):
+        cb, r = real(*args)
+        extra = BivariatePolynomial.one(("q", "t"))
+        for _ in range(r):
+            extra = extra * t_minus_1
+        return cb + extra, r
+
+    monkeypatch.setattr(owner, name, tampered)
+    for ideal in enumerate_ideals(root_poset(root_system_type(family, rank))):
+        for command in (coboundary_of_ideal, characteristic_polynomial):
+            with pytest.raises(InconsistencyError, match=r"T\(2,2\) = 2\^m"):
+                command(ideal)
