@@ -9,6 +9,9 @@ checked against the packaged ``schemas/ideal-spec.schema.json`` by a
 plain-Python check compiled from it once per process (``schemacheck``);
 jsonschema is not imported.
 
+Each engine's guard is one constant of its own, and no option overrides it;
+``verify`` checks ``auto`` against ``crapo`` unless ``--engines`` names others.
+
 Exit codes: 0 success, 1 validation error (or an ``--ideal-file`` that
 cannot be read, or an ``--out`` file that cannot be written), 2 guard refusal
 or usage error (argparse: an unknown option, or not exactly one ideal input),
@@ -28,7 +31,7 @@ import sys
 import tempfile
 import time
 
-from . import __version__, crapo, ffmethod, specialize
+from . import __version__, ffmethod, specialize
 from .errors import (
     ConstraintError,
     GuardExceeded,
@@ -197,13 +200,9 @@ def _compute_polynomial(ideal, command, engine, args):
         return poly, {**prov, "cache": "hit"}
     t0 = time.time()
     if command == "coboundary":
-        poly = specialize.coboundary_of_ideal(
-            ideal, engine=engine, max_subsets=args.max_subsets
-        )
+        poly = specialize.coboundary_of_ideal(ideal, engine=engine)
     else:
-        poly = specialize.tutte_of_ideal(
-            ideal, engine=engine, max_subsets=args.max_subsets
-        )
+        poly = specialize.tutte_of_ideal(ideal, engine=engine)
     prov = {
         "engine": engine,
         "system": str(ideal.rst),
@@ -269,9 +268,7 @@ def cmd_polynomial(args, command):
 def cmd_charpoly(args):
     ideal = _ideal_from_args(args)
     engine = specialize.resolve_engine(args.engine, ideal.rst)
-    chi = specialize.characteristic_polynomial(
-        ideal, engine=engine, max_subsets=args.max_subsets
-    )
+    chi = specialize.characteristic_polynomial(ideal, engine=engine)
     text = chi.to_text("q")
     if args.out:
         with open(args.out, "w") as fh:
@@ -305,13 +302,14 @@ def cmd_minors(args):
     return 0
 
 
-def _verify_ffmethod_routes(ideal, max_points):
+def _verify_ffmethod_routes(ideal):
     """Cross-check the finite-field pipeline on one classical ideal: the direct
     coboundary polynomial against the whole complement's counting model at
     q = 3, 5, ..., 2 rank + 3 (both have q-degree at most rank, so these
     rank + 1 points pin the polynomial), then the counting model against
-    exhaustive point counting at p = 3, guard permitting.  Returns how many
-    brute-force counts were made."""
+    exhaustive point counting at p = 3 when its 3^n points are within
+    ``ffmethod.DEFAULT_MAX_POINTS``.  Returns how many brute-force counts were
+    made."""
     comp = complement(ideal)
     n = ideal.rst.ambient_dim
     model = ffmethod.CountingModel(n, comp.hyperplanes)
@@ -330,9 +328,9 @@ def _verify_ffmethod_routes(ideal, max_points):
                 f"on {ideal!r}"
             )
     p = 3
-    if p ** n > max_points:
+    if p ** n > ffmethod.DEFAULT_MAX_POINTS:
         return 0
-    bf = ffmethod.count_points_bruteforce(comp.hyperplanes, n, p, max_points=max_points)
+    bf = ffmethod.count_points_bruteforce(comp.hyperplanes, n, p)
     if model.point_count_profile(p) != list(bf.counts):
         raise VerificationMismatch(
             f"counting model and brute force disagree at p={p} on {ideal!r}"
@@ -355,8 +353,7 @@ def cmd_verify(args):
     counted = 0
     for ideal in ideals:
         polys = [
-            (e, specialize.tutte_of_ideal(ideal, engine=eng, max_subsets=args.max_subsets))
-            for e, eng in zip(engines, resolved)
+            (e, specialize.tutte_of_ideal(ideal, engine=eng)) for e, eng in zip(engines, resolved)
         ]
         base_name, base = polys[0]
         for name, poly in polys[1:]:
@@ -366,7 +363,7 @@ def cmd_verify(args):
                     f"{base.to_text()} vs {poly.to_text()}"
                 )
         if "ffmethod" in resolved:
-            counted += _verify_ffmethod_routes(ideal, args.max_points)
+            counted += _verify_ffmethod_routes(ideal)
         checked += 1
     extra = ""
     if "ffmethod" in resolved:
@@ -389,9 +386,8 @@ def build_parser():
     ``parse_args`` gives each call a fresh ``Namespace`` and leaves the parser
     as it was, so reuse carries nothing from one ``main`` call to the next.
     The returned parser is shared: do not mutate it.  Each subcommand's
-    ``func`` (its ``cmd_...`` function) and the ``--max-subsets`` and
-    ``--max-points`` defaults are read when the parser is first built; a
-    fresh, unshared parser is ``build_parser.__wrapped__()``.
+    ``func`` (its ``cmd_...`` function) is read when the parser is first
+    built; a fresh, unshared parser is ``build_parser.__wrapped__()``.
     """
     ap = argparse.ArgumentParser(
         prog="idealtutte",
@@ -416,11 +412,6 @@ def build_parser():
         one.add_argument("--roots", help="JSON list of simple-coordinate root vectors")
         one.add_argument("--ideal-file", help="path to a JSON ideal spec")
         one.add_argument("--full", action="store_true", help="the full arrangement (empty ideal)")
-        p.add_argument(
-            "--max-subsets", type=int, default=crapo.DEFAULT_MAX_BASIS_SUBSETS,
-            help="refuse more basis candidates (crapo) or subsets (oracle) than "
-            "this; bounds only those two engines",
-        )
         return one
 
     def polynomial(p):
@@ -463,8 +454,7 @@ def build_parser():
     p = sub.add_parser("verify", help="cross-check engines on one or all ideals")
     system(p)
     ideal_input(p).add_argument("--all-ideals", action="store_true")
-    p.add_argument("--max-points", type=int, default=ffmethod.DEFAULT_MAX_POINTS)
-    p.add_argument("--engines", default="auto,oracle")
+    p.add_argument("--engines", default="auto,crapo")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("minors", help="minor set of the positive-root matrix")

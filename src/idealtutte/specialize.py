@@ -43,7 +43,7 @@ def resolve_engine(engine, rst):
     return engine
 
 
-def _compute(ideal, engine, max_subsets):
+def _compute(ideal, engine):
     """(polynomial, rank) by a resolved engine: chi-bar(q, t) from ffmethod
     and flats, T(x, y) from crapo and oracle.  InconsistencyError unless
     chi-bar(1, 2) = T(2, 2) = 2^m for the m complement roots, with q-degree
@@ -64,48 +64,48 @@ def _compute(ideal, engine, max_subsets):
         return cb, rank
     vectors = [r.simple_coords for r in ideal.complement_roots()]
     cfg = crapo.VectorConfig(vectors, dim=ideal.rst.rank)
-    guard = {} if max_subsets is None else {"max_subsets": max_subsets}
     tutte = crapo.tutte_crapo if engine == "crapo" else crapo.tutte_corank_nullity
-    return tutte(cfg, **guard), cfg.rank
+    return tutte(cfg), cfg.rank
 
 
-def tutte_of_ideal(ideal, engine="auto", max_subsets=None):
+def tutte_of_ideal(ideal, engine="auto"):
     """Tutte polynomial of an ideal arrangement by the requested engine.
 
     auto routes classical types through the finite-field pipeline and
     exceptional types through the lattice of flats (as decided by
     ``resolve_engine``); crapo forces the basis-activity formula and oracle
     the corank-nullity expansion.  A coboundary polynomial that fails its
-    certificate raises InconsistencyError.  ``max_subsets`` bounds the basis
-    candidates (crapo) or the subsets (oracle) before any work is done; the
-    other engines ignore it.
+    certificate raises InconsistencyError.  Each engine refuses work past its
+    own guard with GuardExceeded, before doing it: crapo past
+    ``crapo.DEFAULT_MAX_BASIS_SUBSETS`` basis candidates, oracle past 2^24
+    subsets.
     """
     engine = resolve_engine(engine, ideal.rst)
-    poly, rank = _compute(ideal, engine, max_subsets)
+    poly, rank = _compute(ideal, engine)
     return coboundary_to_tutte(poly, rank) if engine in _COBOUNDARY_ENGINES else poly
 
 
-def _coboundary_and_rank(ideal, engine, max_subsets):
-    """(chi-bar(q, t), rank) by the engine and guard as in ``tutte_of_ideal``;
-    a Tutte polynomial from crapo or oracle is converted by
+def _coboundary_and_rank(ideal, engine):
+    """(chi-bar(q, t), rank) by the engine as in ``tutte_of_ideal``; a Tutte
+    polynomial from crapo or oracle is converted by
     ``exactpoly.tutte_to_coboundary``."""
     engine = resolve_engine(engine, ideal.rst)
-    poly, rank = _compute(ideal, engine, max_subsets)
+    poly, rank = _compute(ideal, engine)
     if engine not in _COBOUNDARY_ENGINES:
         poly = tutte_to_coboundary(poly, rank)
     return poly, rank
 
 
-def coboundary_of_ideal(ideal, engine="auto", max_subsets=None):
-    """Coboundary polynomial of an ideal arrangement, by the engine and
-    guard as in ``tutte_of_ideal``."""
-    return _coboundary_and_rank(ideal, engine, max_subsets)[0]
+def coboundary_of_ideal(ideal, engine="auto"):
+    """Coboundary polynomial of an ideal arrangement, by the engine as in
+    ``tutte_of_ideal``."""
+    return _coboundary_and_rank(ideal, engine)[0]
 
 
-def characteristic_polynomial(ideal, engine="auto", max_subsets=None):
+def characteristic_polynomial(ideal, engine="auto"):
     """chi(q) = q^(n - rank) chi-bar(q, 0) of an ideal arrangement in R^n:
-    the t^0 column of ``coboundary_of_ideal`` with the same engine and guard."""
-    cb, rank = _coboundary_and_rank(ideal, engine, max_subsets)
+    the t^0 column of ``coboundary_of_ideal`` with the same engine."""
+    cb, rank = _coboundary_and_rank(ideal, engine)
     return coboundary_to_characteristic(cb, ideal.rst.ambient_dim, rank)
 
 
@@ -144,18 +144,10 @@ def check_exponent_factorization(ideal, engine="auto"):
     the families where the ideal arrangements are free with ideal exponents.
     """
     exps = ideal_exponents(ideal)
-    cb, rank = _coboundary_and_rank(ideal, engine, None)
-    n = ideal.rst.ambient_dim
-    chi = coboundary_to_characteristic(cb, n, rank)
-    work = chi
-    # strip q^(n - rank)
-    for _ in range(n - rank):
-        quot, rem = work.divide_linear(0)
-        if rem != 0:
-            return FactorizationReport(
-                False, exps.exponents, chi, work, "q^(n-rank) does not divide chi"
-            )
-        work = quot
+    cb, rank = _coboundary_and_rank(ideal, engine)
+    chi = coboundary_to_characteristic(cb, ideal.rst.ambient_dim, rank)
+    # chi-bar(q, 0): chi without its factor q^(n - rank)
+    work = coboundary_to_characteristic(cb, rank, rank)
     for m in exps.exponents:
         quot, rem = work.divide_linear(m)
         if rem != 0:

@@ -255,11 +255,26 @@ def test_validation_error_exit_1(capsys):
 
 
 def test_guard_refusal_exit_2(capsys):
-    code, _, err = run(
+    # the oracle's one guard is 2^24 subsets: E6's 35 complement roots are refused
+    code, out, err = run(
         capsys, "tutte", "--type", "E6", "--roots", "[[1,2,2,3,2,1]]",
-        "--engine", "oracle", "--max-subsets", "1024", "--no-cache",
+        "--engine", "oracle", "--no-cache",
     )
-    assert code == 2 and "guard" in err
+    assert code == 2 and not out and "guard" in err and "2^35" in err
+
+
+def _never(*_):
+    raise AssertionError("the guarded work was started")
+
+
+def test_oracle_refuses_b5_full_at_once(capsys, monkeypatch):
+    # B5 full has 25 hyperplanes: 2^25 subsets exceed the oracle's 2^24
+    monkeypatch.setattr(crapo._Echelon, "snapshot", _never)  # no subset is walked
+    code, out, err = run(
+        capsys, "tutte", "--type", "B", "--rank", "5", "--full", "--engine", "oracle",
+        "--no-cache",
+    )
+    assert code == 2 and not out and "2^25 subsets" in err
 
 
 @pytest.mark.parametrize("budget, code", [(20, 2), (21, 0)])
@@ -399,20 +414,23 @@ def test_charpoly_command(capsys, tmp_path):
         ("tutte", "--engine", "crapo", "--no-cache"),
         ("coboundary", "--engine", "crapo", "--no-cache"),
         ("charpoly", "--engine", "crapo"),
-        ("verify", "--engines", "crapo,oracle"),
+        ("verify",),
     ],
 )
-def test_max_subsets_guard_on_every_polynomial_command(capsys, argv):
-    # C(24, 4) = 10626 basis candidates exceed the guard of 100 before any work
-    code, out, err = run(capsys, *argv, "--type", "F4", "--full", "--max-subsets", "100")
-    assert code == 2 and not out and "10626" in err
+def test_max_subsets_guard_on_every_polynomial_command(capsys, monkeypatch, argv):
+    # C(45, 9) = 886163135 basis candidates of A9 full exceed crapo's 10^8
+    # before any basis is sought
+    monkeypatch.setattr(crapo, "_exchange_tally", _never)
+    monkeypatch.setattr(crapo, "tutte_crapo_exact", _never)
+    code, out, err = run(capsys, *argv, "--type", "A", "--rank", "9", "--full")
+    assert code == 2 and not out and "C(45,9) = 886163135" in err
+    assert f"guard {crapo.DEFAULT_MAX_BASIS_SUBSETS}" in err
 
 
-def test_max_subsets_guard_leaves_auto_on_exceptional_types(capsys):
+def test_max_subsets_guard_leaves_auto_on_exceptional_types(capsys, monkeypatch):
     # auto reads F4 off its lattice of flats: no bases, so nothing to refuse
-    code, out, _ = run(
-        capsys, "charpoly", "--type", "F4", "--full", "--max-subsets", "100"
-    )
+    monkeypatch.setattr(crapo, "tutte_crapo", _never)
+    code, out, _ = run(capsys, "charpoly", "--type", "F4", "--full")
     assert code == 0 and out.strip() == "q^4 - 24q^3 + 190q^2 - 552q + 385"
 
 
@@ -425,7 +443,8 @@ def test_flats_engine_rejects_classical_types(capsys):
 
 
 def test_verify_f4_all_ideals_against_crapo(capsys):
-    code, out, _ = run(capsys, "verify", "--type", "F4", "--all-ideals", "--engines", "auto,crapo")
+    # auto, crapo is verify's default pair
+    code, out, _ = run(capsys, "verify", "--type", "F4", "--all-ideals")
     assert code == 0
     assert out.strip() == "verified 105 ideal(s) of F4 across engines auto, crapo"
 
@@ -436,32 +455,6 @@ def test_json_provenance_names_the_flats_engine(capsys, tmp_path):
         "--format", "json", "--cache-dir", str(tmp_path),
     )
     assert code == 0 and json.loads(out)["provenance"]["engine"] == "flats"
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("tutte", "--engine", "oracle", "--no-cache"),
-        ("coboundary", "--engine", "oracle", "--no-cache"),
-        ("charpoly", "--engine", "oracle"),
-        ("verify", "--engines", "crapo,oracle"),
-    ],
-)
-def test_default_max_subsets_admits_26_oracle_elements(capsys, monkeypatch, argv):
-    # the default guard of 10^8 subsets holds the oracle to 2^26
-    from idealtutte import crapo
-
-    seen = []
-    real = crapo.tutte_corank_nullity
-
-    def spy(cfg, max_subsets):
-        seen.append(max_subsets)
-        return real(cfg, max_subsets=max_subsets)
-
-    monkeypatch.setattr(crapo, "tutte_corank_nullity", spy)
-    code, _, _ = run(capsys, *argv, "--type", "G2", "--roots", "[[3,1],[3,2]]")
-    # passed straight through: 2^26 <= 10^8 < 2^27
-    assert code == 0 and seen == [10 ** 8]
 
 
 @pytest.mark.parametrize(
@@ -507,7 +500,10 @@ COMPUTE_OPTIONS = [("--primes", "[3]"), ("--max-points", "10"), ("--max-subsets"
     # chi-bar comes from one dynamic program; there is no prime route to select
     + [(c, ("--primes", "[3]")) for c in ("tutte", "coboundary", "charpoly", "verify")]
     # only tutte and coboundary have a LaTeX rendering
-    + [(c, ("--format", "latex")) for c in ("roots", "ideals", "minors")],
+    + [(c, ("--format", "latex")) for c in ("roots", "ideals", "minors")]
+    # each engine's guard is its own constant: no command overrides one
+    + [(c, o) for c in ("tutte", "coboundary", "charpoly", "verify")
+       for o in (("--max-subsets", "10"), ("--max-points", "10"))],
 )
 def test_commands_refuse_options_they_do_not_read(capsys, command, option):
     with pytest.raises(SystemExit) as exc:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import packaged_schema
+from idealtutte.exactpoly import BivariatePolynomial
 from idealtutte.schemacheck import compile_schema, packaged_check
 
 SCHEMAS = ["ideal-spec.schema.json", "polynomial.schema.json"]
@@ -122,3 +123,15 @@ def test_draft7_number_semantics(schema, value, valid):
     # only numbers, of which a bool is none
     assert (compile_schema(schema)(value) is None) == valid
     assert jsonschema.Draft7Validator(schema).is_valid(value) == valid
+
+
+def test_polynomial_without_variables_is_rejected_by_schema_and_reader():
+    # the cache reader refuses a document with no variables, and so does the schema
+    doc = {"terms": [{"dx": 1, "dy": 0, "c": "1"}]}
+    message = packaged_check("polynomial.schema.json")(doc)
+    assert message is not None and "variables" in message
+    assert not jsonschema.Draft7Validator(packaged_schema("polynomial.schema.json")).is_valid(doc)
+    with pytest.raises(ValueError, match="variables"):
+        BivariatePolynomial.from_json_dict(doc)
+    BivariatePolynomial.from_json_dict({**doc, "variables": ["x", "y"]})
+    assert packaged_check("polynomial.schema.json")({**doc, "variables": ["x", "y"]}) is None

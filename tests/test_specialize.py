@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import IDEAL_F, IDEAL_G, exceptional_ideal, worked_ideal
-from idealtutte import ffmethod, flats
+from idealtutte import ffmethod, flats, specialize
 from idealtutte.errors import InconsistencyError
 from idealtutte.exactpoly import (
     BivariatePolynomial,
@@ -113,6 +113,28 @@ def test_factorization_report_json():
     rep = check_exponent_factorization(exceptional_ideal("G2", IDEAL_G))
     data = rep.to_json_dict()
     assert data["ok"] is True and data["exponents"] == [3, 1]
+
+
+@pytest.mark.parametrize(
+    "tamper, detail",
+    [
+        # chi-bar(q, 0) = (q - 1)(q - 3) + 1 = (q - 2)^2
+        (lambda cb: cb + BivariatePolynomial.one(("q", "t")), "(q - 3) does not divide"),
+        # 2 (q - 1)(q - 3): both exponents divide and 2 is left over
+        (lambda cb: cb + cb, "cofactor 2 left over"),
+    ],
+)
+def test_factorization_reports_a_tampered_coboundary(monkeypatch, tamper, detail):
+    real = specialize._coboundary_and_rank
+
+    def tampered(*args):
+        cb, rank = real(*args)
+        return tamper(cb), rank
+
+    monkeypatch.setattr(specialize, "_coboundary_and_rank", tampered)
+    rep = check_exponent_factorization(exceptional_ideal("G2", IDEAL_G))
+    assert rep.ok is False and detail in rep.detail and rep.leftover is not None
+    assert rep.to_json_dict()["ok"] is False
 
 
 def test_characteristic_polynomial_engines_agree():
