@@ -21,6 +21,8 @@ from .errors import GuardExceeded, InconsistencyError
 from .exactpoly import BivariatePolynomial
 
 DEFAULT_MAX_BASIS_SUBSETS = 10 ** 8
+# subsets the corank-nullity oracle may walk: at most 24 hyperplanes
+ORACLE_MAX_SUBSETS = 2 ** 24
 # bytes the kernel may hold in bases and exchange table for one configuration
 MAX_KERNEL_BYTES = 1 << 29
 # array cells per vectorized step
@@ -260,7 +262,7 @@ def tutte_crapo_exact(cfg, max_subsets=DEFAULT_MAX_BASIS_SUBSETS):
     return BivariatePolynomial(hist, ("x", "y"))
 
 
-def tutte_corank_nullity(cfg, max_subsets=2 ** 24, *, max_elements=None):
+def tutte_corank_nullity(cfg, max_subsets=ORACLE_MAX_SUBSETS, *, max_elements=None):
     """Brute-force Tutte polynomial over all 2^m subarrangements.
 
     T(x, y) = sum over subsets S of (x-1)^(r - r(S)) (y-1)^(|S| - r(S)).

@@ -23,6 +23,9 @@ the splits of each m are summed once per model into a t-polynomial H(m), and
 a state r with polynomial P_r has one move per nonzero m <= r, of weight
 C(r, m) H(m) = r! H(m) / (m! (r - m)!), k! = prod_i k_i!.  Carrying
 Q_r = r! P_r instead makes the weight H(m) D / m! (D = n!) the same in any r.
+Nor do a state's moves change between rounds: each state's down-set, the
+codes of its nonzero m <= r, is listed once per ``residue_profile`` call, at
+one list slot per move, so a round only multiplies, shifts and adds.
 """
 
 from __future__ import annotations
@@ -224,14 +227,27 @@ class CountingModel:
             out.append((poly >> shift, shift))
         return out
 
-    def _consumptions(self, state):
-        """Codes of the nonzero m <= ``state``, its prod_i (r_i + 1) - 1 moves;
-        the empty step is left to residue_profile's binomial weights."""
-        codes = [0]
-        for r, radix in zip(state, self._radix):
-            if r:
-                codes += [c + k for k in range(radix, (r + 1) * radix, radix) for c in codes]
-        return codes[1:]
+    def _down_sets(self):
+        """Per state code, the codes of the nonzero m <= r: the
+        prod_i (r_i + 1) - 1 moves of state r (the empty step is left to
+        residue_profile's binomial weights).
+
+        Built in code order by down(r) = down(r - e_i) + the codes with
+        m_i = r_i, i the first nonzero block of r; those are r_i radix_i plus
+        0 or a code of down(r'), r' = r with block i emptied, a smaller code.
+        Every entry is an int of one shared list of the codes, so the table
+        costs one list slot per move.
+        """
+        codes = list(range(prod(n + 1 for n in self._sizes)))
+        down = [[]]
+        for code in codes[1:]:
+            radix, n = next(
+                (radix, n) for n, radix in zip(self._sizes, self._radix) if code // radix % (n + 1)
+            )
+            top = code - code % (radix * (n + 1))
+            down.append(down[code - radix] + [codes[code - top]]
+                        + [codes[code - top + c] for c in down[top]])
+        return down
 
     def residue_profile(self):
         """F_u for u = 0, 1, ...: dense t-coefficient lists of the weight that
@@ -246,7 +262,10 @@ class CountingModel:
         Computed once per model, and refused with GuardExceeded before
         anything is built when one round could expand more than
         ``crapo.MAX_KERNEL_BYTES // 180`` (state, move) pairs:
-        prod_i C(n_i + 2, 2) - prod_i (n_i + 1) moves.  A state r carries
+        prod_i C(n_i + 2, 2) - prod_i (n_i + 1) moves.  Past the guard, the
+        moves of every state are built once (``_down_sets``), one list slot
+        per move; every round reads them, and they are freed on return, so
+        the model keeps only the profile.  A state r carries
         Q_r = r! P_r, from Q_n = D; a move adds Q_r times its weight to
         D Q_(r-m), r closes at D / r! into D F_u; every division by D is checked.
 
@@ -271,9 +290,10 @@ class CountingModel:
         width = ((self.stride * self.m + 1) ** self.m * scale ** 2).bit_length()
         mask = (1 << width) - 1
         weights = self._split_table(width)
-        # per state code: the state, its closing weight D / r! and shift
+        down = self._down_sets()
+        # per state code: its closing weight D / r! and shift
         closing = [
-            (r, scale // prod(map(factorial, r)), self._zero_exponent(r) * width)
+            (scale // prod(map(factorial, r)), self._zero_exponent(r) * width)
             for r in (r[::-1] for r in product(*(range(n + 1) for n in reversed(self._sizes))))
         ]
         states = [(len(closing) - 1, scale)]
@@ -282,9 +302,9 @@ class CountingModel:
             closed = 0
             nxt = [0] * len(closing)
             for code, q in states:
-                r, close, zero_shift = closing[code]
+                close, zero_shift = closing[code]
                 closed += (q * close) << zero_shift
-                for mc in self._consumptions(r):
+                for mc in down[code]:
                     w, shift = weights[mc]
                     nxt[code - mc] += (q * w) << shift
             closed = _divide_exactly(closed, scale)

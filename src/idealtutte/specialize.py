@@ -77,8 +77,8 @@ def tutte_of_ideal(ideal, engine="auto"):
     the corank-nullity expansion.  A coboundary polynomial that fails its
     certificate raises InconsistencyError.  Each engine refuses work past its
     own guard with GuardExceeded, before doing it: crapo past
-    ``crapo.DEFAULT_MAX_BASIS_SUBSETS`` basis candidates, oracle past 2^24
-    subsets.
+    ``crapo.DEFAULT_MAX_BASIS_SUBSETS`` basis candidates, oracle past
+    ``crapo.ORACLE_MAX_SUBSETS`` subsets.
     """
     engine = resolve_engine(engine, ideal.rst)
     poly, rank = _compute(ideal, engine)

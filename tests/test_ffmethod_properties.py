@@ -7,8 +7,8 @@ x_i = x_j hyperplanes only (stride 1, one residue per step), such sets with
 one hyperplane added that switches the model to stride 2 (one residue pair
 per step), and tuple sets expanded from coarse blocks with uniform incidence,
 which reach uneven splits inside a block and tied blocks.  Every model they
-build also expands the closed-form number of moves.  They sit beside the
-fixed-seed sweeps in test_ffmethod and test_properties."""
+build also holds the closed-form number of moves in its down-set table.  They
+sit beside the fixed-seed sweeps in test_ffmethod and test_properties."""
 
 from functools import lru_cache
 from math import comb, prod
@@ -88,33 +88,36 @@ def normal_tuple_sets(draw):
 
 
 def _assert_kernel_size(model):
-    """Runs residue_profile and records the moves it expands: every state
-    r <= the block sizes n is expanded, each time into the same
-    prod_i (r_i + 1) - 1 moves, one per nonzero consumption m <= r, so the
-    moves total prod_i C(n_i + 2, 2) - prod_i (n_i + 1)."""
+    """Runs residue_profile and checks the down-set table it builds, once:
+    every state r <= the block sizes n has the codes of its
+    prod_i (r_i + 1) - 1 distinct nonzero consumptions m <= r, so the moves
+    total prod_i C(n_i + 2, 2) - prod_i (n_i + 1)."""
     assert model._profile is None
     sizes = [len(b) for b in model.blocks]
-    consumptions = model._consumptions
-    expanded = {}
+    build = model._down_sets
+    tables = []
 
-    def spy(state):
-        codes = consumptions(state)
-        assert expanded.setdefault(state, codes) == codes
-        return codes
+    def spy():
+        tables.append(build())
+        return tables[-1]
 
-    model._consumptions = spy
+    model._down_sets = spy
     try:
         model.residue_profile()
     finally:
-        del model._consumptions
-    for state, codes in expanded.items():
-        consumed = {
-            tuple(code // radix % (n + 1) for n, radix in zip(sizes, model._radix))
-            for code in codes
-        }
+        del model._down_sets
+    (down,) = tables
+    assert len(down) == prod(n + 1 for n in sizes)
+
+    def vector(code):
+        return tuple(code // radix % (n + 1) for n, radix in zip(sizes, model._radix))
+
+    for code, codes in enumerate(down):
+        state = vector(code)
+        consumed = set(map(vector, codes))
         assert len(consumed) == len(codes) == prod(r + 1 for r in state) - 1
         assert all(any(m) and all(map(int.__le__, m, state)) for m in consumed)
-    total = sum(len(codes) for codes in expanded.values())
+    total = sum(map(len, down))
     assert total == prod(comb(n + 2, 2) for n in sizes) - prod(n + 1 for n in sizes)
 
 
