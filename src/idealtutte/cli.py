@@ -10,7 +10,9 @@ plain-Python check compiled from it once per process (``schemacheck``);
 jsonschema is not imported.
 
 Each engine's guard is one constant of its own, and no option overrides it;
-``verify`` checks ``auto`` against ``crapo`` unless ``--engines`` names others.
+``verify`` checks ``auto`` against ``crapo`` unless ``--engines`` names others,
+running crapo and oracle first, so that their guards refuse before any other
+engine works.
 
 Exit codes: 0 success, 1 validation error (or an ``--ideal-file`` that
 cannot be read, or an ``--out`` file that cannot be written), 2 guard refusal
@@ -349,17 +351,20 @@ def cmd_verify(args):
         ideals = enumerate_ideals(poset)
     else:
         ideals = [_ideal_from_args(args)]
+    # crapo and oracle refuse past their guards before any work, so they run
+    # first: a refusal then costs no other engine's full computation
+    order = sorted(range(len(engines)), key=lambda k: resolved[k] not in ("crapo", "oracle"))
     checked = 0
     counted = 0
     for ideal in ideals:
-        polys = [
-            (e, specialize.tutte_of_ideal(ideal, engine=eng)) for e, eng in zip(engines, resolved)
-        ]
-        base_name, base = polys[0]
-        for name, poly in polys[1:]:
+        polys = [None] * len(engines)
+        for k in order:
+            polys[k] = specialize.tutte_of_ideal(ideal, engine=resolved[k])
+        base = polys[0]
+        for name, poly in zip(engines[1:], polys[1:]):
             if poly != base:
                 raise VerificationMismatch(
-                    f"{base_name} and {name} disagree on {ideal!r}: "
+                    f"{engines[0]} and {name} disagree on {ideal!r}: "
                     f"{base.to_text()} vs {poly.to_text()}"
                 )
         if "ffmethod" in resolved:

@@ -119,7 +119,7 @@ class BivariatePolynomial:
             for (a2, b2), c2 in other.coeffs.items():
                 k = (a1 + a2, b1 + b2)
                 out[k] = out.get(k, 0) + c1 * c2
-        return BivariatePolynomial(out, self.variables)
+        return BivariatePolynomial._of({k: c for k, c in out.items() if c}, self.variables)
 
     __rmul__ = __mul__
 

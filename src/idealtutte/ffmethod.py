@@ -25,13 +25,19 @@ C(r, m) H(m) = r! H(m) / (m! (r - m)!), k! = prod_i k_i!.  Carrying
 Q_r = r! P_r instead makes the weight H(m) D / m! (D = n!) the same in any r.
 Nor do a state's moves change between rounds: each state's down-set, the
 codes of its nonzero m <= r, is listed once per ``residue_profile`` call, at
-one list slot per move, so a round only multiplies, shifts and adds.
+one list slot per move, so a round only multiplies, shifts and adds.  So is
+each state's closing weight D / r! and zero exponent, a quadratic form in r,
+in one sweep over the codes in order.
+
+The rank that chi-bar is relative to is read off the tuples as a signed
+graph (Zaslavsky's frame matroid), apart from the DP, so the division of the
+count by q^(m - rank) still checks the DP; the brute-force oracle takes its
+rank by Gaussian elimination instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import comb, factorial, prod
 
 from .errors import ConstraintError, GuardExceeded, InconsistencyError, UnsupportedTypeError
@@ -110,6 +116,41 @@ def count_points_bruteforce(tuples, n, p, max_points=DEFAULT_MAX_POINTS):
 # ---- the counting model and its dynamic program ------------------------------
 
 
+def _balance_rank(m, tuples):
+    """The rank of hyperplane tuples on 1..m, read off their signed graph.
+
+    x_i = x_j is a positive edge, x_i = -x_j a negative edge and x_i = 0 a
+    half-edge.  The normals span Zaslavsky's frame matroid of that graph, of
+    rank m minus the number of balanced components: those with no half-edge
+    and no cycle of an odd number of negative edges.  One union-find keeps
+    each coordinate's sign against its root, x_i = +-x_root.
+    """
+    parent = list(range(m + 1))
+    flip = [0] * (m + 1)  # 1 when x_i = -x_parent
+    balanced = [True] * (m + 1)
+
+    def find(x):
+        sign = 0
+        while parent[x] != x:
+            sign ^= flip[x]
+            x = parent[x]
+        return x, sign
+
+    for i, j in tuples:
+        ri, si = find(i)
+        if j == 0:
+            balanced[ri] = False
+            continue
+        rj, sj = find(abs(j))
+        odd = si ^ sj ^ (j < 0)
+        if ri == rj:
+            balanced[ri] = balanced[ri] and not odd
+        else:
+            parent[rj], flip[rj] = ri, odd
+            balanced[ri] = balanced[ri] and balanced[rj]
+    return m - sum(balanced[x] for x in range(1, m + 1) if parent[x] == x)
+
+
 class CountingModel:
     """Blocks of exchangeable coordinates plus their ``incidence``
     (``ideals.block_incidence``) for one hyperplane tuple set.  One dynamic
@@ -124,6 +165,8 @@ class CountingModel:
     automorphisms; the partition in accordance with an ideal is passed as
     ``CountingModel(n, bp.hyperplanes, blocks=bp.blocks)``.  Either way the
     blocks must partition 1..m with uniform incidence, else ConstraintError.
+    ``rank`` is m minus the number of balanced components of the tuples'
+    signed graph (``_balance_rank``), independent of the blocks and the DP.
     """
 
     def __init__(self, m, tuples, blocks=None):
@@ -134,7 +177,7 @@ class CountingModel:
             if not (1 <= i <= m and (j == 0 or i < abs(j) <= m)):
                 raise ConstraintError(f"{(i, j)} is not a hyperplane tuple on 1..{m}")
         tset = set(self.tuples)
-        self.rank = crapo.rank_of([tuple_normal(t, m) for t in self.tuples])
+        self.rank = _balance_rank(m, self.tuples)
         if blocks is None:
             blocks = automorphism_blocks(m, tset)
         self.blocks = [list(b) for b in blocks]
@@ -158,21 +201,6 @@ class CountingModel:
         )
         self._profile = None
 
-    def _zero_exponent(self, state):
-        """t-exponent of sending every coordinate left in ``state`` to residue 0.
-
-        At 0, x_i = x_j, x_i = -x_j and x_i = 0 all hold; a coordinate at 0
-        and one at a nonzero residue satisfy neither x_i = x_j nor x_i = -x_j.
-        """
-        inc = self.incidence
-        de = 0
-        for bi, r in enumerate(state):
-            de += (inc.pos_within[bi] + inc.neg_within[bi]) * comb(r, 2)
-            de += inc.zero_flags[bi] * r
-            for bj, pc, nc in self._cross[bi]:
-                de += (pc + nc) * state[bj] * r
-        return de
-
     def _split_table(self, width):
         """The move weight H(m) D / m! for every m <= n, in a flat list
         indexed by the mixed-radix code sum_i m_i radix_i: the packed
@@ -190,6 +218,8 @@ class CountingModel:
         """
         inc = self.incidence
         pair = self.stride == 2
+        last = len(self._sizes) - 1
+        table = [0] * prod(n + 1 for n in self._sizes)
         # partial splits over the blocks so far:
         # (code of m, a's, b's, weight, t-exponent, still a == b everywhere)
         partial = [(0, (), (), 1, 0, pair)]
@@ -201,6 +231,11 @@ class CountingModel:
                 for a in range(n + 1) for b in range(n - a + 1 if pair else 1)
             ]
             canonical = [o for o in within if o[0] >= o[1]]
+            if bi == last:
+                # the last block's splits go straight into the table, at
+                # stride 2 at double weight unless a == b everywhere
+                within = [(a, b, dc, w << pair, d) for a, b, dc, w, d in within]
+                canonical = [(a, b, dc, w << (a != b), d) for a, b, dc, w, d in canonical]
             cross = self._cross[bi]
             grown = []
             for code, aa, bb, weight, de, tied in partial:
@@ -212,42 +247,92 @@ class CountingModel:
                     if nc:
                         at_c += bb[bj]
                         at_minus_c += aa[bj]
+                if bi == last:
+                    for a, b, dcode, w, d in canonical if tied else within:
+                        table[code + dcode] += (weight * w) << (
+                            (de + d + a * at_c + b * at_minus_c) * width
+                        )
+                    continue
                 for a, b, dcode, w, d in canonical if tied else within:
                     grown.append((
                         code + dcode, aa + (a,), bb + (b,), weight * w,
                         de + d + a * at_c + b * at_minus_c, tied and a == b,
                     ))
             partial = grown
-        table = [0] * prod(n + 1 for n in self._sizes)
-        for code, _, _, weight, de, tied in partial:
-            table[code] += (2 * weight if pair and not tied else weight) << (de * width)
         out = []
         for poly in table:
             shift = ((poly & -poly).bit_length() - 1) // width * width
             out.append((poly >> shift, shift))
         return out
 
+    def _sweep(self):
+        """(code, i, r) for every nonzero vector r <= the block sizes, in code
+        order: i is the first nonzero block of r, so r - e_i has the smaller
+        code code - radix_i.  r is one list, stepped in place like an
+        odometer: the first block below its size steps up, and every block
+        before it restarts at 0."""
+        sizes = self._sizes
+        r = [0] * len(sizes)
+        for code in range(1, prod(n + 1 for n in sizes)):
+            i = 0
+            while r[i] == sizes[i]:
+                r[i] = 0
+                i += 1
+            r[i] += 1
+            yield code, i, r
+
     def _down_sets(self):
         """Per state code, the codes of the nonzero m <= r: the
         prod_i (r_i + 1) - 1 moves of state r (the empty step is left to
         residue_profile's binomial weights).
 
-        Built in code order by down(r) = down(r - e_i) + the codes with
-        m_i = r_i, i the first nonzero block of r; those are r_i radix_i plus
-        0 or a code of down(r'), r' = r with block i emptied, a smaller code.
+        Built in code order (``_sweep``) by down(r) = down(r - e_i) + the
+        codes with m_i = r_i, i the first nonzero block of r; those are
+        r_i radix_i plus 0 or a code of down(r'), r' = r with block i
+        emptied, a smaller code.
         Every entry is an int of one shared list of the codes, so the table
         costs one list slot per move.
         """
         codes = list(range(prod(n + 1 for n in self._sizes)))
         down = [[]]
-        for code in codes[1:]:
-            radix, n = next(
-                (radix, n) for n, radix in zip(self._sizes, self._radix) if code // radix % (n + 1)
-            )
-            top = code - code % (radix * (n + 1))
-            down.append(down[code - radix] + [codes[code - top]]
-                        + [codes[code - top + c] for c in down[top]])
+        for code, i, r in self._sweep():
+            radix = self._radix[i]
+            low = r[i] * radix
+            down.append(down[code - radix] + [codes[low]]
+                        + [codes[low + c] for c in down[code - low]])
         return down
+
+    def _closing_table(self, width):
+        """Per state code r, in two flat lists: the closing weight D / r! and
+        the t-exponent de(r) of sending every coordinate left in r to residue
+        0, times width.
+
+        At 0, x_i = x_j, x_i = -x_j and x_i = 0 all hold; a coordinate at 0
+        and one at a nonzero residue satisfy neither x_i = x_j nor x_i = -x_j.
+        So de(r) is the quadratic form sum_i ((pw_i + nw_i) C(r_i, 2) + z_i r_i)
+        + sum_{j < i} (pc_ij + nc_ij) r_i r_j.  Both are built in code order
+        from r - e_i, i the first nonzero block of r: r! = (r - e_i)! r_i, and
+        de(r) = de(r - e_i) + (pw_i + nw_i)(r_i - 1) + z_i
+        + sum_j (pc_ij + nc_ij) r_j over the blocks j linked to i, all later
+        than i since r_j = 0 before it.
+        """
+        inc = self.incidence
+        sizes = self._sizes
+        within = [width * (pw + nw) for pw, nw in zip(inc.pos_within, inc.neg_within)]
+        zero = [width * z for z in inc.zero_flags]
+        later = [[] for _ in sizes]
+        for bi, cross in enumerate(self._cross):
+            for bj, pc, nc in cross:
+                later[bj].append((bi, width * (pc + nc)))
+        closes = [prod(map(factorial, sizes))]
+        shifts = [0]
+        for code, i, r in self._sweep():
+            ri = r[i]
+            prev = code - self._radix[i]
+            closes.append(closes[prev] // ri)
+            shifts.append(shifts[prev] + within[i] * (ri - 1) + zero[i]
+                          + sum(c * r[j] for j, c in later[i]))
+        return closes, shifts
 
     def residue_profile(self):
         """F_u for u = 0, 1, ...: dense t-coefficient lists of the weight that
@@ -255,8 +340,8 @@ class CountingModel:
         where a step is one residue pair (stride 2) or one residue (stride 1).
 
         Starting from the full block sizes n, each round first closes every
-        live state into F_u (residue 0 takes whatever the steps left, at
-        ``_zero_exponent``), then applies one more non-empty step.  An empty
+        live state into F_u (residue 0 takes whatever the steps left, at the
+        state's zero exponent), then applies one more non-empty step.  An empty
         step leaves the state unchanged, so over the (p-1)/s steps the count
         is sum_u C((p-1)/s, u) F_u.  The loop ends within m + 1 rounds.
         Computed once per model, and refused with GuardExceeded before
@@ -264,10 +349,13 @@ class CountingModel:
         ``crapo.MAX_KERNEL_BYTES // 180`` (state, move) pairs:
         prod_i C(n_i + 2, 2) - prod_i (n_i + 1) moves.  Past the guard, the
         moves of every state are built once (``_down_sets``), one list slot
-        per move; every round reads them, and they are freed on return, so
-        the model keeps only the profile.  A state r carries
-        Q_r = r! P_r, from Q_n = D; a move adds Q_r times its weight to
-        D Q_(r-m), r closes at D / r! into D F_u; every division by D is checked.
+        per move, beside the states' closing weights and zero shifts
+        (``_closing_table``) and the move weights (``_split_table``), all
+        flat lists indexed by code; every round reads them, and they are
+        freed on return, so the model keeps only the profile.  A state r
+        carries Q_r = r! P_r, from Q_n = D; a move adds Q_r times its weight
+        to D Q_(r-m), r closes at D / r! into D F_u; every division by D is
+        checked.
 
         Each t-polynomial is one integer, the coefficient of t^e in bits
         [e * width, (e + 1) * width): a move is one multiplication and one
@@ -289,24 +377,18 @@ class CountingModel:
         scale = prod(map(factorial, self._sizes))
         width = ((self.stride * self.m + 1) ** self.m * scale ** 2).bit_length()
         mask = (1 << width) - 1
-        weights = self._split_table(width)
+        weights, shifts = zip(*self._split_table(width))
         down = self._down_sets()
-        # per state code: its closing weight D / r! and shift
-        closing = [
-            (scale // prod(map(factorial, r)), self._zero_exponent(r) * width)
-            for r in (r[::-1] for r in product(*(range(n + 1) for n in reversed(self._sizes))))
-        ]
-        states = [(len(closing) - 1, scale)]
+        closes, zero_shifts = self._closing_table(width)
+        states = [(len(closes) - 1, scale)]
         profile = []
         while states:
             closed = 0
-            nxt = [0] * len(closing)
+            nxt = [0] * len(closes)
             for code, q in states:
-                close, zero_shift = closing[code]
-                closed += (q * close) << zero_shift
+                closed += (q * closes[code]) << zero_shifts[code]
                 for mc in down[code]:
-                    w, shift = weights[mc]
-                    nxt[code - mc] += (q * w) << shift
+                    nxt[code - mc] += (q * weights[mc]) << shifts[mc]
             closed = _divide_exactly(closed, scale)
             profile.append([(closed >> (e * width)) & mask for e in range(len(self.tuples) + 1)])
             states = [(code, _divide_exactly(q, scale)) for code, q in enumerate(nxt) if q]
@@ -334,42 +416,49 @@ class CountingModel:
         the point count at every odd prime, so it is the point-count
         polynomial, and chi-bar is N / q^(m - rank).
         C((q-1)/s, u) = prod_{k<u} (q-1-sk) / (s^u u!), and each division is
-        checked exact.
+        checked exact.  N is expanded into one dense t-list per q-degree;
+        dividing it by q^(m - rank), with ``rank`` from the signed graph,
+        checks that its low q-rows vanish, and chi-bar(q, 1) = q^rank that
+        the row sums do.
         """
         s = self.stride
-        num = {}
+        profile = self.residue_profile()
+        # num[dq][e]: the coefficient of q^dq t^e in N
+        num = [[0] * (len(self.tuples) + 1) for _ in profile]
         falling = [1]  # q-coefficients of prod_{k<u} (q - 1 - sk)
-        for u, f in enumerate(self.residue_profile()):
+        for u, f in enumerate(profile):
             d = s ** u * factorial(u)
             for e, c in enumerate(f):
-                if not c:
-                    continue
                 if c % d:
                     raise InconsistencyError(
                         f"F_{u} coefficient {c} at t^{e} not divisible by s^u u! = {d}"
                     )
-                for dq, a in enumerate(falling):
-                    num[(dq, e)] = num.get((dq, e), 0) + a * (c // d)
+            # only F_u's nonzero span [lo, hi) of t-exponents is added in
+            lo, hi = 0, len(f)
+            while hi and not f[hi - 1]:
+                hi -= 1
+            while lo < hi and not f[lo]:
+                lo += 1
+            f = [c // d for c in f[lo:hi]]
+            for dq, a in enumerate(falling):
+                row = num[dq]
+                row[lo:hi] = [x + a * c for x, c in zip(row[lo:hi], f)]
             shifted = [0] + falling
             for k, a in enumerate(falling):
                 shifted[k] -= (s * u + 1) * a
             falling = shifted
         shift = self.m - self.rank
-        out = {}
-        for (dq, dt), c in num.items():
-            if not c:
-                continue
-            if dq < shift:
-                raise InconsistencyError(
-                    f"point-count polynomial not divisible by q^(m-rank) = q^{shift}"
-                )
-            out[(dq - shift, dt)] = c
-        at_one = {}
-        for (dq, _), c in out.items():
-            at_one[dq] = at_one.get(dq, 0) + c
-        if {k: c for k, c in at_one.items() if c} != {self.rank: 1}:
+        if any(map(any, num[:shift])):
+            raise InconsistencyError(
+                f"point-count polynomial not divisible by q^(m-rank) = q^{shift}"
+            )
+        at_one = {dq: c for dq, c in enumerate(map(sum, num[shift:])) if c}
+        if at_one != {self.rank: 1}:
             raise InconsistencyError(f"chi-bar(q, 1) is not q^{self.rank}")
-        return BivariatePolynomial(out, ("q", "t"))
+        out = {
+            (dq, e): c for dq, row in enumerate(num[shift:]) for e, c in enumerate(row) if c
+        }
+        return BivariatePolynomial._of(out, ("q", "t"))
 
     def coboundary_at_prime(self, p):
         """chi-bar(p, t): the profile divided by p^(m - rank), exactly."""
@@ -434,13 +523,13 @@ def coboundary_and_rank(ideal):
         raise UnsupportedTypeError(
             f"the finite field pipeline covers classical types, not {rst.family}"
         )
-    result = BivariatePolynomial.one(("q", "t"))
-    rank = 0
+    result, rank = None, 0
     for component in decompose_components(complement(ideal)):
         model = CountingModel(component.size, component.tuples)
-        result = result * model.coboundary()
+        cb = model.coboundary()
+        result = cb if result is None else result * cb
         rank += model.rank
-    return result, rank
+    return (BivariatePolynomial.one(("q", "t")) if result is None else result), rank
 
 
 def coboundary_polynomial(ideal):

@@ -339,18 +339,27 @@ def block_incidence(blocks, tuple_set):
 def automorphism_blocks(m, tuple_set):
     """Coordinates 1..m grouped into classes of exchangeable coordinates:
     x and y share a class when they carry the same zero flag and the same
-    pos/neg flags against every third coordinate."""
-    tset = tuple_set
+    pos/neg flags against every third coordinate.  The tuples are normal,
+    (i, j) with i < |j| <= m or (i, 0), and each coordinate's zero flag and
+    pos/neg neighbour sets are read off them once.  Each coordinate joins the
+    first class whose first member it matches, else opens a new class."""
+    zero = [False] * (m + 1)
+    pos = [set() for _ in range(m + 1)]
+    neg = [set() for _ in range(m + 1)]
+    for i, j in tuple_set:
+        if j == 0:
+            zero[i] = True
+        else:
+            nbrs = pos if j > 0 else neg
+            nbrs[i].add(abs(j))
+            nbrs[abs(j)].add(i)
 
     def equivalent(i, j):
-        if _zero(tset, i) != _zero(tset, j):
-            return False
-        for z in range(1, m + 1):
-            if z in (i, j):
-                continue
-            if _pos(tset, i, z) != _pos(tset, j, z) or _neg(tset, i, z) != _neg(tset, j, z):
-                return False
-        return True
+        return (
+            zero[i] == zero[j]
+            and pos[i] - {j} == pos[j] - {i}
+            and neg[i] - {j} == neg[j] - {i}
+        )
 
     blocks = []
     for x in range(1, m + 1):

@@ -1,3 +1,5 @@
+import functools
+import importlib.util
 import json
 import pathlib
 from importlib.resources import files
@@ -5,10 +7,16 @@ from importlib.resources import files
 import pytest
 
 from idealtutte.exactpoly import parse_polynomial
-from idealtutte.ideals import ideal_from_boxes, ideal_from_root_coords
+from idealtutte.ideals import (
+    complement,
+    decompose_components,
+    ideal_from_boxes,
+    ideal_from_root_coords,
+)
 from idealtutte.rootsystems import root_poset, root_system_type
 
 DATA = pathlib.Path(__file__).parent / "data"
+WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 
 def packaged_schema(name):
@@ -49,6 +57,23 @@ def worked_ideal(label):
     fam, rank, gens = WORKED_CLASSICAL[label]
     poset = root_poset(root_system_type(fam, rank))
     return ideal_from_boxes(poset, gens)
+
+
+@functools.cache
+def classical_random_pool():
+    """The 44 ideals of the benchmark's ``classical-random`` workload, as
+    ``bench/workloads.py`` prepares them."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return tuple(r.ideal for r in workloads.prepare("classical-random", 0, None).requests)
+
+
+def component_tuples(ideals):
+    """(size, tuples) of every complement component of the ideals, in order."""
+    return [
+        (c.size, c.tuples) for ideal in ideals for c in decompose_components(complement(ideal))
+    ]
 
 
 def exceptional_ideal(family, coords):

@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 from conftest import IDEAL_E, packaged_schema
-from idealtutte import crapo
+from idealtutte import crapo, specialize
 from idealtutte.cli import main, parse_ideal_spec
 from idealtutte.errors import ConstraintError
 from idealtutte.exactpoly import BivariatePolynomial, latex_is_wellformed, parse_polynomial
@@ -425,6 +425,31 @@ def test_max_subsets_guard_on_every_polynomial_command(capsys, monkeypatch, argv
     code, out, err = run(capsys, *argv, "--type", "A", "--rank", "9", "--full")
     assert code == 2 and not out and "C(45,9) = 886163135" in err
     assert f"guard {crapo.DEFAULT_MAX_BASIS_SUBSETS}" in err
+
+
+@pytest.mark.parametrize(
+    "engines", [(), ("--engines", "auto,crapo"), ("--engines", "ffmethod,oracle")]
+)
+def test_verify_runs_guarded_engines_first(capsys, monkeypatch, engines):
+    # crapo (C(45,9) candidates) and oracle (2^45 subsets) refuse A9 full
+    # before the counting DP, named first, is reached
+    monkeypatch.setattr(CountingModel, "residue_profile", _never)
+    code, out, err = run(capsys, "verify", "--type", "A", "--rank", "9", "--full", *engines)
+    assert code == 2 and not out and "guard" in err
+
+
+def test_verify_compares_against_the_first_engine_named(capsys, monkeypatch):
+    # the first engine named is the reference even when another runs first
+    real = specialize.tutte_of_ideal
+
+    def skewed(ideal, engine="auto"):
+        poly = real(ideal, engine=engine)
+        return poly + 1 if engine == "ffmethod" else poly
+
+    monkeypatch.setattr(specialize, "tutte_of_ideal", skewed)
+    code, _, err = run(capsys, "verify", "--type", "B", "--rank", "3", "--full",
+                       "--engines", "auto,crapo")
+    assert code == 3 and "auto and crapo disagree" in err
 
 
 def test_max_subsets_guard_leaves_auto_on_exceptional_types(capsys, monkeypatch):

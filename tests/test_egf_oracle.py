@@ -5,18 +5,14 @@ of the A6, B5, C5 and D5 ideals; and on every component of the benchmark's
 ``classical-random`` pool.  The oracle itself is first held to brute-force
 point counts on small tuple sets."""
 
-import importlib.util
-import pathlib
-
 import pytest
 
+from conftest import classical_random_pool, component_tuples
 from egf_oracle import coboundary, exchangeable_blocks, point_count
 from idealtutte.exactpoly import BivariatePolynomial
 from idealtutte.ffmethod import CountingModel, count_points_bruteforce, full_arrangement_tuples
-from idealtutte.ideals import complement, decompose_components, enumerate_ideals
+from idealtutte.ideals import enumerate_ideals
 from idealtutte.rootsystems import root_poset, root_system_type
-
-WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 
 def _assert_dp_matches_oracle(m, tuples):
@@ -62,25 +58,19 @@ def test_full_arrangements_match_the_oracle(family, n):
     _assert_dp_matches_oracle(n, full_arrangement_tuples(family, n))
 
 
-def _components(ideals):
-    return [(c.size, c.tuples) for ideal in ideals for c in decompose_components(complement(ideal))]
-
-
 def test_small_rank_components_match_the_oracle():
     distinct = set()
     for family, rank in [("A", 6), ("B", 5), ("C", 5), ("D", 5)]:
-        distinct.update(_components(enumerate_ideals(root_poset(root_system_type(family, rank)))))
+        poset = root_poset(root_system_type(family, rank))
+        distinct.update(component_tuples(enumerate_ideals(poset)))
     assert len(distinct) == 607
     for m, tuples in sorted(distinct):
         _assert_dp_matches_oracle(m, tuples)
 
 
 def test_benchmark_pool_components_match_the_oracle():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    requests = workloads.prepare("classical-random", 0, None).requests
-    components = _components(r.ideal for r in requests)
-    assert len(requests) == 44 and len(components) == 57
+    ideals = classical_random_pool()
+    components = component_tuples(ideals)
+    assert len(ideals) == 44 and len(components) == 57
     for m, tuples in components:
         _assert_dp_matches_oracle(m, tuples)

@@ -5,7 +5,8 @@ from math import comb
 
 import pytest
 
-from conftest import WORKED_CLASSICAL, load_poly, worked_ideal
+from conftest import WORKED_CLASSICAL, component_tuples, load_poly, worked_ideal
+from idealtutte import crapo
 from idealtutte.errors import (
     ConstraintError,
     GuardExceeded,
@@ -21,7 +22,13 @@ from idealtutte.ffmethod import (
     count_points_bruteforce,
     full_arrangement_tuples,
 )
-from idealtutte.ideals import arrangement_of, complement, enumerate_ideals, ideal_from_mask
+from idealtutte.ideals import (
+    arrangement_of,
+    complement,
+    enumerate_ideals,
+    ideal_from_mask,
+    tuple_normal,
+)
 from idealtutte.paper import minor_set, partition_in_accordance
 from idealtutte.rootsystems import positive_roots, root_poset, root_system_type
 from idealtutte.specialize import tutte_of_ideal
@@ -215,6 +222,43 @@ def test_counting_model_automorphism_blocks():
     # one isolated coordinate splits off
     model = CountingModel(3, [(1, 2)])
     assert model.blocks == [[1, 2], [3]]
+
+
+def _gaussian_rank(m, tuples):
+    return crapo.rank_of([tuple_normal(t, m) for t in tuples])
+
+
+@pytest.mark.parametrize("m, tuples, rank", [
+    (3, [], 0),  # isolated coordinates
+    (2, [(1, 0)], 1),  # x_1 = 0 alone: a half-edge unbalances its component
+    (3, [(1, 2), (2, 3), (1, 3)], 2),  # a balanced cycle
+    (3, [(1, 2), (2, 3), (1, -3)], 3),  # an unbalanced cycle
+    (3, [(1, 2), (1, -2)], 2),  # x_1 = +-x_2: an unbalanced 2-cycle
+    (4, [(1, -2), (2, -3), (1, 3), (4, 0)], 3),  # two negative edges balance a cycle
+])
+def test_rank_is_m_minus_the_balanced_components(m, tuples, rank):
+    assert CountingModel(m, tuples).rank == _gaussian_rank(m, tuples) == rank
+
+
+def test_rank_matches_gaussian_elimination_on_small_rank_components():
+    distinct = set()
+    for family, rank in [("A", 6), ("B", 5), ("C", 5), ("D", 5)]:
+        poset = root_poset(root_system_type(family, rank))
+        distinct.update(component_tuples(enumerate_ideals(poset)))
+    assert len(distinct) == 607
+    for m, tuples in distinct:
+        assert CountingModel(m, tuples).rank == _gaussian_rank(m, tuples), (m, tuples)
+
+
+def test_classical_pipeline_takes_no_gaussian_rank(monkeypatch):
+    def refuse(_):
+        raise AssertionError("crapo.rank_of was called")
+
+    monkeypatch.setattr(crapo, "rank_of", refuse)
+    for label in WORKED_CLASSICAL:
+        tutte_of_ideal(worked_ideal(label))
+    for ideal in enumerate_ideals(root_poset(root_system_type("C", 4))):
+        tutte_of_ideal(ideal)
 
 
 def test_counting_model_rejects_bad_blocks():

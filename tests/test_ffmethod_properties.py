@@ -7,22 +7,32 @@ x_i = x_j hyperplanes only (stride 1, one residue per step), such sets with
 one hyperplane added that switches the model to stride 2 (one residue pair
 per step), and tuple sets expanded from coarse blocks with uniform incidence,
 which reach uneven splits inside a block and tied blocks.  Every model they
-build also holds the closed-form number of moves in its down-set table.  They
-sit beside the fixed-seed sweeps in test_ffmethod and test_properties."""
+build also holds the closed-form number of moves in its down-set table.  The
+model's parts are held to tests-side references: its closing table to r! and
+the quadratic form of the zero exponent (also on every component of the
+benchmark's ``classical-random`` pool), its signed-graph rank to Gaussian
+elimination, and ``automorphism_blocks`` to the pairwise test against every
+third coordinate.  They sit beside the fixed-seed sweeps in test_ffmethod and
+test_properties."""
 
 from functools import lru_cache
-from math import comb, prod
+from itertools import product
+from math import comb, factorial, prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import classical_random_pool, component_tuples
+from idealtutte import crapo
 from idealtutte.exactpoly import lagrange_interpolate
 from idealtutte.ffmethod import CountingModel, coboundary_polynomial, count_points_bruteforce
 from idealtutte.ideals import (
     arrangement_of,
+    automorphism_blocks,
     complement,
     decompose_components,
     ideal_from_root_coords,
+    tuple_normal,
 )
 from idealtutte.rootsystems import root_poset, root_system_type
 
@@ -250,3 +260,94 @@ def coarse_block_tuple_sets(draw):
 def test_counting_model_on_coarse_blocks_matches_brute_force(mtb):
     m, tuples, blocks = mtb
     _assert_matches_brute_force(m, tuples, blocks, (3, 5, 7) if m <= 5 else (3, 5))
+
+
+@PROPERTY_SETTINGS
+@given(mtb=coarse_block_tuple_sets())
+def test_closing_table_matches_the_quadratic_form_on_coarse_blocks(mtb):
+    m, tuples, blocks = mtb
+    _assert_closing_table(CountingModel(m, tuples, blocks=blocks))
+
+
+def test_closing_table_matches_the_quadratic_form_on_the_benchmark_pool():
+    components = component_tuples(classical_random_pool())
+    assert len(components) == 57
+    for m, tuples in components:
+        _assert_closing_table(CountingModel(m, tuples))
+
+
+def _zero_exponent(model, r):
+    """The reference t-exponent of sending r_i coordinates of each block i
+    to residue 0, where x_i = x_j, x_i = -x_j and x_i = 0 all hold: the
+    quadratic form of the incidence flags."""
+    inc = model.incidence
+    de = 0
+    for bi, ri in enumerate(r):
+        de += (inc.pos_within[bi] + inc.neg_within[bi]) * comb(ri, 2) + inc.zero_flags[bi] * ri
+        for bj in range(bi):
+            de += (inc.pos_cross[(bj, bi)] + inc.neg_cross[(bj, bi)]) * r[bj] * ri
+    return de
+
+
+def _assert_closing_table(model):
+    """At every state code r, the closing table's D / r! and its zero
+    exponent (at width 1, the shift is the exponent) against r! and the
+    quadratic form."""
+    sizes = [len(b) for b in model.blocks]
+    closes, exponents = model._closing_table(1)
+    # every r <= the block sizes in code order, block 0 the fastest digit
+    vectors = [r[::-1] for r in product(*(range(n + 1) for n in reversed(sizes)))]
+    assert len(closes) == len(exponents) == len(vectors)
+    scale = prod(map(factorial, sizes))
+    for close, de, r in zip(closes, exponents, vectors):
+        assert close * prod(map(factorial, r)) == scale
+        assert de == _zero_exponent(model, r)
+
+
+@PROPERTY_SETTINGS
+@given(mt=normal_tuple_sets())
+def test_balance_rank_matches_gaussian_elimination(mt):
+    m, tuples = mt
+    assert CountingModel(m, tuples).rank == crapo.rank_of([tuple_normal(t, m) for t in tuples])
+
+
+def _pairwise_blocks(m, tset):
+    """The reference automorphism blocks: x joins the first block whose first
+    member carries the same zero flag and the same pos/neg flags against
+    every third coordinate, read pair by pair off the tuple set."""
+
+    def pos(i, j):
+        return (min(i, j), max(i, j)) in tset
+
+    def neg(i, j):
+        return (min(i, j), -max(i, j)) in tset
+
+    def equivalent(i, j):
+        return ((i, 0) in tset) == ((j, 0) in tset) and all(
+            pos(i, z) == pos(j, z) and neg(i, z) == neg(j, z)
+            for z in range(1, m + 1) if z not in (i, j)
+        )
+
+    blocks = []
+    for x in range(1, m + 1):
+        for b in blocks:
+            if equivalent(b[0], x):
+                b.append(x)
+                break
+        else:
+            blocks.append([x])
+    return blocks
+
+
+@PROPERTY_SETTINGS
+@given(mt=normal_tuple_sets())
+def test_automorphism_blocks_match_the_pairwise_test(mt):
+    m, tuples = mt
+    assert automorphism_blocks(m, set(tuples)) == _pairwise_blocks(m, set(tuples))
+
+
+@PROPERTY_SETTINGS
+@given(mtb=coarse_block_tuple_sets())
+def test_automorphism_blocks_match_the_pairwise_test_on_coarse_blocks(mtb):
+    m, tuples, _ = mtb
+    assert automorphism_blocks(m, set(tuples)) == _pairwise_blocks(m, set(tuples))
