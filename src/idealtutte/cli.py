@@ -5,9 +5,11 @@ The argument parser is built on the first ``main`` call and reused by every
 later one in the process (``build_parser``); the polynomial commands report
 in their JSON provenance whether the result came from the cache, and a cache
 that cannot be written costs only a warning on stderr.  Ideal specs are
-checked against the packaged ``schemas/ideal-spec.schema.json`` by a
-plain-Python check compiled from it once per process (``schemacheck``);
-jsonschema is not imported.
+checked against the packaged ``schemas/ideal-spec.schema.json``, and cache
+entries (through ``BivariatePolynomial.from_json_dict``) against
+``schemas/polynomial.schema.json``, by the plain-Python walk of
+``schemacheck``, each schema loaded once per process; jsonschema is not
+imported.
 
 Each engine's guard is one constant of its own, and no option overrides it;
 ``verify`` checks ``auto`` against ``crapo`` unless ``--engines`` names others,
@@ -41,7 +43,7 @@ from .errors import (
     UnsupportedTypeError,
     VerificationMismatch,
 )
-from .exactpoly import BivariatePolynomial, UnivariatePolynomial
+from .exactpoly import BivariatePolynomial
 from .ideals import (
     complement,
     enumerate_ideals,
@@ -306,29 +308,18 @@ def cmd_minors(args):
 
 def _verify_ffmethod_routes(ideal):
     """Cross-check the finite-field pipeline on one classical ideal: the direct
-    coboundary polynomial against the whole complement's counting model at
-    q = 3, 5, ..., 2 rank + 3 (both have q-degree at most rank, so these
-    rank + 1 points pin the polynomial), then the counting model against
-    exhaustive point counting at p = 3 when its 3^n points are within
-    ``ffmethod.DEFAULT_MAX_POINTS``.  Returns how many brute-force counts were
-    made."""
+    coboundary polynomial against the whole complement's counting model
+    (``CountingModel.coboundary``, one model for all the components), then
+    the counting model against exhaustive point counting at p = 3 when its
+    3^n points are within ``ffmethod.DEFAULT_MAX_POINTS``.  Returns how many
+    brute-force counts were made."""
     comp = complement(ideal)
     n = ideal.rst.ambient_dim
     model = ffmethod.CountingModel(n, comp.hyperplanes)
-    direct = ffmethod.coboundary_polynomial(ideal)
-    if direct.degree(0) > model.rank:
+    if model.coboundary() != ffmethod.coboundary_polynomial(ideal):
         raise VerificationMismatch(
-            f"direct coboundary polynomial exceeds q-degree {model.rank} on {ideal!r}"
+            f"direct coboundary polynomial and counting model disagree on {ideal!r}"
         )
-    for q in range(3, 2 * model.rank + 4, 2):
-        at_q = [0] * (direct.degree(1) + 1)
-        for (a, b), c in direct.coeffs.items():
-            at_q[b] += c * q ** a
-        if UnivariatePolynomial(at_q) != model.coboundary_at_prime(q):
-            raise VerificationMismatch(
-                f"direct coboundary polynomial and counting model disagree at q={q} "
-                f"on {ideal!r}"
-            )
     p = 3
     if p ** n > ffmethod.DEFAULT_MAX_POINTS:
         return 0

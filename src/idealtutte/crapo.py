@@ -196,7 +196,7 @@ def _check_kernel_bytes(need, m, r):
         )
 
 
-def tutte_crapo(cfg, max_subsets=DEFAULT_MAX_BASIS_SUBSETS):
+def tutte_crapo(cfg):
     """Tutte polynomial as the basis-activity sum: T = sum x^i(B) y^e(B).
 
     Exact integer arithmetic throughout, on the vectors restricted to the
@@ -205,11 +205,11 @@ def tutte_crapo(cfg, max_subsets=DEFAULT_MAX_BASIS_SUBSETS):
     activities from lookups in their exchange table.  When the Hadamard bound
     of those coordinates exceeds 2^30 the literal route runs instead.  Every
     result is checked against T(2,2) = 2^m and the degree bounds.  Raises
-    ``GuardExceeded`` past ``max_subsets`` candidates or past
+    ``GuardExceeded`` past ``DEFAULT_MAX_BASIS_SUBSETS`` candidates or past
     ``MAX_KERNEL_BYTES`` of bases and table.
     """
     m, r = len(cfg), cfg.rank
-    _check_basis_guard(m, r, max_subsets)
+    _check_basis_guard(m, r, DEFAULT_MAX_BASIS_SUBSETS)
     if r == 0:
         # only loops: the one empty basis, with every element externally active
         t = BivariatePolynomial({(0, m): 1}, ("x", "y"))

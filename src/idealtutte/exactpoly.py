@@ -22,9 +22,7 @@ from itertools import accumulate
 from operator import add, itemgetter, sub
 
 from .errors import ConstraintError, InconsistencyError
-
-
-_COEFF_RE = re.compile(r"-?[0-9]+")
+from .schemacheck import packaged_check
 
 
 class BivariatePolynomial:
@@ -183,36 +181,22 @@ class BivariatePolynomial:
 
     @classmethod
     def from_json_dict(cls, data):
-        """Inverse of ``to_json_dict``; ValueError on anything it would not write.
-
-        ``variables`` must be two names and every term exactly ``dx``, ``dy``
-        (non-negative ints, no degree twice) and ``c`` (a decimal string), as
-        in the package's schemas/polynomial.schema.json.  Other top-level keys
-        (a CLI result's ``provenance``) are ignored.
+        """Inverse of ``to_json_dict``; ValueError on a document that the
+        package's schemas/polynomial.schema.json rejects (checked by
+        ``schemacheck``), and on one that gives a degree twice, which the
+        schema cannot state.  Other top-level keys (a CLI result's
+        ``provenance``) are ignored.
         """
-        try:
-            variables, terms = data["variables"], data["terms"]
-        except (TypeError, KeyError):
-            raise ValueError("a polynomial needs 'variables' and 'terms'") from None
-        if not (
-            isinstance(variables, list)
-            and len(variables) == 2
-            and all(isinstance(v, str) for v in variables)
-        ):
-            raise ValueError(f"variables {variables!r} are not two names")
-        if not isinstance(terms, list):
-            raise ValueError(f"terms {terms!r} are not a list")
+        failure = packaged_check("polynomial.schema.json")(data)
+        if failure is not None:
+            raise ValueError(f"polynomial rejected by schema: {failure}")
         coeffs = {}
-        for t in terms:
-            if not (isinstance(t, dict) and t.keys() == {"dx", "dy", "c"}):
-                raise ValueError(f"term {t!r} is not an object of dx, dy and c")
-            da, db, c = t["dx"], t["dy"], t["c"]
-            if type(da) is not int or type(db) is not int or min(da, db) < 0:
-                raise ValueError(f"term {t!r} needs non-negative integer degrees")
-            if not (isinstance(c, str) and _COEFF_RE.fullmatch(c)) or (da, db) in coeffs:
-                raise ValueError(f"term {t!r} needs a decimal coefficient, once per degree")
-            coeffs[(da, db)] = int(c)
-        return cls(coeffs, variables)
+        for t in data["terms"]:
+            degree = (int(t["dx"]), int(t["dy"]))
+            if degree in coeffs:
+                raise ValueError(f"term {t!r} repeats degree {degree}")
+            coeffs[degree] = int(t["c"])
+        return cls(coeffs, data["variables"])
 
     def __repr__(self):
         return self.to_text()

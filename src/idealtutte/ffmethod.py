@@ -52,6 +52,8 @@ from .ideals import (
 from . import crapo
 
 DEFAULT_MAX_POINTS = 10 ** 8
+# (state, move) pairs one round of the counting DP may expand
+MAX_ROUND_MOVES = 2982616
 
 
 # ---- brute-force point counting ---------------------------------------------
@@ -346,7 +348,7 @@ class CountingModel:
         is sum_u C((p-1)/s, u) F_u.  The loop ends within m + 1 rounds.
         Computed once per model, and refused with GuardExceeded before
         anything is built when one round could expand more than
-        ``crapo.MAX_KERNEL_BYTES // 180`` (state, move) pairs:
+        ``MAX_ROUND_MOVES`` (state, move) pairs:
         prod_i C(n_i + 2, 2) - prod_i (n_i + 1) moves.  Past the guard, the
         moves of every state are built once (``_down_sets``), one list slot
         per move, beside the states' closing weights and zero shifts
@@ -369,10 +371,10 @@ class CountingModel:
             return self._profile
         # a round expands each state r <= n at most once, into prod_i (r_i + 1) - 1 moves
         moves = prod(comb(n + 2, 2) for n in self._sizes) - prod(n + 1 for n in self._sizes)
-        if moves > crapo.MAX_KERNEL_BYTES // 180:
+        if moves > MAX_ROUND_MOVES:
             raise GuardExceeded(
                 f"the counting DP of blocks {list(self._sizes)} can expand {moves} moves "
-                f"in one round, over {crapo.MAX_KERNEL_BYTES // 180} (MAX_KERNEL_BYTES // 180)"
+                f"in one round, over its guard of {MAX_ROUND_MOVES}"
             )
         scale = prod(map(factorial, self._sizes))
         width = ((self.stride * self.m + 1) ** self.m * scale ** 2).bit_length()

@@ -1,16 +1,17 @@
-"""Plain-Python checks compiled from the packaged JSON schemas.
+"""Plain-Python checks of JSON values against the packaged JSON schemas.
 
 ``compile_schema`` turns a schema into a function of one JSON value that
 returns None when the value is valid and otherwise one message naming where
-it fails and why (``$.roots[0][0]: -1 is less than the minimum of 0``).  It
-compiles only the Draft-7 keywords the schemas in ``schemas/`` use (``type``,
-``enum``, ``properties``, ``additionalProperties`` true or false,
-``required``, ``items``, ``minItems``, ``maxItems``, ``minimum``,
-``pattern``), ignores ``$schema`` and ``title``, and raises ValueError on
+it fails and why (``$.roots[0][0]: -1 is less than the minimum of 0``).  The
+check walks the schema and the value together.  It reads only the Draft-7
+keywords the schemas in ``schemas/`` use (``type``, ``enum``,
+``properties``, ``additionalProperties`` true or false, ``required``,
+``items``, ``minItems``, ``maxItems``, ``minimum``, ``pattern``), ignores
+``$schema`` and ``title``, and ``compile_schema`` raises ValueError on
 anything else, so a schema cannot outgrow its check unnoticed.  Within that
 subset it follows Draft 7: a bool is neither an integer nor a number, an
 integral float is an integer, each keyword applies only to values of its own
-type, and an enum (of strings, the only kind compiled) matches strings only.
+type, and an enum (of strings, the only kind read) matches strings only.
 The tests hold the checks to ``jsonschema.Draft7Validator`` on random values.
 """
 
@@ -21,6 +22,12 @@ import json
 import re
 from importlib.resources import files
 
+# in the order the checks run: a value's own type and members first, then
+# its keys and items
+KEYWORDS = (
+    "type", "enum", "required", "additionalProperties", "properties",
+    "minItems", "maxItems", "items", "minimum", "pattern",
+)
 IGNORED = frozenset({"$schema", "title"})
 
 
@@ -42,145 +49,69 @@ TYPES = {
 }
 
 
-# Each keyword compiler takes the keyword's value and the whole schema and
-# returns a check of one value, giving None or a (where, why) pair with
-# ``where`` relative to the value, or None when the keyword checks nothing.
-
-def _type(name, schema):
-    if not isinstance(name, str) or name not in TYPES:
-        raise ValueError(f"type {name!r} is not supported")
-    is_type = TYPES[name]
-
-    def check(value):
-        if not is_type(value):
-            return "", f"{value!r} is not of type {name!r}"
-    return check
-
-
-def _enum(members, schema):
-    if not all(isinstance(m, str) for m in members):
-        raise ValueError(f"enum {members!r} is not supported: only strings are")
-    allowed = frozenset(members)
-
-    def check(value):
-        if not (isinstance(value, str) and value in allowed):
-            return "", f"{value!r} is not one of {members!r}"
-    return check
-
-
-def _required(keys, schema):
-    def check(value):
-        if isinstance(value, dict):
-            for key in keys:
-                if key not in value:
-                    return "", f"{key!r} is a required property"
-    return check
-
-
-def _additional_properties(extra, schema):
-    if extra is True:
-        return None
-    if extra is not False:
-        raise ValueError("additionalProperties must be true or false")
-    allowed = frozenset(schema.get("properties", ()))
-
-    def check(value):
-        if isinstance(value, dict):
-            for key in value:
-                if key not in allowed:
-                    return "", f"property {key!r} is not allowed"
-    return check
-
-
-def _properties(properties, schema):
-    subs = {key: _compile(sub) for key, sub in properties.items()}
-
-    def check(value):
-        if isinstance(value, dict):
-            for key, item in value.items():
-                sub = subs.get(key)
-                if sub is not None:
-                    failure = sub(item)
-                    if failure is not None:
-                        return f".{key}{failure[0]}", failure[1]
-    return check
-
-
-def _min_items(n, schema):
-    def check(value):
-        if isinstance(value, list) and len(value) < n:
-            return "", f"{value!r} has fewer than {n} items"
-    return check
-
-
-def _max_items(n, schema):
-    def check(value):
-        if isinstance(value, list) and len(value) > n:
-            return "", f"{value!r} has more than {n} items"
-    return check
-
-
-def _items(items, schema):
-    sub = _compile(items)
-
-    def check(value):
-        if isinstance(value, list):
-            for i, item in enumerate(value):
-                failure = sub(item)
-                if failure is not None:
-                    return f"[{i}]{failure[0]}", failure[1]
-    return check
-
-
-def _minimum(bound, schema):
-    def check(value):
-        if _is_number(value) and value < bound:
-            return "", f"{value!r} is less than the minimum of {bound!r}"
-    return check
-
-
-def _pattern(pattern, schema):
-    search = re.compile(pattern).search
-
-    def check(value):
-        if isinstance(value, str) and search(value) is None:
-            return "", f"{value!r} does not match {pattern!r}"
-    return check
-
-
-# in the order the checks run: a value's own type and members first, then
-# its keys and items
-KEYWORDS = {
-    "type": _type,
-    "enum": _enum,
-    "required": _required,
-    "additionalProperties": _additional_properties,
-    "properties": _properties,
-    "minItems": _min_items,
-    "maxItems": _max_items,
-    "items": _items,
-    "minimum": _minimum,
-    "pattern": _pattern,
-}
-
-
-def _compile(schema):
+def _refuse_outside_subset(schema):
+    """Raise ValueError unless ``schema`` and every schema in it use only the
+    keywords, and keyword values, that ``_failure`` reads."""
     if not isinstance(schema, dict):
         raise ValueError(f"schema {schema!r} is not supported: only objects are")
-    unknown = schema.keys() - KEYWORDS.keys() - IGNORED
+    unknown = schema.keys() - KEYWORDS - IGNORED
     if unknown:
         raise ValueError(f"schema keywords {sorted(unknown)} are not supported")
-    checks = [KEYWORDS[kw](schema[kw], schema) for kw in KEYWORDS if kw in schema]
-    checks = [c for c in checks if c is not None]
-    if len(checks) == 1:
-        return checks[0]
+    name = schema.get("type")
+    if "type" in schema and not (isinstance(name, str) and name in TYPES):
+        raise ValueError(f"type {name!r} is not supported")
+    if not all(isinstance(m, str) for m in schema.get("enum", ())):
+        raise ValueError(f"enum {schema['enum']!r} is not supported: only strings are")
+    if not isinstance(schema.get("additionalProperties", True), bool):
+        raise ValueError("additionalProperties must be true or false")
+    if "pattern" in schema:
+        re.compile(schema["pattern"])
+    for sub in schema.get("properties", {}).values():
+        _refuse_outside_subset(sub)
+    if "items" in schema:
+        _refuse_outside_subset(schema["items"])
 
-    def check(value):
-        for c in checks:
-            failure = c(value)
-            if failure is not None:
-                return failure
-    return check
+
+def _failure(schema, value):
+    """None when ``value`` satisfies ``schema``, and otherwise the message of
+    its first failure without the leading ``$``.  Keywords run in the order of
+    ``KEYWORDS``; each but ``type`` and ``enum`` reads one type of value."""
+    name = schema.get("type")
+    if name is not None and not TYPES[name](value):
+        return f": {value!r} is not of type {name!r}"
+    if "enum" in schema and value not in schema["enum"]:
+        return f": {value!r} is not one of {schema['enum']!r}"
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                return f": {key!r} is a required property"
+        properties = schema.get("properties", {})
+        if schema.get("additionalProperties") is False:
+            for key in value:
+                if key not in properties:
+                    return f": property {key!r} is not allowed"
+        for key, item in value.items():
+            if key in properties:
+                failure = _failure(properties[key], item)
+                if failure is not None:
+                    return f".{key}{failure}"
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            return f": {value!r} has fewer than {schema['minItems']} items"
+        if "maxItems" in schema and len(value) > schema["maxItems"]:
+            return f": {value!r} has more than {schema['maxItems']} items"
+        if "items" in schema:
+            for i, item in enumerate(value):
+                failure = _failure(schema["items"], item)
+                if failure is not None:
+                    return f"[{i}]{failure}"
+    elif _is_number(value):
+        if "minimum" in schema and value < schema["minimum"]:
+            return f": {value!r} is less than the minimum of {schema['minimum']!r}"
+    elif isinstance(value, str):
+        if "pattern" in schema and re.search(schema["pattern"], value) is None:
+            return f": {value!r} does not match {schema['pattern']!r}"
+    return None
 
 
 def compile_schema(schema):
@@ -188,18 +119,17 @@ def compile_schema(schema):
     when the value is valid, and otherwise ``"<where>: <why>"`` for one
     failure, ``<where>`` a path such as ``$.roots[0][0]``.  Raises ValueError
     when the schema uses a keyword (or a keyword value) outside the subset
-    this module compiles."""
-    check = _compile(schema)
+    this module reads."""
+    _refuse_outside_subset(schema)
 
-    def message(value):
-        failure = check(value)
-        if failure is not None:
-            return f"${failure[0]}: {failure[1]}"
-    return message
+    def check(value):
+        failure = _failure(schema, value)
+        return None if failure is None else "$" + failure
+    return check
 
 
 @functools.cache
 def packaged_check(name):
-    """The check of the packaged schema ``schemas/<name>``, compiled on the
+    """The check of the packaged schema ``schemas/<name>``, loaded on the
     first call and shared by every later one in the process."""
     return compile_schema(json.loads((files(__package__) / "schemas" / name).read_text()))

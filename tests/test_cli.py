@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 from conftest import IDEAL_E, packaged_schema
-from idealtutte import crapo, specialize
+from idealtutte import crapo, ffmethod, specialize
 from idealtutte.cli import main, parse_ideal_spec
 from idealtutte.errors import ConstraintError
 from idealtutte.exactpoly import BivariatePolynomial, latex_is_wellformed, parse_polynomial
@@ -111,14 +111,12 @@ def test_entry_stored_by_another_version_is_a_miss(capsys, monkeypatch, tmp_path
 
 
 def test_verify_checks_direct_against_interpolation(capsys, monkeypatch):
-    # the direct chi-bar at rank+1 odd q against the counting model there:
-    # the interpolation check, pointwise
+    # the direct chi-bar against the chi-bar of the whole complement's
+    # counting model, as whole polynomials
     args = ("verify", "--type", "B", "--rank", "3", "--all-ideals")
     code, out, _ = run(capsys, *args)
     assert code == 0
     assert "+20 direct-vs-evaluation checks" in out
-    from idealtutte import ffmethod
-
     real = ffmethod.coboundary_polynomial
 
     def tampered(ideal):
@@ -134,7 +132,7 @@ def test_verify_checks_direct_against_interpolation(capsys, monkeypatch):
 
     monkeypatch.setattr(ffmethod, "coboundary_polynomial", tampered)
     code, _, err = run(capsys, *args, "--engines", "ffmethod,ffmethod")
-    assert code == 3 and "counting model disagree at q=3" in err
+    assert code == 3 and "counting model disagree" in err
 
 
 def test_latex_output_wellformed(capsys, tmp_path):
@@ -280,7 +278,7 @@ def test_oracle_refuses_b5_full_at_once(capsys, monkeypatch):
 @pytest.mark.parametrize("budget, code", [(20, 2), (21, 0)])
 def test_counting_kernel_guard_refuses_before_it_allocates(capsys, monkeypatch, budget, code):
     # B6 full is one block of 6 coordinates: one round expands C(8, 2) - 7 = 21 moves
-    monkeypatch.setattr(crapo, "MAX_KERNEL_BYTES", 180 * budget)
+    monkeypatch.setattr(ffmethod, "MAX_ROUND_MOVES", budget)
     if code:
         def refuse(*_):
             raise AssertionError("the kernel was built")
@@ -595,15 +593,21 @@ def test_unreadable_ideal_file_or_unwritable_out_exits_1(tmp_path, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
-def test_one_shot_request_imports_neither_jsonschema_nor_numpy():
-    code = (
-        "import sys\n"
-        "from idealtutte import cli\n"
-        "argv = ['tutte', '--type', 'B', '--rank', '4', '--roots', '[[1,2,2,2]]', '--no-cache']\n"
-        "assert cli.main(argv) == 0\n"
-        "loaded = {'jsonschema', 'numpy', 'idealtutte.paper'} & sys.modules.keys()\n"
-        "assert not loaded, loaded\n"
-    )
-    subprocess.run(
-        [sys.executable, "-c", code], env=_src_env(), check=True, stdout=subprocess.DEVNULL
-    )
+def test_one_shot_request_imports_neither_jsonschema_nor_numpy(tmp_path):
+    # one fresh interpreter per request: computed without the cache, computed
+    # into the cache, and read back from it
+    argv = ["tutte", "--type", "B", "--rank", "4", "--roots", "[[1,2,2,2]]", "--format", "json"]
+    cached = [*argv, "--cache-dir", str(tmp_path)]
+    for args, cache in ((argv + ["--no-cache"], "miss"), (cached, "miss"), (cached, "hit")):
+        code = (
+            "import sys\n"
+            "from idealtutte import cli\n"
+            f"assert cli.main({args!r}) == 0\n"
+            "loaded = {'jsonschema', 'numpy', 'idealtutte.paper'} & sys.modules.keys()\n"
+            "assert not loaded, loaded\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=_src_env(), check=True, capture_output=True,
+            text=True,
+        )
+        assert json.loads(done.stdout)["provenance"]["cache"] == cache

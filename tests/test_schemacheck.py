@@ -1,5 +1,6 @@
-"""The compiled schema checks against jsonschema's Draft-7 validator, the
-oracle: they must accept exactly the values it accepts."""
+"""The schema checks against jsonschema's Draft-7 validator, the oracle: they
+must accept exactly the values it accepts, and the polynomial reader exactly
+those with no degree twice."""
 
 import jsonschema
 import pytest
@@ -48,6 +49,20 @@ def json_values(schema):
     )
 
 
+def reads(doc):
+    """Whether ``BivariatePolynomial.from_json_dict`` reads ``doc``."""
+    try:
+        BivariatePolynomial.from_json_dict(doc)
+    except ValueError:
+        return False
+    return True
+
+
+def distinct_degrees(doc):
+    degrees = [(term["dx"], term["dy"]) for term in doc["terms"]]
+    return len(set(degrees)) == len(degrees)
+
+
 def one_in_ten(draw):
     return draw(st.integers(0, 9)) == 0
 
@@ -56,8 +71,10 @@ def one_in_ten(draw):
 def near(draw, schema, values):
     """A value of ``schema``'s shape in which each part is replaced by one of
     ``values`` one time in ten, each optional property is present half the
-    time, and each required one nine times in ten: random values alone are
-    almost never valid."""
+    time, each required one nine times in ten, each list is as long as
+    ``minItems`` and ``maxItems`` allow two times in three and up to one item
+    shorter or longer otherwise, and each string of a ``pattern`` matches it
+    half the time: random values alone are almost never valid."""
     if one_in_ten(draw):
         return draw(values)
     if "properties" in schema:
@@ -70,12 +87,32 @@ def near(draw, schema, values):
             value["extra"] = draw(values)
         return value
     if "items" in schema:
-        return draw(st.lists(near(schema["items"], values), max_size=3))
+        lo, hi = schema.get("minItems", 0), schema.get("maxItems", 3)
+        if draw(st.integers(0, 2)) == 0:
+            lo, hi = max(lo - 1, 0), hi + 1
+        return [draw(near(schema["items"], values)) for _ in range(draw(st.integers(lo, hi)))]
     if "enum" in schema:
         return draw(st.sampled_from(schema["enum"]))
     if schema.get("type") == "string":
+        if "pattern" in schema and draw(st.booleans()):
+            return draw(st.from_regex(schema["pattern"]))
         return draw(st.sampled_from(STRINGS))
     return draw(st.integers(-1, 5) | st.integers(-1, 5).map(float))
+
+
+def polynomial_documents():
+    """Polynomial documents with coefficients of the schema's pattern, whose
+    degrees are small ints or integral floats two times in three and a
+    negative, a bool or another float otherwise, and whose first term is
+    repeated half the time."""
+    term = packaged_schema("polynomial.schema.json")["properties"]["terms"]["items"]
+    degree = st.integers(0, 2) | st.integers(0, 2).map(float) | st.sampled_from([-1, True, 0.5])
+    coefficient = st.from_regex(term["properties"]["c"]["pattern"])
+    terms = st.lists(
+        st.fixed_dictionaries({"dx": degree, "dy": degree, "c": coefficient}), max_size=3
+    )
+    terms |= terms.map(lambda ts: ts + ts[:1])
+    return st.fixed_dictionaries({"variables": st.just(["x", "y"]), "terms": terms})
 
 
 @pytest.mark.parametrize("name", SCHEMAS)
@@ -85,17 +122,28 @@ def test_compiled_check_agrees_with_draft7(name):
     check = packaged_check(name)
     verdicts = set()
     values = json_values(schema)
+    inputs = values | near(schema, values)
+    if name == "polynomial.schema.json":
+        inputs |= polynomial_documents()
 
     @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(values | near(schema, values))
+    @given(inputs)
     def agree(value):
         valid = validator.is_valid(value)
-        verdicts.add(valid)
         message = check(value)
         assert (message is None) == valid, (value, message)
+        verdict = valid
+        if name == "polynomial.schema.json":
+            # the reader takes what the schema does, with no degree twice
+            verdict = valid, valid and distinct_degrees(value)
+            assert reads(value) == verdict[1], value
+        verdicts.add(verdict)
 
     agree()
-    assert verdicts == {True, False}
+    if name == "polynomial.schema.json":
+        assert verdicts == {(False, False), (True, False), (True, True)}
+    else:
+        assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("schema", [
@@ -135,3 +183,13 @@ def test_polynomial_without_variables_is_rejected_by_schema_and_reader():
         BivariatePolynomial.from_json_dict(doc)
     BivariatePolynomial.from_json_dict({**doc, "variables": ["x", "y"]})
     assert packaged_check("polynomial.schema.json")({**doc, "variables": ["x", "y"]}) is None
+
+
+def test_reader_reads_every_document_the_schema_accepts():
+    # an integral float is an integer degree in Draft 7, and the pattern's $
+    # matches before a trailing newline: the reader takes both
+    doc = {"variables": ["x", "y"], "terms": [{"dx": 1.0, "dy": 0, "c": "7\n"}]}
+    assert jsonschema.Draft7Validator(packaged_schema("polynomial.schema.json")).is_valid(doc)
+    poly = BivariatePolynomial.from_json_dict(doc)
+    assert poly.coeffs == {(1, 0): 7}
+    assert all(type(d) is int for d in next(iter(poly.coeffs)))
