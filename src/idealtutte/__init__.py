@@ -64,11 +64,9 @@ from .crapo import (
     BasisActivity,
     VectorConfig,
     activity,
-    enumerate_bases,
     rank_of,
     tutte_corank_nullity,
     tutte_crapo,
-    tutte_crapo_exact,
 )
 from .ffmethod import (
     CountingModel,

@@ -118,6 +118,11 @@ def _emit(args, payload_poly, provenance):
         text = payload_poly.to_latex()
     else:
         text = payload_poly.to_text()
+    _write(args, text)
+
+
+def _write(args, text):
+    """Write one result to ``--out`` when it is given, else to stdout."""
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -273,12 +278,7 @@ def cmd_charpoly(args):
     ideal = _ideal_from_args(args)
     engine = specialize.resolve_engine(args.engine, ideal.rst)
     chi = specialize.characteristic_polynomial(ideal, engine=engine)
-    text = chi.to_text("q")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(args, chi.to_text("q"))
     return 0
 
 

@@ -4,13 +4,12 @@ formula and the corank-nullity brute-force oracle.
 All arithmetic is exact.  A ``VectorConfig`` is eliminated once, for its rank
 and pivot columns; the activities depend only on which subsets are bases, so
 the vectors restricted to those columns serve as r-dimensional coordinates.
-``tutte_crapo`` runs one integer engine on them at every size: a prefix tree
-of fraction-free int64 eliminations finds the bases, and every activity is a
+``tutte_crapo`` runs one integer kernel on them at every size: a prefix tree
+of fraction-free eliminations finds the bases, and every activity is a
 lookup in their exchange table (B - b + x is a basis exactly when x has a
-nonzero coefficient on b).  Configurations whose eliminations could overflow
-int64 take the literal route as a whole.  That route is also public as
-``tutte_crapo_exact``, the reference the tests compare against; its rank
-computations use division-free integer elimination.
+nonzero coefficient on b).  The eliminations run in int64 when they cannot
+overflow it and on Python integers otherwise.  ``activity`` computes one
+basis's activities literally, from rank tests.
 """
 
 from __future__ import annotations
@@ -119,34 +118,6 @@ class BasisActivity:
         return f"BasisActivity({self.basis}, i={self.internal}, e={self.external})"
 
 
-def enumerate_bases(cfg, max_subsets=DEFAULT_MAX_BASIS_SUBSETS):
-    """Yield every basis (size-rank independent subset) as an index tuple, in
-    lexicographic order.
-
-    Uses depth-first search with an incremental echelon so dependent prefixes
-    are pruned without ever touching their supersets.
-    """
-    m, r = len(cfg), cfg.rank
-    _check_basis_guard(m, r, max_subsets)
-    if r == 0:
-        yield ()
-        return
-
-    def walk(start, chosen, ech):
-        if len(chosen) == r:
-            yield tuple(chosen)
-            return
-        # not enough elements left to finish
-        for i in range(start, m - (r - len(chosen)) + 1):
-            ech2 = ech.snapshot()
-            if ech2.add(cfg.vectors[i]):
-                chosen.append(i)
-                yield from walk(i + 1, chosen, ech2)
-                chosen.pop()
-
-    yield from walk(0, [], _Echelon())
-
-
 def activity(cfg, basis):
     """Activities of one basis, computed literally from the two rank tests.
 
@@ -201,12 +172,12 @@ def tutte_crapo(cfg):
 
     Exact integer arithmetic throughout, on the vectors restricted to the
     configuration's pivot columns (the same bases in r coordinates): the bases
-    come from a prefix tree of fraction-free int64 eliminations and the
-    activities from lookups in their exchange table.  When the Hadamard bound
-    of those coordinates exceeds 2^30 the literal route runs instead.  Every
-    result is checked against T(2,2) = 2^m and the degree bounds.  Raises
-    ``GuardExceeded`` past ``DEFAULT_MAX_BASIS_SUBSETS`` candidates or past
-    ``MAX_KERNEL_BYTES`` of bases and table.
+    come from a prefix tree of fraction-free eliminations and the activities
+    from lookups in their exchange table.  The eliminations run in int64 while
+    the Hadamard bound of those coordinates is at most 2^30, and on Python
+    integers above it.  Every result is checked against T(2,2) = 2^m and the
+    degree bounds.  Raises ``GuardExceeded`` past ``DEFAULT_MAX_BASIS_SUBSETS``
+    candidates or past ``MAX_KERNEL_BYTES`` of bases and table.
     """
     m, r = len(cfg), cfg.rank
     _check_basis_guard(m, r, DEFAULT_MAX_BASIS_SUBSETS)
@@ -214,12 +185,7 @@ def tutte_crapo(cfg):
         # only loops: the one empty basis, with every element externally active
         t = BivariatePolynomial({(0, m): 1}, ("x", "y"))
     else:
-        coords = cfg.pivot_coordinates()
-        if int64_safe(coords, r):
-            t = BivariatePolynomial(_exchange_tally(coords, r), ("x", "y"))
-        else:
-            # the caller's guard already passed
-            t = tutte_crapo_exact(cfg, max_subsets=comb(m, r))
+        t = BivariatePolynomial(_exchange_tally(cfg.pivot_coordinates(), r), ("x", "y"))
     certify_tutte(t, m, r, "basis-activity sum")
     return t
 
@@ -248,18 +214,6 @@ def certify_tutte(t, m, r, source):
             f"{source} of {m} elements of rank {r} fails T(2,2) = 2^m "
             f"or the degree bounds: {t}"
         )
-
-
-def tutte_crapo_exact(cfg, max_subsets=DEFAULT_MAX_BASIS_SUBSETS):
-    """The basis-activity sum by the literal route: every basis from
-    ``enumerate_bases`` and its activities from ``activity``, all in exact
-    integer arithmetic.  Slow; the reference for ``tutte_crapo``."""
-    hist = {}
-    for basis in enumerate_bases(cfg, max_subsets=max_subsets):
-        act = activity(cfg, basis)
-        k = (act.internal, act.external)
-        hist[k] = hist.get(k, 0) + 1
-    return BivariatePolynomial(hist, ("x", "y"))
 
 
 def tutte_corank_nullity(cfg, max_subsets=ORACLE_MAX_SUBSETS, *, max_elements=None):
@@ -308,7 +262,7 @@ def tutte_corank_nullity(cfg, max_subsets=ORACLE_MAX_SUBSETS, *, max_elements=No
 
 def _exchange_tally(coords, r):
     """(internal, external) -> number of bases, for integer coordinates of rank
-    r whose Hadamard bound is at most 2^30.
+    r: in int64 when ``int64_safe`` holds, and as Python integers otherwise.
 
     By Cramer's rule the coefficient of x on basis element b is nonzero
     exactly when B - b + x is a basis, so once every basis is known the
@@ -319,7 +273,7 @@ def _exchange_tally(coords, r):
     """
     import numpy as np
 
-    W = np.array(coords, dtype=np.int64)
+    W = np.array(coords, dtype=np.int64 if int64_safe(coords, r) else object)
     m = len(W)
     blocks = _bases(W, r)
     # the table rows are bit sets of the m elements in 64-bit words: 8 bytes
@@ -370,8 +324,9 @@ def _exchange_tally(coords, r):
 
 
 def _bases(W, r):
-    """Every basis of the rows of the int64 array W (m x r, rank r), as index
-    tuples in lexicographic order: a list of (n, r) int32 blocks.
+    """Every basis of the rows of the integer array W (m x r, rank r), as index
+    tuples in lexicographic order: a list of (n, r) int32 blocks.  The
+    eliminations take W's dtype: int64, or object for Python integers.
 
     Depth first over a prefix tree of increasing index tuples, one bounded
     block of prefixes at a time.  A prefix of k rows carries a fraction-free
@@ -386,8 +341,8 @@ def _bases(W, r):
 
     m = len(W)
     elements = np.arange(m)
-    root = (np.zeros((1, 0), dtype=np.int32), np.eye(r, dtype=np.int64)[None],
-            np.ones(1, dtype=np.int64))
+    root = (np.zeros((1, 0), dtype=np.int32), np.eye(r, dtype=W.dtype)[None],
+            np.ones(1, dtype=W.dtype))
     stack, found, count = [root], [], 0
     while stack:
         prefixes, normals, pivots = stack.pop()

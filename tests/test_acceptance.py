@@ -15,7 +15,8 @@ import time
 import pytest
 
 from conftest import IDEAL_E, IDEAL_F, IDEAL_G, exceptional_ideal, load_poly, worked_ideal
-from idealtutte.crapo import VectorConfig, enumerate_bases, tutte_corank_nullity, tutte_crapo
+from crapo_reference import enumerate_bases
+from idealtutte.crapo import VectorConfig, tutte_corank_nullity, tutte_crapo
 from idealtutte.exactpoly import coboundary_to_tutte, lagrange_interpolate
 from idealtutte.ffmethod import (
     CountingModel,

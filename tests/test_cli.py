@@ -406,6 +406,21 @@ def test_charpoly_command(capsys, tmp_path):
     assert out.strip() == "q^3 - 4q^2 + 3q"
 
 
+@pytest.mark.parametrize("argv", [
+    ("charpoly",),
+    ("tutte", "--no-cache"),
+    ("coboundary", "--no-cache", "--format", "latex"),
+])
+def test_out_writes_exactly_what_stdout_prints(capsys, tmp_path, argv):
+    args = (*argv, "--type", "G2", "--roots", "[[3,1],[3,2]]")
+    code, printed, _ = run(capsys, *args)
+    assert code == 0 and printed.strip()
+    path = tmp_path / "result.txt"
+    code, out, err = run(capsys, *args, "--out", str(path))
+    assert code == 0 and not out and not err
+    assert path.read_text() == printed
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -419,7 +434,6 @@ def test_max_subsets_guard_on_every_polynomial_command(capsys, monkeypatch, argv
     # C(45, 9) = 886163135 basis candidates of A9 full exceed crapo's 10^8
     # before any basis is sought
     monkeypatch.setattr(crapo, "_exchange_tally", _never)
-    monkeypatch.setattr(crapo, "tutte_crapo_exact", _never)
     code, out, err = run(capsys, *argv, "--type", "A", "--rank", "9", "--full")
     assert code == 2 and not out and "C(45,9) = 886163135" in err
     assert f"guard {crapo.DEFAULT_MAX_BASIS_SUBSETS}" in err

@@ -3,15 +3,14 @@ import random
 import pytest
 
 from conftest import exceptional_ideal
+from crapo_reference import enumerate_bases, tutte_crapo_exact
 from idealtutte.crapo import (
     VectorConfig,
     _bases,
     activity,
-    enumerate_bases,
     rank_of,
     tutte_corank_nullity,
     tutte_crapo,
-    tutte_crapo_exact,
 )
 from idealtutte.errors import GuardExceeded, InconsistencyError
 from idealtutte.exactpoly import BivariatePolynomial, parse_polynomial
@@ -201,11 +200,23 @@ def test_kernel_high_rank_few_candidates(n, extra, want):
     assert _kernel_bases(cfg) == list(enumerate_bases(cfg))
 
 
-def test_kernel_exact_near_its_int64_bound(monkeypatch):
-    # Hadamard bounds just under 2^30: the kernel runs, and its products of two
-    # minors come close to 2^60
+def _spy_on_kernel_dtype(monkeypatch):
+    """Record the dtype of every array the kernel eliminates, in call order."""
     from idealtutte import crapo
 
+    real, dtypes = crapo._bases, []
+
+    def spy(W, r):
+        dtypes.append(str(W.dtype))
+        return real(W, r)
+
+    monkeypatch.setattr(crapo, "_bases", spy)
+    return dtypes
+
+
+def test_kernel_exact_near_its_int64_bound(monkeypatch):
+    # Hadamard bounds just under 2^30: the kernel runs in int64, and its
+    # products of two minors come close to 2^60
     rng = random.Random(2 ** 30)
     cases = []
     for dim, bound in ((2, 2 ** 13), (3, 250), (4, 40)):
@@ -217,32 +228,25 @@ def test_kernel_exact_near_its_int64_bound(monkeypatch):
             cfg = VectorConfig(vecs)
             cases.append((cfg, tutte_crapo_exact(cfg)))
 
-    def no_exact(*args, **kwargs):
-        raise AssertionError("the literal route ran under the kernel's bound")
-
-    monkeypatch.setattr(crapo, "tutte_crapo_exact", no_exact)
+    dtypes = _spy_on_kernel_dtype(monkeypatch)
     for cfg, want in cases:
         assert tutte_crapo(cfg) == want
+    assert dtypes == ["int64"] * len(cases)
 
 
 def test_non_spanning_kernel_reads_pivot_columns(monkeypatch):
     # rank 3 in R^4: on its pivot columns the Hadamard bound is about 2.4e7,
-    # under the kernel's 2^30, so the int64 kernel runs (coordinates solved
+    # under the kernel's 2^30, so the kernel runs in int64 (coordinates solved
     # over an echelon basis and rescaled by hand would reach about 2.8e11)
-    from idealtutte import crapo
-
     cfg = VectorConfig([
         (-56, 76, 15, -7), (-15, 32, -64, 35), (-58, -50, -8, 22),
         (-183, -44, 206, -75), (-142, 216, -98, 56), (-77, -270, -118, 115),
     ])
     assert cfg.rank == 3 and len(cfg.pivots) == 3
     want = tutte_crapo_exact(cfg)
-
-    def no_exact(*args, **kwargs):
-        raise AssertionError("the literal route ran under the kernel's bound")
-
-    monkeypatch.setattr(crapo, "tutte_crapo_exact", no_exact)
+    dtypes = _spy_on_kernel_dtype(monkeypatch)
     assert tutte_crapo(cfg) == want
+    assert dtypes == ["int64"]
 
 
 def test_kernel_memory_guard(monkeypatch, f4_full):
@@ -277,13 +281,8 @@ def test_tampered_tally_fails_self_certificate(monkeypatch):
 
 def test_overflow_branch_takes_exact_route(monkeypatch):
     # minors above the Hadamard limit, then coordinates beyond int64 and float:
-    # the int64 kernel must not run, and the result stays exact
-    from idealtutte import crapo
-
-    def no_kernel(*args):
-        raise AssertionError("int64 kernel ran on an overflowing configuration")
-
-    monkeypatch.setattr(crapo, "_exchange_tally", no_kernel)
+    # the kernel eliminates on Python integers, and the result stays exact
+    dtypes = _spy_on_kernel_dtype(monkeypatch)
     big = 10 ** 7
     for vecs in (
         [(1, 0, 0), (0, 1, 0), (0, 0, 1), (big, 3, big), (2, big, -big), (big, big, 1)],
@@ -291,6 +290,7 @@ def test_overflow_branch_takes_exact_route(monkeypatch):
     ):
         cfg = VectorConfig(vecs)
         assert tutte_crapo(cfg) == tutte_corank_nullity(cfg)
+    assert dtypes == ["object", "object"]
 
 
 def test_batched_equals_python_on_random_configs():

@@ -1,22 +1,24 @@
-"""Hypothesis property tests for the basis-activity engine: on random small
-integer configurations the exact int64 engine (tutte_crapo) equals the
-literal route (tutte_crapo_exact), and the coboundary transforms invert
+"""Hypothesis property tests for the basis-activity kernel: on random small
+integer configurations the exact kernel (tutte_crapo) equals the literal route
+(tutte_crapo_exact in crapo_reference), and the coboundary transforms invert
 each other on its Tutte polynomials.  The draws reach rank 6, the depth of the
-engine's prefix tree on E6, and cover configurations whose rank is below
+kernel's prefix tree on E6, and cover configurations whose rank is below
 their dimension, rank 1, parallel and zero vectors (loops), and coordinates
-large enough that the engine's int64 eliminations could overflow, so it
-hands the whole configuration to the literal route."""
+large enough that int64 eliminations could overflow, so the kernel runs on
+Python integers."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idealtutte.crapo import VectorConfig, tutte_crapo, tutte_crapo_exact
+from crapo_reference import tutte_crapo_exact
+from idealtutte.crapo import VectorConfig, tutte_crapo
 from idealtutte.exactpoly import coboundary_to_tutte, tutte_to_coboundary
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
-# 2: small entries, always the int64 engine; 10**6: above rank 1 the
-# Hadamard bound on the minors nearly always exceeds 2^30, the overflow branch
+# 2: small entries, always the int64 kernel; 10**6: above rank 1 the
+# Hadamard bound on the minors nearly always exceeds 2^30, the Python-integer
+# kernel
 SCALES = (2, 10 ** 6)
 
 

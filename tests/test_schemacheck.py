@@ -4,7 +4,7 @@ those with no degree twice."""
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import packaged_schema
@@ -115,6 +115,26 @@ def polynomial_documents():
     return st.fixed_dictionaries({"variables": st.just(["x", "y"]), "terms": terms})
 
 
+# one explicit document per verdict the property asserts, so that every
+# verdict occurs whatever the draw
+VERDICT_EXAMPLES = {
+    "ideal-spec.schema.json": [
+        {"type": "B", "rank": 3, "roots": [[1, 2, 2]]},  # valid
+        {"rank": 3, "roots": [[1, 2, 2]]},  # invalid: no type
+    ],
+    "polynomial.schema.json": [
+        # invalid: a negative degree
+        {"variables": ["x", "y"], "terms": [{"dx": -1, "dy": 0, "c": "1"}]},
+        # valid, with a repeated degree
+        {"variables": ["x", "y"],
+         "terms": [{"dx": 1, "dy": 0, "c": "2"}, {"dx": 1, "dy": 0, "c": "-3"}]},
+        # valid, with distinct degrees
+        {"variables": ["x", "y"],
+         "terms": [{"dx": 2, "dy": 0, "c": "1"}, {"dx": 0, "dy": 1, "c": "1"}]},
+    ],
+}
+
+
 @pytest.mark.parametrize("name", SCHEMAS)
 def test_compiled_check_agrees_with_draft7(name):
     schema = packaged_schema(name)
@@ -139,6 +159,8 @@ def test_compiled_check_agrees_with_draft7(name):
             assert reads(value) == verdict[1], value
         verdicts.add(verdict)
 
+    for doc in VERDICT_EXAMPLES[name]:
+        agree = example(doc)(agree)
     agree()
     if name == "polynomial.schema.json":
         assert verdicts == {(False, False), (True, False), (True, True)}
