@@ -54,7 +54,6 @@ from .ideals import (
 )
 from .rootsystems import (
     FAMILIES,
-    hyperplane_tuple,
     linear_order_key,
     root_poset,
     root_system_type,
@@ -235,7 +234,7 @@ def cmd_roots(args):
             "word": linear_order_key(r),
         }
         if rst.is_classical:
-            row["tuple"] = list(hyperplane_tuple(rst, r.ambient2))
+            row["tuple"] = list(poset.tuples[r.index])
         rows.append(row)
     if args.format == "json":
         print(json.dumps(rows, indent=2))
@@ -364,7 +363,7 @@ def cmd_verify(args):
     extra = ""
     if "ffmethod" in resolved:
         extra = (
-            f" (+{checked} direct-vs-evaluation checks, "
+            f" (+{checked} whole-model checks, "
             f"+{counted} brute-force point-count checks)"
         )
     print(

@@ -37,6 +37,7 @@ rank by Gaussian elimination instead.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb, factorial, prod
 
@@ -44,7 +45,6 @@ from .errors import ConstraintError, GuardExceeded, InconsistencyError, Unsuppor
 from .exactpoly import BivariatePolynomial, UnivariatePolynomial
 from .ideals import (
     automorphism_blocks,
-    block_incidence,
     complement,
     decompose_components,
     tuple_normal,
@@ -84,14 +84,14 @@ class TProfile:
         return UnivariatePolynomial(out)
 
 
-def count_points_bruteforce(tuples, n, p, max_points=DEFAULT_MAX_POINTS):
-    """Exhaustive weighted point count over F_p^n.
+def count_points_bruteforce(tuples, n, p):
+    """Exhaustive weighted point count over F_p^n, up to ``DEFAULT_MAX_POINTS``.
 
     Membership per hyperplane tuple: (i, j) holds when x_i = x_j, (i, -j)
     when x_i = -x_j, and (i, 0) when x_i = 0.
     """
-    if p ** n > max_points:
-        raise GuardExceeded(f"p^n = {p ** n} exceeds guard {max_points}")
+    if p ** n > DEFAULT_MAX_POINTS:
+        raise GuardExceeded(f"p^n = {p ** n} exceeds guard {DEFAULT_MAX_POINTS}")
     tuples = [tuple(t) for t in tuples]
     rank = crapo.rank_of([tuple_normal(t, n) for t in tuples])
     import numpy as np
@@ -153,49 +153,73 @@ def _balance_rank(m, tuples):
     return m - sum(balanced[x] for x in range(1, m + 1) if parent[x] == x)
 
 
+def _block_flags(tuples, blocks):
+    """Per block (pw, nw, z), whether x_i = x_j, x_i = -x_j and x_i = 0 hold
+    within it, and per block the (bj, pc, nc) of each earlier block bj that
+    x_i = x_j (pc) or x_i = -x_j (nc) links it to, from one pass over a set
+    of normal tuples.  Each tuple is counted under its block pair and kind;
+    a flag holds on every pair of its blocks or on none, so ConstraintError
+    unless each count is 0 or full: |b_i| |b_j| across two blocks, C(|b|, 2)
+    within one, |b| on the zero column.  A repeated tuple would count twice.
+    """
+    block_of = {x: bi for bi, b in enumerate(blocks) for x in b}
+    counts = Counter(
+        (block_of[i], block_of[i], 2) if j == 0
+        else (*sorted((block_of[i], block_of[abs(j)])), int(j < 0))
+        for i, j in tuples
+    )
+    within = [[False] * 3 for _ in blocks]
+    cross = [{} for _ in blocks]
+    for (bi, bj, kind), count in sorted(counts.items()):
+        n = len(blocks[bi])
+        if bi == bj:
+            if count != (n if kind == 2 else comb(n, 2)):
+                fault = "uniform on the zero column" if kind == 2 else "pair-uniform"
+                raise ConstraintError(f"block {blocks[bi]} not {fault}")
+            within[bi][kind] = True
+        elif count != n * len(blocks[bj]):
+            raise ConstraintError(f"blocks {blocks[bi]} x {blocks[bj]} not pair-uniform")
+        else:
+            cross[bj].setdefault(bi, [bi, False, False])[1 + kind] = True
+    return [tuple(w) for w in within], [[tuple(c) for c in links.values()] for links in cross]
+
+
 class CountingModel:
-    """Blocks of exchangeable coordinates plus their ``incidence``
-    (``ideals.block_incidence``) for one hyperplane tuple set.  One dynamic
-    program over the nonzero residues, with residue 0 in closed form, gives
-    both its coboundary polynomial and its weighted point count at any odd
-    prime.  Its step is chosen from the incidence flags: one residue per
-    step (stride 1) when every hyperplane is x_i = x_j, else one pair
-    {c, p-c} per step (stride 2); either way the splits of a step are
-    summed once per model into weights that serve every state.
+    """Blocks of exchangeable coordinates for one set of hyperplane tuples (a
+    repeated tuple names one hyperplane), with their flags (``_block_flags``):
+    ``within``, per block (pw, nw, z), and ``cross``, per block the
+    (bj, pc, nc) of the earlier blocks linked to it.  One dynamic program
+    over the nonzero residues, with residue 0 in closed form, gives both its
+    coboundary polynomial and its weighted point count at any odd prime.
+    Its step is chosen from the tuples: one residue per step (stride 1) when
+    every hyperplane is x_i = x_j, else one pair {c, p-c} per step
+    (stride 2); either way the splits of a step are summed once per model
+    into weights that serve every state.
 
     ``blocks`` defaults to the coordinate classes under hyperplane-set
     automorphisms; the partition in accordance with an ideal is passed as
     ``CountingModel(n, bp.hyperplanes, blocks=bp.blocks)``.  Either way the
-    blocks must partition 1..m with uniform incidence, else ConstraintError.
+    blocks must partition 1..m with uniform flags, else ConstraintError.
     ``rank`` is m minus the number of balanced components of the tuples'
     signed graph (``_balance_rank``), independent of the blocks and the DP.
     """
 
     def __init__(self, m, tuples, blocks=None):
         self.m = m
-        self.tuples = sorted(tuple(t) for t in tuples)
+        self.tuples = sorted({tuple(t) for t in tuples})
         for i, j in self.tuples:
-            # the incidence flags read only normal tuples (i, j), i < |j|
+            # the flags count only normal tuples (i, j), i < |j|
             if not (1 <= i <= m and (j == 0 or i < abs(j) <= m)):
                 raise ConstraintError(f"{(i, j)} is not a hyperplane tuple on 1..{m}")
-        tset = set(self.tuples)
         self.rank = _balance_rank(m, self.tuples)
         if blocks is None:
-            blocks = automorphism_blocks(m, tset)
+            blocks = automorphism_blocks(m, set(self.tuples))
         self.blocks = [list(b) for b in blocks]
         covered = sorted(x for b in self.blocks for x in b)
         if covered != list(range(1, m + 1)):
             raise ConstraintError("blocks must partition 1..m")
-        inc = self.incidence = block_incidence(self.blocks, tset)
-        paired = any(inc.neg_within) or any(inc.neg_cross.values()) or any(inc.zero_flags)
-        self.stride = 2 if paired else 1
-        # per block, the earlier blocks bj some hyperplane links it to:
-        # (bj, has x_i = x_j, has x_i = -x_j)
-        self._cross = [
-            [(bj, inc.pos_cross[(bj, bi)], inc.neg_cross[(bj, bi)]) for bj in range(bi)
-             if inc.pos_cross[(bj, bi)] or inc.neg_cross[(bj, bi)]]
-            for bi in range(len(self.blocks))
-        ]
+        self.within, self.cross = _block_flags(self.tuples, self.blocks)
+        self.stride = 2 if any(j <= 0 for _, j in self.tuples) else 1
         self._sizes = tuple(len(b) for b in self.blocks)
         # place values of the mixed-radix code of a vector m <= the block sizes
         self._radix = tuple(
@@ -218,7 +242,6 @@ class CountingModel:
         same m, weight and exponent, so only splits whose first unequal
         (a_i, b_i) has a_i > b_i are enumerated, at double weight.
         """
-        inc = self.incidence
         pair = self.stride == 2
         last = len(self._sizes) - 1
         table = [0] * prod(n + 1 for n in self._sizes)
@@ -226,7 +249,7 @@ class CountingModel:
         # (code of m, a's, b's, weight, t-exponent, still a == b everywhere)
         partial = [(0, (), (), 1, 0, pair)]
         for bi, (n, radix) in enumerate(zip(self._sizes, self._radix)):
-            pw, nw = inc.pos_within[bi], inc.neg_within[bi]
+            pw, nw, _ = self.within[bi]
             within = [
                 (a, b, (a + b) * radix, factorial(n) // (factorial(a) * factorial(b)),
                  pw * (a * (a - 1) + b * (b - 1)) // 2 + nw * a * b)
@@ -238,7 +261,7 @@ class CountingModel:
                 # stride 2 at double weight unless a == b everywhere
                 within = [(a, b, dc, w << pair, d) for a, b, dc, w, d in within]
                 canonical = [(a, b, dc, w << (a != b), d) for a, b, dc, w, d in canonical]
-            cross = self._cross[bi]
+            cross = self.cross[bi]
             grown = []
             for code, aa, bb, weight, de, tied in partial:
                 at_c = at_minus_c = 0
@@ -318,12 +341,11 @@ class CountingModel:
         + sum_j (pc_ij + nc_ij) r_j over the blocks j linked to i, all later
         than i since r_j = 0 before it.
         """
-        inc = self.incidence
         sizes = self._sizes
-        within = [width * (pw + nw) for pw, nw in zip(inc.pos_within, inc.neg_within)]
-        zero = [width * z for z in inc.zero_flags]
+        within = [width * (pw + nw) for pw, nw, _ in self.within]
+        zero = [width * z for _, _, z in self.within]
         later = [[] for _ in sizes]
-        for bi, cross in enumerate(self._cross):
+        for bi, cross in enumerate(self.cross):
             for bj, pc, nc in cross:
                 later[bj].append((bi, width * (pc + nc)))
         closes = [prod(map(factorial, sizes))]

@@ -1,7 +1,7 @@
 """Ideals of positive root systems: enumeration, construction from roots or
-from generating boxes, ideal arrangements, the block incidence model that the
-counting engine consumes with its automorphism blocks, component
-decomposition, and the ideal exponents read off the complement's heights.
+from generating boxes, ideal arrangements, the automorphism blocks that the
+counting engine takes by default, component decomposition, and the ideal
+exponents read off the complement's heights.
 
 Classical roots are named throughout by the hyperplane tuple notation:
 (i, j) is x_i = x_j, (i, -j) is x_i = -x_j, (i, 0) is x_i = 0, always with
@@ -15,12 +15,11 @@ connectivity, signatures and Algorithm P) lives in ``paper``.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 from . import crapo
 from .errors import ConstraintError, InconsistencyError, UnsupportedTypeError
-from .rootsystems import hyperplane_tuple, root_poset
+from .rootsystems import root_poset
 
 
 class Ideal:
@@ -103,17 +102,14 @@ def ideal_from_boxes(poset, boxes):
     rst = poset.rst
     if not rst.is_classical:
         raise UnsupportedTypeError(f"{rst.family} ideals take explicit root lists")
-    valid = set(diagram_boxes(rst))
+    tuple_index = {t: i for i, t in enumerate(poset.tuples)}
     comp = set()
     for b in boxes:
         b = (int(b[0]), int(b[1]))
-        if b not in valid:
+        if b not in tuple_index:
             raise ConstraintError(f"{b} is not a box of the {rst} diagram")
         comp |= generated_box_set(rst, b)
     mask = 0
-    tuple_index = {
-        hyperplane_tuple(rst, r.ambient2): r.index for r in poset.roots
-    }
     full = (1 << len(poset)) - 1
     for t in comp:
         mask |= 1 << tuple_index[t]
@@ -167,7 +163,7 @@ def enumerate_ideals(poset):
 
 def diagram_boxes(rst):
     """All boxes of the shifted Young diagram: the positive roots' hyperplane tuples."""
-    return [hyperplane_tuple(rst, r.ambient2) for r in root_poset(rst).roots]
+    return list(root_poset(rst).tuples)
 
 
 def grid_position(rst, box):
@@ -218,9 +214,7 @@ class IdealComplement:
         self.root_indices = ideal.complement_indices()
         self.roots = [self.poset.roots[i] for i in self.root_indices]
         if self.rst.is_classical:
-            self.hyperplanes = [
-                hyperplane_tuple(self.rst, r.ambient2) for r in self.roots
-            ]
+            self.hyperplanes = [self.poset.tuples[i] for i in self.root_indices]
         else:
             self.hyperplanes = None
 
@@ -266,74 +260,7 @@ def _components_by_coordinates(boxes):
     return [sorted(g) for _, g in sorted(groups.items())]
 
 
-# ---- the incidence model ---------------------------------------------------
-
-
-def _pos(tset, i, j):
-    """Whether x_i = x_j is among the hyperplane tuples."""
-    return (min(i, j), max(i, j)) in tset
-
-
-def _neg(tset, i, j):
-    """Whether x_i = -x_j is among the hyperplane tuples."""
-    return (min(i, j), -max(i, j)) in tset
-
-
-def _zero(tset, i):
-    """Whether x_i = 0 is among the hyperplane tuples."""
-    return (i, 0) in tset
-
-
-@dataclass(frozen=True)
-class BlockIncidence:
-    """Which hyperplanes hold within each block of coordinates and across each
-    pair of blocks: x_i = x_j (pos), x_i = -x_j (neg), x_i = 0 (zero).
-
-    The cross flags are keyed by block-index pairs (i, j) with i < j.
-    """
-
-    pos_within: tuple
-    neg_within: tuple
-    zero_flags: tuple
-    pos_cross: dict
-    neg_cross: dict
-
-
-def block_incidence(blocks, tuple_set):
-    """The incidence flags of a list of coordinate blocks in a hyperplane tuple set.
-
-    Each flag is read off the first members and verified on every member:
-    ConstraintError unless the zero column is uniform on each block and the
-    pos/neg flags are uniform on every pair within a block and across two
-    blocks.
-    """
-    tset = tuple_set
-    pos_within, neg_within, zero_flags = [], [], []
-    for blk in blocks:
-        z = _zero(tset, blk[0])
-        pw = len(blk) > 1 and _pos(tset, blk[0], blk[1])
-        nw = len(blk) > 1 and _neg(tset, blk[0], blk[1])
-        if any(_zero(tset, x) != z for x in blk):
-            raise ConstraintError(f"block {blk} not uniform on the zero column")
-        for a, b in itertools.combinations(blk, 2):
-            if _pos(tset, a, b) != pw or _neg(tset, a, b) != nw:
-                raise ConstraintError(f"block {blk} not pair-uniform")
-        pos_within.append(pw)
-        neg_within.append(nw)
-        zero_flags.append(z)
-    pos_cross, neg_cross = {}, {}
-    for (i, bi), (j, bj) in itertools.combinations(enumerate(blocks), 2):
-        pc = _pos(tset, bi[0], bj[0])
-        nc = _neg(tset, bi[0], bj[0])
-        for a in bi:
-            for b in bj:
-                if _pos(tset, a, b) != pc or _neg(tset, a, b) != nc:
-                    raise ConstraintError(f"blocks {bi} x {bj} not pair-uniform")
-        pos_cross[(i, j)] = pc
-        neg_cross[(i, j)] = nc
-    return BlockIncidence(
-        tuple(pos_within), tuple(neg_within), tuple(zero_flags), pos_cross, neg_cross
-    )
+# ---- automorphism blocks ---------------------------------------------------
 
 
 def automorphism_blocks(m, tuple_set):

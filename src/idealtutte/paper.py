@@ -3,12 +3,13 @@
 The paper reads an ideal of type A, B, C or D off the shifted Young diagram:
 the generating boxes of its complement, the signature of each integer (which
 generating box sets mention it), and Algorithm P, the partition of [n] in
-accordance with the ideal, whose blocks reach the counting model through
-``CountingModel(blocks=...)``.  It then counts points over F_p for primes
-outside the minor set of the root matrix and interpolates.  Production takes
-``ideals.automorphism_blocks`` instead, which are never finer than Algorithm
-P's blocks and exist for every type-D ideal, and reads chi-bar directly from
-one dynamic program.  ``tests/test_paper.py`` holds this route to production.
+accordance with the ideal.  Its blocks reach the counting model through
+``CountingModel(blocks=...)``, and that model's flags rebuild the tuple set.
+It then counts points over F_p for primes outside the minor set of the root
+matrix and interpolates.  Production takes ``ideals.automorphism_blocks``
+instead, which are never finer than Algorithm P's blocks and exist for every
+type-D ideal, and reads chi-bar directly from one dynamic program.
+``tests/test_paper.py`` holds this route to production.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .errors import ConstraintError, GuardExceeded, UnsupportedTypeError
-from .ideals import BlockIncidence, _grid, block_incidence, generated_box_set, grid_position
+from .ffmethod import CountingModel
+from .ideals import _grid, generated_box_set, grid_position
 
 
 # ---- the shifted diagram ---------------------------------------------------
@@ -139,9 +141,9 @@ def signature_table(comp):
 
 @dataclass
 class BlockPartition:
-    """The partition A^(1)|...|A^(r)|B^(1)|...|B^(s) of [n], with signatures,
-    the adjacency index sets of the counting theorems, and the block
-    incidence over the combined block list (A-blocks then B-blocks)."""
+    """The partition A^(1)|...|A^(r)|B^(1)|...|B^(s) of [n], with signatures
+    and the adjacency index sets of the counting theorems; ``blocks`` is the
+    combined block list, A-blocks then B-blocks."""
 
     rst: object
     a_blocks: list
@@ -154,7 +156,6 @@ class BlockPartition:
     s_sets: list = field(default_factory=list)      # S^(v) per B-block
     r0: list = field(default_factory=list)
     s0: list = field(default_factory=list)
-    incidence: BlockIncidence = None
 
     @property
     def blocks(self):
@@ -207,7 +208,6 @@ def partition_in_accordance(comp):
     ]
     bp.r0 = [l + 1 for l in range(r) if s0 & sA[l]]
     bp.s0 = [h + 1 for h in range(s) if s0 & sBneg[h]]
-    bp.incidence = block_incidence(bp.blocks, tset)
     return bp
 
 
@@ -226,32 +226,28 @@ def reconstruct_tuples(bp):
 
     This is the disjoint-union decomposition of the arrangement: binomial
     pairs and cross products over A-blocks, signed pairs and signed products
-    over B-blocks, and the zero column, each switched by its incidence flag.
+    over B-blocks, and the zero column, each switched by its flag in the
+    partition's ``CountingModel``, which refuses non-uniform blocks.
     """
     blocks = bp.blocks
-    inc = bp.incidence
+    model = CountingModel(bp.rst.n_param, bp.hyperplanes, blocks=blocks)
     out = set()
-    for bi, blk in enumerate(blocks):
-        if inc.pos_within[bi]:
-            out.update(
-                (blk[a], blk[b]) for a in range(len(blk)) for b in range(a + 1, len(blk))
-            )
-        if inc.neg_within[bi]:
-            out.update(
-                (blk[a], -blk[b]) for a in range(len(blk)) for b in range(a + 1, len(blk))
-            )
-        if inc.zero_flags[bi]:
+    for blk, (pw, nw, z), links in zip(blocks, model.within, model.cross):
+        pairs = list(itertools.combinations(blk, 2))
+        if pw:
+            out.update(pairs)
+        if nw:
+            out.update((a, -b) for a, b in pairs)
+        if z:
             out.update((x, 0) for x in blk)
-    for (i, j), flag in inc.pos_cross.items():
-        if flag:
-            for a in blocks[i]:
-                for b in blocks[j]:
-                    out.add((min(a, b), max(a, b)))
-    for (i, j), flag in inc.neg_cross.items():
-        if flag:
-            for a in blocks[i]:
-                for b in blocks[j]:
-                    out.add((min(a, b), -max(a, b)))
+        for bj, pc, nc in links:
+            for a in blocks[bj]:
+                for b in blk:
+                    lo, hi = min(a, b), max(a, b)
+                    if pc:
+                        out.add((lo, hi))
+                    if nc:
+                        out.add((lo, -hi))
     return out
 
 

@@ -228,14 +228,16 @@ class RootPoset:
             raise ConstraintError(
                 f"generated {len(raw)} positive roots for {rst}, expected {expected}"
             )
-        items = list(raw.items())
         if rst.is_classical:
-            items.sort(key=lambda kv: hyperplane_tuple(rst, kv[1]))
+            keyed = [(hyperplane_tuple(rst, amb), coords, amb) for coords, amb in raw.items()]
         else:
-            items.sort(key=lambda kv: sort_key(kv[0]))
+            keyed = [(sort_key(coords), coords, amb) for coords, amb in raw.items()]
+        keyed.sort()
         self.roots = tuple(
-            Root(coords, amb, i) for i, (coords, amb) in enumerate(items)
+            Root(coords, amb, i) for i, (_, coords, amb) in enumerate(keyed)
         )
+        # tuples[i] = the hyperplane tuple of root i; None for exceptional types
+        self.tuples = tuple(key for key, _, _ in keyed) if rst.is_classical else None
         self._index = {r.simple_coords: r.index for r in self.roots}
         # reflection_images[i][beta] = s_i(beta), both in simple coordinates
         self.reflection_images = images

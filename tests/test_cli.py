@@ -116,7 +116,7 @@ def test_verify_checks_direct_against_interpolation(capsys, monkeypatch):
     args = ("verify", "--type", "B", "--rank", "3", "--all-ideals")
     code, out, _ = run(capsys, *args)
     assert code == 0
-    assert "+20 direct-vs-evaluation checks" in out
+    assert "+20 whole-model checks" in out
     real = ffmethod.coboundary_polynomial
 
     def tampered(ideal):

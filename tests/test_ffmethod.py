@@ -93,7 +93,7 @@ def test_profile_empty_arrangement():
 
 def test_profile_guard():
     with pytest.raises(GuardExceeded):
-        count_points_bruteforce([(1, 2)], 12, 11, max_points=10 ** 6)
+        count_points_bruteforce([(1, 2)], 12, 11)
 
 
 # ---- Ardila's closed forms for full arrangements, the test oracle ----------------
@@ -276,6 +276,14 @@ def test_counting_model_rejects_bad_blocks():
         CountingModel(3, [(1, -2)], blocks=[[1], [2, 3]])
     with pytest.raises(ConstraintError, match="zero column"):
         CountingModel(2, [(1, 0)], blocks=[[1, 2]])
+
+
+def test_counting_model_counts_the_tuple_set():
+    # a repeated tuple names one hyperplane: counted over the list, x_1 = x_2
+    # would hold on 4 of the 3 pairs of the block [1, 2, 3]
+    model = CountingModel(3, [(1, 2), (1, 2), (1, 3), (2, 3)])
+    assert model.blocks == [[1, 2, 3]]
+    assert model.coboundary() == CountingModel(3, [(1, 2), (1, 3), (2, 3)]).coboundary()
 
 
 @pytest.mark.parametrize("t", [(2, 1), (2, -1), (1, 1), (0, 2), (1, 4), (4, 0), (1, -4)])

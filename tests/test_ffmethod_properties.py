@@ -11,19 +11,22 @@ build also holds the closed-form number of moves in its down-set table.  The
 model's parts are held to tests-side references: its closing table to r! and
 the quadratic form of the zero exponent (also on every component of the
 benchmark's ``classical-random`` pool), its signed-graph rank to Gaussian
-elimination, and ``automorphism_blocks`` to the pairwise test against every
-third coordinate.  They sit beside the fixed-seed sweeps in test_ffmethod and
-test_properties."""
+elimination, its block flags and their refusals to the pair-by-pair reading
+of the tuple set, and ``automorphism_blocks`` to the pairwise test against
+every third coordinate.  They sit beside the fixed-seed sweeps in
+test_ffmethod and test_properties."""
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import comb, factorial, prod
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import classical_random_pool, component_tuples
 from idealtutte import crapo
+from idealtutte.errors import ConstraintError
 from idealtutte.exactpoly import lagrange_interpolate
 from idealtutte.ffmethod import CountingModel, coboundary_polynomial, count_points_bruteforce
 from idealtutte.ideals import (
@@ -91,10 +94,14 @@ def normal_tuple_sets(draw):
     m <= 5 coordinates.  Unlike ideal complements, these may hold x_i = -x_j
     inside an automorphism block without x_i = x_j."""
     m = draw(st.integers(1, 5))
-    normal = [(i, 0) for i in range(1, m + 1)] + [
+    return m, draw(st.lists(st.sampled_from(_normal_tuples(m)), unique=True))
+
+
+def _normal_tuples(m):
+    """Every normal hyperplane tuple on m coordinates."""
+    return [(i, 0) for i in range(1, m + 1)] + [
         (i, s * j) for i in range(1, m + 1) for j in range(i + 1, m + 1) for s in (1, -1)
     ]
-    return m, draw(st.lists(st.sampled_from(normal), unique=True))
 
 
 def _assert_kernel_size(model):
@@ -279,13 +286,13 @@ def test_closing_table_matches_the_quadratic_form_on_the_benchmark_pool():
 def _zero_exponent(model, r):
     """The reference t-exponent of sending r_i coordinates of each block i
     to residue 0, where x_i = x_j, x_i = -x_j and x_i = 0 all hold: the
-    quadratic form of the incidence flags."""
-    inc = model.incidence
+    quadratic form of the block flags."""
     de = 0
     for bi, ri in enumerate(r):
-        de += (inc.pos_within[bi] + inc.neg_within[bi]) * comb(ri, 2) + inc.zero_flags[bi] * ri
-        for bj in range(bi):
-            de += (inc.pos_cross[(bj, bi)] + inc.neg_cross[(bj, bi)]) * r[bj] * ri
+        pw, nw, z = model.within[bi]
+        de += (pw + nw) * comb(ri, 2) + z * ri
+        for bj, pc, nc in model.cross[bi]:
+            de += (pc + nc) * r[bj] * ri
     return de
 
 
@@ -311,20 +318,24 @@ def test_balance_rank_matches_gaussian_elimination(mt):
     assert CountingModel(m, tuples).rank == crapo.rank_of([tuple_normal(t, m) for t in tuples])
 
 
+def _pos(tset, i, j):
+    """Whether x_i = x_j is among the hyperplane tuples."""
+    return (min(i, j), max(i, j)) in tset
+
+
+def _neg(tset, i, j):
+    """Whether x_i = -x_j is among the hyperplane tuples."""
+    return (min(i, j), -max(i, j)) in tset
+
+
 def _pairwise_blocks(m, tset):
     """The reference automorphism blocks: x joins the first block whose first
     member carries the same zero flag and the same pos/neg flags against
     every third coordinate, read pair by pair off the tuple set."""
 
-    def pos(i, j):
-        return (min(i, j), max(i, j)) in tset
-
-    def neg(i, j):
-        return (min(i, j), -max(i, j)) in tset
-
     def equivalent(i, j):
         return ((i, 0) in tset) == ((j, 0) in tset) and all(
-            pos(i, z) == pos(j, z) and neg(i, z) == neg(j, z)
+            _pos(tset, i, z) == _pos(tset, j, z) and _neg(tset, i, z) == _neg(tset, j, z)
             for z in range(1, m + 1) if z not in (i, j)
         )
 
@@ -351,3 +362,63 @@ def test_automorphism_blocks_match_the_pairwise_test(mt):
 def test_automorphism_blocks_match_the_pairwise_test_on_coarse_blocks(mtb):
     m, tuples, _ = mtb
     assert automorphism_blocks(m, set(tuples)) == _pairwise_blocks(m, set(tuples))
+
+
+def _pairwise_flags(blocks, tset):
+    """The reference block flags, in the counting model's shapes: each flag
+    read off the first members of its blocks and checked on every pair of
+    members, ConstraintError where it differs."""
+    within = []
+    for blk in blocks:
+        z = (blk[0], 0) in tset
+        pw = len(blk) > 1 and _pos(tset, blk[0], blk[1])
+        nw = len(blk) > 1 and _neg(tset, blk[0], blk[1])
+        if any(((x, 0) in tset) != z for x in blk):
+            raise ConstraintError(f"block {blk} not uniform on the zero column")
+        for a, b in combinations(blk, 2):
+            if _pos(tset, a, b) != pw or _neg(tset, a, b) != nw:
+                raise ConstraintError(f"block {blk} not pair-uniform")
+        within.append((pw, nw, z))
+    cross = [[] for _ in blocks]
+    for (i, bi), (j, bj) in combinations(enumerate(blocks), 2):
+        pc, nc = _pos(tset, bi[0], bj[0]), _neg(tset, bi[0], bj[0])
+        for a in bi:
+            for b in bj:
+                if _pos(tset, a, b) != pc or _neg(tset, a, b) != nc:
+                    raise ConstraintError(f"blocks {bi} x {bj} not pair-uniform")
+        if pc or nc:
+            cross[j].append((i, pc, nc))
+    return within, cross
+
+
+@st.composite
+def partitioned_tuple_sets(draw):
+    """A tuple set on m <= 6 coordinates and a partition of 1..m into blocks:
+    half the draws any tuple set and any partition, half a coarse-block
+    tuple set, uniform on its blocks, with up to two tuples flipped in or
+    out."""
+    if draw(st.booleans()):
+        m, tuples, blocks = draw(coarse_block_tuple_sets())
+        flips = draw(st.lists(st.sampled_from(_normal_tuples(m)), max_size=2, unique=True))
+        return m, sorted(set(tuples) ^ set(flips)), blocks
+    m = draw(st.integers(1, 6))
+    tuples = draw(st.lists(st.sampled_from(_normal_tuples(m)), unique=True))
+    labels = draw(st.lists(st.integers(1, m), min_size=m, max_size=m))
+    blocks = {}
+    for x, label in enumerate(labels, 1):
+        blocks.setdefault(label, []).append(x)
+    return m, tuples, list(blocks.values())
+
+
+@PROPERTY_SETTINGS
+@given(mtb=partitioned_tuple_sets())
+def test_block_flags_match_the_pairwise_reference(mtb):
+    m, tuples, blocks = mtb
+    try:
+        within, cross = _pairwise_flags(blocks, set(tuples))
+    except ConstraintError:
+        with pytest.raises(ConstraintError, match="uniform"):
+            CountingModel(m, tuples, blocks=blocks)
+        return
+    model = CountingModel(m, tuples, blocks=blocks)
+    assert (model.within, model.cross) == (within, cross)
