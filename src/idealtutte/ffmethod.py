@@ -88,11 +88,12 @@ def count_points_bruteforce(tuples, n, p):
     """Exhaustive weighted point count over F_p^n, up to ``DEFAULT_MAX_POINTS``.
 
     Membership per hyperplane tuple: (i, j) holds when x_i = x_j, (i, -j)
-    when x_i = -x_j, and (i, 0) when x_i = 0.
+    when x_i = -x_j, and (i, 0) when x_i = 0.  A repeated tuple counts once,
+    in its first place, as ``CountingModel`` reads its tuples as a set.
     """
     if p ** n > DEFAULT_MAX_POINTS:
         raise GuardExceeded(f"p^n = {p ** n} exceeds guard {DEFAULT_MAX_POINTS}")
-    tuples = [tuple(t) for t in tuples]
+    tuples = list(dict.fromkeys(tuple(t) for t in tuples))
     rank = crapo.rank_of([tuple_normal(t, n) for t in tuples])
     import numpy as np
 

@@ -14,8 +14,8 @@ of (t-1)^|S| over S in F & D; the flats above the closure of S contribute
 q^(r - r(S)), which is Crapo's subset expansion.)  So one lattice per root
 system serves all its ideals: ``flat_lattice`` builds it on the first request
 and keeps it for the process, and each ideal then costs one pass over the
-flats' bitmasks (``FlatLattice.restrict``, which returns chi-bar_D and r(D) to
-the engine dispatcher in ``specialize``).  G2 has 8 flats, F4 268 and E6 4598.
+flats (``FlatLattice.restrict``, which returns chi-bar_D and r(D) to the
+engine dispatcher in ``specialize``).  G2 has 8 flats, F4 268 and E6 4598.
 
 The lattice comes from the Weyl group W (``orbit_lattice``).  The fixator of
 a subspace is a parabolic subgroup (Steinberg), so every flat is
@@ -26,52 +26,111 @@ standard flats, closed under them, are all the flats, and chi_{M/F} is
 filled once per orbit.  The tests hold the orbit build to a reference that
 enumerates the flats of any integer configuration by linear algebra
 (``tests/flat_reference.py``).
+
+Everything here is plain Python integers, so an exceptional request imports
+no numpy.  A flat is an int bitmask over the roots.  ``restrict`` adds up,
+four roots at a time, columns that hold one byte per flat, so |F & D| of
+every flat comes out as one ``bytes`` object; it counts each orbit's
+histogram of those bytes, sums the orbit's chi row, packed into signed
+64-bit fields of one int, once per count, and decodes the sums in one pass.
+Measured against the numpy arrays this replaced, on a 2-CPU VM: in a
+long-lived process the E6 build went from about 10 ms to 40-50 ms and an E6
+restriction from about 0.08 to 0.18 ms (the mean over its 833 ideals; F4's
+stayed at about 0.05 ms), while every fresh process saves numpy's import,
+about 0.1 s and 13 MB.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import Counter
 
-from .errors import GuardExceeded, InconsistencyError
+from .errors import ConstraintError, GuardExceeded, InconsistencyError
 from .exactpoly import BivariatePolynomial, UnivariatePolynomial
 from .ideals import ideal_exponents, ideal_from_mask
 from .rootsystems import root_poset, simple_reflections
 
-# every coefficient the engine forms is at most 3^m in absolute value (the
-# coefficients of sum_S q^(r - r(S)) (t-1)^|S| over the subsets S of m
-# vectors add up to at most sum_S 2^|S| = 3^m), under 2^63 for m <= 39; int64
-# sums that wrap on the way still end exact
+# restrict keeps |F & D| of each flat in one byte, which holds counts up to
+# MAX_VECTORS, and every coefficient it forms in a signed 64-bit field: at
+# most 3^m in absolute value (the coefficients of sum_S q^(r - r(S)) (t-1)^|S|
+# over the subsets S of m vectors add up to at most sum_S 2^|S| = 3^m), under
+# 2^63 for m <= 39
 MAX_VECTORS = 39
+FIELD_BITS = 64
 
 
 class FlatLattice:
     """The flats of a vector configuration of rank ``rank``, by rank and then
     by mask value.
 
-    ``masks`` (uint64) has bit i set when vector i lies on the flat, and
-    ``ranks`` the rank of each flat (weakly increasing, so the least flat
-    comes first and the whole configuration last).  Few chi_{M/F} differ:
-    ``kinds[k, j]`` (int64) is the coefficient of q^j in the k-th of them,
-    and ``kind`` the k of each flat.  Raises ``InconsistencyError`` unless
-    the chi_{M/F} sum to q^r.
+    ``masks`` has bit i set when vector i lies on the flat, and ``ranks`` the
+    rank of each flat (weakly increasing, so the least flat comes first and
+    the whole configuration last).  Few chi_{M/F} differ: ``kinds[k][j]`` is
+    the coefficient of q^j in the k-th of them, and ``kind`` the k of each
+    flat.  All are lists of Python ints.  Raises ``InconsistencyError``
+    unless the chi_{M/F} sum to q^r.
     """
 
     def __init__(self, masks, ranks, kind, kinds):
-        import numpy as np
-
         self.masks, self.ranks, self.kind, self.kinds = masks, ranks, kind, kinds
-        self.rank = kinds.shape[1] - 1
-        total = np.bincount(kind, minlength=len(kinds)) @ kinds
-        if total.tolist() != [0] * self.rank + [1]:
+        self.rank = r = len(kinds[0]) - 1
+        n = masks[-1].bit_length()  # the last flat holds every vector
+        flats_of = Counter(kind)
+        total = [sum(c * kinds[k][j] for k, c in flats_of.items()) for j in range(r + 1)]
+        if total != [0] * r + [1]:
             raise InconsistencyError(
-                f"the chi_(M/F) of {int(masks[-1]).bit_count()} vectors do not sum "
+                f"the chi_(M/F) of {masks[-1].bit_count()} vectors do not sum "
                 f"to q^{self.rank}"
             )
+        # restrict reads the flats grouped by kind, the kinds in the order of
+        # their first flats, so that each kind is one span of bytes and the
+        # ranks still weakly increase; a span's counts |F & D| lie between its
+        # least flat size less the n - m vectors off D and its greatest size.
+        # Each chi row is packed into one int, the coefficient of q^j a signed
+        # field at bit FIELD_BITS * j
+        groups = {}
+        for f, k, rank in zip(masks, kind, ranks):
+            groups.setdefault(k, (rank, []))[1].append(f)
+        self._spans, self._rank_at, ordered = [], [], []
+        for k, (rank, group) in groups.items():
+            sizes = [f.bit_count() for f in group]
+            row = sum(c << FIELD_BITS * j for j, c in enumerate(kinds[k]))
+            start = len(ordered)
+            self._spans.append((start, start + len(group), min(sizes) - n, max(sizes), row))
+            self._rank_at += [rank] * len(group)
+            ordered += group
+        # nibbles[g][v]: for each flat in that order, one byte holding how
+        # many of the vectors 4g + i for the bits i of v lie on it, read as
+        # an int; a mask's counts then take one addition per 4 bits.  Byte b
+        # of every flat's mask is every mask_bytes-th byte of their join, and
+        # byte translations take its low or high nibble and the bits that
+        # nibble shares with v
+        mask_bytes = (n + 7) // 8
+        joined = b"".join([f.to_bytes(mask_bytes, "little") for f in ordered])
+        halves = bytes(x & 15 for x in range(256)), bytes(x >> 4 for x in range(256))
+        common = [bytes((x & v).bit_count() for x in range(256)) for v in range(16)]
+        self._nibbles = []
+        for g in range(0, n, 4):
+            nibble = joined[g // 8 :: mask_bytes].translate(halves[g // 4 % 2])
+            self._nibbles.append(
+                [int.from_bytes(nibble.translate(common[v]), "little") for v in range(16)]
+            )
+        # 2^63 in each field of a row: adding it and XORing it back turns the
+        # signed fields into the two's complement words memoryview.cast("q") reads
+        ones = ((1 << FIELD_BITS * (r + 1)) - 1) // ((1 << FIELD_BITS) - 1)
+        self._bias = ones << FIELD_BITS - 1
+        # terms[shift][(r + 1) j + a]: the key of q^a t^j once q^shift is
+        # divided out, None below it
+        self._terms = [
+            [(f % (r + 1) - shift, f // (r + 1)) if f % (r + 1) >= shift else None
+             for f in range((n + 1) * (r + 1))]
+            for shift in range(r + 1)
+        ]
 
     @property
     def chi(self):
-        """chi[F, j], the coefficient of q^j in chi_{M/F}(q)."""
-        return self.kinds[self.kind]
+        """chi[F][j], the coefficient of q^j in chi_{M/F}(q)."""
+        return [self.kinds[k] for k in self.kind]
 
     def __len__(self):
         return len(self.masks)
@@ -82,28 +141,47 @@ class FlatLattice:
 
         r(D) is the rank of the smallest flat containing D.  The sum over the
         flats is binned by |F & D| and must vanish below q^(r - r(D)), which
-        is divided out; InconsistencyError otherwise.
+        is divided out; InconsistencyError otherwise.  ConstraintError for a
+        mask with bits outside the configuration.
         """
-        import numpy as np
-
-        counts = np.bitwise_count(self.masks & np.uint64(mask)).astype(np.intp)
-        m = mask.bit_count()
+        if mask & ~self.masks[-1]:
+            raise ConstraintError(f"mask {mask:#x} names vectors outside the configuration")
+        m, r = mask.bit_count(), self.rank
+        sums, rest = 0, mask
+        for table in self._nibbles:
+            sums += table[rest & 15]
+            rest >>= 4
+        counts = sums.to_bytes(len(self._rank_at), "little")  # |F & D| per flat
         # the flats holding all of D; the first of them has the least rank
-        rank = int(self.ranks[np.argmax(counts == m)])
-        # table[j] sums the chi rows of the flats F with |F & D| = j: flats
-        # counted by (j, kind), times the distinct rows
-        k = len(self.kinds)
-        hist = np.bincount(counts * k + self.kind, minlength=(m + 1) * k)
-        table = hist.reshape(m + 1, k) @ self.kinds
-        shift = self.rank - rank
-        if table[:, :shift].any():
+        rank = self._rank_at[counts.find(m)]
+        # by[j]: the sum of the packed chi rows of the flats F with |F & D| = j;
+        # a span shorter than a few bytes per count it may hold is walked, a
+        # longer one counted once per count
+        by = [0] * (m + 1)
+        for start, stop, lowest, large, row in self._spans:
+            size, lo, hi = stop - start, lowest + m, large if large < m else m
+            if lo < 0:
+                lo = 0
+            if lo == hi:
+                by[lo] += size * row
+            elif size < 4 * (hi - lo):
+                for j in counts[start:stop]:
+                    by[j] += row
+            else:
+                for j, c in zip(range(lo, hi), map(counts[start:stop].count, range(lo, hi))):
+                    by[j] += c * row
+                    size -= c
+                by[hi] += size * row
+        bias, row_bytes = self._bias, FIELD_BITS // 8 * (r + 1)
+        words = b"".join([((x + bias) ^ bias).to_bytes(row_bytes, "little") for x in by])
+        terms = zip(self._terms[r - rank], memoryview(words).cast("q"))
+        coeffs = {key: c for key, c in terms if c}
+        if None in coeffs:
             raise InconsistencyError(
                 f"flat sum of {m} elements of rank {rank} is not divisible by "
-                f"q^{shift}"
+                f"q^{r - rank}"
             )
-        ts, qs = np.nonzero(table)
-        coeffs = zip((qs - shift).tolist(), ts.tolist(), table[ts, qs].tolist())
-        return BivariatePolynomial({(a, b): c for a, b, c in coeffs}, ("q", "t")), rank
+        return BivariatePolynomial._of(coeffs, ("q", "t")), rank
 
 
 def orbit_lattice(rst):
@@ -112,46 +190,52 @@ def orbit_lattice(rst):
 
     The standard parabolic flats, the roots supported on each subset J of
     the simple roots, are closed under the simple reflections, each applied
-    to a round's new masks through one 256-entry table per mask byte; each
-    flat carries the J it was reached from, and two J whose flats meet are
-    merged, which leaves one label per W-orbit.  ``_orbit_rows`` then fills
-    chi_{M/F} once per orbit.  Raises ``GuardExceeded`` for more than
-    ``MAX_VECTORS`` positive roots.
+    to a round's new masks through one 256-entry table per mask byte and
+    skipped on a mask inside the roots it fixes; each flat carries the J it
+    was reached from, and two J whose flats meet are merged, which leaves one
+    label per W-orbit.  ``_orbit_rows`` then fills chi_{M/F} once per orbit.
+    Raises ``GuardExceeded`` for more than ``MAX_VECTORS`` positive roots.
     """
-    import numpy as np
-
     poset = root_poset(rst)
     m, r = len(poset), rst.rank
     if m > MAX_VECTORS:
         raise GuardExceeded(f"flats of {m} roots need at most {MAX_VECTORS}")
-    bits = np.left_shift(np.uint64(1), np.arange(m, dtype=np.uint64))
-    support = (np.array([root.simple_coords for root in poset.roots]) != 0) @ (1 << np.arange(r))
-    subsets = np.arange(1 << r)
-    inside = (support & ~subsets[:, None]) == 0  # root j supported on J
-    standard = np.bitwise_or.reduce(np.where(inside, bits, np.uint64(0)), axis=1)
-    # tables[i, b, v]: s_i's image of the roots in byte b of a mask whose byte b is v
-    images = np.zeros((r, -(-m // 8) * 8), dtype=np.uint64)
-    images[:, :m] = bits[np.array(simple_reflections(poset))]
-    in_byte = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(bool)
-    tables = np.bitwise_or.reduce(
-        np.where(in_byte, images.reshape(r, -1, 1, 8), np.uint64(0)), axis=3
-    )
-    masks, label = standard, subsets
-    frontier, reached_from = masks, label
-    met = []
-    while len(frontier):
-        reached = np.zeros((r, len(frontier)), dtype=np.uint64)
-        for b in range(tables.shape[1]):
-            byte = (frontier >> np.uint64(8 * b)) & np.uint64(255)
-            reached |= tables[:, b, byte.astype(np.intp)]
-        every = np.concatenate((masks, reached.ravel()))
-        labels = np.concatenate((label, np.tile(reached_from, r)))
-        old = len(masks)
-        masks, first, inverse = np.unique(every, return_index=True, return_inverse=True)
-        label = labels[first]
-        met.append((label[inverse] << r | labels)[label[inverse] != labels])
-        new = first >= old
-        frontier, reached_from = masks[new], label[new]
+    support = [sum(1 << i for i, c in enumerate(root.simple_coords) if c) for root in poset.roots]
+    standard = [
+        sum(1 << j for j, s in enumerate(support) if not s & ~subset) for subset in range(1 << r)
+    ]
+    # per simple reflection: the mask of the roots it fixes, and tables[b][v],
+    # its image of the roots in byte b of a mask whose byte b is v
+    reflections = []
+    for image in simple_reflections(poset):
+        fixed = sum(1 << j for j, i in enumerate(image) if i == j)
+        tables = []
+        for b in range(0, m, 8):
+            table = [0]
+            for v in range(1, 1 << min(8, m - b)):
+                low = v & -v
+                table.append(table[v ^ low] | 1 << image[b + low.bit_length() - 1])
+            tables.append(table)
+        reflections.append((~fixed, tables))
+    label = dict(zip(standard, range(1 << r)))
+    frontier, met = standard, set()
+    while frontier:
+        new = []
+        for moved, tables in reflections:
+            for f in frontier:
+                if not f & moved:
+                    continue
+                g, rest = 0, f
+                for table in tables:
+                    g |= table[rest & 255]
+                    rest >>= 8
+                j, k = label[f], label.get(g)
+                if k is None:
+                    label[g] = j
+                    new.append(g)
+                elif k != j:
+                    met.add(k << r | j)
+        frontier = new
     # merge the labels that met, each to the least of its class
     root = list(range(1 << r))
 
@@ -160,36 +244,36 @@ def orbit_lattice(rst):
             j = root[j]
         return j
 
-    for pair in set(np.concatenate(met).tolist()):
+    for pair in met:
         a, b = find(pair >> r), find(pair & (1 << r) - 1)
         root[max(a, b)] = min(a, b)
-    label = np.array([find(j) for j in range(1 << r)])[label]
-    ranks = np.bitwise_count(label).astype(np.intp)
-    order = np.lexsort((masks, ranks))
-    masks, label, ranks = masks[order], label[order], ranks[order]
+    orbit = {f: find(j) for f, j in label.items()}
+    masks = sorted(orbit, key=lambda f: orbit[f].bit_count() << m | f)
+    ranks = [orbit[f].bit_count() for f in masks]
     # number the orbits by their first flat in that order
-    _, first, inverse = np.unique(label, return_index=True, return_inverse=True)
-    kind = np.argsort(np.argsort(first))[inverse]
-    reps = np.sort(first)
-    kinds = _orbit_rows(masks, kind, masks[reps], ranks[reps], r)
-    return FlatLattice(masks, ranks, kind, kinds)
+    number = {}
+    kind = [number.setdefault(orbit[f], len(number)) for f in masks]
+    return FlatLattice(masks, ranks, kind, _orbit_rows(masks, ranks, kind, r))
 
 
-def _orbit_rows(masks, kind, reps, ranks, r):
-    """rows[o, j], the coefficient of q^j in chi_{M/F}(q) for the flats F of
+def _orbit_rows(masks, ranks, kind, r):
+    """rows[o][j], the coefficient of q^j in chi_{M/F}(q) for the flats F of
     orbit o, filled from the last orbit back: q^(r - r(F)) minus the
-    chi_{M/G} of every flat G strictly above the orbit's representative
-    flat ``reps[o]``, of rank ``ranks[o]``, as a count of them per orbit.
-    The flats above a flat have larger ranks, and so come in later orbits.
+    chi_{M/G} of every flat G strictly above the orbit's first flat F, as a
+    count of them per orbit.  The flats above a flat have larger ranks, and
+    so come after it and in later orbits.
     """
-    import numpy as np
-
-    rows = np.zeros((len(reps), r + 1), dtype=np.int64)
-    for o in range(len(reps) - 1, -1, -1):
-        f = reps[o]
-        above = kind[((masks & f) == f) & (masks != f)]
-        rows[o] = -(np.bincount(above, minlength=len(reps)) @ rows)
-        rows[o, r - ranks[o]] += 1
+    rows = [None] * (max(kind) + 1)
+    for o in range(len(rows) - 1, -1, -1):
+        p = kind.index(o)
+        f = masks[p]
+        row = [0] * (r + 1)
+        row[r - ranks[p]] = 1
+        above = Counter(k for g, k in zip(masks[p + 1 :], kind[p + 1 :]) if g & f == f)
+        for k, c in above.items():
+            for j, x in enumerate(rows[k]):
+                row[j] -= c * x
+        rows[o] = row
     return rows
 
 
@@ -207,7 +291,7 @@ def flat_lattice(rst):
     want = UnivariatePolynomial([1])
     for e in ideal_exponents(ideal_from_mask(root_poset(rst), 0)).exponents:
         want = want * UnivariatePolynomial([-e, 1])
-    if UnivariatePolynomial(lattice.chi[0].tolist()) != want:
+    if UnivariatePolynomial(lattice.chi[0]) != want:
         raise InconsistencyError(
             f"chi of the full {rst} arrangement is not {want.to_text()}"
         )

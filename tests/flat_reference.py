@@ -62,7 +62,9 @@ def build_lattice(vectors):
         levels.append(level)
         bases.append(np.column_stack((bases[-1][f], y)))
     ranks = np.repeat(np.arange(r + 1), [len(level) for level in levels])
-    return FlatLattice(np.concatenate(levels), ranks, *_characteristic_rows(levels, bases, m))
+    kind, kinds = _characteristic_rows(levels, bases, m)
+    masks = np.concatenate(levels)
+    return FlatLattice(masks.tolist(), ranks.tolist(), kind.tolist(), kinds.tolist())
 
 
 def _characteristic_rows(levels, bases, m):

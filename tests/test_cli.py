@@ -607,21 +607,44 @@ def test_unreadable_ideal_file_or_unwritable_out_exits_1(tmp_path, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def _one_shot(args):
+    """The standard output of ``cli.main(args)`` in a fresh interpreter, which
+    must load none of jsonschema, numpy and the paper's reference route."""
+    code = (
+        "import sys\n"
+        "from idealtutte import cli\n"
+        f"assert cli.main({args!r}) == 0\n"
+        "loaded = {'jsonschema', 'numpy', 'idealtutte.paper'} & sys.modules.keys()\n"
+        "assert not loaded, loaded\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=_src_env(), check=True, capture_output=True,
+        text=True,
+    )
+    return done.stdout
+
+
 def test_one_shot_request_imports_neither_jsonschema_nor_numpy(tmp_path):
     # one fresh interpreter per request: computed without the cache, computed
     # into the cache, and read back from it
     argv = ["tutte", "--type", "B", "--rank", "4", "--roots", "[[1,2,2,2]]", "--format", "json"]
     cached = [*argv, "--cache-dir", str(tmp_path)]
     for args, cache in ((argv + ["--no-cache"], "miss"), (cached, "miss"), (cached, "hit")):
-        code = (
-            "import sys\n"
-            "from idealtutte import cli\n"
-            f"assert cli.main({args!r}) == 0\n"
-            "loaded = {'jsonschema', 'numpy', 'idealtutte.paper'} & sys.modules.keys()\n"
-            "assert not loaded, loaded\n"
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=_src_env(), check=True, capture_output=True,
-            text=True,
-        )
-        assert json.loads(done.stdout)["provenance"]["cache"] == cache
+        assert json.loads(_one_shot(args))["provenance"]["cache"] == cache
+
+
+@pytest.mark.parametrize(
+    "family, roots",
+    [("G2", [[3, 1], [3, 2]]), ("F4", [[2, 3, 4, 2]]), ("E6", [list(c) for c in IDEAL_E])],
+)
+def test_one_shot_exceptional_request_imports_no_numpy(tmp_path, family, roots):
+    # the lattice of flats builds and restricts on Python ints; charpoly has
+    # no cache, and tutte also writes the cache and reads it back
+    spec = ["--type", family, "--roots", json.dumps(roots)]
+    for command in ("tutte", "coboundary"):
+        out = _one_shot([command, *spec, "--format", "json", "--no-cache"])
+        assert json.loads(out)["provenance"]["cache"] == "miss"
+    assert _one_shot(["charpoly", *spec]).strip()
+    cached = ["tutte", *spec, "--format", "json", "--cache-dir", str(tmp_path)]
+    for cache in ("miss", "hit"):
+        assert json.loads(_one_shot(cached))["provenance"]["cache"] == cache

@@ -91,6 +91,12 @@ def test_profile_empty_arrangement():
     assert tp.total() == 9
 
 
+def test_profile_counts_a_repeated_tuple_once():
+    tp = count_points_bruteforce([(1, 2), (1, 2)], 2, 3)
+    assert tp.counts == (6, 3)
+    assert list(tp.counts) == CountingModel(2, [(1, 2), (1, 2)]).point_count_profile(3)
+
+
 def test_profile_guard():
     with pytest.raises(GuardExceeded):
         count_points_bruteforce([(1, 2)], 12, 11)

@@ -7,7 +7,6 @@ import random
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -71,7 +70,7 @@ def test_flats_equal_crapo_on_e6():
 def test_lattice_sizes(family, per_rank):
     lattice = flats.flat_lattice(root_system_type(family))
     assert len(lattice) == sum(per_rank)
-    assert np.bincount(lattice.ranks).tolist() == per_rank
+    assert [lattice.ranks.count(k) for k in range(len(per_rank))] == per_rank
 
 
 def test_auto_is_flats_on_exceptional_types_only():
@@ -103,9 +102,9 @@ def test_corrupt_chi_row_fails_the_build_certificate(monkeypatch, rows, error):
 
     def corrupt(*args):
         chi = real(*args)
-        chi[rows[0], 1] += 1
+        chi[rows[0]][1] += 1
         if len(rows) > 1:
-            chi[rows[1], 1] -= 1
+            chi[rows[1]][1] -= 1
         return chi
 
     monkeypatch.setattr(flats, "_orbit_rows", corrupt)
@@ -132,10 +131,24 @@ def test_orbit_lattice_equals_the_reference_build(family, rank, orbits):
     rst = root_system_type(family, rank)
     got = flats.orbit_lattice(rst)
     want = build_lattice([root.simple_coords for root in root_poset(rst).roots])
-    assert got.masks.tolist() == want.masks.tolist()
-    assert got.ranks.tolist() == want.ranks.tolist()
-    assert got.chi.tolist() == want.chi.tolist()
+    assert got.masks == want.masks
+    assert got.ranks == want.ranks
+    assert got.chi == want.chi
     assert len(got.kinds) == orbits
+
+
+def test_restrict_refuses_an_indivisible_flat_sum_and_an_outside_mask():
+    # flats 0, {a}, {b}, {a, b} of two vectors, one kind each: the rows sum to
+    # q^2, but D = {a} has rank 1 and its flat sum q^2 - q - 1 + (q + 1) t
+    # keeps a q^0 term; bit 2 names no vector
+    lattice = flats.FlatLattice(
+        [0b00, 0b01, 0b10, 0b11], [0, 1, 1, 2], [0, 1, 2, 3],
+        [[1, -2, 1], [0, 1, 0], [-2, 1, 0], [1, 0, 0]],
+    )
+    with pytest.raises(InconsistencyError, match="not divisible"):
+        lattice.restrict(0b01)
+    with pytest.raises(ConstraintError, match="outside the configuration"):
+        lattice.restrict(0b101)
 
 
 def test_guard_refuses_what_int64_cannot_hold():

@@ -1,5 +1,6 @@
 """The package's modules import one another without a cycle, counting the
-imports made inside functions as well as those at the top of a module."""
+imports made inside functions as well as those at the top of a module; and
+none imports numpy when it loads."""
 
 import ast
 import graphlib
@@ -41,3 +42,33 @@ def test_package_imports_have_no_cycle():
         graphlib.TopologicalSorter(import_graph()).prepare()
     except graphlib.CycleError as exc:
         pytest.fail("import cycle: " + " -> ".join(exc.args[1]))
+
+
+def load_time_imports(tree):
+    """The absolute imports a module makes when it loads: every import
+    statement outside a function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_numpy_when_it_loads():
+    # ``import idealtutte``, every one-shot request that needs no numpy engine
+    # and the benchmark's set-up probes rely on this: numpy is imported inside
+    # the functions that use it
+    loads_numpy = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if any(
+            name.split(".")[0] == "numpy"
+            for name in load_time_imports(ast.parse(path.read_text()))
+        )
+    )
+    assert not loads_numpy
