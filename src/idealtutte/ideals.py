@@ -120,37 +120,21 @@ def ideal_from_boxes(poset, boxes):
 
 
 def iter_ideals(poset):
-    """All ideals, streamed by ascending cardinality, lexicographic bitmask within.
+    """All ideals, streamed by ascending cardinality, ascending mask value within.
 
-    Uses canonical-parent breadth-first generation: an ideal of size k+1 is
-    produced only from the parent obtained by deleting its lowest-index
-    minimal element, so each ideal appears exactly once and only one level is
+    Breadth first by level sets: the ideals of size k+1 are the sorted set of
+    the size-k ideals each grown by one addable root (one whose strict up-set
+    the ideal already holds), so the set dedupes them and only one level is
     held in memory.
     """
-    m = len(poset)
-    up = poset.up_masks
-
-    def min_removable(mask):
-        # lowest index i in the ideal that is minimal within it
-        for i in range(m):
-            if mask >> i & 1 and not (poset.down_masks[i] & mask & ~(1 << i)):
-                return i
-        return -1
-
+    bits = [(1 << i, up & ~(1 << i)) for i, up in enumerate(poset.up_masks)]
     level = [0]
     while level:
         yield from (Ideal(poset, mask) for mask in level)
-        nxt = set()
-        for mask in level:
-            for i in range(m):
-                if mask >> i & 1:
-                    continue
-                if up[i] & ~mask & ~(1 << i):
-                    continue  # not addable: something above i is missing
-                child = mask | 1 << i
-                if min_removable(child) == i:
-                    nxt.add(child)
-        level = sorted(nxt)
+        level = sorted(
+            {mask | bit for mask in level for bit, above in bits
+             if not (mask & bit or above & ~mask)}
+        )
 
 
 def enumerate_ideals(poset):

@@ -22,6 +22,8 @@ from .errors import ConstraintError, GuardExceeded, UnsupportedTypeError
 from .ffmethod import CountingModel
 from .ideals import _grid, generated_box_set, grid_position
 
+MAX_MINORS = 5_000_000  # minor_set refuses a matrix with more square minors
+
 
 # ---- the shifted diagram ---------------------------------------------------
 
@@ -256,7 +258,7 @@ def reconstruct_tuples(bp):
 
 @dataclass(frozen=True)
 class MinorProfile:
-    """All k x k minors (k <= max_order) of the matrix with the given rows.
+    """All square minors of the matrix with the given rows.
 
     The minor set is stored symmetrically: row swaps realize both signs, so d
     and -d are recorded together.
@@ -264,7 +266,6 @@ class MinorProfile:
 
     vectors: tuple
     minors: frozenset
-    max_order: int
 
     def magnitudes(self):
         return sorted({abs(d) for d in self.minors})
@@ -292,29 +293,26 @@ def _det(rows):
     return sign * m[n - 1][n - 1]
 
 
-def minor_set(vectors, max_order=None, max_minors=5_000_000):
+def minor_set(vectors):
     """Every minor of the matrix whose rows are the given vectors.
 
     Exhaustive over row and column subsets, so intended for ambient dimension
-    at most 5; the guard refuses anything combinatorially larger.
+    at most 5; GuardExceeded for more than ``MAX_MINORS`` minors.
     """
     vectors = [tuple(v) for v in vectors]
     if not vectors:
-        return MinorProfile((), frozenset(), 0)
+        return MinorProfile((), frozenset())
     dim = len(vectors[0])
     m = len(vectors)
-    if max_order is None:
-        max_order = min(m, dim)
-    if max_order > min(m, dim):
-        raise ConstraintError("max_order exceeds matrix dimensions")
-    total = sum(comb(m, k) * comb(dim, k) for k in range(1, max_order + 1))
-    if total > max_minors:
-        raise GuardExceeded(f"{total} minors exceeds guard {max_minors}")
+    order = min(m, dim)
+    total = sum(comb(m, k) * comb(dim, k) for k in range(1, order + 1))
+    if total > MAX_MINORS:
+        raise GuardExceeded(f"{total} minors exceeds guard {MAX_MINORS}")
     minors = set()
-    for k in range(1, max_order + 1):
+    for k in range(1, order + 1):
         for rows in itertools.combinations(range(m), k):
             for cols in itertools.combinations(range(dim), k):
                 d = _det([[vectors[r][c] for c in cols] for r in rows])
                 minors.add(d)
                 minors.add(-d)
-    return MinorProfile(tuple(vectors), frozenset(minors), max_order)
+    return MinorProfile(tuple(vectors), frozenset(minors))

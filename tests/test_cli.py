@@ -38,6 +38,14 @@ def test_minors_b3(capsys, tmp_path):
     assert out.strip() == "{0, ±1, ±2}"
 
 
+def test_minors_guard_refuses_e6(capsys):
+    # 36 roots in R^8 have sum_k C(36, k) C(8, k) = C(44, 8) - 1 square minors
+    code, out, err = run(capsys, "minors", "--type", "E6")
+    assert code == 2
+    assert out == ""
+    assert "exceeds guard 5000000" in err
+
+
 def test_verify_sweep_exit_zero(capsys, tmp_path):
     code, out, _ = run(
         capsys, "verify", "--type", "A", "--rank", "4", "--all-ideals",

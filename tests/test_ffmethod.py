@@ -67,7 +67,7 @@ def test_minor_set_single_row():
 
 def test_minor_set_guard():
     with pytest.raises(GuardExceeded):
-        minor_set([(1,) * 30] * 40, max_order=20, max_minors=1000)
+        minor_set([(1,) * 30] * 40)
 
 
 # ---- brute-force point counts ---------------------------------------------------

@@ -55,20 +55,22 @@ def test_ideal_counts(family, rank, count):
     assert len({i.mask for i in ideals}) == count
 
 
-@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("G2", 2)])
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("G2", 2)],
+)
 def test_ideal_counts_against_subset_filter(family, rank):
-    # independent oracle: filter every subset of the poset for upward closure
+    # independent oracle: filter every subset of the poset for upward closure,
+    # in the enumeration's order (by cardinality, then by mask value)
     poset = root_poset(root_system_type(family, rank))
     m = len(poset)
-    brute = 0
-    for mask in range(1 << m):
-        ok = True
-        for i in range(m):
-            if mask >> i & 1 and poset.up_masks[i] & ~mask:
-                ok = False
-                break
-        brute += ok
-    assert brute == len(enumerate_ideals(poset))
+    brute = [
+        mask
+        for mask in range(1 << m)
+        if not any(mask >> i & 1 and poset.up_masks[i] & ~mask for i in range(m))
+    ]
+    brute.sort(key=lambda mask: (mask.bit_count(), mask))
+    assert [ideal.mask for ideal in enumerate_ideals(poset)] == brute
 
 
 def test_enumeration_order_and_extremes(a3_poset):
