@@ -1,5 +1,7 @@
 """Exact Tutte, coboundary, and characteristic polynomials of ideal
-arrangements of root systems (families A, B, C, D at any rank; G2, F4, E6).
+arrangements of root systems (families A, B, C, D; G2, F4, E6).  Full
+classical arrangements go through at any rank, classical ideals while the
+counting DP's guard admits them (the README gives measured refusals).
 
 Every result comes from one of two objects.  Classical types go through the
 finite field method: one dynamic program over the blocks of exchangeable

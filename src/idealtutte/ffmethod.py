@@ -24,15 +24,16 @@ a state r with polynomial P_r has one move per nonzero m <= r, of weight
 C(r, m) H(m) = r! H(m) / (m! (r - m)!), k! = prod_i k_i!.  Carrying
 Q_r = r! P_r instead makes the weight H(m) D / m! (D = n!) the same in any r.
 Nor do a state's moves change between rounds: each state's down-set, the
-codes of its nonzero m <= r, is listed once per ``residue_profile`` call, at
-one list slot per move, so a round only multiplies, shifts and adds.  So is
-each state's closing weight D / r! and zero exponent, a quadratic form in r,
-in one sweep over the codes in order.
+codes of its nonzero m <= r at one list slot per move, its closing weight
+D / r! and its zero exponent, a quadratic form in r, are built once per
+``residue_profile`` call, in one sweep over the codes in order, each from a
+smaller state's, so a round only multiplies, shifts and adds.
 
 The rank that chi-bar is relative to is read off the tuples as a signed
-graph (Zaslavsky's frame matroid), apart from the DP, so the division of the
-count by q^(m - rank) still checks the DP; the brute-force oracle takes its
-rank by Gaussian elimination instead.
+graph (Zaslavsky's frame matroid), by the union-find that also splits an
+ideal's complement into components (``ideals.signed_classes``), apart from
+the DP, so the division of the count by q^(m - rank) still checks the DP;
+the brute-force oracle takes its rank by Gaussian elimination instead.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .ideals import (
     automorphism_blocks,
     complement,
     decompose_components,
+    signed_classes,
     tuple_normal,
 )
 from . import crapo
@@ -119,41 +121,6 @@ def count_points_bruteforce(tuples, n, p):
 # ---- the counting model and its dynamic program ------------------------------
 
 
-def _balance_rank(m, tuples):
-    """The rank of hyperplane tuples on 1..m, read off their signed graph.
-
-    x_i = x_j is a positive edge, x_i = -x_j a negative edge and x_i = 0 a
-    half-edge.  The normals span Zaslavsky's frame matroid of that graph, of
-    rank m minus the number of balanced components: those with no half-edge
-    and no cycle of an odd number of negative edges.  One union-find keeps
-    each coordinate's sign against its root, x_i = +-x_root.
-    """
-    parent = list(range(m + 1))
-    flip = [0] * (m + 1)  # 1 when x_i = -x_parent
-    balanced = [True] * (m + 1)
-
-    def find(x):
-        sign = 0
-        while parent[x] != x:
-            sign ^= flip[x]
-            x = parent[x]
-        return x, sign
-
-    for i, j in tuples:
-        ri, si = find(i)
-        if j == 0:
-            balanced[ri] = False
-            continue
-        rj, sj = find(abs(j))
-        odd = si ^ sj ^ (j < 0)
-        if ri == rj:
-            balanced[ri] = balanced[ri] and not odd
-        else:
-            parent[rj], flip[rj] = ri, odd
-            balanced[ri] = balanced[ri] and balanced[rj]
-    return m - sum(balanced[x] for x in range(1, m + 1) if parent[x] == x)
-
-
 def _block_flags(tuples, blocks):
     """Per block (pw, nw, z), whether x_i = x_j, x_i = -x_j and x_i = 0 hold
     within it, and per block the (bj, pc, nc) of each earlier block bj that
@@ -201,8 +168,8 @@ class CountingModel:
     automorphisms; the partition in accordance with an ideal is passed as
     ``CountingModel(n, bp.hyperplanes, blocks=bp.blocks)``.  Either way the
     blocks must partition 1..m with uniform flags, else ConstraintError.
-    ``rank`` is m minus the number of balanced components of the tuples'
-    signed graph (``_balance_rank``), independent of the blocks and the DP.
+    ``rank`` is m minus the number of balanced classes of the tuples' signed
+    graph (``ideals.signed_classes``), independent of the blocks and the DP.
     """
 
     def __init__(self, m, tuples, blocks=None):
@@ -212,7 +179,7 @@ class CountingModel:
             # the flags count only normal tuples (i, j), i < |j|
             if not (1 <= i <= m and (j == 0 or i < abs(j) <= m)):
                 raise ConstraintError(f"{(i, j)} is not a hyperplane tuple on 1..{m}")
-        self.rank = _balance_rank(m, self.tuples)
+        self.rank = m - sum(signed_classes(m, self.tuples)[1])
         if blocks is None:
             blocks = automorphism_blocks(m, set(self.tuples))
         self.blocks = [list(b) for b in blocks]
@@ -286,61 +253,33 @@ class CountingModel:
                     ))
             partial = grown
         out = []
-        for poly in table:
-            shift = ((poly & -poly).bit_length() - 1) // width * width
+        for poly in table:  # with no blocks, the one entry is 0, at shift 0
+            shift = ((poly & -poly).bit_length() - 1) // width * width if poly else 0
             out.append((poly >> shift, shift))
         return out
 
-    def _sweep(self):
-        """(code, i, r) for every nonzero vector r <= the block sizes, in code
-        order: i is the first nonzero block of r, so r - e_i has the smaller
-        code code - radix_i.  r is one list, stepped in place like an
-        odometer: the first block below its size steps up, and every block
-        before it restarts at 0."""
-        sizes = self._sizes
-        r = [0] * len(sizes)
-        for code in range(1, prod(n + 1 for n in sizes)):
-            i = 0
-            while r[i] == sizes[i]:
-                r[i] = 0
-                i += 1
-            r[i] += 1
-            yield code, i, r
+    def _state_tables(self, width):
+        """Per state code r, three flat lists: ``down``, the codes of the
+        prod_i (r_i + 1) - 1 nonzero m <= r, r's moves (the empty step is
+        left to residue_profile's binomial weights); ``closes``, the closing
+        weight D / r!; ``shifts``, the t-exponent de(r) of sending every
+        coordinate left in r to residue 0, times width.
 
-    def _down_sets(self):
-        """Per state code, the codes of the nonzero m <= r: the
-        prod_i (r_i + 1) - 1 moves of state r (the empty step is left to
-        residue_profile's binomial weights).
-
-        Built in code order (``_sweep``) by down(r) = down(r - e_i) + the
-        codes with m_i = r_i, i the first nonzero block of r; those are
-        r_i radix_i plus 0 or a code of down(r'), r' = r with block i
-        emptied, a smaller code.
-        Every entry is an int of one shared list of the codes, so the table
-        costs one list slot per move.
-        """
-        codes = list(range(prod(n + 1 for n in self._sizes)))
-        down = [[]]
-        for code, i, r in self._sweep():
-            radix = self._radix[i]
-            low = r[i] * radix
-            down.append(down[code - radix] + [codes[low]]
-                        + [codes[low + c] for c in down[code - low]])
-        return down
-
-    def _closing_table(self, width):
-        """Per state code r, in two flat lists: the closing weight D / r! and
-        the t-exponent de(r) of sending every coordinate left in r to residue
-        0, times width.
-
-        At 0, x_i = x_j, x_i = -x_j and x_i = 0 all hold; a coordinate at 0
-        and one at a nonzero residue satisfy neither x_i = x_j nor x_i = -x_j.
-        So de(r) is the quadratic form sum_i ((pw_i + nw_i) C(r_i, 2) + z_i r_i)
-        + sum_{j < i} (pc_ij + nc_ij) r_i r_j.  Both are built in code order
-        from r - e_i, i the first nonzero block of r: r! = (r - e_i)! r_i, and
-        de(r) = de(r - e_i) + (pw_i + nw_i)(r_i - 1) + z_i
-        + sum_j (pc_ij + nc_ij) r_j over the blocks j linked to i, all later
-        than i since r_j = 0 before it.
+        One sweep steps r in place like an odometer, in code order: the
+        first block below its size steps up, and every block before it
+        restarts at 0.  That block i is r's first nonzero block, so r - e_i
+        has the smaller code code - radix_i, and r's entries come from its:
+        - down(r) = down(r - e_i) + the codes with m_i = r_i, which are
+          r_i radix_i plus 0 or a code of down(r'), r' = r with block i
+          emptied, a smaller code.  Every entry is an int of one shared list
+          of the codes, so the table costs one list slot per move.
+        - r! = (r - e_i)! r_i.
+        - At 0, x_i = x_j, x_i = -x_j and x_i = 0 all hold; a coordinate at 0
+          and one at a nonzero residue satisfy neither.  So de(r) is the
+          quadratic form sum_i ((pw_i + nw_i) C(r_i, 2) + z_i r_i)
+          + sum_{j < i} (pc_ij + nc_ij) r_i r_j, and de(r) = de(r - e_i)
+          + (pw_i + nw_i)(r_i - 1) + z_i + sum_j (pc_ij + nc_ij) r_j over the
+          blocks j linked to i, all later than i since r_j = 0 before it.
         """
         sizes = self._sizes
         within = [width * (pw + nw) for pw, nw, _ in self.within]
@@ -349,15 +288,23 @@ class CountingModel:
         for bi, cross in enumerate(self.cross):
             for bj, pc, nc in cross:
                 later[bj].append((bi, width * (pc + nc)))
-        closes = [prod(map(factorial, sizes))]
-        shifts = [0]
-        for code, i, r in self._sweep():
-            ri = r[i]
-            prev = code - self._radix[i]
+        codes = list(range(prod(n + 1 for n in sizes)))
+        down, closes, shifts = [[]], [prod(map(factorial, sizes))], [0]
+        r = [0] * len(sizes)
+        for code in range(1, len(codes)):
+            i = 0
+            while r[i] == sizes[i]:
+                r[i] = 0
+                i += 1
+            r[i] += 1
+            ri, radix = r[i], self._radix[i]
+            prev, low = code - radix, ri * radix
+            down.append(down[prev] + [codes[low]]
+                        + [codes[low + c] for c in down[code - low]])
             closes.append(closes[prev] // ri)
             shifts.append(shifts[prev] + within[i] * (ri - 1) + zero[i]
                           + sum(c * r[j] for j, c in later[i]))
-        return closes, shifts
+        return down, closes, shifts
 
     def residue_profile(self):
         """F_u for u = 0, 1, ...: dense t-coefficient lists of the weight that
@@ -373,10 +320,10 @@ class CountingModel:
         anything is built when one round could expand more than
         ``MAX_ROUND_MOVES`` (state, move) pairs:
         prod_i C(n_i + 2, 2) - prod_i (n_i + 1) moves.  Past the guard, the
-        moves of every state are built once (``_down_sets``), one list slot
-        per move, beside the states' closing weights and zero shifts
-        (``_closing_table``) and the move weights (``_split_table``), all
-        flat lists indexed by code; every round reads them, and they are
+        moves of every state, one list slot per move, the states' closing
+        weights and zero shifts (all three in one sweep, ``_state_tables``)
+        and the move weights (``_split_table``) are built once, as flat lists
+        indexed by code; every round reads them, and they are
         freed on return, so the model keeps only the profile.  A state r
         carries Q_r = r! P_r, from Q_n = D; a move adds Q_r times its weight
         to D Q_(r-m), r closes at D / r! into D F_u; every division by D is
@@ -403,8 +350,7 @@ class CountingModel:
         width = ((self.stride * self.m + 1) ** self.m * scale ** 2).bit_length()
         mask = (1 << width) - 1
         weights, shifts = zip(*self._split_table(width))
-        down = self._down_sets()
-        closes, zero_shifts = self._closing_table(width)
+        down, closes, zero_shifts = self._state_tables(width)
         states = [(len(closes) - 1, scale)]
         profile = []
         while states:

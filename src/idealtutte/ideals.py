@@ -1,7 +1,8 @@
 """Ideals of positive root systems: enumeration, construction from roots or
 from generating boxes, ideal arrangements, the automorphism blocks that the
-counting engine takes by default, component decomposition, and the ideal
-exponents read off the complement's heights.
+counting engine takes by default, the classes of the tuples' signed graph
+(which give both the components and the counting model's rank), component
+decomposition, and the ideal exponents read off the complement's heights.
 
 Classical roots are named throughout by the hyperplane tuple notation:
 (i, j) is x_i = x_j, (i, -j) is x_i = -x_j, (i, 0) is x_i = 0, always with
@@ -217,31 +218,45 @@ def complement(ideal):
     return IdealComplement(ideal)
 
 
-def _components_by_coordinates(boxes):
-    """Group hyperplane tuples by connected coordinate support (union-find)."""
-    parent = {}
+def signed_classes(m, tuples):
+    """The classes of coordinates 1..m under hyperplane tuples read as a
+    signed graph, and whether each class is balanced.
+
+    x_i = x_j is a positive edge, x_i = -x_j a negative edge and x_i = 0 a
+    half-edge.  A class is balanced when it holds no half-edge and no cycle
+    of an odd number of negative edges; the normals span Zaslavsky's frame
+    matroid of the graph, of rank m minus the number of balanced classes.
+    One union-find keeps each coordinate's sign against its root,
+    x_i = +-x_root.  Returns (classes, balanced): classes[x - 1] is the class
+    of coordinate x, numbered 0, 1, ... in ascending order of their least
+    coordinate, and balanced[c] the flag of class c.
+    """
+    parent = list(range(m + 1))
+    flip = [0] * (m + 1)  # 1 when x_i = -x_parent
+    balanced = [True] * (m + 1)
 
     def find(x):
+        sign = 0
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
+            sign ^= flip[x]
             x = parent[x]
-        return x
+        return x, sign
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for (i, j) in boxes:
-        for k in (i, abs(j)):
-            if k and k not in parent:
-                parent[k] = k
-        if j:
-            union(i, abs(j))
-    groups = {}
-    for (i, j) in boxes:
-        groups.setdefault(find(i), []).append((i, j))
-    return [sorted(g) for _, g in sorted(groups.items())]
+    for i, j in tuples:
+        ri, si = find(i)
+        if j == 0:
+            balanced[ri] = False
+            continue
+        rj, sj = find(abs(j))
+        odd = si ^ sj ^ (j < 0)
+        if ri == rj:
+            balanced[ri] = balanced[ri] and not odd
+        else:
+            parent[rj], flip[rj] = ri, odd
+            balanced[ri] = balanced[ri] and balanced[rj]
+    roots = {}
+    classes = [roots.setdefault(find(x)[0], len(roots)) for x in range(1, m + 1)]
+    return classes, [balanced[root] for root in roots]
 
 
 # ---- automorphism blocks ---------------------------------------------------
@@ -353,15 +368,21 @@ class IdealComponent:
 def decompose_components(comp):
     """Split the complement into independent subarrangements with compressed labels.
 
-    Components are the classes of the coordinate-interaction graph: hyperplanes
-    on disjoint coordinate sets are matroid-independent, so Tutte and coboundary
-    polynomials multiply across the returned components.  (This can be coarser
-    than the drawn diagram's grid components, which for the D family may split
-    dependent hyperplanes.)
+    Components are the classes of the coordinate-interaction graph
+    (``signed_classes`` on the ambient coordinates) that carry a hyperplane,
+    in ascending order of their least coordinate, ``index_map[0]``:
+    hyperplanes on disjoint coordinate sets are matroid-independent, so Tutte
+    and coboundary polynomials multiply across the returned components.
+    (This can be coarser than the drawn diagram's grid components, which for
+    the D family may split dependent hyperplanes.)
     """
     boxes = comp.tuple_set()
+    classes, _ = signed_classes(comp.rst.ambient_dim, boxes)
+    groups = {}
+    for i, j in boxes:
+        groups.setdefault(classes[i - 1], []).append((i, j))
     out = []
-    for boxset in _components_by_coordinates(boxes):
+    for _, boxset in sorted(groups.items()):
         indices = sorted(
             {i for (i, j) in boxset} | {abs(j) for (i, j) in boxset if j != 0}
         )
@@ -372,11 +393,5 @@ def decompose_components(comp):
                 for (i, j) in boxset
             )
         )
-        out.append(
-            IdealComponent(
-                index_map=tuple(indices),
-                tuples=tuples,
-                size=len(indices),
-            )
-        )
+        out.append(IdealComponent(tuple(indices), tuples, len(indices)))
     return out

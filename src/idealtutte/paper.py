@@ -264,7 +264,6 @@ class MinorProfile:
     and -d are recorded together.
     """
 
-    vectors: tuple
     minors: frozenset
 
     def magnitudes(self):
@@ -301,7 +300,7 @@ def minor_set(vectors):
     """
     vectors = [tuple(v) for v in vectors]
     if not vectors:
-        return MinorProfile((), frozenset())
+        return MinorProfile(frozenset())
     dim = len(vectors[0])
     m = len(vectors)
     order = min(m, dim)
@@ -315,4 +314,4 @@ def minor_set(vectors):
                 d = _det([[vectors[r][c] for c in cols] for r in rows])
                 minors.add(d)
                 minors.add(-d)
-    return MinorProfile(tuple(vectors), frozenset(minors))
+    return MinorProfile(frozenset(minors))

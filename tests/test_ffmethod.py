@@ -246,6 +246,14 @@ def test_rank_is_m_minus_the_balanced_components(m, tuples, rank):
     assert CountingModel(m, tuples).rank == _gaussian_rank(m, tuples) == rank
 
 
+def test_a_model_on_zero_coordinates_is_one():
+    # with no blocks the move-weight table's one entry is 0
+    model = CountingModel(0, [])
+    assert model.coboundary() == 1 and model.rank == 0
+    assert model.point_count_profile(3) == [1]
+    assert coboundary_full("A", 0) == coboundary_full("B", 0) == 1
+
+
 def test_rank_matches_gaussian_elimination_on_small_rank_components():
     distinct = set()
     for family, rank in [("A", 6), ("B", 5), ("C", 5), ("D", 5)]:

@@ -8,12 +8,13 @@ one hyperplane added that switches the model to stride 2 (one residue pair
 per step), and tuple sets expanded from coarse blocks with uniform incidence,
 which reach uneven splits inside a block and tied blocks.  Every model they
 build also holds the closed-form number of moves in its down-set table.  The
-model's parts are held to tests-side references: its closing table to r! and
-the quadratic form of the zero exponent (also on every component of the
+model's parts are held to tests-side references: its closing weights to r!
+and its zero exponents to the quadratic form (also on every component of the
 benchmark's ``classical-random`` pool), its signed-graph rank to Gaussian
-elimination, its block flags and their refusals to the pair-by-pair reading
-of the tuple set, and ``automorphism_blocks`` to the pairwise test against
-every third coordinate.  They sit beside the fixed-seed sweeps in
+elimination and the signed graph's classes to a breadth-first search, its
+block flags and their refusals to the pair-by-pair reading of the tuple set,
+and ``automorphism_blocks`` to the pairwise test against every third
+coordinate.  They sit beside the fixed-seed sweeps in
 test_ffmethod and test_properties."""
 
 from functools import lru_cache
@@ -35,6 +36,7 @@ from idealtutte.ideals import (
     complement,
     decompose_components,
     ideal_from_root_coords,
+    signed_classes,
     tuple_normal,
 )
 from idealtutte.rootsystems import root_poset, root_system_type
@@ -105,25 +107,26 @@ def _normal_tuples(m):
 
 
 def _assert_kernel_size(model):
-    """Runs residue_profile and checks the down-set table it builds, once:
+    """Runs residue_profile and checks the down-set table of the state
+    tables it builds, once:
     every state r <= the block sizes n has the codes of its
     prod_i (r_i + 1) - 1 distinct nonzero consumptions m <= r, so the moves
     total prod_i C(n_i + 2, 2) - prod_i (n_i + 1)."""
     assert model._profile is None
     sizes = [len(b) for b in model.blocks]
-    build = model._down_sets
+    build = model._state_tables
     tables = []
 
-    def spy():
-        tables.append(build())
+    def spy(width):
+        tables.append(build(width))
         return tables[-1]
 
-    model._down_sets = spy
+    model._state_tables = spy
     try:
         model.residue_profile()
     finally:
-        del model._down_sets
-    (down,) = tables
+        del model._state_tables
+    ((down, _, _),) = tables
     assert len(down) == prod(n + 1 for n in sizes)
 
     def vector(code):
@@ -297,11 +300,11 @@ def _zero_exponent(model, r):
 
 
 def _assert_closing_table(model):
-    """At every state code r, the closing table's D / r! and its zero
-    exponent (at width 1, the shift is the exponent) against r! and the
+    """At every state code r, the state tables' closing weight D / r! and
+    zero exponent (at width 1, the shift is the exponent) against r! and the
     quadratic form."""
     sizes = [len(b) for b in model.blocks]
-    closes, exponents = model._closing_table(1)
+    _, closes, exponents = model._state_tables(1)
     # every r <= the block sizes in code order, block 0 the fastest digit
     vectors = [r[::-1] for r in product(*(range(n + 1) for n in reversed(sizes)))]
     assert len(closes) == len(exponents) == len(vectors)
@@ -316,6 +319,30 @@ def _assert_closing_table(model):
 def test_balance_rank_matches_gaussian_elimination(mt):
     m, tuples = mt
     assert CountingModel(m, tuples).rank == crapo.rank_of([tuple_normal(t, m) for t in tuples])
+    assert signed_classes(m, tuples)[0] == _coordinate_components(m, tuples)
+
+
+def _coordinate_components(m, tuples):
+    """The component of each coordinate 1..m in the graph whose edges join
+    the coordinates of each tuple (i, j), j != 0, numbered by a breadth-first
+    search from each unreached coordinate in ascending order."""
+    nbrs = {x: set() for x in range(1, m + 1)}
+    for i, j in tuples:
+        if j:
+            nbrs[i].add(abs(j))
+            nbrs[abs(j)].add(i)
+    component, label = {}, -1
+    for start in range(1, m + 1):
+        if start in component:
+            continue
+        label += 1
+        component[start] = label
+        queue = [start]
+        for x in queue:
+            for y in sorted(nbrs[x] - component.keys()):
+                component[y] = label
+                queue.append(y)
+    return [component[x] for x in range(1, m + 1)]
 
 
 def _pos(tset, i, j):

@@ -491,6 +491,8 @@ def test_decompose_two_a_components():
     ideal = ideal_from_boxes(poset, [(1, 2), (4, 6)])
     comps = decompose_components(complement(ideal))
     assert sorted(c.size for c in comps) == [2, 3]
+    # components come in ascending order of their least coordinate
+    assert [c.index_map for c in comps] == [(1, 2), (4, 5, 6)]
 
 
 def test_decompose_off_diagonal_becomes_a_type():
@@ -503,11 +505,11 @@ def test_decompose_off_diagonal_becomes_a_type():
 
 
 def test_component_ranks_add_up():
-    poset = root_poset(root_system_type("A", 5))
-    ideal = ideal_from_boxes(poset, [(1, 2), (4, 6)])
-    comps = decompose_components(complement(ideal))
-    ranks = [CountingModel(c.size, c.tuples).rank for c in comps]
-    assert sum(ranks) == arrangement_of(ideal).rank
+    for family, rank in (("A", 5), ("B", 4), ("C", 4), ("D", 4)):
+        for ideal in enumerate_ideals(root_poset(root_system_type(family, rank))):
+            comps = decompose_components(complement(ideal))
+            ranks = [CountingModel(c.size, c.tuples).rank for c in comps]
+            assert sum(ranks) == arrangement_of(ideal).rank, ideal
 
 
 def test_component_row_compression_b3():
