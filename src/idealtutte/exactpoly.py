@@ -71,11 +71,6 @@ class BivariatePolynomial:
             return -1
         return max(k[axis] for k in self.coeffs)
 
-    def total_degree(self):
-        if not self.coeffs:
-            return -1
-        return max(a + b for a, b in self.coeffs)
-
     def __eq__(self, other):
         if isinstance(other, BivariatePolynomial):
             return self.coeffs == other.coeffs
@@ -513,18 +508,3 @@ def tutte_to_characteristic(tutte, n, rank):
     t^0 column of ``tutte_to_coboundary``."""
     return coboundary_to_characteristic(tutte_to_coboundary(tutte, rank), n, rank)
 
-
-def latex_is_wellformed(s):
-    """Cheap token validation for emitted LaTeX: balanced braces, known tokens only."""
-    depth = 0
-    for ch in s:
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth < 0:
-                return False
-    if depth != 0:
-        return False
-    stripped = re.sub(r"[0-9a-zA-Z^{}+\- ]", "", s)
-    return stripped == ""

@@ -23,9 +23,12 @@ W-conjugate to a standard parabolic flat, the roots supported on a set J of
 simple roots, of rank |J|; and chi_{M/F} is the same on each W-orbit.  The
 simple reflections permute the hyperplanes, so the orbits of the 2^r
 standard flats, one closure under them per orbit, are all the flats, and
-chi_{M/F} is filled once per orbit.  The tests hold the orbit build to a
-reference that enumerates the flats of any integer configuration by linear
-algebra (``tests/flat_reference.py``).
+chi_{M/F} is filled once per orbit.  Each simple reflection permutes them by
+disjoint transpositions, so a round of a closure reflects its whole frontier
+with one delta swap per transposition distance on one packed int (Knuth,
+TAOCP 4A 7.1.3).  The tests hold the orbit build to a reference that
+enumerates the flats of any integer configuration by linear algebra
+(``tests/flat_reference.py``).
 
 Everything here is plain Python integers, so an exceptional request imports
 no numpy.  A flat is an int bitmask over the roots.  ``restrict`` adds up,
@@ -33,9 +36,9 @@ four roots at a time, columns that hold one byte per flat, so |F & D| of
 every flat comes out as one ``bytes`` object; it counts each orbit's
 histogram of those bytes, sums the orbit's chi row, packed into signed
 64-bit fields of one int, once per count, and decodes the sums in one pass.
-On a 2-CPU VM (Python 3.11) the E6 build takes about 40-50 ms, the F4 build
-about 3 ms, and a restriction about 0.18 ms on E6 and 0.05 ms on F4 (the
-means over their 833 and 105 ideals).
+On a 2-CPU VM (Python 3.11) the E6 build takes a median of 18-22 ms, the F4
+build about 1.5 ms, and a restriction about 0.18 ms on E6 and 0.05 ms on
+F4 (the means over their 833 and 105 ideals).
 """
 
 from __future__ import annotations
@@ -52,9 +55,15 @@ from .rootsystems import root_poset, simple_reflections
 # MAX_VECTORS, and every coefficient it forms in a signed 64-bit field: at
 # most 3^m in absolute value (the coefficients of sum_S q^(r - r(S)) (t-1)^|S|
 # over the subsets S of m vectors add up to at most sum_S 2^|S| = 3^m), under
-# 2^63 for m <= 39
+# 2^63 for m <= 39.  orbit_lattice's closure holds a mask in a 64-bit field,
+# up to 64 roots, so the bound of 39 is the one that binds
 MAX_VECTORS = 39
 FIELD_BITS = 64
+
+# the low and high nibble of each byte, and the bits each byte shares with
+# each nibble v, as bytes.translate tables
+_HALVES = bytes(x & 15 for x in range(256)), bytes(x >> 4 for x in range(256))
+_COMMON = [bytes((x & v).bit_count() for x in range(256)) for v in range(16)]
 
 
 class FlatLattice:
@@ -63,16 +72,44 @@ class FlatLattice:
 
     ``masks`` has bit i set when vector i lies on the flat, and ``ranks`` the
     rank of each flat (weakly increasing, so the least flat comes first and
-    the whole configuration last).  Few chi_{M/F} differ: ``kinds[k][j]`` is
-    the coefficient of q^j in the k-th of them, and ``kind`` the k of each
-    flat.  All are lists of Python ints.  Raises ``InconsistencyError``
-    unless the chi_{M/F} sum to q^r.
+    the whole configuration last).  Few chi_{M/F} differ: ``kind`` numbers
+    the flats of each from 0 (flats of one kind must share it, as a W-orbit
+    does), and the constructor fills ``kinds[k][j]``, the coefficient of q^j
+    in the k-th of them.  All are lists of Python ints.  Raises
+    ``InconsistencyError`` unless the chi_{M/F} sum to q^r.
     """
 
-    def __init__(self, masks, ranks, kind, kinds):
-        self.masks, self.ranks, self.kind, self.kinds = masks, ranks, kind, kinds
-        self.rank = r = len(kinds[0]) - 1
+    def __init__(self, masks, ranks, kind):
+        self.masks, self.ranks, self.kind = masks, ranks, kind
+        self.rank = r = ranks[-1]
         n = masks[-1].bit_length()  # the last flat holds every vector
+        # restrict reads the flats grouped by kind, the kinds in the order of
+        # their first flats, so that each kind is one span of bytes and the
+        # ranks still weakly increase; a span's counts |F & D| lie between its
+        # least flat size less the n - m vectors off D and its greatest size
+        groups = {}
+        for f, k, rank in zip(masks, kind, ranks):
+            groups.setdefault(k, (rank, []))[1].append(f)
+        spans, self._rank_at, ordered = {}, [], []
+        for k, (rank, group) in groups.items():
+            sizes = [f.bit_count() for f in group]
+            start = len(ordered)
+            spans[k] = start, start + len(group), min(sizes) - n, max(sizes)
+            self._rank_at += [rank] * len(group)
+            ordered += group
+        # nibbles[g][v]: for each flat in that order, one byte holding how
+        # many of the vectors 4g + i for the bits i of v lie on it, read as
+        # an int; a mask's counts then take one addition per 4 bits.  Byte b
+        # of every flat's mask is every mask_bytes-th byte of their join
+        mask_bytes = (n + 7) // 8
+        joined = b"".join([f.to_bytes(mask_bytes, "little") for f in ordered])
+        self._nibbles = []
+        for g in range(0, n, 4):
+            nibble = joined[g // 8 :: mask_bytes].translate(_HALVES[g // 4 % 2])
+            self._nibbles.append(
+                [int.from_bytes(nibble.translate(_COMMON[v]), "little") for v in range(16)]
+            )
+        self.kinds = kinds = self._chi_rows(groups, spans)
         flats_of = Counter(kind)
         total = [sum(c * kinds[k][j] for k, c in flats_of.items()) for j in range(r + 1)]
         if total != [0] * r + [1]:
@@ -80,39 +117,11 @@ class FlatLattice:
                 f"the chi_(M/F) of {masks[-1].bit_count()} vectors do not sum "
                 f"to q^{self.rank}"
             )
-        # restrict reads the flats grouped by kind, the kinds in the order of
-        # their first flats, so that each kind is one span of bytes and the
-        # ranks still weakly increase; a span's counts |F & D| lie between its
-        # least flat size less the n - m vectors off D and its greatest size.
-        # Each chi row is packed into one int, the coefficient of q^j a signed
+        # each chi row packed into one int, the coefficient of q^j a signed
         # field at bit FIELD_BITS * j
-        groups = {}
-        for f, k, rank in zip(masks, kind, ranks):
-            groups.setdefault(k, (rank, []))[1].append(f)
-        self._spans, self._rank_at, ordered = [], [], []
-        for k, (rank, group) in groups.items():
-            sizes = [f.bit_count() for f in group]
-            row = sum(c << FIELD_BITS * j for j, c in enumerate(kinds[k]))
-            start = len(ordered)
-            self._spans.append((start, start + len(group), min(sizes) - n, max(sizes), row))
-            self._rank_at += [rank] * len(group)
-            ordered += group
-        # nibbles[g][v]: for each flat in that order, one byte holding how
-        # many of the vectors 4g + i for the bits i of v lie on it, read as
-        # an int; a mask's counts then take one addition per 4 bits.  Byte b
-        # of every flat's mask is every mask_bytes-th byte of their join, and
-        # byte translations take its low or high nibble and the bits that
-        # nibble shares with v
-        mask_bytes = (n + 7) // 8
-        joined = b"".join([f.to_bytes(mask_bytes, "little") for f in ordered])
-        halves = bytes(x & 15 for x in range(256)), bytes(x >> 4 for x in range(256))
-        common = [bytes((x & v).bit_count() for x in range(256)) for v in range(16)]
-        self._nibbles = []
-        for g in range(0, n, 4):
-            nibble = joined[g // 8 :: mask_bytes].translate(halves[g // 4 % 2])
-            self._nibbles.append(
-                [int.from_bytes(nibble.translate(common[v]), "little") for v in range(16)]
-            )
+        self._spans = [
+            (*spans[k], sum(c << FIELD_BITS * j for j, c in enumerate(kinds[k]))) for k in groups
+        ]
         # 2^63 in each field of a row: adding it and XORing it back turns the
         # signed fields into the two's complement words memoryview.cast("q") reads
         ones = ((1 << FIELD_BITS * (r + 1)) - 1) // ((1 << FIELD_BITS) - 1)
@@ -124,6 +133,33 @@ class FlatLattice:
              for f in range((n + 1) * (r + 1))]
             for shift in range(r + 1)
         ]
+
+    def _chi_rows(self, groups, spans):
+        """rows[k][j], the coefficient of q^j in chi_{M/F}(q) for the flats F
+        of kind k, read off the kind's first flat F: q^(r - r(F)) minus the
+        chi_{M/G} of every flat G strictly above F, counted per kind as the
+        flats G with |G & F| = |F|.  The flats above F have larger ranks, so
+        the kinds are filled in decreasing rank of their first flats.
+        """
+        r, rows = self.rank, [None] * len(groups)
+        order = sorted(groups, key=lambda k: -groups[k][0])
+        for i, k in enumerate(order):
+            rank, group = groups[k]
+            counts, size = self._counts(group[0]), group[0].bit_count()
+            row = [int(j == r - rank) for j in range(r + 1)]
+            for above in order[:i]:
+                c = counts.count(size, *spans[above][:2])
+                row = [x - c * y for x, y in zip(row, rows[above])]
+            rows[k] = row
+        return rows
+
+    def _counts(self, mask):
+        """|F & mask| of every flat F, one byte each, in span order."""
+        sums = 0
+        for table in self._nibbles:
+            sums += table[mask & 15]
+            mask >>= 4
+        return sums.to_bytes(len(self._rank_at), "little")
 
     @property
     def chi(self):
@@ -145,11 +181,7 @@ class FlatLattice:
         if mask & ~self.masks[-1]:
             raise ConstraintError(f"mask {mask:#x} names vectors outside the configuration")
         m, r = mask.bit_count(), self.rank
-        sums, rest = 0, mask
-        for table in self._nibbles:
-            sums += table[rest & 15]
-            rest >>= 4
-        counts = sums.to_bytes(len(self._rank_at), "little")  # |F & D| per flat
+        counts = self._counts(mask)  # |F & D| per flat
         # the flats holding all of D; the first of them has the least rank
         rank = self._rank_at[counts.find(m)]
         # by[j]: the sum of the packed chi rows of the flats F with |F & D| = j;
@@ -188,11 +220,16 @@ def orbit_lattice(rst):
 
     The standard parabolic flats, the roots supported on each subset J of
     the simple roots, are taken by ascending J; one not yet reached is closed
-    breadth first under the simple reflections, each applied to a round's new
-    masks through one 256-entry table per mask byte and skipped on a mask
-    inside the roots it fixes, and every flat that closure reaches is its
-    W-orbit, labelled J.  ``_orbit_rows`` then fills chi_{M/F} once per orbit.
-    Raises ``GuardExceeded`` for more than ``MAX_VECTORS`` positive roots.
+    breadth first under the simple reflections, and every flat that closure
+    reaches is its W-orbit.  A round of the closure applies every simple
+    reflection to its whole frontier at once (``_reflect``): each reflection
+    permutes the hyperplanes by disjoint transpositions (j, j + d), so one
+    delta swap per distance d moves the bits of all the round's masks.  The
+    flats are ordered by rank and mask, and the orbits, one kind each, by
+    their first flats; ``FlatLattice`` fills chi_{M/F} once per kind.  On a
+    2-CPU VM (Python 3.11) the E6 build takes a median of 18-22 ms, and the
+    A8 build (21147 flats) 90-130 ms.  Raises ``GuardExceeded`` for more
+    than ``MAX_VECTORS`` positive roots.
     """
     poset = root_poset(rst)
     m, r = len(poset), rst.rank
@@ -202,66 +239,54 @@ def orbit_lattice(rst):
     standard = [
         sum(1 << j for j, s in enumerate(support) if not s & ~subset) for subset in range(1 << r)
     ]
-    # per simple reflection: the mask of the roots it fixes, and tables[b][v],
-    # its image of the roots in byte b of a mask whose byte b is v
-    reflections = []
-    for image in simple_reflections(poset):
-        fixed = sum(1 << j for j, i in enumerate(image) if i == j)
-        tables = []
-        for b in range(0, m, 8):
-            table = [0]
-            for v in range(1, 1 << min(8, m - b)):
-                low = v & -v
-                table.append(table[v ^ low] | 1 << image[b + low.bit_length() - 1])
-            tables.append(table)
-        reflections.append((~fixed, tables))
-    # orbit[f]: the least J whose standard flat lies in the W-orbit of f
-    orbit = {}
-    for j, start in enumerate(standard):
-        if start in orbit:
+    network = _swap_network(simple_reflections(poset))
+    orbits = []
+    for subset, start in enumerate(standard):
+        if any(start in orbit for *_, orbit in orbits):
             continue
-        orbit[start], frontier = j, [start]
+        orbit, frontier = {start}, [start]
         while frontier:
-            new = []
-            for moved, tables in reflections:
-                for f in frontier:
-                    if not f & moved:
-                        continue
-                    g, rest = 0, f
-                    for table in tables:
-                        g |= table[rest & 255]
-                        rest >>= 8
-                    if g not in orbit:
-                        orbit[g] = j
-                        new.append(g)
-            frontier = new
-    masks = sorted(orbit, key=lambda f: orbit[f].bit_count() << m | f)
-    ranks = [orbit[f].bit_count() for f in masks]
-    # number the orbits by their first flat in that order
-    number = {}
-    kind = [number.setdefault(orbit[f], len(number)) for f in masks]
-    return FlatLattice(masks, ranks, kind, _orbit_rows(masks, ranks, kind, r))
+            frontier = set(_reflect(frontier, network, r))
+            frontier -= orbit
+            orbit |= frontier
+        orbits.append((subset.bit_count(), min(orbit), orbit))
+    orbits.sort()
+    masks, ranks, kind = [], [], {}
+    for k, (rank, _, orbit) in enumerate(orbits):
+        kind.update(dict.fromkeys(orbit, k))
+    for rank in range(r + 1):
+        level = sorted(set().union(*[orbit for at, _, orbit in orbits if at == rank]))
+        masks += level
+        ranks += [rank] * len(level)
+    return FlatLattice(masks, ranks, [kind[f] for f in masks])
 
 
-def _orbit_rows(masks, ranks, kind, r):
-    """rows[o][j], the coefficient of q^j in chi_{M/F}(q) for the flats F of
-    orbit o, filled from the last orbit back: q^(r - r(F)) minus the
-    chi_{M/G} of every flat G strictly above the orbit's first flat F, as a
-    count of them per orbit.  The flats above a flat have larger ranks, and
-    so come after it and in later orbits.
+def _swap_network(reflections):
+    """[(d, fields)]: per distance d of a transposition (j, j + d) that some
+    simple reflection makes of the hyperplanes, the bytes of one 64-bit field
+    per reflection, in order, with bit j set for each of its transpositions
+    at d (``reflections`` as from ``rootsystems.simple_reflections``).
     """
-    rows = [None] * (max(kind) + 1)
-    for o in range(len(rows) - 1, -1, -1):
-        p = kind.index(o)
-        f = masks[p]
-        row = [0] * (r + 1)
-        row[r - ranks[p]] = 1
-        above = Counter(k for g, k in zip(masks[p + 1 :], kind[p + 1 :]) if g & f == f)
-        for k, c in above.items():
-            for j, x in enumerate(rows[k]):
-                row[j] -= c * x
-        rows[o] = row
-    return rows
+    swaps = {}
+    for i, image in enumerate(reflections):
+        for j, k in enumerate(image):
+            if k > j:
+                swaps.setdefault(k - j, [0] * len(reflections))[i] |= 1 << j
+    return [(d, b"".join([x.to_bytes(8, "little") for x in row])) for d, row in swaps.items()]
+
+
+def _reflect(masks, network, r):
+    """The images of ``masks`` under the r simple reflections of ``network``
+    (``_swap_network``), mask by mask: item r k + i is the k-th mask's image
+    under the i-th reflection.  The masks are packed into one int, r copies
+    of the k-th in the 64-bit fields r k to r k + r - 1, and each distance
+    takes one delta swap over all of them (Knuth, TAOCP 4A 7.1.3).
+    """
+    y = int.from_bytes(b"".join([f.to_bytes(8, "little") * r for f in masks]), "little")
+    for d, fields in network:
+        t = ((y >> d) ^ y) & int.from_bytes(fields * len(masks), "little")
+        y ^= t | t << d
+    return memoryview(y.to_bytes(8 * r * len(masks), "little")).cast("Q").tolist()
 
 
 @functools.cache

@@ -263,12 +263,6 @@ class RootPoset:
     def leq(self, i, j):
         return bool(self.up_masks[i] >> j & 1)
 
-    def highest_root(self):
-        for i in range(len(self.roots)):
-            if self.down_masks[i] == (1 << len(self.roots)) - 1:
-                return self.roots[i]
-        raise ConstraintError("poset has no maximum element")
-
     def covers(self):
         """Hasse edges (u, v): the transitive reduction of the dominance order."""
         if self._covers is None:

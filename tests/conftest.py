@@ -2,6 +2,7 @@ import functools
 import importlib.util
 import json
 import pathlib
+import re
 from importlib.resources import files
 
 import pytest
@@ -89,3 +90,19 @@ def g2_poset():
 @pytest.fixture(scope="session")
 def a3_poset():
     return root_poset(root_system_type("A", 3))
+
+
+def latex_is_wellformed(s):
+    """Cheap token validation for emitted LaTeX: balanced braces, known tokens only."""
+    depth = 0
+    for ch in s:
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+            if depth < 0:
+                return False
+    if depth != 0:
+        return False
+    stripped = re.sub(r"[0-9a-zA-Z^{}+\- ]", "", s)
+    return stripped == ""

@@ -21,7 +21,9 @@ def build_lattice(vectors):
     are nonzero, and the covers of F are their parallel classes: one sort
     per rank groups the primitive, sign-normalized images, and each new flat
     takes one ``crapo.bareiss_step`` from the first pair that reaches it.
-    Then ``_characteristic_rows`` fills chi_{M/F} top down.  Raises
+    Then ``_characteristic_rows`` fills chi_{M/F} top down and numbers the
+    distinct rows as kinds, and the rows ``FlatLattice`` fills from those
+    kinds must equal them.  Raises
     ``GuardExceeded`` for more than ``MAX_VECTORS`` vectors or coordinates
     whose eliminations could overflow int64, and ``InconsistencyError``
     unless the chi_{M/F} sum to q^r.
@@ -64,7 +66,9 @@ def build_lattice(vectors):
     ranks = np.repeat(np.arange(r + 1), [len(level) for level in levels])
     kind, kinds = _characteristic_rows(levels, bases, m)
     masks = np.concatenate(levels)
-    return FlatLattice(masks.tolist(), ranks.tolist(), kind.tolist(), kinds.tolist())
+    lattice = FlatLattice(masks.tolist(), ranks.tolist(), kind.tolist())
+    assert lattice.kinds == kinds.tolist(), "FlatLattice's chi rows differ from the reference's"
+    return lattice
 
 
 def _characteristic_rows(levels, bases, m):

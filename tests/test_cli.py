@@ -8,11 +8,11 @@ import sys
 import jsonschema
 import pytest
 
-from conftest import IDEAL_E, packaged_schema
+from conftest import IDEAL_E, latex_is_wellformed, packaged_schema
 from idealtutte import crapo, ffmethod, specialize
 from idealtutte.cli import main, parse_ideal_spec
 from idealtutte.errors import ConstraintError
-from idealtutte.exactpoly import BivariatePolynomial, latex_is_wellformed, parse_polynomial
+from idealtutte.exactpoly import BivariatePolynomial, parse_polynomial
 from idealtutte.ffmethod import CountingModel
 from idealtutte.ideals import arrangement_of
 

@@ -3,13 +3,13 @@ from itertools import accumulate
 
 import pytest
 
+from conftest import latex_is_wellformed
 from idealtutte.errors import ConstraintError, InconsistencyError
 from idealtutte.exactpoly import (
     BivariatePolynomial,
     UnivariatePolynomial,
     coboundary_to_tutte,
     lagrange_interpolate,
-    latex_is_wellformed,
     parse_polynomial,
     tutte_to_characteristic,
     tutte_to_coboundary,

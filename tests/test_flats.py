@@ -1,7 +1,7 @@
 """The lattice-of-flats engine against Crapo's basis activities: every G2 and
 F4 ideal, the worked E6 ideal, E6 full and a fixed sample of E6 ideals, plus
-a Hypothesis property on random integer configurations and the build's
-certificates."""
+a Hypothesis property on random integer configurations, the build's
+certificates and the closure's swap network."""
 
 import random
 import subprocess
@@ -18,7 +18,7 @@ from idealtutte.crapo import VectorConfig, tutte_crapo
 from idealtutte.errors import ConstraintError, GuardExceeded, InconsistencyError
 from idealtutte.exactpoly import coboundary_to_tutte, tutte_to_coboundary
 from idealtutte.ideals import arrangement_of, enumerate_ideals, ideal_from_mask
-from idealtutte.rootsystems import root_poset, root_system_type
+from idealtutte.rootsystems import root_poset, root_system_type, simple_reflections
 from idealtutte.specialize import (
     coboundary_of_ideal,
     resolve_engine,
@@ -98,7 +98,7 @@ def test_corrupt_chi_row_fails_the_build_certificate(monkeypatch, rows, error):
     # one orbit's row off breaks the sum of chi_{M/F} = q^r; moving q from the
     # top flat's row to the bottom one's (both orbits of one flat) keeps that
     # sum and breaks chi_M = prod (q - e_i)
-    real = flats._orbit_rows
+    real = flats.FlatLattice._chi_rows
 
     def corrupt(*args):
         chi = real(*args)
@@ -107,7 +107,7 @@ def test_corrupt_chi_row_fails_the_build_certificate(monkeypatch, rows, error):
             chi[rows[1]][1] -= 1
         return chi
 
-    monkeypatch.setattr(flats, "_orbit_rows", corrupt)
+    monkeypatch.setattr(flats.FlatLattice, "_chi_rows", corrupt)
     with pytest.raises(InconsistencyError, match=error):
         flats.flat_lattice.__wrapped__(root_system_type("F4"))
 
@@ -119,7 +119,9 @@ def test_corrupt_chi_row_fails_the_build_certificate(monkeypatch, rows, error):
         ("F4", None, 12),
         ("E6", None, 17),
         ("A", 5, 11),
+        ("A", 7, 22),
         ("B", 4, 12),
+        ("B", 6, 30),
         ("C", 4, 12),
         ("D", 4, 11),
     ],
@@ -137,18 +139,35 @@ def test_orbit_lattice_equals_the_reference_build(family, rank, orbits):
     assert len(got.kinds) == orbits
 
 
-def test_restrict_refuses_an_indivisible_flat_sum_and_an_outside_mask():
-    # flats 0, {a}, {b}, {a, b} of two vectors, one kind each: the rows sum to
-    # q^2, but D = {a} has rank 1 and its flat sum q^2 - q - 1 + (q + 1) t
+def test_restrict_refuses_an_indivisible_flat_sum_and_an_outside_mask(monkeypatch):
+    # flats 0, {a}, {b}, {a, b} of two vectors, one kind each, given rows that
+    # sum to q^2, but D = {a} has rank 1 and its flat sum q^2 - q - 1 + (q + 1) t
     # keeps a q^0 term; bit 2 names no vector
-    lattice = flats.FlatLattice(
-        [0b00, 0b01, 0b10, 0b11], [0, 1, 1, 2], [0, 1, 2, 3],
-        [[1, -2, 1], [0, 1, 0], [-2, 1, 0], [1, 0, 0]],
-    )
+    rows = [[1, -2, 1], [0, 1, 0], [-2, 1, 0], [1, 0, 0]]
+    monkeypatch.setattr(flats.FlatLattice, "_chi_rows", lambda *args: rows)
+    lattice = flats.FlatLattice([0b00, 0b01, 0b10, 0b11], [0, 1, 1, 2], [0, 1, 2, 3])
     with pytest.raises(InconsistencyError, match="not divisible"):
         lattice.restrict(0b01)
     with pytest.raises(ConstraintError, match="outside the configuration"):
         lattice.restrict(0b101)
+
+
+@pytest.mark.parametrize(
+    "family, rank",
+    [("G2", None), ("F4", None), ("E6", None), ("A", 5), ("B", 4), ("C", 4), ("D", 4)],
+)
+def test_swap_network_applies_every_simple_reflection(family, rank):
+    # each 64-bit field of the packed frontier must be its mask with every bit
+    # j moved to image[j], for every simple reflection
+    reflections = simple_reflections(root_poset(root_system_type(family, rank)))
+    m, r = len(reflections[0]), len(reflections)
+    rng = random.Random(32)
+    masks = [rng.getrandbits(m) for _ in range(50)] + [0, (1 << m) - 1]
+    got = flats._reflect(masks, flats._swap_network(reflections), r)
+    want = [
+        sum(1 << image[j] for j in range(m) if f >> j & 1) for f in masks for image in reflections
+    ]
+    assert got == want
 
 
 def test_guard_refuses_what_int64_cannot_hold():

@@ -22,6 +22,11 @@ from idealtutte.paper import generating_boxes, partition_in_accordance, reconstr
 from idealtutte.rootsystems import root_poset, root_system_type
 
 
+def total_degree(p):
+    """The largest a + b of a term x^a y^b of p; -1 for the zero polynomial."""
+    return max((a + b for a, b in p.coeffs), default=-1)
+
+
 def random_bivariate(rng, max_deg=5, max_terms=8, variables=("x", "y")):
     coeffs = {}
     for _ in range(rng.randint(1, max_terms)):
@@ -39,7 +44,7 @@ def test_ring_laws_random():
         assert p * q == q * p
         assert p + (q + r) == (p + q) + r
         if not p.is_zero() and not q.is_zero():
-            assert (p * q).total_degree() <= p.total_degree() + q.total_degree()
+            assert total_degree(p * q) <= total_degree(p) + total_degree(q)
             # leading terms cannot cancel in a domain
             assert not (p * q).is_zero()
 
