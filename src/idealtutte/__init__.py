@@ -10,10 +10,10 @@ interpolation.  Exceptional types read the coboundary polynomial off the
 lattice of flats of their full arrangement, built once per root system.  The
 basis-activity formula and a corank-nullity brute-force oracle give the
 Tutte polynomial instead, and cross-validate the others.  One dispatcher
-(``specialize``) converts between the two and certifies every coboundary
-polynomial an engine returns, by chi-bar(1, 2) = T(2, 2) = 2^m; the
-basis-activity formula certifies its own Tutte polynomial, and the oracle's
-is not certified.
+(``specialize``) converts every Tutte polynomial to a coboundary polynomial
+and certifies the coboundary polynomial of every engine, by
+chi-bar(1, 2) = T(2, 2) = 2^m; the basis-activity formula also certifies its
+own Tutte polynomial.
 
 The paper's own classical route (signatures, Algorithm P's block partition
 and the minor sets that pick its primes) is the reference module

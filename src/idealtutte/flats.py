@@ -31,7 +31,8 @@ enumerates the flats of any integer configuration by linear algebra
 (``tests/flat_reference.py``).
 
 Everything here is plain Python integers, so an exceptional request imports
-no numpy.  A flat is an int bitmask over the roots.  ``restrict`` adds up,
+no numpy.  A flat is an int bitmask over the roots, and the lattice holds
+the flats orbit by orbit, by rank.  ``restrict`` adds up,
 four roots at a time, columns that hold one byte per flat, so |F & D| of
 every flat comes out as one ``bytes`` object; it counts each orbit's
 histogram of those bytes, sums the orbit's chi row, packed into signed
@@ -44,7 +45,6 @@ F4 (the means over their 833 and 105 ideals).
 from __future__ import annotations
 
 import functools
-from collections import Counter
 
 from .errors import ConstraintError, GuardExceeded, InconsistencyError
 from .exactpoly import BivariatePolynomial, UnivariatePolynomial
@@ -67,51 +67,47 @@ _COMMON = [bytes((x & v).bit_count() for x in range(256)) for v in range(16)]
 
 
 class FlatLattice:
-    """The flats of a vector configuration of rank ``rank``, by rank and then
-    by mask value.
+    """The flats of a vector configuration of rank ``rank``, orbit by orbit,
+    by rank.
 
-    ``masks`` has bit i set when vector i lies on the flat, and ``ranks`` the
-    rank of each flat (weakly increasing, so the least flat comes first and
-    the whole configuration last).  Few chi_{M/F} differ: ``kind`` numbers
-    the flats of each from 0 (flats of one kind must share it, as a W-orbit
-    does), and the constructor fills ``kinds[k][j]``, the coefficient of q^j
-    in the k-th of them.  All are lists of Python ints.  Raises
-    ``InconsistencyError`` unless the chi_{M/F} sum to q^r.
+    ``orbits`` is a list of (rank, flats): the flats of one orbit share their
+    rank and their chi_{M/F} (as a W-orbit does), each a list of int masks
+    with bit i set when vector i lies on the flat.  The caller orders them
+    so that the ranks weakly increase, the least flat first and the whole
+    configuration, which holds every vector, last.  ``masks`` and ``ranks``
+    list the flats in that order, and the constructor fills ``kinds[k][j]``,
+    the coefficient of q^j in the chi_{M/F} of the k-th orbit.  All are lists
+    of Python ints.  Raises ``InconsistencyError`` unless the chi_{M/F} sum
+    to q^r.
     """
 
-    def __init__(self, masks, ranks, kind):
-        self.masks, self.ranks, self.kind = masks, ranks, kind
-        self.rank = r = ranks[-1]
+    def __init__(self, orbits):
+        self.masks = masks = [f for _, orbit in orbits for f in orbit]
+        self.ranks = [rank for rank, orbit in orbits for _ in orbit]
+        self.rank = r = self.ranks[-1]
         n = masks[-1].bit_length()  # the last flat holds every vector
-        # restrict reads the flats grouped by kind, the kinds in the order of
-        # their first flats, so that each kind is one span of bytes and the
-        # ranks still weakly increase; a span's counts |F & D| lie between its
-        # least flat size less the n - m vectors off D and its greatest size
-        groups = {}
-        for f, k, rank in zip(masks, kind, ranks):
-            groups.setdefault(k, (rank, []))[1].append(f)
-        spans, self._rank_at, ordered = {}, [], []
-        for k, (rank, group) in groups.items():
-            sizes = [f.bit_count() for f in group]
-            start = len(ordered)
-            spans[k] = start, start + len(group), min(sizes) - n, max(sizes)
-            self._rank_at += [rank] * len(group)
-            ordered += group
+        # each orbit is one span of bytes for restrict; a span's counts
+        # |F & D| lie between its least flat size less the n - m vectors off D
+        # and its greatest size
+        spans, stop = [], 0
+        for _, orbit in orbits:
+            sizes = [f.bit_count() for f in orbit]
+            start, stop = stop, stop + len(orbit)
+            spans.append((start, stop, min(sizes) - n, max(sizes)))
         # nibbles[g][v]: for each flat in that order, one byte holding how
         # many of the vectors 4g + i for the bits i of v lie on it, read as
         # an int; a mask's counts then take one addition per 4 bits.  Byte b
         # of every flat's mask is every mask_bytes-th byte of their join
         mask_bytes = (n + 7) // 8
-        joined = b"".join([f.to_bytes(mask_bytes, "little") for f in ordered])
+        joined = b"".join([f.to_bytes(mask_bytes, "little") for f in masks])
         self._nibbles = []
         for g in range(0, n, 4):
             nibble = joined[g // 8 :: mask_bytes].translate(_HALVES[g // 4 % 2])
             self._nibbles.append(
                 [int.from_bytes(nibble.translate(_COMMON[v]), "little") for v in range(16)]
             )
-        self.kinds = kinds = self._chi_rows(groups, spans)
-        flats_of = Counter(kind)
-        total = [sum(c * kinds[k][j] for k, c in flats_of.items()) for j in range(r + 1)]
+        self.kinds = kinds = self._chi_rows(orbits, spans)
+        total = [sum(len(o) * row[j] for (_, o), row in zip(orbits, kinds)) for j in range(r + 1)]
         if total != [0] * r + [1]:
             raise InconsistencyError(
                 f"the chi_(M/F) of {masks[-1].bit_count()} vectors do not sum "
@@ -120,7 +116,8 @@ class FlatLattice:
         # each chi row packed into one int, the coefficient of q^j a signed
         # field at bit FIELD_BITS * j
         self._spans = [
-            (*spans[k], sum(c << FIELD_BITS * j for j, c in enumerate(kinds[k]))) for k in groups
+            (*span, sum(c << FIELD_BITS * j for j, c in enumerate(row)))
+            for span, row in zip(spans, kinds)
         ]
         # 2^63 in each field of a row: adding it and XORing it back turns the
         # signed fields into the two's complement words memoryview.cast("q") reads
@@ -134,37 +131,31 @@ class FlatLattice:
             for shift in range(r + 1)
         ]
 
-    def _chi_rows(self, groups, spans):
+    def _chi_rows(self, orbits, spans):
         """rows[k][j], the coefficient of q^j in chi_{M/F}(q) for the flats F
-        of kind k, read off the kind's first flat F: q^(r - r(F)) minus the
-        chi_{M/G} of every flat G strictly above F, counted per kind as the
-        flats G with |G & F| = |F|.  The flats above F have larger ranks, so
-        the kinds are filled in decreasing rank of their first flats.
+        of the k-th orbit, read off its first flat F: q^(r - r(F)) minus the
+        chi_{M/G} of every flat G strictly above F, counted per orbit as the
+        flats G with |G & F| = |F|.  The flats above F have larger ranks and
+        so lie in later orbits, and the orbits are filled from last to first.
         """
-        r, rows = self.rank, [None] * len(groups)
-        order = sorted(groups, key=lambda k: -groups[k][0])
-        for i, k in enumerate(order):
-            rank, group = groups[k]
-            counts, size = self._counts(group[0]), group[0].bit_count()
+        r, rows = self.rank, [None] * len(orbits)
+        for k in range(len(orbits) - 1, -1, -1):
+            rank, orbit = orbits[k]
+            counts, size = self._counts(orbit[0]), orbit[0].bit_count()
             row = [int(j == r - rank) for j in range(r + 1)]
-            for above in order[:i]:
-                c = counts.count(size, *spans[above][:2])
-                row = [x - c * y for x, y in zip(row, rows[above])]
+            for (start, stop, *_), above in zip(spans[k + 1 :], rows[k + 1 :]):
+                c = counts.count(size, start, stop)
+                row = [x - c * y for x, y in zip(row, above)]
             rows[k] = row
         return rows
 
     def _counts(self, mask):
-        """|F & mask| of every flat F, one byte each, in span order."""
+        """|F & mask| of every flat F, one byte each, in ``masks`` order."""
         sums = 0
         for table in self._nibbles:
             sums += table[mask & 15]
             mask >>= 4
-        return sums.to_bytes(len(self._rank_at), "little")
-
-    @property
-    def chi(self):
-        """chi[F][j], the coefficient of q^j in chi_{M/F}(q)."""
-        return [self.kinds[k] for k in self.kind]
+        return sums.to_bytes(len(self.masks), "little")
 
     def __len__(self):
         return len(self.masks)
@@ -183,7 +174,7 @@ class FlatLattice:
         m, r = mask.bit_count(), self.rank
         counts = self._counts(mask)  # |F & D| per flat
         # the flats holding all of D; the first of them has the least rank
-        rank = self._rank_at[counts.find(m)]
+        rank = self.ranks[counts.find(m)]
         # by[j]: the sum of the packed chi rows of the flats F with |F & D| = j;
         # a span shorter than a few bytes per count it may hold is walked, a
         # longer one counted once per count
@@ -225,8 +216,8 @@ def orbit_lattice(rst):
     reflection to its whole frontier at once (``_reflect``): each reflection
     permutes the hyperplanes by disjoint transpositions (j, j + d), so one
     delta swap per distance d moves the bits of all the round's masks.  The
-    flats are ordered by rank and mask, and the orbits, one kind each, by
-    their first flats; ``FlatLattice`` fills chi_{M/F} once per kind.  On a
+    flats come orbit by orbit, by rank and then by least flat, each orbit by
+    mask value; ``FlatLattice`` fills chi_{M/F} once per orbit.  On a
     2-CPU VM (Python 3.11) the E6 build takes a median of 18-22 ms, and the
     A8 build (21147 flats) 90-130 ms.  Raises ``GuardExceeded`` for more
     than ``MAX_VECTORS`` positive roots.
@@ -251,14 +242,7 @@ def orbit_lattice(rst):
             orbit |= frontier
         orbits.append((subset.bit_count(), min(orbit), orbit))
     orbits.sort()
-    masks, ranks, kind = [], [], {}
-    for k, (rank, _, orbit) in enumerate(orbits):
-        kind.update(dict.fromkeys(orbit, k))
-    for rank in range(r + 1):
-        level = sorted(set().union(*[orbit for at, _, orbit in orbits if at == rank]))
-        masks += level
-        ranks += [rank] * len(level)
-    return FlatLattice(masks, ranks, [kind[f] for f in masks])
+    return FlatLattice([(rank, sorted(orbit)) for rank, _, orbit in orbits])
 
 
 def _swap_network(reflections):
@@ -303,7 +287,7 @@ def flat_lattice(rst):
     want = UnivariatePolynomial([1])
     for e in ideal_exponents(ideal_from_mask(root_poset(rst), 0)).exponents:
         want = want * UnivariatePolynomial([-e, 1])
-    if UnivariatePolynomial(lattice.chi[0]) != want:
+    if UnivariatePolynomial(lattice.kinds[0]) != want:
         raise InconsistencyError(
             f"chi of the full {rst} arrangement is not {want.to_text()}"
         )

@@ -2,11 +2,11 @@
 
 Each engine returns one polynomial and the arrangement's rank: chi-bar(q, t)
 from the finite-field pipeline and the lattice of flats, T(x, y) from Crapo's
-basis activities and the corank-nullity oracle.  The conversions happen here
-once: every chi-bar an engine returns is certified, ``tutte_of_ideal``
-transforms it, and ``characteristic_polynomial`` reads chi(q) off
-chi-bar(q, 0).  Also region counts and the ideal-exponent factorization
-cross-check.
+basis activities and the corank-nullity oracle.  One function takes every
+result: it converts each T to chi-bar and certifies the chi-bar of every
+engine; ``tutte_of_ideal`` transforms that, and ``characteristic_polynomial``
+reads chi(q) off chi-bar(q, 0).  Also region counts and the ideal-exponent
+factorization cross-check.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from .ideals import IdealExponents, ideal_exponents
 
 
 ENGINES = ("auto", "ffmethod", "flats", "crapo", "oracle")
-# the engines whose result is chi-bar(q, t); crapo and oracle give T(x, y)
-_COBOUNDARY_ENGINES = ("ffmethod", "flats")
 
 
 def resolve_engine(engine, rst):
@@ -43,29 +41,31 @@ def resolve_engine(engine, rst):
     return engine
 
 
-def _compute(ideal, engine):
-    """(polynomial, rank) by a resolved engine: chi-bar(q, t) from ffmethod
-    and flats, T(x, y) from crapo and oracle.  InconsistencyError unless
+def _coboundary_and_rank(ideal, engine):
+    """(chi-bar(q, t), rank) by the engine that ``resolve_engine`` picks: a
+    Tutte polynomial from crapo or oracle is converted by
+    ``exactpoly.tutte_to_coboundary``.  InconsistencyError unless
     chi-bar(1, 2) = T(2, 2) = 2^m for the m complement roots, with q-degree
     at most the rank and total degree at most m."""
-    if engine in _COBOUNDARY_ENGINES:
-        mask = ideal.complement_mask()
-        if engine == "ffmethod":
-            cb, rank = ffmethod.coboundary_and_rank(ideal)
-        else:
-            cb, rank = flats.flat_lattice(ideal.rst).restrict(mask)
-        m = mask.bit_count()
-        at_1_2 = sum(c << b for (_, b), c in cb.coeffs.items())  # chi-bar(1, 2)
-        if at_1_2 != 1 << m or any(a > rank or a + b > m for a, b in cb.coeffs):
-            raise InconsistencyError(
-                f"the {engine} coboundary of {m} elements of rank {rank} fails "
-                f"T(2,2) = 2^m or the degree bounds: {cb}"
-            )
-        return cb, rank
-    vectors = [r.simple_coords for r in ideal.complement_roots()]
-    cfg = crapo.VectorConfig(vectors, dim=ideal.rst.rank)
-    tutte = crapo.tutte_crapo if engine == "crapo" else crapo.tutte_corank_nullity
-    return tutte(cfg), cfg.rank
+    engine = resolve_engine(engine, ideal.rst)
+    mask = ideal.complement_mask()
+    if engine == "ffmethod":
+        cb, rank = ffmethod.coboundary_and_rank(ideal)
+    elif engine == "flats":
+        cb, rank = flats.flat_lattice(ideal.rst).restrict(mask)
+    else:
+        vectors = [r.simple_coords for r in ideal.complement_roots()]
+        cfg = crapo.VectorConfig(vectors, dim=ideal.rst.rank)
+        tutte = crapo.tutte_crapo if engine == "crapo" else crapo.tutte_corank_nullity
+        cb, rank = tutte_to_coboundary(tutte(cfg), cfg.rank), cfg.rank
+    m = mask.bit_count()
+    at_1_2 = sum(c << b for (_, b), c in cb.coeffs.items())  # chi-bar(1, 2)
+    if at_1_2 != 1 << m or any(a > rank or a + b > m for a, b in cb.coeffs):
+        raise InconsistencyError(
+            f"the {engine} coboundary of {m} elements of rank {rank} fails "
+            f"T(2,2) = 2^m or the degree bounds: {cb}"
+        )
+    return cb, rank
 
 
 def tutte_of_ideal(ideal, engine="auto"):
@@ -74,26 +74,13 @@ def tutte_of_ideal(ideal, engine="auto"):
     auto routes classical types through the finite-field pipeline and
     exceptional types through the lattice of flats (as decided by
     ``resolve_engine``); crapo forces the basis-activity formula and oracle
-    the corank-nullity expansion.  A coboundary polynomial that fails its
-    certificate raises InconsistencyError.  Each engine refuses work past its
-    own guard with GuardExceeded, before doing it: crapo past
-    ``crapo.DEFAULT_MAX_BASIS_SUBSETS`` basis candidates, oracle past
-    ``crapo.ORACLE_MAX_SUBSETS`` subsets.
+    the corank-nullity expansion.  Every engine's result is certified as a
+    coboundary polynomial, and one that fails raises InconsistencyError.
+    Each engine refuses work past its own guard with GuardExceeded, before
+    doing it: crapo past ``crapo.DEFAULT_MAX_BASIS_SUBSETS`` basis
+    candidates, oracle past ``crapo.ORACLE_MAX_SUBSETS`` subsets.
     """
-    engine = resolve_engine(engine, ideal.rst)
-    poly, rank = _compute(ideal, engine)
-    return coboundary_to_tutte(poly, rank) if engine in _COBOUNDARY_ENGINES else poly
-
-
-def _coboundary_and_rank(ideal, engine):
-    """(chi-bar(q, t), rank) by the engine as in ``tutte_of_ideal``; a Tutte
-    polynomial from crapo or oracle is converted by
-    ``exactpoly.tutte_to_coboundary``."""
-    engine = resolve_engine(engine, ideal.rst)
-    poly, rank = _compute(ideal, engine)
-    if engine not in _COBOUNDARY_ENGINES:
-        poly = tutte_to_coboundary(poly, rank)
-    return poly, rank
+    return coboundary_to_tutte(*_coboundary_and_rank(ideal, engine))
 
 
 def coboundary_of_ideal(ideal, engine="auto"):

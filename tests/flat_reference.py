@@ -22,8 +22,9 @@ def build_lattice(vectors):
     per rank groups the primitive, sign-normalized images, and each new flat
     takes one ``crapo.bareiss_step`` from the first pair that reaches it.
     Then ``_characteristic_rows`` fills chi_{M/F} top down and numbers the
-    distinct rows as kinds, and the rows ``FlatLattice`` fills from those
-    kinds must equal them.  Raises
+    distinct rows as kinds.  The flats of each kind, the kinds in the order
+    of their first flats, are the orbits ``FlatLattice`` takes, and the rows
+    it fills must equal theirs.  Raises
     ``GuardExceeded`` for more than ``MAX_VECTORS`` vectors or coordinates
     whose eliminations could overflow int64, and ``InconsistencyError``
     unless the chi_{M/F} sum to q^r.
@@ -65,9 +66,13 @@ def build_lattice(vectors):
         bases.append(np.column_stack((bases[-1][f], y)))
     ranks = np.repeat(np.arange(r + 1), [len(level) for level in levels])
     kind, kinds = _characteristic_rows(levels, bases, m)
-    masks = np.concatenate(levels)
-    lattice = FlatLattice(masks.tolist(), ranks.tolist(), kind.tolist())
-    assert lattice.kinds == kinds.tolist(), "FlatLattice's chi rows differ from the reference's"
+    orbits = {}
+    for f, k, rank in zip(np.concatenate(levels).tolist(), kind.tolist(), ranks.tolist()):
+        orbits.setdefault(k, (rank, []))[1].append(f)
+    lattice = FlatLattice(list(orbits.values()))
+    assert lattice.kinds == kinds[list(orbits)].tolist(), (
+        "FlatLattice's chi rows differ from the reference's"
+    )
     return lattice
 
 

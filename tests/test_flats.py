@@ -131,21 +131,33 @@ def test_orbit_lattice_equals_the_reference_build(family, rank, orbits):
     # check the coroot pairing of the reflections; ``orbits`` counts the
     # conjugacy classes of parabolic subgroups, one chi row each
     rst = root_system_type(family, rank)
+    roots = root_poset(rst).roots
     got = flats.orbit_lattice(rst)
-    want = build_lattice([root.simple_coords for root in root_poset(rst).roots])
-    assert got.masks == want.masks
-    assert got.ranks == want.ranks
-    assert got.chi == want.chi
+    want = build_lattice([root.simple_coords for root in roots])
+    assert sorted(_flat_rows(got)) == sorted(_flat_rows(want))
     assert len(got.kinds) == orbits
+    # restrict takes the first flat that holds D for the one of least rank,
+    # and the last flat for the whole arrangement
+    assert got.ranks == sorted(got.ranks)
+    assert got.masks[-1] == (1 << len(roots)) - 1
+
+
+def _flat_rows(lattice):
+    """(mask, rank, chi_{M/F} row) of every flat of ``lattice``."""
+    return [
+        (f, rank, row)
+        for (start, stop, *_), row in zip(lattice._spans, lattice.kinds)
+        for f, rank in zip(lattice.masks[start:stop], lattice.ranks[start:stop])
+    ]
 
 
 def test_restrict_refuses_an_indivisible_flat_sum_and_an_outside_mask(monkeypatch):
-    # flats 0, {a}, {b}, {a, b} of two vectors, one kind each, given rows that
+    # flats 0, {a}, {b}, {a, b} of two vectors, one orbit each, given rows that
     # sum to q^2, but D = {a} has rank 1 and its flat sum q^2 - q - 1 + (q + 1) t
     # keeps a q^0 term; bit 2 names no vector
     rows = [[1, -2, 1], [0, 1, 0], [-2, 1, 0], [1, 0, 0]]
     monkeypatch.setattr(flats.FlatLattice, "_chi_rows", lambda *args: rows)
-    lattice = flats.FlatLattice([0b00, 0b01, 0b10, 0b11], [0, 1, 1, 2], [0, 1, 2, 3])
+    lattice = flats.FlatLattice([(0, [0b00]), (1, [0b01]), (1, [0b10]), (2, [0b11])])
     with pytest.raises(InconsistencyError, match="not divisible"):
         lattice.restrict(0b01)
     with pytest.raises(ConstraintError, match="outside the configuration"):

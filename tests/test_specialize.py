@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import IDEAL_F, IDEAL_G, exceptional_ideal, worked_ideal
-from idealtutte import ffmethod, flats, specialize
+from idealtutte import crapo, ffmethod, flats, specialize
 from idealtutte.errors import InconsistencyError
 from idealtutte.exactpoly import (
     BivariatePolynomial,
@@ -171,17 +171,25 @@ def test_tutte_of_ideal_engine_equivalence_small():
         assert t_ff == t_cr == t_or
 
 
-@pytest.mark.parametrize(
-    "family, rank, owner, name",
-    [("B", 4, ffmethod, "coboundary_and_rank"), ("F4", None, flats.FlatLattice, "restrict")],
-)
-def test_tampered_coboundary_fails_the_tutte_certificate(monkeypatch, family, rank, owner, name):
-    # adding (t-1)^rank keeps chi-bar(q, 1) = q^rank and every division by
-    # t - 1 in the transform exact, but adds 1 to T(2, 2) = chi-bar(1, 2)
+# the ideals of a root system, and where their engine's result is tampered
+TAMPERED_ENGINES = [
+    ("B", 4, ffmethod, "coboundary_and_rank"),
+    ("F4", None, flats.FlatLattice, "restrict"),
+    ("B", 3, crapo, "tutte_corank_nullity"),
+]
+
+
+def _tamper(monkeypatch, owner, name):
+    # adding (t-1)^rank to chi-bar keeps chi-bar(q, 1) = q^rank and every
+    # division by t - 1 in the transform exact, but adds 1 to
+    # T(2, 2) = chi-bar(1, 2); adding 1 to the oracle's T keeps its degree
+    # bounds and does the same.  Returns the engine that runs the tampered code
     real = getattr(owner, name)
     t_minus_1 = BivariatePolynomial({(0, 1): 1, (0, 0): -1}, ("q", "t"))
 
     def tampered(*args):
+        if owner is crapo:
+            return real(*args) + BivariatePolynomial.one()
         cb, r = real(*args)
         extra = BivariatePolynomial.one(("q", "t"))
         for _ in range(r):
@@ -189,30 +197,23 @@ def test_tampered_coboundary_fails_the_tutte_certificate(monkeypatch, family, ra
         return cb + extra, r
 
     monkeypatch.setattr(owner, name, tampered)
+    return "oracle" if owner is crapo else "auto"
+
+
+@pytest.mark.parametrize("family, rank, owner, name", TAMPERED_ENGINES)
+def test_tampered_coboundary_fails_the_tutte_certificate(monkeypatch, family, rank, owner, name):
+    engine = _tamper(monkeypatch, owner, name)
     for ideal in enumerate_ideals(root_poset(root_system_type(family, rank))):
         with pytest.raises(InconsistencyError, match=r"T\(2,2\) = 2\^m"):
-            tutte_of_ideal(ideal)
+            tutte_of_ideal(ideal, engine=engine)
 
 
-@pytest.mark.parametrize(
-    "family, rank, owner, name",
-    [("B", 4, ffmethod, "coboundary_and_rank"), ("F4", None, flats.FlatLattice, "restrict")],
-)
+@pytest.mark.parametrize("family, rank, owner, name", TAMPERED_ENGINES)
 def test_tampered_coboundary_fails_every_command(monkeypatch, family, rank, owner, name):
-    # the (t-1)^rank tamper above, caught by the coboundary's own certificate
-    # before any Tutte transform
-    real = getattr(owner, name)
-    t_minus_1 = BivariatePolynomial({(0, 1): 1, (0, 0): -1}, ("q", "t"))
-
-    def tampered(*args):
-        cb, r = real(*args)
-        extra = BivariatePolynomial.one(("q", "t"))
-        for _ in range(r):
-            extra = extra * t_minus_1
-        return cb + extra, r
-
-    monkeypatch.setattr(owner, name, tampered)
+    # the tampers above, caught by the coboundary's own certificate before
+    # any Tutte transform
+    engine = _tamper(monkeypatch, owner, name)
     for ideal in enumerate_ideals(root_poset(root_system_type(family, rank))):
         for command in (coboundary_of_ideal, characteristic_polynomial):
             with pytest.raises(InconsistencyError, match=r"T\(2,2\) = 2\^m"):
-                command(ideal)
+                command(ideal, engine=engine)
