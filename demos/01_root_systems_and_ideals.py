@@ -6,7 +6,6 @@ Hasse covers, and enumerate the upward-closed subsets (ideals).
 
 from idealtutte import (
     enumerate_ideals,
-    hasse_covers,
     linear_order_key,
     root_poset,
     root_system_type,
@@ -20,7 +19,7 @@ for r in g2.roots:
     print(f"  {str(r):8s} {str(r.ambient2):15s} height {r.height}  word {linear_order_key(r)}")
 
 print("\nHasse covers of the G2 root order (a chain above the two simple roots):")
-for u, v in hasse_covers(g2):
+for u, v in g2.covers:
     print(f"  {u}  <  {v}")
 
 # Ideal counts grow quickly with rank; these small systems enumerate instantly.

@@ -40,11 +40,9 @@ from .rootsystems import (
     Root,
     RootPoset,
     RootSystemType,
-    hasse_covers,
     hyperplane_tuple,
     linear_order_key,
     positive_roots,
-    root_leq,
     root_poset,
     root_system_type,
 )

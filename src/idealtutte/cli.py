@@ -206,7 +206,7 @@ def _compute_polynomial(ideal, command, engine, args):
     if hit is not None:
         poly, prov = hit
         return poly, {**prov, "cache": "hit"}
-    t0 = time.time()
+    t0 = time.perf_counter()
     if command == "coboundary":
         poly = specialize.coboundary_of_ideal(ideal, engine=engine)
     else:
@@ -215,7 +215,7 @@ def _compute_polynomial(ideal, command, engine, args):
         "engine": engine,
         "system": str(ideal.rst),
         "hyperplanes": len(ideal.complement_indices()),
-        "wall_time_s": round(time.time() - t0, 4),
+        "wall_time_s": round(time.perf_counter() - t0, 4),
     }
     cache.put(key, {"polynomial": poly.to_json_dict(), "provenance": prov})
     return poly, {**prov, "cache": "miss"}

@@ -148,6 +148,8 @@ def enumerate_ideals(poset):
 
 def diagram_boxes(rst):
     """All boxes of the shifted Young diagram: the positive roots' hyperplane tuples."""
+    if not rst.is_classical:
+        raise UnsupportedTypeError(f"{rst.family} has no shifted Young diagram")
     return list(root_poset(rst).tuples)
 
 

@@ -6,7 +6,8 @@ simple system, and doubled standard coordinates (so the half-integer roots of
 F4 and E6 stay exact integers).  One closure of the simple roots under the
 simple reflections yields both the positive roots and each reflection's
 action on them.  The partial order is coefficientwise dominance in the simple
-basis, which reproduces the Hasse diagrams of all supported families.
+basis.  Each of its covers adds one simple root, and every strict relation is a
+chain of covers, so the up- and down-sets are closed along the covers alone.
 """
 
 from __future__ import annotations
@@ -218,7 +219,8 @@ def sort_key(coords):
 
 
 class RootPoset:
-    """Indexed positive roots with the dominance partial order and its Hasse diagram."""
+    """Indexed positive roots with the dominance order, closed along its covers
+    beta < beta + alpha_i (if beta < gamma, some such cover stays <= gamma)."""
 
     def __init__(self, rst):
         self.rst = rst
@@ -241,15 +243,23 @@ class RootPoset:
         self._index = {r.simple_coords: r.index for r in self.roots}
         # reflection_images[i][beta] = s_i(beta), both in simple coordinates
         self.reflection_images = images
-        # up_masks[i] = bitmask of indices j with root_i <= root_j; down_masks the converse
-        self.up_masks = [
-            sum(1 << v.index for v in self.roots if root_leq(u, v)) for u in self.roots
-        ]
-        self.down_masks = [
-            sum(1 << i for i, up in enumerate(self.up_masks) if up >> j & 1)
-            for j in range(len(self.roots))
-        ]
-        self._covers = None
+        # covers: (root_i, root_j) with root_j = root_i + alpha_k, in increasing (i, j)
+        raised = (
+            (i, coords[:k] + (c + 1,) + coords[k + 1 :])
+            for coords, i in self._index.items()
+            for k, c in enumerate(coords)
+        )
+        pairs = sorted((i, self._index[up]) for i, up in raised if up in self._index)
+        self.covers = tuple((self.roots[i], self.roots[j]) for i, j in pairs)
+        # up_masks[i] = bitmask of indices j with root_i <= root_j, closed along the
+        # covers from the top down; down_masks the converse, from the bottom up
+        self.up_masks = [1 << i for i in range(len(self.roots))]
+        self.down_masks = list(self.up_masks)
+        pairs.sort(key=lambda pair: self.roots[pair[0]].height)
+        for i, j in reversed(pairs):
+            self.up_masks[i] |= self.up_masks[j]
+        for i, j in pairs:
+            self.down_masks[j] |= self.down_masks[i]
 
     def __len__(self):
         return len(self.roots)
@@ -262,21 +272,6 @@ class RootPoset:
 
     def leq(self, i, j):
         return bool(self.up_masks[i] >> j & 1)
-
-    def covers(self):
-        """Hasse edges (u, v): the transitive reduction of the dominance order."""
-        if self._covers is None:
-            m = len(self.roots)
-            out = []
-            for i in range(m):
-                for j in range(m):
-                    if i == j or not self.leq(i, j):
-                        continue
-                    between = self.up_masks[i] & self.down_masks[j] & ~(1 << i) & ~(1 << j)
-                    if between == 0:
-                        out.append((self.roots[i], self.roots[j]))
-            self._covers = tuple(out)
-        return self._covers
 
 
 @functools.lru_cache(maxsize=None)
@@ -302,12 +297,3 @@ def positive_roots(rst):
     families by the linear digit-word order.
     """
     return root_poset(rst).roots
-
-
-def root_leq(u, v):
-    """Dominance test: v - u has nonnegative coefficients over the simple system."""
-    return all(a <= b for a, b in zip(u.simple_coords, v.simple_coords))
-
-
-def hasse_covers(poset):
-    return poset.covers()

@@ -83,6 +83,20 @@ def test_json_round_trip_and_provenance(capsys, tmp_path):
     assert data["provenance"]["cache"] == "miss"
 
 
+def test_wall_time_survives_a_clock_step(capsys, monkeypatch):
+    # the system clock steps back an hour during the call; the duration holds
+    from idealtutte import cli
+
+    readings = iter([7200.0, 3600.0])
+    monkeypatch.setattr(cli.time, "time", lambda: next(readings, 3600.0))
+    code, out, _ = run(
+        capsys, "tutte", "--type", "B", "--rank", "2", "--full", "--format", "json",
+        "--no-cache",
+    )
+    assert code == 0
+    assert json.loads(out)["provenance"]["wall_time_s"] >= 0
+
+
 def test_provenance_reports_a_cache_hit(capsys, tmp_path):
     args = ("coboundary", "--type", "C", "--rank", "4", "--boxes", "[[1,4],[2,-3]]",
             "--format", "json", "--cache-dir", str(tmp_path))

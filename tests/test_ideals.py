@@ -280,6 +280,12 @@ def test_grid_layout_matches_closed_forms():
         assert rightmost_boxes(rst) == reference_rightmost_boxes(rst), rst
 
 
+@pytest.mark.parametrize("family", ["G2", "F4", "E6"])
+def test_diagram_boxes_rejects_exceptional(family):
+    with pytest.raises(UnsupportedTypeError, match=family):
+        diagram_boxes(root_system_type(family))
+
+
 # ---- diagrams, boxes, signatures ----------------------------------------------
 
 

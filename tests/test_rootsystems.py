@@ -4,11 +4,9 @@ from conftest import packaged_schema
 from idealtutte.errors import ConstraintError, UnsupportedTypeError
 from idealtutte.rootsystems import (
     FAMILIES,
-    hasse_covers,
     hyperplane_tuple,
     linear_order_key,
     positive_roots,
-    root_leq,
     root_poset,
     root_system_type,
     simple_reflections,
@@ -49,6 +47,11 @@ def test_simple_to_ambient_consistency(family, rank, count):
             for k in range(rst.ambient_dim):
                 amb[k] += c * s[k]
         assert tuple(amb) == r.ambient2
+
+
+def root_leq(u, v):
+    """Dominance test: v - u has nonnegative coefficients over the simple system."""
+    return all(a <= b for a, b in zip(u.simple_coords, v.simple_coords))
 
 
 def highest_root(poset):
@@ -106,17 +109,17 @@ def test_unique_maximal_element(family, rank):
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("D", 4), ("G2", 2), ("F4", 4), ("E6", 6)])
 def test_covers_are_graded_by_height(family, rank):
     p = root_poset(root_system_type(family, rank))
-    for u, v in hasse_covers(p):
+    for u, v in p.covers:
         assert v.height == u.height + 1
 
 
 def test_a2_covers_count():
     p = root_poset(root_system_type("A", 2))
-    assert len(hasse_covers(p)) == 2
+    assert len(p.covers) == 2
 
 
 def test_g2_covers_chain_shape(g2_poset):
-    covers = hasse_covers(g2_poset)
+    covers = g2_poset.covers
     assert len(covers) == 5
     # above the two simple roots the diagram is a chain up to the highest root
     above = [(u.simple_coords, v.simple_coords) for u, v in covers if u.height >= 2]
@@ -124,10 +127,36 @@ def test_g2_covers_chain_shape(g2_poset):
 
 
 def test_chain_poset_cover_count():
-    # any chain of k elements has k-1 covers; B2's top three roots form a chain
+    # B2's roots have heights 1, 1, 2, 3: both simple roots lie below the one
+    # root of height 2, which lies below the highest root
     p = root_poset(root_system_type("B", 2))
-    chain = sorted(p.roots, key=lambda r: r.height)
-    assert len(hasse_covers(p)) == 3  # 4 roots, diamond-free: 1<2<3<... B2 heights 1,1,2,3
+    assert len(p.covers) == 3
+
+
+DOMINANCE = (
+    [("A", r) for r in range(1, 16)]
+    + [(f, r) for f in "BC" for r in range(2, 13)]
+    + [("D", r) for r in range(4, 13)]
+    + [("G2", 2), ("F4", 4), ("E6", 6)]
+)
+
+
+@pytest.mark.parametrize("family,rank", DOMINANCE)
+def test_masks_and_covers_are_the_dominance_order(family, rank):
+    p = root_poset(root_system_type(family, rank))
+    m = len(p)
+    up = [sum(1 << v.index for v in p.roots if root_leq(u, v)) for u in p.roots]
+    down = [sum(1 << u.index for u in p.roots if root_leq(u, v)) for v in p.roots]
+    assert p.up_masks == up
+    assert p.down_masks == down
+    # the transitive reduction: i < j with nothing strictly between, in (i, j) order
+    reduction = [
+        (p.roots[i], p.roots[j])
+        for i in range(m)
+        for j in range(m)
+        if i != j and up[i] >> j & 1 and up[i] & down[j] == (1 << i) | (1 << j)
+    ]
+    assert list(p.covers) == reduction
 
 
 def test_linear_order_words():
