@@ -12,8 +12,8 @@ from idealtutte import (
     CountingModel,
     coboundary_full,
     coboundary_to_tutte,
-    positive_roots,
     region_count,
+    root_poset,
     root_system_type,
 )
 from idealtutte.ffmethod import full_arrangement_tuples
@@ -30,7 +30,7 @@ print("\nminor sets of positive-root matrices (magnitudes):")
 for family, rank in (("A", 3), ("B", 3), ("B", 4)):
     vectors = [
         tuple(c // 2 for c in r.ambient2)
-        for r in positive_roots(root_system_type(family, rank))
+        for r in root_poset(root_system_type(family, rank)).roots
     ]
     print(f"  {family}{rank}: {minor_set(vectors).magnitudes()}")
 

@@ -42,7 +42,6 @@ from .rootsystems import (
     RootSystemType,
     hyperplane_tuple,
     linear_order_key,
-    positive_roots,
     root_poset,
     root_system_type,
 )

@@ -239,7 +239,10 @@ def parse_polynomial(text, variables=("x", "y")):
         rf"(?:{re.escape(va)}(?:\^(\d+))?)?"
         rf"(?:{re.escape(vb)}(?:\^(\d+))?)?$"
     )
-    for term in _TERM_RE.findall(s):
+    terms = _TERM_RE.findall(s)
+    if "".join(terms) != s:
+        raise ConstraintError(f"cannot parse polynomial {text!r}: stray signs")
+    for term in terms:
         sign = 1
         if term[0] == "-":
             sign, term = -1, term[1:]

@@ -82,6 +82,8 @@ def _check_upward_closed(poset, mask):
 
 
 def ideal_from_mask(poset, mask):
+    if not 0 <= mask < 1 << len(poset):
+        raise ConstraintError(f"mask {mask} is not a set of the {len(poset)} roots of {poset.rst}")
     _check_upward_closed(poset, mask)
     return Ideal(poset, mask)
 

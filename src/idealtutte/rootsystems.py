@@ -3,11 +3,11 @@ linear order used by the basis-activity formula.
 
 Roots carry two coordinate systems at once: integer coefficients over the
 simple system, and doubled standard coordinates (so the half-integer roots of
-F4 and E6 stay exact integers).  One closure of the simple roots under the
-simple reflections yields both the positive roots and each reflection's
-action on them.  The partial order is coefficientwise dominance in the simple
-basis.  Each of its covers adds one simple root, and every strict relation is a
-chain of covers, so the up- and down-sets are closed along the covers alone.
+F4 and E6 stay exact integers).  The partial order is coefficientwise
+dominance in the simple basis; each of its covers adds one simple root, and
+every strict relation is a chain of covers.  So one pass up the heights, with
+the root strings read off the Cartan matrix, finds the positive roots and the
+covers together, and the up- and down-sets are closed along the covers alone.
 """
 
 from __future__ import annotations
@@ -56,6 +56,8 @@ class RootSystemType:
             raise UnsupportedTypeError(f"{fam} is not supported")
         if fam not in FAMILIES:
             raise ConstraintError(f"unknown family {fam!r}")
+        if self.rank is None:
+            raise ConstraintError(f"family {fam} requires an explicit rank")
         if fam == "A" and self.rank < 1:
             raise ConstraintError("family A needs rank >= 1 (A_{n-1} with n >= 2)")
         if fam in ("B", "C") and self.rank < 2:
@@ -95,11 +97,9 @@ class RootSystemType:
 def root_system_type(family, rank=None):
     """Build a RootSystemType; exceptional families may omit the rank."""
     family = str(family).upper()
-    if rank is None:
-        if family not in EXCEPTIONAL:
-            raise ConstraintError(f"family {family} requires an explicit rank")
+    if rank is None and family in EXCEPTIONAL:
         rank = len(_EXCEPTIONAL_SYSTEMS[family][1])
-    return RootSystemType(family, int(rank))
+    return RootSystemType(family, rank if rank is None else int(rank))
 
 
 @dataclass(frozen=True)
@@ -140,42 +140,46 @@ def simple_system_ambient2(rst):
     return tuple(vec((i, 2), (i + 1, -2)) for i in range(r - 1)) + (vec(*last),)
 
 
-def _weyl_closure(rst):
-    """The positive roots, {simple coordinates: doubled standard coordinates},
-    and for each simple root alpha_i the images {beta: s_i(beta)} in simple
-    coordinates, with alpha_i mapped to itself.
+def _roots_along_covers(rst):
+    """RootPoset.cartan, the positive roots {simple coordinates: doubled standard
+    coordinates}, and the covers (beta, beta + alpha_i) found a height at a time.
 
-    The simple roots are closed under s_i(beta) = beta - <beta, alpha_i^vee>
-    alpha_i.  Each s_i permutes the positive roots other than alpha_i, and
-    some s_i lowers the height of every non-simple positive root, so the
-    closure reaches them all.
+    The alpha_i-string through a positive root beta != alpha_i has no gaps and
+    s_i reverses it, so beta + alpha_i is a root exactly when <beta, alpha_i^vee>
+    < 0 or beta - (<beta, alpha_i^vee> + 1) alpha_i is a positive root, a lower
+    one and so already found.  Every root of height h + 1 is one of height h
+    plus a simple root.
     """
     simples = simple_system_ambient2(rst)
-    r = len(simples)
-    norms = [sum(c * c for c in s) for s in simples]
-    units = [tuple(int(j == i) for j in range(r)) for i in range(r)]
-    roots = dict(zip(units, simples))
-    images = [{} for _ in range(r)]
-    frontier = units
-    while frontier:
-        nxt = []
-        for coords in frontier:
-            amb = roots[coords]
-            for i in range(r):
-                pairing2 = 2 * sum(a * c for a, c in zip(amb, simples[i]))
-                if pairing2 % norms[i]:
-                    raise ConstraintError("non-crystallographic pairing")
-                cartan = pairing2 // norms[i]
-                if not cartan or coords == units[i]:
-                    images[i][coords] = coords
+    cartan = []
+    for alpha in simples:
+        norm = sum(c * c for c in alpha)
+        pairings2 = [2 * sum(a * c for a, c in zip(other, alpha)) for other in simples]
+        if any(p % norm for p in pairings2):
+            raise ConstraintError("non-crystallographic pairing")
+        cartan.append(tuple((j, p // norm) for j, p in enumerate(pairings2) if p))
+    level = [tuple(int(j == i) for j in range(len(simples))) for i in range(len(simples))]
+    roots = dict(zip(level, simples))
+    covers = []
+    while level:
+        found = []
+        for beta in level:
+            for i, row in enumerate(cartan):
+                pairing = 0
+                for j, c in row:
+                    pairing += beta[j] * c
+                if pairing >= beta[i]:  # beta - (pairing + 1) alpha_i is not positive
                     continue
-                image = coords[:i] + (coords[i] - cartan,) + coords[i + 1 :]
-                images[i][coords] = image
-                if image not in roots:
-                    roots[image] = tuple(a - cartan * s for a, s in zip(amb, simples[i]))
-                    nxt.append(image)
-        frontier = nxt
-    return roots, images
+                head, tail = beta[:i], beta[i + 1 :]
+                if pairing >= 0 and head + (beta[i] - pairing - 1,) + tail not in roots:
+                    continue
+                up = head + (beta[i] + 1,) + tail
+                covers.append((beta, up))
+                if up not in roots:
+                    roots[up] = tuple(a + c for a, c in zip(roots[beta], simples[i]))
+                    found.append(up)
+        level = found
+    return tuple(cartan), roots, covers
 
 
 def hyperplane_tuple(rst, ambient2):
@@ -219,12 +223,14 @@ def sort_key(coords):
 
 
 class RootPoset:
-    """Indexed positive roots with the dominance order, closed along its covers
-    beta < beta + alpha_i (if beta < gamma, some such cover stays <= gamma)."""
+    """Indexed positive roots, found with their covers beta < beta + alpha_i a
+    height at a time, and the dominance order closed along those covers (if
+    beta < gamma, some such cover stays <= gamma)."""
 
     def __init__(self, rst):
         self.rst = rst
-        raw, images = _weyl_closure(rst)
+        # cartan[i] = the nonzero pairs (j, <alpha_j, alpha_i^vee>)
+        self.cartan, raw, found = _roots_along_covers(rst)
         expected = rst.positive_root_count()
         if len(raw) != expected:
             raise ConstraintError(
@@ -241,24 +247,16 @@ class RootPoset:
         # tuples[i] = the hyperplane tuple of root i; None for exceptional types
         self.tuples = tuple(key for key, _, _ in keyed) if rst.is_classical else None
         self._index = {r.simple_coords: r.index for r in self.roots}
-        # reflection_images[i][beta] = s_i(beta), both in simple coordinates
-        self.reflection_images = images
         # covers: (root_i, root_j) with root_j = root_i + alpha_k, in increasing (i, j)
-        raised = (
-            (i, coords[:k] + (c + 1,) + coords[k + 1 :])
-            for coords, i in self._index.items()
-            for k, c in enumerate(coords)
-        )
-        pairs = sorted((i, self._index[up]) for i, up in raised if up in self._index)
-        self.covers = tuple((self.roots[i], self.roots[j]) for i, j in pairs)
+        by_height = [(self._index[beta], self._index[up]) for beta, up in found]
+        self.covers = tuple((self.roots[i], self.roots[j]) for i, j in sorted(by_height))
         # up_masks[i] = bitmask of indices j with root_i <= root_j, closed along the
         # covers from the top down; down_masks the converse, from the bottom up
         self.up_masks = [1 << i for i in range(len(self.roots))]
         self.down_masks = list(self.up_masks)
-        pairs.sort(key=lambda pair: self.roots[pair[0]].height)
-        for i, j in reversed(pairs):
+        for i, j in reversed(by_height):
             self.up_masks[i] |= self.up_masks[j]
-        for i, j in pairs:
+        for i, j in by_height:
             self.down_masks[j] |= self.down_masks[i]
 
     def __len__(self):
@@ -281,19 +279,12 @@ def root_poset(rst):
 
 def simple_reflections(poset):
     """For each simple root alpha_i, the permutation of the positive roots'
-    indices by which s_i permutes their hyperplanes (alpha_i maps to itself),
-    read off the images the root closure recorded."""
-    index = poset._index
-    return [
-        [index[image[root.simple_coords]] for root in poset.roots]
-        for image in poset.reflection_images
-    ]
-
-
-def positive_roots(rst):
-    """All positive roots of the system, canonically indexed.
-
-    Classical families order by the hyperplane tuple (i, j); exceptional
-    families by the linear digit-word order.
-    """
-    return root_poset(rst).roots
+    indices by which s_i(beta) = beta - <beta, alpha_i^vee> alpha_i permutes
+    their hyperplanes; alpha_i, which s_i negates, maps to itself."""
+    perms = [[] for _ in poset.cartan]
+    for root in poset.roots:
+        beta = root.simple_coords
+        for i, row in enumerate(poset.cartan):
+            image = beta[:i] + (beta[i] - sum(beta[j] * c for j, c in row),) + beta[i + 1 :]
+            perms[i].append(poset._index.get(image, root.index))
+    return perms

@@ -26,7 +26,7 @@ from idealtutte.ffmethod import (
 )
 from idealtutte.ideals import arrangement_of, complement, enumerate_ideals, ideal_from_mask
 from idealtutte.paper import minor_set
-from idealtutte.rootsystems import positive_roots, root_poset, root_system_type
+from idealtutte.rootsystems import root_poset, root_system_type
 from idealtutte.specialize import check_exponent_factorization, region_count, tutte_of_ideal
 
 
@@ -223,7 +223,7 @@ def test_crit3_minor_sets():
     def coords(family, rank):
         return [
             tuple(c // 2 for c in r.ambient2)
-            for r in positive_roots(root_system_type(family, rank))
+            for r in root_poset(root_system_type(family, rank)).roots
         ]
 
     ok = True

@@ -69,6 +69,12 @@ def test_ideals_count(capsys):
     assert out.strip() == "8"
 
 
+def test_unsupported_exceptional_type_without_rank(capsys):
+    code, out, err = run(capsys, "ideals", "--type", "E7", "--count-only")
+    assert code == 1 and not out
+    assert err.strip() == "error: E7 is not supported"
+
+
 def test_json_round_trip_and_provenance(capsys, tmp_path):
     code, out, _ = run(
         capsys, "tutte", "--type", "B", "--rank", "2", "--full",

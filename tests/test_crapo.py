@@ -14,7 +14,7 @@ from idealtutte.crapo import (
 )
 from idealtutte.errors import GuardExceeded, InconsistencyError
 from idealtutte.exactpoly import BivariatePolynomial, parse_polynomial
-from idealtutte.rootsystems import positive_roots, root_poset, root_system_type
+from idealtutte.rootsystems import root_poset, root_system_type
 
 A2_BRAID = [(1, -1, 0), (1, 0, -1), (0, 1, -1)]
 
@@ -28,7 +28,7 @@ def ig_complement():
 def test_rank_of_examples():
     assert rank_of([]) == 0
     assert rank_of(A2_BRAID) == 2
-    assert rank_of([r.simple_coords for r in positive_roots(root_system_type("E6"))]) == 6
+    assert rank_of([r.simple_coords for r in root_poset(root_system_type("E6")).roots]) == 6
 
 
 def test_enumerate_bases_counts():
@@ -102,7 +102,7 @@ def test_corank_nullity_guard_refuses_27_elements_before_any_work(monkeypatch):
 
 @pytest.fixture(scope="module")
 def f4_full():
-    cfg = VectorConfig([r.simple_coords for r in positive_roots(root_system_type("F4"))])
+    cfg = VectorConfig([r.simple_coords for r in root_poset(root_system_type("F4")).roots])
     return cfg, tutte_crapo_exact(cfg)
 
 
@@ -306,7 +306,7 @@ def test_batched_equals_python_on_random_configs():
 
 def test_order_independence():
     rng = random.Random(7)
-    base = [r.simple_coords for r in positive_roots(root_system_type("A", 3))]
+    base = [r.simple_coords for r in root_poset(root_system_type("A", 3)).roots]
     want = tutte_crapo(VectorConfig(base))
     perm = list(base)
     for _ in range(10):

@@ -54,6 +54,12 @@ def test_parse_braced_exponents():
     assert bp("y^{15} + xy^{13}") == BivariatePolynomial({(0, 15): 1, (1, 13): 1})
 
 
+@pytest.mark.parametrize("text", ["x--y", "x++y", "x+", "-", "x + - y"])
+def test_parse_rejects_stray_signs(text):
+    with pytest.raises(ConstraintError, match="stray signs"):
+        parse_polynomial(text)
+
+
 def test_latex_ordering_and_wellformedness():
     p = bp("x^2 + y^3 + xy + 5")
     tex = p.to_latex()

@@ -30,14 +30,14 @@ from idealtutte.ideals import (
     tuple_normal,
 )
 from idealtutte.paper import minor_set, partition_in_accordance
-from idealtutte.rootsystems import positive_roots, root_poset, root_system_type
+from idealtutte.rootsystems import root_poset, root_system_type
 from idealtutte.specialize import tutte_of_ideal
 
 
 def true_coordinates(family, rank):
     """Positive roots in plain standard coordinates (ambient2 halved)."""
     out = []
-    for r in positive_roots(root_system_type(family, rank)):
+    for r in root_poset(root_system_type(family, rank)).roots:
         assert all(c % 2 == 0 for c in r.ambient2)
         out.append(tuple(c // 2 for c in r.ambient2))
     return out

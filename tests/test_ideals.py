@@ -109,6 +109,13 @@ def test_ideal_validation_names_violating_pair(g2_poset):
     assert "lacks" in str(err.value)
 
 
+@pytest.mark.parametrize("mask", [1 << 20, -1, 1 << 9])
+def test_ideal_from_mask_rejects_roots_outside_the_poset(mask):
+    # B3 has 9 roots, so a valid mask lies in [0, 2^9)
+    with pytest.raises(ConstraintError, match="not a set of the 9 roots of B3"):
+        ideal_from_mask(root_poset(root_system_type("B", 3)), mask)
+
+
 # ---- arrangements -------------------------------------------------------------
 
 

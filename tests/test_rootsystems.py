@@ -6,7 +6,6 @@ from idealtutte.rootsystems import (
     FAMILIES,
     hyperplane_tuple,
     linear_order_key,
-    positive_roots,
     root_poset,
     root_system_type,
     simple_reflections,
@@ -31,17 +30,30 @@ COUNTS = [
 
 @pytest.mark.parametrize("family,rank,count", COUNTS)
 def test_positive_root_counts(family, rank, count):
-    roots = positive_roots(root_system_type(family, rank))
+    roots = root_poset(root_system_type(family, rank)).roots
     assert len(roots) == count
     assert len({r.simple_coords for r in roots}) == count
     assert all(min(r.simple_coords) >= 0 and r.height >= 1 for r in roots)
 
 
-@pytest.mark.parametrize("family,rank,count", COUNTS)
+DOMINANCE = (
+    [("A", r) for r in range(1, 16)]
+    + [(f, r) for f in "BC" for r in range(2, 13)]
+    + [("D", r) for r in range(4, 13)]
+    + [("G2", 2), ("F4", 4), ("E6", 6)]
+)
+
+
+@pytest.mark.parametrize(
+    "family,rank,count",
+    [(f, r, root_system_type(f, r).positive_root_count()) for f, r in DOMINANCE],
+)
 def test_simple_to_ambient_consistency(family, rank, count):
+    # the doubled coordinates are summed along the covers as the roots are found
     rst = root_system_type(family, rank)
     simples = simple_system_ambient2(rst)
-    for r in positive_roots(rst):
+    assert len(root_poset(rst)) == count
+    for r in root_poset(rst).roots:
         amb = [0] * rst.ambient_dim
         for c, s in zip(r.simple_coords, simples):
             for k in range(rst.ambient_dim):
@@ -71,6 +83,13 @@ def test_rank_constraints():
         root_system_type("E7", 7)
     with pytest.raises(UnsupportedTypeError):
         root_system_type("E8", 8)
+    # without a rank, E7 and E8 are still reported unsupported, not rank-less
+    with pytest.raises(UnsupportedTypeError, match="E7 is not supported"):
+        root_system_type("E7")
+    with pytest.raises(UnsupportedTypeError, match="E8 is not supported"):
+        root_system_type("e8")
+    with pytest.raises(ConstraintError, match="requires an explicit rank"):
+        root_system_type("B")
 
 
 def test_leq_reflexive_and_dominance(a3_poset):
@@ -131,14 +150,6 @@ def test_chain_poset_cover_count():
     # root of height 2, which lies below the highest root
     p = root_poset(root_system_type("B", 2))
     assert len(p.covers) == 3
-
-
-DOMINANCE = (
-    [("A", r) for r in range(1, 16)]
-    + [(f, r) for f in "BC" for r in range(2, 13)]
-    + [("D", r) for r in range(4, 13)]
-    + [("G2", 2), ("F4", 4), ("E6", 6)]
-)
 
 
 @pytest.mark.parametrize("family,rank", DOMINANCE)
