@@ -2,11 +2,13 @@
 engines, verify engine pairs, emit JSON/LaTeX/text, and cache results.
 
 The argument parser is built on the first ``main`` call and reused by every
-later one in the process (``build_parser``); the polynomial commands report
-in their JSON provenance whether the result came from the cache, and a cache
-that cannot be written costs only a warning on stderr.  Ideal specs are
-checked against the packaged ``schemas/ideal-spec.schema.json``, and cache
-entries (through ``BivariatePolynomial.from_json_dict``) against
+later one in the process (``build_parser``).  The cache holds one entry per
+ideal and engine, its Tutte polynomial (which ``coboundary`` transforms),
+and serves it only if it passes the Tutte certificate; the JSON provenance
+is built on every call, never stored, and says whether the cache was hit.  A
+cache that cannot be written costs only a warning on stderr.  Ideal specs
+are checked against the packaged ``schemas/ideal-spec.schema.json``, and
+cache entries (through ``BivariatePolynomial.from_json_dict``) against
 ``schemas/polynomial.schema.json``, by the plain-Python walk of
 ``schemacheck``, each schema loaded once per process; jsonschema is not
 imported.
@@ -35,15 +37,15 @@ import sys
 import tempfile
 import time
 
-from . import __version__, ffmethod, specialize
+from . import __version__, crapo, ffmethod, specialize
 from .errors import (
     ConstraintError,
     GuardExceeded,
     IdealTutteError,
-    UnsupportedTypeError,
+    InconsistencyError,
     VerificationMismatch,
 )
-from .exactpoly import BivariatePolynomial
+from .exactpoly import BivariatePolynomial, tutte_to_coboundary
 from .ideals import (
     complement,
     enumerate_ideals,
@@ -63,7 +65,7 @@ from .schemacheck import packaged_check
 FORMAT_CHOICES = ("json", "latex", "text")
 LISTING_FORMATS = ("json", "text")  # roots, ideals and minors print no LaTeX
 CACHE_ENV = "TUTTE_CACHE_DIR"
-CACHE_VERSION = "2"
+CACHE_VERSION = "3"
 
 
 def parse_ideal_spec(data):
@@ -97,7 +99,7 @@ def _ideal_from_args(args):
         return ideal
     if args.full:
         return ideal_from_mask(root_poset(root_system_type(args.type, args.rank)), 0)
-    spec = {"type": args.type}
+    spec = {"type": args.type.upper()}
     if args.rank is not None:
         spec["rank"] = args.rank
     if args.boxes is not None:
@@ -136,43 +138,42 @@ class _Cache:
             os.path.expanduser("~"), ".cache", "idealtutte"
         )
 
-    def key(self, ideal, command, engine):
+    def key(self, ideal, engine):
         """The entry's name: a hash of the cache format, the package version
-        (so no release serves another's results), the command, the system,
-        the complement and the engine."""
-        comp_bits = ideal.complement_mask()
+        (so no release serves another's results), the system, the complement
+        and the engine."""
         raw = json.dumps(
             [
                 CACHE_VERSION,
                 __version__,
-                command,
                 str(ideal.rst),
-                format(comp_bits, "x"),
+                format(ideal.complement_mask(), "x"),
                 engine,
             ]
         )
         return hashlib.sha256(raw.encode()).hexdigest()
 
-    def get(self, key, variables):
-        """The cached (polynomial, provenance) pair, or None on a miss.
-
-        An entry that cannot be read or decoded, or is not a polynomial in
-        ``variables`` with provenance, is a miss too; the caller recomputes
-        and overwrites it.
-        """
+    def get(self, key, ideal):
+        """The cached Tutte polynomial of ``ideal``, or None on a miss: an
+        entry that cannot be read or decoded, is not a polynomial in x and y,
+        or fails the certificate (no loops, so the x-degree is the rank r and
+        the x^r column is 1; ``crapo.certify_tutte`` for the m complement
+        roots).  The caller recomputes and overwrites a miss."""
         if not self.enabled:
             return None
         path = os.path.join(self.dir, key + ".json")
         try:
             with open(path) as fh:
-                entry = json.load(fh)
-            poly = BivariatePolynomial.from_json_dict(entry["polynomial"])
-            prov = entry["provenance"]
-        except (OSError, ValueError, LookupError, TypeError):
+                tutte = BivariatePolynomial.from_json_dict(json.load(fh))
+            rank = tutte.degree(0)
+            m = ideal.complement_mask().bit_count()
+            crapo.certify_tutte(tutte, m, rank, "cache entry")
+        except (OSError, ValueError, LookupError, TypeError, InconsistencyError):
             return None
-        if poly.variables != tuple(variables) or not isinstance(prov, dict):
+        top = {b: c for (a, b), c in tutte.coeffs.items() if a == rank}
+        if tutte.variables != ("x", "y") or top != {0: 1}:
             return None
-        return poly, prov
+        return tutte
 
     def put(self, key, value):
         """Store ``value`` under ``key``.
@@ -197,28 +198,25 @@ class _Cache:
             print(f"warning: result not cached: {exc}", file=sys.stderr)
 
 
-def _compute_polynomial(ideal, command, engine, args):
-    """The (polynomial, provenance) pair, from the cache or computed; the
-    provenance says which under ``cache``, a key the stored entry lacks."""
-    cache = _Cache(args)
-    key = cache.key(ideal, command, engine)
-    hit = cache.get(key, ("q", "t") if command == "coboundary" else ("x", "y"))
-    if hit is not None:
-        poly, prov = hit
-        return poly, {**prov, "cache": "hit"}
+def _tutte(ideal, engine, args):
+    """The ideal's Tutte polynomial, from the cache or computed, and this
+    call's provenance: ``cache`` says which, and ``wall_time_s`` is the time
+    this call took to read or compute the polynomial."""
     t0 = time.perf_counter()
-    if command == "coboundary":
-        poly = specialize.coboundary_of_ideal(ideal, engine=engine)
-    else:
-        poly = specialize.tutte_of_ideal(ideal, engine=engine)
-    prov = {
+    cache = _Cache(args)
+    key = cache.key(ideal, engine)
+    tutte = cache.get(key, ideal)
+    status = "miss" if tutte is None else "hit"
+    if tutte is None:
+        tutte = specialize.tutte_of_ideal(ideal, engine=engine)
+        cache.put(key, tutte.to_json_dict())
+    return tutte, {
+        "cache": status,
         "engine": engine,
         "system": str(ideal.rst),
         "hyperplanes": len(ideal.complement_indices()),
         "wall_time_s": round(time.perf_counter() - t0, 4),
     }
-    cache.put(key, {"polynomial": poly.to_json_dict(), "provenance": prov})
-    return poly, {**prov, "cache": "miss"}
 
 
 def cmd_roots(args):
@@ -268,7 +266,9 @@ def cmd_ideals(args):
 def cmd_polynomial(args, command):
     ideal = _ideal_from_args(args)
     engine = specialize.resolve_engine(args.engine, ideal.rst)
-    poly, prov = _compute_polynomial(ideal, command, engine, args)
+    poly, prov = _tutte(ideal, engine, args)
+    if command == "coboundary":
+        poly = tutte_to_coboundary(poly, poly.degree(0))
     _emit(args, poly, prov)
     return 0
 
@@ -482,10 +482,7 @@ def main(argv=None):
     except GuardExceeded as exc:
         print(f"guard refused: {exc}", file=sys.stderr)
         return 2
-    except (
-        ConstraintError, UnsupportedTypeError, IdealTutteError,
-        json.JSONDecodeError, UnicodeDecodeError,
-    ) as exc:
+    except (IdealTutteError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -114,12 +114,42 @@ def test_provenance_reports_a_cache_hit(capsys, tmp_path):
     first, second = json.loads(out1), json.loads(out2)
     assert first["provenance"]["cache"] == "miss" and second["provenance"]["cache"] == "hit"
     assert first["terms"] == second["terms"]
-    # the hit replays the stored provenance; the entry itself never records a hit or miss
-    assert {k: v for k, v in second["provenance"].items() if k != "cache"} == json.loads(
-        stored)["provenance"]
-    assert path.read_bytes() == stored and "cache" not in json.loads(stored)["provenance"]
+    # the provenance is built afresh: a hit differs from the miss only in
+    # ``cache`` and in this call's own wall time
+    for body in (first, second):
+        assert body["provenance"].pop("cache") and body["provenance"].pop("wall_time_s") >= 0
+    assert first["provenance"] == second["provenance"]
+    # the entry is the bare Tutte polynomial, with no provenance, and a hit leaves it as it was
+    assert path.read_bytes() == stored and sorted(json.loads(stored)) == ["terms", "variables"]
     code3, out3, _ = run(capsys, *args[:-2], "--no-cache")
     assert code3 == 0 and json.loads(out3)["provenance"]["cache"] == "miss"
+
+
+def test_coboundary_reads_the_entry_tutte_wrote(capsys, tmp_path):
+    g2 = ("--type", "G2", "--roots", "[[3,1],[3,2]]", "--format", "json")
+    code, _, _ = run(capsys, "tutte", *g2, "--cache-dir", str(tmp_path))
+    assert code == 0
+    code, out, _ = run(capsys, "coboundary", *g2, "--cache-dir", str(tmp_path))
+    assert code == 0 and json.loads(out)["provenance"]["cache"] == "hit"
+    code, want, _ = run(capsys, "coboundary", *g2, "--no-cache")
+    assert code == 0 and json.loads(out)["terms"] == json.loads(want)["terms"]
+    assert len(list(tmp_path.iterdir())) == 1
+
+
+def test_cache_entries_hold_no_timing(capsys, tmp_path):
+    # two fresh caches filled by the same requests are byte for byte the same
+    requests = [
+        ("tutte", "--type", "B", "--rank", "3", "--full"),
+        ("coboundary", "--type", "G2", "--roots", "[[3,1],[3,2]]"),
+        ("tutte", "--type", "D", "--rank", "4", "--boxes", "[[1,3]]"),
+        ("coboundary", "--type", "F4", "--roots", "[[2,3,4,2]]"),
+    ]
+    for cache in ("one", "two"):
+        for argv in requests:
+            code, _, _ = run(capsys, *argv, "--cache-dir", str(tmp_path / cache))
+            assert code == 0
+    one, two = ({p.name: p.read_bytes() for p in (tmp_path / c).iterdir()} for c in ("one", "two"))
+    assert len(one) == len(requests) and one == two
 
 
 def test_entry_stored_by_another_version_is_a_miss(capsys, monkeypatch, tmp_path):
@@ -420,10 +450,11 @@ def test_emitted_json_and_cache_entries_follow_polynomial_schema(capsys, tmp_pat
             )
             assert code == 0
             validator.validate(json.loads(out))
+    # one entry per ideal, shared by tutte and coboundary: a whole polynomial document
     entries = sorted(tmp_path.glob("*.json"))
-    assert len(entries) == 4
+    assert len(entries) == 2
     for path in entries:
-        validator.validate(json.loads(path.read_text())["polynomial"])
+        validator.validate(json.loads(path.read_text()))
 
 
 def test_charpoly_command(capsys, tmp_path):
@@ -529,16 +560,17 @@ def test_json_provenance_names_the_flats_engine(capsys, tmp_path):
         "\udcff",  # not UTF-8
         '{"x": 1}',
         "[1, 2]",
-        '{"polynomial": {"terms": 3, "variables": ["x", "y"]}, "provenance": {}}',
+        '{"terms": 3, "variables": ["x", "y"]}',
+        # the layout of an older release, a polynomial beside a stored provenance
         '{"polynomial": {"terms": [], "variables": ["x", "y"]}, "provenance": [1]}',
-        '{"polynomial": {"terms": [], "variables": ["x"]}, "provenance": {}}',
-        '{"polynomial": {"terms": [], "variables": ["q", "t"]}, "provenance": {}}',
-        '{"polynomial": {"terms": [{"dx": -1, "dy": 0, "c": "1"}], "variables": ["x", "y"]},'
-        ' "provenance": {}}',
-        '{"polynomial": {"terms": [{"dx": 1.5, "dy": 0, "c": "1"}], "variables": ["x", "y"]},'
-        ' "provenance": {}}',
-        '{"polynomial": {"terms": [{"dx": 1, "dy": 0, "c": "one"}], "variables": ["x", "y"]},'
-        ' "provenance": {}}',
+        '{"terms": [], "variables": ["x"]}',
+        # the ideal's coboundary polynomial, which the cache no longer stores
+        '{"terms": [{"dx": 0, "dy": 0, "c": "3"}, {"dx": 0, "dy": 1, "c": "-4"},'
+        ' {"dx": 1, "dy": 0, "c": "-4"}, {"dx": 1, "dy": 1, "c": "4"},'
+        ' {"dx": 2, "dy": 0, "c": "1"}, {"dx": 0, "dy": 4, "c": "1"}], "variables": ["q", "t"]}',
+        '{"terms": [{"dx": -1, "dy": 0, "c": "1"}], "variables": ["x", "y"]}',
+        '{"terms": [{"dx": 1.5, "dy": 0, "c": "1"}], "variables": ["x", "y"]}',
+        '{"terms": [{"dx": 1, "dy": 0, "c": "one"}], "variables": ["x", "y"]}',
     ],
 )
 def test_bad_cache_entry_is_a_miss(capsys, tmp_path, entry):
@@ -550,7 +582,56 @@ def test_bad_cache_entry_is_a_miss(capsys, tmp_path, entry):
     code, got, err = run(capsys, *args)
     assert code == 0 and got == want and not err
     # recomputed and overwritten with a good entry
-    assert json.loads(path.read_text())["polynomial"] == json.loads(good)["polynomial"]
+    assert path.read_text() == good
+
+
+def _entry(terms, variables=("x", "y")):
+    return json.dumps({"terms": [{"dx": a, "dy": b, "c": str(c)} for a, b, c in terms],
+                       "variables": list(variables)})
+
+
+G2_TUTTE = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 0, 1)]  # 2y + 2x + y^2 + x^2
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        _entry([(0, 0, 1)]),  # 1: T(2,2) is not 2^4
+        _entry([(1, 0, 8)]),  # 8x: T(2,2) = 2^4 within the degree bounds, x^1 column 8
+        _entry(G2_TUTTE, ("q", "t")),  # the right terms in the wrong variables
+        "OTHER",  # a valid entry of another ideal, G2's full arrangement
+    ],
+    ids=["one", "8x", "q-t", "other-ideal"],
+)
+def test_cache_entry_failing_the_certificate_is_recomputed(capsys, tmp_path, entry):
+    g2 = ("tutte", "--type", "G2")
+    assert run(capsys, *g2, "--full", "--cache-dir", str(tmp_path / "other"))[0] == 0
+    (other,) = (tmp_path / "other").iterdir()
+    args = (*g2, "--roots", "[[3,1],[3,2]]")
+    code, want, _ = run(capsys, *args, "--no-cache")
+    assert code == 0 and parse_polynomial(want.strip()) == parse_polynomial("2y + 2x + y^2 + x^2")
+    cache = tmp_path / "cache"
+    assert run(capsys, *args, "--cache-dir", str(cache)) == (0, want, "")
+    (path,) = cache.iterdir()
+    good = path.read_text()
+    assert json.loads(good) == parse_polynomial(want.strip()).to_json_dict()
+    path.write_text(other.read_text() if entry == "OTHER" else entry)
+    code, got, err = run(capsys, *args, "--cache-dir", str(cache))
+    assert code == 0 and got == want and not err
+    assert path.read_text() == good
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [("--type", "b", "--rank", "3", "--roots", "[[1,2,2]]"),
+     ("--type", "g2", "--roots", "[[3,1],[3,2]]"),
+     ("--type", "c", "--rank", "4", "--boxes", "[[1,4],[2,-3]]")],
+)
+def test_lowercase_type_with_roots_or_boxes(capsys, spec):
+    code, got, err = run(capsys, "tutte", *spec, "--no-cache")
+    upper = (spec[0], spec[1].upper(), *spec[2:])
+    assert code == 0 and not err
+    assert run(capsys, "tutte", *upper, "--no-cache") == (0, got, "")
 
 
 CACHE_OPTIONS = [("--no-cache",), ("--cache-dir", "somewhere")]
