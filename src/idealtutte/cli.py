@@ -3,15 +3,15 @@ engines, verify engine pairs, emit JSON/LaTeX/text, and cache results.
 
 The argument parser is built on the first ``main`` call and reused by every
 later one in the process (``build_parser``).  The cache holds one entry per
-ideal and engine, its Tutte polynomial (which ``coboundary`` transforms),
-and serves it only if it passes the Tutte certificate; the JSON provenance
-is built on every call, never stored, and says whether the cache was hit.  A
-cache that cannot be written costs only a warning on stderr.  Ideal specs
-are checked against the packaged ``schemas/ideal-spec.schema.json``, and
-cache entries (through ``BivariatePolynomial.from_json_dict``) against
-``schemas/polynomial.schema.json``, by the plain-Python walk of
-``schemacheck``, each schema loaded once per process; jsonschema is not
-imported.
+ideal and engine, its Tutte polynomial, served only if it passes the Tutte
+certificate (a tampered entry consistent with T(2,2), the degree bounds and
+the x^r column still passes); the JSON provenance is built on every call,
+never stored, and says whether the cache was hit.  A cache that cannot be
+written costs only a warning on stderr.  Ideal specs are checked against the
+packaged ``schemas/ideal-spec.schema.json``, and cache entries (through
+``BivariatePolynomial.from_json_dict``) against ``schemas/polynomial.schema.json``,
+by the plain-Python walk of ``schemacheck``, each schema loaded once per
+process; jsonschema is not imported.
 
 Each engine's guard is one constant of its own, and no option overrides it;
 ``verify`` checks ``auto`` against ``crapo`` unless ``--engines`` names others,
@@ -45,7 +45,7 @@ from .errors import (
     InconsistencyError,
     VerificationMismatch,
 )
-from .exactpoly import BivariatePolynomial, tutte_to_coboundary
+from .exactpoly import BivariatePolynomial, coboundary_to_tutte, tutte_to_coboundary
 from .ideals import (
     complement,
     enumerate_ideals,
@@ -198,25 +198,36 @@ class _Cache:
             print(f"warning: result not cached: {exc}", file=sys.stderr)
 
 
-def _tutte(ideal, engine, args):
-    """The ideal's Tutte polynomial, from the cache or computed, and this
-    call's provenance: ``cache`` says which, and ``wall_time_s`` is the time
-    this call took to read or compute the polynomial."""
+def cmd_polynomial(args, command):
+    """Emit the ideal's ``command`` polynomial and this call's provenance:
+    ``cache`` says whether its Tutte polynomial came from the cache, and
+    ``wall_time_s`` is this call's time to read or compute the polynomial.
+    A ``coboundary`` miss prints chi-bar as computed and stores it as T."""
+    ideal = _ideal_from_args(args)
+    engine = specialize.resolve_engine(args.engine, ideal.rst)
     t0 = time.perf_counter()
     cache = _Cache(args)
     key = cache.key(ideal, engine)
     tutte = cache.get(key, ideal)
-    status = "miss" if tutte is None else "hit"
-    if tutte is None:
-        tutte = specialize.tutte_of_ideal(ideal, engine=engine)
-        cache.put(key, tutte.to_json_dict())
-    return tutte, {
-        "cache": status,
+    if tutte is None and command == "coboundary":
+        poly = specialize.coboundary_of_ideal(ideal, engine=engine)
+        if cache.enabled:  # no loops, so chi-bar's q-degree is the rank
+            cache.put(key, coboundary_to_tutte(poly, poly.degree(0)).to_json_dict())
+    elif tutte is None:
+        poly = specialize.tutte_of_ideal(ideal, engine=engine)
+        cache.put(key, poly.to_json_dict())
+    elif command == "coboundary":
+        poly = tutte_to_coboundary(tutte, tutte.degree(0))
+    else:
+        poly = tutte
+    _emit(args, poly, {
+        "cache": "miss" if tutte is None else "hit",
         "engine": engine,
         "system": str(ideal.rst),
         "hyperplanes": len(ideal.complement_indices()),
         "wall_time_s": round(time.perf_counter() - t0, 4),
-    }
+    })
+    return 0
 
 
 def cmd_roots(args):
@@ -260,16 +271,6 @@ def cmd_ideals(args):
     else:
         for roots in out:
             print(roots)
-    return 0
-
-
-def cmd_polynomial(args, command):
-    ideal = _ideal_from_args(args)
-    engine = specialize.resolve_engine(args.engine, ideal.rst)
-    poly, prov = _tutte(ideal, engine, args)
-    if command == "coboundary":
-        poly = tutte_to_coboundary(poly, poly.degree(0))
-    _emit(args, poly, prov)
     return 0
 
 

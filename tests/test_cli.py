@@ -12,7 +12,7 @@ from conftest import IDEAL_E, latex_is_wellformed, packaged_schema
 from idealtutte import crapo, ffmethod, specialize
 from idealtutte.cli import main, parse_ideal_spec
 from idealtutte.errors import ConstraintError
-from idealtutte.exactpoly import BivariatePolynomial, parse_polynomial
+from idealtutte.exactpoly import BivariatePolynomial, parse_polynomial, tutte_to_coboundary
 from idealtutte.ffmethod import CountingModel
 from idealtutte.ideals import arrangement_of
 
@@ -134,6 +134,31 @@ def test_coboundary_reads_the_entry_tutte_wrote(capsys, tmp_path):
     code, want, _ = run(capsys, "coboundary", *g2, "--no-cache")
     assert code == 0 and json.loads(out)["terms"] == json.loads(want)["terms"]
     assert len(list(tmp_path.iterdir())) == 1
+
+
+def test_coboundary_miss_prints_chi_bar_as_computed(capsys, monkeypatch, tmp_path):
+    from idealtutte import cli
+
+    g2 = ("--type", "G2", "--roots", "[[3,1],[3,2]]", "--format", "json")
+    want = BivariatePolynomial.from_json_dict(
+        {"terms": [{"dx": a, "dy": b, "c": str(c)} for a, b, c in G2_TUTTE],
+         "variables": ["x", "y"]})
+    # under --no-cache no Tutte polynomial is formed, so neither transform runs
+    with monkeypatch.context() as patched:
+        for name in ("coboundary_to_tutte", "tutte_to_coboundary"):
+            patched.setattr(cli, name, _never)
+        code, out, _ = run(capsys, "coboundary", *g2, "--no-cache")
+    assert code == 0
+    assert BivariatePolynomial.from_json_dict(json.loads(out)) == tutte_to_coboundary(want, 2)
+    # with a cache, the miss stores the entry tutte would have stored, and tutte hits it
+    code, cold, _ = run(capsys, "coboundary", *g2, "--cache-dir", str(tmp_path / "cb"))
+    assert code == 0 and json.loads(cold)["terms"] == json.loads(out)["terms"]
+    code, hit, _ = run(capsys, "tutte", *g2, "--cache-dir", str(tmp_path / "cb"))
+    assert code == 0 and json.loads(hit)["provenance"]["cache"] == "hit"
+    assert BivariatePolynomial.from_json_dict(json.loads(hit)) == want
+    assert run(capsys, "tutte", *g2, "--cache-dir", str(tmp_path / "t"))[0] == 0
+    (cb_entry,), (t_entry,) = (tmp_path / "cb").iterdir(), (tmp_path / "t").iterdir()
+    assert cb_entry.name == t_entry.name and cb_entry.read_bytes() == t_entry.read_bytes()
 
 
 def test_cache_entries_hold_no_timing(capsys, tmp_path):
@@ -619,6 +644,17 @@ def test_cache_entry_failing_the_certificate_is_recomputed(capsys, tmp_path, ent
     code, got, err = run(capsys, *args, "--cache-dir", str(cache))
     assert code == 0 and got == want and not err
     assert path.read_text() == good
+
+
+def test_tampered_entry_consistent_with_the_certificate_is_served(capsys, tmp_path):
+    # the certificate's known limit: x^2 + 12 has T(2,2) = 2^4, the degree
+    # bounds and an x^2 column of 1, so it is served in place of the G2
+    # ideal's 2y + 2x + y^2 + x^2; a stronger check would fail this test
+    args = ("tutte", "--type", "G2", "--roots", "[[3,1],[3,2]]", "--cache-dir", str(tmp_path))
+    assert run(capsys, *args)[0] == 0
+    (path,) = tmp_path.iterdir()
+    path.write_text(_entry([(2, 0, 1), (0, 0, 12)]))
+    assert run(capsys, *args) == (0, "12 + x^2\n", "")
 
 
 @pytest.mark.parametrize(
