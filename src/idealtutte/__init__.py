@@ -50,6 +50,7 @@ from .ideals import (
     IdealComplement,
     IdealExponents,
     arrangement_of,
+    check_exponent_factorization,
     complement,
     decompose_components,
     enumerate_ideals,
@@ -75,9 +76,7 @@ from .ffmethod import (
     count_points_bruteforce,
 )
 from .specialize import (
-    FactorizationReport,
     characteristic_polynomial,
-    check_exponent_factorization,
     coboundary_of_ideal,
     region_count,
     resolve_engine,

@@ -87,11 +87,20 @@ def parse_ideal_spec(data):
     raise ConstraintError("ideal spec needs generating_boxes or roots")
 
 
+def _parse_json(text, source):
+    """json.loads of ``text``; ConstraintError, naming ``source``, for JSON
+    nested too deeply for the parser's recursion."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ConstraintError(f"{source} is nested too deeply to parse") from None
+
+
 def _ideal_from_args(args):
     """The ideal named by the one ideal input the parser admitted."""
     if args.ideal_file is not None:
         with open(args.ideal_file) as fh:
-            ideal = parse_ideal_spec(json.load(fh))
+            ideal = parse_ideal_spec(_parse_json(fh.read(), "--ideal-file"))
         rst = ideal.rst
         if rst.family != args.type.upper() or args.rank not in (None, rst.rank):
             given = args.type + ("" if args.rank is None else f" --rank {args.rank}")
@@ -103,9 +112,9 @@ def _ideal_from_args(args):
     if args.rank is not None:
         spec["rank"] = args.rank
     if args.boxes is not None:
-        spec["generating_boxes"] = json.loads(args.boxes)
+        spec["generating_boxes"] = _parse_json(args.boxes, "--boxes")
     else:
-        spec["roots"] = json.loads(args.roots)
+        spec["roots"] = _parse_json(args.roots, "--roots")
     return parse_ideal_spec(spec)
 
 
@@ -168,7 +177,7 @@ class _Cache:
             rank = tutte.degree(0)
             m = ideal.complement_mask().bit_count()
             crapo.certify_tutte(tutte, m, rank, "cache entry")
-        except (OSError, ValueError, LookupError, TypeError, InconsistencyError):
+        except (OSError, ValueError, LookupError, TypeError, RecursionError, InconsistencyError):
             return None
         top = {b: c for (a, b), c in tutte.coeffs.items() if a == rank}
         if tutte.variables != ("x", "y") or top != {0: 1}:

@@ -47,8 +47,8 @@ from __future__ import annotations
 import functools
 
 from .errors import ConstraintError, GuardExceeded, InconsistencyError
-from .exactpoly import BivariatePolynomial, UnivariatePolynomial
-from .ideals import ideal_exponents, ideal_from_mask
+from .exactpoly import BivariatePolynomial
+from .ideals import check_exponent_factorization, ideal_from_mask
 from .rootsystems import root_poset, simple_reflections
 
 # restrict keeps |F & D| of each flat in one byte, which holds counts up to
@@ -280,15 +280,10 @@ def flat_lattice(rst):
     order (``orbit_lattice``), built on the first call and kept for the
     process.
 
-    Besides the build's own check, chi_M(q) must split as prod (q - e_i) over
-    the exponents of the empty ideal; InconsistencyError otherwise.
+    Besides the build's own check, chi_M(q) must split over the exponents of
+    the empty ideal (``ideals.check_exponent_factorization``);
+    InconsistencyError otherwise.
     """
     lattice = orbit_lattice(rst)
-    want = UnivariatePolynomial([1])
-    for e in ideal_exponents(ideal_from_mask(root_poset(rst), 0)).exponents:
-        want = want * UnivariatePolynomial([-e, 1])
-    if UnivariatePolynomial(lattice.kinds[0]) != want:
-        raise InconsistencyError(
-            f"chi of the full {rst} arrangement is not {want.to_text()}"
-        )
+    check_exponent_factorization(ideal_from_mask(root_poset(rst), 0), lattice.kinds[0])
     return lattice

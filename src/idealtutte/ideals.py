@@ -2,7 +2,8 @@
 from generating boxes, ideal arrangements, the automorphism blocks that the
 counting engine takes by default, the classes of the tuples' signed graph
 (which give both the components and the counting model's rank), component
-decomposition, and the ideal exponents read off the complement's heights.
+decomposition, and the ideal exponents read off the complement's heights,
+with the one check that a characteristic polynomial splits over them.
 
 Classical roots are named throughout by the hyperplane tuple notation:
 (i, j) is x_i = x_j, (i, -j) is x_i = -x_j, (i, 0) is x_i = 0, always with
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 
 from . import crapo
 from .errors import ConstraintError, InconsistencyError, UnsupportedTypeError
+from .exactpoly import UnivariatePolynomial
 from .rootsystems import root_poset
 
 
@@ -180,14 +182,14 @@ def grid_position(rst, box):
 
 
 @functools.lru_cache(maxsize=None)
-def _grid(rst):
+def diagram_grid(rst):
     """{box: (row, column)} over the whole diagram."""
     return {b: grid_position(rst, b) for b in diagram_boxes(rst)}
 
 
 def generated_box_set(rst, box):
     """The box set generated by one box: everything weakly below and to its right."""
-    grid = _grid(rst)
+    grid = diagram_grid(rst)
     row, col = grid[box]
     return {b for b, (r, c) in grid.items() if r >= row and c >= col}
 
@@ -327,24 +329,42 @@ class IdealExponents:
 def ideal_exponents(ideal):
     """Ideal exponents from the height partition of the complement.
 
-    lambda_i counts complement roots of height i; the exponents are the dual
-    partition values m_i = #{j : lambda_j >= lambda_1 - i + 1}, reported in
-    weakly decreasing order.
+    lambda_h counts the complement roots of height h, one popcount per
+    ``RootPoset.height_masks`` entry, and must weakly decrease; the exponents
+    are the conjugate partition mu_k = #{h : lambda_h >= k}, weakly
+    decreasing.
     """
-    heights = {}
-    for r in ideal.complement_roots():
-        heights[r.height] = heights.get(r.height, 0) + 1
-    if not heights:
-        return IdealExponents((), ())
-    lam = [heights.get(h, 0) for h in range(1, max(heights) + 1)]
+    comp = ideal.complement_mask()
+    lam = [(comp & heights).bit_count() for heights in ideal.poset.height_masks]
+    while lam and not lam[-1]:
+        lam.pop()
     if any(a < b for a, b in zip(lam, lam[1:])):
         raise InconsistencyError(f"height counts {lam} are not weakly decreasing")
-    lam_sorted = sorted(lam, reverse=True)
-    top = lam_sorted[0]
-    exps = [
-        sum(1 for l in lam_sorted if l >= top - i + 1) for i in range(1, top + 1)
-    ]
-    return IdealExponents(tuple(lam_sorted), tuple(sorted(exps, reverse=True)))
+    exps = [sum(1 for l in lam if l >= k) for k in range(1, lam[0] + 1)] if lam else []
+    return IdealExponents(tuple(lam), tuple(exps))
+
+
+def check_exponent_factorization(ideal, chi):
+    """The ideal exponents of ``ideal`` (``ideal_exponents``), once its
+    characteristic polynomial is seen to split over them.
+
+    ``chi`` lists chi(q)'s coefficients lowest first, say a
+    ``UnivariatePolynomial.coeffs`` or a ``FlatLattice.kinds`` row.  Every
+    ideal arrangement of a Weyl arrangement is free with the ideal exponents
+    m_1, ..., m_k (Abe, Barakat, Cuntz, Hoge and Terao, 2016), so ``chi`` must
+    be q^(len(chi) - 1 - k) prod (q - m_i); InconsistencyError otherwise.
+    """
+    exps = ideal_exponents(ideal).exponents
+    want = [0] * (len(chi) - 1 - len(exps)) + [1]
+    for m in exps:
+        want = [a - m * b for a, b in zip([0] + want, want + [0])]  # times (q - m)
+    if list(chi) != want:
+        raise InconsistencyError(
+            f"chi = {UnivariatePolynomial(chi)} of the {ideal.rst} ideal arrangement "
+            f"is not {UnivariatePolynomial(want)}, the product over its ideal "
+            f"exponents {list(exps)}"
+        )
+    return exps
 
 
 def tuple_normal(t, n):

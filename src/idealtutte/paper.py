@@ -20,7 +20,7 @@ from math import comb
 
 from .errors import ConstraintError, GuardExceeded, UnsupportedTypeError
 from .ffmethod import CountingModel
-from .ideals import _grid, generated_box_set, grid_position
+from .ideals import diagram_grid, generated_box_set, grid_position
 
 MAX_MINORS = 5_000_000  # minor_set refuses a matrix with more square minors
 
@@ -31,7 +31,7 @@ MAX_MINORS = 5_000_000  # minor_set refuses a matrix with more square minors
 def rightmost_boxes(rst):
     """The rightmost box of every diagram row; their presence defines fullness."""
     last = {}
-    for b, (row, _) in sorted(_grid(rst).items(), key=lambda kv: kv[1]):
+    for b, (row, _) in sorted(diagram_grid(rst).items(), key=lambda kv: kv[1]):
         last[row] = b
     return list(last.values())
 
@@ -47,7 +47,7 @@ def generating_boxes(comp):
     """
     tset = comp.tuple_set()  # raises for non-classical
     rst = comp.rst
-    grid = _grid(rst)
+    grid = diagram_grid(rst)
 
     def dominated(b):
         # b lies in the generated set of another box of the complement

@@ -258,6 +258,10 @@ class RootPoset:
             self.up_masks[i] |= self.up_masks[j]
         for i, j in by_height:
             self.down_masks[j] |= self.down_masks[i]
+        # height_masks[h - 1] = bitmask of the roots of height h, h = 1, 2, ...
+        self.height_masks = [0] * max(r.height for r in self.roots)
+        for r in self.roots:
+            self.height_masks[r.height - 1] |= 1 << r.index
 
     def __len__(self):
         return len(self.roots)

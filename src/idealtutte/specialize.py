@@ -5,19 +5,16 @@ from the finite-field pipeline and the lattice of flats, T(x, y) from Crapo's
 basis activities and the corank-nullity oracle.  One function takes every
 result: it converts each T to chi-bar and certifies the chi-bar of every
 engine; ``tutte_of_ideal`` transforms that, and ``characteristic_polynomial``
-reads chi(q) off chi-bar(q, 0).  Also region counts and the ideal-exponent
-factorization cross-check.
+reads chi(q) off chi-bar(q, 0).  Also region counts.  The check that chi
+splits over the ideal exponents, ``ideals.check_exponent_factorization``,
+takes the chi it is given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import crapo, ffmethod, flats
 from .errors import ConstraintError, InconsistencyError
 from .exactpoly import coboundary_to_characteristic, coboundary_to_tutte, tutte_to_coboundary
-# IdealExponents and ideal_exponents live in ideals and stay importable from here
-from .ideals import IdealExponents, ideal_exponents
 
 
 ENGINES = ("auto", "ffmethod", "flats", "crapo", "oracle")
@@ -103,47 +100,3 @@ def region_count(tutte):
     if val <= 0:
         raise InconsistencyError(f"nonpositive region count {val}")
     return val
-
-
-@dataclass
-class FactorizationReport:
-    """Outcome of checking chi(q) = q^(n - rank) * prod (q - m_i)."""
-
-    ok: bool
-    exponents: tuple
-    characteristic: object
-    leftover: object = None
-    detail: str = ""
-
-    def to_json_dict(self):
-        return {
-            "ok": self.ok,
-            "exponents": list(self.exponents),
-            "characteristic": self.characteristic.to_text("q"),
-            "detail": self.detail,
-        }
-
-
-def check_exponent_factorization(ideal, engine="auto"):
-    """Whether the characteristic polynomial splits over the ideal exponents.
-
-    Failure is reported, not raised: the factorization is a theorem only for
-    the families where the ideal arrangements are free with ideal exponents.
-    """
-    exps = ideal_exponents(ideal)
-    cb, rank = _coboundary_and_rank(ideal, engine)
-    chi = coboundary_to_characteristic(cb, ideal.rst.ambient_dim, rank)
-    # chi-bar(q, 0): chi without its factor q^(n - rank)
-    work = coboundary_to_characteristic(cb, rank, rank)
-    for m in exps.exponents:
-        quot, rem = work.divide_linear(m)
-        if rem != 0:
-            return FactorizationReport(
-                False, exps.exponents, chi, work, f"(q - {m}) does not divide the cofactor"
-            )
-        work = quot
-    if work != 1:
-        return FactorizationReport(
-            False, exps.exponents, chi, work, f"cofactor {work} left over"
-        )
-    return FactorizationReport(True, exps.exponents, chi, None, "split")

@@ -17,17 +17,24 @@ import pytest
 from conftest import IDEAL_E, IDEAL_F, IDEAL_G, exceptional_ideal, load_poly, worked_ideal
 from crapo_reference import enumerate_bases
 from idealtutte.crapo import VectorConfig, tutte_corank_nullity, tutte_crapo
-from idealtutte.exactpoly import coboundary_to_tutte, lagrange_interpolate
+from idealtutte.errors import InconsistencyError
+from idealtutte.exactpoly import coboundary_to_tutte, lagrange_interpolate, tutte_to_characteristic
 from idealtutte.ffmethod import (
     CountingModel,
     coboundary_full,
     coboundary_polynomial,
     count_points_bruteforce,
 )
-from idealtutte.ideals import arrangement_of, complement, enumerate_ideals, ideal_from_mask
+from idealtutte.ideals import (
+    arrangement_of,
+    check_exponent_factorization,
+    complement,
+    enumerate_ideals,
+    ideal_from_mask,
+)
 from idealtutte.paper import minor_set
 from idealtutte.rootsystems import root_poset, root_system_type
-from idealtutte.specialize import check_exponent_factorization, region_count, tutte_of_ideal
+from idealtutte.specialize import characteristic_polynomial, region_count, tutte_of_ideal
 
 
 def tutte_via_ffmethod(ideal):
@@ -281,14 +288,21 @@ def test_crit4_specializations(sweep_results):
 def test_crit5_exponent_factorization(sweep_results):
     t0 = time.time()
     failures = []
-    for (family, rank, mask), data in sweep_results.items():
-        rep = check_exponent_factorization(data["ideal"])
-        if not rep.ok:
-            failures.append((family, rank, mask, rep.detail))
+    # the sweep's primary Tutte polynomials, and the worked G2 and F4 ideals
+    # by the default engine
+    chis = [
+        (data["ideal"], tutte_to_characteristic(
+            data["primary"], data["ideal"].rst.ambient_dim, data["cfg"].rank))
+        for data in sweep_results.values()
+    ]
     for fam, coords in (("G2", IDEAL_G), ("F4", IDEAL_F)):
-        rep = check_exponent_factorization(exceptional_ideal(fam, coords))
-        if not rep.ok:
-            failures.append((fam, rep.detail))
+        ideal = exceptional_ideal(fam, coords)
+        chis.append((ideal, characteristic_polynomial(ideal)))
+    for ideal, chi in chis:
+        try:
+            check_exponent_factorization(ideal, chi.coeffs)
+        except InconsistencyError as exc:
+            failures.append(str(exc))
     dt = time.time() - t0
     report(
         f"5(exponent factorization, {len(sweep_results)+2} ideals): "

@@ -260,6 +260,23 @@ def test_cache_dir_under_a_regular_file_still_prints_the_result(capsys, tmp_path
     assert blocker.read_text() == ""
 
 
+def test_cache_dir_from_the_environment(capsys, tmp_path, monkeypatch):
+    # $TUTTE_CACHE_DIR holds the entries when no --cache-dir is given, and
+    # --cache-dir wins over it; HOME is isolated so that no run can reach
+    # the default ~/.cache/idealtutte
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.setenv("TUTTE_CACHE_DIR", str(tmp_path / "env"))
+    args = ("tutte", "--type", "G2", "--roots", "[[3,1],[3,2]]")
+    code, want, _ = run(capsys, *args, "--cache-dir", str(tmp_path / "flag"))
+    assert code == 0 and len(list((tmp_path / "flag").glob("*.json"))) == 1
+    assert not (tmp_path / "env").exists()
+    assert run(capsys, *args) == (0, want, "")
+    assert [p.name for p in (tmp_path / "env").iterdir()] == [
+        p.name for p in (tmp_path / "flag").iterdir()
+    ]
+    assert not (tmp_path / "home").exists()
+
+
 def test_cache_entry_that_cannot_be_replaced_leaves_no_temporary_file(capsys, tmp_path):
     args = ("tutte", "--type", "G2", "--roots", "[[3,1],[3,2]]")
     code, want, _ = run(capsys, *args, "--cache-dir", str(tmp_path / "first"))
@@ -596,6 +613,8 @@ def test_json_provenance_names_the_flats_engine(capsys, tmp_path):
         '{"terms": [{"dx": -1, "dy": 0, "c": "1"}], "variables": ["x", "y"]}',
         '{"terms": [{"dx": 1.5, "dy": 0, "c": "1"}], "variables": ["x", "y"]}',
         '{"terms": [{"dx": 1, "dy": 0, "c": "one"}], "variables": ["x", "y"]}',
+        # nested past the JSON parser's recursion limit
+        pytest.param("[" * 200000, id="deeply-nested"),
     ],
 )
 def test_bad_cache_entry_is_a_miss(capsys, tmp_path, entry):
@@ -741,9 +760,14 @@ def test_short_listing_into_a_closed_pipe():
     ("tutte", "--type", "B", "--rank", "3", "--ideal-file", "{tmp}/latin1.json", "--no-cache"),
     ("tutte", "--type", "B", "--rank", "3", "--full", "--out", "{tmp}/missing/t.txt", "--no-cache"),
     ("charpoly", "--type", "B", "--rank", "3", "--full", "--out", "{tmp}/missing/chi.txt"),
+    # the last three nested past the JSON parser's recursion limit
+    ("tutte", "--type", "G2", "--ideal-file", "{tmp}/deep.json", "--no-cache"),
+    ("tutte", "--type", "G2", "--roots", "[" * 3000, "--no-cache"),
+    ("tutte", "--type", "B", "--rank", "3", "--boxes", "[" * 3000, "--no-cache"),
 ])
 def test_unreadable_ideal_file_or_unwritable_out_exits_1(tmp_path, argv):
     (tmp_path / "latin1.json").write_bytes('{"type": "B", "roots": "\xe9"}'.encode("latin-1"))
+    (tmp_path / "deep.json").write_text("[" * 100000)
     proc = _cli_process([a.format(tmp=tmp_path) for a in argv], subprocess.PIPE)
     out, err = proc.communicate(timeout=120)
     assert proc.returncode == 1 and out == b""

@@ -1,6 +1,6 @@
 """The package's modules import one another without a cycle, counting the
-imports made inside functions as well as those at the top of a module; and
-none imports numpy when it loads."""
+imports made inside functions as well as those at the top of a module; none
+imports a private name of another; and none imports numpy when it loads."""
 
 import ast
 import graphlib
@@ -42,6 +42,20 @@ def test_package_imports_have_no_cycle():
         graphlib.TopologicalSorter(import_graph()).prepare()
     except graphlib.CycleError as exc:
         pytest.fail("import cycle: " + " -> ".join(exc.args[1]))
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a single leading underscore keeps a name to its own module; dunders
+    # such as __version__ are public
+    private = sorted(
+        f"{path.name}: {alias.name} from .{node.module or ''}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    )
+    assert not private
 
 
 def load_time_imports(tree):

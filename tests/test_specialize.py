@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from conftest import IDEAL_F, IDEAL_G, exceptional_ideal, worked_ideal
@@ -11,13 +13,18 @@ from idealtutte.exactpoly import (
     tutte_to_characteristic,
 )
 from idealtutte.ffmethod import coboundary_full
-from idealtutte.ideals import arrangement_of, enumerate_ideals, ideal_from_mask
+from idealtutte.ideals import (
+    arrangement_of,
+    check_exponent_factorization,
+    enumerate_ideals,
+    ideal_exponents,
+    ideal_from_mask,
+    iter_ideals,
+)
 from idealtutte.rootsystems import root_poset, root_system_type
 from idealtutte.specialize import (
     characteristic_polynomial,
-    check_exponent_factorization,
     coboundary_of_ideal,
-    ideal_exponents,
     region_count,
     tutte_of_ideal,
     tutte_to_coboundary,
@@ -87,44 +94,43 @@ def test_region_count_rejects_nonpositive():
         region_count(parse_polynomial("0"))
 
 
-def test_factorization_worked_examples():
-    ig = exceptional_ideal("G2", IDEAL_G)
-    rep = check_exponent_factorization(ig)
-    assert rep.ok and rep.exponents == (3, 1)
-    fi = exceptional_ideal("F4", IDEAL_F)
-    rep = check_exponent_factorization(fi)
-    assert rep.ok
+def _factorization(ideal):
+    """check_exponent_factorization on the chi(q) of the default engine."""
+    return check_exponent_factorization(ideal, characteristic_polynomial(ideal).coeffs)
 
-    for label in ("a", "b", "c", "d"):
-        rep = check_exponent_factorization(worked_ideal(label))
-        assert rep.ok, (label, rep.detail)
+
+def test_factorization_worked_examples():
+    assert _factorization(exceptional_ideal("G2", IDEAL_G)) == (3, 1)
+    assert _factorization(exceptional_ideal("F4", IDEAL_F)) == (5, 5, 5, 1)
+    for label, exponents in (
+        ("a", (3, 3, 2, 2, 2, 2, 1)),
+        ("b", (5, 5, 4, 3, 3, 1)),
+        ("c", (5, 5, 4, 3, 3, 1)),
+        ("d", (4, 3, 3, 2, 2, 1)),
+    ):
+        assert _factorization(worked_ideal(label)) == exponents, label
 
 
 def test_factorization_full_braid():
     poset = root_poset(root_system_type("A", 3))
-    rep = check_exponent_factorization(ideal_from_mask(poset, 0))
-    assert rep.ok
-    chi = rep.characteristic
+    ideal = ideal_from_mask(poset, 0)
+    chi = characteristic_polynomial(ideal)
     # q (q-1)(q-2)(q-3)
     assert chi == UnivariatePolynomial([0, -6, 11, -6, 1])
-
-
-def test_factorization_report_json():
-    rep = check_exponent_factorization(exceptional_ideal("G2", IDEAL_G))
-    data = rep.to_json_dict()
-    assert data["ok"] is True and data["exponents"] == [3, 1]
+    assert check_exponent_factorization(ideal, chi.coeffs) == (3, 2, 1)
 
 
 @pytest.mark.parametrize(
-    "tamper, detail",
+    "tamper",
     [
         # chi-bar(q, 0) = (q - 1)(q - 3) + 1 = (q - 2)^2
-        (lambda cb: cb + BivariatePolynomial.one(("q", "t")), "(q - 3) does not divide"),
+        lambda cb: cb + BivariatePolynomial.one(("q", "t")),
         # 2 (q - 1)(q - 3): both exponents divide and 2 is left over
-        (lambda cb: cb + cb, "cofactor 2 left over"),
+        lambda cb: cb + cb,
     ],
+    ids=["plus-one", "doubled"],
 )
-def test_factorization_reports_a_tampered_coboundary(monkeypatch, tamper, detail):
+def test_factorization_refuses_a_tampered_coboundary(monkeypatch, tamper):
     real = specialize._coboundary_and_rank
 
     def tampered(*args):
@@ -132,9 +138,26 @@ def test_factorization_reports_a_tampered_coboundary(monkeypatch, tamper, detail
         return tamper(cb), rank
 
     monkeypatch.setattr(specialize, "_coboundary_and_rank", tampered)
-    rep = check_exponent_factorization(exceptional_ideal("G2", IDEAL_G))
-    assert rep.ok is False and detail in rep.detail and rep.leftover is not None
-    assert rep.to_json_dict()["ok"] is False
+    split = r"is not q\^3 - 4q\^2 \+ 3q, the product over its ideal exponents \[3, 1\]"
+    with pytest.raises(InconsistencyError, match=split):
+        _factorization(exceptional_ideal("G2", IDEAL_G))
+
+
+@pytest.mark.parametrize(
+    "family, rank, count",
+    [("G2", None, 8), ("F4", None, 105), ("E6", None, 833),
+     ("A", 6, 429), ("B", 5, 252), ("C", 5, 252), ("D", 5, 182)],
+)
+def test_every_ideal_splits_over_its_height_exponents(family, rank, count):
+    # Abe-Barakat-Cuntz-Hoge-Terao on every ideal, with the heights counted
+    # here from the complement's roots
+    ideals = list(iter_ideals(root_poset(root_system_type(family, rank))))
+    assert len(ideals) == count
+    for ideal in ideals:
+        counts = Counter(root.height for root in ideal.complement_roots())
+        exps = ideal_exponents(ideal)
+        assert exps.heights == tuple(counts[h] for h in range(1, max(counts, default=0) + 1))
+        assert _factorization(ideal) == exps.exponents
 
 
 def test_characteristic_polynomial_engines_agree():
