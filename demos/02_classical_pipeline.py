@@ -10,7 +10,7 @@ checked against the polynomial at q = 3.
 from idealtutte import (
     CountingModel,
     arrangement_of,
-    coboundary_polynomial,
+    coboundary_of_ideal,
     coboundary_to_tutte,
     complement,
     ideal_from_boxes,
@@ -44,7 +44,7 @@ model = CountingModel(6, bp.hyperplanes, blocks=bp.blocks)
 profile = model.coboundary_at_prime(3)
 print(f"chi-bar(3, t) = {profile.to_text('t')}")
 
-cb = coboundary_polynomial(ideal)
+cb = coboundary_of_ideal(ideal)
 print(f"\ncoboundary polynomial has {len(cb.coeffs)} terms; chi-bar(q, 1) = q^{rank}:",
       cb.evaluate(97, 1) == 97 ** rank)
 print("agrees with chi-bar(3, t) at q = 3:",

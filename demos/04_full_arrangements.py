@@ -1,8 +1,9 @@
 """Full classical arrangements: coboundary evaluations at a prime, the braid
 arrangement of A12, Weyl-order region counts, and minor sets.
 
-A full arrangement is the single-block case of the counting model: every
-coordinate is exchangeable with every other.
+A full arrangement is the complement of the empty ideal, and the
+single-block case of the counting model: every coordinate is exchangeable
+with every other.
 """
 
 import math
@@ -10,19 +11,25 @@ import time
 
 from idealtutte import (
     CountingModel,
-    coboundary_full,
+    coboundary_of_ideal,
     coboundary_to_tutte,
+    ideal_from_mask,
     region_count,
     root_poset,
     root_system_type,
 )
-from idealtutte.ffmethod import full_arrangement_tuples
 from idealtutte.paper import minor_set
+
+
+def full_ideal(family, n):
+    """The empty ideal, whose complement is the full arrangement in R^n."""
+    return ideal_from_mask(root_poset(root_system_type(family, n - (family == "A"))), 0)
+
 
 # the one-block counting model read out at a single prime
 print("chi-bar at p = 3 for small full arrangements:")
 for family, n in (("A", 3), ("B", 2), ("D", 4)):
-    prof = CountingModel(n, full_arrangement_tuples(family, n)).coboundary_at_prime(3)
+    prof = CountingModel(n, full_ideal(family, n).poset.tuples).coboundary_at_prime(3)
     print(f"  {family}, n={n}: {prof.to_text('t')}")
 
 # minor sets decide which primes reduce correctly
@@ -38,7 +45,7 @@ for family, rank in (("A", 3), ("B", 3), ("B", 4)):
 print("\nregions of full arrangements vs Weyl group orders:")
 for family, n in (("A", 4), ("B", 3), ("B", 4), ("D", 4)):
     rank = n - 1 if family == "A" else n
-    tutte = coboundary_to_tutte(coboundary_full(family, n), rank)
+    tutte = coboundary_to_tutte(coboundary_of_ideal(full_ideal(family, n)), rank)
     order = {
         "A": math.factorial(n),
         "B": 2 ** n * math.factorial(n),
@@ -48,7 +55,7 @@ for family, n in (("A", 4), ("B", 3), ("B", 4), ("D", 4)):
 
 # the braid arrangement of A12: 78 hyperplanes in R^13
 t0 = time.time()
-cb = coboundary_full("A", 13)
+cb = coboundary_of_ideal(full_ideal("A", 13))
 tutte = coboundary_to_tutte(cb, 12)
 print(f"\nA12 braid arrangement in {time.time()-t0:.1f}s: "
       f"{len(tutte.coeffs)} Tutte terms")

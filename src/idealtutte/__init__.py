@@ -12,8 +12,8 @@ basis-activity formula and a corank-nullity brute-force oracle give the
 Tutte polynomial instead, and cross-validate the others.  One dispatcher
 (``specialize``) converts every Tutte polynomial to a coboundary polynomial
 and certifies the coboundary polynomial of every engine, by
-chi-bar(1, 2) = T(2, 2) = 2^m; the basis-activity formula also certifies its
-own Tutte polynomial.
+chi-bar(1, 2) = T(2, 2) = 2^m; ``specialize.certify_tutte`` certifies a Tutte
+polynomial read back from the CLI cache.
 
 The paper's own classical route (signatures, Algorithm P's block partition
 and the minor sets that pick its primes) is the reference module
@@ -71,8 +71,6 @@ from .crapo import (
 from .ffmethod import (
     CountingModel,
     TProfile,
-    coboundary_full,
-    coboundary_polynomial,
     count_points_bruteforce,
 )
 from .specialize import (

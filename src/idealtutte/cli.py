@@ -3,12 +3,12 @@ engines, verify engine pairs, emit JSON/LaTeX/text, and cache results.
 
 The argument parser is built on the first ``main`` call and reused by every
 later one in the process (``build_parser``).  The cache holds one entry per
-ideal and engine, its Tutte polynomial, served only if it passes the Tutte
-certificate (a tampered entry consistent with T(2,2), the degree bounds and
-the x^r column still passes); the JSON provenance is built on every call,
-never stored, and says whether the cache was hit.  A cache that cannot be
-written costs only a warning on stderr.  Ideal specs are checked against the
-packaged ``schemas/ideal-spec.schema.json``, and cache entries (through
+ideal and engine, its Tutte polynomial, served only if it passes
+``specialize.certify_tutte`` (the x^r column, the degree bounds, T(2,2) and
+the split of chi over the ideal exponents); the JSON provenance is built on
+every call, never stored, and says whether the cache was hit.  A cache that
+cannot be written costs only a warning on stderr.  Ideal specs are checked
+against the packaged ``schemas/ideal-spec.schema.json``, and cache entries (through
 ``BivariatePolynomial.from_json_dict``) against ``schemas/polynomial.schema.json``,
 by the plain-Python walk of ``schemacheck``, each schema loaded once per
 process; jsonschema is not imported.
@@ -37,7 +37,7 @@ import sys
 import tempfile
 import time
 
-from . import __version__, crapo, ffmethod, specialize
+from . import __version__, ffmethod, specialize
 from .errors import (
     ConstraintError,
     GuardExceeded,
@@ -165,22 +165,18 @@ class _Cache:
     def get(self, key, ideal):
         """The cached Tutte polynomial of ``ideal``, or None on a miss: an
         entry that cannot be read or decoded, is not a polynomial in x and y,
-        or fails the certificate (no loops, so the x-degree is the rank r and
-        the x^r column is 1; ``crapo.certify_tutte`` for the m complement
-        roots).  The caller recomputes and overwrites a miss."""
+        or fails ``specialize.certify_tutte``.  The caller recomputes and
+        overwrites a miss."""
         if not self.enabled:
             return None
         path = os.path.join(self.dir, key + ".json")
         try:
             with open(path) as fh:
                 tutte = BivariatePolynomial.from_json_dict(json.load(fh))
-            rank = tutte.degree(0)
-            m = ideal.complement_mask().bit_count()
-            crapo.certify_tutte(tutte, m, rank, "cache entry")
+            if tutte.variables != ("x", "y"):
+                return None
+            specialize.certify_tutte(ideal, tutte)
         except (OSError, ValueError, LookupError, TypeError, RecursionError, InconsistencyError):
-            return None
-        top = {b: c for (a, b), c in tutte.coeffs.items() if a == rank}
-        if tutte.variables != ("x", "y") or top != {0: 1}:
             return None
         return tutte
 
@@ -325,7 +321,7 @@ def _verify_ffmethod_routes(ideal):
     comp = complement(ideal)
     n = ideal.rst.ambient_dim
     model = ffmethod.CountingModel(n, comp.hyperplanes)
-    if model.coboundary() != ffmethod.coboundary_polynomial(ideal):
+    if model.coboundary() != ffmethod.coboundary_and_rank(ideal)[0]:
         raise VerificationMismatch(
             f"direct coboundary polynomial and counting model disagree on {ideal!r}"
         )

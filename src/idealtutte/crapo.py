@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from math import comb, gcd, hypot, prod
 
-from .errors import GuardExceeded, InconsistencyError
+from .errors import GuardExceeded
 from .exactpoly import BivariatePolynomial
 
 DEFAULT_MAX_BASIS_SUBSETS = 10 ** 8
@@ -175,19 +175,17 @@ def tutte_crapo(cfg):
     come from a prefix tree of fraction-free eliminations and the activities
     from lookups in their exchange table.  The eliminations run in int64 while
     the Hadamard bound of those coordinates is at most 2^30, and on Python
-    integers above it.  Every result is checked against T(2,2) = 2^m and the
-    degree bounds.  Raises ``GuardExceeded`` past ``DEFAULT_MAX_BASIS_SUBSETS``
-    candidates or past ``MAX_KERNEL_BYTES`` of bases and table.
+    integers above it.  No check of its own: the dispatcher (``specialize``)
+    certifies the result.  Raises ``GuardExceeded`` past
+    ``DEFAULT_MAX_BASIS_SUBSETS`` candidates or past ``MAX_KERNEL_BYTES`` of
+    bases and table.
     """
     m, r = len(cfg), cfg.rank
     _check_basis_guard(m, r, DEFAULT_MAX_BASIS_SUBSETS)
     if r == 0:
         # only loops: the one empty basis, with every element externally active
-        t = BivariatePolynomial({(0, m): 1}, ("x", "y"))
-    else:
-        t = BivariatePolynomial(_exchange_tally(cfg.pivot_coordinates(), r), ("x", "y"))
-    certify_tutte(t, m, r, "basis-activity sum")
-    return t
+        return BivariatePolynomial({(0, m): 1}, ("x", "y"))
+    return BivariatePolynomial(_exchange_tally(cfg.pivot_coordinates(), r), ("x", "y"))
 
 
 def int64_safe(coords, r):
@@ -204,16 +202,6 @@ def int64_safe(coords, r):
     if max_abs > 2 ** 30:  # a lower bound on the Hadamard bound, enough to refuse
         return False
     return prod(sorted(hypot(*v) for v in coords)[-r:]) <= 2 ** 30
-
-
-def certify_tutte(t, m, r, source):
-    """InconsistencyError unless the Tutte polynomial t of m elements of rank
-    r has T(2,2) = 2^m, x-degree at most r and y-degree at most m - r."""
-    if t.evaluate(2, 2) != 2 ** m or t.degree(0) > r or t.degree(1) > m - r:
-        raise InconsistencyError(
-            f"{source} of {m} elements of rank {r} fails T(2,2) = 2^m "
-            f"or the degree bounds: {t}"
-        )
 
 
 def tutte_corank_nullity(cfg, max_subsets=ORACLE_MAX_SUBSETS, *, max_elements=None):

@@ -1,8 +1,10 @@
 """The finite field method for ideal arrangements of classical root systems:
 the counting model whose one dynamic program yields the coboundary polynomial
-directly (a full arrangement is the single-block case), and the brute-force
-point-counting oracle.  The minor sets of the paper's theorem on which primes
-reduce correctly live in ``paper``, with the rest of the paper's prime route.
+directly (a full arrangement is the single-block case), its one entry
+``coboundary_and_rank`` (which the dispatcher, ``specialize``, certifies), and
+the brute-force point-counting oracle.  The minor sets of the paper's theorem
+on which primes reduce correctly live in ``paper``, with the rest of the
+paper's prime route.
 
 The count over F_p sums, over all ways of distributing each block of
 exchangeable coordinates across the residues of F_p, the multinomial weight
@@ -453,30 +455,6 @@ def _divide_exactly(poly, d):
     return q
 
 
-# ---- full classical arrangements --------------------------------------------
-
-
-def full_arrangement_tuples(family, n):
-    """Hyperplane tuples of the full classical arrangement."""
-    if family not in ("A", "B", "C", "D"):
-        raise UnsupportedTypeError(f"full arrangements are for classical families, not {family}")
-    out = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    if family in ("B", "C", "D"):
-        out += [(i, -j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    if family in ("B", "C"):
-        out += [(i, 0) for i in range(1, n + 1)]
-    return sorted(out)
-
-
-def coboundary_full(family, n):
-    """Exact chi-bar(q, t) of the full classical arrangement.
-
-    Every coordinate is exchangeable with every other, so the counting model
-    has a single block and its one dynamic program gives chi-bar directly.
-    """
-    return CountingModel(n, full_arrangement_tuples(family, n)).coboundary()
-
-
 # ---- the ideal pipeline ------------------------------------------------------
 
 
@@ -501,8 +479,3 @@ def coboundary_and_rank(ideal):
         result = cb if result is None else result * cb
         rank += model.rank
     return (BivariatePolynomial.one(("q", "t")) if result is None else result), rank
-
-
-def coboundary_polynomial(ideal):
-    """Exact coboundary polynomial chi-bar(q, t) of a classical ideal arrangement."""
-    return coboundary_and_rank(ideal)[0]

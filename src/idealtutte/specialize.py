@@ -5,16 +5,18 @@ from the finite-field pipeline and the lattice of flats, T(x, y) from Crapo's
 basis activities and the corank-nullity oracle.  One function takes every
 result: it converts each T to chi-bar and certifies the chi-bar of every
 engine; ``tutte_of_ideal`` transforms that, and ``characteristic_polynomial``
-reads chi(q) off chi-bar(q, 0).  Also region counts.  The check that chi
-splits over the ideal exponents, ``ideals.check_exponent_factorization``,
-takes the chi it is given.
+reads chi(q) off chi-bar(q, 0).  A Tutte polynomial that comes from
+elsewhere, a cache entry, is certified by ``certify_tutte``.  Also region
+counts.
 """
 
 from __future__ import annotations
 
 from . import crapo, ffmethod, flats
 from .errors import ConstraintError, InconsistencyError
-from .exactpoly import coboundary_to_characteristic, coboundary_to_tutte, tutte_to_coboundary
+from .exactpoly import coboundary_to_characteristic, coboundary_to_tutte
+from .exactpoly import tutte_to_characteristic, tutte_to_coboundary
+from .ideals import check_exponent_factorization
 
 
 ENGINES = ("auto", "ffmethod", "flats", "crapo", "oracle")
@@ -63,6 +65,26 @@ def _coboundary_and_rank(ideal, engine):
             f"T(2,2) = 2^m or the degree bounds: {cb}"
         )
     return cb, rank
+
+
+def certify_tutte(ideal, tutte):
+    """The rank r of the arrangement of ``ideal``, once its claimed Tutte
+    polynomial passes; InconsistencyError otherwise.  No loops, so r is T's
+    x-degree and the x^r column is 1; r is at most the system's rank and the
+    y-degree at most m - r, for the m complement roots, before T(2, 2) = 2^m
+    is evaluated; last, chi splits over the ideal exponents."""
+    m = ideal.complement_mask().bit_count()
+    r = tutte.degree(0)
+    top = {b: c for (a, b), c in tutte.coeffs.items() if a == r}
+    if (top != {0: 1} or r > ideal.rst.rank or tutte.degree(1) > m - r
+            or tutte.evaluate(2, 2) != 1 << m):  # degrees first: no huge evaluation
+        raise InconsistencyError(
+            f"T = {tutte} of {m} elements fails the x^r column, the degree bounds "
+            "or T(2,2) = 2^m"
+        )
+    chi = tutte_to_characteristic(tutte, ideal.rst.ambient_dim, r)
+    check_exponent_factorization(ideal, chi.coeffs)
+    return r
 
 
 def tutte_of_ideal(ideal, engine="auto"):

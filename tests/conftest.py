@@ -12,9 +12,11 @@ from idealtutte.ideals import (
     complement,
     decompose_components,
     ideal_from_boxes,
+    ideal_from_mask,
     ideal_from_root_coords,
 )
 from idealtutte.rootsystems import root_poset, root_system_type
+from idealtutte.specialize import coboundary_of_ideal
 
 DATA = pathlib.Path(__file__).parent / "data"
 WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
@@ -75,6 +77,29 @@ def component_tuples(ideals):
     return [
         (c.size, c.tuples) for ideal in ideals for c in decompose_components(complement(ideal))
     ]
+
+
+def full_poset(family, n):
+    """Root poset of the full classical arrangement in R^n: A_(n-1), or B,
+    C or D_n."""
+    return root_poset(root_system_type(family, n - (family == "A")))
+
+
+def full_tuples(family, n):
+    """Hyperplane tuples of the full classical arrangement in R^n, as its root
+    poset lists them; the empty one of A in R^1, and D2 and D3, which are not
+    root systems, are built here."""
+    if family == "A" and n == 1:
+        return ()
+    if family == "D" and n < 4:
+        return tuple((i, s * j) for i in range(1, n) for j in range(i + 1, n + 1) for s in (1, -1))
+    return full_poset(family, n).tuples
+
+
+def full_coboundary(family, n):
+    """chi-bar of the full classical arrangement in R^n: the finite-field
+    engine's on the empty ideal, certified by the dispatcher."""
+    return coboundary_of_ideal(ideal_from_mask(full_poset(family, n), 0), engine="ffmethod")
 
 
 def exceptional_ideal(family, coords):

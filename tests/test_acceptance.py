@@ -14,17 +14,20 @@ import time
 
 import pytest
 
-from conftest import IDEAL_E, IDEAL_F, IDEAL_G, exceptional_ideal, load_poly, worked_ideal
+from conftest import (
+    IDEAL_E,
+    IDEAL_F,
+    IDEAL_G,
+    exceptional_ideal,
+    full_coboundary,
+    load_poly,
+    worked_ideal,
+)
 from crapo_reference import enumerate_bases
 from idealtutte.crapo import VectorConfig, tutte_corank_nullity, tutte_crapo
 from idealtutte.errors import InconsistencyError
 from idealtutte.exactpoly import coboundary_to_tutte, lagrange_interpolate, tutte_to_characteristic
-from idealtutte.ffmethod import (
-    CountingModel,
-    coboundary_full,
-    coboundary_polynomial,
-    count_points_bruteforce,
-)
+from idealtutte.ffmethod import CountingModel, count_points_bruteforce
 from idealtutte.ideals import (
     arrangement_of,
     check_exponent_factorization,
@@ -34,7 +37,12 @@ from idealtutte.ideals import (
 )
 from idealtutte.paper import minor_set
 from idealtutte.rootsystems import root_poset, root_system_type
-from idealtutte.specialize import characteristic_polynomial, region_count, tutte_of_ideal
+from idealtutte.specialize import (
+    characteristic_polynomial,
+    coboundary_of_ideal,
+    region_count,
+    tutte_of_ideal,
+)
 
 
 def tutte_via_ffmethod(ideal):
@@ -89,7 +97,7 @@ def test_crit1_ie():
 def test_crit1_classical_pipeline(label):
     t0 = time.time()
     ideal = worked_ideal(label)
-    cb = coboundary_polynomial(ideal)
+    cb = coboundary_of_ideal(ideal, engine="ffmethod")
     tutte = tutte_via_ffmethod(ideal)
     dt = time.time() - t0
     ok = (
@@ -114,7 +122,7 @@ def test_crit1_id_published_values():
     field counts in criterion 2 style tests.
     """
     ideal = worked_ideal("d")
-    cb = coboundary_polynomial(ideal)
+    cb = coboundary_of_ideal(ideal, engine="ffmethod")
     tutte = tutte_via_ffmethod(ideal)
     want_cb = load_poly("coboundary_id.txt", ("q", "t"))
     want_t = load_poly("tutte_id.txt", ("x", "y"))
@@ -146,7 +154,7 @@ def test_crit1_id_diagnosis():
 
 def test_crit1_a12_braid_spots():
     t0 = time.time()
-    cb = coboundary_full("A", 13)
+    cb = full_coboundary("A", 13)
     tutte = coboundary_to_tutte(cb, 12)
     dt = time.time() - t0
     ok = (
@@ -270,7 +278,7 @@ def test_crit4_specializations(sweep_results):
     }
     for (family, n), order in weyl.items():
         r = n - 1 if family == "A" else n
-        tutte = coboundary_to_tutte(coboundary_full(family, n), r)
+        tutte = coboundary_to_tutte(full_coboundary(family, n), r)
         if region_count(tutte) != order:
             failures += 1
     g2 = root_poset(root_system_type("G2"))

@@ -14,7 +14,6 @@ from idealtutte.cli import main, parse_ideal_spec
 from idealtutte.errors import ConstraintError
 from idealtutte.exactpoly import BivariatePolynomial, parse_polynomial, tutte_to_coboundary
 from idealtutte.ffmethod import CountingModel
-from idealtutte.ideals import arrangement_of
 
 
 def run(capsys, *argv):
@@ -193,27 +192,43 @@ def test_entry_stored_by_another_version_is_a_miss(capsys, monkeypatch, tmp_path
     assert len(list(tmp_path.glob("*.json"))) == 2
 
 
-def test_verify_checks_direct_against_interpolation(capsys, monkeypatch):
-    # the direct chi-bar against the chi-bar of the whole complement's
-    # counting model, as whole polynomials
+def test_pyproject_version_is_the_package_version():
+    # the cache key hashes __version__, so the two must not drift apart
+    from idealtutte import __version__
+
+    text = (pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10
+        section = re.search(r"(?ms)^\[project\]$(.*?)(?=^\[|\Z)", text).group(1)
+        version = re.search(r'(?m)^version\s*=\s*"([^"]*)"', section).group(1)
+    else:
+        version = tomllib.loads(text)["project"]["version"]
+    assert version == __version__
+
+
+def test_verify_checks_direct_against_the_whole_model(capsys, monkeypatch):
+    # the direct chi-bar, a product over the components, against the chi-bar
+    # of the whole complement's counting model, as whole polynomials
     args = ("verify", "--type", "B", "--rank", "3", "--all-ideals")
     code, out, _ = run(capsys, *args)
     assert code == 0
     assert "+20 whole-model checks" in out
-    real = ffmethod.coboundary_polynomial
+    real = ffmethod.coboundary_and_rank
 
     def tampered(ideal):
-        # adding (t-1)^rank (q-1) keeps chi-bar(q, 1) and survives the
-        # Tutte transform, so both engine runs agree on the wrong answer
-        rank = arrangement_of(ideal).rank
+        # adding (t-1)^rank (q-1) keeps chi-bar(q, 1) and chi-bar(1, 2) and
+        # survives the Tutte transform, so both engine runs agree on the
+        # wrong answer for the first ideal, the empty one (9 roots, rank 3)
+        cb, rank = real(ideal)
         t_minus_1 = BivariatePolynomial({(0, 1): 1, (0, 0): -1}, ("q", "t"))
         q_minus_1 = BivariatePolynomial({(1, 0): 1, (0, 0): -1}, ("q", "t"))
         extra = q_minus_1
         for _ in range(rank):
             extra = extra * t_minus_1
-        return real(ideal) + extra
+        return cb + extra, rank
 
-    monkeypatch.setattr(ffmethod, "coboundary_polynomial", tampered)
+    monkeypatch.setattr(ffmethod, "coboundary_and_rank", tampered)
     code, _, err = run(capsys, *args, "--engines", "ffmethod,ffmethod")
     assert code == 3 and "counting model disagree" in err
 
@@ -642,12 +657,25 @@ G2_TUTTE = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 0, 1)]  # 2y + 2x + y^2 + x^2
     [
         _entry([(0, 0, 1)]),  # 1: T(2,2) is not 2^4
         _entry([(1, 0, 8)]),  # 8x: T(2,2) = 2^4 within the degree bounds, x^1 column 8
+        # T(2,2) = 2^4, the degree bounds and an x^2 column of 1, but
+        # chi = q (q^2 - 2q + 13) does not split over the exponents 3, 1
+        _entry([(2, 0, 1), (0, 0, 12)]),
         _entry(G2_TUTTE, ("q", "t")),  # the right terms in the wrong variables
         "OTHER",  # a valid entry of another ideal, G2's full arrangement
+        # degrees refused before T(2,2) would build a 2^(10^12)-bit integer
+        _entry([(10 ** 12, 0, 1)]),
+        _entry([(2, 0, 1), (0, 10 ** 12, 1)]),
     ],
-    ids=["one", "8x", "q-t", "other-ideal"],
+    ids=["one", "8x", "x2-plus-12", "q-t", "other-ideal", "huge-x-degree", "huge-y-degree"],
 )
-def test_cache_entry_failing_the_certificate_is_recomputed(capsys, tmp_path, entry):
+def test_cache_entry_failing_the_certificate_is_recomputed(capsys, monkeypatch, tmp_path, entry):
+    evaluate = BivariatePolynomial.evaluate
+
+    def small_evaluate(self, a, b):
+        assert max(self.degree(0), self.degree(1)) < 100, "evaluated an entry of huge degree"
+        return evaluate(self, a, b)
+
+    monkeypatch.setattr(BivariatePolynomial, "evaluate", small_evaluate)
     g2 = ("tutte", "--type", "G2")
     assert run(capsys, *g2, "--full", "--cache-dir", str(tmp_path / "other"))[0] == 0
     (other,) = (tmp_path / "other").iterdir()
@@ -663,17 +691,6 @@ def test_cache_entry_failing_the_certificate_is_recomputed(capsys, tmp_path, ent
     code, got, err = run(capsys, *args, "--cache-dir", str(cache))
     assert code == 0 and got == want and not err
     assert path.read_text() == good
-
-
-def test_tampered_entry_consistent_with_the_certificate_is_served(capsys, tmp_path):
-    # the certificate's known limit: x^2 + 12 has T(2,2) = 2^4, the degree
-    # bounds and an x^2 column of 1, so it is served in place of the G2
-    # ideal's 2y + 2x + y^2 + x^2; a stronger check would fail this test
-    args = ("tutte", "--type", "G2", "--roots", "[[3,1],[3,2]]", "--cache-dir", str(tmp_path))
-    assert run(capsys, *args)[0] == 0
-    (path,) = tmp_path.iterdir()
-    path.write_text(_entry([(2, 0, 1), (0, 0, 12)]))
-    assert run(capsys, *args) == (0, "12 + x^2\n", "")
 
 
 @pytest.mark.parametrize(

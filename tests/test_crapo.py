@@ -14,7 +14,9 @@ from idealtutte.crapo import (
 )
 from idealtutte.errors import GuardExceeded, InconsistencyError
 from idealtutte.exactpoly import BivariatePolynomial, parse_polynomial
+from idealtutte.ideals import ideal_from_mask
 from idealtutte.rootsystems import root_poset, root_system_type
+from idealtutte.specialize import tutte_of_ideal
 
 A2_BRAID = [(1, -1, 0), (1, 0, -1), (0, 1, -1)]
 
@@ -264,6 +266,8 @@ def test_kernel_memory_guard(monkeypatch, f4_full):
 
 
 def test_tampered_tally_fails_self_certificate(monkeypatch):
+    # crapo checks nothing itself: the dispatcher's certificate of the
+    # converted chi-bar refuses the tally, T(2,2) = 2^3 + 2
     from idealtutte import crapo
 
     real = crapo._exchange_tally
@@ -273,10 +277,10 @@ def test_tampered_tally_fails_self_certificate(monkeypatch):
         tally[(0, 1)] = tally.get((0, 1), 0) + 1
         return tally
 
-    cfg = VectorConfig(A2_BRAID)
+    braid = ideal_from_mask(root_poset(root_system_type("A", 2)), 0)
     monkeypatch.setattr(crapo, "_exchange_tally", tampered)
-    with pytest.raises(InconsistencyError):
-        tutte_crapo(cfg)
+    with pytest.raises(InconsistencyError, match=r"T\(2,2\) = 2\^m"):
+        tutte_of_ideal(braid, engine="crapo")
 
 
 def test_overflow_branch_takes_exact_route(monkeypatch):

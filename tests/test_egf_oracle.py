@@ -7,10 +7,10 @@ point counts on small tuple sets."""
 
 import pytest
 
-from conftest import classical_random_pool, component_tuples
+from conftest import classical_random_pool, component_tuples, full_tuples
 from egf_oracle import coboundary, exchangeable_blocks, point_count
 from idealtutte.exactpoly import BivariatePolynomial
-from idealtutte.ffmethod import CountingModel, count_points_bruteforce, full_arrangement_tuples
+from idealtutte.ffmethod import CountingModel, count_points_bruteforce
 from idealtutte.ideals import enumerate_ideals
 from idealtutte.rootsystems import root_poset, root_system_type
 
@@ -25,9 +25,9 @@ def _assert_dp_matches_oracle(m, tuples):
     (2, [(1, -2)]),
     (3, [(1, 0), (1, 2), (2, -3)]),
     (4, [(1, 2), (1, 3), (2, 4), (3, 4)]),
-    (4, full_arrangement_tuples("D", 4)),
-    (4, full_arrangement_tuples("B", 4)),
-    (5, full_arrangement_tuples("A", 5)),
+    (4, full_tuples("D", 4)),
+    (4, full_tuples("B", 4)),
+    (5, full_tuples("A", 5)),
     (5, [(1, 2), (1, -2), (1, 3), (2, 3), (3, 0), (4, 5), (4, -5), (1, 4)]),
 ])
 def test_oracle_matches_brute_force_counts(m, tuples):
@@ -40,7 +40,7 @@ def test_oracle_matches_brute_force_counts(m, tuples):
 
 
 def test_oracle_blocks_are_the_exchangeable_coordinates():
-    assert exchangeable_blocks(5, full_arrangement_tuples("C", 5)) == [[1, 2, 3, 4, 5]]
+    assert exchangeable_blocks(5, full_tuples("C", 5)) == [[1, 2, 3, 4, 5]]
     # 1 and 2 are tied to 3 alike, 4 and 5 to each other and nothing else
     assert exchangeable_blocks(5, [(1, 3), (2, 3), (4, 5)]) == [[1, 2], [3], [4, 5]]
     assert exchangeable_blocks(3, [(1, 2), (2, -3)]) == [[1], [2], [3]]
@@ -55,7 +55,7 @@ FULL = (
 
 @pytest.mark.parametrize("family, n", FULL)
 def test_full_arrangements_match_the_oracle(family, n):
-    _assert_dp_matches_oracle(n, full_arrangement_tuples(family, n))
+    _assert_dp_matches_oracle(n, full_tuples(family, n))
 
 
 def test_small_rank_components_match_the_oracle():

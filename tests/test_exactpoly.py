@@ -3,7 +3,7 @@ from itertools import accumulate
 
 import pytest
 
-from conftest import latex_is_wellformed
+from conftest import full_coboundary, latex_is_wellformed
 from idealtutte.errors import ConstraintError, InconsistencyError
 from idealtutte.exactpoly import (
     BivariatePolynomial,
@@ -14,7 +14,6 @@ from idealtutte.exactpoly import (
     tutte_to_characteristic,
     tutte_to_coboundary,
 )
-from idealtutte.ffmethod import coboundary_full
 from idealtutte.ideals import arrangement_of, enumerate_ideals
 from idealtutte.rootsystems import root_poset, root_system_type
 from idealtutte.specialize import characteristic_polynomial, coboundary_of_ideal, tutte_of_ideal
@@ -163,7 +162,7 @@ def test_coboundary_to_tutte_bad_rank():
 def test_coboundary_to_tutte_full_a25():
     # 300 hyperplanes of rank 24: T(2, 2) = 2^300 and T(1, 1) counts the
     # spanning trees of K25, 25^23 by Cayley's formula
-    tutte = coboundary_to_tutte(coboundary_full("A", 25), 24)
+    tutte = coboundary_to_tutte(full_coboundary("A", 25), 24)
     assert tutte.evaluate(2, 2) == 2 ** 300
     assert tutte.evaluate(1, 1) == 25 ** 23
     assert (tutte.degree(0), tutte.degree(1)) == (24, 300 - 24)

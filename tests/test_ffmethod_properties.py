@@ -29,7 +29,7 @@ from conftest import classical_random_pool, component_tuples
 from idealtutte import crapo
 from idealtutte.errors import ConstraintError
 from idealtutte.exactpoly import lagrange_interpolate
-from idealtutte.ffmethod import CountingModel, coboundary_polynomial, count_points_bruteforce
+from idealtutte.ffmethod import CountingModel, count_points_bruteforce
 from idealtutte.ideals import (
     arrangement_of,
     automorphism_blocks,
@@ -40,6 +40,7 @@ from idealtutte.ideals import (
     tuple_normal,
 )
 from idealtutte.rootsystems import root_poset, root_system_type
+from idealtutte.specialize import coboundary_of_ideal
 
 # every type here has at most 6 coordinates, so 7^n stays far below the
 # brute-force counter's point guard
@@ -73,7 +74,7 @@ def classical_ideals(draw):
 def test_direct_route_matches_brute_force_counts(ideal, p):
     n = ideal.rst.ambient_dim
     hyperplanes = complement(ideal).hyperplanes
-    cb = coboundary_polynomial(ideal)
+    cb = coboundary_of_ideal(ideal, engine="ffmethod")
     scale = p ** (n - arrangement_of(ideal).rank)
     profile = [0] * (len(hyperplanes) + 1)
     for (dq, dt), c in cb.coeffs.items():
@@ -87,7 +88,7 @@ def test_direct_route_matches_prime_interpolation(ideal):
     model = CountingModel(ideal.rst.ambient_dim, complement(ideal).hyperplanes)
     primes = (3, 5, 7, 11, 13, 17)[: model.rank + 1]
     points = [(p, model.coboundary_at_prime(p)) for p in primes]
-    assert coboundary_polynomial(ideal) == lagrange_interpolate(points)
+    assert coboundary_of_ideal(ideal, engine="ffmethod") == lagrange_interpolate(points)
 
 
 @st.composite

@@ -12,10 +12,11 @@ import pytest
 
 from idealtutte.errors import ConstraintError
 from idealtutte.exactpoly import lagrange_interpolate
-from idealtutte.ffmethod import CountingModel, coboundary_polynomial
+from idealtutte.ffmethod import CountingModel
 from idealtutte.ideals import automorphism_blocks, complement, enumerate_ideals
 from idealtutte.paper import partition_in_accordance
 from idealtutte.rootsystems import root_poset, root_system_type
+from idealtutte.specialize import coboundary_of_ideal
 
 # every odd prime reduces the classical families correctly (test_crit3_minor_sets)
 ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19)
@@ -66,7 +67,7 @@ def test_paper_pipeline_equals_production(family, rank):
         model = CountingModel(ideal.rst.n_param, bp.hyperplanes, blocks=bp.blocks)
         primes = ODD_PRIMES[: model.rank + 1]
         cb = lagrange_interpolate([(p, model.coboundary_at_prime(p)) for p in primes])
-        assert cb == coboundary_polynomial(ideal), ideal
+        assert cb == coboundary_of_ideal(ideal, engine="ffmethod"), ideal
     _check_refusals(family, rank, refused, total)
 
 

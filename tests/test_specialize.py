@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import IDEAL_F, IDEAL_G, exceptional_ideal, worked_ideal
+from conftest import IDEAL_F, IDEAL_G, exceptional_ideal, full_coboundary, worked_ideal
 from idealtutte import crapo, ffmethod, flats, specialize
 from idealtutte.errors import InconsistencyError
 from idealtutte.exactpoly import (
@@ -12,7 +12,6 @@ from idealtutte.exactpoly import (
     parse_polynomial,
     tutte_to_characteristic,
 )
-from idealtutte.ffmethod import coboundary_full
 from idealtutte.ideals import (
     arrangement_of,
     check_exponent_factorization,
@@ -23,6 +22,7 @@ from idealtutte.ideals import (
 )
 from idealtutte.rootsystems import root_poset, root_system_type
 from idealtutte.specialize import (
+    certify_tutte,
     characteristic_polynomial,
     coboundary_of_ideal,
     region_count,
@@ -68,7 +68,7 @@ def test_region_counts_weyl_orders():
         ("D", 4, 192),
     ):
         rank = n - 1 if family == "A" else n
-        tutte = coboundary_to_tutte(coboundary_full(family, n), rank)
+        tutte = coboundary_to_tutte(full_coboundary(family, n), rank)
         assert region_count(tutte) == order
         # Zaslavsky's count from chi, an independent route to the same number
         assert (-1) ** n * tutte_to_characteristic(tutte, n, rank).evaluate(-1) == order
@@ -85,7 +85,7 @@ def test_region_count_examples():
     assert region_count(one) == 1
     braid = parse_polynomial("x^2 + x + y")
     assert region_count(braid) == 6
-    b2 = coboundary_to_tutte(coboundary_full("B", 2), 2)
+    b2 = coboundary_to_tutte(full_coboundary("B", 2), 2)
     assert region_count(b2) == 8
 
 
@@ -240,3 +240,37 @@ def test_tampered_coboundary_fails_every_command(monkeypatch, family, rank, owne
         for command in (coboundary_of_ideal, characteristic_polynomial):
             with pytest.raises(InconsistencyError, match=r"T\(2,2\) = 2\^m"):
                 command(ideal, engine=engine)
+
+
+# ---- the certificate of a Tutte polynomial read back from the cache ----------
+
+
+@pytest.mark.parametrize(
+    "tutte, match",
+    [
+        ("2x^2 + y^2 + 2y", r"x\^r column"),  # T(2,2) = 2^4, x^2 column 2
+        ("x^2 + y^3 + 4", "degree bounds"),  # T(2,2) = 2^4, y-degree 3 > m - r = 2
+        ("3y + 2x + y^2 + x^2", r"T\(2,2\) = 2\^m"),  # T(2,2) = 2^4 + 2
+        # T(2,2) = 2^4 and the degree bounds, but chi = q (q^2 - 2q + 13)
+        ("x^2 + 12", "ideal exponents"),
+    ],
+    ids=["x-r-column", "y-degree", "t22-off-by-2", "chi-does-not-split"],
+)
+def test_certify_tutte_refuses_a_wrong_g2_polynomial(tutte, match):
+    ideal = exceptional_ideal("G2", IDEAL_G)  # 4 complement roots of rank 2
+    with pytest.raises(InconsistencyError, match=match):
+        certify_tutte(ideal, parse_polynomial(tutte))
+    assert certify_tutte(ideal, parse_polynomial("2y + 2x + y^2 + x^2")) == 2
+
+
+@pytest.mark.parametrize(
+    "family, rank", [("F4", None), ("E6", None), ("A", 5), ("B", 4), ("C", 4), ("D", 4)]
+)
+def test_certified_tutte_gives_the_dispatcher_chi(family, rank):
+    # chi read off T alone, (-1)^r q^(n-r) T(1-q, 0), on every ideal
+    rst = root_system_type(family, rank)
+    for ideal in iter_ideals(root_poset(rst)):
+        tutte = tutte_of_ideal(ideal)
+        r = certify_tutte(ideal, tutte)
+        chi = tutte_to_characteristic(tutte, rst.ambient_dim, r)
+        assert chi == characteristic_polynomial(ideal), ideal
