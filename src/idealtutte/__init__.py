@@ -3,13 +3,16 @@ arrangements of root systems (families A, B, C, D; G2, F4, E6).  Full
 classical arrangements go through at any rank, classical ideals while the
 counting DP's guard admits them (the README gives measured refusals).
 
-Every result comes from one of two objects.  Classical types go through the
-finite field method: one dynamic program over the blocks of exchangeable
-coordinates gives the coboundary polynomial directly, with no primes and no
-interpolation.  Exceptional types read the coboundary polynomial off the
-lattice of flats of their full arrangement, built once per root system.  The
-basis-activity formula and a corank-nullity brute-force oracle give the
-Tutte polynomial instead, and cross-validate the others.  One dispatcher
+Every result comes from one of two objects.  Exceptional types, and the
+classical ones of at most 25 positive roots (A1-A6, B2-B5, C2-C5, D4, D5),
+read the coboundary polynomial off the lattice of flats of their full
+arrangement, built once per root system and process (1-7 ms on
+those classical systems, then a fraction of a DP per ideal).  Larger
+classical types go through the finite field method: one dynamic program
+over the blocks of exchangeable coordinates gives the coboundary polynomial
+directly, with no primes and no interpolation.  The basis-activity formula
+and a corank-nullity brute-force oracle give the Tutte polynomial instead,
+and cross-validate the others.  One dispatcher
 (``specialize``) converts every Tutte polynomial to a coboundary polynomial
 and certifies the coboundary polynomial of every engine, by
 chi-bar(1, 2) = T(2, 2) = 2^m; ``specialize.certify_tutte`` certifies a Tutte

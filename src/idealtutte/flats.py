@@ -1,5 +1,5 @@
-"""The lattice of flats of a full exceptional arrangement, and the coboundary
-polynomial of every one of its ideals read off it.
+"""The lattice of flats of a full arrangement, and the coboundary polynomial
+of every one of its ideals read off it.
 
 Every ideal arrangement D is a subarrangement of its root system's full
 arrangement M, of rank r.  Grouping Ardila's point count of Crapo's
@@ -16,6 +16,10 @@ system serves all its ideals: ``flat_lattice`` builds it on the first request
 and keeps it for the process, and each ideal then costs one pass over the
 flats (``FlatLattice.restrict``, which returns chi-bar_D and r(D) to the
 engine dispatcher in ``specialize``).  G2 has 8 flats, F4 268 and E6 4598.
+auto also serves the classical systems of at most ``AUTO_MAX_CLASSICAL_ROOTS``
+positive roots from here: D4 has 72 flats, B4 and C4 116, A5 203, D5 403,
+B5 and C5 648 and A6 877.  Any system of at most ``MAX_VECTORS`` roots is
+served when the flats engine is named.
 
 The lattice comes from the Weyl group W (``orbit_lattice``).  The fixator of
 a subspace is a parabolic subgroup (Steinberg), so every flat is
@@ -30,16 +34,18 @@ TAOCP 4A 7.1.3).  The tests hold the orbit build to a reference that
 enumerates the flats of any integer configuration by linear algebra
 (``tests/flat_reference.py``).
 
-Everything here is plain Python integers, so an exceptional request imports
-no numpy.  A flat is an int bitmask over the roots, and the lattice holds
-the flats orbit by orbit, by rank.  ``restrict`` adds up,
-four roots at a time, columns that hold one byte per flat, so |F & D| of
+Everything here is plain Python integers, so a request on the lattice
+imports no numpy.  A flat is an int bitmask over the roots, and the lattice
+holds the flats orbit by orbit, by rank.  ``restrict`` adds up, four roots
+at a time, columns that hold one byte per flat, so |F & D| of
 every flat comes out as one ``bytes`` object; it counts each orbit's
 histogram of those bytes, sums the orbit's chi row, packed into signed
 64-bit fields of one int, once per count, and decodes the sums in one pass.
 On a 2-CPU VM (Python 3.11) the E6 build takes a median of 18-22 ms, the F4
 build about 1.5 ms, and a restriction about 0.18 ms on E6 and 0.05 ms on
-F4 (the means over their 833 and 105 ideals).
+F4 (the means over their 833 and 105 ideals).  The classical lattices that
+auto builds take 1.1-6.6 ms, from D4 to A6, and a restriction with its
+Tutte transform 0.04-0.13 ms, 3.7-7x less than the counting DP.
 """
 
 from __future__ import annotations
@@ -59,6 +65,15 @@ from .rootsystems import root_poset, simple_reflections
 # up to 64 roots, so the bound of 39 is the one that binds
 MAX_VECTORS = 39
 FIELD_BITS = 64
+
+# auto reads a classical system off its lattice when its full arrangement has
+# at most this many positive roots: A1-A6, B and C up to rank 5, D4 and D5,
+# at most 877 flats built in 1.1-6.6 ms, after which a request costs 3.7-7x
+# less than on the counting DP.  The next lattices, D6, A7, B6 and C6
+# (2546-4140 flats), take 11-34 ms each, more than a sequence of requests
+# to one system saves unless it is long, and A8 0.12-0.16 s (2-CPU VM,
+# Python 3.11)
+AUTO_MAX_CLASSICAL_ROOTS = 25
 
 # the low and high nibble of each byte, and the bits each byte shares with
 # each nibble v, as bytes.translate tables
@@ -275,10 +290,10 @@ def _reflect(masks, network, r):
 
 @functools.cache
 def flat_lattice(rst):
-    """The ``FlatLattice`` of the full arrangement of a root system (the
-    engine serves G2, F4 and E6), over its simple coordinates in root-poset
-    order (``orbit_lattice``), built on the first call and kept for the
-    process.
+    """The ``FlatLattice`` of the full arrangement of a root system, over its
+    simple coordinates in root-poset order (``orbit_lattice``), built on the
+    first call and kept for the process.  auto serves G2, F4, E6 and the
+    classical systems of at most ``AUTO_MAX_CLASSICAL_ROOTS`` roots from it.
 
     Besides the build's own check, chi_M(q) must split over the exponents of
     the empty ideal (``ideals.check_exponent_factorization``);

@@ -344,6 +344,17 @@ def ideal_exponents(ideal):
     return IdealExponents(tuple(lam), tuple(exps))
 
 
+@functools.lru_cache(maxsize=1024)
+def _exponent_product(length, exps):
+    """The coefficients, lowest first, of q^(length - 1 - k) prod (q - m_i)
+    over the k exponents ``exps``, as a tuple: it depends on nothing else, so
+    the most recent 1024 are kept for the next check."""
+    want = [0] * (length - 1 - len(exps)) + [1]
+    for m in exps:
+        want = [a - m * b for a, b in zip([0] + want, want + [0])]  # times (q - m)
+    return tuple(want)
+
+
 def check_exponent_factorization(ideal, chi):
     """The ideal exponents of ``ideal`` (``ideal_exponents``), once its
     characteristic polynomial is seen to split over them.
@@ -355,10 +366,8 @@ def check_exponent_factorization(ideal, chi):
     be q^(len(chi) - 1 - k) prod (q - m_i); InconsistencyError otherwise.
     """
     exps = ideal_exponents(ideal).exponents
-    want = [0] * (len(chi) - 1 - len(exps)) + [1]
-    for m in exps:
-        want = [a - m * b for a, b in zip([0] + want, want + [0])]  # times (q - m)
-    if list(chi) != want:
+    want = _exponent_product(len(chi), exps)
+    if tuple(chi) != want:
         raise InconsistencyError(
             f"chi = {UnivariatePolynomial(chi)} of the {ideal.rst} ideal arrangement "
             f"is not {UnivariatePolynomial(want)}, the product over its ideal "

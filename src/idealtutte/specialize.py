@@ -8,6 +8,14 @@ engine; ``tutte_of_ideal`` transforms that, and ``characteristic_polynomial``
 reads chi(q) off chi-bar(q, 0).  A Tutte polynomial that comes from
 elsewhere, a cache entry, is certified by ``certify_tutte``.  Also region
 counts.
+
+``resolve_engine`` picks auto's engine from the root system alone: the
+lattice of flats on G2, F4, E6 and the classical systems of at most
+``flats.AUTO_MAX_CLASSICAL_ROOTS`` (25) positive roots (A1-A6, B2-B5, C2-C5,
+D4, D5), the finite-field pipeline on larger classical ones.  The lattice is
+built on a system's first request and kept for the process: one build of
+1-7 ms on those classical systems, after which each request costs a
+fraction of a DP.
 """
 
 from __future__ import annotations
@@ -25,18 +33,21 @@ ENGINES = ("auto", "ffmethod", "flats", "crapo", "oracle")
 def resolve_engine(engine, rst):
     """The engine that computes for ``engine`` on the root system ``rst``.
 
-    auto is the finite-field pipeline on classical types and the lattice of
-    flats on exceptional ones.  ConstraintError for an unknown engine, for
-    ffmethod on an exceptional type and for flats on a classical one.
+    auto is the lattice of flats on exceptional types and on classical ones
+    of at most ``flats.AUTO_MAX_CLASSICAL_ROOTS`` positive roots, whose
+    lattice is cheap to build once per process, and the finite-field
+    pipeline on larger classical ones.  flats is accepted on any system and
+    refused by its own guard (``flats.MAX_VECTORS`` roots, GuardExceeded) when
+    it runs.  ConstraintError for an unknown engine and for ffmethod on an
+    exceptional type.
     """
     if engine not in ENGINES:
         raise ConstraintError(f"unknown engine {engine!r}")
     if engine == "auto":
-        engine = "ffmethod" if rst.is_classical else "flats"
+        small = rst.positive_root_count() <= flats.AUTO_MAX_CLASSICAL_ROOTS
+        engine = "flats" if small or not rst.is_classical else "ffmethod"
     elif engine == "ffmethod" and not rst.is_classical:
         raise ConstraintError(f"engine ffmethod rejects exceptional type {rst.family}")
-    elif engine == "flats" and rst.is_classical:
-        raise ConstraintError(f"engine flats rejects classical type {rst.family}")
     return engine
 
 
@@ -72,16 +83,22 @@ def certify_tutte(ideal, tutte):
     polynomial passes; InconsistencyError otherwise.  No loops, so r is T's
     x-degree and the x^r column is 1; r is at most the system's rank and the
     y-degree at most m - r, for the m complement roots, before T(2, 2) = 2^m
-    is evaluated; last, chi splits over the ideal exponents."""
+    is evaluated; for m >= 2 the x and y coefficients agree (Brylawski's
+    t_10 = t_01, the beta invariant; Brylawski and Oxley, "The Tutte
+    polynomial and its applications", 1992); last, chi splits over the ideal
+    exponents."""
     m = ideal.complement_mask().bit_count()
     r = tutte.degree(0)
-    top = {b: c for (a, b), c in tutte.coeffs.items() if a == r}
+    coeffs = tutte.coeffs
+    top = {b: c for (a, b), c in coeffs.items() if a == r}
     if (top != {0: 1} or r > ideal.rst.rank or tutte.degree(1) > m - r
             or tutte.evaluate(2, 2) != 1 << m):  # degrees first: no huge evaluation
         raise InconsistencyError(
             f"T = {tutte} of {m} elements fails the x^r column, the degree bounds "
             "or T(2,2) = 2^m"
         )
+    if m >= 2 and coeffs.get((1, 0), 0) != coeffs.get((0, 1), 0):
+        raise InconsistencyError(f"T = {tutte} of {m} elements fails t_10 = t_01")
     chi = tutte_to_characteristic(tutte, ideal.rst.ambient_dim, r)
     check_exponent_factorization(ideal, chi.coeffs)
     return r
@@ -90,14 +107,16 @@ def certify_tutte(ideal, tutte):
 def tutte_of_ideal(ideal, engine="auto"):
     """Tutte polynomial of an ideal arrangement by the requested engine.
 
-    auto routes classical types through the finite-field pipeline and
-    exceptional types through the lattice of flats (as decided by
-    ``resolve_engine``); crapo forces the basis-activity formula and oracle
-    the corank-nullity expansion.  Every engine's result is certified as a
-    coboundary polynomial, and one that fails raises InconsistencyError.
-    Each engine refuses work past its own guard with GuardExceeded, before
-    doing it: crapo past ``crapo.DEFAULT_MAX_BASIS_SUBSETS`` basis
-    candidates, oracle past ``crapo.ORACLE_MAX_SUBSETS`` subsets.
+    auto reads exceptional and small classical types off the lattice of
+    flats and larger classical types off the finite-field pipeline (as
+    decided by ``resolve_engine``); crapo forces the basis-activity formula
+    and oracle the corank-nullity expansion.  Every engine's result is
+    certified as a coboundary polynomial, and one that fails raises
+    InconsistencyError.  Each engine refuses work past its own guard with
+    GuardExceeded, before doing it: crapo past
+    ``crapo.DEFAULT_MAX_BASIS_SUBSETS`` basis candidates, oracle past
+    ``crapo.ORACLE_MAX_SUBSETS`` subsets, flats past ``flats.MAX_VECTORS``
+    roots.
     """
     return coboundary_to_tutte(*_coboundary_and_rank(ideal, engine))
 

@@ -1,6 +1,7 @@
 import functools
 import importlib.util
 import json
+import os
 import pathlib
 import re
 from importlib.resources import files
@@ -20,6 +21,14 @@ from idealtutte.specialize import coboundary_of_ideal
 
 DATA = pathlib.Path(__file__).parent / "data"
 WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+
+def src_env():
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    env = dict(os.environ)
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
 
 
 def packaged_schema(name):

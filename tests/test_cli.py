@@ -8,7 +8,7 @@ import sys
 import jsonschema
 import pytest
 
-from conftest import IDEAL_E, latex_is_wellformed, packaged_schema
+from conftest import IDEAL_E, latex_is_wellformed, packaged_schema, src_env
 from idealtutte import crapo, ffmethod, specialize
 from idealtutte.cli import main, parse_ideal_spec
 from idealtutte.errors import ConstraintError
@@ -75,14 +75,15 @@ def test_unsupported_exceptional_type_without_rank(capsys):
 
 
 def test_json_round_trip_and_provenance(capsys, tmp_path):
+    # B6, of 36 roots, is past auto's lattice cut and stays on the DP
     code, out, _ = run(
-        capsys, "tutte", "--type", "B", "--rank", "2", "--full",
+        capsys, "tutte", "--type", "B", "--rank", "6", "--full",
         "--format", "json", "--cache-dir", str(tmp_path),
     )
     assert code == 0
     data = json.loads(out)
     poly = BivariatePolynomial.from_json_dict(data)
-    assert poly.evaluate(2, 2) == 2 ** 4
+    assert poly.evaluate(2, 2) == 2 ** 36
     assert data["provenance"]["engine"] == "ffmethod"
     assert set(data["provenance"]) == {"cache", "engine", "system", "hyperplanes", "wall_time_s"}
     assert data["provenance"]["cache"] == "miss"
@@ -211,7 +212,7 @@ def test_verify_checks_direct_against_the_whole_model(capsys, monkeypatch):
     # the direct chi-bar, a product over the components, against the chi-bar
     # of the whole complement's counting model, as whole polynomials
     args = ("verify", "--type", "B", "--rank", "3", "--all-ideals")
-    code, out, _ = run(capsys, *args)
+    code, out, _ = run(capsys, *args, "--engines", "ffmethod,crapo")
     assert code == 0
     assert "+20 whole-model checks" in out
     real = ffmethod.coboundary_and_rank
@@ -576,8 +577,8 @@ def test_verify_compares_against_the_first_engine_named(capsys, monkeypatch):
 
     monkeypatch.setattr(specialize, "tutte_of_ideal", skewed)
     code, _, err = run(capsys, "verify", "--type", "B", "--rank", "3", "--full",
-                       "--engines", "auto,crapo")
-    assert code == 3 and "auto and crapo disagree" in err
+                       "--engines", "ffmethod,crapo")
+    assert code == 3 and "ffmethod and crapo disagree" in err
 
 
 def test_max_subsets_guard_leaves_auto_on_exceptional_types(capsys, monkeypatch):
@@ -587,12 +588,14 @@ def test_max_subsets_guard_leaves_auto_on_exceptional_types(capsys, monkeypatch)
     assert code == 0 and out.strip() == "q^4 - 24q^3 + 190q^2 - 552q + 385"
 
 
-def test_flats_engine_rejects_classical_types(capsys):
+def test_flats_engine_refuses_a_system_past_its_guard(capsys):
+    # flats is accepted on any system; B7's 49 roots are past MAX_VECTORS
     code, out, err = run(
-        capsys, "tutte", "--type", "B", "--rank", "3", "--full", "--engine", "flats",
+        capsys, "tutte", "--type", "B", "--rank", "7", "--full", "--engine", "flats",
         "--no-cache",
     )
-    assert code == 1 and not out and "flats rejects classical type B" in err
+    assert code == 2 and not out
+    assert err.strip() == "guard refused: flats of 49 roots need at most 39"
 
 
 def test_verify_f4_all_ideals_against_crapo(capsys):
@@ -660,13 +663,17 @@ G2_TUTTE = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 0, 1)]  # 2y + 2x + y^2 + x^2
         # T(2,2) = 2^4, the degree bounds and an x^2 column of 1, but
         # chi = q (q^2 - 2q + 13) does not split over the exponents 3, 1
         _entry([(2, 0, 1), (0, 0, 12)]),
+        # x^2 + 2x + 4y: T(2,2) = 2^4, the degree bounds and the same chi as
+        # the true T, but t_10 = 2 and t_01 = 4 (Brylawski)
+        _entry([(2, 0, 1), (1, 0, 2), (0, 1, 4)]),
         _entry(G2_TUTTE, ("q", "t")),  # the right terms in the wrong variables
         "OTHER",  # a valid entry of another ideal, G2's full arrangement
         # degrees refused before T(2,2) would build a 2^(10^12)-bit integer
         _entry([(10 ** 12, 0, 1)]),
         _entry([(2, 0, 1), (0, 10 ** 12, 1)]),
     ],
-    ids=["one", "8x", "x2-plus-12", "q-t", "other-ideal", "huge-x-degree", "huge-y-degree"],
+    ids=["one", "8x", "x2-plus-12", "x-y-coefficients", "q-t", "other-ideal", "huge-x-degree",
+         "huge-y-degree"],
 )
 def test_cache_entry_failing_the_certificate_is_recomputed(capsys, monkeypatch, tmp_path, entry):
     evaluate = BivariatePolynomial.evaluate
@@ -730,20 +737,10 @@ def test_commands_refuse_options_they_do_not_read(capsys, command, option):
     capsys.readouterr()
 
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-
-
-def _src_env():
-    """The environment of a fresh interpreter that imports this checkout's package."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return env
-
-
 def _cli_process(argv, stdout):
     return subprocess.Popen(
         [sys.executable, "-m", "idealtutte.cli", *argv],
-        env=_src_env(), stdout=stdout, stderr=subprocess.PIPE,
+        env=src_env(), stdout=stdout, stderr=subprocess.PIPE,
     )
 
 
@@ -804,7 +801,7 @@ def _one_shot(args):
         "assert not loaded, loaded\n"
     )
     done = subprocess.run(
-        [sys.executable, "-c", code], env=_src_env(), check=True, capture_output=True,
+        [sys.executable, "-c", code], env=src_env(), check=True, capture_output=True,
         text=True,
     )
     return done.stdout

@@ -1,11 +1,12 @@
 """Smoke test: every demo script runs to completion from a source checkout."""
 
-import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+
+from conftest import src_env
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("[0-9][0-9]_*.py"))
@@ -17,10 +18,9 @@ def test_all_four_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, str(demo)], cwd=ROOT, env=src_env(), capture_output=True, text=True,
+        timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     if demo.stem in ("02_classical_pipeline", "03_exceptional_crapo"):

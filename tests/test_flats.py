@@ -1,7 +1,8 @@
 """The lattice-of-flats engine against Crapo's basis activities: every G2 and
-F4 ideal, the worked E6 ideal, E6 full and a fixed sample of E6 ideals, plus
-a Hypothesis property on random integer configurations, the build's
-certificates and the closure's swap network."""
+F4 ideal, the worked E6 ideal, E6 full and a fixed sample of E6 ideals; against
+the counting DP on every ideal of the classical systems auto reads off their
+lattices; auto's routing table, plus a Hypothesis property on random integer
+configurations, the build's certificates and the closure's swap network."""
 
 import random
 import subprocess
@@ -11,13 +12,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import IDEAL_E, exceptional_ideal, load_poly
+from conftest import IDEAL_E, exceptional_ideal, load_poly, src_env
 from flat_reference import build_lattice
 from idealtutte import flats
 from idealtutte.crapo import VectorConfig, tutte_crapo
 from idealtutte.errors import ConstraintError, GuardExceeded, InconsistencyError
 from idealtutte.exactpoly import coboundary_to_tutte, tutte_to_coboundary
-from idealtutte.ideals import arrangement_of, enumerate_ideals, ideal_from_mask
+from idealtutte.ideals import arrangement_of, enumerate_ideals, ideal_from_mask, iter_ideals
 from idealtutte.rootsystems import root_poset, root_system_type, simple_reflections
 from idealtutte.specialize import (
     coboundary_of_ideal,
@@ -73,11 +74,38 @@ def test_lattice_sizes(family, per_rank):
     assert [lattice.ranks.count(k) for k in range(len(per_rank))] == per_rank
 
 
-def test_auto_is_flats_on_exceptional_types_only():
-    for family in ("G2", "F4", "E6"):
-        assert resolve_engine("auto", root_system_type(family)) == "flats"
-    with pytest.raises(ConstraintError, match="flats rejects classical type B"):
-        resolve_engine("flats", root_system_type("B", 3))
+# every system auto reads off its lattice: the exceptional ones and the
+# classical ones of at most flats.AUTO_MAX_CLASSICAL_ROOTS = 25 roots
+AUTO_FLATS = "G2 F4 E6 A1 A2 A3 A4 A5 A6 B2 B3 B4 B5 C2 C3 C4 C5 D4 D5".split()
+CLASSICAL_UP_TO_RANK_8 = [
+    root_system_type(family, rank)
+    for family, low in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
+    for rank in range(low, 9)
+]
+
+
+def test_auto_routing_table():
+    # auto's engine on every supported system up to rank 8, and flats named
+    # on any of them; every classical lattice auto builds has at most 1000
+    # flats, the cost the root-count cut bounds
+    systems = [root_system_type(f) for f in ("G2", "F4", "E6")] + CLASSICAL_UP_TO_RANK_8
+    for rst in systems:
+        want = "flats" if str(rst) in AUTO_FLATS else "ffmethod"
+        assert resolve_engine("auto", rst) == want, rst
+        assert resolve_engine("flats", rst) == "flats"
+        if rst.is_classical and want == "flats":
+            assert len(flats.flat_lattice(rst)) <= 1000, rst
+
+
+@pytest.mark.parametrize(
+    "rst", [rst for rst in CLASSICAL_UP_TO_RANK_8 if str(rst) in AUTO_FLATS], ids=str
+)
+def test_flats_equal_ffmethod_where_auto_is_flats(rst):
+    # the lattice against the counting DP on every ideal of each classical
+    # system auto sends to the lattice
+    for ideal in iter_ideals(root_poset(rst)):
+        want = coboundary_of_ideal(ideal, engine="ffmethod")
+        assert coboundary_of_ideal(ideal, engine="flats") == want, ideal
 
 
 def test_lattice_is_built_on_first_request_only():
@@ -88,7 +116,7 @@ def test_lattice_is_built_on_first_request_only():
         "    rootsystems.root_poset(rootsystems.root_system_type(f))\n"
         "assert flats.flat_lattice.cache_info().currsize == 0\n"
     )
-    subprocess.run([sys.executable, "-c", code], check=True)
+    subprocess.run([sys.executable, "-c", code], env=src_env(), check=True)
 
 
 @pytest.mark.parametrize(

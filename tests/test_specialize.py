@@ -206,7 +206,8 @@ def _tamper(monkeypatch, owner, name):
     # adding (t-1)^rank to chi-bar keeps chi-bar(q, 1) = q^rank and every
     # division by t - 1 in the transform exact, but adds 1 to
     # T(2, 2) = chi-bar(1, 2); adding 1 to the oracle's T keeps its degree
-    # bounds and does the same.  Returns the engine that runs the tampered code
+    # bounds and does the same.  Returns the engine that runs the tampered
+    # code, named, since auto may pick another one
     real = getattr(owner, name)
     t_minus_1 = BivariatePolynomial({(0, 1): 1, (0, 0): -1}, ("q", "t"))
 
@@ -220,7 +221,7 @@ def _tamper(monkeypatch, owner, name):
         return cb + extra, r
 
     monkeypatch.setattr(owner, name, tampered)
-    return "oracle" if owner is crapo else "auto"
+    return {crapo: "oracle", ffmethod: "ffmethod", flats.FlatLattice: "flats"}[owner]
 
 
 @pytest.mark.parametrize("family, rank, owner, name", TAMPERED_ENGINES)
@@ -253,8 +254,10 @@ def test_tampered_coboundary_fails_every_command(monkeypatch, family, rank, owne
         ("3y + 2x + y^2 + x^2", r"T\(2,2\) = 2\^m"),  # T(2,2) = 2^4 + 2
         # T(2,2) = 2^4 and the degree bounds, but chi = q (q^2 - 2q + 13)
         ("x^2 + 12", "ideal exponents"),
+        # T(2,2) = 2^4, the degree bounds and the true chi, but t_10 = 2, t_01 = 4
+        ("x^2 + 2x + 4y", "t_10 = t_01"),
     ],
-    ids=["x-r-column", "y-degree", "t22-off-by-2", "chi-does-not-split"],
+    ids=["x-r-column", "y-degree", "t22-off-by-2", "chi-does-not-split", "x-y-coefficients"],
 )
 def test_certify_tutte_refuses_a_wrong_g2_polynomial(tutte, match):
     ideal = exceptional_ideal("G2", IDEAL_G)  # 4 complement roots of rank 2
