@@ -2,16 +2,16 @@
 engines, verify engine pairs, emit JSON/LaTeX/text, and cache results.
 
 The argument parser is built on the first ``main`` call and reused by every
-later one in the process (``build_parser``).  The cache holds one entry per
-ideal and engine, its Tutte polynomial, served only if it passes
-``specialize.certify_tutte`` (the x^r column, the degree bounds, T(2,2) and
-the split of chi over the ideal exponents); the JSON provenance is built on
-every call, never stored, and says whether the cache was hit.  A cache that
-cannot be written costs only a warning on stderr.  Ideal specs are checked
-against the packaged ``schemas/ideal-spec.schema.json``, and cache entries (through
-``BivariatePolynomial.from_json_dict``) against ``schemas/polynomial.schema.json``,
-by the plain-Python walk of ``schemacheck``, each schema loaded once per
-process; jsonschema is not imported.
+later one in the process (``build_parser``).  ``--format json`` prints one
+line, compact and with sorted keys.  The cache holds one entry per ideal
+and engine, its Tutte polynomial as a JSON list of [dx, dy, c] int
+triples; its reader checks that format itself and serves an entry only if
+it also passes ``specialize.certify_tutte``.  The JSON provenance is built
+on every call, never stored, and says whether the cache was hit.  A cache
+that cannot be written costs only a warning on stderr.  Ideal specs are
+checked against the packaged ``schemas/ideal-spec.schema.json`` by the
+check ``schemacheck`` compiles once per process; jsonschema is not
+imported.
 
 Each engine's guard is one constant of its own, and no option overrides it;
 ``verify`` checks ``auto`` against ``crapo`` unless ``--engines`` names others,
@@ -65,7 +65,7 @@ from .schemacheck import packaged_check
 FORMAT_CHOICES = ("json", "latex", "text")
 LISTING_FORMATS = ("json", "text")  # roots, ideals and minors print no LaTeX
 CACHE_ENV = "TUTTE_CACHE_DIR"
-CACHE_VERSION = "3"
+CACHE_VERSION = "4"
 
 
 def parse_ideal_spec(data):
@@ -123,7 +123,7 @@ def _emit(args, payload_poly, provenance):
     if fmt == "json":
         body = payload_poly.to_json_dict()
         body["provenance"] = provenance
-        text = json.dumps(body, indent=2, sort_keys=True)
+        text = json.dumps(body, sort_keys=True)
     elif fmt == "latex":
         text = payload_poly.to_latex()
     else:
@@ -164,24 +164,30 @@ class _Cache:
 
     def get(self, key, ideal):
         """The cached Tutte polynomial of ``ideal``, or None on a miss: an
-        entry that cannot be read or decoded, is not a polynomial in x and y,
-        or fails ``specialize.certify_tutte``.  The caller recomputes and
+        entry that cannot be read or decoded, is not a list of distinct
+        [dx, dy, c] int triples with nonzero c and non-negative degrees, or
+        fails ``specialize.certify_tutte``.  The caller recomputes and
         overwrites a miss."""
         if not self.enabled:
             return None
-        path = os.path.join(self.dir, key + ".json")
         try:
-            with open(path) as fh:
-                tutte = BivariatePolynomial.from_json_dict(json.load(fh))
-            if tutte.variables != ("x", "y"):
-                return None
+            with open(os.path.join(self.dir, key + ".json")) as fh:
+                terms = json.load(fh)
+            if type(terms) is not list or not all(
+                    type(t) is list and len(t) == 3 and all(type(v) is int for v in t)
+                    and t[0] >= 0 and t[1] >= 0 and t[2] for t in terms):
+                return None  # type(v) is int refuses bools
+            tutte = BivariatePolynomial({(dx, dy): c for dx, dy, c in terms})
+            if len(tutte.coeffs) != len(terms):
+                return None  # a degree given twice
             specialize.certify_tutte(ideal, tutte)
-        except (OSError, ValueError, LookupError, TypeError, RecursionError, InconsistencyError):
+        except (OSError, ValueError, RecursionError, InconsistencyError):
             return None
         return tutte
 
-    def put(self, key, value):
-        """Store ``value`` under ``key``.
+    def put(self, key, tutte):
+        """Store the Tutte polynomial ``tutte`` under ``key`` as its sorted
+        [dx, dy, c] triples; the directory is made only when it is missing.
 
         A cache that cannot be written costs only the entry: one warning on
         stderr and no temporary file left behind; the caller still emits
@@ -191,10 +197,13 @@ class _Cache:
             return
         tmp = None
         try:
-            os.makedirs(self.dir, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.dir, suffix=".tmp")
+            try:
+                fd, tmp = tempfile.mkstemp(dir=self.dir, suffix=".tmp")
+            except FileNotFoundError:
+                os.makedirs(self.dir, exist_ok=True)
+                fd, tmp = tempfile.mkstemp(dir=self.dir, suffix=".tmp")
             with os.fdopen(fd, "w") as fh:
-                fh.write(json.dumps(value, sort_keys=True))
+                fh.write(json.dumps([[a, b, c] for (a, b), c in sorted(tutte.coeffs.items())]))
             os.replace(tmp, os.path.join(self.dir, key + ".json"))
         except OSError as exc:
             if tmp is not None:
@@ -217,10 +226,10 @@ def cmd_polynomial(args, command):
     if tutte is None and command == "coboundary":
         poly = specialize.coboundary_of_ideal(ideal, engine=engine)
         if cache.enabled:  # no loops, so chi-bar's q-degree is the rank
-            cache.put(key, coboundary_to_tutte(poly, poly.degree(0)).to_json_dict())
+            cache.put(key, coboundary_to_tutte(poly, poly.degree(0)))
     elif tutte is None:
         poly = specialize.tutte_of_ideal(ideal, engine=engine)
-        cache.put(key, poly.to_json_dict())
+        cache.put(key, poly)
     elif command == "coboundary":
         poly = tutte_to_coboundary(tutte, tutte.degree(0))
     else:
@@ -229,7 +238,7 @@ def cmd_polynomial(args, command):
         "cache": "miss" if tutte is None else "hit",
         "engine": engine,
         "system": str(ideal.rst),
-        "hyperplanes": len(ideal.complement_indices()),
+        "hyperplanes": ideal.complement_mask().bit_count(),
         "wall_time_s": round(time.perf_counter() - t0, 4),
     })
     return 0

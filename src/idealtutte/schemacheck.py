@@ -2,8 +2,9 @@
 
 ``compile_schema`` turns a schema into a function of one JSON value that
 returns None when the value is valid and otherwise one message naming where
-it fails and why (``$.roots[0][0]: -1 is less than the minimum of 0``).  The
-check walks the schema and the value together.  It reads only the Draft-7
+it fails and why (``$.roots[0][0]: -1 is less than the minimum of 0``).  It
+reads the schema once, into one closure per schema node that holds the
+node's keyword values, so a check walks the value alone.  It reads only the Draft-7
 keywords the schemas in ``schemas/`` use (``type``, ``enum``,
 ``properties``, ``additionalProperties`` true or false, ``required``,
 ``items``, ``minItems``, ``maxItems``, ``minimum``, ``pattern``), ignores
@@ -31,10 +32,6 @@ KEYWORDS = (
 IGNORED = frozenset({"$schema", "title"})
 
 
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _is_integer(value):
     if isinstance(value, float):
         return value.is_integer()
@@ -49,69 +46,81 @@ TYPES = {
 }
 
 
-def _refuse_outside_subset(schema):
-    """Raise ValueError unless ``schema`` and every schema in it use only the
-    keywords, and keyword values, that ``_failure`` reads."""
+def _compile(schema):
+    """The check of the node ``schema``: a function of one value that returns
+    None when the value satisfies it, and otherwise the message of its first
+    failure without the leading ``$``.  The node's keyword values are read,
+    and its sub-schemas compiled, here, once.  ``type`` and ``enum`` run
+    first; then a node that names its type runs that type's keywords alone,
+    and any other node the keywords of the value's kind, in the order of
+    ``KEYWORDS``.  ValueError for a keyword, or a keyword value, outside the
+    subset this module reads."""
     if not isinstance(schema, dict):
         raise ValueError(f"schema {schema!r} is not supported: only objects are")
     unknown = schema.keys() - KEYWORDS - IGNORED
     if unknown:
         raise ValueError(f"schema keywords {sorted(unknown)} are not supported")
-    name = schema.get("type")
+    name, enum = schema.get("type"), schema.get("enum")
     if "type" in schema and not (isinstance(name, str) and name in TYPES):
         raise ValueError(f"type {name!r} is not supported")
-    if not all(isinstance(m, str) for m in schema.get("enum", ())):
-        raise ValueError(f"enum {schema['enum']!r} is not supported: only strings are")
+    if not all(isinstance(m, str) for m in enum or ()):
+        raise ValueError(f"enum {enum!r} is not supported: only strings are")
     if not isinstance(schema.get("additionalProperties", True), bool):
         raise ValueError("additionalProperties must be true or false")
-    if "pattern" in schema:
-        re.compile(schema["pattern"])
-    for sub in schema.get("properties", {}).values():
-        _refuse_outside_subset(sub)
-    if "items" in schema:
-        _refuse_outside_subset(schema["items"])
+    required, closed = schema.get("required", ()), schema.get("additionalProperties") is False
+    properties = {key: _compile(sub) for key, sub in schema.get("properties", {}).items()}
+    least, most = schema.get("minItems", 0), schema.get("maxItems")
+    each = _compile(schema["items"]) if "items" in schema else None
+    low, pattern = schema.get("minimum"), schema.get("pattern")
+    search = None if pattern is None else re.compile(pattern).search
 
-
-def _failure(schema, value):
-    """None when ``value`` satisfies ``schema``, and otherwise the message of
-    its first failure without the leading ``$``.  Keywords run in the order of
-    ``KEYWORDS``; each but ``type`` and ``enum`` reads one type of value."""
-    name = schema.get("type")
-    if name is not None and not TYPES[name](value):
-        return f": {value!r} is not of type {name!r}"
-    if "enum" in schema and value not in schema["enum"]:
-        return f": {value!r} is not one of {schema['enum']!r}"
-    if isinstance(value, dict):
-        for key in schema.get("required", ()):
+    def of_object(value):
+        for key in required:
             if key not in value:
                 return f": {key!r} is a required property"
-        properties = schema.get("properties", {})
-        if schema.get("additionalProperties") is False:
-            for key in value:
-                if key not in properties:
-                    return f": property {key!r} is not allowed"
+        for key in value if closed else ():
+            if key not in properties:
+                return f": property {key!r} is not allowed"
         for key, item in value.items():
-            if key in properties:
-                failure = _failure(properties[key], item)
-                if failure is not None:
-                    return f".{key}{failure}"
-    elif isinstance(value, list):
-        if len(value) < schema.get("minItems", 0):
-            return f": {value!r} has fewer than {schema['minItems']} items"
-        if "maxItems" in schema and len(value) > schema["maxItems"]:
-            return f": {value!r} has more than {schema['maxItems']} items"
-        if "items" in schema:
-            for i, item in enumerate(value):
-                failure = _failure(schema["items"], item)
-                if failure is not None:
-                    return f"[{i}]{failure}"
-    elif _is_number(value):
-        if "minimum" in schema and value < schema["minimum"]:
-            return f": {value!r} is less than the minimum of {schema['minimum']!r}"
-    elif isinstance(value, str):
-        if "pattern" in schema and re.search(schema["pattern"], value) is None:
-            return f": {value!r} does not match {schema['pattern']!r}"
-    return None
+            if key in properties and (failure := properties[key](item)) is not None:
+                return f".{key}{failure}"
+        return None
+
+    def of_array(value):
+        if len(value) < least:
+            return f": {value!r} has fewer than {least} items"
+        if most is not None and len(value) > most:
+            return f": {value!r} has more than {most} items"
+        for i, item in enumerate(value if each else ()):
+            if (failure := each(item)) is not None:
+                return f"[{i}]{failure}"
+        return None
+
+    def of_number(value):
+        if low is not None and value < low:
+            return f": {value!r} is less than the minimum of {low!r}"
+        return None
+
+    def of_string(value):
+        if search is not None and search(value) is None:
+            return f": {value!r} does not match {pattern!r}"
+        return None
+
+    is_number = lambda value: isinstance(value, (int, float)) and not isinstance(value, bool)
+    kinds = ((TYPES["object"], of_object), (TYPES["array"], of_array),
+             (is_number, of_number), (TYPES["string"], of_string))
+    by_type = {"object": of_object, "array": of_array, "integer": of_number, "string": of_string}
+    is_type = TYPES.get(name)
+    body = by_type[name] if name else (
+        lambda value: next((of_kind(value) for is_kind, of_kind in kinds if is_kind(value)), None))
+
+    def check(value):
+        if is_type is not None and not is_type(value):
+            return f": {value!r} is not of type {name!r}"
+        if enum is not None and value not in enum:
+            return f": {value!r} is not one of {enum!r}"
+        return body(value)
+    return check
 
 
 def compile_schema(schema):
@@ -120,10 +129,10 @@ def compile_schema(schema):
     failure, ``<where>`` a path such as ``$.roots[0][0]``.  Raises ValueError
     when the schema uses a keyword (or a keyword value) outside the subset
     this module reads."""
-    _refuse_outside_subset(schema)
+    node = _compile(schema)
 
     def check(value):
-        failure = _failure(schema, value)
+        failure = node(value)
         return None if failure is None else "$" + failure
     return check
 

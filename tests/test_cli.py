@@ -11,8 +11,13 @@ import pytest
 from conftest import IDEAL_E, latex_is_wellformed, packaged_schema, src_env
 from idealtutte import crapo, ffmethod, specialize
 from idealtutte.cli import main, parse_ideal_spec
-from idealtutte.errors import ConstraintError
-from idealtutte.exactpoly import BivariatePolynomial, parse_polynomial, tutte_to_coboundary
+from idealtutte.errors import ConstraintError, InconsistencyError
+from idealtutte.exactpoly import (
+    BivariatePolynomial,
+    coboundary_to_tutte,
+    parse_polynomial,
+    tutte_to_coboundary,
+)
 from idealtutte.ffmethod import CountingModel
 
 
@@ -20,6 +25,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _triples(poly):
+    """The cache entry of a Tutte polynomial: its sorted [dx, dy, c] triples."""
+    return [[a, b, c] for (a, b), c in sorted(poly.coeffs.items())]
 
 
 def test_tutte_g2_example(capsys, tmp_path):
@@ -119,8 +129,11 @@ def test_provenance_reports_a_cache_hit(capsys, tmp_path):
     for body in (first, second):
         assert body["provenance"].pop("cache") and body["provenance"].pop("wall_time_s") >= 0
     assert first["provenance"] == second["provenance"]
-    # the entry is the bare Tutte polynomial, with no provenance, and a hit leaves it as it was
-    assert path.read_bytes() == stored and sorted(json.loads(stored)) == ["terms", "variables"]
+    # the entry is the bare Tutte polynomial, its [dx, dy, c] triples with no
+    # provenance, and a hit leaves it as it was
+    coboundary = BivariatePolynomial.from_json_dict(first)
+    want = coboundary_to_tutte(coboundary, coboundary.degree(0))
+    assert path.read_bytes() == stored and json.loads(stored) == _triples(want)
     code3, out3, _ = run(capsys, *args[:-2], "--no-cache")
     assert code3 == 0 and json.loads(out3)["provenance"]["cache"] == "miss"
 
@@ -263,6 +276,27 @@ def test_cache_entry_bytes_are_the_c_encoder_output(capsys, tmp_path):
     (path,) = tmp_path.glob("*.json")
     stored = path.read_text()
     assert code == 0 and stored == json.dumps(json.loads(stored), sort_keys=True)
+
+
+def test_json_output_is_one_compact_line(capsys, tmp_path):
+    # the C encoder's output: no indent, sorted keys, one line per result
+    for command in ("tutte", "coboundary"):
+        code, out, _ = run(capsys, command, "--type", "D", "--rank", "4", "--boxes", "[[1,3]]",
+                           "--format", "json", "--cache-dir", str(tmp_path))
+        assert code == 0 and out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("command", ["tutte", "coboundary"])
+def test_a_miss_encodes_the_polynomial_once(capsys, monkeypatch, tmp_path, command):
+    # the cache entry is written from the polynomial itself, so only the
+    # printed body goes through to_json_dict
+    to_json_dict, calls = BivariatePolynomial.to_json_dict, []
+    monkeypatch.setattr(BivariatePolynomial, "to_json_dict",
+                        lambda self: calls.append(self) or to_json_dict(self))
+    code, out, _ = run(capsys, command, "--type", "B", "--rank", "4", "--boxes", "[[1,4]]",
+                       "--format", "json", "--cache-dir", str(tmp_path))
+    assert code == 0 and json.loads(out)["provenance"]["cache"] == "miss"
+    assert len(calls) == 1 and len(list(tmp_path.glob("*.json"))) == 1
 
 
 def test_cache_dir_under_a_regular_file_still_prints_the_result(capsys, tmp_path):
@@ -497,10 +531,16 @@ def test_packaged_schemas_are_valid_draft7(name):
     jsonschema.Draft7Validator.check_schema(packaged_schema(name))
 
 
-def test_emitted_json_and_cache_entries_follow_polynomial_schema(capsys, tmp_path):
+# the cache entry's format, which the cache reader checks itself
+ENTRY_SCHEMA = {"type": "array", "items": {
+    "type": "array", "minItems": 3, "maxItems": 3, "items": {"type": "integer"}}}
+
+
+def test_emitted_json_follows_polynomial_schema_and_entries_are_triples(capsys, tmp_path):
     validator = jsonschema.Draft7Validator(packaged_schema("polynomial.schema.json"))
     assert not validator.is_valid({"variables": ["x", "y"], "terms": [{"dx": 0, "dy": 0, "c": 1}]})
     systems = (("--type", "B", "--rank", "3", "--full"), ("--type", "G2", "--roots", "[[3,1],[3,2]]"))
+    tuttes = []
     for command in ("tutte", "coboundary"):
         for system in systems:
             code, out, _ = run(
@@ -508,11 +548,13 @@ def test_emitted_json_and_cache_entries_follow_polynomial_schema(capsys, tmp_pat
             )
             assert code == 0
             validator.validate(json.loads(out))
-    # one entry per ideal, shared by tutte and coboundary: a whole polynomial document
-    entries = sorted(tmp_path.glob("*.json"))
-    assert len(entries) == 2
-    for path in entries:
-        validator.validate(json.loads(path.read_text()))
+            if command == "tutte":
+                tuttes.append(_triples(BivariatePolynomial.from_json_dict(json.loads(out))))
+    # one entry per ideal, shared by tutte and coboundary: the Tutte polynomial's triples
+    entries = [json.loads(path.read_text()) for path in tmp_path.glob("*.json")]
+    for entry in entries:
+        jsonschema.validate(entry, ENTRY_SCHEMA)
+    assert sorted(entries) == sorted(tuttes)
 
 
 def test_charpoly_command(capsys, tmp_path):
@@ -633,23 +675,40 @@ def test_json_provenance_names_the_flats_engine(capsys, tmp_path):
         '{"terms": [{"dx": 1, "dy": 0, "c": "one"}], "variables": ["x", "y"]}',
         # nested past the JSON parser's recursion limit
         pytest.param("[" * 200000, id="deeply-nested"),
+        # the true T of the G2 ideal, 2y + 2x + y^2 + x^2, in the format of
+        # an older release, then in triples that break the format
+        pytest.param('{"terms": [{"dx": 0, "dy": 1, "c": "2"}, {"dx": 0, "dy": 2, "c": "1"},'
+                     ' {"dx": 1, "dy": 0, "c": "2"}, {"dx": 2, "dy": 0, "c": "1"}],'
+                     ' "variables": ["x", "y"]}', id="v3-document"),
+        pytest.param("[[0, 1, 2], [0, 2, 1], [1, 0, 2], [2, 0, true]]", id="bool"),
+        pytest.param("[[0, 1, 2], [0, 2, 1], [1, 0, 2], [2, 0, 1.0]]", id="float"),
+        pytest.param('[[0, 1, 2], [0, 2, 1], [1, 0, 2], [2, 0, "1"]]', id="string"),
+        pytest.param("[[0, 1, 2], [0, 2, 1], [1, 0, 2], [2, 0, 1], [0, -1, 1]]",
+                     id="negative-degree"),
+        pytest.param("[[0, 1, 2], [0, 2, 1], [1, 0, 2], [2, 0, 1], [1, 1, 0]]",
+                     id="zero-coefficient"),
+        pytest.param("[[0, 1, 2], [0, 2, 1], [1, 0, 1], [1, 0, 1], [2, 0, 1]]",
+                     id="repeated-degree"),
+        pytest.param("[[0, 1], [0, 2], [1, 0], [2, 0]]", id="pair"),
+        pytest.param("17", id="number"),
     ],
 )
-def test_bad_cache_entry_is_a_miss(capsys, tmp_path, entry):
+def test_bad_cache_entry_is_a_miss(capsys, monkeypatch, tmp_path, entry):
     args = ("tutte", "--type", "G2", "--roots", "[[3,1],[3,2]]", "--cache-dir", str(tmp_path))
     code, want, _ = run(capsys, *args)
     (path,) = tmp_path.glob("*.json")
     good = path.read_text()
     path.write_text(entry, errors="surrogateescape")
+    # the reader's format check refuses it before the certificate
+    monkeypatch.setattr(specialize, "certify_tutte", _never)
     code, got, err = run(capsys, *args)
     assert code == 0 and got == want and not err
     # recomputed and overwritten with a good entry
     assert path.read_text() == good
 
 
-def _entry(terms, variables=("x", "y")):
-    return json.dumps({"terms": [{"dx": a, "dy": b, "c": str(c)} for a, b, c in terms],
-                       "variables": list(variables)})
+def _entry(terms):
+    return json.dumps([list(t) for t in terms])
 
 
 G2_TUTTE = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 0, 1)]  # 2y + 2x + y^2 + x^2
@@ -666,23 +725,27 @@ G2_TUTTE = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 0, 1)]  # 2y + 2x + y^2 + x^2
         # x^2 + 2x + 4y: T(2,2) = 2^4, the degree bounds and the same chi as
         # the true T, but t_10 = 2 and t_01 = 4 (Brylawski)
         _entry([(2, 0, 1), (1, 0, 2), (0, 1, 4)]),
-        _entry(G2_TUTTE, ("q", "t")),  # the right terms in the wrong variables
+        # x^2 + 2x + 2y + xy: T(2,2) = 2^4, t_10 = t_01, the degree bounds
+        # and the same chi as the true T, but not y^m on the hyperbola
+        _entry([(2, 0, 1), (1, 0, 2), (0, 1, 2), (1, 1, 1)]),
         "OTHER",  # a valid entry of another ideal, G2's full arrangement
-        # degrees refused before T(2,2) would build a 2^(10^12)-bit integer
+        # degrees refused before any work of their size
         _entry([(10 ** 12, 0, 1)]),
         _entry([(2, 0, 1), (0, 10 ** 12, 1)]),
     ],
-    ids=["one", "8x", "x2-plus-12", "x-y-coefficients", "q-t", "other-ideal", "huge-x-degree",
-         "huge-y-degree"],
+    ids=["one", "8x", "x2-plus-12", "x-y-coefficients", "xy-for-y2", "other-ideal",
+         "huge-x-degree", "huge-y-degree"],
 )
 def test_cache_entry_failing_the_certificate_is_recomputed(capsys, monkeypatch, tmp_path, entry):
-    evaluate = BivariatePolynomial.evaluate
+    certify, raised = specialize.certify_tutte, []
 
-    def small_evaluate(self, a, b):
-        assert max(self.degree(0), self.degree(1)) < 100, "evaluated an entry of huge degree"
-        return evaluate(self, a, b)
+    def spy(ideal, tutte):
+        try:
+            return certify(ideal, tutte)
+        except InconsistencyError:
+            raised.append(tutte)
+            raise
 
-    monkeypatch.setattr(BivariatePolynomial, "evaluate", small_evaluate)
     g2 = ("tutte", "--type", "G2")
     assert run(capsys, *g2, "--full", "--cache-dir", str(tmp_path / "other"))[0] == 0
     (other,) = (tmp_path / "other").iterdir()
@@ -693,10 +756,14 @@ def test_cache_entry_failing_the_certificate_is_recomputed(capsys, monkeypatch, 
     assert run(capsys, *args, "--cache-dir", str(cache)) == (0, want, "")
     (path,) = cache.iterdir()
     good = path.read_text()
-    assert json.loads(good) == parse_polynomial(want.strip()).to_json_dict()
-    path.write_text(other.read_text() if entry == "OTHER" else entry)
+    assert json.loads(good) == _triples(parse_polynomial(want.strip()))
+    written = other.read_text() if entry == "OTHER" else entry
+    path.write_text(written)
+    # the entry passes the reader's format check and fails the certificate
+    monkeypatch.setattr(specialize, "certify_tutte", spy)
     code, got, err = run(capsys, *args, "--cache-dir", str(cache))
     assert code == 0 and got == want and not err
+    assert [_triples(t) for t in raised] == [sorted(json.loads(written))]
     assert path.read_text() == good
 
 
@@ -792,13 +859,18 @@ def test_unreadable_ideal_file_or_unwritable_out_exits_1(tmp_path, argv):
 
 def _one_shot(args):
     """The standard output of ``cli.main(args)`` in a fresh interpreter, which
-    must load none of jsonschema, numpy and the paper's reference route."""
+    must load none of jsonschema, numpy and the paper's reference route, and
+    compile no schema but the ideal spec's: a cache hit reads its entry
+    without the polynomial schema."""
     code = (
         "import sys\n"
-        "from idealtutte import cli\n"
+        "from idealtutte import cli, schemacheck\n"
+        "compiled, compile_schema = [], schemacheck.compile_schema\n"
+        "schemacheck.compile_schema = lambda s: compiled.append(s['title']) or compile_schema(s)\n"
         f"assert cli.main({args!r}) == 0\n"
         "loaded = {'jsonschema', 'numpy', 'idealtutte.paper'} & sys.modules.keys()\n"
         "assert not loaded, loaded\n"
+        "assert set(compiled) <= {'ideal specification'}, compiled\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], env=src_env(), check=True, capture_output=True,

@@ -196,7 +196,7 @@ def test_draft7_number_semantics(schema, value, valid):
 
 
 def test_polynomial_without_variables_is_rejected_by_schema_and_reader():
-    # the cache reader refuses a document with no variables, and so does the schema
+    # the JSON reader refuses a document with no variables, and so does the schema
     doc = {"terms": [{"dx": 1, "dy": 0, "c": "1"}]}
     message = packaged_check("polynomial.schema.json")(doc)
     assert message is not None and "variables" in message

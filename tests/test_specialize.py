@@ -246,18 +246,27 @@ def test_tampered_coboundary_fails_every_command(monkeypatch, family, rank, owne
 # ---- the certificate of a Tutte polynomial read back from the cache ----------
 
 
+HYPERBOLA = r"sum_i y\^i \(y-1\)\^\(r-i\) T_i\(y\) = y\^m"
+
+
 @pytest.mark.parametrize(
     "tutte, match",
     [
         ("2x^2 + y^2 + 2y", r"x\^r column"),  # T(2,2) = 2^4, x^2 column 2
         ("x^2 + y^3 + 4", "degree bounds"),  # T(2,2) = 2^4, y-degree 3 > m - r = 2
-        ("3y + 2x + y^2 + x^2", r"T\(2,2\) = 2\^m"),  # T(2,2) = 2^4 + 2
-        # T(2,2) = 2^4 and the degree bounds, but chi = q (q^2 - 2q + 13)
-        ("x^2 + 12", "ideal exponents"),
+        ("3y + 2x + y^2 + x^2", HYPERBOLA),  # T(2,2) = 2^4 + 2
+        # the true T plus xy - x - y, which sums to 0 on the hyperbola, but
+        # chi = (q - 1)(q - 2) does not split over the exponents 3, 1
+        ("x^2 + x + y + y^2 + xy", "ideal exponents"),
         # T(2,2) = 2^4, the degree bounds and the true chi, but t_10 = 2, t_01 = 4
-        ("x^2 + 2x + 4y", "t_10 = t_01"),
+        ("x^2 + 2x + 4y", HYPERBOLA),
+        # T(2,2) = 2^4, t_10 = t_01, the degree bounds and the true chi
+        ("x^2 + 2x + 2y + xy", HYPERBOLA),
+        # the true T minus xy - x - y: on the hyperbola, a negative coefficient
+        ("x^2 + 3x + 3y + y^2 - xy", "negative coefficient"),
     ],
-    ids=["x-r-column", "y-degree", "t22-off-by-2", "chi-does-not-split", "x-y-coefficients"],
+    ids=["x-r-column", "y-degree", "t22-off-by-2", "chi-does-not-split", "x-y-coefficients",
+         "xy-for-y2", "negative"],
 )
 def test_certify_tutte_refuses_a_wrong_g2_polynomial(tutte, match):
     ideal = exceptional_ideal("G2", IDEAL_G)  # 4 complement roots of rank 2
