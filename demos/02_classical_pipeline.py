@@ -10,6 +10,7 @@ checked against the polynomial at q = 3.
 from idealtutte import (
     CountingModel,
     arrangement_of,
+    characteristic_polynomial,
     coboundary_of_ideal,
     coboundary_to_tutte,
     complement,
@@ -17,7 +18,6 @@ from idealtutte import (
     region_count,
     root_poset,
     root_system_type,
-    tutte_to_characteristic,
 )
 from idealtutte.paper import generating_boxes, partition_in_accordance, signature_table
 
@@ -55,6 +55,6 @@ print(f"Tutte polynomial T(x, y), {len(tutte.coeffs)} terms:")
 print(" ", tutte.to_text())
 print("T(2,2) = 2^#hyperplanes:", tutte.evaluate(2, 2) == 2 ** len(comp))
 
-chi = tutte_to_characteristic(tutte, 6, rank)
+chi = characteristic_polynomial(ideal)
 print("\ncharacteristic polynomial:", chi.to_text("q"))
 print("regions:", region_count(tutte))

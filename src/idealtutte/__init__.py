@@ -13,10 +13,11 @@ over the blocks of exchangeable coordinates gives the coboundary polynomial
 directly, with no primes and no interpolation.  The basis-activity formula
 and a corank-nullity brute-force oracle give the Tutte polynomial instead,
 and cross-validate the others.  One dispatcher
-(``specialize``) converts every Tutte polynomial to a coboundary polynomial
-and certifies the coboundary polynomial of every engine, by
-chi-bar(1, 2) = T(2, 2) = 2^m; ``specialize.certify_tutte`` certifies a Tutte
-polynomial read back from the CLI cache.
+(``specialize``) converts every Tutte polynomial to a coboundary polynomial,
+and one certificate, ``specialize.certify_coboundary``, passes every
+polynomial served: each engine's, and each read back from the CLI cache
+(through ``specialize.certify_tutte``).  It checks the degrees,
+chi-bar(1, t) = t^m and that chi splits over the ideal exponents.
 
 The paper's own classical route (signatures, Algorithm P's block partition
 and the minor sets that pick its primes) is the reference module
@@ -37,7 +38,6 @@ from .exactpoly import (
     coboundary_to_tutte,
     lagrange_interpolate,
     parse_polynomial,
-    tutte_to_characteristic,
 )
 from .rootsystems import (
     Root,

@@ -6,7 +6,8 @@ later one in the process (``build_parser``).  ``--format json`` prints one
 line, compact and with sorted keys.  The cache holds one entry per ideal
 and engine, its Tutte polynomial as a JSON list of [dx, dy, c] int
 triples; its reader checks that format itself and serves an entry only if
-it also passes ``specialize.certify_tutte``.  The JSON provenance is built
+it also passes ``specialize.certify_tutte``, which ends in the certificate
+of every computed result.  The JSON provenance is built
 on every call, never stored, and says whether the cache was hit.  A cache
 that cannot be written costs only a warning on stderr.  Ideal specs are
 checked against the packaged ``schemas/ideal-spec.schema.json`` by the
@@ -21,8 +22,9 @@ engine works.
 Exit codes: 0 success, 1 validation error (or an ``--ideal-file`` that
 cannot be read, or an ``--out`` file that cannot be written), 2 guard refusal
 or usage error (argparse: an unknown option, or not exactly one ideal input),
-3 verification mismatch, 141 (128 + SIGPIPE) standard output closed early by
-its reader.
+3 verification mismatch, 4 inconsistent result (a result that fails its
+certificate or another exactness check; a cache entry that fails is only a
+miss), 141 (128 + SIGPIPE) standard output closed early by its reader.
 """
 
 from __future__ import annotations
@@ -494,6 +496,9 @@ def main(argv=None):
     except VerificationMismatch as exc:
         print(f"verification mismatch: {exc}", file=sys.stderr)
         return 3
+    except InconsistencyError as exc:
+        print(f"inconsistent result: {exc}", file=sys.stderr)
+        return 4
     except GuardExceeded as exc:
         print(f"guard refused: {exc}", file=sys.stderr)
         return 2

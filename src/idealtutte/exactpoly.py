@@ -504,20 +504,3 @@ def coboundary_to_characteristic(cb, n, rank):
         raise ConstraintError(f"rank {rank} exceeds ambient dimension {n}")
     column = [cb.coefficient(a, 0) for a in range(cb.degree(0) + 1)]
     return UnivariatePolynomial([0] * (n - rank) + column)
-
-
-def tutte_to_characteristic(tutte, n, rank):
-    """chi(q) = (-1)^rank q^(n-rank) T(1-q, 0), from T's y^0 column alone.
-    ConstraintError when the rank exceeds n or an x-degree exceeds the rank."""
-    if rank > n or tutte.degree(0) > rank:
-        raise ConstraintError(f"rank {rank} exceeds ambient dimension {n} or an x-degree of T")
-    g = [0] * (rank + 1)
-    for (a, b), c in tutte.coeffs.items():
-        if not b:
-            g[a] = c
-    for i in range(rank):  # Horner's scheme in place: g becomes T(x + 1, 0)
-        for j in range(rank - 1, i - 1, -1):
-            g[j] += g[j + 1]
-    for a in range(rank - 1, -1, -2):  # (-1)^rank T(1 - q, 0) = sum_a (-1)^(rank - a) g_a q^a
-        g[a] = -g[a]
-    return UnivariatePolynomial([0] * (n - rank) + g)

@@ -445,9 +445,9 @@ def _divide_exactly(poly, d):
     c_e: the remainder mixes the fields' residues.  When d = 2^k it reads the
     low k bits alone, so only the lowest t-field is checked.  What it misses
     is caught downstream: ``coboundary`` checks each F_u coefficient's
-    division by s^u u! and chi-bar(q, 1) = q^rank, and the dispatcher
-    (``specialize``) certifies chi-bar(1, 2) = T(2, 2) = 2^m on every
-    command.
+    division by s^u u! and chi-bar(q, 1) = q^rank, and
+    ``specialize.certify_coboundary`` checks chi-bar(1, t) = t^m and chi's
+    split over the ideal exponents on every command.
     """
     q, rem = divmod(poly, d)
     if rem:

@@ -326,33 +326,38 @@ class IdealExponents:
         return sum(self.heights)
 
 
-def ideal_exponents(ideal):
-    """Ideal exponents from the height partition of the complement.
-
-    lambda_h counts the complement roots of height h, one popcount per
-    ``RootPoset.height_masks`` entry, and must weakly decrease; the exponents
-    are the conjugate partition mu_k = #{h : lambda_h >= k}, weakly
-    decreasing.
-    """
+def _height_counts(ideal):
+    """lambda_h, the complement's roots of height h: one popcount per
+    ``RootPoset.height_masks`` entry, trailing zeros kept."""
     comp = ideal.complement_mask()
-    lam = [(comp & heights).bit_count() for heights in ideal.poset.height_masks]
-    while lam and not lam[-1]:
-        lam.pop()
+    return tuple([(comp & heights).bit_count() for heights in ideal.poset.height_masks])
+
+
+def _conjugate(lam):
+    """The exponents, the conjugate partition mu_k = #{h : lambda_h >= k} of
+    the height counts ``lam``, which must weakly decrease."""
     if any(a < b for a, b in zip(lam, lam[1:])):
-        raise InconsistencyError(f"height counts {lam} are not weakly decreasing")
-    exps = [sum(1 for l in lam if l >= k) for k in range(1, lam[0] + 1)] if lam else []
-    return IdealExponents(tuple(lam), tuple(exps))
+        raise InconsistencyError(f"height counts {list(lam)} are not weakly decreasing")
+    return tuple(sum(1 for l in lam if l >= k) for k in range(1, lam[0] + 1)) if lam else ()
+
+
+def ideal_exponents(ideal):
+    """Ideal exponents from the height partition of the complement."""
+    lam = _height_counts(ideal)
+    exps = _conjugate(lam)
+    return IdealExponents(lam[:exps[0]] if exps else (), exps)  # mu_1 counts the nonzero heights
 
 
 @functools.lru_cache(maxsize=1024)
-def _exponent_product(length, exps):
-    """The coefficients, lowest first, of q^(length - 1 - k) prod (q - m_i)
-    over the k exponents ``exps``, as a tuple: it depends on nothing else, so
-    the most recent 1024 are kept for the next check."""
+def _factorization(lam, length):
+    """The exponents of the height counts ``lam`` and the coefficients,
+    lowest first, of q^(length - 1 - k) prod (q - m_i) over those k, as
+    tuples; the most recent 1024 are kept for the next check."""
+    exps = _conjugate(lam)
     want = [0] * (length - 1 - len(exps)) + [1]
     for m in exps:
         want = [a - m * b for a, b in zip([0] + want, want + [0])]  # times (q - m)
-    return tuple(want)
+    return exps, tuple(want)
 
 
 def check_exponent_factorization(ideal, chi):
@@ -363,10 +368,10 @@ def check_exponent_factorization(ideal, chi):
     ``UnivariatePolynomial.coeffs`` or a ``FlatLattice.kinds`` row.  Every
     ideal arrangement of a Weyl arrangement is free with the ideal exponents
     m_1, ..., m_k (Abe, Barakat, Cuntz, Hoge and Terao, 2016), so ``chi`` must
-    be q^(len(chi) - 1 - k) prod (q - m_i); InconsistencyError otherwise.
+    be q^(len(chi) - 1 - k) prod (q - m_i); InconsistencyError otherwise.  A
+    check costs the popcounts and one lookup in ``_factorization``.
     """
-    exps = ideal_exponents(ideal).exponents
-    want = _exponent_product(len(chi), exps)
+    exps, want = _factorization(_height_counts(ideal), len(chi))
     if tuple(chi) != want:
         raise InconsistencyError(
             f"chi = {UnivariatePolynomial(chi)} of the {ideal.rst} ideal arrangement "

@@ -1,13 +1,13 @@
-"""The one engine dispatcher and what is read off its results.
+"""The one engine dispatcher, the one certificate and what is read off them.
 
 Each engine returns one polynomial and the arrangement's rank: chi-bar(q, t)
 from the finite-field pipeline and the lattice of flats, T(x, y) from Crapo's
 basis activities and the corank-nullity oracle.  One function takes every
-result: it converts each T to chi-bar and certifies the chi-bar of every
-engine; ``tutte_of_ideal`` transforms that, and ``characteristic_polynomial``
-reads chi(q) off chi-bar(q, 0).  A Tutte polynomial that comes from
-elsewhere, a cache entry, is certified by ``certify_tutte``.  Also region
-counts.
+result and converts each T to chi-bar.  ``certify_coboundary`` certifies
+every polynomial the package serves: each engine's chi-bar, and through
+``certify_tutte`` each CLI cache entry.  ``tutte_of_ideal`` transforms the
+certified chi-bar, and ``characteristic_polynomial`` reads chi(q) off
+chi-bar(q, 0), as the certificate does.  Also region counts.
 
 ``resolve_engine`` picks auto's engine from the root system alone: the
 lattice of flats on G2, F4, E6 and the classical systems of at most
@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from . import crapo, ffmethod, flats
 from .errors import ConstraintError, InconsistencyError
-from .exactpoly import coboundary_to_characteristic, coboundary_to_tutte
-from .exactpoly import tutte_to_characteristic, tutte_to_coboundary
+from .exactpoly import coboundary_to_characteristic, coboundary_to_tutte, tutte_to_coboundary
 from .ideals import check_exponent_factorization
 
 
@@ -51,66 +50,65 @@ def resolve_engine(engine, rst):
     return engine
 
 
+def certify_coboundary(ideal, cb, rank):
+    """None once ``cb`` passes as the chi-bar(q, t) of ``ideal``'s
+    arrangement of rank r = ``rank``; InconsistencyError otherwise.  One pass
+    over its terms checks the degrees (q-degree at most r, total degree at
+    most m, for the m complement roots) and the q^r column (exactly 1, with
+    no loops), and sums its columns for Certificate 0: chi-bar(1, t) = t^m,
+    which every matroid has (T on the hyperbola (x - 1)(y - 1) = 1, that is
+    Brylawski's linear relations; Brylawski and Oxley, 1992).  Then chi, the
+    t^0 column, must split over the ideal exponents
+    (``ideals.check_exponent_factorization``)."""
+    m = ideal.complement_mask().bit_count()
+    at_q1, chi = [0] * (m + 1), [0] * (rank + 1)  # chi-bar(1, t) and chi-bar(q, 0)
+    for (a, b), c in cb.coeffs.items():
+        if a + b > m or a > rank or (a == rank and b):
+            raise InconsistencyError(f"chi-bar = {cb} of {m} elements of rank {rank} "
+                                     "fails the degree bounds or the q^r column")
+        at_q1[b] += c
+        if not b:
+            chi[a] = c
+    if chi[rank] != 1 or at_q1[m] != 1 or any(at_q1[:m]):
+        raise InconsistencyError(f"chi-bar = {cb} of {m} elements of rank {rank} "
+                                 "fails the q^r column or chi-bar(1, t) = t^m")
+    check_exponent_factorization(ideal, chi)
+
+
 def _coboundary_and_rank(ideal, engine):
-    """(chi-bar(q, t), rank) by the engine that ``resolve_engine`` picks: a
-    Tutte polynomial from crapo or oracle is converted by
-    ``exactpoly.tutte_to_coboundary``.  InconsistencyError unless
-    chi-bar(1, 2) = T(2, 2) = 2^m for the m complement roots, with q-degree
-    at most the rank and total degree at most m."""
+    """(chi-bar(q, t), rank) by the engine that ``resolve_engine`` picks,
+    once it passes ``certify_coboundary``: a Tutte polynomial from crapo or
+    oracle is converted by ``exactpoly.tutte_to_coboundary``."""
     engine = resolve_engine(engine, ideal.rst)
-    mask = ideal.complement_mask()
     if engine == "ffmethod":
         cb, rank = ffmethod.coboundary_and_rank(ideal)
     elif engine == "flats":
-        cb, rank = flats.flat_lattice(ideal.rst).restrict(mask)
+        cb, rank = flats.flat_lattice(ideal.rst).restrict(ideal.complement_mask())
     else:
         vectors = [r.simple_coords for r in ideal.complement_roots()]
         cfg = crapo.VectorConfig(vectors, dim=ideal.rst.rank)
         tutte = crapo.tutte_crapo if engine == "crapo" else crapo.tutte_corank_nullity
         cb, rank = tutte_to_coboundary(tutte(cfg), cfg.rank), cfg.rank
-    m = mask.bit_count()
-    at_1_2 = sum(c << b for (_, b), c in cb.coeffs.items())  # chi-bar(1, 2)
-    if at_1_2 != 1 << m or any(a > rank or a + b > m for a, b in cb.coeffs):
-        raise InconsistencyError(
-            f"the {engine} coboundary of {m} elements of rank {rank} fails "
-            f"T(2,2) = 2^m or the degree bounds: {cb}"
-        )
+    try:
+        certify_coboundary(ideal, cb, rank)
+    except InconsistencyError as exc:
+        raise InconsistencyError(f"the {engine} result fails its certificate: {exc}") from None
     return cb, rank
 
 
 def certify_tutte(ideal, tutte):
-    """The rank r of the arrangement of ``ideal``, once its claimed Tutte
-    polynomial passes; InconsistencyError otherwise.  No loops, so r is T's
-    x-degree and the x^r column is 1; r is at most the system's rank and the
-    y-degree at most m - r, for the m complement roots.  Then T on the
-    hyperbola (x - 1)(y - 1) = 1: sum_i y^i (y - 1)^(r - i) T_i(y) = y^m for
-    T's x^i columns T_i, as every matroid of m elements and rank r has it
-    (Brylawski's linear relations; Brylawski and Oxley, "The Tutte polynomial
-    and its applications", 1992), with no negative coefficient; last, chi
-    splits over the ideal exponents."""
+    """The rank r of ``ideal``'s arrangement once its claimed Tutte
+    polynomial, a cache entry, passes; InconsistencyError otherwise.  Here
+    only T's own facts: r is T's x-degree, at most the system's rank, the
+    y-degree at most m - r before any work, and no coefficient negative;
+    then its chi-bar must pass ``certify_coboundary``."""
     m = ideal.complement_mask().bit_count()
     r = tutte.degree(0)
-    coeffs = tutte.coeffs
-    top = {b: c for (a, b), c in coeffs.items() if a == r}
-    if top != {0: 1} or r > ideal.rst.rank or tutte.degree(1) > m - r:
-        raise InconsistencyError(
-            f"T = {tutte} of {m} elements fails the x^r column or the degree bounds"
-        )
-    columns = [[] for _ in range(r + 1)]
-    for (a, b), c in coeffs.items():
-        columns[a].append((a + b, c))
-    acc = [0] * (m + 1)  # Horner in (y - 1), dense in y; the degree bounds keep it in y^m
-    for column in columns:
-        acc = [-acc[0], *(lo - hi for lo, hi in zip(acc, acc[1:]))]
-        for d, c in column:
-            acc[d] += c
-    if acc[m] != 1 or any(acc[:m]) or min(coeffs.values()) < 0:
-        raise InconsistencyError(
-            f"T = {tutte} of {m} elements fails sum_i y^i (y-1)^(r-i) T_i(y) = y^m "
-            "or has a negative coefficient"
-        )
-    chi = tutte_to_characteristic(tutte, ideal.rst.ambient_dim, r)
-    check_exponent_factorization(ideal, chi.coeffs)
+    if not 0 <= r <= ideal.rst.rank or tutte.degree(1) > m - r:
+        raise InconsistencyError(f"T = {tutte} of {m} elements fails the degree bounds")
+    if min(tutte.coeffs.values()) < 0:
+        raise InconsistencyError(f"T = {tutte} has a negative coefficient")
+    certify_coboundary(ideal, tutte_to_coboundary(tutte, r), r)
     return r
 
 

@@ -8,6 +8,7 @@ from importlib.resources import files
 
 import pytest
 
+from idealtutte import flats
 from idealtutte.exactpoly import parse_polynomial
 from idealtutte.ideals import (
     complement,
@@ -59,6 +60,27 @@ IDEAL_E = [
     (1, 1, 2, 2, 1, 1), (1, 1, 1, 2, 2, 1), (1, 1, 2, 2, 2, 1),
     (1, 1, 2, 3, 2, 1), (1, 2, 2, 3, 2, 1),
 ]
+
+
+# two B3 ideals of m = 5 complement roots and rank 3 whose ideal exponents
+# differ, (3, 1, 1) and (2, 2, 1): the true chi-bar of the second has every
+# property of a chi-bar of the first but its chi
+B3_IDEAL = [(1, 1, 0), (1, 1, 1), (1, 1, 2), (1, 2, 2)]
+B3_SWAP = [(0, 1, 2), (1, 1, 1), (1, 1, 2), (1, 2, 2)]
+
+
+def swap_b3_restriction(monkeypatch):
+    """Tamper ``FlatLattice.restrict`` so that the B3_IDEAL ideal gets the
+    true chi-bar and rank of the B3_SWAP ideal; returns both ideals."""
+    poset = root_poset(root_system_type("B", 3))
+    ideal, swap = (ideal_from_root_coords(poset, coords) for coords in (B3_IDEAL, B3_SWAP))
+    real = flats.FlatLattice.restrict
+
+    def swapped(self, mask):
+        return real(self, swap.complement_mask() if mask == ideal.complement_mask() else mask)
+
+    monkeypatch.setattr(flats.FlatLattice, "restrict", swapped)
+    return ideal, swap
 
 
 def load_poly(name, variables):

@@ -26,7 +26,7 @@ from conftest import (
 from crapo_reference import enumerate_bases
 from idealtutte.crapo import VectorConfig, tutte_corank_nullity, tutte_crapo
 from idealtutte.errors import InconsistencyError
-from idealtutte.exactpoly import coboundary_to_tutte, lagrange_interpolate, tutte_to_characteristic
+from idealtutte.exactpoly import coboundary_to_tutte, lagrange_interpolate
 from idealtutte.ffmethod import CountingModel, count_points_bruteforce
 from idealtutte.ideals import (
     arrangement_of,
@@ -296,18 +296,17 @@ def test_crit4_specializations(sweep_results):
 def test_crit5_exponent_factorization(sweep_results):
     t0 = time.time()
     failures = []
-    # the sweep's primary Tutte polynomials, and the worked G2 and F4 ideals
-    # by the default engine
-    chis = [
-        (data["ideal"], tutte_to_characteristic(
-            data["primary"], data["ideal"].rst.ambient_dim, data["cfg"].rank))
+    # chi of the sweep's ideals by their primary engines, and of the worked
+    # G2 and F4 ideals by the default engine
+    cases = [
+        (data["ideal"], "ffmethod" if data["ideal"].rst.is_classical else "crapo")
         for data in sweep_results.values()
     ]
-    for fam, coords in (("G2", IDEAL_G), ("F4", IDEAL_F)):
-        ideal = exceptional_ideal(fam, coords)
-        chis.append((ideal, characteristic_polynomial(ideal)))
-    for ideal, chi in chis:
+    cases += [(exceptional_ideal(fam, coords), "auto")
+              for fam, coords in (("G2", IDEAL_G), ("F4", IDEAL_F))]
+    for ideal, engine in cases:
         try:
+            chi = characteristic_polynomial(ideal, engine=engine)
             check_exponent_factorization(ideal, chi.coeffs)
         except InconsistencyError as exc:
             failures.append(str(exc))

@@ -8,7 +8,16 @@ import sys
 import jsonschema
 import pytest
 
-from conftest import IDEAL_E, latex_is_wellformed, packaged_schema, src_env
+from conftest import (
+    B3_IDEAL,
+    IDEAL_E,
+    IDEAL_G,
+    exceptional_ideal,
+    latex_is_wellformed,
+    packaged_schema,
+    src_env,
+    swap_b3_restriction,
+)
 from idealtutte import crapo, ffmethod, specialize
 from idealtutte.cli import main, parse_ideal_spec
 from idealtutte.errors import ConstraintError, InconsistencyError
@@ -231,13 +240,14 @@ def test_verify_checks_direct_against_the_whole_model(capsys, monkeypatch):
     real = ffmethod.coboundary_and_rank
 
     def tampered(ideal):
-        # adding (t-1)^rank (q-1) keeps chi-bar(q, 1) and chi-bar(1, 2) and
-        # survives the Tutte transform, so both engine runs agree on the
-        # wrong answer for the first ideal, the empty one (9 roots, rank 3)
+        # adding (q-1) t (t-1)^rank keeps chi-bar(q, 1), chi-bar(1, t), chi
+        # (the t^0 column), the degree bounds and every division of the
+        # Tutte transform, so the certificate passes it and both engine runs
+        # agree on the wrong answer for the first ideal, the empty one
+        # (9 roots, rank 3)
         cb, rank = real(ideal)
         t_minus_1 = BivariatePolynomial({(0, 1): 1, (0, 0): -1}, ("q", "t"))
-        q_minus_1 = BivariatePolynomial({(1, 0): 1, (0, 0): -1}, ("q", "t"))
-        extra = q_minus_1
+        extra = BivariatePolynomial({(1, 1): 1, (0, 1): -1}, ("q", "t"))  # (q-1) t
         for _ in range(rank):
             extra = extra * t_minus_1
         return cb + extra, rank
@@ -245,6 +255,43 @@ def test_verify_checks_direct_against_the_whole_model(capsys, monkeypatch):
     monkeypatch.setattr(ffmethod, "coboundary_and_rank", tampered)
     code, _, err = run(capsys, *args, "--engines", "ffmethod,ffmethod")
     assert code == 3 and "counting model disagree" in err
+
+
+@pytest.mark.parametrize("command", ["tutte", "coboundary", "charpoly"])
+def test_chi_bar_of_another_ideal_exits_4(capsys, monkeypatch, tmp_path, command):
+    # a result that fails the certificate is an inconsistent result, not a
+    # validation error, and nothing is cached
+    swap_b3_restriction(monkeypatch)
+    cache = ("--cache-dir", str(tmp_path)) if command != "charpoly" else ()
+    roots = json.dumps(B3_IDEAL)
+    code, out, err = run(capsys, command, "--type", "B", "--rank", "3", "--roots", roots, *cache)
+    assert (code, out) == (4, "")
+    assert err.startswith("inconsistent result: the flats result fails its certificate")
+    assert "ideal exponents [3, 1, 1]" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_every_result_passes_the_one_certificate_once(capsys, monkeypatch, tmp_path):
+    real, calls = specialize.certify_coboundary, []
+
+    def spy(ideal, cb, rank):
+        calls.append(ideal)
+        return real(ideal, cb, rank)
+
+    monkeypatch.setattr(specialize, "certify_coboundary", spy)
+    ideal = exceptional_ideal("G2", IDEAL_G)
+    for command in (specialize.tutte_of_ideal, specialize.coboundary_of_ideal,
+                    specialize.characteristic_polynomial):
+        calls.clear()
+        command(ideal)
+        assert calls == [ideal], command
+    args = ("tutte", "--type", "G2", "--roots", json.dumps(IDEAL_G), "--format", "json",
+            "--cache-dir", str(tmp_path))
+    for cache in ("miss", "hit"):
+        calls.clear()
+        code, out, _ = run(capsys, *args)
+        assert code == 0 and json.loads(out)["provenance"]["cache"] == cache
+        assert calls == [ideal], cache
 
 
 def test_latex_output_wellformed(capsys, tmp_path):

@@ -267,7 +267,7 @@ def test_kernel_memory_guard(monkeypatch, f4_full):
 
 def test_tampered_tally_fails_self_certificate(monkeypatch):
     # crapo checks nothing itself: the dispatcher's certificate of the
-    # converted chi-bar refuses the tally, T(2,2) = 2^3 + 2
+    # converted chi-bar refuses the tally, whose chi-bar(1, t) is not t^3
     from idealtutte import crapo
 
     real = crapo._exchange_tally
@@ -279,7 +279,7 @@ def test_tampered_tally_fails_self_certificate(monkeypatch):
 
     braid = ideal_from_mask(root_poset(root_system_type("A", 2)), 0)
     monkeypatch.setattr(crapo, "_exchange_tally", tampered)
-    with pytest.raises(InconsistencyError, match=r"T\(2,2\) = 2\^m"):
+    with pytest.raises(InconsistencyError, match=r"chi-bar\(1, t\) = t\^m"):
         tutte_of_ideal(braid, engine="crapo")
 
 

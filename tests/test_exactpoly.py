@@ -11,7 +11,6 @@ from idealtutte.exactpoly import (
     coboundary_to_tutte,
     lagrange_interpolate,
     parse_polynomial,
-    tutte_to_characteristic,
     tutte_to_coboundary,
 )
 from idealtutte.ideals import arrangement_of, enumerate_ideals
@@ -223,16 +222,6 @@ def test_transforms_equal_the_taylor_shift_composition(family, rank):
         tutte = coboundary_to_tutte(cb, r)
         assert tutte == taylor_shift_to_tutte(cb, r)
         assert tutte_to_coboundary(tutte, r) == taylor_shift_to_coboundary(tutte, r) == cb
-
-
-def test_tutte_to_characteristic_examples():
-    assert tutte_to_characteristic(bp("x"), 1, 1) == UnivariatePolynomial([-1, 1])
-    assert tutte_to_characteristic(bp("x^2 + x + y"), 3, 2) == UnivariatePolynomial(
-        [0, 2, -3, 1]
-    )
-    assert tutte_to_characteristic(
-        bp("x^2 + y^2 + 2x + 2y"), 2, 2
-    ) == UnivariatePolynomial([3, -4, 1])
 
 
 def taylor_shift_to_characteristic(tutte, n, rank):

@@ -13,7 +13,6 @@ from idealtutte.exactpoly import (
     UnivariatePolynomial,
     coboundary_to_tutte,
     lagrange_interpolate,
-    tutte_to_characteristic,
     tutte_to_coboundary,
 )
 from idealtutte.ideals import Ideal, complement
@@ -120,17 +119,6 @@ def test_tutte_coboundary_round_trip(case):
 def test_tutte_to_coboundary_matches_termwise_expansion(case):
     tutte, rank = case
     assert tutte_to_coboundary(tutte, rank) == termwise_tutte_to_coboundary(tutte, rank)
-
-
-@PROPERTY_SETTINGS
-@given(tutte_like(), st.integers(0, 3))
-def test_characteristic_is_coboundary_at_t_zero(case, corank):
-    # chi(q) = q^(n-r) chi-bar(q, 0)
-    tutte, rank = case
-    n = rank + corank
-    cb = tutte_to_coboundary(tutte, rank)
-    at_zero = [cb.coefficient(d, 0) for d in range(cb.degree(0) + 1)]
-    assert tutte_to_characteristic(tutte, n, rank) == UnivariatePolynomial([0] * corank + at_zero)
 
 
 def test_crapo_order_invariance_random():

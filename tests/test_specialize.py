@@ -2,15 +2,23 @@ from collections import Counter
 
 import pytest
 
-from conftest import IDEAL_F, IDEAL_G, exceptional_ideal, full_coboundary, worked_ideal
+from conftest import (
+    IDEAL_F,
+    IDEAL_G,
+    exceptional_ideal,
+    full_coboundary,
+    full_poset,
+    swap_b3_restriction,
+    worked_ideal,
+)
 from idealtutte import crapo, ffmethod, flats, specialize
 from idealtutte.errors import InconsistencyError
 from idealtutte.exactpoly import (
     BivariatePolynomial,
     UnivariatePolynomial,
+    coboundary_to_characteristic,
     coboundary_to_tutte,
     parse_polynomial,
-    tutte_to_characteristic,
 )
 from idealtutte.ideals import (
     arrangement_of,
@@ -70,8 +78,10 @@ def test_region_counts_weyl_orders():
         rank = n - 1 if family == "A" else n
         tutte = coboundary_to_tutte(full_coboundary(family, n), rank)
         assert region_count(tutte) == order
-        # Zaslavsky's count from chi, an independent route to the same number
-        assert (-1) ** n * tutte_to_characteristic(tutte, n, rank).evaluate(-1) == order
+        # Zaslavsky's count from the default engine's chi, an independent
+        # route to the same number
+        chi = characteristic_polynomial(ideal_from_mask(full_poset(family, n), 0))
+        assert (-1) ** n * chi.evaluate(-1) == order
 
 
 def test_region_count_g2_full():
@@ -194,6 +204,8 @@ def test_tutte_of_ideal_engine_equivalence_small():
         assert t_ff == t_cr == t_or
 
 
+CERTIFICATE_0 = r"chi-bar\(1, t\) = t\^m"
+
 # the ideals of a root system, and where their engine's result is tampered
 TAMPERED_ENGINES = [
     ("B", 4, ffmethod, "coboundary_and_rank"),
@@ -204,8 +216,8 @@ TAMPERED_ENGINES = [
 
 def _tamper(monkeypatch, owner, name):
     # adding (t-1)^rank to chi-bar keeps chi-bar(q, 1) = q^rank and every
-    # division by t - 1 in the transform exact, but adds 1 to
-    # T(2, 2) = chi-bar(1, 2); adding 1 to the oracle's T keeps its degree
+    # division by t - 1 in the transform exact, but adds (t-1)^rank to
+    # chi-bar(1, t) = t^m; adding 1 to the oracle's T keeps its degree
     # bounds and does the same.  Returns the engine that runs the tampered
     # code, named, since auto may pick another one
     real = getattr(owner, name)
@@ -228,7 +240,7 @@ def _tamper(monkeypatch, owner, name):
 def test_tampered_coboundary_fails_the_tutte_certificate(monkeypatch, family, rank, owner, name):
     engine = _tamper(monkeypatch, owner, name)
     for ideal in enumerate_ideals(root_poset(root_system_type(family, rank))):
-        with pytest.raises(InconsistencyError, match=r"T\(2,2\) = 2\^m"):
+        with pytest.raises(InconsistencyError, match=CERTIFICATE_0):
             tutte_of_ideal(ideal, engine=engine)
 
 
@@ -239,29 +251,37 @@ def test_tampered_coboundary_fails_every_command(monkeypatch, family, rank, owne
     engine = _tamper(monkeypatch, owner, name)
     for ideal in enumerate_ideals(root_poset(root_system_type(family, rank))):
         for command in (coboundary_of_ideal, characteristic_polynomial):
-            with pytest.raises(InconsistencyError, match=r"T\(2,2\) = 2\^m"):
+            with pytest.raises(InconsistencyError, match=CERTIFICATE_0):
                 command(ideal, engine=engine)
+
+
+def test_chi_bar_of_another_ideal_fails_the_factorization(monkeypatch):
+    # the B3 lattice serves one ideal the true chi-bar of another with the
+    # same m and rank: the degrees, the q^r column and chi-bar(1, t) = t^m
+    # all hold, and only chi's split over the ideal exponents refuses it
+    ideal, swap = swap_b3_restriction(monkeypatch)
+    assert coboundary_of_ideal(swap) != coboundary_of_ideal(ideal, engine="crapo")
+    for command in (tutte_of_ideal, coboundary_of_ideal, characteristic_polynomial):
+        with pytest.raises(InconsistencyError, match=r"ideal exponents \[3, 1, 1\]"):
+            command(ideal)
 
 
 # ---- the certificate of a Tutte polynomial read back from the cache ----------
 
 
-HYPERBOLA = r"sum_i y\^i \(y-1\)\^\(r-i\) T_i\(y\) = y\^m"
-
-
 @pytest.mark.parametrize(
     "tutte, match",
     [
-        ("2x^2 + y^2 + 2y", r"x\^r column"),  # T(2,2) = 2^4, x^2 column 2
+        ("2x^2 + y^2 + 2y", r"q\^r column"),  # T(2,2) = 2^4, x^2 column 2
         ("x^2 + y^3 + 4", "degree bounds"),  # T(2,2) = 2^4, y-degree 3 > m - r = 2
-        ("3y + 2x + y^2 + x^2", HYPERBOLA),  # T(2,2) = 2^4 + 2
+        ("3y + 2x + y^2 + x^2", CERTIFICATE_0),  # T(2,2) = 2^4 + 2
         # the true T plus xy - x - y, which sums to 0 on the hyperbola, but
         # chi = (q - 1)(q - 2) does not split over the exponents 3, 1
         ("x^2 + x + y + y^2 + xy", "ideal exponents"),
         # T(2,2) = 2^4, the degree bounds and the true chi, but t_10 = 2, t_01 = 4
-        ("x^2 + 2x + 4y", HYPERBOLA),
+        ("x^2 + 2x + 4y", CERTIFICATE_0),
         # T(2,2) = 2^4, t_10 = t_01, the degree bounds and the true chi
-        ("x^2 + 2x + 2y + xy", HYPERBOLA),
+        ("x^2 + 2x + 2y + xy", CERTIFICATE_0),
         # the true T minus xy - x - y: on the hyperbola, a negative coefficient
         ("x^2 + 3x + 3y + y^2 - xy", "negative coefficient"),
     ],
@@ -279,10 +299,11 @@ def test_certify_tutte_refuses_a_wrong_g2_polynomial(tutte, match):
     "family, rank", [("F4", None), ("E6", None), ("A", 5), ("B", 4), ("C", 4), ("D", 4)]
 )
 def test_certified_tutte_gives_the_dispatcher_chi(family, rank):
-    # chi read off T alone, (-1)^r q^(n-r) T(1-q, 0), on every ideal
+    # chi read off the chi-bar of T and the rank that the certificate
+    # returns, on every ideal
     rst = root_system_type(family, rank)
     for ideal in iter_ideals(root_poset(rst)):
         tutte = tutte_of_ideal(ideal)
         r = certify_tutte(ideal, tutte)
-        chi = tutte_to_characteristic(tutte, rst.ambient_dim, r)
+        chi = coboundary_to_characteristic(tutte_to_coboundary(tutte, r), rst.ambient_dim, r)
         assert chi == characteristic_polynomial(ideal), ideal
