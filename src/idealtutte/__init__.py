@@ -22,66 +22,42 @@ chi-bar(1, t) = t^m and that chi splits over the ideal exponents.
 The paper's own classical route (signatures, Algorithm P's block partition
 and the minor sets that pick its primes) is the reference module
 ``idealtutte.paper``, which no request loads and this package does not export.
+
+Importing the package runs none of its modules: each public name is
+imported from its module on first access (``__getattr__``), and the
+dispatcher imports only the engine a request runs, so a fresh process
+loads what its request needs and no more.
 """
 
-from .errors import (
-    ConstraintError,
-    GuardExceeded,
-    IdealTutteError,
-    InconsistencyError,
-    UnsupportedTypeError,
-    VerificationMismatch,
-)
-from .exactpoly import (
-    BivariatePolynomial,
-    UnivariatePolynomial,
-    coboundary_to_tutte,
-    lagrange_interpolate,
-    parse_polynomial,
-)
-from .rootsystems import (
-    Root,
-    RootPoset,
-    RootSystemType,
-    hyperplane_tuple,
-    linear_order_key,
-    root_poset,
-    root_system_type,
-)
-from .ideals import (
-    Ideal,
-    IdealComplement,
-    IdealExponents,
-    arrangement_of,
-    check_exponent_factorization,
-    complement,
-    decompose_components,
-    enumerate_ideals,
-    ideal_exponents,
-    ideal_from_boxes,
-    ideal_from_mask,
-    ideal_from_root_coords,
-    iter_ideals,
-)
-from .crapo import (
-    BasisActivity,
-    VectorConfig,
-    activity,
-    rank_of,
-    tutte_corank_nullity,
-    tutte_crapo,
-)
-from .ffmethod import (
-    CountingModel,
-    TProfile,
-    count_points_bruteforce,
-)
-from .specialize import (
-    characteristic_polynomial,
-    coboundary_of_ideal,
-    region_count,
-    resolve_engine,
-    tutte_of_ideal,
-)
+_EXPORTS = {
+    "errors": ("ConstraintError", "GuardExceeded", "IdealTutteError",
+               "InconsistencyError", "UnsupportedTypeError", "VerificationMismatch"),
+    "exactpoly": ("BivariatePolynomial", "UnivariatePolynomial", "coboundary_to_tutte",
+                  "lagrange_interpolate", "parse_polynomial"),
+    "rootsystems": ("Root", "RootPoset", "RootSystemType", "hyperplane_tuple",
+                    "linear_order_key", "root_poset", "root_system_type"),
+    "ideals": ("Ideal", "IdealComplement", "IdealExponents", "arrangement_of",
+               "check_exponent_factorization", "complement", "decompose_components",
+               "enumerate_ideals", "ideal_exponents", "ideal_from_boxes", "ideal_from_mask",
+               "ideal_from_root_coords", "iter_ideals"),
+    "crapo": ("BasisActivity", "VectorConfig", "activity", "rank_of",
+              "tutte_corank_nullity", "tutte_crapo"),
+    "ffmethod": ("CountingModel", "TProfile", "count_points_bruteforce"),
+    "specialize": ("characteristic_polynomial", "coboundary_of_ideal", "region_count",
+                   "resolve_engine", "tutte_of_ideal"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """Each public name, imported from its module on first access (PEP 562)."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{module}", __package__), name)
+    return value

@@ -12,7 +12,9 @@ on every call, never stored, and says whether the cache was hit.  A cache
 that cannot be written costs only a warning on stderr.  Ideal specs are
 checked against the packaged ``schemas/ideal-spec.schema.json`` by the
 check ``schemacheck`` compiles once per process; jsonschema is not
-imported.
+imported.  A one-shot call loads only what it runs: the engine its request
+needs, ``hashlib`` only to name a cache entry (never under ``--no-cache``)
+and ``tempfile`` only to write one.
 
 Each engine's guard is one constant of its own, and no option overrides it;
 ``verify`` checks ``auto`` against ``crapo`` unless ``--engines`` names others,
@@ -32,14 +34,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import hashlib
 import json
 import os
 import sys
-import tempfile
 import time
 
-from . import __version__, ffmethod, specialize
+from . import __version__, specialize
 from .errors import (
     ConstraintError,
     GuardExceeded,
@@ -47,7 +47,7 @@ from .errors import (
     InconsistencyError,
     VerificationMismatch,
 )
-from .exactpoly import BivariatePolynomial, coboundary_to_tutte, tutte_to_coboundary
+from .exactpoly import BivariatePolynomial, coboundary_to_tutte
 from .ideals import (
     complement,
     enumerate_ideals,
@@ -153,6 +153,8 @@ class _Cache:
         """The entry's name: a hash of the cache format, the package version
         (so no release serves another's results), the system, the complement
         and the engine."""
+        import hashlib  # only a call that reads or writes the cache hashes
+
         raw = json.dumps(
             [
                 CACHE_VERSION,
@@ -165,11 +167,12 @@ class _Cache:
         return hashlib.sha256(raw.encode()).hexdigest()
 
     def get(self, key, ideal):
-        """The cached Tutte polynomial of ``ideal``, or None on a miss: an
-        entry that cannot be read or decoded, is not a list of distinct
+        """The cached Tutte polynomial of ``ideal`` and the chi-bar that
+        ``specialize.certify_tutte`` certified, or None on a miss: an entry
+        that cannot be read or decoded, is not a list of distinct
         [dx, dy, c] int triples with nonzero c and non-negative degrees, or
-        fails ``specialize.certify_tutte``.  The caller recomputes and
-        overwrites a miss."""
+        fails the certificate.  The caller recomputes and overwrites a
+        miss."""
         if not self.enabled:
             return None
         try:
@@ -182,10 +185,9 @@ class _Cache:
             tutte = BivariatePolynomial({(dx, dy): c for dx, dy, c in terms})
             if len(tutte.coeffs) != len(terms):
                 return None  # a degree given twice
-            specialize.certify_tutte(ideal, tutte)
+            return tutte, specialize.certify_tutte(ideal, tutte)
         except (OSError, ValueError, RecursionError, InconsistencyError):
             return None
-        return tutte
 
     def put(self, key, tutte):
         """Store the Tutte polynomial ``tutte`` under ``key`` as its sorted
@@ -197,6 +199,8 @@ class _Cache:
         """
         if not self.enabled:
             return
+        import tempfile  # only a call that writes the cache makes a file
+
         tmp = None
         try:
             try:
@@ -218,26 +222,27 @@ def cmd_polynomial(args, command):
     """Emit the ideal's ``command`` polynomial and this call's provenance:
     ``cache`` says whether its Tutte polynomial came from the cache, and
     ``wall_time_s`` is this call's time to read or compute the polynomial.
-    A ``coboundary`` miss prints chi-bar as computed and stores it as T."""
+    A ``coboundary`` miss prints chi-bar as computed and stores it as T; a
+    hit prints the chi-bar its certificate checked.  ``--no-cache`` builds
+    no key."""
     ideal = _ideal_from_args(args)
     engine = specialize.resolve_engine(args.engine, ideal.rst)
     t0 = time.perf_counter()
     cache = _Cache(args)
-    key = cache.key(ideal, engine)
-    tutte = cache.get(key, ideal)
-    if tutte is None and command == "coboundary":
+    key = cache.key(ideal, engine) if cache.enabled else None
+    hit = cache.get(key, ideal)
+    if hit is None and command == "coboundary":
         poly = specialize.coboundary_of_ideal(ideal, engine=engine)
         if cache.enabled:  # no loops, so chi-bar's q-degree is the rank
             cache.put(key, coboundary_to_tutte(poly, poly.degree(0)))
-    elif tutte is None:
+    elif hit is None:
         poly = specialize.tutte_of_ideal(ideal, engine=engine)
         cache.put(key, poly)
-    elif command == "coboundary":
-        poly = tutte_to_coboundary(tutte, tutte.degree(0))
     else:
-        poly = tutte
+        tutte, cb = hit
+        poly = cb if command == "coboundary" else tutte
     _emit(args, poly, {
-        "cache": "miss" if tutte is None else "hit",
+        "cache": "miss" if hit is None else "hit",
         "engine": engine,
         "system": str(ideal.rst),
         "hyperplanes": ideal.complement_mask().bit_count(),
@@ -329,6 +334,8 @@ def _verify_ffmethod_routes(ideal):
     the counting model against exhaustive point counting at p = 3 when its
     3^n points are within ``ffmethod.DEFAULT_MAX_POINTS``.  Returns how many
     brute-force counts were made."""
+    from . import ffmethod
+
     comp = complement(ideal)
     n = ideal.rst.ambient_dim
     model = ffmethod.CountingModel(n, comp.hyperplanes)

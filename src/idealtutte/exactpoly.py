@@ -17,7 +17,6 @@ characteristic polynomial is the t^0 column of chi-bar.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from itertools import accumulate
 from operator import add, itemgetter, sub
 
@@ -374,6 +373,8 @@ def lagrange_interpolate(points):
     feeds this function produces exact integer data.  No pipeline calls it;
     it is the reference route from prime evaluations back to chi-bar.
     """
+    from fractions import Fraction  # with decimal, only where it is used
+
     if not points:
         raise ConstraintError("no interpolation points")
     xs = [int(x) for x, _ in points]

@@ -40,8 +40,7 @@ the brute-force oracle takes its rank by Gaussian elimination instead.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from math import comb, factorial, prod
 
 from .errors import ConstraintError, GuardExceeded, InconsistencyError, UnsupportedTypeError
@@ -53,7 +52,6 @@ from .ideals import (
     signed_classes,
     tuple_normal,
 )
-from . import crapo
 
 DEFAULT_MAX_POINTS = 10 ** 8
 # (state, move) pairs one round of the counting DP may expand
@@ -63,14 +61,10 @@ MAX_ROUND_MOVES = 2982616
 # ---- brute-force point counting ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class TProfile:
+class TProfile(namedtuple("TProfile", "counts p n rank")):
     """counts[k] = number of points of F_p^n lying on exactly k hyperplanes."""
 
-    counts: tuple
-    p: int
-    n: int
-    rank: int
+    __slots__ = ()
 
     def total(self):
         return sum(self.counts)
@@ -97,6 +91,8 @@ def count_points_bruteforce(tuples, n, p):
     """
     if p ** n > DEFAULT_MAX_POINTS:
         raise GuardExceeded(f"p^n = {p ** n} exceeds guard {DEFAULT_MAX_POINTS}")
+    from . import crapo
+
     tuples = list(dict.fromkeys(tuple(t) for t in tuples))
     rank = crapo.rank_of([tuple_normal(t, n) for t in tuples])
     import numpy as np

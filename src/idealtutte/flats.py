@@ -16,10 +16,12 @@ system serves all its ideals: ``flat_lattice`` builds it on the first request
 and keeps it for the process, and each ideal then costs one pass over the
 flats (``FlatLattice.restrict``, which returns chi-bar_D and r(D) to the
 engine dispatcher in ``specialize``).  G2 has 8 flats, F4 268 and E6 4598.
-auto also serves the classical systems of at most ``AUTO_MAX_CLASSICAL_ROOTS``
-positive roots from here: D4 has 72 flats, B4 and C4 116, A5 203, D5 403,
-B5 and C5 648 and A6 877.  Any system of at most ``MAX_VECTORS`` roots is
-served when the flats engine is named.
+auto also serves the classical systems of at most
+``specialize.AUTO_MAX_CLASSICAL_ROOTS`` positive roots from here: D4 has 72
+flats, B4 and C4 116, A5 203, D5 403, B5 and C5 648 and A6 877.  Any system
+of at most ``MAX_VECTORS`` roots is served when the flats engine is named.
+The dispatcher imports this module on the first request that reads a
+lattice, so no other request loads it.
 
 The lattice comes from the Weyl group W (``orbit_lattice``).  The fixator of
 a subspace is a parabolic subgroup (Steinberg), so every flat is
@@ -65,15 +67,6 @@ from .rootsystems import root_poset, simple_reflections
 # up to 64 roots, so the bound of 39 is the one that binds
 MAX_VECTORS = 39
 FIELD_BITS = 64
-
-# auto reads a classical system off its lattice when its full arrangement has
-# at most this many positive roots: A1-A6, B and C up to rank 5, D4 and D5,
-# at most 877 flats built in 1.1-6.6 ms, after which a request costs 3.7-7x
-# less than on the counting DP.  The next lattices, D6, A7, B6 and C6
-# (2546-4140 flats), take 11-34 ms each, more than a sequence of requests
-# to one system saves unless it is long, and A8 0.12-0.16 s (2-CPU VM,
-# Python 3.11)
-AUTO_MAX_CLASSICAL_ROOTS = 25
 
 # the low and high nibble of each byte, and the bits each byte shares with
 # each nibble v, as bytes.translate tables
@@ -293,7 +286,8 @@ def flat_lattice(rst):
     """The ``FlatLattice`` of the full arrangement of a root system, over its
     simple coordinates in root-poset order (``orbit_lattice``), built on the
     first call and kept for the process.  auto serves G2, F4, E6 and the
-    classical systems of at most ``AUTO_MAX_CLASSICAL_ROOTS`` roots from it.
+    classical systems of at most ``specialize.AUTO_MAX_CLASSICAL_ROOTS``
+    roots from it.
 
     Besides the build's own check, chi_M(q) must split over the exponents of
     the empty ideal (``ideals.check_exponent_factorization``);

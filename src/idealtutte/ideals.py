@@ -17,9 +17,8 @@ connectivity, signatures and Algorithm P) lives in ``paper``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
-from . import crapo
 from .errors import ConstraintError, InconsistencyError, UnsupportedTypeError
 from .exactpoly import UnivariatePolynomial
 from .rootsystems import root_poset
@@ -310,17 +309,18 @@ def automorphism_blocks(m, tuple_set):
 def arrangement_of(ideal):
     """The ideal arrangement as a ``crapo.VectorConfig``: its normals are the
     doubled coordinates of the complement, in R^ambient_dim."""
+    from . import crapo
+
     return crapo.VectorConfig(
         [r.ambient2 for r in ideal.complement_roots()], dim=ideal.rst.ambient_dim
     )
 
 
-@dataclass(frozen=True)
-class IdealExponents:
-    """Height partition of an ideal complement and its dual partition."""
+class IdealExponents(namedtuple("IdealExponents", "heights exponents")):
+    """Height partition of an ideal complement, lambda_1 >= lambda_2 >= ...,
+    and its dual partition, the exponents m_{lambda_1} >= ... >= m_1."""
 
-    heights: tuple    # lambda_1 >= lambda_2 >= ...
-    exponents: tuple  # m_{lambda_1} >= ... >= m_1
+    __slots__ = ()
 
     def total(self):
         return sum(self.heights)
@@ -393,14 +393,12 @@ def tuple_normal(t, n):
     return tuple(v)
 
 
-@dataclass(frozen=True)
-class IdealComponent:
+class IdealComponent(namedtuple("IdealComponent", "index_map tuples size")):
     """One connected component of an ideal complement, relabeled to compressed
-    coordinates."""
+    coordinates: the old index of each new coordinate (1-based), the
+    relabeled hyperplane tuples and the number of compressed coordinates."""
 
-    index_map: tuple          # old index of each new coordinate, 1-based
-    tuples: tuple             # relabeled hyperplane tuples
-    size: int                 # number of compressed coordinates
+    __slots__ = ()
 
 
 def decompose_components(comp):

@@ -13,7 +13,7 @@ covers together, and the up- and down-sets are closed along the covers alone.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConstraintError, UnsupportedTypeError
 
@@ -39,33 +39,31 @@ EXCEPTIONAL = tuple(_EXCEPTIONAL_SYSTEMS)
 FAMILIES = CLASSICAL + EXCEPTIONAL
 
 
-@dataclass(frozen=True)
-class RootSystemType:
+class RootSystemType(namedtuple("RootSystemType", "family rank")):
     """An irreducible root-system family with its rank.
 
     For family A the rank r names A_r, living in R^(r+1); for B/C/D the rank
     equals the ambient dimension.  Exceptional families have fixed rank.
     """
 
-    family: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        fam = self.family
-        if fam in ("E7", "E8"):
-            raise UnsupportedTypeError(f"{fam} is not supported")
-        if fam not in FAMILIES:
-            raise ConstraintError(f"unknown family {fam!r}")
-        if self.rank is None:
-            raise ConstraintError(f"family {fam} requires an explicit rank")
-        if fam == "A" and self.rank < 1:
+    def __new__(cls, family, rank):
+        if family in ("E7", "E8"):
+            raise UnsupportedTypeError(f"{family} is not supported")
+        if family not in FAMILIES:
+            raise ConstraintError(f"unknown family {family!r}")
+        if rank is None:
+            raise ConstraintError(f"family {family} requires an explicit rank")
+        if family == "A" and rank < 1:
             raise ConstraintError("family A needs rank >= 1 (A_{n-1} with n >= 2)")
-        if fam in ("B", "C") and self.rank < 2:
-            raise ConstraintError(f"family {fam} needs rank >= 2")
-        if fam == "D" and self.rank < 4:
+        if family in ("B", "C") and rank < 2:
+            raise ConstraintError(f"family {family} needs rank >= 2")
+        if family == "D" and rank < 4:
             raise ConstraintError("family D needs rank >= 4 (D_n, n >= 4)")
-        if fam in EXCEPTIONAL and self.rank != (fixed := len(simple_system_ambient2(self))):
-            raise ConstraintError(f"{fam} has fixed rank {fixed}")
+        if family in EXCEPTIONAL and rank != (fixed := len(_EXCEPTIONAL_SYSTEMS[family][1])):
+            raise ConstraintError(f"{family} has fixed rank {fixed}")
+        return super().__new__(cls, family, rank)
 
     @property
     def is_classical(self):
@@ -102,13 +100,10 @@ def root_system_type(family, rank=None):
     return RootSystemType(family, rank if rank is None else int(rank))
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(namedtuple("Root", "simple_coords ambient2 index")):
     """A positive root with simple-basis and doubled-standard coordinates."""
 
-    simple_coords: tuple
-    ambient2: tuple
-    index: int
+    __slots__ = ()
 
     @property
     def height(self):

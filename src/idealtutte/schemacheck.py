@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import re
-from importlib.resources import files
 
 # in the order the checks run: a value's own type and members first, then
 # its keys and items
@@ -140,5 +140,8 @@ def compile_schema(schema):
 @functools.cache
 def packaged_check(name):
     """The check of the packaged schema ``schemas/<name>``, loaded on the
-    first call and shared by every later one in the process."""
-    return compile_schema(json.loads((files(__package__) / "schemas" / name).read_text()))
+    first call and shared by every later one in the process.  The module's
+    own loader reads it, as ``pkgutil.get_data`` would, so no
+    ``importlib.resources`` is imported."""
+    path = os.path.join(os.path.dirname(__file__), "schemas", name)
+    return compile_schema(json.loads(__spec__.loader.get_data(path)))

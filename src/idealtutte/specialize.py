@@ -11,29 +11,40 @@ chi-bar(q, 0), as the certificate does.  Also region counts.
 
 ``resolve_engine`` picks auto's engine from the root system alone: the
 lattice of flats on G2, F4, E6 and the classical systems of at most
-``flats.AUTO_MAX_CLASSICAL_ROOTS`` (25) positive roots (A1-A6, B2-B5, C2-C5,
+``AUTO_MAX_CLASSICAL_ROOTS`` (25) positive roots (A1-A6, B2-B5, C2-C5,
 D4, D5), the finite-field pipeline on larger classical ones.  The lattice is
 built on a system's first request and kept for the process: one build of
 1-7 ms on those classical systems, after which each request costs a
-fraction of a DP.
+fraction of a DP.  Picking loads no engine: each engine's module is
+imported by the first request that runs it, so a fresh process loads only
+the one it needs.
 """
 
 from __future__ import annotations
 
-from . import crapo, ffmethod, flats
+import functools
+
 from .errors import ConstraintError, InconsistencyError
 from .exactpoly import coboundary_to_characteristic, coboundary_to_tutte, tutte_to_coboundary
 from .ideals import check_exponent_factorization
 
 
 ENGINES = ("auto", "ffmethod", "flats", "crapo", "oracle")
+# auto reads a classical system off its lattice of flats when its full
+# arrangement has at most this many positive roots: A1-A6, B and C up to
+# rank 5, D4 and D5, at most 877 flats built in 1.1-6.6 ms, after which a
+# request costs 3.7-7x less than on the counting DP.  The next lattices, D6,
+# A7, B6 and C6 (2546-4140 flats), take 11-34 ms each, more than a sequence
+# of requests to one system saves unless it is long, and A8 0.12-0.16 s
+# (2-CPU VM, Python 3.11)
+AUTO_MAX_CLASSICAL_ROOTS = 25
 
 
 def resolve_engine(engine, rst):
     """The engine that computes for ``engine`` on the root system ``rst``.
 
     auto is the lattice of flats on exceptional types and on classical ones
-    of at most ``flats.AUTO_MAX_CLASSICAL_ROOTS`` positive roots, whose
+    of at most ``AUTO_MAX_CLASSICAL_ROOTS`` positive roots, whose
     lattice is cheap to build once per process, and the finite-field
     pipeline on larger classical ones.  flats is accepted on any system and
     refused by its own guard (``flats.MAX_VECTORS`` roots, GuardExceeded) when
@@ -43,7 +54,7 @@ def resolve_engine(engine, rst):
     if engine not in ENGINES:
         raise ConstraintError(f"unknown engine {engine!r}")
     if engine == "auto":
-        small = rst.positive_root_count() <= flats.AUTO_MAX_CLASSICAL_ROOTS
+        small = rst.positive_root_count() <= AUTO_MAX_CLASSICAL_ROOTS
         engine = "flats" if small or not rst.is_classical else "ffmethod"
     elif engine == "ffmethod" and not rst.is_classical:
         raise ConstraintError(f"engine ffmethod rejects exceptional type {rst.family}")
@@ -75,19 +86,34 @@ def certify_coboundary(ideal, cb, rank):
     check_exponent_factorization(ideal, chi)
 
 
+@functools.cache
+def _engine_module(engine):
+    """The module that runs ``engine``, imported on its first request.  A
+    relative import in the dispatcher itself would cost about 1 us per
+    request, 2% of a warm F4 request, to resolve its package again."""
+    if engine == "ffmethod":
+        from . import ffmethod as module
+    elif engine == "flats":
+        from . import flats as module
+    else:
+        from . import crapo as module
+    return module
+
+
 def _coboundary_and_rank(ideal, engine):
     """(chi-bar(q, t), rank) by the engine that ``resolve_engine`` picks,
     once it passes ``certify_coboundary``: a Tutte polynomial from crapo or
     oracle is converted by ``exactpoly.tutte_to_coboundary``."""
     engine = resolve_engine(engine, ideal.rst)
+    module = _engine_module(engine)
     if engine == "ffmethod":
-        cb, rank = ffmethod.coboundary_and_rank(ideal)
+        cb, rank = module.coboundary_and_rank(ideal)
     elif engine == "flats":
-        cb, rank = flats.flat_lattice(ideal.rst).restrict(ideal.complement_mask())
+        cb, rank = module.flat_lattice(ideal.rst).restrict(ideal.complement_mask())
     else:
         vectors = [r.simple_coords for r in ideal.complement_roots()]
-        cfg = crapo.VectorConfig(vectors, dim=ideal.rst.rank)
-        tutte = crapo.tutte_crapo if engine == "crapo" else crapo.tutte_corank_nullity
+        cfg = module.VectorConfig(vectors, dim=ideal.rst.rank)
+        tutte = module.tutte_crapo if engine == "crapo" else module.tutte_corank_nullity
         cb, rank = tutte_to_coboundary(tutte(cfg), cfg.rank), cfg.rank
     try:
         certify_coboundary(ideal, cb, rank)
@@ -97,19 +123,21 @@ def _coboundary_and_rank(ideal, engine):
 
 
 def certify_tutte(ideal, tutte):
-    """The rank r of ``ideal``'s arrangement once its claimed Tutte
+    """The chi-bar(q, t) of ``ideal``'s arrangement once its claimed Tutte
     polynomial, a cache entry, passes; InconsistencyError otherwise.  Here
-    only T's own facts: r is T's x-degree, at most the system's rank, the
-    y-degree at most m - r before any work, and no coefficient negative;
-    then its chi-bar must pass ``certify_coboundary``."""
+    only T's own facts: the rank r is T's x-degree (and chi-bar's q-degree),
+    at most the system's rank, the y-degree at most m - r before any work,
+    and no coefficient negative; then its chi-bar must pass
+    ``certify_coboundary``."""
     m = ideal.complement_mask().bit_count()
     r = tutte.degree(0)
     if not 0 <= r <= ideal.rst.rank or tutte.degree(1) > m - r:
         raise InconsistencyError(f"T = {tutte} of {m} elements fails the degree bounds")
     if min(tutte.coeffs.values()) < 0:
         raise InconsistencyError(f"T = {tutte} has a negative coefficient")
-    certify_coboundary(ideal, tutte_to_coboundary(tutte, r), r)
-    return r
+    cb = tutte_to_coboundary(tutte, r)
+    certify_coboundary(ideal, cb, r)
+    return cb
 
 
 def tutte_of_ideal(ideal, engine="auto"):

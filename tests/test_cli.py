@@ -165,10 +165,12 @@ def test_coboundary_miss_prints_chi_bar_as_computed(capsys, monkeypatch, tmp_pat
     want = BivariatePolynomial.from_json_dict(
         {"terms": [{"dx": a, "dy": b, "c": str(c)} for a, b, c in G2_TUTTE],
          "variables": ["x", "y"]})
-    # under --no-cache no Tutte polynomial is formed, so neither transform runs
+    # under --no-cache no Tutte polynomial is formed, so neither transform
+    # runs, and no cache key is built
     with monkeypatch.context() as patched:
-        for name in ("coboundary_to_tutte", "tutte_to_coboundary"):
-            patched.setattr(cli, name, _never)
+        patched.setattr(cli, "coboundary_to_tutte", _never)
+        patched.setattr(specialize, "tutte_to_coboundary", _never)
+        patched.setattr(cli._Cache, "key", _never)
         code, out, _ = run(capsys, "coboundary", *g2, "--no-cache")
     assert code == 0
     assert BivariatePolynomial.from_json_dict(json.loads(out)) == tutte_to_coboundary(want, 2)
@@ -292,6 +294,28 @@ def test_every_result_passes_the_one_certificate_once(capsys, monkeypatch, tmp_p
         code, out, _ = run(capsys, *args)
         assert code == 0 and json.loads(out)["provenance"]["cache"] == cache
         assert calls == [ideal], cache
+
+
+def test_coboundary_hit_transforms_its_entry_once(capsys, monkeypatch, tmp_path):
+    # the chi-bar printed on a hit is the one its certificate checked
+    real, calls = tutte_to_coboundary, []
+
+    def spy(tutte, rank):
+        calls.append(rank)
+        return real(tutte, rank)
+
+    for module in [m for n, m in sys.modules.items() if n.startswith("idealtutte.")]:
+        if getattr(module, "tutte_to_coboundary", None) is real:
+            monkeypatch.setattr(module, "tutte_to_coboundary", spy)
+    for family, roots in (("G2", IDEAL_G), ("E6", IDEAL_E)):
+        args = ("--type", family, "--roots", json.dumps(roots), "--format", "json")
+        assert run(capsys, "tutte", *args, "--cache-dir", str(tmp_path))[0] == 0
+        _, want, _ = run(capsys, "coboundary", *args, "--no-cache")
+        calls.clear()
+        code, out, _ = run(capsys, "coboundary", *args, "--cache-dir", str(tmp_path))
+        assert code == 0 and json.loads(out)["provenance"]["cache"] == "hit"
+        assert json.loads(out)["terms"] == json.loads(want)["terms"]
+        assert len(calls) == 1, family
 
 
 def test_latex_output_wellformed(capsys, tmp_path):

@@ -75,7 +75,7 @@ def test_lattice_sizes(family, per_rank):
 
 
 # every system auto reads off its lattice: the exceptional ones and the
-# classical ones of at most flats.AUTO_MAX_CLASSICAL_ROOTS = 25 roots
+# classical ones of at most specialize.AUTO_MAX_CLASSICAL_ROOTS = 25 roots
 AUTO_FLATS = "G2 F4 E6 A1 A2 A3 A4 A5 A6 B2 B3 B4 B5 C2 C3 C4 C5 D4 D5".split()
 CLASSICAL_UP_TO_RANK_8 = [
     root_system_type(family, rank)

@@ -1,10 +1,14 @@
 """The package's modules import one another without a cycle, counting the
 imports made inside functions as well as those at the top of a module; none
-imports a private name of another; and none imports numpy when it loads."""
+imports a private name of another; none imports numpy when it loads, and
+none but ``paper`` the heavier stdlib modules a request does not need; and a
+fresh interpreter loads only the engine its request runs."""
 
 import ast
 import graphlib
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -70,19 +74,61 @@ def load_time_imports(tree):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and not node.level:
             yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
         stack.extend(ast.iter_child_nodes(node))
+
+
+def modules_that_load(banned):
+    """The package's source files that import one of ``banned`` (or a
+    submodule of one) when they load."""
+    return sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if any(
+            name == b or name.startswith(b + ".")
+            for name in load_time_imports(ast.parse(path.read_text()))
+            for b in banned
+        )
+    )
 
 
 def test_no_module_imports_numpy_when_it_loads():
     # ``import idealtutte``, every one-shot request that needs no numpy engine
     # and the benchmark's set-up probes rely on this: numpy is imported inside
     # the functions that use it
-    loads_numpy = sorted(
-        path.name
-        for path in PACKAGE.glob("*.py")
-        if any(
-            name.split(".")[0] == "numpy"
-            for name in load_time_imports(ast.parse(path.read_text()))
-        )
-    )
-    assert not loads_numpy
+    assert not modules_that_load(["numpy"])
+
+
+# what a request does not need: dataclasses pulls in inspect, ast, dis and
+# tokenize, and fractions pulls in decimal; hashlib and tempfile serve the
+# cache alone, and importlib.resources reads what the module's loader reads
+STDLIB_ON_USE = ("dataclasses", "fractions", "hashlib", "tempfile", "importlib.resources")
+
+
+def test_only_paper_imports_heavy_stdlib_when_it_loads():
+    assert modules_that_load(STDLIB_ON_USE) == ["paper.py"]
+
+
+def loaded_by(code):
+    """The modules a fresh ``python -S`` interpreter holds after it runs
+    ``code`` with this checkout's package on its path: ``python -S`` skips
+    the site hooks that may load some of them before the package does."""
+    script = (f"import sys\nsys.path.insert(0, {str(PACKAGE.parent)!r})\n{code}\n"
+              "print(' '.join(sys.modules))")
+    done = subprocess.run([sys.executable, "-S", "-c", script], check=True,
+                          capture_output=True, text=True)
+    return set(done.stdout.splitlines()[-1].split())
+
+
+ENGINES = {"idealtutte.crapo", "idealtutte.ffmethod", "idealtutte.flats"}
+NEVER = {"idealtutte.paper", "inspect", "decimal", "numpy", *STDLIB_ON_USE}
+
+
+def test_a_fresh_process_loads_only_what_its_request_runs():
+    assert not loaded_by("import idealtutte") & (ENGINES | NEVER)
+    one_shot = "from idealtutte import cli\nassert cli.main({!r}) == 0"
+    f4 = loaded_by(one_shot.format(["tutte", "--type", "F4", "--full", "--no-cache"]))
+    assert "idealtutte.flats" in f4 and not f4 & (ENGINES - {"idealtutte.flats"} | NEVER)
+    dp = ["tutte", "--type", "A", "--rank", "7", "--roots", "[[1,1,1,1,1,1,1]]", "--no-cache"]
+    dp = loaded_by(one_shot.format(dp))
+    assert "idealtutte.ffmethod" in dp and not dp & (ENGINES - {"idealtutte.ffmethod"} | NEVER)

@@ -292,18 +292,20 @@ def test_certify_tutte_refuses_a_wrong_g2_polynomial(tutte, match):
     ideal = exceptional_ideal("G2", IDEAL_G)  # 4 complement roots of rank 2
     with pytest.raises(InconsistencyError, match=match):
         certify_tutte(ideal, parse_polynomial(tutte))
-    assert certify_tutte(ideal, parse_polynomial("2y + 2x + y^2 + x^2")) == 2
+    true = parse_polynomial("2y + 2x + y^2 + x^2")
+    assert certify_tutte(ideal, true) == tutte_to_coboundary(true, 2)
 
 
 @pytest.mark.parametrize(
     "family, rank", [("F4", None), ("E6", None), ("A", 5), ("B", 4), ("C", 4), ("D", 4)]
 )
 def test_certified_tutte_gives_the_dispatcher_chi(family, rank):
-    # chi read off the chi-bar of T and the rank that the certificate
-    # returns, on every ideal
+    # chi read off the chi-bar that the certificate returns, at its
+    # q-degree, the rank, on every ideal
     rst = root_system_type(family, rank)
     for ideal in iter_ideals(root_poset(rst)):
         tutte = tutte_of_ideal(ideal)
-        r = certify_tutte(ideal, tutte)
-        chi = coboundary_to_characteristic(tutte_to_coboundary(tutte, r), rst.ambient_dim, r)
+        cb = certify_tutte(ideal, tutte)
+        assert cb == tutte_to_coboundary(tutte, tutte.degree(0))
+        chi = coboundary_to_characteristic(cb, rst.ambient_dim, cb.degree(0))
         assert chi == characteristic_polynomial(ideal), ideal
