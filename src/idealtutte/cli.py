@@ -7,12 +7,12 @@ line, compact and with sorted keys.  The cache holds one entry per ideal
 and engine, its Tutte polynomial as a JSON list of [dx, dy, c] int
 triples; its reader checks that format itself and serves an entry only if
 it also passes ``specialize.certify_tutte``, which ends in the certificate
-of every computed result.  The JSON provenance is built
-on every call, never stored, and says whether the cache was hit.  A cache
-that cannot be written costs only a warning on stderr.  Ideal specs are
-checked against the packaged ``schemas/ideal-spec.schema.json`` by the
-check ``schemacheck`` compiles once per process; jsonschema is not
-imported.  A one-shot call loads only what it runs: the engine its request
+of every computed result.  The JSON provenance is built on every call,
+never stored, and says whether the cache was hit.  A cache that cannot be
+written costs only a warning on stderr.  ``parse_ideal_spec`` checks an
+ideal spec itself to the terms of the packaged
+``schemas/ideal-spec.schema.json``, which the tests hold it to and no code
+reads.  A one-shot call loads only what it runs: the engine its request
 needs, ``hashlib`` only to name a cache entry (never under ``--no-cache``)
 and ``tempfile`` only to write one.
 
@@ -47,7 +47,7 @@ from .errors import (
     InconsistencyError,
     VerificationMismatch,
 )
-from .exactpoly import BivariatePolynomial, coboundary_to_tutte
+from .exactpoly import BivariatePolynomial, coboundary_to_tutte, json_failure
 from .ideals import (
     complement,
     enumerate_ideals,
@@ -62,7 +62,6 @@ from .rootsystems import (
     root_poset,
     root_system_type,
 )
-from .schemacheck import packaged_check
 
 FORMAT_CHOICES = ("json", "latex", "text")
 LISTING_FORMATS = ("json", "text")  # roots, ideals and minors print no LaTeX
@@ -70,10 +69,32 @@ CACHE_ENV = "TUTTE_CACHE_DIR"
 CACHE_VERSION = "4"
 
 
+def _spec_failures(data):
+    """How ``data`` breaks schemas/ideal-spec.schema.json: one ``$.path:
+    reason``, or None, per check, each run once every check before it held."""
+    yield json_failure(data, (), "object")
+    yield None if "type" in data else "$: 'type' is a required property"
+    for key, value in data.items():
+        if key == "type":
+            if value not in FAMILIES:
+                yield f"$.type: {value!r} is not one of {list(FAMILIES)!r}"
+        elif key == "rank":
+            yield json_failure(value, (key,), "integer", 1)
+        elif key in ("generating_boxes", "roots"):
+            yield json_failure(value, (key,), "array")
+            boxes = key == "generating_boxes"  # pairs of integers; roots, integers >= 0
+            for i, row in enumerate(value):
+                yield json_failure(row, (key, i), "array", length=2 if boxes else None)
+                yield from (json_failure(c, (key, i, j), "integer", None if boxes else 0)
+                            for j, c in enumerate(row))
+        else:
+            yield f"$: property {key!r} is not allowed"
+
+
 def parse_ideal_spec(data):
-    """Turn an ideal-spec dict, validated against schemas/ideal-spec.schema.json,
-    into an Ideal."""
-    failure = packaged_check("ideal-spec.schema.json")(data)
+    """Turn an ideal-spec dict, checked against
+    schemas/ideal-spec.schema.json, into an Ideal."""
+    failure = next(filter(None, _spec_failures(data)), None)
     if failure is not None:
         raise ConstraintError(f"ideal spec rejected by schema: {failure}")
     rst = root_system_type(data["type"], data.get("rank"))

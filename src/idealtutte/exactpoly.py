@@ -12,6 +12,9 @@ chi-bar: each column is divided exactly by (t-1) (synthetic division, with
 its remainder checked) or multiplied by it, and the other axis takes a shift
 by +-1 along the short x-axis, whose degree is at most the rank.  The
 characteristic polynomial is the t^0 column of chi-bar.
+
+``from_json_dict`` checks its document itself, to the terms of the packaged
+``schemas/polynomial.schema.json``, with the type check ``json_failure``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from itertools import accumulate
 from operator import add, itemgetter, sub
 
 from .errors import ConstraintError, InconsistencyError
-from .schemacheck import packaged_check
 
 
 class BivariatePolynomial:
@@ -176,12 +178,11 @@ class BivariatePolynomial:
     @classmethod
     def from_json_dict(cls, data):
         """Inverse of ``to_json_dict``; ValueError on a document that the
-        package's schemas/polynomial.schema.json rejects (checked by
-        ``schemacheck``), and on one that gives a degree twice, which the
-        schema cannot state.  Other top-level keys (a CLI result's
-        ``provenance``) are ignored.
+        package's schemas/polynomial.schema.json rejects, and on one that
+        gives a degree twice, which the schema cannot state.  Other
+        top-level keys (a CLI result's ``provenance``) are ignored.
         """
-        failure = packaged_check("polynomial.schema.json")(data)
+        failure = next(filter(None, _document_failures(data)), None)
         if failure is not None:
             raise ValueError(f"polynomial rejected by schema: {failure}")
         coeffs = {}
@@ -194,6 +195,50 @@ class BivariatePolynomial:
 
     def __repr__(self):
         return self.to_text()
+
+
+# searched as Draft 7 searches a pattern: $ also matches before a final newline
+_COEFFICIENT_RE = re.compile(r"^-?[0-9]+$")
+_JSON_TYPES = {"array": list, "integer": int, "object": dict, "string": str}
+
+
+def json_failure(value, path, kind, least=None, length=None):
+    """``"<where>: <value> <why>"`` when the JSON value at ``path`` (keys and
+    indices: ``("roots", 0, 1)`` is ``$.roots[0][1]``) is not of the Draft-7
+    type ``kind``, or is an integer below ``least`` or an array of other than
+    ``length`` items; else None.  A bool is no integer; an integral float is."""
+    if not (type(value) is _JSON_TYPES[kind]
+            or kind == "integer" and type(value) is float and value.is_integer()):
+        why = f"is not of type {kind!r}"
+    elif least is not None and value < least:
+        why = f"is less than the minimum of {least}"
+    elif length is not None and len(value) != length:
+        why = f"does not have {length} items"
+    else:
+        return None
+    where = "".join(f"[{key}]" if type(key) is int else f".{key}" for key in path)
+    return f"${where}: {value!r} {why}"
+
+
+def _document_failures(data):
+    """How ``data`` breaks schemas/polynomial.schema.json: one ``$.path:
+    reason``, or None, per check, each run once every check before it held."""
+    yield json_failure(data, (), "object")
+    yield from (f"$: {key!r} is a required property"
+                for key in ("terms", "variables") if key not in data)
+    variables, terms = data["variables"], data["terms"]
+    yield json_failure(variables, ("variables",), "array", length=2)
+    yield from (json_failure(v, ("variables", i), "string") for i, v in enumerate(variables))
+    yield json_failure(terms, ("terms",), "array")
+    for i, term in enumerate(terms):
+        yield json_failure(term, ("terms", i), "object")
+        if term.keys() != {"dx", "dy", "c"}:
+            yield f"$.terms[{i}]: keys {sorted(term)} are not exactly 'c', 'dx' and 'dy'"
+        yield json_failure(term["dx"], ("terms", i, "dx"), "integer", 0)
+        yield json_failure(term["dy"], ("terms", i, "dy"), "integer", 0)
+        yield json_failure(term["c"], ("terms", i, "c"), "string")
+        if _COEFFICIENT_RE.search(term["c"]) is None:
+            yield f"$.terms[{i}].c: {term['c']!r} does not match {_COEFFICIENT_RE.pattern!r}"
 
 
 def _format_term(c, var_degs, leading, latex=False):

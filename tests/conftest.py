@@ -8,8 +8,8 @@ from importlib.resources import files
 
 import pytest
 
-from idealtutte import flats
-from idealtutte.exactpoly import parse_polynomial
+from idealtutte import crapo, ffmethod, flats
+from idealtutte.exactpoly import BivariatePolynomial, parse_polynomial
 from idealtutte.ideals import (
     complement,
     decompose_components,
@@ -81,6 +81,51 @@ def swap_b3_restriction(monkeypatch):
 
     monkeypatch.setattr(flats.FlatLattice, "restrict", swapped)
     return ideal, swap
+
+
+# the ideals of a root system, and where their engine's result is tampered
+TAMPERED_ENGINES = [
+    ("B", 4, ffmethod, "coboundary_and_rank"),
+    ("F4", None, flats.FlatLattice, "restrict"),
+    ("B", 3, crapo, "tutte_corank_nullity"),
+]
+
+
+def tamper_engine(monkeypatch, owner, name):
+    """Tamper ``owner.name``, one of TAMPERED_ENGINES, and return the engine
+    that runs the tampered code, named, since auto may pick another one.
+    Adding (t-1)^rank to chi-bar keeps chi-bar(q, 1) = q^rank and every
+    division by t - 1 in the transform exact, but adds (t-1)^rank to
+    chi-bar(1, t) = t^m; adding 1 to the oracle's T keeps its degree bounds
+    and does the same."""
+    real = getattr(owner, name)
+    t_minus_1 = BivariatePolynomial({(0, 1): 1, (0, 0): -1}, ("q", "t"))
+
+    def tampered(*args):
+        if owner is crapo:
+            return real(*args) + BivariatePolynomial.one()
+        cb, r = real(*args)
+        extra = BivariatePolynomial.one(("q", "t"))
+        for _ in range(r):
+            extra = extra * t_minus_1
+        return cb + extra, r
+
+    monkeypatch.setattr(owner, name, tampered)
+    return {crapo: "oracle", ffmethod: "ffmethod", flats.FlatLattice: "flats"}[owner]
+
+
+def tamper_crapo_tally(monkeypatch):
+    """Add 1 to the y coefficient of every tally of Crapo's basis
+    activities: crapo checks nothing itself, and chi-bar(1, t) is then no
+    longer t^m."""
+    real = crapo._exchange_tally
+
+    def tampered(coords, r):
+        tally = real(coords, r)
+        tally[(0, 1)] = tally.get((0, 1), 0) + 1
+        return tally
+
+    monkeypatch.setattr(crapo, "_exchange_tally", tampered)
 
 
 def load_poly(name, variables):

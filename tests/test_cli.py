@@ -12,11 +12,14 @@ from conftest import (
     B3_IDEAL,
     IDEAL_E,
     IDEAL_G,
+    TAMPERED_ENGINES,
     exceptional_ideal,
     latex_is_wellformed,
     packaged_schema,
     src_env,
     swap_b3_restriction,
+    tamper_crapo_tally,
+    tamper_engine,
 )
 from idealtutte import crapo, ffmethod, specialize
 from idealtutte.cli import main, parse_ideal_spec
@@ -270,6 +273,27 @@ def test_chi_bar_of_another_ideal_exits_4(capsys, monkeypatch, tmp_path, command
     assert (code, out) == (4, "")
     assert err.startswith("inconsistent result: the flats result fails its certificate")
     assert "ideal exponents [3, 1, 1]" in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["tutte", "coboundary"])
+@pytest.mark.parametrize(
+    "tamper", [*TAMPERED_ENGINES, "crapo-tally"], ids=["ffmethod", "flats", "oracle", "crapo"]
+)
+def test_every_tampered_engine_exits_4(capsys, monkeypatch, tmp_path, tamper, command):
+    # each engine's tampered result fails the certificate through the CLI:
+    # one line on stderr, nothing printed and nothing cached
+    if tamper == "crapo-tally":
+        tamper_crapo_tally(monkeypatch)
+        system, engine = ("A", 2), "crapo"
+    else:
+        family, rank, owner, name = tamper
+        system, engine = (family, rank), tamper_engine(monkeypatch, owner, name)
+    rank = () if system[1] is None else ("--rank", str(system[1]))
+    code, out, err = run(capsys, command, "--type", system[0], *rank, "--full",
+                         "--engine", engine, "--cache-dir", str(tmp_path))
+    assert (code, out) == (4, "")
+    assert len(err.splitlines()) == 1 and err.startswith("inconsistent result: ")
     assert not any(tmp_path.iterdir())
 
 
@@ -610,22 +634,28 @@ ENTRY_SCHEMA = {"type": "array", "items": {
 def test_emitted_json_follows_polynomial_schema_and_entries_are_triples(capsys, tmp_path):
     validator = jsonschema.Draft7Validator(packaged_schema("polynomial.schema.json"))
     assert not validator.is_valid({"variables": ["x", "y"], "terms": [{"dx": 0, "dy": 0, "c": 1}]})
-    systems = (("--type", "B", "--rank", "3", "--full"), ("--type", "G2", "--roots", "[[3,1],[3,2]]"))
-    tuttes = []
+    b3 = ("--type", "B", "--rank", "3", "--full")
+    runs = [(b3, "auto"), (("--type", "G2", "--roots", "[[3,1],[3,2]]"), "auto")]
+    runs += [(b3, engine) for engine in ("ffmethod", "flats", "crapo", "oracle")]
+    tuttes = {}
     for command in ("tutte", "coboundary"):
-        for system in systems:
-            code, out, _ = run(
-                capsys, command, *system, "--format", "json", "--cache-dir", str(tmp_path)
-            )
+        for system, engine in runs:
+            code, out, _ = run(capsys, command, *system, "--engine", engine, "--format", "json",
+                               "--cache-dir", str(tmp_path))
             assert code == 0
-            validator.validate(json.loads(out))
+            doc = json.loads(out)
+            validator.validate(doc)
+            # read back as the polynomial it printed
+            poly = BivariatePolynomial.from_json_dict(doc)
+            assert poly.to_json_dict() == {key: doc[key] for key in ("terms", "variables")}
             if command == "tutte":
-                tuttes.append(_triples(BivariatePolynomial.from_json_dict(json.loads(out))))
-    # one entry per ideal, shared by tutte and coboundary: the Tutte polynomial's triples
+                tuttes[system, doc["provenance"]["engine"]] = _triples(poly)
+    # one entry per ideal and engine (auto runs flats on B3), shared by tutte
+    # and coboundary: the Tutte polynomial's triples
     entries = [json.loads(path.read_text()) for path in tmp_path.glob("*.json")]
     for entry in entries:
         jsonschema.validate(entry, ENTRY_SCHEMA)
-    assert sorted(entries) == sorted(tuttes)
+    assert sorted(entries) == sorted(tuttes.values())
 
 
 def test_charpoly_command(capsys, tmp_path):
@@ -931,17 +961,18 @@ def test_unreadable_ideal_file_or_unwritable_out_exits_1(tmp_path, argv):
 def _one_shot(args):
     """The standard output of ``cli.main(args)`` in a fresh interpreter, which
     must load none of jsonschema, numpy and the paper's reference route, and
-    compile no schema but the ideal spec's: a cache hit reads its entry
-    without the polynomial schema."""
+    open no file under ``idealtutte/schemas/``: the checks of the JSON a
+    request reads are written out in the code, not read from the schemas."""
     code = (
-        "import sys\n"
-        "from idealtutte import cli, schemacheck\n"
-        "compiled, compile_schema = [], schemacheck.compile_schema\n"
-        "schemacheck.compile_schema = lambda s: compiled.append(s['title']) or compile_schema(s)\n"
+        "import os, sys\n"
+        "opened = []\n"
+        "sys.addaudithook(lambda event, a: event == 'open' and opened.append(str(a[0])))\n"
+        "from idealtutte import cli\n"
         f"assert cli.main({args!r}) == 0\n"
         "loaded = {'jsonschema', 'numpy', 'idealtutte.paper'} & sys.modules.keys()\n"
         "assert not loaded, loaded\n"
-        "assert set(compiled) <= {'ideal specification'}, compiled\n"
+        "schemas = os.path.join('idealtutte', 'schemas', '')\n"
+        "assert not [path for path in opened if schemas in path], opened\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], env=src_env(), check=True, capture_output=True,

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import exceptional_ideal
+from conftest import exceptional_ideal, tamper_crapo_tally
 from crapo_reference import enumerate_bases, tutte_crapo_exact
 from idealtutte.crapo import (
     VectorConfig,
@@ -268,17 +268,8 @@ def test_kernel_memory_guard(monkeypatch, f4_full):
 def test_tampered_tally_fails_self_certificate(monkeypatch):
     # crapo checks nothing itself: the dispatcher's certificate of the
     # converted chi-bar refuses the tally, whose chi-bar(1, t) is not t^3
-    from idealtutte import crapo
-
-    real = crapo._exchange_tally
-
-    def tampered(coords, r):
-        tally = real(coords, r)
-        tally[(0, 1)] = tally.get((0, 1), 0) + 1
-        return tally
-
     braid = ideal_from_mask(root_poset(root_system_type("A", 2)), 0)
-    monkeypatch.setattr(crapo, "_exchange_tally", tampered)
+    tamper_crapo_tally(monkeypatch)
     with pytest.raises(InconsistencyError, match=r"chi-bar\(1, t\) = t\^m"):
         tutte_of_ideal(braid, engine="crapo")
 

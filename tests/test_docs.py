@@ -1,5 +1,6 @@
 """Every dotted name that the README or a docstring of the package cites in
-backticks, ``module.name`` or ``Class.attr``, names something that exists.
+backticks, ``module.name`` or ``Class.attr``, names something that exists,
+and the README's quoted CLI error is what the CLI prints.
 
 A reference whose first part is a package module resolves by ``getattr`` on
 that module, part by part; one whose first part is a class of the package
@@ -14,6 +15,7 @@ import pathlib
 import re
 
 import idealtutte
+from idealtutte.cli import main
 
 PACKAGE = pathlib.Path(idealtutte.__file__).parent
 README = PACKAGE.parent.parent / "README.md"
@@ -87,3 +89,9 @@ def test_a_stale_reference_is_caught():
     assert _resolves(["RootPoset", "no_such_attribute"], classes) is False
     assert _resolves(["RootPoset", "height_masks"], classes)  # assigned in __init__
     assert _resolves(["polynomial", "schema", "json"], classes) is None
+
+
+def test_readme_quotes_the_schema_rejection_the_cli_prints(capsys):
+    quoted = re.search(r"`(error: ideal spec rejected by schema: [^`]*)`", README.read_text())
+    assert main(["tutte", "--type", "G2", "--roots", "[[-1,0]]", "--no-cache"]) == 1
+    assert capsys.readouterr().err == " ".join(quoted.group(1).split()) + "\n"

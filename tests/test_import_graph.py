@@ -1,8 +1,9 @@
 """The package's modules import one another without a cycle, counting the
 imports made inside functions as well as those at the top of a module; none
 imports a private name of another; none imports numpy when it loads, and
-none but ``paper`` the heavier stdlib modules a request does not need; and a
-fresh interpreter loads only the engine its request runs."""
+none but ``paper`` the heavier stdlib modules a request does not need; a
+fresh interpreter loads only the engine its request runs; and the engines'
+dispatcher and the polynomial layer load no CLI."""
 
 import ast
 import graphlib
@@ -101,7 +102,8 @@ def test_no_module_imports_numpy_when_it_loads():
 
 # what a request does not need: dataclasses pulls in inspect, ast, dis and
 # tokenize, and fractions pulls in decimal; hashlib and tempfile serve the
-# cache alone, and importlib.resources reads what the module's loader reads
+# cache alone, and importlib.resources would read packaged files, which no
+# request reads
 STDLIB_ON_USE = ("dataclasses", "fractions", "hashlib", "tempfile", "importlib.resources")
 
 
@@ -132,3 +134,10 @@ def test_a_fresh_process_loads_only_what_its_request_runs():
     dp = ["tutte", "--type", "A", "--rank", "7", "--roots", "[[1,1,1,1,1,1,1]]", "--no-cache"]
     dp = loaded_by(one_shot.format(dp))
     assert "idealtutte.ffmethod" in dp and not dp & (ENGINES - {"idealtutte.ffmethod"} | NEVER)
+
+
+@pytest.mark.parametrize("module", ["idealtutte.specialize", "idealtutte.exactpoly"])
+def test_the_library_layers_load_no_cli(module):
+    # an in-process caller of the dispatcher or of the polynomials loads
+    # neither the command line nor a schema interpreter
+    assert not loaded_by(f"import {module}") & {"idealtutte.cli", "idealtutte.schemacheck"}

@@ -1,6 +1,10 @@
-"""The schema checks against jsonschema's Draft-7 validator, the oracle: they
-must accept exactly the values it accepts, and the polynomial reader exactly
-those with no degree twice."""
+"""The package's direct JSON checks against jsonschema's Draft-7 validator on
+the packaged schemas, the oracle: ``cli.parse_ideal_spec`` and
+``BivariatePolynomial.from_json_dict`` read no schema, and must refuse by
+the schema exactly the values the validator refuses; the polynomial reader
+must read exactly the valid documents with no degree twice."""
+
+from itertools import chain
 
 import jsonschema
 import pytest
@@ -8,8 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import packaged_schema
+from idealtutte.cli import parse_ideal_spec
+from idealtutte.errors import IdealTutteError
 from idealtutte.exactpoly import BivariatePolynomial
-from idealtutte.schemacheck import compile_schema, packaged_check
 
 SCHEMAS = ["ideal-spec.schema.json", "polynomial.schema.json"]
 # the ideal-spec enum letters, strings on either side of the polynomial
@@ -49,13 +54,22 @@ def json_values(schema):
     )
 
 
-def reads(doc):
-    """Whether ``BivariatePolynomial.from_json_dict`` reads ``doc``."""
+def passes(read, value, refused):
+    """``read(value)``'s verdict: "schema" when it refuses the value by the
+    schema, "other" when it refuses it for another reason (an ideal spec
+    that names no ideal, a polynomial that gives a degree twice), and
+    "read" when it reads it."""
     try:
-        BivariatePolynomial.from_json_dict(doc)
-    except ValueError:
-        return False
-    return True
+        read(value)
+    except refused as exc:
+        return "schema" if "rejected by schema: $" in str(exc) else "other"
+    return "read"
+
+
+READERS = {
+    "ideal-spec.schema.json": (parse_ideal_spec, IdealTutteError),
+    "polynomial.schema.json": (BivariatePolynomial.from_json_dict, ValueError),
+}
 
 
 def distinct_degrees(doc):
@@ -115,12 +129,17 @@ def polynomial_documents():
     return st.fixed_dictionaries({"variables": st.just(["x", "y"]), "terms": terms})
 
 
+# values on either side of Draft 7's integer type, as a root coordinate and
+# as a degree (see test_draft7_number_semantics)
+NUMBER_CASES = [True, 1.0, 1.5, -1.0, "1"]
+
 # one explicit document per verdict the property asserts, so that every
 # verdict occurs whatever the draw
 VERDICT_EXAMPLES = {
     "ideal-spec.schema.json": [
         {"type": "B", "rank": 3, "roots": [[1, 2, 2]]},  # valid
         {"rank": 3, "roots": [[1, 2, 2]]},  # invalid: no type
+        *({"type": "G2", "roots": [[value, 1]]} for value in NUMBER_CASES),
     ],
     "polynomial.schema.json": [
         # invalid: a negative degree
@@ -131,15 +150,47 @@ VERDICT_EXAMPLES = {
         # valid, with distinct degrees
         {"variables": ["x", "y"],
          "terms": [{"dx": 2, "dy": 0, "c": "1"}, {"dx": 0, "dy": 1, "c": "1"}]},
+        *({"variables": ["x", "y"], "terms": [{"dx": value, "dy": 0, "c": "1"}]}
+          for value in NUMBER_CASES),
     ],
 }
+
+
+# valid documents, each of which one_point_changes breaks at one place
+BASES = {
+    "ideal-spec.schema.json": [
+        {"type": "B", "rank": 3, "generating_boxes": [[1, 2]]},
+        {"type": "B", "rank": 3, "roots": [[1, 2, 2]]},
+    ],
+    "polynomial.schema.json": [
+        {"variables": ["x", "y"], "terms": [{"dx": 1, "dy": 0, "c": "2"}], "provenance": {}},
+    ],
+}
+REPLACEMENTS = [None, True, 0, -1, 1.0, 1.5, *STRINGS, [], [1], [1, 2], ["x", "y", "z"], {}]
+
+
+def one_point_changes(doc):
+    """``doc`` with one part changed: replaced by each of REPLACEMENTS, and
+    each object with a key removed or one more, each array one item longer
+    or shorter."""
+    yield from REPLACEMENTS
+    if isinstance(doc, dict):
+        yield {**doc, "extra": 1}
+        for key, value in doc.items():
+            yield {k: v for k, v in doc.items() if k != key}
+            yield from ({**doc, key: change} for change in one_point_changes(value))
+    elif isinstance(doc, list) and doc:
+        yield doc + doc[:1]
+        yield doc[:-1]
+        for i, item in enumerate(doc):
+            yield from (doc[:i] + [change] + doc[i + 1:] for change in one_point_changes(item))
 
 
 @pytest.mark.parametrize("name", SCHEMAS)
 def test_compiled_check_agrees_with_draft7(name):
     schema = packaged_schema(name)
     validator = jsonschema.Draft7Validator(schema)
-    check = packaged_check(name)
+    read, refused = READERS[name]
     verdicts = set()
     values = json_values(schema)
     inputs = values | near(schema, values)
@@ -150,33 +201,20 @@ def test_compiled_check_agrees_with_draft7(name):
     @given(inputs)
     def agree(value):
         valid = validator.is_valid(value)
-        message = check(value)
-        assert (message is None) == valid, (value, message)
-        verdict = valid
+        verdict = passes(read, value, refused)
+        assert (verdict != "schema") == valid, (value, verdict)
         if name == "polynomial.schema.json":
             # the reader takes what the schema does, with no degree twice
-            verdict = valid, valid and distinct_degrees(value)
-            assert reads(value) == verdict[1], value
+            assert (verdict == "read") == (valid and distinct_degrees(value)), value
         verdicts.add(verdict)
 
-    for doc in VERDICT_EXAMPLES[name]:
+    # the verdict examples, then a fault of each schema node alone,
+    # whatever the random draws
+    for doc in [*VERDICT_EXAMPLES[name], *chain(*map(one_point_changes, BASES[name]))]:
         agree = example(doc)(agree)
     agree()
-    if name == "polynomial.schema.json":
-        assert verdicts == {(False, False), (True, False), (True, True)}
-    else:
-        assert verdicts == {True, False}
-
-
-@pytest.mark.parametrize("schema", [
-    {"oneOf": [{"type": "string"}, {"type": "integer"}]},
-    {"$ref": "#/definitions/box"},
-    {"type": "object", "additionalProperties": {"type": "integer"}},
-    {"type": "array", "items": {"oneOf": [{"type": "string"}]}},
-])
-def test_keywords_outside_the_subset_are_refused_at_compile_time(schema):
-    with pytest.raises(ValueError, match="not supported|must be true or false"):
-        compile_schema(schema)
+    # an ideal spec that the schema takes may still name no ideal
+    assert verdicts == {"schema", "other", "read"}
 
 
 @pytest.mark.parametrize("schema, value, valid", [
@@ -185,26 +223,29 @@ def test_keywords_outside_the_subset_are_refused_at_compile_time(schema):
     ({"type": "integer", "minimum": 0}, 1.5, False),
     ({"type": "integer", "minimum": 0}, -1.0, False),
     ({"type": "integer", "minimum": 0}, "1", False),
-    ({"minimum": 1}, False, True),
-    ({"minimum": 1}, "0", True),
 ])
 def test_draft7_number_semantics(schema, value, valid):
-    # a bool is not an integer, an integral float is one, and minimum reads
-    # only numbers, of which a bool is none
-    assert (compile_schema(schema)(value) is None) == valid
+    # a bool is not an integer and an integral float is one, both at a root
+    # coordinate and at a degree, the two places of this schema node
+    ideal_spec, polynomial = (packaged_schema(name) for name in SCHEMAS)
+    assert ideal_spec["properties"]["roots"]["items"]["items"] == schema
+    assert polynomial["properties"]["terms"]["items"]["properties"]["dx"] == schema
     assert jsonschema.Draft7Validator(schema).is_valid(value) == valid
+    spec = {"type": "G2", "roots": [[3, value]]}
+    doc = {"variables": ["x", "y"], "terms": [{"dx": value, "dy": 0, "c": "1"}]}
+    assert (passes(parse_ideal_spec, spec, IdealTutteError) != "schema") == valid
+    assert (passes(BivariatePolynomial.from_json_dict, doc, ValueError) == "read") == valid
 
 
 def test_polynomial_without_variables_is_rejected_by_schema_and_reader():
     # the JSON reader refuses a document with no variables, and so does the schema
     doc = {"terms": [{"dx": 1, "dy": 0, "c": "1"}]}
-    message = packaged_check("polynomial.schema.json")(doc)
-    assert message is not None and "variables" in message
-    assert not jsonschema.Draft7Validator(packaged_schema("polynomial.schema.json")).is_valid(doc)
-    with pytest.raises(ValueError, match="variables"):
+    validator = jsonschema.Draft7Validator(packaged_schema("polynomial.schema.json"))
+    assert not validator.is_valid(doc)
+    with pytest.raises(ValueError, match=r"rejected by schema: \$: 'variables'"):
         BivariatePolynomial.from_json_dict(doc)
+    assert validator.is_valid({**doc, "variables": ["x", "y"]})
     BivariatePolynomial.from_json_dict({**doc, "variables": ["x", "y"]})
-    assert packaged_check("polynomial.schema.json")({**doc, "variables": ["x", "y"]}) is None
 
 
 def test_reader_reads_every_document_the_schema_accepts():

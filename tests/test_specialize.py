@@ -5,13 +5,15 @@ import pytest
 from conftest import (
     IDEAL_F,
     IDEAL_G,
+    TAMPERED_ENGINES,
     exceptional_ideal,
     full_coboundary,
     full_poset,
     swap_b3_restriction,
+    tamper_engine,
     worked_ideal,
 )
-from idealtutte import crapo, ffmethod, flats, specialize
+from idealtutte import specialize
 from idealtutte.errors import InconsistencyError
 from idealtutte.exactpoly import (
     BivariatePolynomial,
@@ -206,39 +208,9 @@ def test_tutte_of_ideal_engine_equivalence_small():
 
 CERTIFICATE_0 = r"chi-bar\(1, t\) = t\^m"
 
-# the ideals of a root system, and where their engine's result is tampered
-TAMPERED_ENGINES = [
-    ("B", 4, ffmethod, "coboundary_and_rank"),
-    ("F4", None, flats.FlatLattice, "restrict"),
-    ("B", 3, crapo, "tutte_corank_nullity"),
-]
-
-
-def _tamper(monkeypatch, owner, name):
-    # adding (t-1)^rank to chi-bar keeps chi-bar(q, 1) = q^rank and every
-    # division by t - 1 in the transform exact, but adds (t-1)^rank to
-    # chi-bar(1, t) = t^m; adding 1 to the oracle's T keeps its degree
-    # bounds and does the same.  Returns the engine that runs the tampered
-    # code, named, since auto may pick another one
-    real = getattr(owner, name)
-    t_minus_1 = BivariatePolynomial({(0, 1): 1, (0, 0): -1}, ("q", "t"))
-
-    def tampered(*args):
-        if owner is crapo:
-            return real(*args) + BivariatePolynomial.one()
-        cb, r = real(*args)
-        extra = BivariatePolynomial.one(("q", "t"))
-        for _ in range(r):
-            extra = extra * t_minus_1
-        return cb + extra, r
-
-    monkeypatch.setattr(owner, name, tampered)
-    return {crapo: "oracle", ffmethod: "ffmethod", flats.FlatLattice: "flats"}[owner]
-
-
 @pytest.mark.parametrize("family, rank, owner, name", TAMPERED_ENGINES)
 def test_tampered_coboundary_fails_the_tutte_certificate(monkeypatch, family, rank, owner, name):
-    engine = _tamper(monkeypatch, owner, name)
+    engine = tamper_engine(monkeypatch, owner, name)
     for ideal in enumerate_ideals(root_poset(root_system_type(family, rank))):
         with pytest.raises(InconsistencyError, match=CERTIFICATE_0):
             tutte_of_ideal(ideal, engine=engine)
@@ -248,7 +220,7 @@ def test_tampered_coboundary_fails_the_tutte_certificate(monkeypatch, family, ra
 def test_tampered_coboundary_fails_every_command(monkeypatch, family, rank, owner, name):
     # the tampers above, caught by the coboundary's own certificate before
     # any Tutte transform
-    engine = _tamper(monkeypatch, owner, name)
+    engine = tamper_engine(monkeypatch, owner, name)
     for ideal in enumerate_ideals(root_poset(root_system_type(family, rank))):
         for command in (coboundary_of_ideal, characteristic_polynomial):
             with pytest.raises(InconsistencyError, match=CERTIFICATE_0):
