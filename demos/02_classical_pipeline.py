@@ -48,7 +48,8 @@ cb = coboundary_of_ideal(ideal)
 print(f"\ncoboundary polynomial has {len(cb.coeffs)} terms; chi-bar(q, 1) = q^{rank}:",
       cb.evaluate(97, 1) == 97 ** rank)
 print("agrees with chi-bar(3, t) at q = 3:",
-      all(profile.evaluate(t) == cb.evaluate(3, t) for t in range(len(comp) + 1)))
+      all(sum(c * t ** k for k, c in enumerate(profile.coeffs)) == cb.evaluate(3, t)
+          for t in range(len(comp) + 1)))
 
 tutte = coboundary_to_tutte(cb, rank)
 print(f"Tutte polynomial T(x, y), {len(tutte.coeffs)} terms:")

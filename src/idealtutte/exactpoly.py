@@ -1,11 +1,13 @@
-"""Exact big-integer polynomial arithmetic and the coboundary/Tutte/characteristic transforms.
+"""Exact big-integer polynomials and the coboundary/Tutte/characteristic transforms.
 
 Bivariate polynomials are sparse maps (deg_a, deg_b) -> int; univariate
-polynomials are dense coefficient lists.  Rationals appear only inside
-Lagrange interpolation, a piece of the paper's prime route that no pipeline
-takes, and are asserted integral before anything leaves this module.  It
-belongs with that route in ``paper``, and stays here until the benchmark's
-tracing, which hooks it by this module's name, follows it there.
+polynomials are dense coefficient lists.  The one ring operation is the
+bivariate product, which multiplies the chi-bar of independent components.
+Rationals appear only inside Lagrange interpolation, a piece of the paper's
+prime route that no pipeline takes, and are asserted integral before
+anything leaves this module.  It belongs with that route in ``paper``, and
+stays here until the benchmark's tracing, which hooks it by this module's
+name, follows it there.
 
 Both directions between chi-bar(q, t) and T(x, y) work on the q-columns of
 chi-bar: each column is divided exactly by (t-1) (synthetic division, with
@@ -31,7 +33,7 @@ class BivariatePolynomial:
 
     Coefficients are arbitrary-precision integers; zero coefficients are
     never stored.  Variable labels are presentation only: equality and
-    arithmetic look at the coefficient map alone.
+    the product look at the coefficient map alone.
     """
 
     __slots__ = ("coeffs", "variables")
@@ -53,15 +55,8 @@ class BivariatePolynomial:
         return poly
 
     @classmethod
-    def zero(cls, variables=("x", "y")):
-        return cls({}, variables)
-
-    @classmethod
     def one(cls, variables=("x", "y")):
         return cls({(0, 0): 1}, variables)
-
-    def is_zero(self):
-        return not self.coeffs
 
     def coefficient(self, da, db):
         return self.coeffs.get((da, db), 0)
@@ -75,54 +70,15 @@ class BivariatePolynomial:
     def __eq__(self, other):
         if isinstance(other, BivariatePolynomial):
             return self.coeffs == other.coeffs
-        if isinstance(other, int):
-            return self.coeffs == ({} if other == 0 else {(0, 0): other})
         return NotImplemented
 
-    def __hash__(self):
-        # a constant hashes as the int it equals
-        if self.coeffs.keys() <= {(0, 0)}:
-            return hash(self.coefficient(0, 0))
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        return BivariatePolynomial(out, self.variables)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __neg__(self):
-        return BivariatePolynomial({k: -c for k, c in self.coeffs.items()}, self.variables)
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return BivariatePolynomial(
-                {k: c * other for k, c in self.coeffs.items()}, self.variables
-            )
-        other = self._coerce(other)
         out = {}
         for (a1, b1), c1 in self.coeffs.items():
             for (a2, b2), c2 in other.coeffs.items():
                 k = (a1 + a2, b1 + b2)
                 out[k] = out.get(k, 0) + c1 * c2
         return BivariatePolynomial._of({k: c for k, c in out.items() if c}, self.variables)
-
-    __rmul__ = __mul__
-
-    def _coerce(self, other):
-        if isinstance(other, BivariatePolynomial):
-            return other
-        if isinstance(other, int):
-            return BivariatePolynomial({(0, 0): other}, self.variables)
-        raise TypeError(type(other))
 
     def evaluate(self, a, b):
         """Exact value at integer point (a, b), Horner-style in the second variable."""
@@ -314,85 +270,16 @@ class UnivariatePolynomial:
             cs.pop()
         self.coeffs = cs
 
-    @classmethod
-    def zero(cls):
-        return cls([])
-
     def degree(self):
         return len(self.coeffs) - 1
 
     def coefficient(self, k):
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
-    def is_zero(self):
-        return not self.coeffs
-
     def __eq__(self, other):
         if isinstance(other, UnivariatePolynomial):
             return self.coeffs == other.coeffs
-        if isinstance(other, int):
-            return self.coeffs == ([] if other == 0 else [other])
         return NotImplemented
-
-    def __hash__(self):
-        # a constant hashes as the int it equals
-        return hash(self.coefficient(0) if len(self.coeffs) <= 1 else tuple(self.coeffs))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UnivariatePolynomial(
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)]
-        )
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UnivariatePolynomial(
-            [self.coefficient(i) - other.coefficient(i) for i in range(n)]
-        )
-
-    def __neg__(self):
-        return UnivariatePolynomial([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return UnivariatePolynomial([c * other for c in self.coeffs])
-        other = self._coerce(other)
-        if self.is_zero() or other.is_zero():
-            return UnivariatePolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return UnivariatePolynomial(out)
-
-    __rmul__ = __mul__
-
-    def _coerce(self, other):
-        if isinstance(other, UnivariatePolynomial):
-            return other
-        if isinstance(other, int):
-            return UnivariatePolynomial([other])
-        raise TypeError(type(other))
-
-    def evaluate(self, x):
-        total = 0
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
-
-    def divide_linear(self, root):
-        """Exact synthetic division by (q - root); returns (quotient, remainder)."""
-        quot = []
-        carry = 0
-        for c in reversed(self.coeffs):
-            carry = carry * root + c
-            quot.append(carry)
-        remainder = quot.pop() if quot else 0
-        quot.reverse()
-        return UnivariatePolynomial(quot), remainder
 
     def to_text(self, variable="q"):
         if not self.coeffs:

@@ -66,9 +66,6 @@ class TProfile(namedtuple("TProfile", "counts p n rank")):
 
     __slots__ = ()
 
-    def total(self):
-        return sum(self.counts)
-
     def coboundary(self):
         """chi-bar(p, t) as a polynomial in t: the profile divided by p^(n - rank)."""
         d = self.p ** (self.n - self.rank)

@@ -322,9 +322,6 @@ class IdealExponents(namedtuple("IdealExponents", "heights exponents")):
 
     __slots__ = ()
 
-    def total(self):
-        return sum(self.heights)
-
 
 def _height_counts(ideal):
     """lambda_h, the complement's roots of height h: one popcount per

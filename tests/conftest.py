@@ -91,6 +91,16 @@ TAMPERED_ENGINES = [
 ]
 
 
+def poly_sum(*polys):
+    """The sum of bivariate polynomials, added on their coefficient maps, in
+    the first one's variables."""
+    coeffs = {}
+    for poly in polys:
+        for k, c in poly.coeffs.items():
+            coeffs[k] = coeffs.get(k, 0) + c
+    return BivariatePolynomial(coeffs, polys[0].variables)
+
+
 def tamper_engine(monkeypatch, owner, name):
     """Tamper ``owner.name``, one of TAMPERED_ENGINES, and return the engine
     that runs the tampered code, named, since auto may pick another one.
@@ -103,12 +113,12 @@ def tamper_engine(monkeypatch, owner, name):
 
     def tampered(*args):
         if owner is crapo:
-            return real(*args) + BivariatePolynomial.one()
+            return poly_sum(real(*args), BivariatePolynomial.one())
         cb, r = real(*args)
         extra = BivariatePolynomial.one(("q", "t"))
         for _ in range(r):
             extra = extra * t_minus_1
-        return cb + extra, r
+        return poly_sum(cb, extra), r
 
     monkeypatch.setattr(owner, name, tampered)
     return {crapo: "oracle", ffmethod: "ffmethod", flats.FlatLattice: "flats"}[owner]

@@ -354,7 +354,6 @@ def test_crit7_property_suites():
     import test_properties as props
 
     props.test_ring_laws_random()
-    props.test_univariate_ring_laws_random()
     props.test_interpolation_round_trip_random()
     props.test_crapo_order_invariance_random()
     props.test_deletion_contraction_random()

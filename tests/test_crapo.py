@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import exceptional_ideal, tamper_crapo_tally
+from conftest import exceptional_ideal, poly_sum, tamper_crapo_tally
 from crapo_reference import enumerate_bases, tutte_crapo_exact
 from idealtutte.crapo import (
     VectorConfig,
@@ -78,7 +78,7 @@ def test_tutte_crapo_vs_printed_g2():
 
 
 def test_corank_nullity_trivial_cases():
-    assert tutte_corank_nullity(VectorConfig([], dim=2)) == 1
+    assert tutte_corank_nullity(VectorConfig([], dim=2)) == BivariatePolynomial.one()
     assert tutte_corank_nullity(VectorConfig(A2_BRAID)) == parse_polynomial("x^2+x+y")
 
 
@@ -412,7 +412,7 @@ def test_deletion_contraction_spot():
         t_all = tutte_corank_nullity(cfg)
         t_del = tutte_corank_nullity(VectorConfig(rest, dim=d))
         t_con = tutte_corank_nullity(VectorConfig(_contract(rest, v), dim=d - 1))
-        assert t_all == t_del + t_con
+        assert t_all == poly_sum(t_del, t_con)
 
 
 def _contract(vectors, v):

@@ -2,6 +2,7 @@ import pytest
 
 from conftest import IDEAL_E, IDEAL_F, IDEAL_G, WORKED_CLASSICAL, exceptional_ideal, worked_ideal
 from idealtutte.errors import ConstraintError, UnsupportedTypeError
+from idealtutte.exactpoly import BivariatePolynomial
 from idealtutte.ffmethod import CountingModel
 from idealtutte.ideals import (
     arrangement_of,
@@ -557,7 +558,7 @@ def test_component_tutte_products():
                 )
                 product = t if product is None else product * t
             if product is None:
-                assert whole == 1
+                assert whole == BivariatePolynomial.one()
             else:
                 assert product == whole, (family, ideal)
 
