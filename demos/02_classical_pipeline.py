@@ -23,17 +23,17 @@ from idealtutte.paper import generating_boxes, partition_in_accordance, signatur
 
 poset = root_poset(root_system_type("B", 6))
 ideal = ideal_from_boxes(poset, [(1, 4), (2, 0), (4, -5)])
-comp = complement(ideal)
+hyperplanes = complement(ideal)
 
-print(f"ideal of B6 with |I| = {len(ideal)}; complement has {len(comp)} hyperplanes:")
-print("  ", sorted(comp.tuple_set()))
-print("generating boxes:", generating_boxes(comp))
+print(f"ideal of B6 with |I| = {len(ideal)}; complement has {len(hyperplanes)} hyperplanes:")
+print("  ", sorted(hyperplanes))
+print("generating boxes:", generating_boxes(ideal))
 
 print("\nsignatures (which generating box sets mention each integer):")
-for x, s in signature_table(comp).items():
+for x, s in signature_table(ideal).items():
     print(f"  s({x:3d}) = {sorted(s)}")
 
-bp = partition_in_accordance(comp)
+bp = partition_in_accordance(ideal)
 print("\npartition in accordance:", " | ".join(str(set(b)) for b in bp.blocks))
 print("A-block adjacency R:", bp.r_sets, " B-block adjacency R_A:", bp.ra_sets, "S:", bp.s_sets)
 print("zero column sets R0:", bp.r0, "S0:", bp.s0)
@@ -49,12 +49,12 @@ print(f"\ncoboundary polynomial has {len(cb.coeffs)} terms; chi-bar(q, 1) = q^{r
       cb.evaluate(97, 1) == 97 ** rank)
 print("agrees with chi-bar(3, t) at q = 3:",
       all(sum(c * t ** k for k, c in enumerate(profile.coeffs)) == cb.evaluate(3, t)
-          for t in range(len(comp) + 1)))
+          for t in range(len(hyperplanes) + 1)))
 
 tutte = coboundary_to_tutte(cb, rank)
 print(f"Tutte polynomial T(x, y), {len(tutte.coeffs)} terms:")
 print(" ", tutte.to_text())
-print("T(2,2) = 2^#hyperplanes:", tutte.evaluate(2, 2) == 2 ** len(comp))
+print("T(2,2) = 2^#hyperplanes:", tutte.evaluate(2, 2) == 2 ** len(hyperplanes))
 
 chi = characteristic_polynomial(ideal)
 print("\ncharacteristic polynomial:", chi.to_text("q"))

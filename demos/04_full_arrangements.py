@@ -39,7 +39,7 @@ for family, rank in (("A", 3), ("B", 3), ("B", 4)):
         tuple(c // 2 for c in r.ambient2)
         for r in root_poset(root_system_type(family, rank)).roots
     ]
-    print(f"  {family}{rank}: {minor_set(vectors).magnitudes()}")
+    print(f"  {family}{rank}: {sorted({abs(d) for d in minor_set(vectors)})}")
 
 # region counts of full arrangements are the Weyl group orders
 print("\nregions of full arrangements vs Weyl group orders:")

@@ -36,10 +36,9 @@ _EXPORTS = {
                   "lagrange_interpolate", "parse_polynomial"),
     "rootsystems": ("Root", "RootPoset", "RootSystemType", "hyperplane_tuple",
                     "linear_order_key", "root_poset", "root_system_type"),
-    "ideals": ("Ideal", "IdealComplement", "IdealExponents", "arrangement_of",
-               "check_exponent_factorization", "complement", "decompose_components",
-               "enumerate_ideals", "ideal_exponents", "ideal_from_boxes", "ideal_from_mask",
-               "ideal_from_root_coords", "iter_ideals"),
+    "ideals": ("Ideal", "IdealExponents", "arrangement_of", "check_exponent_factorization",
+               "complement", "decompose_components", "enumerate_ideals", "ideal_exponents",
+               "ideal_from_boxes", "ideal_from_mask", "ideal_from_root_coords", "iter_ideals"),
     "crapo": ("BasisActivity", "VectorConfig", "activity", "rank_of",
               "tutte_corank_nullity", "tutte_crapo"),
     "ffmethod": ("CountingModel", "TProfile", "count_points_bruteforce"),

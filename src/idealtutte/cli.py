@@ -335,8 +335,7 @@ def cmd_minors(args):
             vectors.append(r.ambient2)
         else:
             vectors.append(tuple(c // 2 for c in r.ambient2))
-    profile = paper.minor_set(vectors)
-    mags = profile.magnitudes()
+    mags = sorted({abs(d) for d in paper.minor_set(vectors)})
     if args.format == "json":
         print(json.dumps({"system": str(rst), "minor_magnitudes": mags}))
     else:
@@ -357,9 +356,9 @@ def _verify_ffmethod_routes(ideal):
     brute-force counts were made."""
     from . import ffmethod
 
-    comp = complement(ideal)
+    tuples = complement(ideal)
     n = ideal.rst.ambient_dim
-    model = ffmethod.CountingModel(n, comp.hyperplanes)
+    model = ffmethod.CountingModel(n, tuples)
     if model.coboundary() != ffmethod.coboundary_and_rank(ideal)[0]:
         raise VerificationMismatch(
             f"direct coboundary polynomial and counting model disagree on {ideal!r}"
@@ -367,7 +366,7 @@ def _verify_ffmethod_routes(ideal):
     p = 3
     if p ** n > ffmethod.DEFAULT_MAX_POINTS:
         return 0
-    bf = ffmethod.count_points_bruteforce(comp.hyperplanes, n, p)
+    bf = ffmethod.count_points_bruteforce(tuples, n, p)
     if model.point_count_profile(p) != list(bf.counts):
         raise VerificationMismatch(
             f"counting model and brute force disagree at p={p} on {ideal!r}"

@@ -47,7 +47,6 @@ from .errors import ConstraintError, GuardExceeded, InconsistencyError, Unsuppor
 from .exactpoly import BivariatePolynomial, UnivariatePolynomial
 from .ideals import (
     automorphism_blocks,
-    complement,
     decompose_components,
     signed_classes,
     tuple_normal,
@@ -466,7 +465,7 @@ def coboundary_and_rank(ideal):
             f"the finite field pipeline covers classical types, not {rst.family}"
         )
     result, rank = None, 0
-    for component in decompose_components(complement(ideal)):
+    for component in decompose_components(ideal):
         model = CountingModel(component.size, component.tuples)
         cb = model.coboundary()
         result = cb if result is None else result * cb

@@ -7,11 +7,13 @@ with the one check that a characteristic polynomial splits over them.
 
 Classical roots are named throughout by the hyperplane tuple notation:
 (i, j) is x_i = x_j, (i, -j) is x_i = -x_j, (i, 0) is x_i = 0, always with
-i < |j|.  The diagram's boxes are the root poset's tuples, laid out by
-``grid_position``, the one per-family table here: a box generates every box
-weakly below and to its right, which is all ``ideal_from_boxes`` needs.  The
-paper's reading of the diagram (generating boxes of a complement, fullness,
-connectivity, signatures and Algorithm P) lives in ``paper``.
+i < |j|; every route reads a classical ideal's complement as the frozenset
+of its tuples, ``complement``.  The diagram's boxes are the root poset's
+tuples, laid out by ``grid_position``, the one per-family table here: a box
+generates every box weakly below and to its right, which is all
+``ideal_from_boxes`` needs.  The paper's reading of an ideal's diagram
+(generating boxes of its complement, fullness, connectivity, signatures and
+Algorithm P) lives in ``paper``.
 """
 
 from __future__ import annotations
@@ -158,7 +160,7 @@ def diagram_boxes(rst):
 
 def grid_position(rst, box):
     """(row, column) of a box in the drawn diagram, for adjacency tests."""
-    f, n = rst.family, rst.n_param
+    f, n = rst.family, rst.ambient_dim
     i, v = box
     if f == "A":
         return (i, n - v + 1)
@@ -193,34 +195,13 @@ def generated_box_set(rst, box):
     return {b for b, (r, c) in grid.items() if r >= row and c >= col}
 
 
-class IdealComplement:
-    """The complement of an ideal: a downward-closed root set, with its
-    hyperplane tuples and diagram structure for classical types."""
-
-    def __init__(self, ideal):
-        self.ideal = ideal
-        self.poset = ideal.poset
-        self.rst = ideal.rst
-        self.root_indices = ideal.complement_indices()
-        self.roots = [self.poset.roots[i] for i in self.root_indices]
-        if self.rst.is_classical:
-            self.hyperplanes = [self.poset.tuples[i] for i in self.root_indices]
-        else:
-            self.hyperplanes = None
-
-    def __len__(self):
-        return len(self.roots)
-
-    def tuple_set(self):
-        if self.hyperplanes is None:
-            raise UnsupportedTypeError(
-                f"{self.rst.family} has no shifted-diagram tuple form"
-            )
-        return set(self.hyperplanes)
-
-
 def complement(ideal):
-    return IdealComplement(ideal)
+    """The hyperplane tuples of a classical ideal's complement, as a
+    frozenset; UnsupportedTypeError on an exceptional type."""
+    tuples = ideal.poset.tuples
+    if tuples is None:
+        raise UnsupportedTypeError(f"{ideal.rst.family} has no shifted-diagram tuple form")
+    return frozenset([tuples[i] for i in ideal.complement_indices()])
 
 
 def signed_classes(m, tuples):
@@ -398,8 +379,8 @@ class IdealComponent(namedtuple("IdealComponent", "index_map tuples size")):
     __slots__ = ()
 
 
-def decompose_components(comp):
-    """Split the complement into independent subarrangements with compressed labels.
+def decompose_components(ideal):
+    """Split the ideal's complement into independent subarrangements with compressed labels.
 
     Components are the classes of the coordinate-interaction graph
     (``signed_classes`` on the ambient coordinates) that carry a hyperplane,
@@ -409,8 +390,8 @@ def decompose_components(comp):
     (This can be coarser than the drawn diagram's grid components, which for
     the D family may split dependent hyperplanes.)
     """
-    boxes = comp.tuple_set()
-    classes, _ = signed_classes(comp.rst.ambient_dim, boxes)
+    boxes = complement(ideal)
+    classes, _ = signed_classes(ideal.rst.ambient_dim, boxes)
     groups = {}
     for i, j in boxes:
         groups.setdefault(classes[i - 1], []).append((i, j))

@@ -3,24 +3,25 @@
 The paper reads an ideal of type A, B, C or D off the shifted Young diagram:
 the generating boxes of its complement, the signature of each integer (which
 generating box sets mention it), and Algorithm P, the partition of [n] in
-accordance with the ideal.  Its blocks reach the counting model through
-``CountingModel(blocks=...)``, and that model's flags rebuild the tuple set.
-It then counts points over F_p for primes outside the minor set of the root
-matrix and interpolates.  Production takes ``ideals.automorphism_blocks``
-instead, which are never finer than Algorithm P's blocks and exist for every
-type-D ideal, and reads chi-bar directly from one dynamic program.
-``tests/test_paper.py`` holds this route to production.
+accordance with the ideal.  Each function here takes the ``Ideal`` and reads
+its complement with ``ideals.complement``.  Algorithm P's blocks reach the
+counting model through ``CountingModel(blocks=...)``, and that model's flags
+rebuild the tuple set.  It then counts points over F_p for primes outside
+the minor set of the root matrix and interpolates.  Production takes
+``ideals.automorphism_blocks`` instead, which are never finer than Algorithm
+P's blocks and exist for every type-D ideal, and reads chi-bar directly from
+one dynamic program.  ``tests/test_paper.py`` holds this route to production.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import comb
 
 from .errors import ConstraintError, GuardExceeded, UnsupportedTypeError
 from .ffmethod import CountingModel
-from .ideals import diagram_grid, generated_box_set, grid_position
+from .ideals import complement, diagram_grid, generated_box_set, grid_position
 
 MAX_MINORS = 5_000_000  # minor_set refuses a matrix with more square minors
 
@@ -36,7 +37,7 @@ def rightmost_boxes(rst):
     return list(last.values())
 
 
-def generating_boxes(comp):
+def generating_boxes(ideal):
     """The unique minimal generating antichain: the maximal roots of the complement.
 
     Returned in ascending row order.  For families A, B, C the drawn diagram
@@ -45,8 +46,8 @@ def generating_boxes(comp):
     pair e_i - e_n, e_i + e_n into one row, so a D ideal separating such a
     pair has no generating-box presentation and raises ConstraintError.
     """
-    tset = comp.tuple_set()  # raises for non-classical
-    rst = comp.rst
+    tset = complement(ideal)  # raises for non-classical
+    rst = ideal.rst
     grid = diagram_grid(rst)
 
     def dominated(b):
@@ -69,9 +70,9 @@ def generating_boxes(comp):
     return gens
 
 
-def is_full(comp):
+def is_full(ideal):
     """Full means every diagram row's rightmost box lies in the complement."""
-    return set(rightmost_boxes(comp.rst)) <= comp.tuple_set()
+    return set(rightmost_boxes(ideal.rst)) <= complement(ideal)
 
 
 def _components_of_boxes(rst, boxes):
@@ -94,38 +95,34 @@ def _components_of_boxes(rst, boxes):
                 if nb is not None and nb not in seen:
                     seen.add(nb)
                     stack.append(nb)
-        comps.append(sorted(comp))
-    comps.sort()
+        comps.append(comp)
     return comps
 
 
-def is_connected(comp):
+def is_connected(ideal):
     """Connectivity of the complement in the 4-neighborhood of the diagram grid."""
-    boxes = comp.tuple_set()
-    if not boxes:
-        return True
-    return len(_components_of_boxes(comp.rst, boxes)) == 1
+    return len(_components_of_boxes(ideal.rst, complement(ideal))) <= 1
 
 
 # ---- signatures and the partition in accordance ----------------------------
 
 
-def signature(comp, x):
+def signature(ideal, x):
     """Signature s(x): indices of the generating boxes whose box set mentions x.
 
     x = 0 is only meaningful for B and C diagrams, negative x only where the
     diagram has negative columns.
     """
-    f = comp.rst.family
+    f = ideal.rst.family
     x = int(x)
     if x == 0 and f in ("A", "D"):
         raise UnsupportedTypeError(f"signature of 0 undefined for type {f}")
     if x < 0 and f == "A":
         raise UnsupportedTypeError("type A has no negative columns")
-    return signature_table(comp).get(x, set())
+    return signature_table(ideal).get(x, set())
 
 
-def signature_table(comp):
+def signature_table(ideal):
     """Signatures of every integer appearing in some box of the complement,
     built in one pass over the generators' box sets (which cover it).
 
@@ -133,38 +130,30 @@ def signature_table(comp):
     zero column is present, then negative columns.
     """
     table = {}
-    for l, g in enumerate(generating_boxes(comp), 1):
-        for box in generated_box_set(comp.rst, g):
+    for l, g in enumerate(generating_boxes(ideal), 1):
+        for box in generated_box_set(ideal.rst, g):
             for x in box:
                 table.setdefault(x, set()).add(l)
     order = sorted(table, key=lambda v: (v <= 0, v == 0, abs(v)))
     return {x: table[x] for x in order}
 
 
-@dataclass
-class BlockPartition:
-    """The partition A^(1)|...|A^(r)|B^(1)|...|B^(s) of [n], with signatures
-    and the adjacency index sets of the counting theorems; ``blocks`` is the
-    combined block list, A-blocks then B-blocks."""
+class BlockPartition(namedtuple("BlockPartition", "rst a_blocks b_blocks signatures "
+                                "hyperplanes r_sets ra_sets s_sets r0 s0")):
+    """The partition A^(1)|...|A^(r)|B^(1)|...|B^(s) of [n], with signatures,
+    the sorted hyperplane tuples and the adjacency index sets of the counting
+    theorems (1-based block indices): R^(u) per A-block, R_A^(v) and S^(v)
+    per B-block, R_0 and S_0; ``blocks`` is the combined block list, A-blocks
+    then B-blocks."""
 
-    rst: object
-    a_blocks: list
-    b_blocks: list
-    signatures: dict
-    hyperplanes: tuple = ()
-    # spec'd adjacency sets (1-based block indices)
-    r_sets: list = field(default_factory=list)      # R^(u) per A-block
-    ra_sets: list = field(default_factory=list)     # R_A^(v) per B-block
-    s_sets: list = field(default_factory=list)      # S^(v) per B-block
-    r0: list = field(default_factory=list)
-    s0: list = field(default_factory=list)
+    __slots__ = ()
 
     @property
     def blocks(self):
         return self.a_blocks + self.b_blocks
 
 
-def partition_in_accordance(comp):
+def partition_in_accordance(ideal):
     """Algorithm P: partition [n] in accordance with the ideal.
 
     Negative-column membership splits [n] into A and B parts; A-members group
@@ -174,43 +163,38 @@ def partition_in_accordance(comp):
     signatures are constant per negative-signature class this reduces to the
     plain grouping.
     """
-    rst = comp.rst
-    n = rst.n_param
-    tset = comp.tuple_set()
+    rst = ideal.rst
+    n = rst.ambient_dim
+    tset = complement(ideal)
     negatives = {j for (_, j) in tset if j < 0}
-    table = signature_table(comp)
+    table = signature_table(ideal)
     sig = {x: frozenset(table.get(x, ())) for x in range(1, n + 1)}
     nsig = {x: frozenset(table.get(-x, ())) for x in range(1, n + 1)}
     a_members = [x for x in range(1, n + 1) if -x not in negatives]
     b_members = [x for x in range(1, n + 1) if -x in negatives]
     a_blocks = _group_consecutive(a_members, key=lambda x: sig[x])
     b_blocks = _group_consecutive(b_members, key=lambda x: (nsig[x], sig[x]))
-    bp = BlockPartition(
+    signatures = {x: set(sig[x]) for x in range(1, n + 1)}
+    signatures |= {-x: set(nsig[x]) for x in b_members}
+    if rst.family in ("B", "C"):
+        signatures[0] = table.get(0, set())
+    # theorem-style adjacency sets
+    r, s = len(a_blocks), len(b_blocks)
+    sA = [sig[blk[0]] for blk in a_blocks]
+    sBneg = [nsig[blk[0]] for blk in b_blocks]
+    s0 = frozenset(signatures.get(0, set()))
+    return BlockPartition(
         rst=rst,
         a_blocks=a_blocks,
         b_blocks=b_blocks,
-        signatures={x: set(sig[x]) for x in range(1, n + 1)}
-        | {-x: set(nsig[x]) for x in b_members},
+        signatures=signatures,
         hyperplanes=tuple(sorted(tset)),
+        r_sets=[[v + 1 for v in range(u + 1, r) if sA[u] & sA[v]] for u in range(r)],
+        ra_sets=[[l + 1 for l in range(r) if sBneg[v] & sA[l]] for v in range(s)],
+        s_sets=[[h + 1 for h in range(v) if sBneg[v] & sBneg[h]] for v in range(s)],
+        r0=[l + 1 for l in range(r) if s0 & sA[l]],
+        s0=[h + 1 for h in range(s) if s0 & sBneg[h]],
     )
-    if rst.family in ("B", "C"):
-        bp.signatures[0] = table.get(0, set())
-    # theorem-style adjacency sets
-    r = len(a_blocks)
-    s = len(b_blocks)
-    sA = [sig[blk[0]] for blk in a_blocks]
-    sBneg = [nsig[blk[0]] for blk in b_blocks]
-    s0 = frozenset(bp.signatures.get(0, set()))
-    bp.r_sets = [
-        [v + 1 for v in range(u + 1, r) if sA[u] & sA[v]] for u in range(r)
-    ]
-    bp.ra_sets = [[l + 1 for l in range(r) if sBneg[v] & sA[l]] for v in range(s)]
-    bp.s_sets = [
-        [h + 1 for h in range(v) if sBneg[v] & sBneg[h]] for v in range(s)
-    ]
-    bp.r0 = [l + 1 for l in range(r) if s0 & sA[l]]
-    bp.s0 = [h + 1 for h in range(s) if s0 & sBneg[h]]
-    return bp
 
 
 def _group_consecutive(members, key):
@@ -232,7 +216,7 @@ def reconstruct_tuples(bp):
     partition's ``CountingModel``, which refuses non-uniform blocks.
     """
     blocks = bp.blocks
-    model = CountingModel(bp.rst.n_param, bp.hyperplanes, blocks=blocks)
+    model = CountingModel(bp.rst.ambient_dim, bp.hyperplanes, blocks=blocks)
     out = set()
     for blk, (pw, nw, z), links in zip(blocks, model.within, model.cross):
         pairs = list(itertools.combinations(blk, 2))
@@ -254,20 +238,6 @@ def reconstruct_tuples(bp):
 
 
 # ---- minor sets -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MinorProfile:
-    """All square minors of the matrix with the given rows.
-
-    The minor set is stored symmetrically: row swaps realize both signs, so d
-    and -d are recorded together.
-    """
-
-    minors: frozenset
-
-    def magnitudes(self):
-        return sorted({abs(d) for d in self.minors})
 
 
 def _det(rows):
@@ -293,14 +263,16 @@ def _det(rows):
 
 
 def minor_set(vectors):
-    """Every minor of the matrix whose rows are the given vectors.
+    """Every square minor of the matrix whose rows are the given vectors, as
+    a frozenset.  It is symmetric: row swaps realize both signs, so d and -d
+    are recorded together.
 
     Exhaustive over row and column subsets, so intended for ambient dimension
     at most 5; GuardExceeded for more than ``MAX_MINORS`` minors.
     """
     vectors = [tuple(v) for v in vectors]
     if not vectors:
-        return MinorProfile(frozenset())
+        return frozenset()
     dim = len(vectors[0])
     m = len(vectors)
     order = min(m, dim)
@@ -314,4 +286,4 @@ def minor_set(vectors):
                 d = _det([[vectors[r][c] for c in cols] for r in rows])
                 minors.add(d)
                 minors.add(-d)
-    return MinorProfile(frozenset(minors))
+    return frozenset(minors)

@@ -55,6 +55,10 @@ class RootSystemType(namedtuple("RootSystemType", "family rank")):
             raise ConstraintError(f"unknown family {family!r}")
         if rank is None:
             raise ConstraintError(f"family {family} requires an explicit rank")
+        if isinstance(rank, float) and rank.is_integer():
+            rank = int(rank)  # a JSON spec may carry 3.0
+        if type(rank) is not int:
+            raise ConstraintError(f"rank {rank!r} of family {family} is not an integer")
         if family == "A" and rank < 1:
             raise ConstraintError("family A needs rank >= 1 (A_{n-1} with n >= 2)")
         if family in ("B", "C") and rank < 2:
@@ -75,13 +79,6 @@ class RootSystemType(namedtuple("RootSystemType", "family rank")):
             return self.rank + (self.family == "A")
         return len(simple_system_ambient2(self)[0])
 
-    @property
-    def n_param(self):
-        """The classical parameter n: A_{n-1} has n_param = rank+1, B/C/D_n have n."""
-        if not self.is_classical:
-            raise UnsupportedTypeError(f"{self.family} has no classical parameter")
-        return self.ambient_dim
-
     def positive_root_count(self):
         f, r = self.family, self.rank
         if f in EXCEPTIONAL:
@@ -97,7 +94,7 @@ def root_system_type(family, rank=None):
     family = str(family).upper()
     if rank is None and family in EXCEPTIONAL:
         rank = len(_EXCEPTIONAL_SYSTEMS[family][1])
-    return RootSystemType(family, rank if rank is None else int(rank))
+    return RootSystemType(family, rank)
 
 
 class Root(namedtuple("Root", "simple_coords ambient2 index")):

@@ -1,3 +1,5 @@
+import importlib
+import inspect
 import json
 import os
 import pathlib
@@ -22,6 +24,7 @@ from conftest import (
     tamper_crapo_tally,
     tamper_engine,
 )
+import idealtutte
 from idealtutte import crapo, ffmethod, specialize
 from idealtutte.cli import main, parse_ideal_spec
 from idealtutte.errors import ConstraintError, InconsistencyError
@@ -999,3 +1002,119 @@ def test_one_shot_exceptional_request_imports_no_numpy(tmp_path, family, roots):
     cached = ["tutte", *spec, "--format", "json", "--cache-dir", str(tmp_path)]
     for cache in ("miss", "hit"):
         assert json.loads(_one_shot(cached))["provenance"]["cache"] == cache
+
+
+# B3 ideals as --roots lists: one whose complement {a1, a3} splits into two
+# components, so ffmethod multiplies their chi-bar, and the whole root set
+B3_TWO_COMPONENTS = [[1, 1, 2], [1, 2, 2], [1, 1, 1], [1, 1, 0], [0, 1, 2], [0, 1, 1], [0, 1, 0]]
+B3_ALL_ROOTS = B3_TWO_COMPONENTS + [[1, 0, 0], [0, 0, 1]]
+
+PACKAGE = pathlib.Path(idealtutte.__file__).parent
+PAPER_ROUTE = "the paper's reference route, which tests/test_paper.py checks"
+BENCH_HOOK = "bench/tracing.py hooks it by name"
+VALUE_DUNDER = "a value dunder: equality, hashing, length or error text"
+
+# what keeps each function of the package that no command below enters
+PINNED = {
+    "idealtutte.__getattr__": "the package's lazy exports, which the demos import",
+    "crapo.activity": BENCH_HOOK,
+    "crapo.BasisActivity.__init__": "crapo.activity's result",
+    "crapo.BasisActivity.__repr__": VALUE_DUNDER,
+    "ffmethod.CountingModel.coboundary_at_prime": BENCH_HOOK,
+    "ffmethod.TProfile.coboundary": "CountingModel.coboundary_at_prime reads it",
+    "exactpoly.lagrange_interpolate": BENCH_HOOK,
+    "exactpoly.BivariatePolynomial.from_json_dict": BENCH_HOOK,
+    "exactpoly._document_failures": "the schema check of from_json_dict",
+    "exactpoly.parse_polynomial": "bench/checks.py and bench/selftest.py read published text with it",
+    "exactpoly.BivariatePolynomial.evaluate": "specialize.region_count and bench/tracing.py's Crapo counter",
+    "exactpoly.UnivariatePolynomial.degree": "lagrange_interpolate reads it",
+    "exactpoly.UnivariatePolynomial.coefficient": "lagrange_interpolate reads it",
+    **dict.fromkeys(
+        ("paper.rightmost_boxes", "paper.generating_boxes", "paper.is_full",
+         "paper._components_of_boxes", "paper.is_connected", "paper.signature",
+         "paper.signature_table", "paper.BlockPartition.blocks", "paper.partition_in_accordance",
+         "paper._group_consecutive", "paper.reconstruct_tuples"),
+        PAPER_ROUTE,
+    ),
+    "ideals.arrangement_of": "the independent rank the tests compare against",
+    "ideals.ideal_exponents": "ROADMAP item 25's engine-free chi",
+    "specialize.region_count": "ROADMAP item 25's engine-free region count",
+    "rootsystems.RootPoset.leq": "the root order the tests check",
+    **dict.fromkeys(
+        ("exactpoly.BivariatePolynomial.__repr__", "exactpoly.UnivariatePolynomial.__eq__",
+         "exactpoly.UnivariatePolynomial.__repr__", "flats.FlatLattice.__len__",
+         "ideals.Ideal.__eq__", "ideals.Ideal.__hash__", "ideals.Ideal.__len__",
+         "ideals.Ideal.__repr__", "rootsystems.Root.__str__"),
+        VALUE_DUNDER,
+    ),
+}
+
+
+def _package_functions():
+    """Code object -> module-qualified name of every function, method and
+    property that the package's modules define, and the functools caches
+    among them."""
+    out, caches = {}, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "idealtutte" if path.stem == "__init__" else f"idealtutte.{path.stem}"
+        module = importlib.import_module(name)
+        prefix = name.removeprefix("idealtutte.")
+        for attr, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != name:
+                continue
+            if hasattr(obj, "cache_clear"):
+                caches.append(obj)
+                obj = obj.__wrapped__
+            if inspect.isfunction(obj):
+                out[obj.__code__] = f"{prefix}.{attr}"
+            elif inspect.isclass(obj):
+                for member_name, member in vars(obj).items():
+                    func = getattr(member, "__func__", member)  # classmethods
+                    func = getattr(func, "fget", func)  # properties
+                    if inspect.isfunction(func):
+                        out[func.__code__] = f"{prefix}.{attr}.{member_name}"
+    return out, caches
+
+
+def test_every_function_is_run_or_pinned(capsys, tmp_path):
+    # every engine on tutte and coboundary, each format, a cache miss and
+    # hit, the empty arrangement, charpoly, verify (ffmethod's routes on
+    # every B3 ideal too), the three listings and a --boxes ideal
+    b3 = ["--type", "B", "--rank", "3"]
+    two = b3 + ["--roots", json.dumps(B3_TWO_COMPONENTS)]
+    calls = [
+        [command, *two, "--engine", engine, "--format", fmt, "--no-cache"]
+        for i, engine in enumerate(("auto", "ffmethod", "flats", "crapo", "oracle"))
+        for command, fmt in (("tutte", ("text", "json", "latex")[i % 3]),
+                             ("coboundary", ("latex", "text", "json")[i % 3]))
+    ]
+    calls += [["tutte", *two, "--cache-dir", str(tmp_path)]] * 2
+    calls += [
+        ["tutte", *b3, "--roots", json.dumps(B3_ALL_ROOTS), "--engine", "ffmethod", "--no-cache"],
+        ["charpoly", *b3, "--full"],
+        ["verify", *b3, "--full"],
+        ["verify", *b3, "--all-ideals", "--engines", "ffmethod,oracle"],
+        ["roots", "--type", "G2"],
+        ["ideals", *b3],
+        ["minors", *b3],
+        ["tutte", *b3, "--boxes", "[[1, -2]]", "--no-cache"],
+    ]
+    functions, caches = _package_functions()
+    for cached in caches:  # so what earlier tests cached is built again
+        cached.cache_clear()
+    files, entered = {code.co_filename for code in functions}, set()
+
+    def record(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename in files:
+            entered.add(frame.f_code)
+
+    sys.setprofile(record)
+    try:
+        codes = [main(call) for call in calls]
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert codes == [0] * len(calls)
+    assert set(PINNED) <= set(functions.values())
+    idle = {name for code, name in functions.items() if code not in entered}
+    assert idle <= set(PINNED), f"no command runs {sorted(idle - set(PINNED))}"

@@ -1,14 +1,9 @@
-import inspect
-import json
 import random
-import sys
 from itertools import accumulate
 
 import pytest
 
 from conftest import full_coboundary, latex_is_wellformed
-from idealtutte import exactpoly
-from idealtutte.cli import main
 from idealtutte.errors import ConstraintError, InconsistencyError
 from idealtutte.exactpoly import (
     BivariatePolynomial,
@@ -235,77 +230,3 @@ def test_characteristic_polynomial_of_every_engine_equals_the_taylor_shift(famil
         )
         for engine in engines[: 2 if ideal.complement_mask().bit_count() > 16 else 3]:
             assert characteristic_polynomial(ideal, engine=engine) == want, (ideal, engine)
-
-
-# B3 ideals as --roots lists: one whose complement {a1, a3} splits into two
-# components, so ffmethod multiplies their chi-bar, and the whole root set
-B3_TWO_COMPONENTS = [[1, 1, 2], [1, 2, 2], [1, 1, 1], [1, 1, 0], [0, 1, 2], [0, 1, 1], [0, 1, 0]]
-B3_ALL_ROOTS = B3_TWO_COMPONENTS + [[1, 0, 0], [0, 0, 1]]
-
-# what keeps each exactpoly function that no command below enters
-PINNED = {
-    "lagrange_interpolate": "bench/tracing.py hooks it by name",
-    "BivariatePolynomial.from_json_dict": "bench/tracing.py hooks it by name",
-    "_document_failures": "the schema check of from_json_dict",
-    "parse_polynomial": "bench/checks.py and bench/selftest.py read published text with it",
-    "BivariatePolynomial.evaluate": "specialize.region_count and bench/tracing.py's Crapo counter",
-    "UnivariatePolynomial.degree": "lagrange_interpolate reads it",
-    "UnivariatePolynomial.coefficient": "lagrange_interpolate reads it",
-    "BivariatePolynomial.__eq__": "value equality",
-    "UnivariatePolynomial.__eq__": "value equality",
-    "BivariatePolynomial.__repr__": "error text",
-    "UnivariatePolynomial.__repr__": "error text",
-}
-
-
-def _exactpoly_functions():
-    """Code object -> qualified name of every function and method that
-    exactpoly defines."""
-    out = {}
-    for name, obj in vars(exactpoly).items():
-        if getattr(obj, "__module__", None) != exactpoly.__name__:
-            continue
-        if inspect.isfunction(obj):
-            out[obj.__code__] = name
-        elif inspect.isclass(obj):
-            for attr, member in vars(obj).items():
-                func = getattr(member, "__func__", member)  # classmethods
-                if inspect.isfunction(func):
-                    out[func.__code__] = f"{name}.{attr}"
-    return out
-
-
-def test_every_function_is_run_or_pinned(capsys, tmp_path):
-    # every engine on tutte and coboundary, each format, a cache miss and
-    # hit, the empty arrangement, charpoly and verify
-    b3 = ["--type", "B", "--rank", "3"]
-    two = b3 + ["--roots", json.dumps(B3_TWO_COMPONENTS)]
-    calls = [
-        [command, *two, "--engine", engine, "--format", fmt, "--no-cache"]
-        for i, engine in enumerate(("auto", "ffmethod", "flats", "crapo", "oracle"))
-        for command, fmt in (("tutte", ("text", "json", "latex")[i % 3]),
-                             ("coboundary", ("latex", "text", "json")[i % 3]))
-    ]
-    calls += [["tutte", *two, "--cache-dir", str(tmp_path)]] * 2
-    calls += [
-        ["tutte", *b3, "--roots", json.dumps(B3_ALL_ROOTS), "--engine", "ffmethod", "--no-cache"],
-        ["charpoly", *b3, "--full"],
-        ["verify", *b3, "--full"],
-    ]
-    filename, entered = exactpoly.__file__, set()
-
-    def record(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename == filename:
-            entered.add(frame.f_code)
-
-    sys.setprofile(record)
-    try:
-        codes = [main(call) for call in calls]
-    finally:
-        sys.setprofile(None)
-    capsys.readouterr()
-    assert codes == [0] * len(calls)
-    functions = _exactpoly_functions()
-    assert set(PINNED) <= set(functions.values())
-    idle = {name for code, name in functions.items() if code not in entered}
-    assert idle <= set(PINNED), f"no command runs {sorted(idle - set(PINNED))}"

@@ -41,21 +41,21 @@ def true_coordinates(family, rank):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_minor_set_type_a(n):
-    profile = minor_set(true_coordinates("A", n - 1))
+    minors = minor_set(true_coordinates("A", n - 1))
     # n = 2 is a single row, so the singular minor 0 only appears from n = 3 on
     want = {1, -1} if n == 2 else {0, 1, -1}
-    assert set(profile.minors) == want
+    assert minors == want
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_minor_set_type_b(n):
-    profile = minor_set(true_coordinates("B", n))
+    minors = minor_set(true_coordinates("B", n))
     want = {0} | {s * 2 ** k for k in range(n // 2 + 1) for s in (1, -1)}
-    assert set(profile.minors) == want
+    assert minors == want
 
 
 def test_minor_set_single_row():
-    assert minor_set([(2, 0, 0)]).magnitudes() == [0, 2]
+    assert minor_set([(2, 0, 0)]) == {0, 2, -2}
 
 
 def test_minor_set_guard():
@@ -185,21 +185,20 @@ def test_ideal_closed_form_examples():
     # a single A-block of size 2 is one hyperplane: chi-bar(3, t) = t + 2
     poset = root_poset(root_system_type("A", 1))
     ideal = ideal_from_mask(poset, 0)
-    bp = partition_in_accordance(complement(ideal))
-    model = CountingModel(ideal.rst.n_param, bp.hyperplanes, blocks=bp.blocks)
+    bp = partition_in_accordance(ideal)
+    model = CountingModel(ideal.rst.ambient_dim, bp.hyperplanes, blocks=bp.blocks)
     assert model.coboundary_at_prime(3) == UnivariatePolynomial([2, 1])
 
 
 def test_ideal_closed_form_equals_brute_force_on_worked_examples():
     for label in WORKED_CLASSICAL:
         ideal = worked_ideal(label)
-        comp = complement(ideal)
-        bp = partition_in_accordance(comp)
+        bp = partition_in_accordance(ideal)
         n = ideal.rst.ambient_dim
         model = CountingModel(n, bp.hyperplanes, blocks=bp.blocks)
         for p in (3, 5):
             prof = model.coboundary_at_prime(p)
-            assert prof == count_points_bruteforce(comp.hyperplanes, n, p).coboundary(), (
+            assert prof == count_points_bruteforce(complement(ideal), n, p).coboundary(), (
                 label,
                 p,
             )
@@ -326,12 +325,12 @@ def test_pair_profile_single_hyperplane():
 def test_pair_profile_reads_out_every_prime():
     # one DP serves every prime: the read-out equals brute force at several
     ideal = worked_ideal("b")
-    comp = complement(ideal)
+    tuples = complement(ideal)
     n = ideal.rst.ambient_dim
-    model = CountingModel(n, comp.hyperplanes)
+    model = CountingModel(n, tuples)
     for p in (3, 5, 7):
         assert model.point_count_profile(p) == list(
-            count_points_bruteforce(comp.hyperplanes, n, p).counts
+            count_points_bruteforce(tuples, n, p).counts
         )
 
 
@@ -479,13 +478,13 @@ def test_theorem_identity_profile_vs_closed_form_sweep():
         poset = root_poset(root_system_type(family, rank))
         n = poset.rst.ambient_dim
         for ideal in enumerate_ideals(poset):
-            comp = complement(ideal)
-            if not comp.roots:
+            tuples = complement(ideal)
+            if not tuples:
                 continue
-            model = CountingModel(n, comp.hyperplanes)
+            model = CountingModel(n, tuples)
             for p in (3, 5):
                 assert model.point_count_profile(p) == list(
-                    count_points_bruteforce(comp.hyperplanes, n, p).counts
+                    count_points_bruteforce(tuples, n, p).counts
                 ), (family, ideal, p)
 
 

@@ -152,7 +152,7 @@ def _pos_c(n, v):
 
 def reference_diagram_boxes(rst):
     """The diagram's boxes enumerated family by family."""
-    f, n = rst.family, rst.n_param
+    f, n = rst.family, rst.ambient_dim
     out = []
     if f == "A":
         for i in range(1, n):
@@ -174,7 +174,7 @@ def reference_diagram_boxes(rst):
 
 def reference_generated_box_set(rst, box):
     """The generated box set from the per-family linear orders."""
-    f, n = rst.family, rst.n_param
+    f, n = rst.family, rst.ambient_dim
     i0, j0 = box
     out = set()
     if f == "A":
@@ -214,7 +214,7 @@ def reference_generated_box_set(rst, box):
 
 
 def reference_rightmost_boxes(rst):
-    f, n = rst.family, rst.n_param
+    f, n = rst.family, rst.ambient_dim
     if f in ("B", "C"):
         return [(i, i + 1) for i in range(1, n)] + [(n, 0)]
     return [(i, i + 1) for i in range(1, n)]
@@ -227,7 +227,7 @@ def _signature_interval(rst, gen):
     behaves as the interval [i, -(i+1)]; for B the zero column sits inside
     the order itself.
     """
-    f, n = rst.family, rst.n_param
+    f, n = rst.family, rst.ambient_dim
     i, j = gen
     if f == "A":
         return i, j, lambda v: v
@@ -242,14 +242,14 @@ def _signature_interval(rst, gen):
     return i, _pos_c(n, j), lambda v: _pos_c(n, v)
 
 
-def reference_signature(comp, x):
+def reference_signature(ideal, x):
     """Signature by the per-type interval closed forms, for x inside the diagram."""
-    rst = comp.rst
+    rst = ideal.rst
     f = rst.family
-    gens = generating_boxes(comp)
+    gens = generating_boxes(ideal)
     if x == 0:
         if f == "B":
-            n = rst.n_param
+            n = rst.ambient_dim
             return {
                 l + 1
                 for l, g in enumerate(gens)
@@ -299,17 +299,17 @@ def test_diagram_boxes_rejects_exceptional(family):
 
 def test_generating_boxes_worked_examples():
     for label, (fam, rank, gens) in WORKED_CLASSICAL.items():
-        comp = complement(worked_ideal(label))
-        got = generating_boxes(comp)
+        ideal = worked_ideal(label)
+        got = generating_boxes(ideal)
         assert got == sorted(gens, key=lambda b: b[0]), label
         # conditions: rows strictly increase, antichain, union reproduces the set
         rows = [b[0] for b in got]
         assert rows == sorted(set(rows))
-        rst = comp.rst
+        rst = ideal.rst
         union = set()
         for g in got:
             union |= generated_box_set(rst, g)
-        assert union == comp.tuple_set()
+        assert union == complement(ideal)
         gsets = [generated_box_set(rst, g) for g in got]
         for i in range(len(gsets)):
             for j in range(len(gsets)):
@@ -320,13 +320,13 @@ def test_generating_boxes_worked_examples():
 def test_generating_boxes_full_diagram():
     poset = root_poset(root_system_type("A", 3))
     empty = ideal_from_mask(poset, 0)
-    assert generating_boxes(complement(empty)) == [(1, 4)]
+    assert generating_boxes(empty) == [(1, 4)]
 
 
 def test_generating_boxes_rejects_exceptional(g2_poset):
     ig = ideal_from_root_coords(g2_poset, IDEAL_G)
     with pytest.raises(UnsupportedTypeError):
-        generating_boxes(complement(ig))
+        generating_boxes(ig)
 
 
 def test_box_round_trip_small_types():
@@ -337,11 +337,10 @@ def test_box_round_trip_small_types():
     for family, rank in (("A", 4), ("B", 3), ("C", 3), ("D", 4)):
         poset = root_poset(root_system_type(family, rank))
         for ideal in enumerate_ideals(poset):
-            comp = complement(ideal)
-            if not comp.roots:
+            if not ideal.complement_mask():
                 continue
             try:
-                boxes = generating_boxes(comp)
+                boxes = generating_boxes(ideal)
             except ConstraintError:
                 unrepresentable[family] += 1
                 continue
@@ -354,34 +353,34 @@ def test_fullness_examples():
     # open sets of one fixed diagram: a non-full and a full one
     poset = root_poset(root_system_type("B", 6))
     not_full = ideal_from_boxes(poset, [(3, 4)])
-    assert not is_full(complement(not_full))
-    assert is_full(complement(worked_ideal("b")))
+    assert not is_full(not_full)
+    assert is_full(worked_ideal("b"))
     whole = ideal_from_mask(poset, 0)
-    assert is_full(complement(whole)) and is_connected(complement(whole))
+    assert is_full(whole) and is_connected(whole)
 
 
 def test_worked_examples_full_connected():
     for label in WORKED_CLASSICAL:
-        comp = complement(worked_ideal(label))
-        assert is_full(comp) and is_connected(comp), label
+        ideal = worked_ideal(label)
+        assert is_full(ideal) and is_connected(ideal), label
 
 
 def test_signature_tables_match_worked_examples():
-    st = signature_table(complement(worked_ideal("a")))
+    st = signature_table(worked_ideal("a"))
     assert [st[i] for i in range(1, 9)] == [
         {1}, {1, 2}, {1, 2}, {2, 3}, {2, 3}, {3, 4}, {3, 4}, {4},
     ]
-    st = signature_table(complement(worked_ideal("b")))
+    st = signature_table(worked_ideal("b"))
     assert [st[i] for i in range(1, 7)] == [
         {1}, {1, 2}, {1, 2}, {1, 2, 3}, {2, 3}, {2, 3},
     ]
     assert st[0] == {2, 3} and st[-6] == {3} and st[-5] == {3}
-    st = signature_table(complement(worked_ideal("c")))
+    st = signature_table(worked_ideal("c"))
     assert [st[i] for i in range(1, 7)] == [
         {1}, {1, 2}, {1, 2}, {1, 2, 3}, {2, 3}, {2, 3},
     ]
     assert st[-6] == {2, 3} and st[-5] == {3} and st[0] == {2, 3}
-    st = signature_table(complement(worked_ideal("d")))
+    st = signature_table(worked_ideal("d"))
     assert [st[i] for i in range(1, 7)] == [
         {1}, {1, 2}, {1, 2}, {2, 3}, {2, 3}, {2, 3},
     ]
@@ -389,29 +388,26 @@ def test_signature_tables_match_worked_examples():
 
 
 def test_signature_of_absent_integer_is_empty():
-    comp = complement(worked_ideal("a"))
-    assert signature(comp, 2) == {1, 2}
+    assert signature(worked_ideal("a"), 2) == {1, 2}
     poset = root_poset(root_system_type("A", 7))
     small = ideal_from_boxes(poset, [(1, 3)])
-    assert signature(complement(small), 7) == set()
+    assert signature(small, 7) == set()
     # past the diagram's last column no box mentions x
     for family, rank, box, x in (("B", 4, (1, -2), 5), ("C", 4, (1, 0), 5), ("D", 5, (1, -2), 6)):
         poset = root_poset(root_system_type(family, rank))
-        comp = complement(ideal_from_boxes(poset, [box]))
-        assert signature(comp, x) == set(), (family, box, x)
+        assert signature(ideal_from_boxes(poset, [box]), x) == set(), (family, box, x)
 
 
 def test_signature_definitional_scan_agreement():
     # the definition == the interval closed forms, for every ideal
     for family, rank in (("A", 4), ("B", 3), ("C", 3), ("D", 4)):
         poset = root_poset(root_system_type(family, rank))
-        n = poset.rst.n_param
+        n = poset.rst.ambient_dim
         for ideal in enumerate_ideals(poset):
-            comp = complement(ideal)
-            if not comp.roots:
+            if not ideal.complement_mask():
                 continue
             try:
-                gens = generating_boxes(comp)
+                gens = generating_boxes(ideal)
             except ConstraintError:
                 continue  # no diagram presentation (D fork split)
             values = list(range(1, n + 1))
@@ -420,14 +416,14 @@ def test_signature_definitional_scan_agreement():
             if family in ("B", "C"):
                 values.append(0)
             for x in values:
-                assert signature(comp, x) == reference_signature(comp, x), (family, rank, gens, x)
+                assert signature(ideal, x) == reference_signature(ideal, x), (family, rank, gens, x)
 
 
 def test_signature_zero_rejected_for_a_and_d():
     with pytest.raises(UnsupportedTypeError):
-        signature(complement(worked_ideal("a")), 0)
+        signature(worked_ideal("a"), 0)
     with pytest.raises(UnsupportedTypeError):
-        signature(complement(worked_ideal("d")), 0)
+        signature(worked_ideal("d"), 0)
 
 
 def test_signature_checks_x_before_it_reads_the_diagram():
@@ -435,25 +431,24 @@ def test_signature_checks_x_before_it_reads_the_diagram():
     ideal = ideal_from_root_coords(
         root_poset(root_system_type("D", 4)), [(1, 1, 1, 0), (1, 1, 1, 1), (1, 2, 1, 1)]
     )
-    comp = complement(ideal)
     with pytest.raises(ConstraintError, match="not an open diagram set"):
-        signature_table(comp)
+        signature_table(ideal)
     with pytest.raises(UnsupportedTypeError, match="signature of 0 undefined for type D"):
-        signature(comp, 0)
+        signature(ideal, 0)
 
 
 # ---- the partition in accordance ----------------------------------------------
 
 
 def test_partitions_match_worked_examples():
-    assert blocks_str(partition_in_accordance(complement(worked_ideal("a")))) == "{1}|{2,3}|{4,5}|{6,7}|{8}"
-    assert blocks_str(partition_in_accordance(complement(worked_ideal("b")))) == "{1}|{2,3}|{4}|{5,6}"
-    assert blocks_str(partition_in_accordance(complement(worked_ideal("c")))) == "{1}|{2,3}|{4}|{5}|{6}"
-    assert blocks_str(partition_in_accordance(complement(worked_ideal("d")))) == "{1}|{2,3}|{4}|{5,6}"
+    assert blocks_str(partition_in_accordance(worked_ideal("a"))) == "{1}|{2,3}|{4,5}|{6,7}|{8}"
+    assert blocks_str(partition_in_accordance(worked_ideal("b"))) == "{1}|{2,3}|{4}|{5,6}"
+    assert blocks_str(partition_in_accordance(worked_ideal("c"))) == "{1}|{2,3}|{4}|{5}|{6}"
+    assert blocks_str(partition_in_accordance(worked_ideal("d"))) == "{1}|{2,3}|{4}|{5,6}"
 
 
 def test_partition_adjacency_sets_worked_b():
-    bp = partition_in_accordance(complement(worked_ideal("b")))
+    bp = partition_in_accordance(worked_ideal("b"))
     assert bp.r_sets == [[2, 3], [3], []]
     assert bp.ra_sets == [[3]]
     assert bp.s_sets == [[]]
@@ -462,13 +457,13 @@ def test_partition_adjacency_sets_worked_b():
 
 def test_block_signature_constancy():
     for label in WORKED_CLASSICAL:
-        comp = complement(worked_ideal(label))
-        bp = partition_in_accordance(comp)
+        ideal = worked_ideal(label)
+        bp = partition_in_accordance(ideal)
         for blk in bp.a_blocks:
-            sigs = {frozenset(signature(comp, x)) for x in blk}
+            sigs = {frozenset(signature(ideal, x)) for x in blk}
             assert len(sigs) == 1
         for blk in bp.b_blocks:
-            sigs = {frozenset(signature(comp, -x)) for x in blk}
+            sigs = {frozenset(signature(ideal, -x)) for x in blk}
             assert len(sigs) == 1
 
 
@@ -478,32 +473,31 @@ def test_reconstruction_lemma_small_sweep():
     for family, rank in (("A", 4), ("B", 3), ("C", 3), ("D", 4)):
         poset = root_poset(root_system_type(family, rank))
         for ideal in enumerate_ideals(poset):
-            comp = complement(ideal)
-            if not comp.roots or not (is_full(comp) and is_connected(comp)):
+            if not ideal.complement_mask() or not (is_full(ideal) and is_connected(ideal)):
                 continue
             try:
-                bp = partition_in_accordance(comp)
+                bp = partition_in_accordance(ideal)
             except ConstraintError:
                 assert family == "D"
                 continue
-            assert reconstruct_tuples(bp) == comp.tuple_set(), (family, ideal)
+            assert reconstruct_tuples(bp) == complement(ideal), (family, ideal)
 
 
 # ---- components ----------------------------------------------------------------
 
 
 def test_decompose_connected_is_identity_relabel():
-    comp = complement(worked_ideal("b"))
-    comps = decompose_components(comp)
+    ideal = worked_ideal("b")
+    comps = decompose_components(ideal)
     assert len(comps) == 1
     assert comps[0].index_map == (1, 2, 3, 4, 5, 6)
-    assert set(comps[0].tuples) == comp.tuple_set()
+    assert set(comps[0].tuples) == complement(ideal)
 
 
 def test_decompose_two_a_components():
     poset = root_poset(root_system_type("A", 5))
     ideal = ideal_from_boxes(poset, [(1, 2), (4, 6)])
-    comps = decompose_components(complement(ideal))
+    comps = decompose_components(ideal)
     assert sorted(c.size for c in comps) == [2, 3]
     # components come in ascending order of their least coordinate
     assert [c.index_map for c in comps] == [(1, 2), (4, 5, 6)]
@@ -513,7 +507,7 @@ def test_decompose_off_diagonal_becomes_a_type():
     # B3 complement missing all zero/negative columns is A-like
     poset = root_poset(root_system_type("B", 3))
     ideal = ideal_from_boxes(poset, [(1, 2)])  # single box (1,2): positive pair only
-    comps = decompose_components(complement(ideal))
+    comps = decompose_components(ideal)
     assert len(comps) == 1
     assert all(j > 0 for _, j in comps[0].tuples)
 
@@ -521,7 +515,7 @@ def test_decompose_off_diagonal_becomes_a_type():
 def test_component_ranks_add_up():
     for family, rank in (("A", 5), ("B", 4), ("C", 4), ("D", 4)):
         for ideal in enumerate_ideals(root_poset(root_system_type(family, rank))):
-            comps = decompose_components(complement(ideal))
+            comps = decompose_components(ideal)
             ranks = [CountingModel(c.size, c.tuples).rank for c in comps]
             assert sum(ranks) == arrangement_of(ideal).rank, ideal
 
@@ -530,7 +524,7 @@ def test_component_row_compression_b3():
     # complement missing all boxes of row 1 compresses to a B2-shaped component
     poset = root_poset(root_system_type("B", 3))
     ideal = ideal_from_boxes(poset, [(2, -3)])
-    comps = decompose_components(complement(ideal))
+    comps = decompose_components(ideal)
     assert len(comps) == 1
     c = comps[0]
     assert c.size == 2 and c.index_map == (2, 3)
@@ -547,12 +541,11 @@ def test_component_tutte_products():
         poset = root_poset(root_system_type(family, rank))
         n = poset.rst.ambient_dim
         for ideal in enumerate_ideals(poset):
-            comp = complement(ideal)
             whole = tutte_corank_nullity(
-                VectorConfig([tuple_normal(t, n) for t in comp.hyperplanes], dim=n)
+                VectorConfig([tuple_normal(t, n) for t in complement(ideal)], dim=n)
             )
             product = None
-            for c in decompose_components(comp):
+            for c in decompose_components(ideal):
                 t = tutte_corank_nullity(
                     VectorConfig([tuple_normal(u, c.size) for u in c.tuples], dim=c.size)
                 )

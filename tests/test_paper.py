@@ -33,16 +33,15 @@ def _types(ranks):
 
 
 def _algorithm_p(family, rank):
-    """(ideal, complement, partition in accordance or None) for every ideal,
-    None where Algorithm P refuses it."""
+    """(ideal, partition in accordance or None) for every ideal, None where
+    Algorithm P refuses it."""
     for ideal in enumerate_ideals(root_poset(root_system_type(family, rank))):
-        comp = complement(ideal)
         try:
-            bp = partition_in_accordance(comp)
+            bp = partition_in_accordance(ideal)
         except ConstraintError as exc:
             assert "not an open diagram set" in str(exc), (ideal, exc)
             bp = None
-        yield ideal, comp, bp
+        yield ideal, bp
 
 
 def _check_refusals(family, rank, refused, total):
@@ -59,12 +58,12 @@ def _check_refusals(family, rank, refused, total):
 )
 def test_paper_pipeline_equals_production(family, rank):
     refused = total = 0
-    for ideal, comp, bp in _algorithm_p(family, rank):
+    for ideal, bp in _algorithm_p(family, rank):
         total += 1
         if bp is None:
             refused += 1
             continue
-        model = CountingModel(ideal.rst.n_param, bp.hyperplanes, blocks=bp.blocks)
+        model = CountingModel(ideal.rst.ambient_dim, bp.hyperplanes, blocks=bp.blocks)
         primes = ODD_PRIMES[: model.rank + 1]
         cb = lagrange_interpolate([(p, model.coboundary_at_prime(p)) for p in primes])
         assert cb == coboundary_of_ideal(ideal, engine="ffmethod"), ideal
@@ -78,12 +77,12 @@ def test_paper_pipeline_equals_production(family, rank):
 )
 def test_algorithm_p_blocks_refine_the_automorphism_blocks(family, rank):
     refused = total = same = 0
-    for ideal, comp, bp in _algorithm_p(family, rank):
+    for ideal, bp in _algorithm_p(family, rank):
         total += 1
         if bp is None:
             refused += 1
             continue
-        classes = automorphism_blocks(ideal.rst.n_param, comp.tuple_set())
+        classes = automorphism_blocks(ideal.rst.ambient_dim, complement(ideal))
         owner = {x: k for k, cls in enumerate(classes) for x in cls}
         for blk in bp.blocks:
             assert len({owner[x] for x in blk}) == 1, (ideal, blk, classes)

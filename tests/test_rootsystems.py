@@ -4,6 +4,7 @@ from conftest import packaged_schema
 from idealtutte.errors import ConstraintError, UnsupportedTypeError
 from idealtutte.rootsystems import (
     FAMILIES,
+    RootSystemType,
     hyperplane_tuple,
     linear_order_key,
     root_poset,
@@ -90,6 +91,15 @@ def test_rank_constraints():
         root_system_type("e8")
     with pytest.raises(ConstraintError, match="requires an explicit rank"):
         root_system_type("B")
+    # a rank that is not an integer is refused, not truncated; an integral
+    # float, as a JSON spec may carry, names its integer
+    for family, rank in (("A", 2.5), ("D", 4.9), ("A", True), ("B", "3")):
+        with pytest.raises(ConstraintError, match=f"rank {rank!r} of family {family} is not"):
+            root_system_type(family, rank)
+    with pytest.raises(ConstraintError, match="rank 2.5 of family A is not an integer"):
+        RootSystemType("A", 2.5)
+    assert root_system_type("B", 3.0) == RootSystemType("B", 3)
+    assert type(root_system_type("B", 3.0).rank) is int
 
 
 def test_leq_reflexive_and_dominance(a3_poset):
