@@ -20,8 +20,9 @@ polynomial served: each engine's, and each read back from the CLI cache
 chi-bar(1, t) = t^m and that chi splits over the ideal exponents.
 
 The paper's own classical route (signatures, Algorithm P's block partition
-and the minor sets that pick its primes) is the reference module
-``idealtutte.paper``, which no request loads and this package does not export.
+and the minor sets that pick its primes) is ``idealtutte.paper``, which this
+package does not export.  Only ``minors`` loads it, and it loads no engine:
+``ideals.block_flags`` reads the flags of its blocks.
 
 Importing the package runs none of its modules: each public name is
 imported from its module on first access (``__getattr__``), and the

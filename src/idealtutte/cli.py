@@ -325,7 +325,7 @@ def cmd_charpoly(args):
 
 
 def cmd_minors(args):
-    from . import paper  # the paper's route stays off the request path
+    from . import paper  # loaded by this command alone
 
     rst = root_system_type(args.type, args.rank)
     poset = root_poset(rst)

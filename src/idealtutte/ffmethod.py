@@ -2,9 +2,10 @@
 the counting model whose one dynamic program yields the coboundary polynomial
 directly (a full arrangement is the single-block case), its one entry
 ``coboundary_and_rank`` (which the dispatcher, ``specialize``, certifies), and
-the brute-force point-counting oracle.  The minor sets of the paper's theorem
-on which primes reduce correctly live in ``paper``, with the rest of the
-paper's prime route.
+the brute-force point-counting oracle.  The model's blocks and flags, and
+the oracle's check of its tuples, come from ``ideals.block_flags``.  The
+minor sets of the paper's theorem on which primes reduce correctly live in
+``paper``, with the rest of the paper's prime route.
 
 The count over F_p sums, over all ways of distributing each block of
 exchangeable coordinates across the residues of F_p, the multinomial weight
@@ -40,17 +41,12 @@ the brute-force oracle takes its rank by Gaussian elimination instead.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from math import comb, factorial, prod
 
-from .errors import ConstraintError, GuardExceeded, InconsistencyError, UnsupportedTypeError
+from .errors import ConstraintError, GuardExceeded, InconsistencyError
 from .exactpoly import BivariatePolynomial, UnivariatePolynomial
-from .ideals import (
-    automorphism_blocks,
-    decompose_components,
-    signed_classes,
-    tuple_normal,
-)
+from .ideals import block_flags, decompose_components, signed_classes, tuple_normal
 
 DEFAULT_MAX_POINTS = 10 ** 8
 # (state, move) pairs one round of the counting DP may expand
@@ -83,13 +79,15 @@ def count_points_bruteforce(tuples, n, p):
 
     Membership per hyperplane tuple: (i, j) holds when x_i = x_j, (i, -j)
     when x_i = -x_j, and (i, 0) when x_i = 0.  A repeated tuple counts once,
-    in its first place, as ``CountingModel`` reads its tuples as a set.
+    in its first place, as ``CountingModel`` reads its tuples as a set, and
+    ``ideals.block_flags`` refuses the tuples that model refuses.
     """
+    tuples = list(dict.fromkeys(tuple(t) for t in tuples))
+    block_flags(n, tuples)
     if p ** n > DEFAULT_MAX_POINTS:
         raise GuardExceeded(f"p^n = {p ** n} exceeds guard {DEFAULT_MAX_POINTS}")
     from . import crapo
 
-    tuples = list(dict.fromkeys(tuple(t) for t in tuples))
     rank = crapo.rank_of([tuple_normal(t, n) for t in tuples])
     import numpy as np
 
@@ -115,44 +113,14 @@ def count_points_bruteforce(tuples, n, p):
 # ---- the counting model and its dynamic program ------------------------------
 
 
-def _block_flags(tuples, blocks):
-    """Per block (pw, nw, z), whether x_i = x_j, x_i = -x_j and x_i = 0 hold
-    within it, and per block the (bj, pc, nc) of each earlier block bj that
-    x_i = x_j (pc) or x_i = -x_j (nc) links it to, from one pass over a set
-    of normal tuples.  Each tuple is counted under its block pair and kind;
-    a flag holds on every pair of its blocks or on none, so ConstraintError
-    unless each count is 0 or full: |b_i| |b_j| across two blocks, C(|b|, 2)
-    within one, |b| on the zero column.  A repeated tuple would count twice.
-    """
-    block_of = {x: bi for bi, b in enumerate(blocks) for x in b}
-    counts = Counter(
-        (block_of[i], block_of[i], 2) if j == 0
-        else (*sorted((block_of[i], block_of[abs(j)])), int(j < 0))
-        for i, j in tuples
-    )
-    within = [[False] * 3 for _ in blocks]
-    cross = [{} for _ in blocks]
-    for (bi, bj, kind), count in sorted(counts.items()):
-        n = len(blocks[bi])
-        if bi == bj:
-            if count != (n if kind == 2 else comb(n, 2)):
-                fault = "uniform on the zero column" if kind == 2 else "pair-uniform"
-                raise ConstraintError(f"block {blocks[bi]} not {fault}")
-            within[bi][kind] = True
-        elif count != n * len(blocks[bj]):
-            raise ConstraintError(f"blocks {blocks[bi]} x {blocks[bj]} not pair-uniform")
-        else:
-            cross[bj].setdefault(bi, [bi, False, False])[1 + kind] = True
-    return [tuple(w) for w in within], [[tuple(c) for c in links.values()] for links in cross]
-
-
 class CountingModel:
     """Blocks of exchangeable coordinates for one set of hyperplane tuples (a
-    repeated tuple names one hyperplane), with their flags (``_block_flags``):
-    ``within``, per block (pw, nw, z), and ``cross``, per block the
-    (bj, pc, nc) of the earlier blocks linked to it.  One dynamic program
-    over the nonzero residues, with residue 0 in closed form, gives both its
-    coboundary polynomial and its weighted point count at any odd prime.
+    repeated tuple names one hyperplane), with their flags, all three from
+    one reading of the tuples (``ideals.block_flags``): ``within``, per
+    block (pw, nw, z), and ``cross``, per block the (bj, pc, nc) of the
+    earlier blocks linked to it.  One dynamic program over the nonzero
+    residues, with residue 0 in closed form, gives both its coboundary
+    polynomial and its weighted point count at any odd prime.
     Its step is chosen from the tuples: one residue per step (stride 1) when
     every hyperplane is x_i = x_j, else one pair {c, p-c} per step
     (stride 2); either way the splits of a step are summed once per model
@@ -160,8 +128,8 @@ class CountingModel:
 
     ``blocks`` defaults to the coordinate classes under hyperplane-set
     automorphisms; the partition in accordance with an ideal is passed as
-    ``CountingModel(n, bp.hyperplanes, blocks=bp.blocks)``.  Either way the
-    blocks must partition 1..m with uniform flags, else ConstraintError.
+    ``CountingModel(n, bp.hyperplanes, blocks=bp.blocks)``, which
+    ``block_flags`` checks.
     ``rank`` is m minus the number of balanced classes of the tuples' signed
     graph (``ideals.signed_classes``), independent of the blocks and the DP.
     """
@@ -169,18 +137,8 @@ class CountingModel:
     def __init__(self, m, tuples, blocks=None):
         self.m = m
         self.tuples = sorted({tuple(t) for t in tuples})
-        for i, j in self.tuples:
-            # the flags count only normal tuples (i, j), i < |j|
-            if not (1 <= i <= m and (j == 0 or i < abs(j) <= m)):
-                raise ConstraintError(f"{(i, j)} is not a hyperplane tuple on 1..{m}")
+        self.blocks, self.within, self.cross = block_flags(m, self.tuples, blocks)
         self.rank = m - sum(signed_classes(m, self.tuples)[1])
-        if blocks is None:
-            blocks = automorphism_blocks(m, set(self.tuples))
-        self.blocks = [list(b) for b in blocks]
-        covered = sorted(x for b in self.blocks for x in b)
-        if covered != list(range(1, m + 1)):
-            raise ConstraintError("blocks must partition 1..m")
-        self.within, self.cross = _block_flags(self.tuples, self.blocks)
         self.stride = 2 if any(j <= 0 for _, j in self.tuples) else 1
         self._sizes = tuple(len(b) for b in self.blocks)
         # place values of the mixed-radix code of a vector m <= the block sizes
@@ -457,13 +415,9 @@ def coboundary_and_rank(ideal):
     coboundary polynomials (chi-bar is rank-relative, so components simply
     multiply).  Each component's chi-bar comes straight from its counting
     model's residue profile; the components share no coordinate, so their
-    ranks add up to the arrangement's.
+    ranks add up to the arrangement's.  An exceptional type has no tuples,
+    and ``ideals.complement`` refuses it with UnsupportedTypeError.
     """
-    rst = ideal.rst
-    if not rst.is_classical:
-        raise UnsupportedTypeError(
-            f"the finite field pipeline covers classical types, not {rst.family}"
-        )
     result, rank = None, 0
     for component in decompose_components(ideal):
         model = CountingModel(component.size, component.tuples)

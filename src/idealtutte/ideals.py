@@ -1,9 +1,10 @@
 """Ideals of positive root systems: enumeration, construction from roots or
-from generating boxes, ideal arrangements, the automorphism blocks that the
-counting engine takes by default, the classes of the tuples' signed graph
-(which give both the components and the counting model's rank), component
-decomposition, and the ideal exponents read off the complement's heights,
-with the one check that a characteristic polynomial splits over them.
+from generating boxes, ideal arrangements, a tuple set's blocks of
+exchangeable coordinates and their flags (``block_flags``), the classes of
+the tuples' signed graph (which give both the components and the counting
+model's rank), component decomposition, and the ideal exponents read off
+the complement's heights, with the one check that a characteristic
+polynomial splits over them.
 
 Classical roots are named throughout by the hyperplane tuple notation:
 (i, j) is x_i = x_j, (i, -j) is x_i = -x_j, (i, 0) is x_i = 0, always with
@@ -245,20 +246,32 @@ def signed_classes(m, tuples):
     return classes, [balanced[root] for root in roots]
 
 
-# ---- automorphism blocks ---------------------------------------------------
+# ---- blocks of exchangeable coordinates ------------------------------------
 
 
-def automorphism_blocks(m, tuple_set):
-    """Coordinates 1..m grouped into classes of exchangeable coordinates:
-    x and y share a class when they carry the same zero flag and the same
-    pos/neg flags against every third coordinate.  The tuples are normal,
-    (i, j) with i < |j| <= m or (i, 0), and each coordinate's zero flag and
-    pos/neg neighbour sets are read off them once.  Each coordinate joins the
-    first class whose first member it matches, else opens a new class."""
+def block_flags(m, tuples, blocks=None):
+    """(blocks, within, cross): the blocks of exchangeable coordinates of
+    hyperplane tuples on 1..m and their flags, from one reading of the
+    tuples into zero flags and pos/neg neighbour sets.  A tuple other than
+    (i, j), 1 <= i < |j| <= m, or (i, 0), 1 <= i <= m, raises ConstraintError.
+
+    Two coordinates are exchangeable (swapping them fixes the tuple set) when
+    they carry the same zero flag and pos/neg flags against every third
+    coordinate.  By default each coordinate joins the first block whose
+    first member it matches, else opens one.  Passed ``blocks`` must
+    partition 1..m, each member exchangeable with its block's first, else
+    ConstraintError; swaps compose, so each flag then holds on every pair of
+    its blocks or on none.  ``within`` holds per block (pw, nw, z), whether
+    x_i = x_j, x_i = -x_j and x_i = 0 hold within it, and ``cross`` per block
+    the (bj, pc, nc) of each earlier block bj that x_i = x_j (pc) or
+    x_i = -x_j (nc) links it to, both read off the blocks' first members.
+    """
     zero = [False] * (m + 1)
     pos = [set() for _ in range(m + 1)]
     neg = [set() for _ in range(m + 1)]
-    for i, j in tuple_set:
+    for i, j in tuples:
+        if not (1 <= i <= m and (j == 0 or i < abs(j) <= m)):
+            raise ConstraintError(f"{(i, j)} is not a hyperplane tuple on 1..{m}")
         if j == 0:
             zero[i] = True
         else:
@@ -266,22 +279,35 @@ def automorphism_blocks(m, tuple_set):
             nbrs[i].add(abs(j))
             nbrs[abs(j)].add(i)
 
-    def equivalent(i, j):
-        return (
-            zero[i] == zero[j]
-            and pos[i] - {j} == pos[j] - {i}
-            and neg[i] - {j} == neg[j] - {i}
-        )
+    def exchangeable(x, y):
+        return pos[x] - {y} == pos[y] - {x} and neg[x] - {y} == neg[y] - {x}
 
-    blocks = []
-    for x in range(1, m + 1):
+    if blocks is None:
+        blocks = []
+        for x in range(1, m + 1):
+            for b in blocks:
+                if zero[b[0]] == zero[x] and exchangeable(b[0], x):
+                    b.append(x)
+                    break
+            else:
+                blocks.append([x])
+    else:
+        blocks = [list(b) for b in blocks]
+        if not all(blocks) or sorted(x for b in blocks for x in b) != list(range(1, m + 1)):
+            raise ConstraintError("blocks must partition 1..m")
         for b in blocks:
-            if equivalent(b[0], x):
-                b.append(x)
-                break
-        else:
-            blocks.append([x])
-    return blocks
+            for x in b[1:]:
+                if zero[b[0]] != zero[x]:
+                    raise ConstraintError(f"block {b} not uniform on the zero column")
+                if not exchangeable(b[0], x):
+                    raise ConstraintError(f"block {b} not pair-uniform")
+    within, cross = [], []
+    for bj, b in enumerate(blocks):
+        f, second = b[0], (b[1] if len(b) > 1 else None)
+        within.append((second in pos[f], second in neg[f], zero[f]))
+        links = [(bi, g[0] in pos[f], g[0] in neg[f]) for bi, g in enumerate(blocks[:bj])]
+        cross.append([link for link in links if link[1] or link[2]])
+    return blocks, within, cross
 
 
 # ---- arrangements and components -------------------------------------------

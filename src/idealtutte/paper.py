@@ -1,16 +1,17 @@
-"""The paper's classical route, kept as a reference that no request takes.
+"""The paper's classical route: a reference that only ``minors`` loads; it loads no engine.
 
 The paper reads an ideal of type A, B, C or D off the shifted Young diagram:
 the generating boxes of its complement, the signature of each integer (which
 generating box sets mention it), and Algorithm P, the partition of [n] in
 accordance with the ideal.  Each function here takes the ``Ideal`` and reads
-its complement with ``ideals.complement``.  Algorithm P's blocks reach the
-counting model through ``CountingModel(blocks=...)``, and that model's flags
-rebuild the tuple set.  It then counts points over F_p for primes outside
-the minor set of the root matrix and interpolates.  Production takes
-``ideals.automorphism_blocks`` instead, which are never finer than Algorithm
-P's blocks and exist for every type-D ideal, and reads chi-bar directly from
-one dynamic program.  ``tests/test_paper.py`` holds this route to production.
+its complement with ``ideals.complement``; ``ideals.block_flags`` checks
+Algorithm P's blocks and reads the flags that rebuild the tuple set.  The
+paper's prime route passes the same blocks to ``CountingModel(blocks=...)``,
+counts points over F_p for primes outside the minor set of the root matrix
+and interpolates (demo 02; ``tests/test_paper.py`` holds it to production).
+Production takes ``block_flags``'s default blocks, never finer than
+Algorithm P's and there for every type-D ideal, and reads chi-bar directly
+from one dynamic program.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from collections import namedtuple
 from math import comb
 
 from .errors import ConstraintError, GuardExceeded, UnsupportedTypeError
-from .ffmethod import CountingModel
-from .ideals import complement, diagram_grid, generated_box_set, grid_position
+from .ideals import block_flags, complement, diagram_grid, generated_box_set, grid_position
 
 MAX_MINORS = 5_000_000  # minor_set refuses a matrix with more square minors
 
@@ -212,13 +212,12 @@ def reconstruct_tuples(bp):
 
     This is the disjoint-union decomposition of the arrangement: binomial
     pairs and cross products over A-blocks, signed pairs and signed products
-    over B-blocks, and the zero column, each switched by its flag in the
-    partition's ``CountingModel``, which refuses non-uniform blocks.
+    over B-blocks, and the zero column, each switched by its flag from
+    ``ideals.block_flags``, which refuses non-uniform blocks.
     """
-    blocks = bp.blocks
-    model = CountingModel(bp.rst.ambient_dim, bp.hyperplanes, blocks=blocks)
+    blocks, within, cross = block_flags(bp.rst.ambient_dim, bp.hyperplanes, bp.blocks)
     out = set()
-    for blk, (pw, nw, z), links in zip(blocks, model.within, model.cross):
+    for blk, (pw, nw, z), links in zip(blocks, within, cross):
         pairs = list(itertools.combinations(blk, 2))
         if pw:
             out.update(pairs)

@@ -95,6 +95,15 @@ def test_profile_guard():
         count_points_bruteforce([(1, 2)], 12, 11)
 
 
+@pytest.mark.parametrize("t", [(0, 1), (1, 1), (3, 1)])
+def test_profile_rejects_what_the_counting_model_rejects(t):
+    # (0, 1) would read coordinate 0 as the last one, (1, 1) would count
+    # x_1 = x_1 on every point, and (3, 1) names a coordinate beyond n = 2
+    for count in (lambda: CountingModel(2, [t]), lambda: count_points_bruteforce([t], 2, 3)):
+        with pytest.raises(ConstraintError, match=r"is not a hyperplane tuple on 1\.\.2"):
+            count()
+
+
 # ---- Ardila's closed forms for full arrangements, the test oracle ----------------
 
 
@@ -278,6 +287,12 @@ def test_counting_model_rejects_bad_blocks():
         CountingModel(3, [(1, -2)], blocks=[[1], [2, 3]])
     with pytest.raises(ConstraintError, match="zero column"):
         CountingModel(2, [(1, 0)], blocks=[[1, 2]])
+
+
+def test_counting_model_rejects_an_empty_block():
+    # the members still cover 1..m, but a partition has no empty part
+    with pytest.raises(ConstraintError, match="partition"):
+        CountingModel(2, [(1, 2)], blocks=[[1, 2], []])
 
 
 def test_counting_model_counts_the_tuple_set():

@@ -13,7 +13,7 @@ and its zero exponents to the quadratic form (also on every component of the
 benchmark's ``classical-random`` pool), its signed-graph rank to Gaussian
 elimination and the signed graph's classes to a breadth-first search, its
 block flags and their refusals to the pair-by-pair reading of the tuple set,
-and ``automorphism_blocks`` to the pairwise test against every third
+and ``block_flags``'s default blocks to the pairwise test against every third
 coordinate.  They sit beside the fixed-seed sweeps in
 test_ffmethod and test_properties."""
 
@@ -32,7 +32,7 @@ from idealtutte.exactpoly import lagrange_interpolate
 from idealtutte.ffmethod import CountingModel, count_points_bruteforce
 from idealtutte.ideals import (
     arrangement_of,
-    automorphism_blocks,
+    block_flags,
     complement,
     decompose_components,
     ideal_from_root_coords,
@@ -382,14 +382,14 @@ def _pairwise_blocks(m, tset):
 @given(mt=normal_tuple_sets())
 def test_automorphism_blocks_match_the_pairwise_test(mt):
     m, tuples = mt
-    assert automorphism_blocks(m, set(tuples)) == _pairwise_blocks(m, set(tuples))
+    assert block_flags(m, set(tuples))[0] == _pairwise_blocks(m, set(tuples))
 
 
 @PROPERTY_SETTINGS
 @given(mtb=coarse_block_tuple_sets())
 def test_automorphism_blocks_match_the_pairwise_test_on_coarse_blocks(mtb):
     m, tuples, _ = mtb
-    assert automorphism_blocks(m, set(tuples)) == _pairwise_blocks(m, set(tuples))
+    assert block_flags(m, set(tuples))[0] == _pairwise_blocks(m, set(tuples))
 
 
 def _pairwise_flags(blocks, tset):

@@ -1,9 +1,9 @@
 """The package's modules import one another without a cycle, counting the
 imports made inside functions as well as those at the top of a module; none
-imports a private name of another; none imports numpy, or the heavier stdlib
-modules a request does not need, when it loads; a fresh interpreter loads
-only the engine its request runs; and the engines' dispatcher and the
-polynomial layer load no CLI."""
+imports a private name of another; the paper's reference route imports no
+engine; none imports numpy, or the heavier stdlib modules a request does not
+need, when it loads; a fresh interpreter loads only the engine its request
+runs; and the engines' dispatcher and the polynomial layer load no CLI."""
 
 import ast
 import graphlib
@@ -40,6 +40,12 @@ def test_function_level_imports_are_edges():
     graph = import_graph()
     assert "paper" in graph["cli"]  # cmd_minors imports it inside the function
     assert "__init__" in graph["cli"]  # from . import __version__
+
+
+def test_the_paper_imports_no_engine():
+    # the paper's route reads its blocks' flags with ideals.block_flags, so
+    # minors, its one request, loads none of the engines
+    assert not import_graph()["paper"] & {"ffmethod", "flats", "crapo"}
 
 
 def test_package_imports_have_no_cycle():
@@ -134,9 +140,11 @@ def test_a_fresh_process_loads_only_what_its_request_runs():
     dp = ["tutte", "--type", "A", "--rank", "7", "--roots", "[[1,1,1,1,1,1,1]]", "--no-cache"]
     dp = loaded_by(one_shot.format(dp))
     assert "idealtutte.ffmethod" in dp and not dp & (ENGINES - {"idealtutte.ffmethod"} | NEVER)
-    # minors runs the paper's reference module, which loads no heavy stdlib
+    # minors runs the paper's reference module, which loads no engine and no
+    # heavy stdlib
     minors = loaded_by(one_shot.format(["minors", "--type", "B", "--rank", "3"]))
-    assert "idealtutte.paper" in minors and not minors & (NEVER - {"idealtutte.paper"})
+    assert "idealtutte.paper" in minors
+    assert not minors & (ENGINES | NEVER - {"idealtutte.paper"})
 
 
 @pytest.mark.parametrize("module", ["idealtutte.specialize", "idealtutte.exactpoly"])

@@ -13,7 +13,7 @@ import pytest
 from idealtutte.errors import ConstraintError
 from idealtutte.exactpoly import lagrange_interpolate
 from idealtutte.ffmethod import CountingModel
-from idealtutte.ideals import automorphism_blocks, complement, enumerate_ideals
+from idealtutte.ideals import block_flags, complement, enumerate_ideals
 from idealtutte.paper import partition_in_accordance
 from idealtutte.rootsystems import root_poset, root_system_type
 from idealtutte.specialize import coboundary_of_ideal
@@ -82,7 +82,7 @@ def test_algorithm_p_blocks_refine_the_automorphism_blocks(family, rank):
         if bp is None:
             refused += 1
             continue
-        classes = automorphism_blocks(ideal.rst.ambient_dim, complement(ideal))
+        classes = block_flags(ideal.rst.ambient_dim, complement(ideal))[0]
         owner = {x: k for k, cls in enumerate(classes) for x in cls}
         for blk in bp.blocks:
             assert len({owner[x] for x in blk}) == 1, (ideal, blk, classes)
