@@ -16,21 +16,32 @@ and the hyperplanes it satisfies have a closed form.  Each step takes s
 residues: a symmetric pair {c, p-c} (s = 2) when some hyperplane is x_i = -x_j
 or x_i = 0, else one residue c (s = 1), since x_i = x_j alone never relates
 distinct residues.  A step left empty changes nothing, so the program records
-only non-empty steps; the count at any odd p, and chi-bar(q, t) itself, follow
-from that record by the binomial weights C((p-1)/s, u).
+only non-empty steps, and as a set: G_u, the weight of every set of u
+non-empty steps, is the count of ordered ones, F_u, over u!.  The count at
+any odd p, and chi-bar(q, t) itself, follow from that record by the binomial
+weights C((p-1)/s, u) u! = prod_{k<u} ((p-1)/s - k).
 
 A step that takes a_i coordinates of block i to c and b_i to p-c has weight
 C(r_i, a_i) C(r_i - a_i, b_i) = C(r_i, m_i) C(m_i, a_i), m_i = a_i + b_i, and
 a t-exponent that depends on the a's and b's alone (b = 0 at stride 1).  So
-the splits of each m are summed once per model into a t-polynomial H(m), and
-a state r with polynomial P_r has one move per nonzero m <= r, of weight
-C(r, m) H(m) = r! H(m) / (m! (r - m)!), k! = prod_i k_i!.  Carrying
-Q_r = r! P_r instead makes the weight H(m) D / m! (D = n!) the same in any r.
-Nor do a state's moves change between rounds: each state's down-set, the
-codes of its nonzero m <= r at one list slot per move, its closing weight
-D / r! and its zero exponent, a quadratic form in r, are built once per
-``residue_profile`` call, in one sweep over the codes in order, each from a
-smaller state's, so a round only multiplies, shifts and adds.
+the splits of each m are summed once per model into a t-polynomial H(m).
+Each set of steps is counted once by pointing (the exponential formula's
+d_i (G^u / u!) = (G^(u-1) / (u-1)!) d_i G, Stanley, EC2 5.1).  With W_u(e)
+the weight of the sets of u steps that use exactly the coordinates of e,
+W_u(e) = sum_m C(e, m) (m_i / e_i) H(m) W_(u-1)(e - m) over the nonzero
+m <= e with m_i > 0, for i the last nonzero block of e:
+C(e, m) m_i / e_i = C(e - 1_i, m - 1_i) chooses the step that holds one
+fixed coordinate of block i, and the program takes that step last.  So a
+state r, whose consumed vector e' = n - r ends at block L, has one move per
+nonzero m <= r with an entry at a block >= L (m_i > 0 for the last nonzero
+block i of e' + m; every nonzero m at r = n), and that block i is m's last
+nonzero block.  Carrying Q_r = D W(e') / e'! (D = n!, from Q_n = D), the
+move adds Q_r H(m) m_i D / m!, the same in any r, to D e_i Q_(r-m).
+Nor do a state's moves change between rounds: each state's moves, the codes
+of those m at one list slot per move, its closing weight D / r! and its zero
+exponent, a quadratic form in r, are built once per DP run, in one sweep
+over the codes in order, each from a smaller state's, so a round only
+multiplies, shifts, adds and divides.
 
 The rank that chi-bar is relative to is read off the tuples as a signed
 graph (Zaslavsky's frame matroid), by the union-find that also splits an
@@ -49,7 +60,9 @@ from .exactpoly import BivariatePolynomial, UnivariatePolynomial
 from .ideals import block_flags, decompose_components, signed_classes, tuple_normal
 
 DEFAULT_MAX_POINTS = 10 ** 8
-# (state, move) pairs one round of the counting DP may expand
+# the (state, move) pairs one round of the counting DP may expand, checked
+# against an upper bound: every state r with all prod_i (r_i + 1) - 1 of its
+# nonzero m <= r, of which pointing keeps a part
 MAX_ROUND_MOVES = 2982616
 
 
@@ -124,7 +137,8 @@ class CountingModel:
     Its step is chosen from the tuples: one residue per step (stride 1) when
     every hyperplane is x_i = x_j, else one pair {c, p-c} per step
     (stride 2); either way the splits of a step are summed once per model
-    into weights that serve every state.
+    into weights that serve every state.  ``moves_expanded`` counts the
+    (state, move) pairs the program expanded, 0 until it has run.
 
     ``blocks`` defaults to the coordinate classes under hyperplane-set
     automorphisms; the partition in accordance with an ideal is passed as
@@ -145,16 +159,26 @@ class CountingModel:
         self._radix = tuple(
             prod(n + 1 for n in self._sizes[:bi]) for bi in range(len(self._sizes))
         )
-        self._profile = None
+        self._rounds = None
+        self.moves_expanded = 0
+
+    def _last_entries(self):
+        """Per code of a vector v <= the block sizes, v's entry at its last
+        nonzero block, the code's leading mixed-radix digit (0 at v = 0)."""
+        tops = self._radix[1:] + (prod(n + 1 for n in self._sizes),)
+        return [0] + [
+            code // radix for radix, top in zip(self._radix, tops) for code in range(radix, top)
+        ]
 
     def _split_table(self, width):
-        """The move weight H(m) D / m! for every m <= n, in a flat list
-        indexed by the mixed-radix code sum_i m_i radix_i: the packed
-        t-polynomial shifted down by its lowest exponent e, and e * width.
+        """The move weight H(m) m_i D / m!, i the last nonzero block of m,
+        for every m <= n, in a flat list indexed by the mixed-radix code
+        sum_i m_i radix_i: the packed t-polynomial shifted down by its lowest
+        exponent e, and e * width.
 
         H(m)(t) = sum over the splits a + b = m of prod_i C(m_i, a_i) t^de,
         a_i coordinates of block i to c and b_i to p-c (b = 0 at stride 1);
-        the weight's terms are prod_i n_i! / (a_i! b_i!) t^de.
+        the weight's terms are m_i prod_j n_j! / (a_j! b_j!) t^de.
         A hyperplane x_i = x_j (x_i = -x_j) holds when i and j take the same
         (opposite) residue of the step, and x_i = 0 never holds off residue
         0, so de depends on the split alone, never on the state it is taken
@@ -205,26 +229,32 @@ class CountingModel:
                     ))
             partial = grown
         out = []
-        for poly in table:  # with no blocks, the one entry is 0, at shift 0
+        # with no blocks, the one entry is 0, at shift 0; m = 0 weighs 0
+        for poly, last in zip(table, self._last_entries()):
             shift = ((poly & -poly).bit_length() - 1) // width * width if poly else 0
-            out.append((poly >> shift, shift))
+            out.append(((poly >> shift) * last, shift))
         return out
 
     def _state_tables(self, width):
-        """Per state code r, three flat lists: ``down``, the codes of the
-        prod_i (r_i + 1) - 1 nonzero m <= r, r's moves (the empty step is
-        left to residue_profile's binomial weights); ``closes``, the closing
-        weight D / r!; ``shifts``, the t-exponent de(r) of sending every
-        coordinate left in r to residue 0, times width.
+        """Per state code r, three flat lists: ``down``, the codes of r's
+        moves, the nonzero m <= r with an entry at a block >= L, L the last
+        nonzero block of r's consumed vector n - r (every nonzero m <= n at
+        r = n; the empty step is left to the binomial weights); ``closes``,
+        the closing weight D / r!; ``shifts``, the t-exponent de(r) of sending
+        every coordinate left in r to residue 0, times width.
 
         One sweep steps r in place like an odometer, in code order: the
         first block below its size steps up, and every block before it
         restarts at 0.  That block i is r's first nonzero block, so r - e_i
         has the smaller code code - radix_i, and r's entries come from its:
-        - down(r) = down(r - e_i) + the codes with m_i = r_i, which are
-          r_i radix_i plus 0 or a code of down(r'), r' = r with block i
-          emptied, a smaller code.  Every entry is an int of one shared list
-          of the codes, so the table costs one list slot per move.
+        - down(r) = down(r - e_i) + the moves with m_i = r_i: r_i radix_i
+          plus each code of down(r'), r' = r with block i emptied, a smaller
+          code, and r_i radix_i itself (m = r_i e_i) when L <= i, that is
+          when every block after i is full in r.  When L > i, r - e_i and r'
+          share r's L; when L <= i, theirs is i, and every nonzero m below
+          them is a move, as it is for r.  Every entry is an int of one
+          shared list of the codes, so the table costs one list slot per
+          move.
         - r! = (r - e_i)! r_i.
         - At 0, x_i = x_j, x_i = -x_j and x_i = 0 all hold; a coordinate at 0
           and one at a nonzero residue satisfy neither.  So de(r) is the
@@ -241,6 +271,9 @@ class CountingModel:
             for bj, pc, nc in cross:
                 later[bj].append((bi, width * (pc + nc)))
         codes = list(range(prod(n + 1 for n in sizes)))
+        # every block after i is full in r exactly when r's code is at least
+        # that of n with blocks 0..i emptied
+        full_after = [len(codes) - top for top in self._radix[1:] + (len(codes),)]
         down, closes, shifts = [[]], [prod(map(factorial, sizes))], [0]
         r = [0] * len(sizes)
         for code in range(1, len(codes)):
@@ -251,72 +284,95 @@ class CountingModel:
             r[i] += 1
             ri, radix = r[i], self._radix[i]
             prev, low = code - radix, ri * radix
-            down.append(down[prev] + [codes[low]]
-                        + [codes[low + c] for c in down[code - low]])
+            first = [codes[low]] if code >= full_after[i] else []
+            down.append(down[prev] + first + [codes[low + c] for c in down[code - low]])
             closes.append(closes[prev] // ri)
             shifts.append(shifts[prev] + within[i] * (ri - 1) + zero[i]
                           + sum(c * r[j] for j, c in later[i]))
         return down, closes, shifts
 
-    def residue_profile(self):
-        """F_u for u = 0, 1, ...: dense t-coefficient lists of the weight that
-        exhausts every block with exactly u non-empty steps and residue 0,
-        where a step is one residue pair (stride 2) or one residue (stride 1).
+    def _packed_rounds(self):
+        """(width, G): G_u for u = 0, 1, ..., each one packed t-polynomial,
+        the weight that exhausts every block with a set of exactly u
+        non-empty steps and residue 0, where a step is one residue pair
+        (stride 2) or one residue (stride 1).
 
         Starting from the full block sizes n, each round first closes every
-        live state into F_u (residue 0 takes whatever the steps left, at the
-        state's zero exponent), then applies one more non-empty step.  An empty
-        step leaves the state unchanged, so over the (p-1)/s steps the count
-        is sum_u C((p-1)/s, u) F_u.  The loop ends within m + 1 rounds.
-        Computed once per model, and refused with GuardExceeded before
-        anything is built when one round could expand more than
-        ``MAX_ROUND_MOVES`` (state, move) pairs:
-        prod_i C(n_i + 2, 2) - prod_i (n_i + 1) moves.  Past the guard, the
-        moves of every state, one list slot per move, the states' closing
-        weights and zero shifts (all three in one sweep, ``_state_tables``)
-        and the move weights (``_split_table``) are built once, as flat lists
-        indexed by code; every round reads them, and they are
-        freed on return, so the model keeps only the profile.  A state r
-        carries Q_r = r! P_r, from Q_n = D; a move adds Q_r times its weight
-        to D Q_(r-m), r closes at D / r! into D F_u; every division by D is
-        checked.
+        live state into G_u (residue 0 takes whatever the steps left, at the
+        state's zero exponent), then applies one more non-empty step.  The
+        loop ends within m + 1 rounds.  Computed once per model, and refused
+        with GuardExceeded before anything is built when one round could
+        expand more than ``MAX_ROUND_MOVES`` (state, move) pairs, by the
+        upper bound prod_i C(n_i + 2, 2) - prod_i (n_i + 1), the moves of
+        every state without pointing.  Past the guard, the moves of every
+        state, one list slot per move, the states' closing weights and zero
+        shifts (all three in one sweep, ``_state_tables``) and the move
+        weights (``_split_table``) are built once, as flat lists indexed by
+        code; every round reads them, and they are freed on return, so the
+        model keeps only the rounds.  A state r carries Q_r, from Q_n = D; a
+        move adds Q_r times its weight to D e_i Q_(r-m), and r closes at
+        D / r! into D G_u; every division, by D or by D e_i (e_i the entry
+        of n - r at its last nonzero block), is checked.
 
         Each t-polynomial is one integer, the coefficient of t^e in bits
         [e * width, (e + 1) * width): a move is one multiplication and one
         shift.  Every weight is positive, so each coefficient of a product
-        is at most one of some D Q_r <= D^2 P_r, and one of P_r counts at
-        most the maps from the m coordinates to residue 0 and the s * u
-        residues of u <= m steps, (s m + 1)^m.  So (s m + 1)^m D^2 < 2^width
-        keeps every field from carrying into the next.
+        is at most one of the sum it is added into, D e_i Q_r' for the
+        target r', where e_i Q_r' = (n! / e!) e_i W(e) <= D W(e) as
+        n_i! / (e_i - 1)! <= n_i!; and one of W(e) counts at most the maps
+        from the m coordinates to residue 0 and the s * u residues of u <= m
+        steps, (s m + 1)^m.  ``coboundary`` adds the rounds into signed
+        fields of N(q, t), each at most (m + 1) (s m + 1)^m in absolute
+        value.  So a width of bits for D^2 (s m + 1)^m and for twice that
+        keeps every field from carrying into the next, and leaves the
+        signed ones a sign bit.
         """
-        if self._profile is not None:
-            return self._profile
-        # a round expands each state r <= n at most once, into prod_i (r_i + 1) - 1 moves
+        if self._rounds is not None:
+            return self._rounds
         moves = prod(comb(n + 2, 2) for n in self._sizes) - prod(n + 1 for n in self._sizes)
         if moves > MAX_ROUND_MOVES:
             raise GuardExceeded(
                 f"the counting DP of blocks {list(self._sizes)} can expand {moves} moves "
                 f"in one round, over its guard of {MAX_ROUND_MOVES}"
             )
+        m = self.m
         scale = prod(map(factorial, self._sizes))
-        width = ((self.stride * self.m + 1) ** self.m * scale ** 2).bit_length()
-        mask = (1 << width) - 1
+        width = (max(scale ** 2, 2 * (m + 1)) * (self.stride * m + 1) ** m).bit_length()
         weights, shifts = zip(*self._split_table(width))
         down, closes, zero_shifts = self._state_tables(width)
+        # a move's target r (never n) divides by D e_i, e_i the last nonzero
+        # entry of n - r, whose code is the last code minus r's
+        divisors = [scale * last for last in reversed(self._last_entries())]
         states = [(len(closes) - 1, scale)]
-        profile = []
+        rounds, expanded = [], 0
         while states:
             closed = 0
             nxt = [0] * len(closes)
             for code, q in states:
                 closed += (q * closes[code]) << zero_shifts[code]
+                expanded += len(down[code])
                 for mc in down[code]:
                     nxt[code - mc] += (q * weights[mc]) << shifts[mc]
-            closed = _divide_exactly(closed, scale)
-            profile.append([(closed >> (e * width)) & mask for e in range(len(self.tuples) + 1)])
-            states = [(code, _divide_exactly(q, scale)) for code, q in enumerate(nxt) if q]
-        self._profile = tuple(profile)
-        return self._profile
+            rounds.append(_divide_exactly(closed, scale, "D"))
+            states = [
+                (code, _divide_exactly(q, divisors[code], "D e_i"))
+                for code, q in enumerate(nxt) if q
+            ]
+        self.moves_expanded = expanded
+        self._rounds = (width, tuple(rounds))
+        return self._rounds
+
+    def residue_profile(self):
+        """F_u for u = 0, 1, ...: dense t-coefficient lists of the weight that
+        exhausts every block with an ordered sequence of exactly u non-empty
+        steps and residue 0, u! G_u, so that over the (p-1)/s steps of F_p
+        the count is sum_u C((p-1)/s, u) F_u."""
+        width, rounds = self._packed_rounds()
+        mask = (1 << width) - 1
+        return tuple(
+            [factorial(u) * (g >> (e * width) & mask) for e in range(len(self.tuples) + 1)]
+            for u, g in enumerate(rounds)
+        )
 
     def point_count_profile(self, p):
         """Dense coefficient list of sum over F_p^m of t^(#satisfied hyperplanes)."""
@@ -335,52 +391,54 @@ class CountingModel:
     def coboundary(self):
         """chi-bar(q, t) exactly, with no primes and no interpolation.
 
-        N(q, t) = sum_u C((q-1)/s, u) F_u(t), with s the stride, agrees with
-        the point count at every odd prime, so it is the point-count
-        polynomial, and chi-bar is N / q^(m - rank).
-        C((q-1)/s, u) = prod_{k<u} (q-1-sk) / (s^u u!), and each division is
-        checked exact.  N is expanded into one dense t-list per q-degree;
-        dividing it by q^(m - rank), with ``rank`` from the signed graph,
-        checks that its low q-rows vanish, and chi-bar(q, 1) = q^rank that
-        the row sums do.
+        N(q, t) = sum_u G_u(t) prod_{k<u} (q-1-sk) / s^u, with s the stride,
+        agrees with the point count at every odd prime, so it is the
+        point-count polynomial, and chi-bar is N / q^(m - rank).  N is
+        expanded on the packed rounds, one packed t-polynomial per q-degree.
+        At stride 2 every H(m) is even, as swapping c and p-c pairs its
+        splits with none left fixed, so each G_u is checked to have every
+        t-coefficient divisible by 2^u (one AND) and divided by one shift; at
+        stride 1 nothing is divided, and G_u is integral by construction,
+        with no u! to divide out.  The signed fields are read once, with
+        half a field added to every field.  Dividing N by q^(m - rank), with
+        ``rank`` from the signed graph, checks that its low q-rows vanish,
+        and chi-bar(q, 1) = q^rank that the row sums do.
         """
         s = self.stride
-        profile = self.residue_profile()
-        # num[dq][e]: the coefficient of q^dq t^e in N
-        num = [[0] * (len(self.tuples) + 1) for _ in profile]
+        width, rounds = self._packed_rounds()
+        fields = len(self.tuples) + 1
+        ones = ((1 << width * fields) - 1) // ((1 << width) - 1)  # 1 in every field
+        rows = [0] * len(rounds)  # rows[dq]: the coefficient of q^dq in N
         falling = [1]  # q-coefficients of prod_{k<u} (q - 1 - sk)
-        for u, f in enumerate(profile):
-            d = s ** u * factorial(u)
-            for e, c in enumerate(f):
-                if c % d:
+        for u, g in enumerate(rounds):
+            if s == 2:
+                if g & ones * ((1 << u) - 1):
                     raise InconsistencyError(
-                        f"F_{u} coefficient {c} at t^{e} not divisible by s^u u! = {d}"
+                        f"a t-coefficient of G_{u} is not divisible by s^u = {1 << u}"
                     )
-            # only F_u's nonzero span [lo, hi) of t-exponents is added in
-            lo, hi = 0, len(f)
-            while hi and not f[hi - 1]:
-                hi -= 1
-            while lo < hi and not f[lo]:
-                lo += 1
-            f = [c // d for c in f[lo:hi]]
+                g >>= u
             for dq, a in enumerate(falling):
-                row = num[dq]
-                row[lo:hi] = [x + a * c for x, c in zip(row[lo:hi], f)]
+                rows[dq] += a * g
             shifted = [0] + falling
             for k, a in enumerate(falling):
                 shifted[k] -= (s * u + 1) * a
             falling = shifted
         shift = self.m - self.rank
-        if any(map(any, num[:shift])):
+        if any(rows[:shift]):
             raise InconsistencyError(
                 f"point-count polynomial not divisible by q^(m-rank) = q^{shift}"
             )
-        at_one = {dq: c for dq, c in enumerate(map(sum, num[shift:])) if c}
-        if at_one != {self.rank: 1}:
+        bias, mask, half = ones << width - 1, (1 << width) - 1, 1 << width - 1
+        out, at_one = {}, [0] * (len(rows) - shift)
+        for dq, row in enumerate(rows[shift:]):
+            row += bias
+            for e in range(fields):
+                c = (row >> (e * width) & mask) - half
+                if c:
+                    out[dq, e] = c
+                    at_one[dq] += c
+        if {dq: c for dq, c in enumerate(at_one) if c} != {self.rank: 1}:
             raise InconsistencyError(f"chi-bar(q, 1) is not q^{self.rank}")
-        out = {
-            (dq, e): c for dq, row in enumerate(num[shift:]) for e, c in enumerate(row) if c
-        }
         return BivariatePolynomial._of(out, ("q", "t"))
 
     def coboundary_at_prime(self, p):
@@ -388,20 +446,21 @@ class CountingModel:
         return TProfile(tuple(self.point_count_profile(p)), p, self.m, self.rank).coboundary()
 
 
-def _divide_exactly(poly, d):
+def _divide_exactly(poly, d, name):
     """poly // d for a packed t-polynomial, InconsistencyError on a remainder.
 
     The check sees the whole integer, sum_e c_e 2^(e * width), not each field
     c_e: the remainder mixes the fields' residues.  When d = 2^k it reads the
     low k bits alone, so only the lowest t-field is checked.  What it misses
-    is caught downstream: ``coboundary`` checks each F_u coefficient's
-    division by s^u u! and chi-bar(q, 1) = q^rank, and
+    is caught downstream: ``coboundary`` checks, at stride 2, each G_u
+    coefficient's division by 2^u, and at any stride the division by
+    q^(m - rank) and chi-bar(q, 1) = q^rank, and
     ``specialize.certify_coboundary`` checks chi-bar(1, t) = t^m and chi's
     split over the ideal exponents on every command.
     """
     q, rem = divmod(poly, d)
     if rem:
-        raise InconsistencyError(f"a counting DP polynomial is not divisible by D = {d}")
+        raise InconsistencyError(f"a counting DP polynomial is not divisible by {name} = {d}")
     return q
 
 

@@ -3,15 +3,19 @@ import importlib.util
 import json
 import os
 import pathlib
+import random
 import re
 from importlib.resources import files
+from itertools import accumulate
 
 import pytest
 
 from idealtutte import crapo, ffmethod, flats
 from idealtutte.exactpoly import BivariatePolynomial, parse_polynomial
 from idealtutte.ideals import (
+    block_flags,
     decompose_components,
+    enumerate_ideals,
     ideal_from_boxes,
     ideal_from_mask,
     ideal_from_root_coords,
@@ -162,6 +166,61 @@ def component_tuples(ideals):
     return [
         (c.size, c.tuples) for ideal in ideals for c in decompose_components(ideal)
     ]
+
+
+def uniform_type_a_ideal(rng, rank):
+    """A uniformly random ideal of A_rank, drawn with ``rng``, a
+    ``random.Random``.
+
+    The ideals are the Catalan(rank + 1) functions f(i) = the least j with
+    alpha_i + ... + alpha_j in the ideal (rank + 1 if none), nondecreasing
+    with f(i) >= i.  They match the Dyck paths of semilength n = rank + 1:
+    with d_k the down steps before the k-th up step, f(i) = n - d_(n+1-i).
+    The path comes from the cycle lemma: of the 2n + 1 rotations of a
+    shuffled word of n up and n + 1 down steps, exactly one keeps every
+    proper prefix at height >= 0, the one starting after the first lowest
+    point, and it is a Dyck path and one more down step.
+    """
+    n = rank + 1
+    word = [1] * n + [-1] * (n + 1)
+    rng.shuffle(word)
+    heights = list(accumulate(word))
+    start = heights.index(min(heights)) + 1
+    downs, before = 0, []
+    for step in (word[start:] + word[:start])[:-1]:
+        if step > 0:
+            before.append(downs)
+        else:
+            downs += 1
+    coords = [
+        (0,) * (i - 1) + (1,) * (j - i + 1) + (0,) * (rank - j)
+        for i in range(1, rank + 1) for j in range(n - before[n - i], rank + 1)
+    ]
+    return ideal_from_root_coords(root_poset(root_system_type("A", rank)), coords)
+
+
+@functools.cache
+def multi_block_components():
+    """(m, tuples) of 24 complement components of at least 4 exchangeable
+    blocks, where the counting DP's pointing matters: for each of A9, A10,
+    B8 and D8, the first six such components of seeded uniform random
+    ideals (type A drawn by ``uniform_type_a_ideal``, B and D from the
+    enumeration)."""
+    out = []
+    for seed, (family, rank) in enumerate((("A", 9), ("A", 10), ("B", 8), ("D", 8))):
+        rng = random.Random(seed)
+        ideals = None if family == "A" else list(
+            enumerate_ideals(root_poset(root_system_type(family, rank)))
+        )
+        found = []
+        while len(found) < 6:
+            ideal = uniform_type_a_ideal(rng, rank) if ideals is None else rng.choice(ideals)
+            found += [
+                (c.size, c.tuples) for c in decompose_components(ideal)
+                if len(block_flags(c.size, c.tuples)[0]) >= 4
+            ]
+        out += found[:6]
+    return tuple(out)
 
 
 def full_poset(family, n):

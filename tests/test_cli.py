@@ -702,7 +702,7 @@ def test_max_subsets_guard_on_every_polynomial_command(capsys, monkeypatch, argv
 def test_verify_runs_guarded_engines_first(capsys, monkeypatch, engines):
     # crapo (C(45,9) candidates) and oracle (2^45 subsets) refuse A9 full
     # before the counting DP, named first, is reached
-    monkeypatch.setattr(CountingModel, "residue_profile", _never)
+    monkeypatch.setattr(CountingModel, "_packed_rounds", _never)
     code, out, err = run(capsys, "verify", "--type", "A", "--rank", "9", "--full", *engines)
     assert code == 2 and not out and "guard" in err
 

@@ -1,13 +1,20 @@
 """The counting DP held to an independent exact oracle, Ardila's exponential
 formula (``egf_oracle``): on full classical arrangements up to 30
 coordinates, far past brute-force point counts; on every distinct component
-of the A6, B5, C5 and D5 ideals; and on every component of the benchmark's
-``classical-random`` pool.  The oracle itself is first held to brute-force
+of the A6, B5, C5 and D5 ideals; on every component of the benchmark's
+``classical-random`` pool; and on a seeded sample of components of 4 to 9
+blocks from uniform A9, A10, B8 and D8 ideals, where the DP's pointing
+prunes the most moves.  The oracle itself is first held to brute-force
 point counts on small tuple sets."""
 
 import pytest
 
-from conftest import classical_random_pool, component_tuples, full_tuples
+from conftest import (
+    classical_random_pool,
+    component_tuples,
+    full_tuples,
+    multi_block_components,
+)
 from egf_oracle import coboundary, exchangeable_blocks, point_count
 from idealtutte.exactpoly import BivariatePolynomial
 from idealtutte.ffmethod import CountingModel, count_points_bruteforce
@@ -16,8 +23,11 @@ from idealtutte.rootsystems import root_poset, root_system_type
 
 
 def _assert_dp_matches_oracle(m, tuples):
+    """Returns the model."""
     want = BivariatePolynomial(coboundary(m, tuples), ("q", "t"))
-    assert CountingModel(m, tuples).coboundary() == want, (m, tuples)
+    model = CountingModel(m, tuples)
+    assert model.coboundary() == want, (m, tuples)
+    return model
 
 
 @pytest.mark.parametrize("m, tuples", [
@@ -72,5 +82,13 @@ def test_benchmark_pool_components_match_the_oracle():
     ideals = classical_random_pool()
     components = component_tuples(ideals)
     assert len(ideals) == 44 and len(components) == 57
+    # the (state, move) pairs the DP expands repeat exactly run to run
+    expanded = sum(_assert_dp_matches_oracle(m, tuples).moves_expanded for m, tuples in components)
+    assert expanded == 31910
+
+
+def test_multi_block_components_match_the_oracle():
+    components = multi_block_components()
+    assert len(components) == 24
     for m, tuples in components:
         _assert_dp_matches_oracle(m, tuples)

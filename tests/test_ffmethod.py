@@ -349,30 +349,43 @@ def test_pair_profile_reads_out_every_prime():
         )
 
 
-def _tamper_checks(model, f0, f1, f2, indivisible):
-    model._profile = indivisible
-    with pytest.raises(InconsistencyError, match="not divisible by s"):
-        model.coboundary()
-    model._profile = (f0, [f1[0] + 2, f1[1] - 2], f2)  # divisible, but not by q^(m-rank)
+def _set_rounds(model, rounds):
+    """Replace the model's packed rounds G_u by ``rounds``, dense t-lists."""
+    width, _ = model._packed_rounds()
+    model._rounds = (width, tuple(sum(c << e * width for e, c in enumerate(g)) for g in rounds))
+
+
+def _tamper_checks(model, not_by_q, not_q_rank, not_total):
+    _set_rounds(model, not_by_q)
     with pytest.raises(InconsistencyError, match="q\\^\\(m-rank\\)"):
         model.coboundary()
-    model._profile = (f0, [f1[0] + 2, f1[1]], f2)  # the count no longer totals p^m
+    _set_rounds(model, not_q_rank)  # divisible by q^(m-rank), but not q^rank at t = 1
+    with pytest.raises(InconsistencyError, match="chi-bar\\(q, 1\\)"):
+        model.coboundary()
+    _set_rounds(model, not_total)  # the count no longer totals p^m
     with pytest.raises(InconsistencyError, match="total"):
         model.point_count_profile(3)
 
 
 def test_direct_coboundary_checks_its_divisions():
-    # the single-residue kernel divides F_1 by 1, so the first divisibility
-    # check that can fail is F_2's, by 2
+    # G = (t, 2 + t, 1), and N = G_0 + G_1 (q-1) + G_2 (q-1)(q-2): the
+    # single-residue kernel divides no round, so a tampered round is caught
+    # by the division by q^(m-rank) or by chi-bar(q, 1) = q^rank
     model = CountingModel(2, [(1, 2)])
-    f0, f1, f2 = model.residue_profile()
-    _tamper_checks(model, f0, f1, f2, (f0, f1, [f2[0] + 1, f2[1] - 1]))
+    assert model.residue_profile() == ([0, 1], [2, 1], [2, 0])
+    _tamper_checks(model, ([0, 1], [2, 1], [2]), ([0, 2], [2, 2], [1]), ([0, 1], [4, 1], [1]))
 
 
 def test_direct_coboundary_checks_its_divisions_pair_kernel():
+    # G = (t, 6 + 2t, 4), and N = G_0 + G_1 (q-1)/2 + G_2 (q-1)(q-3)/4: at
+    # stride 2 every t-coefficient of G_u must be divisible by 2^u
     model = CountingModel(2, [(1, -2)])
-    f0, f1, f2 = model.residue_profile()
-    _tamper_checks(model, f0, f1, f2, (f0, [f1[0] + 1, f1[1] - 1], f2))
+    assert model.residue_profile() == ([0, 1], [6, 2], [8, 0])
+    for odd in (([0, 1], [7, 1], [4]), ([0, 1], [6, 2], [2])):
+        _set_rounds(model, odd)
+        with pytest.raises(InconsistencyError, match="not divisible by s"):
+            model.coboundary()
+    _tamper_checks(model, ([0, 1], [8, 0], [4]), ([0, 2], [6, 4], [4]), ([0, 1], [8, 2], [4]))
 
 
 def _complete_multipartite(parts, size):
@@ -385,11 +398,12 @@ def _complete_multipartite(parts, size):
 
 @pytest.mark.parametrize("zero", [False, True])
 def test_counting_dp_retains_no_move_table(zero):
-    # K_{2,2,2,2,2,2}: six blocks of 2, 6^6 - 3^6 = 45927 moves at stride 1,
-    # or stride 2 with every x_i = 0 added.  The down-set table is one list
-    # slot per move, about 0.4 MB, and is freed on return; the rest of the
-    # peak is the live states (about 0.7 MB at stride 1, 7.4 MB at stride 2).
-    # The peak bounds keep a per-call cache of big-int move products out.
+    # K_{2,2,2,2,2,2}: six blocks of 2, at stride 1, or stride 2 with every
+    # x_i = 0 added.  Pointing keeps 27993 of the 6^6 - 3^6 = 45927 nonzero
+    # m <= r over all states r.  The move table is one list slot per move,
+    # about 0.25 MB, and is freed on return; the rest of the peak is the live
+    # states.  The peak bounds keep a per-call cache of big-int move products
+    # out.
     m, tuples = _complete_multipartite(6, 2)
     if zero:
         tuples += [(i, 0) for i in range(1, m + 1)]
@@ -404,6 +418,7 @@ def test_counting_dp_retains_no_move_table(zero):
         tracemalloc.stop()
     assert retained < 1 << 20
     assert peak < (10 if zero else 2) << 20
+    assert sum(map(len, model._state_tables(1)[0])) == 27993
 
 
 @pytest.mark.parametrize("m, tuples", [

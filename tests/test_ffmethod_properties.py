@@ -6,8 +6,10 @@ random tuple sets that no ideal complement produces: any tuple set, sets of
 x_i = x_j hyperplanes only (stride 1, one residue per step), such sets with
 one hyperplane added that switches the model to stride 2 (one residue pair
 per step), and tuple sets expanded from coarse blocks with uniform incidence,
-which reach uneven splits inside a block and tied blocks.  Every model they
-build also holds the closed-form number of moves in its down-set table.  The
+which reach uneven splits inside a block and tied blocks, and a seeded
+sample of components of 4 to 9 blocks from uniform A9, A10, B8 and D8
+ideals.  Every model they build also holds exactly its pointed moves in its
+move table, against a brute-force listing.  The
 model's parts are held to tests-side references: its closing weights to r!
 and its zero exponents to the quadratic form (also on every component of the
 benchmark's ``classical-random`` pool), its signed-graph rank to Gaussian
@@ -17,6 +19,8 @@ and ``block_flags``'s default blocks to the pairwise test against every third
 coordinate.  They sit beside the fixed-seed sweeps in
 test_ffmethod and test_properties."""
 
+import random
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, factorial, prod
@@ -25,7 +29,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import classical_random_pool, component_tuples
+from conftest import (
+    classical_random_pool,
+    component_tuples,
+    multi_block_components,
+    uniform_type_a_ideal,
+)
 from idealtutte import crapo
 from idealtutte.errors import ConstraintError
 from idealtutte.exactpoly import lagrange_interpolate
@@ -35,6 +44,7 @@ from idealtutte.ideals import (
     block_flags,
     complement,
     decompose_components,
+    enumerate_ideals,
     ideal_from_root_coords,
     signed_classes,
     tuple_normal,
@@ -107,13 +117,22 @@ def _normal_tuples(m):
     ]
 
 
+def _pointed_moves(sizes, state):
+    """The reference moves of a state r <= the block sizes n, brute force:
+    the nonzero m <= r with an entry at a block >= the last nonzero block of
+    n - r, and every nonzero m <= n at r = n."""
+    consumed = [n - r for n, r in zip(sizes, state)]
+    last = max((i for i, e in enumerate(consumed) if e), default=0)
+    return {m for m in product(*(range(r + 1) for r in state)) if any(m[last:])}
+
+
 def _assert_kernel_size(model):
-    """Runs residue_profile and checks the down-set table of the state
-    tables it builds, once:
-    every state r <= the block sizes n has the codes of its
-    prod_i (r_i + 1) - 1 distinct nonzero consumptions m <= r, so the moves
-    total prod_i C(n_i + 2, 2) - prod_i (n_i + 1)."""
-    assert model._profile is None
+    """Runs the counting DP and checks the move table of the state tables it
+    builds, once: every state r <= the block sizes n holds the codes of
+    exactly its pointed moves, each once.  Returns the table's total, which
+    the guard's count of every nonzero m <= r over all r,
+    prod_i C(n_i + 2, 2) - prod_i (n_i + 1), bounds."""
+    assert model._rounds is None
     sizes = [len(b) for b in model.blocks]
     build = model._state_tables
     tables = []
@@ -124,7 +143,7 @@ def _assert_kernel_size(model):
 
     model._state_tables = spy
     try:
-        model.residue_profile()
+        model.coboundary()
     finally:
         del model._state_tables
     ((down, _, _),) = tables
@@ -134,18 +153,18 @@ def _assert_kernel_size(model):
         return tuple(code // radix % (n + 1) for n, radix in zip(sizes, model._radix))
 
     for code, codes in enumerate(down):
-        state = vector(code)
-        consumed = set(map(vector, codes))
-        assert len(consumed) == len(codes) == prod(r + 1 for r in state) - 1
-        assert all(any(m) and all(map(int.__le__, m, state)) for m in consumed)
+        consumed = list(map(vector, codes))
+        assert len(set(consumed)) == len(codes)
+        assert set(consumed) == _pointed_moves(sizes, vector(code))
     total = sum(map(len, down))
-    assert total == prod(comb(n + 2, 2) for n in sizes) - prod(n + 1 for n in sizes)
+    assert total <= prod(comb(n + 2, 2) for n in sizes) - prod(n + 1 for n in sizes)
+    return total
 
 
 def _assert_matches_brute_force(m, tuples, blocks=None, primes=(3, 5, 7)):
     """The model's point counts and p^(m - rank) chi-bar(p, t) at each prime
-    against exhaustive counts, and its kernel size in closed form; returns
-    the model."""
+    against exhaustive counts, and its move table against the pointed moves;
+    returns the model."""
     model = CountingModel(m, tuples, blocks=blocks)
     _assert_kernel_size(model)
     cb = model.coboundary()
@@ -214,7 +233,8 @@ def test_single_residue_kernel_size_on_a_bench_component():
     model = _largest_bench_component("A", 7, BENCH_A7)
     sizes = [len(b) for b in model.blocks]
     assert model.stride == 1 and sorted(sizes) == [1, 1, 2, 2, 2]
-    _assert_kernel_size(model)
+    # pointing keeps 1036 of the 1836 nonzero m <= r over all states r
+    assert _assert_kernel_size(model) == 1036
 
 
 # the slowest D8 ideal of the benchmark's random pool (seed 1): its largest
@@ -235,8 +255,25 @@ def test_pair_kernel_size_on_a_bench_component():
     model = _largest_bench_component("D", 8, BENCH_D8)
     sizes = [len(b) for b in model.blocks]
     assert model.stride == 2 and sorted(sizes) == [1, 1, 2, 2, 2]
-    # the pair's (a, b) splits live in each move's weight, not in more moves
-    _assert_kernel_size(model)
+    # the pair's (a, b) splits live in each move's weight, not in more moves;
+    # pointing keeps 1035 of the 1836 nonzero m <= r over all states r
+    assert _assert_kernel_size(model) == 1035
+
+
+def test_multi_block_components_match_brute_force():
+    # a step moves past the last block consumed so far or stays on it, so
+    # many blocks prune the most moves
+    for m, tuples in multi_block_components():
+        model = _assert_matches_brute_force(m, tuples, primes=(3, 5) if m <= 8 else (3,))
+        assert len(model.blocks) >= 4
+
+
+def test_uniform_type_a_ideals_reach_every_ideal_evenly():
+    # 42 ideals of A4, 8400 draws: about 200 each
+    rng = random.Random(5)
+    counts = Counter(uniform_type_a_ideal(rng, 4) for _ in range(8400))
+    assert set(counts) == set(enumerate_ideals(_poset("A", 4)))
+    assert 140 < min(counts.values()) and max(counts.values()) < 260
 
 
 @st.composite
