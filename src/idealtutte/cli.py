@@ -17,9 +17,9 @@ needs, ``hashlib`` only to name a cache entry (never under ``--no-cache``)
 and ``tempfile`` only to write one.
 
 Each engine's guard is one constant of its own, and no option overrides it;
-``verify`` checks ``auto`` against ``crapo`` unless ``--engines`` names others,
-running crapo and oracle first, so that their guards refuse before any other
-engine works.
+``verify`` compares the engines' certified chi-bar, ``auto`` against ``crapo``
+unless ``--engines`` names others, running crapo and oracle first, so that
+their guards refuse before any other engine works.
 
 Exit codes: 0 success, 1 validation error (or an ``--ideal-file`` that
 cannot be read, or an ``--out`` file that cannot be written), 2 guard refusal
@@ -347,30 +347,20 @@ def cmd_minors(args):
     return 0
 
 
-def _verify_ffmethod_routes(ideal):
-    """Cross-check the finite-field pipeline on one classical ideal: the direct
-    coboundary polynomial against the whole complement's counting model
-    (``CountingModel.coboundary``, one model for all the components), then
-    the counting model against exhaustive point counting at p = 3 when its
-    3^n points are within ``ffmethod.DEFAULT_MAX_POINTS``.  Returns how many
-    brute-force counts were made."""
+def _verify_brute_force(ideal, cb):
+    """Check ``cb``, the chi-bar the engines agree on for one classical ideal,
+    read at q = 3 against exhaustive point counting over F_3, whose rank comes
+    from Gaussian elimination, when the 3^n points are within
+    ``ffmethod.DEFAULT_MAX_POINTS``.  Returns how many brute-force counts
+    were made."""
     from . import ffmethod
 
-    tuples = complement(ideal)
-    n = ideal.rst.ambient_dim
-    model = ffmethod.CountingModel(n, tuples)
-    if model.coboundary() != ffmethod.coboundary_and_rank(ideal)[0]:
-        raise VerificationMismatch(
-            f"direct coboundary polynomial and counting model disagree on {ideal!r}"
-        )
-    p = 3
+    n, p = ideal.rst.ambient_dim, 3
     if p ** n > ffmethod.DEFAULT_MAX_POINTS:
         return 0
-    bf = ffmethod.count_points_bruteforce(tuples, n, p)
-    if model.point_count_profile(p) != list(bf.counts):
-        raise VerificationMismatch(
-            f"counting model and brute force disagree at p={p} on {ideal!r}"
-        )
+    bf = ffmethod.count_points_bruteforce(complement(ideal), n, p)
+    if bf.coboundary() != ffmethod.coboundary_at(cb, p):
+        raise VerificationMismatch(f"chi-bar and brute force disagree at p={p} on {ideal!r}")
     return 1
 
 
@@ -393,7 +383,7 @@ def cmd_verify(args):
     for ideal in ideals:
         polys = [None] * len(engines)
         for k in order:
-            polys[k] = specialize.tutte_of_ideal(ideal, engine=resolved[k])
+            polys[k] = specialize.coboundary_of_ideal(ideal, engine=resolved[k])
         base = polys[0]
         for name, poly in zip(engines[1:], polys[1:]):
             if poly != base:
@@ -402,14 +392,11 @@ def cmd_verify(args):
                     f"{base.to_text()} vs {poly.to_text()}"
                 )
         if "ffmethod" in resolved:
-            counted += _verify_ffmethod_routes(ideal)
+            counted += _verify_brute_force(ideal, base)
         checked += 1
     extra = ""
     if "ffmethod" in resolved:
-        extra = (
-            f" (+{checked} whole-model checks, "
-            f"+{counted} brute-force point-count checks)"
-        )
+        extra = f" (+{counted} brute-force point-count checks)"
     print(
         f"verified {checked} ideal(s) of {rst} across engines "
         f"{', '.join(engines)}{extra}"

@@ -2,8 +2,9 @@
 the counting model whose one dynamic program yields the coboundary polynomial
 directly (a full arrangement is the single-block case), its one entry
 ``coboundary_and_rank`` (which the dispatcher, ``specialize``, certifies), and
-the brute-force point-counting oracle.  The model's blocks and flags, and
-the oracle's check of its tuples, come from ``ideals.block_flags``.  The
+the brute-force point-counting oracle, with ``coboundary_at``, which reads
+chi-bar at a prime for comparison with it.  The model's blocks and flags,
+and the oracle's check of its tuples, come from ``ideals.block_flags``.  The
 minor sets of the paper's theorem on which primes reduce correctly live in
 ``paper``, with the rest of the paper's prime route.
 
@@ -17,9 +18,11 @@ residues: a symmetric pair {c, p-c} (s = 2) when some hyperplane is x_i = -x_j
 or x_i = 0, else one residue c (s = 1), since x_i = x_j alone never relates
 distinct residues.  A step left empty changes nothing, so the program records
 only non-empty steps, and as a set: G_u, the weight of every set of u
-non-empty steps, is the count of ordered ones, F_u, over u!.  The count at
-any odd p, and chi-bar(q, t) itself, follow from that record by the binomial
-weights C((p-1)/s, u) u! = prod_{k<u} ((p-1)/s - k).
+non-empty steps.  Over F_p a set of u steps goes onto the (p-1)/s residue
+steps in C((p-1)/s, u) u! = prod_{k<u} (p-1-sk) / s^u ways, so the count is a
+polynomial in p, and chi-bar(q, t) follows from the record by those weights
+with q for p.  The count at a prime p is chi-bar read at q = p, times
+p^(m - rank).
 
 A step that takes a_i coordinates of block i to c and b_i to p-c has weight
 C(r_i, a_i) C(r_i - a_i, b_i) = C(r_i, m_i) C(m_i, a_i), m_i = a_i + b_i, and
@@ -55,7 +58,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb, factorial, prod
 
-from .errors import ConstraintError, GuardExceeded, InconsistencyError
+from .errors import GuardExceeded, InconsistencyError
 from .exactpoly import BivariatePolynomial, UnivariatePolynomial
 from .ideals import block_flags, decompose_components, signed_classes, tuple_normal
 
@@ -85,6 +88,15 @@ class TProfile(namedtuple("TProfile", "counts p n rank")):
                 )
             out.append(c // d)
         return UnivariatePolynomial(out)
+
+
+def coboundary_at(cb, q):
+    """chi-bar(q, t) read at the integer q, a polynomial in t: at a prime q,
+    what ``TProfile.coboundary`` gives of the count over F_q."""
+    coeffs = [0] * (cb.degree(1) + 1)
+    for (dq, dt), c in cb.coeffs.items():
+        coeffs[dt] += c * q ** dq
+    return UnivariatePolynomial(coeffs)
 
 
 def count_points_bruteforce(tuples, n, p):
@@ -132,8 +144,8 @@ class CountingModel:
     one reading of the tuples (``ideals.block_flags``): ``within``, per
     block (pw, nw, z), and ``cross``, per block the (bj, pc, nc) of the
     earlier blocks linked to it.  One dynamic program over the nonzero
-    residues, with residue 0 in closed form, gives both its coboundary
-    polynomial and its weighted point count at any odd prime.
+    residues, with residue 0 in closed form, gives its coboundary
+    polynomial, read at q = p for the count at a prime p.
     Its step is chosen from the tuples: one residue per step (stride 1) when
     every hyperplane is x_i = x_j, else one pair {c, p-c} per step
     (stride 2); either way the splits of a step are summed once per model
@@ -239,7 +251,7 @@ class CountingModel:
         """Per state code r, three flat lists: ``down``, the codes of r's
         moves, the nonzero m <= r with an entry at a block >= L, L the last
         nonzero block of r's consumed vector n - r (every nonzero m <= n at
-        r = n; the empty step is left to the binomial weights); ``closes``,
+        r = n; the empty step is left to ``coboundary``'s weights); ``closes``,
         the closing weight D / r!; ``shifts``, the t-exponent de(r) of sending
         every coordinate left in r to residue 0, times width.
 
@@ -362,32 +374,6 @@ class CountingModel:
         self._rounds = (width, tuple(rounds))
         return self._rounds
 
-    def residue_profile(self):
-        """F_u for u = 0, 1, ...: dense t-coefficient lists of the weight that
-        exhausts every block with an ordered sequence of exactly u non-empty
-        steps and residue 0, u! G_u, so that over the (p-1)/s steps of F_p
-        the count is sum_u C((p-1)/s, u) F_u."""
-        width, rounds = self._packed_rounds()
-        mask = (1 << width) - 1
-        return tuple(
-            [factorial(u) * (g >> (e * width) & mask) for e in range(len(self.tuples) + 1)]
-            for u, g in enumerate(rounds)
-        )
-
-    def point_count_profile(self, p):
-        """Dense coefficient list of sum over F_p^m of t^(#satisfied hyperplanes)."""
-        if p % 2 == 0:
-            raise ConstraintError("the counting model requires an odd prime")
-        steps = (p - 1) // self.stride
-        out = [0] * (len(self.tuples) + 1)
-        for u, f in enumerate(self.residue_profile()):
-            w = comb(steps, u)
-            for e, c in enumerate(f):
-                out[e] += w * c
-        if sum(out) != p ** self.m:
-            raise InconsistencyError("point count does not total p^m")
-        return out
-
     def coboundary(self):
         """chi-bar(q, t) exactly, with no primes and no interpolation.
 
@@ -442,8 +428,8 @@ class CountingModel:
         return BivariatePolynomial._of(out, ("q", "t"))
 
     def coboundary_at_prime(self, p):
-        """chi-bar(p, t): the profile divided by p^(m - rank), exactly."""
-        return TProfile(tuple(self.point_count_profile(p)), p, self.m, self.rank).coboundary()
+        """chi-bar(p, t), read off ``coboundary`` at q = p."""
+        return coboundary_at(self.coboundary(), p)
 
 
 def _divide_exactly(poly, d, name):
@@ -454,9 +440,10 @@ def _divide_exactly(poly, d, name):
     low k bits alone, so only the lowest t-field is checked.  What it misses
     is caught downstream: ``coboundary`` checks, at stride 2, each G_u
     coefficient's division by 2^u, and at any stride the division by
-    q^(m - rank) and chi-bar(q, 1) = q^rank, and
-    ``specialize.certify_coboundary`` checks chi-bar(1, t) = t^m and chi's
-    split over the ideal exponents on every command.
+    q^(m - rank) and chi-bar(q, 1) = q^rank, which also make the count at a
+    prime total p^m; ``specialize.certify_coboundary`` checks
+    chi-bar(1, t) = t^m and chi's split over the ideal exponents on every
+    command, and ``verify`` checks chi-bar(3, t) against brute force.
     """
     q, rem = divmod(poly, d)
     if rem:
@@ -473,9 +460,10 @@ def coboundary_and_rank(ideal):
     Decomposes the complement into connected components and multiplies their
     coboundary polynomials (chi-bar is rank-relative, so components simply
     multiply).  Each component's chi-bar comes straight from its counting
-    model's residue profile; the components share no coordinate, so their
-    ranks add up to the arrangement's.  An exceptional type has no tuples,
-    and ``ideals.complement`` refuses it with UnsupportedTypeError.
+    model's rounds (``CountingModel.coboundary``); the components share no
+    coordinate, so their ranks add up to the arrangement's.  An exceptional
+    type has no tuples, and ``ideals.complement`` refuses it with
+    UnsupportedTypeError.
     """
     result, rank = None, 0
     for component in decompose_components(ideal):

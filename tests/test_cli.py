@@ -3,6 +3,7 @@ import inspect
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from conftest import (
     swap_b3_restriction,
     tamper_crapo_tally,
     tamper_engine,
+    uniform_type_a_ideal,
 )
 import idealtutte
 from idealtutte import crapo, ffmethod, specialize
@@ -239,13 +241,13 @@ def test_pyproject_version_is_the_package_version():
     assert version == __version__
 
 
-def test_verify_checks_direct_against_the_whole_model(capsys, monkeypatch):
-    # the direct chi-bar, a product over the components, against the chi-bar
-    # of the whole complement's counting model, as whole polynomials
+def test_verify_checks_the_agreed_chi_bar_against_brute_force(capsys, monkeypatch):
+    # the chi-bar the engines agree on, read at q = 3, against the count
+    # over F_3^n, whose rank comes from Gaussian elimination
     args = ("verify", "--type", "B", "--rank", "3", "--all-ideals")
     code, out, _ = run(capsys, *args, "--engines", "ffmethod,crapo")
     assert code == 0
-    assert "+20 whole-model checks" in out
+    assert "(+20 brute-force point-count checks)" in out
     real = ffmethod.coboundary_and_rank
 
     def tampered(ideal):
@@ -263,7 +265,20 @@ def test_verify_checks_direct_against_the_whole_model(capsys, monkeypatch):
 
     monkeypatch.setattr(ffmethod, "coboundary_and_rank", tampered)
     code, _, err = run(capsys, *args, "--engines", "ffmethod,ffmethod")
-    assert code == 3 and "counting model disagree" in err
+    assert code == 3 and "brute force disagree at p=3 on Ideal(B3, [])" in err
+
+
+def test_verify_runs_the_counting_dp_per_component(capsys, monkeypatch):
+    # the first uniform A14 draw of seed 14: its complement's blocks taken
+    # together, [2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1], could expand 4237704
+    # moves in one round, past the DP's guard, while its largest component
+    # could expand 211.  Its 3^15 points are left uncounted
+    ideal = uniform_type_a_ideal(random.Random(14), 14)
+    roots = json.dumps([list(r.simple_coords) for r in ideal.roots()])
+    monkeypatch.setattr(ffmethod, "DEFAULT_MAX_POINTS", 3 ** 15 - 1)
+    code, out, _ = run(capsys, "verify", "--type", "A", "--rank", "14", "--roots", roots,
+                       "--engines", "auto,ffmethod")
+    assert code == 0 and "(+0 brute-force point-count checks)" in out
 
 
 @pytest.mark.parametrize("command", ["tutte", "coboundary", "charpoly"])
@@ -709,13 +724,14 @@ def test_verify_runs_guarded_engines_first(capsys, monkeypatch, engines):
 
 def test_verify_compares_against_the_first_engine_named(capsys, monkeypatch):
     # the first engine named is the reference even when another runs first
-    real = specialize.tutte_of_ideal
+    real = specialize.coboundary_of_ideal
+    one = BivariatePolynomial.one(("q", "t"))
 
     def skewed(ideal, engine="auto"):
         poly = real(ideal, engine=engine)
-        return poly_sum(poly, BivariatePolynomial.one()) if engine == "ffmethod" else poly
+        return poly_sum(poly, one) if engine == "ffmethod" else poly
 
-    monkeypatch.setattr(specialize, "tutte_of_ideal", skewed)
+    monkeypatch.setattr(specialize, "coboundary_of_ideal", skewed)
     code, _, err = run(capsys, "verify", "--type", "B", "--rank", "3", "--full",
                        "--engines", "ffmethod,crapo")
     assert code == 3 and "ffmethod and crapo disagree" in err
@@ -1021,7 +1037,6 @@ PINNED = {
     "crapo.BasisActivity.__init__": "crapo.activity's result",
     "crapo.BasisActivity.__repr__": VALUE_DUNDER,
     "ffmethod.CountingModel.coboundary_at_prime": BENCH_HOOK,
-    "ffmethod.TProfile.coboundary": "CountingModel.coboundary_at_prime reads it",
     "exactpoly.lagrange_interpolate": BENCH_HOOK,
     "exactpoly.BivariatePolynomial.from_json_dict": BENCH_HOOK,
     "exactpoly._document_failures": "the schema check of from_json_dict",
@@ -1041,10 +1056,9 @@ PINNED = {
     "specialize.region_count": "ROADMAP item 25's engine-free region count",
     "rootsystems.RootPoset.leq": "the root order the tests check",
     **dict.fromkeys(
-        ("exactpoly.BivariatePolynomial.__repr__", "exactpoly.UnivariatePolynomial.__eq__",
-         "exactpoly.UnivariatePolynomial.__repr__", "flats.FlatLattice.__len__",
-         "ideals.Ideal.__eq__", "ideals.Ideal.__hash__", "ideals.Ideal.__len__",
-         "ideals.Ideal.__repr__", "rootsystems.Root.__str__"),
+        ("exactpoly.BivariatePolynomial.__repr__", "exactpoly.UnivariatePolynomial.__repr__",
+         "flats.FlatLattice.__len__", "ideals.Ideal.__eq__", "ideals.Ideal.__hash__",
+         "ideals.Ideal.__len__", "ideals.Ideal.__repr__", "rootsystems.Root.__str__"),
         VALUE_DUNDER,
     ),
 }
@@ -1078,8 +1092,9 @@ def _package_functions():
 
 def test_every_function_is_run_or_pinned(capsys, tmp_path):
     # every engine on tutte and coboundary, each format, a cache miss and
-    # hit, the empty arrangement, charpoly, verify (ffmethod's routes on
-    # every B3 ideal too), the three listings and a --boxes ideal
+    # hit, the empty arrangement, charpoly, verify (the brute-force count on
+    # every B3 ideal too), the three listings and a --boxes ideal; a pinned
+    # function that one of them enters is a stale pin
     b3 = ["--type", "B", "--rank", "3"]
     two = b3 + ["--roots", json.dumps(B3_TWO_COMPONENTS)]
     calls = [
@@ -1118,3 +1133,4 @@ def test_every_function_is_run_or_pinned(capsys, tmp_path):
     assert set(PINNED) <= set(functions.values())
     idle = {name for code, name in functions.items() if code not in entered}
     assert idle <= set(PINNED), f"no command runs {sorted(idle - set(PINNED))}"
+    assert set(PINNED) <= idle, f"a command runs {sorted(set(PINNED) - idle)}"

@@ -87,7 +87,7 @@ def test_profile_empty_arrangement():
 def test_profile_counts_a_repeated_tuple_once():
     tp = count_points_bruteforce([(1, 2), (1, 2)], 2, 3)
     assert tp.counts == (6, 3)
-    assert list(tp.counts) == CountingModel(2, [(1, 2), (1, 2)]).point_count_profile(3)
+    assert tp.coboundary() == CountingModel(2, [(1, 2), (1, 2)]).coboundary_at_prime(3)
 
 
 def test_profile_guard():
@@ -213,12 +213,6 @@ def test_ideal_closed_form_equals_brute_force_on_worked_examples():
             )
 
 
-def test_counting_model_requires_odd_prime():
-    model = CountingModel(2, [(1, 2)])
-    with pytest.raises(ConstraintError):
-        model.point_count_profile(2)
-
-
 def test_counting_model_automorphism_blocks():
     # the braid on 3 coordinates has a single exchangeable block
     model = CountingModel(3, [(1, 2), (1, 3), (2, 3)])
@@ -248,7 +242,7 @@ def test_a_model_on_zero_coordinates_is_one():
     # with no blocks the move-weight table's one entry is 0
     model = CountingModel(0, [])
     assert model.coboundary() == BivariatePolynomial.one() and model.rank == 0
-    assert model.point_count_profile(3) == [1]
+    assert model.coboundary_at_prime(3) == UnivariatePolynomial([1])
 
 
 def test_rank_matches_gaussian_elimination_on_small_rank_components():
@@ -311,27 +305,35 @@ def test_counting_model_rejects_malformed_tuples(t):
         CountingModel(3, [t])
 
 
+def _rounds(model):
+    """The model's packed rounds G_u, as dense t-coefficient lists."""
+    width, rounds = model._packed_rounds()
+    mask = (1 << width) - 1
+    return tuple([g >> e * width & mask for e in range(len(model.tuples) + 1)] for g in rounds)
+
+
 def test_residue_profile_single_hyperplane():
-    # x1 = x2 needs no pairing, so one residue is one step: F_0 = t (both on
+    # x1 = x2 needs no pairing, so one residue is one step: G_0 = t (both on
     # residue 0); one non-empty residue takes both coordinates (t) or one
-    # while the other stays on residue 0 (2); two residues take one each (2)
+    # while the other stays on residue 0 (2); a set of two residues takes
+    # one each (1)
     model = CountingModel(2, [(1, 2)])
     assert model.stride == 1
-    assert model.residue_profile() == ([0, 1], [2, 1], [2, 0])
-    assert model.point_count_profile(5) == [20, 5]
+    assert _rounds(model) == ([0, 1], [2, 1], [1, 0])
+    assert model.coboundary_at_prime(5) == UnivariatePolynomial([4, 1])  # [20, 5] / 5
     assert model.coboundary() == BivariatePolynomial(
         {(1, 0): 1, (0, 0): -1, (0, 1): 1}, ("q", "t")
     )
 
 
 def test_pair_profile_single_hyperplane():
-    # x1 = -x2 pairs c with p-c: F_0 = t (both on residue 0); one non-empty
+    # x1 = -x2 pairs c with p-c: G_0 = t (both on residue 0); one non-empty
     # pair takes both coordinates (2 + 2t ways) or one after the other took
-    # residue 0 (4); two pairs take one each (8)
+    # residue 0 (4); a set of two pairs takes one each (4)
     model = CountingModel(2, [(1, -2)])
     assert model.stride == 2
-    assert model.residue_profile() == ([0, 1], [6, 2], [8, 0])
-    assert model.point_count_profile(5) == [20, 5]
+    assert _rounds(model) == ([0, 1], [6, 2], [4, 0])
+    assert model.coboundary_at_prime(5) == UnivariatePolynomial([4, 1])  # [20, 5] / 5
     assert model.coboundary() == BivariatePolynomial(
         {(1, 0): 1, (0, 0): -1, (0, 1): 1}, ("q", "t")
     )
@@ -344,9 +346,7 @@ def test_pair_profile_reads_out_every_prime():
     n = ideal.rst.ambient_dim
     model = CountingModel(n, tuples)
     for p in (3, 5, 7):
-        assert model.point_count_profile(p) == list(
-            count_points_bruteforce(tuples, n, p).counts
-        )
+        assert model.coboundary_at_prime(p) == count_points_bruteforce(tuples, n, p).coboundary()
 
 
 def _set_rounds(model, rounds):
@@ -355,16 +355,13 @@ def _set_rounds(model, rounds):
     model._rounds = (width, tuple(sum(c << e * width for e, c in enumerate(g)) for g in rounds))
 
 
-def _tamper_checks(model, not_by_q, not_q_rank, not_total):
+def _tamper_checks(model, not_by_q, not_q_rank):
     _set_rounds(model, not_by_q)
     with pytest.raises(InconsistencyError, match="q\\^\\(m-rank\\)"):
         model.coboundary()
     _set_rounds(model, not_q_rank)  # divisible by q^(m-rank), but not q^rank at t = 1
     with pytest.raises(InconsistencyError, match="chi-bar\\(q, 1\\)"):
         model.coboundary()
-    _set_rounds(model, not_total)  # the count no longer totals p^m
-    with pytest.raises(InconsistencyError, match="total"):
-        model.point_count_profile(3)
 
 
 def test_direct_coboundary_checks_its_divisions():
@@ -372,20 +369,20 @@ def test_direct_coboundary_checks_its_divisions():
     # single-residue kernel divides no round, so a tampered round is caught
     # by the division by q^(m-rank) or by chi-bar(q, 1) = q^rank
     model = CountingModel(2, [(1, 2)])
-    assert model.residue_profile() == ([0, 1], [2, 1], [2, 0])
-    _tamper_checks(model, ([0, 1], [2, 1], [2]), ([0, 2], [2, 2], [1]), ([0, 1], [4, 1], [1]))
+    assert _rounds(model) == ([0, 1], [2, 1], [1, 0])
+    _tamper_checks(model, ([0, 1], [2, 1], [2]), ([0, 2], [2, 2], [1]))
 
 
 def test_direct_coboundary_checks_its_divisions_pair_kernel():
     # G = (t, 6 + 2t, 4), and N = G_0 + G_1 (q-1)/2 + G_2 (q-1)(q-3)/4: at
     # stride 2 every t-coefficient of G_u must be divisible by 2^u
     model = CountingModel(2, [(1, -2)])
-    assert model.residue_profile() == ([0, 1], [6, 2], [8, 0])
+    assert _rounds(model) == ([0, 1], [6, 2], [4, 0])
     for odd in (([0, 1], [7, 1], [4]), ([0, 1], [6, 2], [2])):
         _set_rounds(model, odd)
         with pytest.raises(InconsistencyError, match="not divisible by s"):
             model.coboundary()
-    _tamper_checks(model, ([0, 1], [8, 0], [4]), ([0, 2], [6, 4], [4]), ([0, 1], [8, 2], [4]))
+    _tamper_checks(model, ([0, 1], [8, 0], [4]), ([0, 2], [6, 4], [4]))
 
 
 def _complete_multipartite(parts, size):
@@ -412,7 +409,7 @@ def test_counting_dp_retains_no_move_table(zero):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        model.residue_profile()
+        model._packed_rounds()
         retained, peak = (b - before for b in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
@@ -500,7 +497,7 @@ def test_pipeline_rejects_exceptional():
 
 
 def test_theorem_identity_profile_vs_closed_form_sweep():
-    # p^(n-rank) * chi-bar(p, .) equals the brute-force profile for every
+    # chi-bar(p, .) equals the brute-force profile over p^(n-rank) for every
     # ideal of B3 and D4 at the primes 3 and 5
     from idealtutte.ideals import enumerate_ideals
 
@@ -513,9 +510,9 @@ def test_theorem_identity_profile_vs_closed_form_sweep():
                 continue
             model = CountingModel(n, tuples)
             for p in (3, 5):
-                assert model.point_count_profile(p) == list(
-                    count_points_bruteforce(tuples, n, p).counts
-                ), (family, ideal, p)
+                assert model.coboundary_at_prime(p) == count_points_bruteforce(
+                    tuples, n, p
+                ).coboundary(), (family, ideal, p)
 
 
 def test_chi_bar_at_one_is_q_rank():

@@ -162,15 +162,14 @@ def _assert_kernel_size(model):
 
 
 def _assert_matches_brute_force(m, tuples, blocks=None, primes=(3, 5, 7)):
-    """The model's point counts and p^(m - rank) chi-bar(p, t) at each prime
-    against exhaustive counts, and its move table against the pointed moves;
+    """The model's p^(m - rank) chi-bar(p, t) at each prime against
+    exhaustive counts, and its move table against the pointed moves;
     returns the model."""
     model = CountingModel(m, tuples, blocks=blocks)
     _assert_kernel_size(model)
     cb = model.coboundary()
     for p in primes:
         expected = list(count_points_bruteforce(tuples, m, p).counts)
-        assert model.point_count_profile(p) == expected
         profile = [0] * (len(tuples) + 1)
         for (dq, dt), c in cb.coeffs.items():
             profile[dt] += p ** (m - model.rank) * c * p ** dq
