@@ -28,13 +28,13 @@ a subspace is a parabolic subgroup (Steinberg), so every flat is
 W-conjugate to a standard parabolic flat, the roots supported on a set J of
 simple roots, of rank |J|; and chi_{M/F} is the same on each W-orbit.  The
 simple reflections permute the hyperplanes, so the orbits of the 2^r
-standard flats, one closure under them per orbit, are all the flats, and
-chi_{M/F} is filled once per orbit.  Each simple reflection permutes them by
-disjoint transpositions, so a round of a closure reflects its whole frontier
-with one delta swap per transposition distance on one packed int (Knuth,
-TAOCP 4A 7.1.3).  The tests hold the orbit build to a reference that
-enumerates the flats of any integer configuration by linear algebra
-(``tests/flat_reference.py``).
+standard flats under them are all the flats, and chi_{M/F} is filled once
+per orbit.  The orbits are closed breadth first in lockstep, and each simple
+reflection permutes the hyperplanes by disjoint transpositions, so a round
+reflects the frontiers of every growing orbit with one delta swap per
+transposition distance on one packed int (Knuth, TAOCP 4A 7.1.3).  The
+tests hold the orbit build to a reference that enumerates the flats of any
+integer configuration by linear algebra (``tests/flat_reference.py``).
 
 Everything here is plain Python integers, so a request on the lattice
 imports no numpy.  A flat is an int bitmask over the roots, and the lattice
@@ -43,16 +43,18 @@ at a time, columns that hold one byte per flat, so |F & D| of
 every flat comes out as one ``bytes`` object; it counts each orbit's
 histogram of those bytes, sums the orbit's chi row, packed into signed
 64-bit fields of one int, once per count, and decodes the sums in one pass.
-On a 2-CPU VM (Python 3.11) the E6 build takes a median of 18-22 ms, the F4
-build about 1.5 ms, and a restriction about 0.18 ms on E6 and 0.05 ms on
+On a 2-CPU VM (Python 3.11) the E6 build takes a median of 9-10 ms, the F4
+build about 0.9 ms, and a restriction about 0.18 ms on E6 and 0.05 ms on
 F4 (the means over their 833 and 105 ideals).  The classical lattices that
-auto builds take 1.1-6.6 ms, from D4 to A6, and a restriction with its
+auto builds take 0.4-2.3 ms, from D4 to A6, and a restriction with its
 Tutte transform 0.04-0.13 ms, 3.7-7x less than the counting DP.
 """
 
 from __future__ import annotations
 
 import functools
+from array import array
+from itertools import chain
 
 from .errors import ConstraintError, GuardExceeded, InconsistencyError
 from .exactpoly import BivariatePolynomial
@@ -63,15 +65,14 @@ from .rootsystems import root_poset, simple_reflections
 # MAX_VECTORS, and every coefficient it forms in a signed 64-bit field: at
 # most 3^m in absolute value (the coefficients of sum_S q^(r - r(S)) (t-1)^|S|
 # over the subsets S of m vectors add up to at most sum_S 2^|S| = 3^m), under
-# 2^63 for m <= 39.  orbit_lattice's closure holds a mask in a 64-bit field,
-# up to 64 roots, so the bound of 39 is the one that binds
+# 2^63 for m <= 39.  orbit_lattice's closure and FlatLattice's byte columns
+# hold a mask in a 64-bit word, up to 64 roots, so the bound of 39 is the one
+# that binds
 MAX_VECTORS = 39
 FIELD_BITS = 64
 
-# the low and high nibble of each byte, and the bits each byte shares with
-# each nibble v, as bytes.translate tables
-_HALVES = bytes(x & 15 for x in range(256)), bytes(x >> 4 for x in range(256))
-_COMMON = [bytes((x & v).bit_count() for x in range(256)) for v in range(16)]
+# bit i of each byte, as a bytes.translate table
+_BITS = [bytes(x >> i & 1 for x in range(256)) for i in range(8)]
 
 
 class FlatLattice:
@@ -90,8 +91,8 @@ class FlatLattice:
     """
 
     def __init__(self, orbits):
-        self.masks = masks = [f for _, orbit in orbits for f in orbit]
-        self.ranks = [rank for rank, orbit in orbits for _ in orbit]
+        self.masks = masks = list(chain.from_iterable(orbit for _, orbit in orbits))
+        self.ranks = list(chain.from_iterable([rank] * len(orbit) for rank, orbit in orbits))
         self.rank = r = self.ranks[-1]
         n = masks[-1].bit_length()  # the last flat holds every vector
         # each orbit is one span of bytes for restrict; a span's counts
@@ -99,21 +100,25 @@ class FlatLattice:
         # and its greatest size
         spans, stop = [], 0
         for _, orbit in orbits:
-            sizes = [f.bit_count() for f in orbit]
+            sizes = set(map(int.bit_count, orbit))
             start, stop = stop, stop + len(orbit)
             spans.append((start, stop, min(sizes) - n, max(sizes)))
         # nibbles[g][v]: for each flat in that order, one byte holding how
         # many of the vectors 4g + i for the bits i of v lie on it, read as
         # an int; a mask's counts then take one addition per 4 bits.  Byte b
-        # of every flat's mask is every mask_bytes-th byte of their join
-        mask_bytes = (n + 7) // 8
-        joined = b"".join([f.to_bytes(mask_bytes, "little") for f in masks])
+        # of every flat's mask is every 8th byte of their packed words, and
+        # the table of v is the sum of those of its lowest bit and the rest
+        joined = array("Q", masks).tobytes()
         self._nibbles = []
         for g in range(0, n, 4):
-            nibble = joined[g // 8 :: mask_bytes].translate(_HALVES[g // 4 % 2])
-            self._nibbles.append(
-                [int.from_bytes(nibble.translate(_COMMON[v]), "little") for v in range(16)]
-            )
+            column = joined[g // 8 :: 8]
+            table = [0] * 16
+            for i in range(4):
+                table[1 << i] = int.from_bytes(column.translate(_BITS[g % 8 + i]), "little")
+            for v in range(3, 16):
+                if v & (v - 1):
+                    table[v] = table[v & (v - 1)] + table[v & -v]
+            self._nibbles.append(table)
         self.kinds = kinds = self._chi_rows(orbits, spans)
         total = [sum(len(o) * row[j] for (_, o), row in zip(orbits, kinds)) for j in range(r + 1)]
         if total != [0] * r + [1]:
@@ -218,17 +223,21 @@ def orbit_lattice(rst):
     simple coordinates in root-poset order, read off the Weyl group.
 
     The standard parabolic flats, the roots supported on each subset J of
-    the simple roots, are taken by ascending J; one not yet reached is closed
-    breadth first under the simple reflections, and every flat that closure
-    reaches is its W-orbit.  A round of the closure applies every simple
-    reflection to its whole frontier at once (``_reflect``): each reflection
-    permutes the hyperplanes by disjoint transpositions (j, j + d), so one
-    delta swap per distance d moves the bits of all the round's masks.  The
-    flats come orbit by orbit, by rank and then by least flat, each orbit by
-    mask value; ``FlatLattice`` fills chi_{M/F} once per orbit.  On a
-    2-CPU VM (Python 3.11) the E6 build takes a median of 18-22 ms, and the
-    A8 build (21147 flats) 90-130 ms.  Raises ``GuardExceeded`` for more
-    than ``MAX_VECTORS`` positive roots.
+    the simple roots, are closed under the simple reflections in batches
+    (``_close``), and every flat a closure reaches is its W-orbit.  W keeps
+    a flat's rank and size, so each batch takes, by ascending J, the first
+    standard flat of each (rank, size) key that no orbit of its key holds
+    yet; another flat of a key already taken waits for a later batch, which
+    skips it if it is reached by then.  The orbits of a batch grow in
+    lockstep, and a round applies every simple reflection to all their
+    frontiers at once (``_reflect``): each reflection permutes the
+    hyperplanes by disjoint transpositions (j, j + d), so one delta swap per
+    distance d moves the bits of all the round's masks.  E6 takes 30 rounds,
+    A8 52.  The flats come orbit by orbit, by rank and then by least flat,
+    each orbit by mask value; ``FlatLattice`` fills chi_{M/F} once per
+    orbit.  On a 2-CPU VM (Python 3.11) the E6 build takes a median of 9-10
+    ms, and the A8 build (21147 flats) 50-57 ms.  Raises ``GuardExceeded``
+    for more than ``MAX_VECTORS`` positive roots.
     """
     poset = root_poset(rst)
     m, r = len(poset), rst.rank
@@ -239,46 +248,88 @@ def orbit_lattice(rst):
         sum(1 << j for j, s in enumerate(support) if not s & ~subset) for subset in range(1 << r)
     ]
     network = _swap_network(simple_reflections(poset))
-    orbits = []
-    for subset, start in enumerate(standard):
-        if any(start in orbit for *_, orbit in orbits):
-            continue
-        orbit, frontier = {start}, [start]
-        while frontier:
-            frontier = set(_reflect(frontier, network, r))
-            frontier -= orbit
-            orbit |= frontier
-        orbits.append((subset.bit_count(), min(orbit), orbit))
-    orbits.sort()
-    return FlatLattice([(rank, sorted(orbit)) for rank, _, orbit in orbits])
+    # W keeps rank and size, so only the orbits of a flat's key can hold it
+    waiting = [((subset.bit_count(), f.bit_count()), f) for subset, f in enumerate(standard)]
+    orbits, by_key = [], {}
+    while waiting:
+        seeds, later = {}, []
+        for key, start in waiting:
+            if any(start in orbit for orbit in by_key.get(key, ())):
+                continue
+            if key in seeds:
+                later.append((key, start))
+            else:
+                seeds[key] = start
+        waiting = later
+        for key, orbit in zip(seeds, _close(list(seeds.values()), network, r)):
+            by_key.setdefault(key, []).append(orbit)
+            orbits.append((key[0], sorted(orbit)))
+    orbits.sort()  # by rank, then least flat: no two orbits share a flat
+    return FlatLattice(orbits)
+
+
+def _close(seeds, network, r):
+    """The orbit of each seed mask under the simple reflections of
+    ``network``, each a set, in seed order, closed breadth first in
+    lockstep: each round is one ``_reflect`` over the frontiers of every
+    orbit still growing, its images split back by position.
+    """
+    growing = [({seed}, [seed]) for seed in seeds]
+    done = [orbit for orbit, _ in growing]
+    while growing:
+        images = _reflect(chain.from_iterable(front for _, front in growing), network, r)
+        at, still = 0, []
+        for orbit, front in growing:
+            at, start = at + r * len(front), at
+            front = set(images[start:at]).difference(orbit)
+            if front:
+                orbit |= front
+                still.append((orbit, front))
+        growing = still
+    return done
 
 
 def _swap_network(reflections):
-    """[(d, fields)]: per distance d of a transposition (j, j + d) that some
-    simple reflection makes of the hyperplanes, the bytes of one 64-bit field
-    per reflection, in order, with bit j set for each of its transpositions
-    at d (``reflections`` as from ``rootsystems.simple_reflections``).
+    """[[d, fields, count, wide]]: per distance d of a transposition
+    (j, j + d) that some simple reflection makes of the hyperplanes, the
+    bytes of one 64-bit field per reflection, in order, with bit j set for
+    each of its transpositions at d (``reflections`` as from
+    ``rootsystems.simple_reflections``).  ``wide``, the int of ``fields``
+    repeated ``count`` times, starts empty; ``_reflect`` builds it again,
+    at least doubling ``count``, only when a frontier holds more than
+    ``count`` masks, so a whole build makes it a few times per distance.
     """
     swaps = {}
     for i, image in enumerate(reflections):
         for j, k in enumerate(image):
             if k > j:
                 swaps.setdefault(k - j, [0] * len(reflections))[i] |= 1 << j
-    return [(d, b"".join([x.to_bytes(8, "little") for x in row])) for d, row in swaps.items()]
+    return [[d, array("Q", row).tobytes(), 0, 0] for d, row in swaps.items()]
 
 
 def _reflect(masks, network, r):
     """The images of ``masks`` under the r simple reflections of ``network``
-    (``_swap_network``), mask by mask: item r k + i is the k-th mask's image
-    under the i-th reflection.  The masks are packed into one int, r copies
-    of the k-th in the 64-bit fields r k to r k + r - 1, and each distance
-    takes one delta swap over all of them (Knuth, TAOCP 4A 7.1.3).
+    (``_swap_network``), mask by mask, as a memoryview of 64-bit words: item
+    r k + i is the k-th mask's image under the i-th reflection.  The masks
+    are packed into one int, r copies of the k-th in the 64-bit fields r k to
+    r k + r - 1 (one extended-slice assignment per reflection), and each
+    distance takes one delta swap over all of them (Knuth, TAOCP 4A 7.1.3).
     """
-    y = int.from_bytes(b"".join([f.to_bytes(8, "little") * r for f in masks]), "little")
-    for d, fields in network:
-        t = ((y >> d) ^ y) & int.from_bytes(fields * len(masks), "little")
+    masks = array("Q", masks)
+    n = len(masks)
+    packed = array("Q", bytes(8 * r * n))
+    for i in range(r):
+        packed[i::r] = masks
+    y = int.from_bytes(packed, "little")
+    for swap in network:
+        d, fields, count, wide = swap
+        if count < n:
+            count = max(n, 2 * count)
+            wide = int.from_bytes(fields * count, "little")
+            swap[2:] = count, wide
+        t = ((y >> d) ^ y) & wide
         y ^= t | t << d
-    return memoryview(y.to_bytes(8 * r * len(masks), "little")).cast("Q").tolist()
+    return memoryview(y.to_bytes(8 * r * n, "little")).cast("Q")
 
 
 @functools.cache

@@ -32,11 +32,11 @@ from .ideals import check_exponent_factorization
 ENGINES = ("auto", "ffmethod", "flats", "crapo", "oracle")
 # auto reads a classical system off its lattice of flats when its full
 # arrangement has at most this many positive roots: A1-A6, B and C up to
-# rank 5, D4 and D5, at most 877 flats built in 1.1-6.6 ms, after which a
+# rank 5, D4 and D5, at most 877 flats built in 0.4-2.3 ms, after which a
 # request costs 3.7-7x less than on the counting DP.  The next lattices, D6,
-# A7, B6 and C6 (2546-4140 flats), take 11-34 ms each, more than a sequence
-# of requests to one system saves unless it is long, and A8 0.12-0.16 s
-# (2-CPU VM, Python 3.11)
+# A7, B6 and C6 (2546-4140 flats), take 5-10 ms each, more than a sequence
+# of requests to one system saves unless it is long, and A8 50-57 ms
+# (medians of in-process builds; 2-CPU VM, Python 3.11)
 AUTO_MAX_CLASSICAL_ROOTS = 25
 
 

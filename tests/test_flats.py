@@ -151,7 +151,10 @@ def test_corrupt_chi_row_fails_the_build_certificate(monkeypatch, rows, error):
         ("B", 4, 12),
         ("B", 6, 30),
         ("C", 4, 12),
+        ("C", 6, 30),
         ("D", 4, 11),
+        ("D", 5, 14),
+        ("D", 6, 26),
     ],
 )
 def test_orbit_lattice_equals_the_reference_build(family, rank, orbits):
@@ -203,7 +206,7 @@ def test_swap_network_applies_every_simple_reflection(family, rank):
     m, r = len(reflections[0]), len(reflections)
     rng = random.Random(32)
     masks = [rng.getrandbits(m) for _ in range(50)] + [0, (1 << m) - 1]
-    got = flats._reflect(masks, flats._swap_network(reflections), r)
+    got = flats._reflect(masks, flats._swap_network(reflections), r).tolist()
     want = [
         sum(1 << image[j] for j in range(m) if f >> j & 1) for f in masks for image in reflections
     ]
