@@ -6,7 +6,7 @@ counting DP's guard admits them (the README gives measured refusals).
 Every result comes from one of two objects.  Exceptional types, and the
 classical ones of at most 25 positive roots (A1-A6, B2-B5, C2-C5, D4, D5),
 read the coboundary polynomial off the lattice of flats of their full
-arrangement, built once per root system and process (1-7 ms on
+arrangement, built once per root system and process (0.4-2.3 ms on
 those classical systems, then a fraction of a DP per ideal).  Larger
 classical types go through the finite field method: one dynamic program
 over the blocks of exchangeable coordinates gives the coboundary polynomial
@@ -15,9 +15,10 @@ and a corank-nullity brute-force oracle give the Tutte polynomial instead,
 and cross-validate the others.  One dispatcher
 (``specialize``) converts every Tutte polynomial to a coboundary polynomial,
 and one certificate, ``specialize.certify_coboundary``, passes every
-polynomial served: each engine's, and each read back from the CLI cache
-(through ``specialize.certify_tutte``).  It checks the degrees,
-chi-bar(1, t) = t^m and that chi splits over the ideal exponents.
+coboundary polynomial served: each engine's, and each read back from the
+CLI cache, which stores them.  It checks the rank against the complement's
+simple roots, the degrees, chi-bar(1, t) = t^m and that chi splits over the
+ideal exponents.
 
 The paper's own classical route (signatures, Algorithm P's block partition
 and the minor sets that pick its primes) is ``idealtutte.paper``, which this

@@ -4,17 +4,17 @@ engines, verify engine pairs, emit JSON/LaTeX/text, and cache results.
 The argument parser is built on the first ``main`` call and reused by every
 later one in the process (``build_parser``).  ``--format json`` prints one
 line, compact and with sorted keys.  The cache holds one entry per ideal
-and engine, its Tutte polynomial as a JSON list of [dx, dy, c] int
-triples; its reader checks that format itself and serves an entry only if
-it also passes ``specialize.certify_tutte``, which ends in the certificate
-of every computed result.  The JSON provenance is built on every call,
-never stored, and says whether the cache was hit.  A cache that cannot be
-written costs only a warning on stderr.  ``parse_ideal_spec`` checks an
-ideal spec itself to the terms of the packaged
-``schemas/ideal-spec.schema.json``, which the tests hold it to and no code
-reads.  A one-shot call loads only what it runs: the engine its request
-needs, ``hashlib`` only to name a cache entry (never under ``--no-cache``)
-and ``tempfile`` only to write one.
+and engine, its coboundary polynomial chi-bar as a JSON list of [dq, dt, c]
+int triples; its reader checks that format itself and serves an entry only
+if it also passes ``specialize.certify_coboundary``, the certificate of
+every computed result, and its T has no negative coefficient.  The JSON
+provenance is built on every call, never stored, and says whether the
+cache was hit.  A cache that cannot be written costs only a warning on
+stderr.  ``parse_ideal_spec`` checks an ideal spec itself to the terms of
+the packaged ``schemas/ideal-spec.schema.json``, which the tests hold it to
+and no code reads.  A one-shot call loads only what it runs: the engine its
+request needs, ``hashlib`` only to name a cache entry (never under
+``--no-cache``) and ``tempfile`` only to write one.
 
 Each engine's guard is one constant of its own, and no option overrides it;
 ``verify`` compares the engines' certified chi-bar, ``auto`` against ``crapo``
@@ -66,7 +66,7 @@ from .rootsystems import (
 FORMAT_CHOICES = ("json", "latex", "text")
 LISTING_FORMATS = ("json", "text")  # roots, ideals and minors print no LaTeX
 CACHE_ENV = "TUTTE_CACHE_DIR"
-CACHE_VERSION = "4"
+CACHE_VERSION = "5"
 
 
 def _spec_failures(data):
@@ -188,12 +188,13 @@ class _Cache:
         return hashlib.sha256(raw.encode()).hexdigest()
 
     def get(self, key, ideal):
-        """The cached Tutte polynomial of ``ideal`` and the chi-bar that
-        ``specialize.certify_tutte`` certified, or None on a miss: an entry
-        that cannot be read or decoded, is not a list of distinct
-        [dx, dy, c] int triples with nonzero c and non-negative degrees, or
-        fails the certificate.  The caller recomputes and overwrites a
-        miss."""
+        """The cached chi-bar of ``ideal`` and its Tutte polynomial, or None
+        on a miss: an entry that cannot be read or decoded, is not a list of
+        distinct [dq, dt, c] int triples with nonzero c and non-negative
+        degrees, fails ``specialize.certify_coboundary`` at its q-degree,
+        the rank (an ideal arrangement has no loops), or transforms to a T
+        with a negative coefficient, which no matroid has.  The caller
+        recomputes and overwrites a miss."""
         if not self.enabled:
             return None
         try:
@@ -203,16 +204,22 @@ class _Cache:
                     type(t) is list and len(t) == 3 and all(type(v) is int for v in t)
                     and t[0] >= 0 and t[1] >= 0 and t[2] for t in terms):
                 return None  # type(v) is int refuses bools
-            tutte = BivariatePolynomial({(dx, dy): c for dx, dy, c in terms})
-            if len(tutte.coeffs) != len(terms):
+            coeffs = {(dq, dt): c for dq, dt, c in terms}
+            if len(coeffs) != len(terms):
                 return None  # a degree given twice
-            return tutte, specialize.certify_tutte(ideal, tutte)
+            cb = BivariatePolynomial._of(coeffs, ("q", "t"))  # canonical once checked
+            rank = cb.degree(0)
+            specialize.certify_coboundary(ideal, cb, rank)
+            tutte = coboundary_to_tutte(cb, rank)
+            if min(tutte.coeffs.values()) < 0:
+                return None
+            return cb, tutte
         except (OSError, ValueError, RecursionError, InconsistencyError):
             return None
 
-    def put(self, key, tutte):
-        """Store the Tutte polynomial ``tutte`` under ``key`` as its sorted
-        [dx, dy, c] triples; the directory is made only when it is missing.
+    def put(self, key, cb):
+        """Store the coboundary polynomial ``cb`` under ``key`` as its sorted
+        [dq, dt, c] triples; the directory is made only when it is missing.
 
         A cache that cannot be written costs only the entry: one warning on
         stderr and no temporary file left behind; the caller still emits
@@ -230,7 +237,7 @@ class _Cache:
                 os.makedirs(self.dir, exist_ok=True)
                 fd, tmp = tempfile.mkstemp(dir=self.dir, suffix=".tmp")
             with os.fdopen(fd, "w") as fh:
-                fh.write(json.dumps([[a, b, c] for (a, b), c in sorted(tutte.coeffs.items())]))
+                fh.write(json.dumps([[a, b, c] for (a, b), c in sorted(cb.coeffs.items())]))
             os.replace(tmp, os.path.join(self.dir, key + ".json"))
         except OSError as exc:
             if tmp is not None:
@@ -241,27 +248,24 @@ class _Cache:
 
 def cmd_polynomial(args, command):
     """Emit the ideal's ``command`` polynomial and this call's provenance:
-    ``cache`` says whether its Tutte polynomial came from the cache, and
+    ``cache`` says whether its chi-bar came from the cache, and
     ``wall_time_s`` is this call's time to read or compute the polynomial.
-    A ``coboundary`` miss prints chi-bar as computed and stores it as T; a
-    hit prints the chi-bar its certificate checked.  ``--no-cache`` builds
-    no key."""
+    A miss computes chi-bar and stores it, and only ``tutte`` transforms
+    it; a hit prints the chi-bar its certificate checked or the T its
+    reader formed.  ``--no-cache`` builds no key."""
     ideal = _ideal_from_args(args)
     engine = specialize.resolve_engine(args.engine, ideal.rst)
     t0 = time.perf_counter()
     cache = _Cache(args)
     key = cache.key(ideal, engine) if cache.enabled else None
     hit = cache.get(key, ideal)
-    if hit is None and command == "coboundary":
-        poly = specialize.coboundary_of_ideal(ideal, engine=engine)
-        if cache.enabled:  # no loops, so chi-bar's q-degree is the rank
-            cache.put(key, coboundary_to_tutte(poly, poly.degree(0)))
-    elif hit is None:
-        poly = specialize.tutte_of_ideal(ideal, engine=engine)
-        cache.put(key, poly)
+    if hit is not None:
+        poly = hit[0] if command == "coboundary" else hit[1]
     else:
-        tutte, cb = hit
-        poly = cb if command == "coboundary" else tutte
+        poly = cb = specialize.coboundary_of_ideal(ideal, engine=engine)
+        cache.put(key, cb)
+        if command == "tutte":  # no loops, so chi-bar's q-degree is the rank
+            poly = coboundary_to_tutte(cb, cb.degree(0))
     _emit(args, poly, {
         "cache": "miss" if hit is None else "hit",
         "engine": engine,

@@ -4,17 +4,17 @@ Each engine returns one polynomial and the arrangement's rank: chi-bar(q, t)
 from the finite-field pipeline and the lattice of flats, T(x, y) from Crapo's
 basis activities and the corank-nullity oracle.  One function takes every
 result and converts each T to chi-bar.  ``certify_coboundary`` certifies
-every polynomial the package serves: each engine's chi-bar, and through
-``certify_tutte`` each CLI cache entry.  ``tutte_of_ideal`` transforms the
-certified chi-bar, and ``characteristic_polynomial`` reads chi(q) off
-chi-bar(q, 0), as the certificate does.  Also region counts.
+every polynomial the package serves, each a chi-bar: each engine's result
+and each CLI cache entry.  ``tutte_of_ideal`` transforms the certified
+chi-bar, and ``characteristic_polynomial`` reads chi(q) off chi-bar(q, 0),
+as the certificate does.  Also region counts.
 
 ``resolve_engine`` picks auto's engine from the root system alone: the
 lattice of flats on G2, F4, E6 and the classical systems of at most
 ``AUTO_MAX_CLASSICAL_ROOTS`` (25) positive roots (A1-A6, B2-B5, C2-C5,
 D4, D5), the finite-field pipeline on larger classical ones.  The lattice is
 built on a system's first request and kept for the process: one build of
-1-7 ms on those classical systems, after which each request costs a
+0.4-2.3 ms on those classical systems, after which each request costs a
 fraction of a DP.  Picking loads no engine: each engine's module is
 imported by the first request that runs it, so a fresh process loads only
 the one it needs.
@@ -63,15 +63,22 @@ def resolve_engine(engine, rst):
 
 def certify_coboundary(ideal, cb, rank):
     """None once ``cb`` passes as the chi-bar(q, t) of ``ideal``'s
-    arrangement of rank r = ``rank``; InconsistencyError otherwise.  One pass
-    over its terms checks the degrees (q-degree at most r, total degree at
-    most m, for the m complement roots) and the q^r column (exactly 1, with
-    no loops), and sums its columns for Certificate 0: chi-bar(1, t) = t^m,
+    arrangement of rank r = ``rank``; InconsistencyError otherwise.  First r
+    must be the number of simple roots in the complement: the complement is
+    a lower set, and a lower set spans what its simple roots span.  So a
+    claimed rank is checked before any work of its size.  One pass over the
+    terms then checks the degrees (q-degree at most r, total degree at most
+    m, for the m complement roots) and the q^r column (exactly 1, with no
+    loops), and sums its columns for Certificate 0: chi-bar(1, t) = t^m,
     which every matroid has (T on the hyperbola (x - 1)(y - 1) = 1, that is
     Brylawski's linear relations; Brylawski and Oxley, 1992).  Then chi, the
     t^0 column, must split over the ideal exponents
     (``ideals.check_exponent_factorization``)."""
-    m = ideal.complement_mask().bit_count()
+    comp = ideal.complement_mask()
+    m, simple = comp.bit_count(), (comp & ideal.poset.height_masks[0]).bit_count()
+    if rank != simple:
+        raise InconsistencyError(f"chi-bar = {cb} claims rank {rank}, not the {simple} "
+                                 f"simple roots among its {m} elements")
     at_q1, chi = [0] * (m + 1), [0] * (rank + 1)  # chi-bar(1, t) and chi-bar(q, 0)
     for (a, b), c in cb.coeffs.items():
         if a + b > m or a > rank or (a == rank and b):
@@ -120,24 +127,6 @@ def _coboundary_and_rank(ideal, engine):
     except InconsistencyError as exc:
         raise InconsistencyError(f"the {engine} result fails its certificate: {exc}") from None
     return cb, rank
-
-
-def certify_tutte(ideal, tutte):
-    """The chi-bar(q, t) of ``ideal``'s arrangement once its claimed Tutte
-    polynomial, a cache entry, passes; InconsistencyError otherwise.  Here
-    only T's own facts: the rank r is T's x-degree (and chi-bar's q-degree),
-    at most the system's rank, the y-degree at most m - r before any work,
-    and no coefficient negative; then its chi-bar must pass
-    ``certify_coboundary``."""
-    m = ideal.complement_mask().bit_count()
-    r = tutte.degree(0)
-    if not 0 <= r <= ideal.rst.rank or tutte.degree(1) > m - r:
-        raise InconsistencyError(f"T = {tutte} of {m} elements fails the degree bounds")
-    if min(tutte.coeffs.values()) < 0:
-        raise InconsistencyError(f"T = {tutte} has a negative coefficient")
-    cb = tutte_to_coboundary(tutte, r)
-    certify_coboundary(ideal, cb, r)
-    return cb
 
 
 def tutte_of_ideal(ideal, engine="auto"):

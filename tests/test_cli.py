@@ -46,7 +46,8 @@ def run(capsys, *argv):
 
 
 def _triples(poly):
-    """The cache entry of a Tutte polynomial: its sorted [dx, dy, c] triples."""
+    """A polynomial's sorted [degree, degree, c] triples, as a cache entry
+    holds its chi-bar."""
     return [[a, b, c] for (a, b), c in sorted(poly.coeffs.items())]
 
 
@@ -147,11 +148,10 @@ def test_provenance_reports_a_cache_hit(capsys, tmp_path):
     for body in (first, second):
         assert body["provenance"].pop("cache") and body["provenance"].pop("wall_time_s") >= 0
     assert first["provenance"] == second["provenance"]
-    # the entry is the bare Tutte polynomial, its [dx, dy, c] triples with no
+    # the entry is the bare chi-bar, its [dq, dt, c] triples with no
     # provenance, and a hit leaves it as it was
     coboundary = BivariatePolynomial.from_json_dict(first)
-    want = coboundary_to_tutte(coboundary, coboundary.degree(0))
-    assert path.read_bytes() == stored and json.loads(stored) == _triples(want)
+    assert path.read_bytes() == stored and json.loads(stored) == _triples(coboundary)
     code3, out3, _ = run(capsys, *args[:-2], "--no-cache")
     assert code3 == 0 and json.loads(out3)["provenance"]["cache"] == "miss"
 
@@ -174,18 +174,18 @@ def test_coboundary_miss_prints_chi_bar_as_computed(capsys, monkeypatch, tmp_pat
     want = BivariatePolynomial.from_json_dict(
         {"terms": [{"dx": a, "dy": b, "c": str(c)} for a, b, c in G2_TUTTE],
          "variables": ["x", "y"]})
-    # under --no-cache no Tutte polynomial is formed, so neither transform
-    # runs, and no cache key is built
+    # a miss forms no Tutte polynomial, so neither transform runs, and under
+    # --no-cache no cache key is built
     with monkeypatch.context() as patched:
         patched.setattr(cli, "coboundary_to_tutte", _never)
         patched.setattr(specialize, "tutte_to_coboundary", _never)
+        code, cold, _ = run(capsys, "coboundary", *g2, "--cache-dir", str(tmp_path / "cb"))
         patched.setattr(cli._Cache, "key", _never)
-        code, out, _ = run(capsys, "coboundary", *g2, "--no-cache")
-    assert code == 0
+        code2, out, _ = run(capsys, "coboundary", *g2, "--no-cache")
+    assert code == code2 == 0
     assert BivariatePolynomial.from_json_dict(json.loads(out)) == tutte_to_coboundary(want, 2)
     # with a cache, the miss stores the entry tutte would have stored, and tutte hits it
-    code, cold, _ = run(capsys, "coboundary", *g2, "--cache-dir", str(tmp_path / "cb"))
-    assert code == 0 and json.loads(cold)["terms"] == json.loads(out)["terms"]
+    assert json.loads(cold)["terms"] == json.loads(out)["terms"]
     code, hit, _ = run(capsys, "tutte", *g2, "--cache-dir", str(tmp_path / "cb"))
     assert code == 0 and json.loads(hit)["provenance"]["cache"] == "hit"
     assert BivariatePolynomial.from_json_dict(json.loads(hit)) == want
@@ -340,16 +340,18 @@ def test_every_result_passes_the_one_certificate_once(capsys, monkeypatch, tmp_p
 
 
 def test_coboundary_hit_transforms_its_entry_once(capsys, monkeypatch, tmp_path):
-    # the chi-bar printed on a hit is the one its certificate checked
-    real, calls = tutte_to_coboundary, []
+    # the chi-bar printed on a hit is the entry its certificate checked; the
+    # reader forms its T once, to refuse a negative coefficient, and never
+    # transforms a T back
+    calls = []
 
-    def spy(tutte, rank):
-        calls.append(rank)
-        return real(tutte, rank)
+    def spy(transform):
+        return lambda poly, rank: calls.append(transform.__name__) or transform(poly, rank)
 
-    for module in [m for n, m in sys.modules.items() if n.startswith("idealtutte.")]:
-        if getattr(module, "tutte_to_coboundary", None) is real:
-            monkeypatch.setattr(module, "tutte_to_coboundary", spy)
+    for real in (coboundary_to_tutte, tutte_to_coboundary):
+        for module in [m for n, m in sys.modules.items() if n.startswith("idealtutte.")]:
+            if getattr(module, real.__name__, None) is real:
+                monkeypatch.setattr(module, real.__name__, spy(real))
     for family, roots in (("G2", IDEAL_G), ("E6", IDEAL_E)):
         args = ("--type", family, "--roots", json.dumps(roots), "--format", "json")
         assert run(capsys, "tutte", *args, "--cache-dir", str(tmp_path))[0] == 0
@@ -358,7 +360,7 @@ def test_coboundary_hit_transforms_its_entry_once(capsys, monkeypatch, tmp_path)
         code, out, _ = run(capsys, "coboundary", *args, "--cache-dir", str(tmp_path))
         assert code == 0 and json.loads(out)["provenance"]["cache"] == "hit"
         assert json.loads(out)["terms"] == json.loads(want)["terms"]
-        assert len(calls) == 1, family
+        assert calls == ["coboundary_to_tutte"], family
 
 
 def test_latex_output_wellformed(capsys, tmp_path):
@@ -649,7 +651,7 @@ def test_emitted_json_follows_polynomial_schema_and_entries_are_triples(capsys, 
     b3 = ("--type", "B", "--rank", "3", "--full")
     runs = [(b3, "auto"), (("--type", "G2", "--roots", "[[3,1],[3,2]]"), "auto")]
     runs += [(b3, engine) for engine in ("ffmethod", "flats", "crapo", "oracle")]
-    tuttes = {}
+    coboundaries = {}
     for command in ("tutte", "coboundary"):
         for system, engine in runs:
             code, out, _ = run(capsys, command, *system, "--engine", engine, "--format", "json",
@@ -660,14 +662,14 @@ def test_emitted_json_follows_polynomial_schema_and_entries_are_triples(capsys, 
             # read back as the polynomial it printed
             poly = BivariatePolynomial.from_json_dict(doc)
             assert poly.to_json_dict() == {key: doc[key] for key in ("terms", "variables")}
-            if command == "tutte":
-                tuttes[system, doc["provenance"]["engine"]] = _triples(poly)
+            if command == "coboundary":
+                coboundaries[system, doc["provenance"]["engine"]] = _triples(poly)
     # one entry per ideal and engine (auto runs flats on B3), shared by tutte
-    # and coboundary: the Tutte polynomial's triples
+    # and coboundary: the coboundary polynomial's triples
     entries = [json.loads(path.read_text()) for path in tmp_path.glob("*.json")]
     for entry in entries:
         jsonschema.validate(entry, ENTRY_SCHEMA)
-    assert sorted(entries) == sorted(tuttes.values())
+    assert sorted(entries) == sorted(coboundaries.values())
 
 
 def test_charpoly_command(capsys, tmp_path):
@@ -780,7 +782,8 @@ def test_json_provenance_names_the_flats_engine(capsys, tmp_path):
         # the layout of an older release, a polynomial beside a stored provenance
         '{"polynomial": {"terms": [], "variables": ["x", "y"]}, "provenance": [1]}',
         '{"terms": [], "variables": ["x"]}',
-        # the ideal's coboundary polynomial, which the cache no longer stores
+        # the ideal's coboundary polynomial as the CLI prints it, a document
+        # the cache does not store
         '{"terms": [{"dx": 0, "dy": 0, "c": "3"}, {"dx": 0, "dy": 1, "c": "-4"},'
         ' {"dx": 1, "dy": 0, "c": "-4"}, {"dx": 1, "dy": 1, "c": "4"},'
         ' {"dx": 2, "dy": 0, "c": "1"}, {"dx": 0, "dy": 4, "c": "1"}], "variables": ["q", "t"]}',
@@ -790,31 +793,37 @@ def test_json_provenance_names_the_flats_engine(capsys, tmp_path):
         # nested past the JSON parser's recursion limit
         pytest.param("[" * 200000, id="deeply-nested"),
         # the true T of the G2 ideal, 2y + 2x + y^2 + x^2, in the format of
-        # an older release, then in triples that break the format
+        # an older release, then its chi-bar in triples that break the format
         pytest.param('{"terms": [{"dx": 0, "dy": 1, "c": "2"}, {"dx": 0, "dy": 2, "c": "1"},'
                      ' {"dx": 1, "dy": 0, "c": "2"}, {"dx": 2, "dy": 0, "c": "1"}],'
                      ' "variables": ["x", "y"]}', id="v3-document"),
-        pytest.param("[[0, 1, 2], [0, 2, 1], [1, 0, 2], [2, 0, true]]", id="bool"),
-        pytest.param("[[0, 1, 2], [0, 2, 1], [1, 0, 2], [2, 0, 1.0]]", id="float"),
-        pytest.param('[[0, 1, 2], [0, 2, 1], [1, 0, 2], [2, 0, "1"]]', id="string"),
-        pytest.param("[[0, 1, 2], [0, 2, 1], [1, 0, 2], [2, 0, 1], [0, -1, 1]]",
-                     id="negative-degree"),
-        pytest.param("[[0, 1, 2], [0, 2, 1], [1, 0, 2], [2, 0, 1], [1, 1, 0]]",
-                     id="zero-coefficient"),
-        pytest.param("[[0, 1, 2], [0, 2, 1], [1, 0, 1], [1, 0, 1], [2, 0, 1]]",
-                     id="repeated-degree"),
-        pytest.param("[[0, 1], [0, 2], [1, 0], [2, 0]]", id="pair"),
+        pytest.param("[[0, 0, 3], [0, 1, -4], [0, 4, 1], [1, 0, -4], [1, 1, 4], [2, 0, true]]",
+                     id="bool"),
+        pytest.param("[[0, 0, 3], [0, 1, -4], [0, 4, 1], [1, 0, -4], [1, 1, 4], [2, 0, 1.0]]",
+                     id="float"),
+        pytest.param('[[0, 0, 3], [0, 1, -4], [0, 4, 1], [1, 0, -4], [1, 1, 4], [2, 0, "1"]]',
+                     id="string"),
+        pytest.param("[[0, 0, 3], [0, 1, -4], [0, 4, 1], [1, 0, -4], [1, 1, 4], [2, 0, 1],"
+                     " [0, -1, 1]]", id="negative-degree"),
+        pytest.param("[[0, 0, 3], [0, 1, -4], [0, 4, 1], [1, 0, -4], [1, 1, 4], [2, 0, 1],"
+                     " [1, 2, 0]]", id="zero-coefficient"),
+        pytest.param("[[0, 0, 3], [0, 1, -2], [0, 1, -2], [0, 4, 1], [1, 0, -4], [1, 1, 4],"
+                     " [2, 0, 1]]", id="repeated-degree"),
+        pytest.param("[[0, 0], [0, 1], [0, 4], [1, 0], [1, 1], [2, 0]]", id="pair"),
         pytest.param("17", id="number"),
     ],
 )
 def test_bad_cache_entry_is_a_miss(capsys, monkeypatch, tmp_path, entry):
+    from idealtutte import cli
+
     args = ("tutte", "--type", "G2", "--roots", "[[3,1],[3,2]]", "--cache-dir", str(tmp_path))
     code, want, _ = run(capsys, *args)
     (path,) = tmp_path.glob("*.json")
     good = path.read_text()
+    assert json.loads(good) == [list(t) for t in G2_CHI_BAR]
     path.write_text(entry, errors="surrogateescape")
-    # the reader's format check refuses it before the certificate
-    monkeypatch.setattr(specialize, "certify_tutte", _never)
+    # the reader's format check refuses it before it is decoded as a polynomial
+    monkeypatch.setattr(cli, "BivariatePolynomial", _never)
     code, got, err = run(capsys, *args)
     assert code == 0 and got == want and not err
     # recomputed and overwritten with a good entry
@@ -825,39 +834,60 @@ def _entry(terms):
     return json.dumps([list(t) for t in terms])
 
 
+def _chi_bar_entry(tutte):
+    """The cache entry of the chi-bar of the Tutte polynomial ``tutte``, at
+    its x-degree."""
+    tutte = parse_polynomial(tutte)
+    return json.dumps(_triples(tutte_to_coboundary(tutte, tutte.degree(0))))
+
+
 G2_TUTTE = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 0, 1)]  # 2y + 2x + y^2 + x^2
+# its chi-bar, 3 - 4t - 4q + 4qt + q^2 + t^4, as the cache holds it
+G2_CHI_BAR = [(0, 0, 3), (0, 1, -4), (0, 4, 1), (1, 0, -4), (1, 1, 4), (2, 0, 1)]
 
 
 @pytest.mark.parametrize(
     "entry",
     [
-        _entry([(0, 0, 1)]),  # 1: T(2,2) is not 2^4
-        _entry([(1, 0, 8)]),  # 8x: T(2,2) = 2^4 within the degree bounds, x^1 column 8
+        _chi_bar_entry("1"),  # T(2,2) is not 2^4, and rank 0
+        _chi_bar_entry("8x"),  # T(2,2) = 2^4 within the degree bounds, but rank 1
         # T(2,2) = 2^4, the degree bounds and an x^2 column of 1, but
-        # chi = q (q^2 - 2q + 13) does not split over the exponents 3, 1
-        _entry([(2, 0, 1), (0, 0, 12)]),
+        # chi-bar(1, t) is not t^m
+        _chi_bar_entry("x^2 + 12"),
         # x^2 + 2x + 4y: T(2,2) = 2^4, the degree bounds and the same chi as
         # the true T, but t_10 = 2 and t_01 = 4 (Brylawski)
-        _entry([(2, 0, 1), (1, 0, 2), (0, 1, 4)]),
+        _chi_bar_entry("x^2 + 2x + 4y"),
         # x^2 + 2x + 2y + xy: T(2,2) = 2^4, t_10 = t_01, the degree bounds
         # and the same chi as the true T, but not y^m on the hyperbola
-        _entry([(2, 0, 1), (1, 0, 2), (0, 1, 2), (1, 1, 1)]),
+        _chi_bar_entry("x^2 + 2x + 2y + xy"),
         "OTHER",  # a valid entry of another ideal, G2's full arrangement
         # degrees refused before any work of their size
         _entry([(10 ** 12, 0, 1)]),
         _entry([(2, 0, 1), (0, 10 ** 12, 1)]),
+        _chi_bar_entry("2x^2 + y^2 + 2y"),  # T(2,2) = 2^4, x^2 column 2
+        _chi_bar_entry("x^2 + y^3 + 4"),  # T(2,2) = 2^4, y-degree 3 > m - r = 2
+        _chi_bar_entry("3y + 2x + y^2 + x^2"),  # T(2,2) = 2^4 + 2
+        # the true T plus xy - x - y, which sums to 0 on the hyperbola, but
+        # chi = (q - 1)(q - 2) does not split over the exponents 3, 1
+        _chi_bar_entry("x^2 + x + y + y^2 + xy"),
+        # the true T minus xy - x - y: a negative coefficient, and chi does not split
+        _chi_bar_entry("x^2 + 3x + 3y + y^2 - xy"),
+        # q chi-bar - (q - 1) t^4: chi-bar(1, t) = t^4 and a split chi at
+        # rank 3, which the complement's two simple roots refuse
+        _entry([(0, 4, 1), (1, 0, 3), (1, 1, -4), (2, 0, -4), (2, 1, 4), (3, 0, 1)]),
     ],
     ids=["one", "8x", "x2-plus-12", "x-y-coefficients", "xy-for-y2", "other-ideal",
-         "huge-x-degree", "huge-y-degree"],
+         "huge-x-degree", "huge-y-degree", "x-r-column", "y-degree", "t22-off-by-2",
+         "chi-does-not-split", "negative", "rank-forgery"],
 )
 def test_cache_entry_failing_the_certificate_is_recomputed(capsys, monkeypatch, tmp_path, entry):
-    certify, raised = specialize.certify_tutte, []
+    certify, raised = specialize.certify_coboundary, []
 
-    def spy(ideal, tutte):
+    def spy(ideal, cb, rank):
         try:
-            return certify(ideal, tutte)
+            return certify(ideal, cb, rank)
         except InconsistencyError:
-            raised.append(tutte)
+            raised.append(cb)
             raise
 
     g2 = ("tutte", "--type", "G2")
@@ -870,14 +900,30 @@ def test_cache_entry_failing_the_certificate_is_recomputed(capsys, monkeypatch, 
     assert run(capsys, *args, "--cache-dir", str(cache)) == (0, want, "")
     (path,) = cache.iterdir()
     good = path.read_text()
-    assert json.loads(good) == _triples(parse_polynomial(want.strip()))
+    assert json.loads(good) == [list(t) for t in G2_CHI_BAR]
     written = other.read_text() if entry == "OTHER" else entry
     path.write_text(written)
     # the entry passes the reader's format check and fails the certificate
-    monkeypatch.setattr(specialize, "certify_tutte", spy)
+    monkeypatch.setattr(specialize, "certify_coboundary", spy)
     code, got, err = run(capsys, *args, "--cache-dir", str(cache))
     assert code == 0 and got == want and not err
-    assert [_triples(t) for t in raised] == [sorted(json.loads(written))]
+    assert [_triples(cb) for cb in raised] == [sorted(json.loads(written))]
+    assert path.read_text() == good
+
+
+def test_cache_entry_whose_tutte_has_a_negative_coefficient_is_recomputed(capsys, tmp_path):
+    # the true T plus y (xy - x - y), which is 0 on the hyperbola and at
+    # y = 0: its chi-bar passes the certificate, and only the reader's check
+    # of T's coefficients refuses it
+    ideal = exceptional_ideal("G2", IDEAL_G)
+    tutte = parse_polynomial("x^2 + 2x + 2y + xy^2 - xy")
+    specialize.certify_coboundary(ideal, tutte_to_coboundary(tutte, 2), 2)
+    args = ("tutte", "--type", "G2", "--roots", "[[3,1],[3,2]]", "--cache-dir", str(tmp_path))
+    code, want, _ = run(capsys, *args)
+    (path,) = tmp_path.iterdir()
+    good = path.read_text()
+    path.write_text(_chi_bar_entry("x^2 + 2x + 2y + xy^2 - xy"))
+    assert run(capsys, *args) == (0, want, "")
     assert path.read_text() == good
 
 
@@ -1054,6 +1100,7 @@ PINNED = {
     "ideals.arrangement_of": "the independent rank the tests compare against",
     "ideals.ideal_exponents": "ROADMAP item 25's engine-free chi",
     "specialize.region_count": "ROADMAP item 25's engine-free region count",
+    "specialize.tutte_of_ideal": BENCH_HOOK,
     "rootsystems.RootPoset.leq": "the root order the tests check",
     **dict.fromkeys(
         ("exactpoly.BivariatePolynomial.__repr__", "exactpoly.UnivariatePolynomial.__repr__",

@@ -1,6 +1,7 @@
 """Every dotted name that the README or a docstring of the package cites in
 backticks, ``module.name`` or ``Class.attr``, names something that exists,
-and the README's quoted CLI error is what the CLI prints.
+the README's quoted CLI error is what the CLI prints, and each tampered
+cache entry it quotes is a miss.
 
 A reference whose first part is a package module resolves by ``getattr`` on
 that module, part by part; one whose first part is a class of the package
@@ -11,6 +12,7 @@ file name such as ``polynomial.schema.json``) are not references."""
 import ast
 import importlib
 import inspect
+import json
 import pathlib
 import re
 
@@ -95,3 +97,24 @@ def test_readme_quotes_the_schema_rejection_the_cli_prints(capsys):
     quoted = re.search(r"`(error: ideal spec rejected by schema: [^`]*)`", README.read_text())
     assert main(["tutte", "--type", "G2", "--roots", "[[-1,0]]", "--no-cache"]) == 1
     assert capsys.readouterr().err == " ".join(quoted.group(1).split()) + "\n"
+
+
+def test_readme_quotes_tampered_cache_entries_the_cli_recomputes(capsys, tmp_path):
+    # the README quotes the G2 ideal's cache entry and tampered ones: each
+    # tampered one, written as the entry, is a miss, recomputed and overwritten
+    triple = r"\[-?\d+,-?\d+,-?\d+\]"
+    quoted = re.findall(rf"`(\[{triple}(?:,{triple})*\])`", README.read_text())
+    args = ["tutte", "--type", "G2", "--roots", "[[3,1],[3,2]]", "--format", "json",
+            "--cache-dir", str(tmp_path)]
+    assert main(args) == 0
+    want = json.loads(capsys.readouterr().out)["terms"]
+    (path,) = tmp_path.iterdir()
+    good = path.read_text()
+    tampered = [entry for entry in quoted if json.loads(entry) != json.loads(good)]
+    assert len(tampered) == len(quoted) - 1 >= 4
+    for entry in tampered:
+        path.write_text(entry)
+        assert main(args) == 0
+        body = json.loads(capsys.readouterr().out)
+        assert body["provenance"]["cache"] == "miss" and body["terms"] == want, entry
+        assert path.read_text() == good

@@ -33,7 +33,7 @@ from idealtutte.ideals import (
 )
 from idealtutte.rootsystems import root_poset, root_system_type
 from idealtutte.specialize import (
-    certify_tutte,
+    certify_coboundary,
     characteristic_polynomial,
     coboundary_of_ideal,
     region_count,
@@ -238,7 +238,7 @@ def test_chi_bar_of_another_ideal_fails_the_factorization(monkeypatch):
             command(ideal)
 
 
-# ---- the certificate of a Tutte polynomial read back from the cache ----------
+# ---- the certificate of a chi-bar read back from the cache ------------------
 
 
 @pytest.mark.parametrize(
@@ -254,30 +254,55 @@ def test_chi_bar_of_another_ideal_fails_the_factorization(monkeypatch):
         ("x^2 + 2x + 4y", CERTIFICATE_0),
         # T(2,2) = 2^4, t_10 = t_01, the degree bounds and the true chi
         ("x^2 + 2x + 2y + xy", CERTIFICATE_0),
-        # the true T minus xy - x - y: on the hyperbola, a negative coefficient
-        ("x^2 + 3x + 3y + y^2 - xy", "negative coefficient"),
+        # the true T minus xy - x - y: on the hyperbola, with a negative
+        # coefficient, but chi = q^2 - 5q + 4 does not split
+        ("x^2 + 3x + 3y + y^2 - xy", "ideal exponents"),
     ],
     ids=["x-r-column", "y-degree", "t22-off-by-2", "chi-does-not-split", "x-y-coefficients",
          "xy-for-y2", "negative"],
 )
 def test_certify_tutte_refuses_a_wrong_g2_polynomial(tutte, match):
+    # each wrong T, read back as the chi-bar that a cache entry holds, fails
+    # the certificate at that chi-bar's q-degree, the rank the reader takes
     ideal = exceptional_ideal("G2", IDEAL_G)  # 4 complement roots of rank 2
+    cb = tutte_to_coboundary(parse_polynomial(tutte), 2)
     with pytest.raises(InconsistencyError, match=match):
-        certify_tutte(ideal, parse_polynomial(tutte))
-    true = parse_polynomial("2y + 2x + y^2 + x^2")
-    assert certify_tutte(ideal, true) == tutte_to_coboundary(true, 2)
+        certify_coboundary(ideal, cb, cb.degree(0))
+    certify_coboundary(ideal, tutte_to_coboundary(parse_polynomial("2y + 2x + y^2 + x^2"), 2), 2)
 
 
 @pytest.mark.parametrize(
     "family, rank", [("F4", None), ("E6", None), ("A", 5), ("B", 4), ("C", 4), ("D", 4)]
 )
 def test_certified_tutte_gives_the_dispatcher_chi(family, rank):
-    # chi read off the chi-bar that the certificate returns, at its
-    # q-degree, the rank, on every ideal
+    # T read back as chi-bar passes the certificate at its q-degree, the
+    # rank, and chi read off it is the dispatcher's, on every ideal
     rst = root_system_type(family, rank)
     for ideal in iter_ideals(root_poset(rst)):
         tutte = tutte_of_ideal(ideal)
-        cb = certify_tutte(ideal, tutte)
-        assert cb == tutte_to_coboundary(tutte, tutte.degree(0))
+        cb = tutte_to_coboundary(tutte, tutte.degree(0))
+        certify_coboundary(ideal, cb, cb.degree(0))
+        assert cb == coboundary_of_ideal(ideal)
         chi = coboundary_to_characteristic(cb, rst.ambient_dim, cb.degree(0))
         assert chi == characteristic_polynomial(ideal), ideal
+
+
+def rank_forgery(ideal, cb):
+    """q chi-bar - (q - 1) t^m, for the m complement roots: it keeps
+    chi-bar(1, t) = t^m and, at rank r + 1, the q^(r+1) column, and its chi
+    is q chi, which splits over the ideal exponents when chi does."""
+    m = ideal.complement_mask().bit_count()
+    shifted = BivariatePolynomial({(a + 1, b): c for (a, b), c in cb.coeffs.items()}, cb.variables)
+    return poly_sum(shifted, BivariatePolynomial({(1, m): -1, (0, m): 1}, cb.variables))
+
+
+@pytest.mark.parametrize("family", ["G2", "F4"])
+def test_a_chi_bar_claimed_at_another_rank_is_refused(family):
+    # the rank is the number of simple roots in the complement, checked
+    # before anything else: without that check, 69 of these 113 forgeries
+    # pass every other part of the certificate
+    for ideal in iter_ideals(root_poset(root_system_type(family, None))):
+        cb = coboundary_of_ideal(ideal)
+        rank = cb.degree(0)
+        with pytest.raises(InconsistencyError, match=f"claims rank {rank + 1}, not the {rank} "):
+            certify_coboundary(ideal, rank_forgery(ideal, cb), rank + 1)
