@@ -51,7 +51,7 @@ print("agrees with chi-bar(3, t) at q = 3:",
       all(sum(c * t ** k for k, c in enumerate(profile.coeffs)) == cb.evaluate(3, t)
           for t in range(len(hyperplanes) + 1)))
 
-tutte = coboundary_to_tutte(cb, rank)
+tutte = coboundary_to_tutte(cb)  # at the rank, chi-bar's q-degree
 print(f"Tutte polynomial T(x, y), {len(tutte.coeffs)} terms:")
 print(" ", tutte.to_text())
 print("T(2,2) = 2^#hyperplanes:", tutte.evaluate(2, 2) == 2 ** len(hyperplanes))

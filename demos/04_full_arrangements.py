@@ -44,8 +44,7 @@ for family, rank in (("A", 3), ("B", 3), ("B", 4)):
 # region counts of full arrangements are the Weyl group orders
 print("\nregions of full arrangements vs Weyl group orders:")
 for family, n in (("A", 4), ("B", 3), ("B", 4), ("D", 4)):
-    rank = n - 1 if family == "A" else n
-    tutte = coboundary_to_tutte(coboundary_of_ideal(full_ideal(family, n)), rank)
+    tutte = coboundary_to_tutte(coboundary_of_ideal(full_ideal(family, n)))
     order = {
         "A": math.factorial(n),
         "B": 2 ** n * math.factorial(n),
@@ -56,7 +55,7 @@ for family, n in (("A", 4), ("B", 3), ("B", 4), ("D", 4)):
 # the braid arrangement of A12: 78 hyperplanes in R^13
 t0 = time.time()
 cb = coboundary_of_ideal(full_ideal("A", 13))
-tutte = coboundary_to_tutte(cb, 12)
+tutte = coboundary_to_tutte(cb)
 print(f"\nA12 braid arrangement in {time.time()-t0:.1f}s: "
       f"{len(tutte.coeffs)} Tutte terms")
 print("  [y^66] =", tutte.coefficient(0, 66))

@@ -16,9 +16,11 @@ and cross-validate the others.  One dispatcher
 (``specialize``) converts every Tutte polynomial to a coboundary polynomial,
 and one certificate, ``specialize.certify_coboundary``, passes every
 coboundary polynomial served: each engine's, and each read back from the
-CLI cache, which stores them.  It checks the rank against the complement's
-simple roots, the degrees, chi-bar(1, t) = t^m and that chi splits over the
-ideal exponents.
+CLI cache, which stores them.  It takes the rank from the complement's
+simple roots, checks the degrees, chi-bar(1, t) = t^m and that chi splits
+over the ideal exponents, and returns the Tutte polynomial, which must have
+no negative coefficient.  No function takes a rank beside a polynomial: the
+transforms read it off chi-bar's q-degree or T's x-degree.
 
 The paper's own classical route (signatures, Algorithm P's block partition
 and the minor sets that pick its primes) is ``idealtutte.paper``, which this

@@ -7,7 +7,8 @@ line, compact and with sorted keys.  The cache holds one entry per ideal
 and engine, its coboundary polynomial chi-bar as a JSON list of [dq, dt, c]
 int triples; its reader checks that format itself and serves an entry only
 if it also passes ``specialize.certify_coboundary``, the certificate of
-every computed result, and its T has no negative coefficient.  The JSON
+every computed result, which forms T and refuses a negative coefficient;
+a hit and a miss both give chi-bar and that T.  The JSON
 provenance is built on every call, never stored, and says whether the
 cache was hit.  A cache that cannot be written costs only a warning on
 stderr.  ``parse_ideal_spec`` checks an ideal spec itself to the terms of
@@ -18,8 +19,9 @@ request needs, ``hashlib`` only to name a cache entry (never under
 
 Each engine's guard is one constant of its own, and no option overrides it;
 ``verify`` compares the engines' certified chi-bar, ``auto`` against ``crapo``
-unless ``--engines`` names others, running crapo and oracle first, so that
-their guards refuse before any other engine works.
+unless ``--engines`` names others, which must resolve to at least two
+distinct engines, running crapo and oracle first, so that their guards
+refuse before any other engine works.
 
 Exit codes: 0 success, 1 validation error (or an ``--ideal-file`` that
 cannot be read, or an ``--out`` file that cannot be written), 2 guard refusal
@@ -47,7 +49,7 @@ from .errors import (
     InconsistencyError,
     VerificationMismatch,
 )
-from .exactpoly import BivariatePolynomial, coboundary_to_tutte, json_failure
+from .exactpoly import BivariatePolynomial, json_failure
 from .ideals import (
     complement,
     enumerate_ideals,
@@ -191,10 +193,9 @@ class _Cache:
         """The cached chi-bar of ``ideal`` and its Tutte polynomial, or None
         on a miss: an entry that cannot be read or decoded, is not a list of
         distinct [dq, dt, c] int triples with nonzero c and non-negative
-        degrees, fails ``specialize.certify_coboundary`` at its q-degree,
-        the rank (an ideal arrangement has no loops), or transforms to a T
-        with a negative coefficient, which no matroid has.  The caller
-        recomputes and overwrites a miss."""
+        degrees, or fails ``specialize.certify_coboundary``, the certificate
+        of every computed result, which forms T.  The caller recomputes and
+        overwrites a miss."""
         if not self.enabled:
             return None
         try:
@@ -208,12 +209,7 @@ class _Cache:
             if len(coeffs) != len(terms):
                 return None  # a degree given twice
             cb = BivariatePolynomial._of(coeffs, ("q", "t"))  # canonical once checked
-            rank = cb.degree(0)
-            specialize.certify_coboundary(ideal, cb, rank)
-            tutte = coboundary_to_tutte(cb, rank)
-            if min(tutte.coeffs.values()) < 0:
-                return None
-            return cb, tutte
+            return cb, specialize.certify_coboundary(ideal, cb)
         except (OSError, ValueError, RecursionError, InconsistencyError):
             return None
 
@@ -250,23 +246,18 @@ def cmd_polynomial(args, command):
     """Emit the ideal's ``command`` polynomial and this call's provenance:
     ``cache`` says whether its chi-bar came from the cache, and
     ``wall_time_s`` is this call's time to read or compute the polynomial.
-    A miss computes chi-bar and stores it, and only ``tutte`` transforms
-    it; a hit prints the chi-bar its certificate checked or the T its
-    reader formed.  ``--no-cache`` builds no key."""
+    A hit and a miss both give chi-bar and the T its certificate formed, and
+    a miss stores chi-bar.  ``--no-cache`` builds no key."""
     ideal = _ideal_from_args(args)
     engine = specialize.resolve_engine(args.engine, ideal.rst)
     t0 = time.perf_counter()
     cache = _Cache(args)
     key = cache.key(ideal, engine) if cache.enabled else None
     hit = cache.get(key, ideal)
-    if hit is not None:
-        poly = hit[0] if command == "coboundary" else hit[1]
-    else:
-        poly = cb = specialize.coboundary_of_ideal(ideal, engine=engine)
+    cb, tutte = hit or specialize.polynomials_of_ideal(ideal, engine)
+    if hit is None:
         cache.put(key, cb)
-        if command == "tutte":  # no loops, so chi-bar's q-degree is the rank
-            poly = coboundary_to_tutte(cb, cb.degree(0))
-    _emit(args, poly, {
+    _emit(args, tutte if command == "tutte" else cb, {
         "cache": "miss" if hit is None else "hit",
         "engine": engine,
         "system": str(ideal.rst),
@@ -373,8 +364,9 @@ def cmd_verify(args):
     poset = root_poset(rst)
     engines = [e.strip() for e in args.engines.split(",")]
     resolved = [specialize.resolve_engine(e, rst) for e in engines]
-    if len(engines) < 2:
-        raise ConstraintError("verify needs at least two engines")
+    if len(set(resolved)) < 2:
+        raise ConstraintError(f"verify needs two distinct engines, and --engines {args.engines} "
+                              f"runs only {', '.join(dict.fromkeys(resolved))}")
     if args.all_ideals:
         ideals = enumerate_ideals(poset)
     else:

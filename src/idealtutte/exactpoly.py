@@ -12,8 +12,10 @@ name, follows it there.
 Both directions between chi-bar(q, t) and T(x, y) work on the q-columns of
 chi-bar: each column is divided exactly by (t-1) (synthetic division, with
 its remainder checked) or multiplied by it, and the other axis takes a shift
-by +-1 along the short x-axis, whose degree is at most the rank.  The
-characteristic polynomial is the t^0 column of chi-bar.
+by +-1 along the short x-axis.  No transform takes a rank: each reads it
+off its input, as chi-bar's q-degree or T's x-degree, which are the rank of
+every matroid, loops or not.  The characteristic polynomial is the t^0
+column of chi-bar.
 
 ``from_json_dict`` checks its document itself, to the terms of the packaged
 ``schemas/polynomial.schema.json``, with the type check ``json_failure``.
@@ -382,21 +384,19 @@ def _from_columns(cols, variables):
     )
 
 
-def coboundary_to_tutte(cb, rank):
+def coboundary_to_tutte(cb):
     """Transform a coboundary polynomial in (q, t) into the Tutte polynomial in (x, y).
 
-    T(x, y) = chi-bar((x-1)(y-1), y) / (y-1)^rank.  Writing chi-bar as
-    sum_a q^a p_a(t), this is T = sum_a (x-1)^a g_a(y) with
-    g_a = p_a / (t-1)^(rank-a): each q-column is divided exactly by (t-1),
-    rank-a times, each time by one synthetic division from the top degree,
-    and the (x-1)^a are expanded along the short x-axis.  A q-degree above
-    rank, or a nonzero remainder (chi-bar not divisible as the rank
-    requires), means the claimed rank or the coboundary data is wrong:
-    InconsistencyError.
+    T(x, y) = chi-bar((x-1)(y-1), y) / (y-1)^r, with r the rank, read off
+    chi-bar as its q-degree: a matroid's q^r column is t^(loops), never 0.
+    Writing chi-bar as sum_a q^a p_a(t), this is T = sum_a (x-1)^a g_a(y)
+    with g_a = p_a / (t-1)^(r-a): each q-column is divided exactly by
+    (t-1), r-a times, each time by one synthetic division from the top
+    degree, and the (x-1)^a are expanded along the short x-axis.  A nonzero
+    remainder means the coboundary data is wrong: InconsistencyError.
     """
     cols = _columns(cb.coeffs)
-    if len(cols) > rank + 1:
-        raise InconsistencyError(f"coboundary has q-degree {len(cols) - 1} above rank {rank}")
+    rank = len(cols) - 1
     for a, col in enumerate(cols):
         top_first = col[::-1]
         for done in range(rank - a):
@@ -413,27 +413,27 @@ def coboundary_to_tutte(cb, rank):
     return _from_columns(_shift_first_axis(cols, sub), ("x", "y"))
 
 
-def tutte_to_coboundary(tutte, rank):
-    """Inverse transform: chi-bar(q, t) = (t-1)^rank T(q/(t-1) + 1, t).
+def tutte_to_coboundary(tutte):
+    """Inverse transform: chi-bar(q, t) = (t-1)^r T(q/(t-1) + 1, t), with r
+    the rank, read off T as its x-degree: a matroid's x^r coefficient is
+    y^(loops), never 0.
 
     The same steps backwards: T(x+1, y) = sum_a x^a g_a(y) by Horner's
-    scheme along x, then chi-bar = sum_a q^a (t-1)^(rank-a) g_a(t), each
-    column multiplied by (t-1) rank-a times.  ConstraintError when an
-    x-degree exceeds rank.
+    scheme along x, then chi-bar = sum_a q^a (t-1)^(r-a) g_a(t), each
+    column multiplied by (t-1) r-a times.
     """
-    if tutte.degree(0) > rank:
-        raise ConstraintError("x-degree exceeds rank")
     cols = _shift_first_axis(_columns(tutte.coeffs), add)
     for a, col in enumerate(cols):
-        for _ in range(rank - a):
+        for _ in range(len(cols) - 1 - a):
             col = list(map(sub, [0] + col, col + [0]))
         cols[a] = col
     return _from_columns(cols, ("q", "t"))
 
 
-def coboundary_to_characteristic(cb, n, rank):
-    """Characteristic polynomial chi(q) = q^(n-rank) chi-bar(q, 0): the t^0 column."""
-    if rank > n:
-        raise ConstraintError(f"rank {rank} exceeds ambient dimension {n}")
+def coboundary_to_characteristic(cb, n):
+    """Characteristic polynomial chi(q) = q^(n-r) chi-bar(q, 0) in R^n: the
+    t^0 column, with the rank r read off chi-bar as its q-degree."""
     column = [cb.coefficient(a, 0) for a in range(cb.degree(0) + 1)]
-    return UnivariatePolynomial([0] * (n - rank) + column)
+    if len(column) > n + 1:
+        raise ConstraintError(f"rank {len(column) - 1} exceeds ambient dimension {n}")
+    return UnivariatePolynomial([0] * (n + 1 - len(column)) + column)

@@ -1,7 +1,7 @@
 """The finite field method for ideal arrangements of classical root systems:
 the counting model whose one dynamic program yields the coboundary polynomial
 directly (a full arrangement is the single-block case), its one entry
-``coboundary_and_rank`` (which the dispatcher, ``specialize``, certifies), and
+``coboundary_of_ideal`` (which the dispatcher, ``specialize``, certifies), and
 the brute-force point-counting oracle, with ``coboundary_at``, which reads
 chi-bar at a prime for comparison with it.  The model's blocks and flags,
 and the oracle's check of its tuples, come from ``ideals.block_flags``.  The
@@ -442,8 +442,8 @@ def _divide_exactly(poly, d, name):
     coefficient's division by 2^u, and at any stride the division by
     q^(m - rank) and chi-bar(q, 1) = q^rank, which also make the count at a
     prime total p^m; ``specialize.certify_coboundary`` checks
-    chi-bar(1, t) = t^m and chi's split over the ideal exponents on every
-    command, and ``verify`` checks chi-bar(3, t) against brute force.
+    chi-bar(1, t) = t^m, chi's split over the ideal exponents and T's signs
+    on every command, and ``verify`` checks chi-bar(3, t) against brute force.
     """
     q, rem = divmod(poly, d)
     if rem:
@@ -454,21 +454,18 @@ def _divide_exactly(poly, d, name):
 # ---- the ideal pipeline ------------------------------------------------------
 
 
-def coboundary_and_rank(ideal):
-    """chi-bar(q, t) and the rank of a classical ideal arrangement.
+def coboundary_of_ideal(ideal):
+    """chi-bar(q, t) of a classical ideal arrangement.
 
     Decomposes the complement into connected components and multiplies their
     coboundary polynomials (chi-bar is rank-relative, so components simply
     multiply).  Each component's chi-bar comes straight from its counting
-    model's rounds (``CountingModel.coboundary``); the components share no
-    coordinate, so their ranks add up to the arrangement's.  An exceptional
-    type has no tuples, and ``ideals.complement`` refuses it with
-    UnsupportedTypeError.
+    model's rounds (``CountingModel.coboundary``), which checks them against
+    the model's own rank.  An exceptional type has no tuples, and
+    ``ideals.complement`` refuses it with UnsupportedTypeError.
     """
-    result, rank = None, 0
+    result = None
     for component in decompose_components(ideal):
-        model = CountingModel(component.size, component.tuples)
-        cb = model.coboundary()
+        cb = CountingModel(component.size, component.tuples).coboundary()
         result = cb if result is None else result * cb
-        rank += model.rank
-    return (BivariatePolynomial.one(("q", "t")) if result is None else result), rank
+    return BivariatePolynomial.one(("q", "t")) if result is None else result

@@ -14,8 +14,8 @@ of (t-1)^|S| over S in F & D; the flats above the closure of S contribute
 q^(r - r(S)), which is Crapo's subset expansion.)  So one lattice per root
 system serves all its ideals: ``flat_lattice`` builds it on the first request
 and keeps it for the process, and each ideal then costs one pass over the
-flats (``FlatLattice.restrict``, which returns chi-bar_D and r(D) to the
-engine dispatcher in ``specialize``).  G2 has 8 flats, F4 268 and E6 4598.
+flats (``FlatLattice.restrict``, which returns chi-bar_D to the engine
+dispatcher in ``specialize``).  G2 has 8 flats, F4 268 and E6 4598.
 auto also serves the classical systems of at most
 ``specialize.AUTO_MAX_CLASSICAL_ROOTS`` positive roots from here: D4 has 72
 flats, B4 and C4 116, A5 203, D5 403, B5 and C5 648 and A6 877.  Any system
@@ -174,12 +174,12 @@ class FlatLattice:
         return len(self.masks)
 
     def restrict(self, mask):
-        """(chi-bar_D(q, t), r(D)) of the subconfiguration D whose vectors are
-        the bits of ``mask``.
+        """chi-bar_D(q, t) of the subconfiguration D whose vectors are the
+        bits of ``mask``.
 
-        r(D) is the rank of the smallest flat containing D.  The sum over the
-        flats is binned by |F & D| and must vanish below q^(r - r(D)), which
-        is divided out; InconsistencyError otherwise.  ConstraintError for a
+        The sum over the flats is binned by |F & D| and must vanish below
+        q^(r - r(D)), which is divided out, r(D) the rank of the smallest
+        flat containing D; InconsistencyError otherwise.  ConstraintError for a
         mask with bits outside the configuration.
         """
         if mask & ~self.masks[-1]:
@@ -215,7 +215,7 @@ class FlatLattice:
                 f"flat sum of {m} elements of rank {rank} is not divisible by "
                 f"q^{r - rank}"
             )
-        return BivariatePolynomial._of(coeffs, ("q", "t")), rank
+        return BivariatePolynomial._of(coeffs, ("q", "t"))
 
 
 def orbit_lattice(rst):

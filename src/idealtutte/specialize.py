@@ -1,13 +1,15 @@
 """The one engine dispatcher, the one certificate and what is read off them.
 
-Each engine returns one polynomial and the arrangement's rank: chi-bar(q, t)
-from the finite-field pipeline and the lattice of flats, T(x, y) from Crapo's
-basis activities and the corank-nullity oracle.  One function takes every
-result and converts each T to chi-bar.  ``certify_coboundary`` certifies
-every polynomial the package serves, each a chi-bar: each engine's result
-and each CLI cache entry.  ``tutte_of_ideal`` transforms the certified
-chi-bar, and ``characteristic_polynomial`` reads chi(q) off chi-bar(q, 0),
-as the certificate does.  Also region counts.
+Each engine returns one polynomial: chi-bar(q, t) from the finite-field
+pipeline and the lattice of flats, T(x, y) from Crapo's basis activities
+and the corank-nullity oracle.  None returns a rank: the transforms read it
+off the polynomial.  ``polynomials_of_ideal`` takes every result, converts
+each T to chi-bar, and returns chi-bar with the T that
+``certify_coboundary`` forms while it certifies chi-bar.  Every command
+reads that pair, and a CLI cache hit is the pair that the certificate
+gives of a stored chi-bar.
+``characteristic_polynomial`` reads chi(q) off chi-bar(q, 0), as the
+certificate does.  Also region counts.
 
 ``resolve_engine`` picks auto's engine from the root system alone: the
 lattice of flats on G2, F4, E6 and the classical systems of at most
@@ -61,24 +63,23 @@ def resolve_engine(engine, rst):
     return engine
 
 
-def certify_coboundary(ideal, cb, rank):
-    """None once ``cb`` passes as the chi-bar(q, t) of ``ideal``'s
-    arrangement of rank r = ``rank``; InconsistencyError otherwise.  First r
-    must be the number of simple roots in the complement: the complement is
-    a lower set, and a lower set spans what its simple roots span.  So a
-    claimed rank is checked before any work of its size.  One pass over the
-    terms then checks the degrees (q-degree at most r, total degree at most
-    m, for the m complement roots) and the q^r column (exactly 1, with no
-    loops), and sums its columns for Certificate 0: chi-bar(1, t) = t^m,
-    which every matroid has (T on the hyperbola (x - 1)(y - 1) = 1, that is
-    Brylawski's linear relations; Brylawski and Oxley, 1992).  Then chi, the
-    t^0 column, must split over the ideal exponents
-    (``ideals.check_exponent_factorization``)."""
+def certify_coboundary(ideal, cb):
+    """T(x, y) once ``cb`` passes as the chi-bar(q, t) of ``ideal``'s
+    arrangement; InconsistencyError otherwise.  Its rank r is the number of
+    simple roots in the complement: the complement is a lower set, and a
+    lower set spans what its simple roots span.  So nothing is sized by the
+    polynomial it checks.  One pass over the terms checks the degrees
+    (q-degree at most r, total degree at most m, for the m complement roots)
+    and the q^r column (exactly 1, with no loops), and sums its columns for
+    Certificate 0: chi-bar(1, t) = t^m, which every matroid has (T on the
+    hyperbola (x - 1)(y - 1) = 1, that is Brylawski's linear relations;
+    Brylawski and Oxley, 1992).  Then chi, the t^0 column, must split over
+    the ideal exponents (``ideals.check_exponent_factorization``), and T,
+    formed by ``exactpoly.coboundary_to_tutte``, must have no negative
+    coefficient, which no matroid's T has: the one check that is not
+    linear in chi-bar."""
     comp = ideal.complement_mask()
-    m, simple = comp.bit_count(), (comp & ideal.poset.height_masks[0]).bit_count()
-    if rank != simple:
-        raise InconsistencyError(f"chi-bar = {cb} claims rank {rank}, not the {simple} "
-                                 f"simple roots among its {m} elements")
+    m, rank = comp.bit_count(), (comp & ideal.poset.height_masks[0]).bit_count()
     at_q1, chi = [0] * (m + 1), [0] * (rank + 1)  # chi-bar(1, t) and chi-bar(q, 0)
     for (a, b), c in cb.coeffs.items():
         if a + b > m or a > rank or (a == rank and b):
@@ -91,6 +92,11 @@ def certify_coboundary(ideal, cb, rank):
         raise InconsistencyError(f"chi-bar = {cb} of {m} elements of rank {rank} "
                                  "fails the q^r column or chi-bar(1, t) = t^m")
     check_exponent_factorization(ideal, chi)
+    tutte = coboundary_to_tutte(cb)
+    if min(tutte.coeffs.values()) < 0:
+        raise InconsistencyError(f"chi-bar = {cb} gives T = {tutte}, "
+                                 "which has a negative coefficient")
+    return tutte
 
 
 @functools.cache
@@ -107,26 +113,25 @@ def _engine_module(engine):
     return module
 
 
-def _coboundary_and_rank(ideal, engine):
-    """(chi-bar(q, t), rank) by the engine that ``resolve_engine`` picks,
-    once it passes ``certify_coboundary``: a Tutte polynomial from crapo or
-    oracle is converted by ``exactpoly.tutte_to_coboundary``."""
+def polynomials_of_ideal(ideal, engine="auto"):
+    """(chi-bar(q, t), T(x, y)) of an ideal arrangement by the engine that
+    ``resolve_engine`` picks, once chi-bar passes ``certify_coboundary``,
+    which forms T: a Tutte polynomial from crapo or oracle is converted by
+    ``exactpoly.tutte_to_coboundary`` first.  Every command reads this."""
     engine = resolve_engine(engine, ideal.rst)
     module = _engine_module(engine)
     if engine == "ffmethod":
-        cb, rank = module.coboundary_and_rank(ideal)
+        cb = module.coboundary_of_ideal(ideal)
     elif engine == "flats":
-        cb, rank = module.flat_lattice(ideal.rst).restrict(ideal.complement_mask())
+        cb = module.flat_lattice(ideal.rst).restrict(ideal.complement_mask())
     else:
-        vectors = [r.simple_coords for r in ideal.complement_roots()]
-        cfg = module.VectorConfig(vectors, dim=ideal.rst.rank)
+        cfg = module.VectorConfig([r.simple_coords for r in ideal.complement_roots()])
         tutte = module.tutte_crapo if engine == "crapo" else module.tutte_corank_nullity
-        cb, rank = tutte_to_coboundary(tutte(cfg), cfg.rank), cfg.rank
+        cb = tutte_to_coboundary(tutte(cfg))
     try:
-        certify_coboundary(ideal, cb, rank)
+        return cb, certify_coboundary(ideal, cb)
     except InconsistencyError as exc:
         raise InconsistencyError(f"the {engine} result fails its certificate: {exc}") from None
-    return cb, rank
 
 
 def tutte_of_ideal(ideal, engine="auto"):
@@ -143,20 +148,19 @@ def tutte_of_ideal(ideal, engine="auto"):
     ``crapo.ORACLE_MAX_SUBSETS`` subsets, flats past ``flats.MAX_VECTORS``
     roots.
     """
-    return coboundary_to_tutte(*_coboundary_and_rank(ideal, engine))
+    return polynomials_of_ideal(ideal, engine)[1]
 
 
 def coboundary_of_ideal(ideal, engine="auto"):
     """Coboundary polynomial of an ideal arrangement, by the engine as in
     ``tutte_of_ideal``."""
-    return _coboundary_and_rank(ideal, engine)[0]
+    return polynomials_of_ideal(ideal, engine)[0]
 
 
 def characteristic_polynomial(ideal, engine="auto"):
     """chi(q) = q^(n - rank) chi-bar(q, 0) of an ideal arrangement in R^n:
     the t^0 column of ``coboundary_of_ideal`` with the same engine."""
-    cb, rank = _coboundary_and_rank(ideal, engine)
-    return coboundary_to_characteristic(cb, ideal.rst.ambient_dim, rank)
+    return coboundary_to_characteristic(coboundary_of_ideal(ideal, engine), ideal.rst.ambient_dim)
 
 
 def region_count(tutte):

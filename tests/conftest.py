@@ -74,7 +74,7 @@ B3_SWAP = [(0, 1, 2), (1, 1, 1), (1, 1, 2), (1, 2, 2)]
 
 def swap_b3_restriction(monkeypatch):
     """Tamper ``FlatLattice.restrict`` so that the B3_IDEAL ideal gets the
-    true chi-bar and rank of the B3_SWAP ideal; returns both ideals."""
+    true chi-bar of the B3_SWAP ideal; returns both ideals."""
     poset = root_poset(root_system_type("B", 3))
     ideal, swap = (ideal_from_root_coords(poset, coords) for coords in (B3_IDEAL, B3_SWAP))
     real = flats.FlatLattice.restrict
@@ -88,10 +88,17 @@ def swap_b3_restriction(monkeypatch):
 
 # the ideals of a root system, and where their engine's result is tampered
 TAMPERED_ENGINES = [
-    ("B", 4, ffmethod, "coboundary_and_rank"),
+    ("B", 4, ffmethod, "coboundary_of_ideal"),
     ("F4", None, flats.FlatLattice, "restrict"),
     ("B", 3, crapo, "tutte_corank_nullity"),
 ]
+# the factors that ``tamper_engine`` multiplies by (t-1)^r and adds to a
+# chi-bar of rank r: 1, and c t (q - 1) at c = 1000, which at r >= 2 and
+# m >= r + 2 keeps the degree bounds, the q^r column, chi-bar(1, t) = t^m
+# and chi, and adds c (x y^2 - x y - y^2) to T, so that only T's signs
+# refuse it
+PLUS_ONE = BivariatePolynomial.one(("q", "t"))
+NEGATIVE_T = BivariatePolynomial({(1, 1): 1000, (0, 1): -1000}, ("q", "t"))
 
 
 def poly_sum(*polys):
@@ -104,24 +111,28 @@ def poly_sum(*polys):
     return BivariatePolynomial(coeffs, polys[0].variables)
 
 
-def tamper_engine(monkeypatch, owner, name):
+def plus_t_minus_1_power(cb, factor):
+    """cb + factor (t-1)^r, for r the q-degree of the chi-bar ``cb``."""
+    t_minus_1 = BivariatePolynomial({(0, 1): 1, (0, 0): -1}, ("q", "t"))
+    for _ in range(cb.degree(0)):
+        factor = factor * t_minus_1
+    return poly_sum(cb, factor)
+
+
+def tamper_engine(monkeypatch, owner, name, factor=PLUS_ONE):
     """Tamper ``owner.name``, one of TAMPERED_ENGINES, and return the engine
     that runs the tampered code, named, since auto may pick another one.
     Adding (t-1)^rank to chi-bar keeps chi-bar(q, 1) = q^rank and every
     division by t - 1 in the transform exact, but adds (t-1)^rank to
     chi-bar(1, t) = t^m; adding 1 to the oracle's T keeps its degree bounds
-    and does the same."""
+    and does the same.  A chi-bar engine adds ``factor`` (t-1)^rank instead
+    when ``factor`` is given, as NEGATIVE_T."""
     real = getattr(owner, name)
-    t_minus_1 = BivariatePolynomial({(0, 1): 1, (0, 0): -1}, ("q", "t"))
 
     def tampered(*args):
         if owner is crapo:
             return poly_sum(real(*args), BivariatePolynomial.one())
-        cb, r = real(*args)
-        extra = BivariatePolynomial.one(("q", "t"))
-        for _ in range(r):
-            extra = extra * t_minus_1
-        return poly_sum(cb, extra), r
+        return plus_t_minus_1_power(real(*args), factor)
 
     monkeypatch.setattr(owner, name, tampered)
     return {crapo: "oracle", ffmethod: "ffmethod", flats.FlatLattice: "flats"}[owner]

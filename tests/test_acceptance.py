@@ -144,7 +144,7 @@ def test_crit1_id_diagnosis():
     model = CountingModel(6, tuples)
     primes = (3, 5, 7, 11, 13, 17, 19)[: model.rank + 1]
     cb = lagrange_interpolate([(p, model.coboundary_at_prime(p)) for p in primes])
-    tutte = coboundary_to_tutte(cb, model.rank)
+    tutte = coboundary_to_tutte(cb)
     ok = cb == load_poly("coboundary_id.txt", ("q", "t")) and tutte == load_poly(
         "tutte_id.txt", ("x", "y")
     )
@@ -155,7 +155,7 @@ def test_crit1_id_diagnosis():
 def test_crit1_a12_braid_spots():
     t0 = time.time()
     cb = full_coboundary("A", 13)
-    tutte = coboundary_to_tutte(cb, 12)
+    tutte = coboundary_to_tutte(cb)
     dt = time.time() - t0
     ok = (
         tutte.coefficient(0, 66) == 1
@@ -217,7 +217,7 @@ def test_crit2_engine_equivalence(sweep_results):
             (p, count_points_bruteforce(tuples, n, p).coboundary())
             for p in primes
         ]
-        bf_tutte = coboundary_to_tutte(lagrange_interpolate(points), r)
+        bf_tutte = coboundary_to_tutte(lagrange_interpolate(points))
         if bf_tutte != data["primary"]:
             mismatches += 1
     dt = time.time() - t0
@@ -277,8 +277,7 @@ def test_crit4_specializations(sweep_results):
         ("D", 4): 192,
     }
     for (family, n), order in weyl.items():
-        r = n - 1 if family == "A" else n
-        tutte = coboundary_to_tutte(full_coboundary(family, n), r)
+        tutte = coboundary_to_tutte(full_coboundary(family, n))
         if region_count(tutte) != order:
             failures += 1
     g2 = root_poset(root_system_type("G2"))

@@ -15,10 +15,12 @@ from conftest import (
     B3_IDEAL,
     IDEAL_E,
     IDEAL_G,
+    NEGATIVE_T,
     TAMPERED_ENGINES,
     exceptional_ideal,
     latex_is_wellformed,
     packaged_schema,
+    plus_t_minus_1_power,
     poly_sum,
     src_env,
     swap_b3_restriction,
@@ -27,7 +29,7 @@ from conftest import (
     uniform_type_a_ideal,
 )
 import idealtutte
-from idealtutte import crapo, ffmethod, specialize
+from idealtutte import crapo, ffmethod, flats, specialize
 from idealtutte.cli import main, parse_ideal_spec
 from idealtutte.errors import ConstraintError, InconsistencyError
 from idealtutte.exactpoly import (
@@ -174,16 +176,16 @@ def test_coboundary_miss_prints_chi_bar_as_computed(capsys, monkeypatch, tmp_pat
     want = BivariatePolynomial.from_json_dict(
         {"terms": [{"dx": a, "dy": b, "c": str(c)} for a, b, c in G2_TUTTE],
          "variables": ["x", "y"]})
-    # a miss forms no Tutte polynomial, so neither transform runs, and under
-    # --no-cache no cache key is built
+    # a miss forms T once, in the certificate, and converts nothing back,
+    # and under --no-cache no cache key is built
     with monkeypatch.context() as patched:
-        patched.setattr(cli, "coboundary_to_tutte", _never)
-        patched.setattr(specialize, "tutte_to_coboundary", _never)
+        calls = spy_on_transforms(patched)
         code, cold, _ = run(capsys, "coboundary", *g2, "--cache-dir", str(tmp_path / "cb"))
+        assert calls == ["coboundary_to_tutte"]
         patched.setattr(cli._Cache, "key", _never)
         code2, out, _ = run(capsys, "coboundary", *g2, "--no-cache")
     assert code == code2 == 0
-    assert BivariatePolynomial.from_json_dict(json.loads(out)) == tutte_to_coboundary(want, 2)
+    assert BivariatePolynomial.from_json_dict(json.loads(out)) == tutte_to_coboundary(want)
     # with a cache, the miss stores the entry tutte would have stored, and tutte hits it
     assert json.loads(cold)["terms"] == json.loads(out)["terms"]
     code, hit, _ = run(capsys, "tutte", *g2, "--cache-dir", str(tmp_path / "cb"))
@@ -248,23 +250,18 @@ def test_verify_checks_the_agreed_chi_bar_against_brute_force(capsys, monkeypatc
     code, out, _ = run(capsys, *args, "--engines", "ffmethod,crapo")
     assert code == 0
     assert "(+20 brute-force point-count checks)" in out
-    real = ffmethod.coboundary_and_rank
-
-    def tampered(ideal):
-        # adding (q-1) t (t-1)^rank keeps chi-bar(q, 1), chi-bar(1, t), chi
-        # (the t^0 column), the degree bounds and every division of the
-        # Tutte transform, so the certificate passes it and both engine runs
-        # agree on the wrong answer for the first ideal, the empty one
-        # (9 roots, rank 3)
-        cb, rank = real(ideal)
-        t_minus_1 = BivariatePolynomial({(0, 1): 1, (0, 0): -1}, ("q", "t"))
-        extra = BivariatePolynomial({(1, 1): 1, (0, 1): -1}, ("q", "t"))  # (q-1) t
-        for _ in range(rank):
-            extra = extra * t_minus_1
-        return poly_sum(cb, extra), rank
-
-    monkeypatch.setattr(ffmethod, "coboundary_and_rank", tampered)
-    code, _, err = run(capsys, *args, "--engines", "ffmethod,ffmethod")
+    # adding (q-1) t (t-1)^rank keeps chi-bar(q, 1), chi-bar(1, t), chi
+    # (the t^0 column), the degree bounds and every division of the Tutte
+    # transform, and adds xy^2 - xy - y^2 to T, which leaves the first
+    # ideal's T, the empty one's (9 roots, rank 3), with no negative
+    # coefficient.  So the certificate passes it, and two engines tampered
+    # alike agree on the wrong answer
+    q_minus_1_times_t = BivariatePolynomial({(1, 1): 1, (0, 1): -1}, ("q", "t"))
+    for owner, name in ((ffmethod, "coboundary_of_ideal"), (flats.FlatLattice, "restrict")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, real=real: plus_t_minus_1_power(
+            real(*a), q_minus_1_times_t))
+    code, _, err = run(capsys, *args, "--engines", "ffmethod,flats")
     assert code == 3 and "brute force disagree at p=3 on Ideal(B3, [])" in err
 
 
@@ -272,12 +269,13 @@ def test_verify_runs_the_counting_dp_per_component(capsys, monkeypatch):
     # the first uniform A14 draw of seed 14: its complement's blocks taken
     # together, [2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1], could expand 4237704
     # moves in one round, past the DP's guard, while its largest component
-    # could expand 211.  Its 3^15 points are left uncounted
+    # could expand 211.  Its 17 roots of rank 11 are 12376 basis candidates
+    # for crapo, and its 3^15 points are left uncounted
     ideal = uniform_type_a_ideal(random.Random(14), 14)
     roots = json.dumps([list(r.simple_coords) for r in ideal.roots()])
     monkeypatch.setattr(ffmethod, "DEFAULT_MAX_POINTS", 3 ** 15 - 1)
     code, out, _ = run(capsys, "verify", "--type", "A", "--rank", "14", "--roots", roots,
-                       "--engines", "auto,ffmethod")
+                       "--engines", "auto,crapo")
     assert code == 0 and "(+0 brute-force point-count checks)" in out
 
 
@@ -316,12 +314,38 @@ def test_every_tampered_engine_exits_4(capsys, monkeypatch, tmp_path, tamper, co
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["tutte", "coboundary"])
+@pytest.mark.parametrize("tamper", TAMPERED_ENGINES[:2], ids=["ffmethod", "flats"])
+def test_a_chi_bar_whose_tutte_has_a_negative_coefficient_exits_4(
+        capsys, monkeypatch, tmp_path, tamper, command):
+    # chi-bar + 1000 t (q - 1)(t - 1)^r passes every linear check of the
+    # certificate on the full B4 and F4 arrangements; computed, it exits 4
+    # and nothing is cached, and read from the cache, it is a miss
+    family, rank, owner, name = tamper
+    system = ("--type", family, *(() if rank is None else ("--rank", str(rank))), "--full")
+    engine = tamper_engine(monkeypatch, owner, name, NEGATIVE_T)
+    args = (command, *system, "--engine", engine, "--cache-dir", str(tmp_path))
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (4, "")
+    assert err.startswith(f"inconsistent result: the {engine} result fails its certificate")
+    assert err.rstrip().endswith("which has a negative coefficient")
+    assert not any(tmp_path.iterdir())
+    monkeypatch.undo()
+    code, want, _ = run(capsys, *args)
+    (path,) = tmp_path.iterdir()
+    good = path.read_text()
+    cb = BivariatePolynomial({(a, b): c for a, b, c in json.loads(good)}, ("q", "t"))
+    path.write_text(json.dumps(_triples(plus_t_minus_1_power(cb, NEGATIVE_T))))
+    assert run(capsys, *args) == (0, want, "")
+    assert path.read_text() == good
+
+
 def test_every_result_passes_the_one_certificate_once(capsys, monkeypatch, tmp_path):
     real, calls = specialize.certify_coboundary, []
 
-    def spy(ideal, cb, rank):
+    def spy(ideal, cb):
         calls.append(ideal)
-        return real(ideal, cb, rank)
+        return real(ideal, cb)
 
     monkeypatch.setattr(specialize, "certify_coboundary", spy)
     ideal = exceptional_ideal("G2", IDEAL_G)
@@ -339,19 +363,26 @@ def test_every_result_passes_the_one_certificate_once(capsys, monkeypatch, tmp_p
         assert calls == [ideal], cache
 
 
-def test_coboundary_hit_transforms_its_entry_once(capsys, monkeypatch, tmp_path):
-    # the chi-bar printed on a hit is the entry its certificate checked; the
-    # reader forms its T once, to refuse a negative coefficient, and never
-    # transforms a T back
+def spy_on_transforms(monkeypatch):
+    """The names of the coboundary/Tutte transforms that the package calls,
+    in order, from now until ``monkeypatch`` is undone."""
     calls = []
 
     def spy(transform):
-        return lambda poly, rank: calls.append(transform.__name__) or transform(poly, rank)
+        return lambda poly: calls.append(transform.__name__) or transform(poly)
 
     for real in (coboundary_to_tutte, tutte_to_coboundary):
         for module in [m for n, m in sys.modules.items() if n.startswith("idealtutte.")]:
             if getattr(module, real.__name__, None) is real:
                 monkeypatch.setattr(module, real.__name__, spy(real))
+    return calls
+
+
+def test_coboundary_hit_transforms_its_entry_once(capsys, monkeypatch, tmp_path):
+    # the chi-bar printed on a hit is the entry its certificate checked; the
+    # certificate forms its T once, to refuse a negative coefficient, and
+    # nothing transforms a T back
+    calls = spy_on_transforms(monkeypatch)
     for family, roots in (("G2", IDEAL_G), ("E6", IDEAL_E)):
         args = ("--type", family, "--roots", json.dumps(roots), "--format", "json")
         assert run(capsys, "tutte", *args, "--cache-dir", str(tmp_path))[0] == 0
@@ -756,6 +787,19 @@ def test_flats_engine_refuses_a_system_past_its_guard(capsys):
     assert err.strip() == "guard refused: flats of 49 roots need at most 39"
 
 
+@pytest.mark.parametrize(
+    "engines, runs",
+    [("auto,flats", "flats"), ("ffmethod,ffmethod", "ffmethod"), ("crapo", "crapo")],
+)
+def test_verify_refuses_fewer_than_two_distinct_engines(capsys, engines, runs):
+    # auto is flats on B4: comparing an engine with itself verifies nothing
+    code, out, err = run(capsys, "verify", "--type", "B", "--rank", "4", "--all-ideals",
+                         "--engines", engines)
+    assert (code, out) == (1, "")
+    assert err.strip() == (f"error: verify needs two distinct engines, and --engines {engines} "
+                           f"runs only {runs}")
+
+
 def test_verify_f4_all_ideals_against_crapo(capsys):
     # auto, crapo is verify's default pair
     code, out, _ = run(capsys, "verify", "--type", "F4", "--all-ideals")
@@ -835,10 +879,8 @@ def _entry(terms):
 
 
 def _chi_bar_entry(tutte):
-    """The cache entry of the chi-bar of the Tutte polynomial ``tutte``, at
-    its x-degree."""
-    tutte = parse_polynomial(tutte)
-    return json.dumps(_triples(tutte_to_coboundary(tutte, tutte.degree(0))))
+    """The cache entry of the chi-bar of the Tutte polynomial ``tutte``."""
+    return json.dumps(_triples(tutte_to_coboundary(parse_polynomial(tutte))))
 
 
 G2_TUTTE = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 0, 1)]  # 2y + 2x + y^2 + x^2
@@ -875,17 +917,20 @@ G2_CHI_BAR = [(0, 0, 3), (0, 1, -4), (0, 4, 1), (1, 0, -4), (1, 1, 4), (2, 0, 1)
         # q chi-bar - (q - 1) t^4: chi-bar(1, t) = t^4 and a split chi at
         # rank 3, which the complement's two simple roots refuse
         _entry([(0, 4, 1), (1, 0, 3), (1, 1, -4), (2, 0, -4), (2, 1, 4), (3, 0, 1)]),
+        # chi-bar + 1000 t (q - 1)(t - 1)^2: only T's signs refuse it
+        json.dumps(_triples(plus_t_minus_1_power(
+            BivariatePolynomial({(a, b): c for a, b, c in G2_CHI_BAR}, ("q", "t")), NEGATIVE_T))),
     ],
     ids=["one", "8x", "x2-plus-12", "x-y-coefficients", "xy-for-y2", "other-ideal",
          "huge-x-degree", "huge-y-degree", "x-r-column", "y-degree", "t22-off-by-2",
-         "chi-does-not-split", "negative", "rank-forgery"],
+         "chi-does-not-split", "negative", "rank-forgery", "negative-t"],
 )
 def test_cache_entry_failing_the_certificate_is_recomputed(capsys, monkeypatch, tmp_path, entry):
     certify, raised = specialize.certify_coboundary, []
 
-    def spy(ideal, cb, rank):
+    def spy(ideal, cb):
         try:
-            return certify(ideal, cb, rank)
+            return certify(ideal, cb)
         except InconsistencyError:
             raised.append(cb)
             raise
@@ -913,11 +958,12 @@ def test_cache_entry_failing_the_certificate_is_recomputed(capsys, monkeypatch, 
 
 def test_cache_entry_whose_tutte_has_a_negative_coefficient_is_recomputed(capsys, tmp_path):
     # the true T plus y (xy - x - y), which is 0 on the hyperbola and at
-    # y = 0: its chi-bar passes the certificate, and only the reader's check
-    # of T's coefficients refuses it
+    # y = 0: its chi-bar passes every linear check of the certificate, and
+    # only the check of T's coefficients refuses it
     ideal = exceptional_ideal("G2", IDEAL_G)
     tutte = parse_polynomial("x^2 + 2x + 2y + xy^2 - xy")
-    specialize.certify_coboundary(ideal, tutte_to_coboundary(tutte, 2), 2)
+    with pytest.raises(InconsistencyError, match="negative coefficient"):
+        specialize.certify_coboundary(ideal, tutte_to_coboundary(tutte))
     args = ("tutte", "--type", "G2", "--roots", "[[3,1],[3,2]]", "--cache-dir", str(tmp_path))
     code, want, _ = run(capsys, *args)
     (path,) = tmp_path.iterdir()

@@ -1,13 +1,15 @@
 import random
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 import pytest
 
 from conftest import full_coboundary, latex_is_wellformed
+from idealtutte.crapo import VectorConfig, rank_of, tutte_crapo
 from idealtutte.errors import ConstraintError, InconsistencyError
 from idealtutte.exactpoly import (
     BivariatePolynomial,
     UnivariatePolynomial,
+    coboundary_to_characteristic,
     coboundary_to_tutte,
     lagrange_interpolate,
     parse_polynomial,
@@ -119,26 +121,53 @@ def test_interpolate_non_integral():
 
 
 def test_coboundary_to_tutte_examples():
-    assert coboundary_to_tutte(bp("t + q - 1", ("q", "t")), 1) == bp("x")
-    assert coboundary_to_tutte(BivariatePolynomial.one(("q", "t")), 0) == BivariatePolynomial.one()
+    assert coboundary_to_tutte(bp("t + q - 1", ("q", "t"))) == bp("x")
+    assert coboundary_to_tutte(BivariatePolynomial.one(("q", "t"))) == BivariatePolynomial.one()
     cb = bp("t^3 + 3qt - 3t + q^2 - 3q + 2", ("q", "t"))
-    assert coboundary_to_tutte(cb, 2) == bp("x^2 + x + y")
+    assert coboundary_to_tutte(cb) == bp("x^2 + x + y")
 
 
 def test_coboundary_to_tutte_bad_rank():
-    # (t-1)^2 does not divide it
-    cb = bp("t + q - 1", ("q", "t"))
-    with pytest.raises(InconsistencyError):
-        coboundary_to_tutte(cb, 2)
-    # (t-1)^1 divides it, but its q-degree is rank + 1
-    with pytest.raises(InconsistencyError):
-        coboundary_to_tutte(bp("q^2t - q^2", ("q", "t")), 1)
+    # at its q-degree 2, (t-1)^2 does not divide its q^0 column
+    cb = bp("t + q^2 - 1", ("q", "t"))
+    with pytest.raises(InconsistencyError, match="not divisible"):
+        coboundary_to_tutte(cb)
+
+
+@pytest.mark.parametrize(
+    "vectors, tutte",
+    [
+        ([(0, 0)], "y"),  # one loop: rank 0
+        ([(0, 0), (0, 0), (0, 0)], "y^3"),
+        ([(1, 0), (0, 1)], "x^2"),  # two coloops
+        ([(1, 0), (2, 0), (0, 0)], "xy + y^2"),  # a parallel pair and a loop
+        # a triangle, a coloop and two loops: (x^2 + x + y) x y^2
+        ([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (0, 0, 0), (0, 0, 0)],
+         "x^3y^2 + x^2y^2 + xy^3"),
+    ],
+    ids=["loop", "three-loops", "coloops", "parallel-and-loop", "triangle-coloop-loops"],
+)
+def test_transforms_read_the_rank_off_loops_and_coloops(vectors, tutte):
+    # the rank is chi-bar's q-degree and T's x-degree, whose coefficients
+    # are t^loops and y^loops, with loops or without
+    cfg = VectorConfig(vectors)
+    t = tutte_crapo(cfg)
+    assert t == bp(tutte)
+    cb = tutte_to_coboundary(t)
+    assert cb.degree(0) == t.degree(0) == cfg.rank
+    assert coboundary_to_tutte(cb) == t
+    # chi(q) = sum over the subsets A of (-1)^|A| q^(dim - r(A)), 0 with a loop
+    chi = [0] * (cfg.dim + 1)
+    for k in range(len(vectors) + 1):
+        for subset in combinations(vectors, k):
+            chi[cfg.dim - rank_of(subset)] += (-1) ** k
+    assert coboundary_to_characteristic(cb, cfg.dim) == UnivariatePolynomial(chi)
 
 
 def test_coboundary_to_tutte_full_a25():
     # 300 hyperplanes of rank 24: T(2, 2) = 2^300 and T(1, 1) counts the
     # spanning trees of K25, 25^23 by Cayley's formula
-    tutte = coboundary_to_tutte(full_coboundary("A", 25), 24)
+    tutte = coboundary_to_tutte(full_coboundary("A", 25))
     assert tutte.evaluate(2, 2) == 2 ** 300
     assert tutte.evaluate(1, 1) == 25 ** 23
     assert (tutte.degree(0), tutte.degree(1)) == (24, 300 - 24)
@@ -196,9 +225,9 @@ def taylor_shift_to_coboundary(tutte, rank):
 def test_transforms_equal_the_taylor_shift_composition(family, rank):
     for ideal in enumerate_ideals(root_poset(root_system_type(family, rank))):
         cb, r = coboundary_of_ideal(ideal), arrangement_of(ideal).rank
-        tutte = coboundary_to_tutte(cb, r)
+        tutte = coboundary_to_tutte(cb)
         assert tutte == taylor_shift_to_tutte(cb, r)
-        assert tutte_to_coboundary(tutte, r) == taylor_shift_to_coboundary(tutte, r) == cb
+        assert tutte_to_coboundary(tutte) == taylor_shift_to_coboundary(tutte, r) == cb
 
 
 def taylor_shift_to_characteristic(tutte, n, rank):

@@ -40,8 +40,7 @@ def _e6_cases():
 def _assert_engines_agree(ideal):
     want = tutte_of_ideal(ideal, engine="crapo")
     assert tutte_of_ideal(ideal, engine="flats") == want
-    rank = arrangement_of(ideal).rank
-    assert coboundary_of_ideal(ideal, engine="flats") == tutte_to_coboundary(want, rank)
+    assert coboundary_of_ideal(ideal, engine="flats") == tutte_to_coboundary(want)
 
 
 @pytest.mark.parametrize("family, count", [("G2", 8), ("F4", 105)])
@@ -248,6 +247,6 @@ def configurations(draw):
 def test_flat_sum_matches_crapo_on_random_subsets(case):
     vectors, mask = case
     sub = VectorConfig([v for i, v in enumerate(vectors) if mask >> i & 1], dim=len(vectors[0]))
-    cb, rank = build_lattice(vectors).restrict(mask)
-    assert rank == sub.rank
-    assert coboundary_to_tutte(cb, rank) == tutte_crapo(sub)
+    cb = build_lattice(vectors).restrict(mask)
+    assert cb.degree(0) == sub.rank  # loops or not
+    assert coboundary_to_tutte(cb) == tutte_crapo(sub)

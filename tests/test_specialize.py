@@ -5,10 +5,12 @@ import pytest
 from conftest import (
     IDEAL_F,
     IDEAL_G,
+    NEGATIVE_T,
     TAMPERED_ENGINES,
     exceptional_ideal,
     full_coboundary,
     full_poset,
+    plus_t_minus_1_power,
     poly_sum,
     swap_b3_restriction,
     tamper_engine,
@@ -77,8 +79,7 @@ def test_region_counts_weyl_orders():
         ("B", 2, 8), ("B", 3, 48), ("B", 4, 384),
         ("D", 4, 192),
     ):
-        rank = n - 1 if family == "A" else n
-        tutte = coboundary_to_tutte(full_coboundary(family, n), rank)
+        tutte = coboundary_to_tutte(full_coboundary(family, n))
         assert region_count(tutte) == order
         # Zaslavsky's count from the default engine's chi, an independent
         # route to the same number
@@ -97,7 +98,7 @@ def test_region_count_examples():
     assert region_count(one) == 1
     braid = parse_polynomial("x^2 + x + y")
     assert region_count(braid) == 6
-    b2 = coboundary_to_tutte(full_coboundary("B", 2), 2)
+    b2 = coboundary_to_tutte(full_coboundary("B", 2))
     assert region_count(b2) == 8
 
 
@@ -143,13 +144,13 @@ def test_factorization_full_braid():
     ids=["plus-one", "doubled"],
 )
 def test_factorization_refuses_a_tampered_coboundary(monkeypatch, tamper):
-    real = specialize._coboundary_and_rank
+    real = specialize.polynomials_of_ideal
 
     def tampered(*args):
-        cb, rank = real(*args)
-        return tamper(cb), rank
+        cb, tutte = real(*args)
+        return tamper(cb), tutte
 
-    monkeypatch.setattr(specialize, "_coboundary_and_rank", tampered)
+    monkeypatch.setattr(specialize, "polynomials_of_ideal", tampered)
     split = r"is not q\^3 - 4q\^2 \+ 3q, the product over its ideal exponents \[3, 1\]"
     with pytest.raises(InconsistencyError, match=split):
         _factorization(exceptional_ideal("G2", IDEAL_G))
@@ -184,15 +185,16 @@ def test_coboundary_of_ideal_exceptional_route():
     cb = coboundary_of_ideal(ig, engine="crapo")
     # rank 2, 4 hyperplanes: chi-bar(q, 1) = q^2 and the transform returns T
     assert cb.evaluate(5, 1) == 25
-    assert coboundary_to_tutte(cb, 2) == parse_polynomial("x^2 + y^2 + 2x + 2y")
+    assert coboundary_to_tutte(cb) == parse_polynomial("x^2 + y^2 + 2x + 2y")
 
 
 def test_tutte_to_coboundary_round_trip():
     for label in ("a", "d"):
         ideal = worked_ideal(label)
         t = tutte_of_ideal(ideal)
-        r = arrangement_of(ideal).rank
-        assert coboundary_to_tutte(tutte_to_coboundary(t, r), r) == t
+        cb = tutte_to_coboundary(t)
+        assert cb.degree(0) == t.degree(0) == arrangement_of(ideal).rank
+        assert coboundary_to_tutte(cb) == t
 
 
 def test_tutte_of_ideal_engine_equivalence_small():
@@ -263,34 +265,35 @@ def test_chi_bar_of_another_ideal_fails_the_factorization(monkeypatch):
 )
 def test_certify_tutte_refuses_a_wrong_g2_polynomial(tutte, match):
     # each wrong T, read back as the chi-bar that a cache entry holds, fails
-    # the certificate at that chi-bar's q-degree, the rank the reader takes
+    # the certificate, and the true T is what the certificate returns
     ideal = exceptional_ideal("G2", IDEAL_G)  # 4 complement roots of rank 2
-    cb = tutte_to_coboundary(parse_polynomial(tutte), 2)
     with pytest.raises(InconsistencyError, match=match):
-        certify_coboundary(ideal, cb, cb.degree(0))
-    certify_coboundary(ideal, tutte_to_coboundary(parse_polynomial("2y + 2x + y^2 + x^2"), 2), 2)
+        certify_coboundary(ideal, tutte_to_coboundary(parse_polynomial(tutte)))
+    good = parse_polynomial("2y + 2x + y^2 + x^2")
+    assert certify_coboundary(ideal, tutte_to_coboundary(good)) == good
 
 
 @pytest.mark.parametrize(
     "family, rank", [("F4", None), ("E6", None), ("A", 5), ("B", 4), ("C", 4), ("D", 4)]
 )
 def test_certified_tutte_gives_the_dispatcher_chi(family, rank):
-    # T read back as chi-bar passes the certificate at its q-degree, the
-    # rank, and chi read off it is the dispatcher's, on every ideal
+    # T read back as chi-bar passes the certificate, which returns T, and
+    # chi read off it is the dispatcher's, on every ideal
     rst = root_system_type(family, rank)
     for ideal in iter_ideals(root_poset(rst)):
         tutte = tutte_of_ideal(ideal)
-        cb = tutte_to_coboundary(tutte, tutte.degree(0))
-        certify_coboundary(ideal, cb, cb.degree(0))
+        cb = tutte_to_coboundary(tutte)
+        assert certify_coboundary(ideal, cb) == tutte
         assert cb == coboundary_of_ideal(ideal)
-        chi = coboundary_to_characteristic(cb, rst.ambient_dim, cb.degree(0))
+        chi = coboundary_to_characteristic(cb, rst.ambient_dim)
         assert chi == characteristic_polynomial(ideal), ideal
 
 
 def rank_forgery(ideal, cb):
     """q chi-bar - (q - 1) t^m, for the m complement roots: it keeps
-    chi-bar(1, t) = t^m and, at rank r + 1, the q^(r+1) column, and its chi
-    is q chi, which splits over the ideal exponents when chi does."""
+    chi-bar(1, t) = t^m and, read at its q-degree r + 1, the q^(r+1)
+    column, and its chi is q chi, which splits over the ideal exponents when
+    chi does."""
     m = ideal.complement_mask().bit_count()
     shifted = BivariatePolynomial({(a + 1, b): c for (a, b), c in cb.coeffs.items()}, cb.variables)
     return poly_sum(shifted, BivariatePolynomial({(1, m): -1, (0, m): 1}, cb.variables))
@@ -298,11 +301,27 @@ def rank_forgery(ideal, cb):
 
 @pytest.mark.parametrize("family", ["G2", "F4"])
 def test_a_chi_bar_claimed_at_another_rank_is_refused(family):
-    # the rank is the number of simple roots in the complement, checked
-    # before anything else: without that check, 69 of these 113 forgeries
-    # pass every other part of the certificate
+    # the certificate takes the rank from the simple roots in the complement,
+    # never from the polynomial, so the forgery's q-degree r + 1 fails the
+    # degree bounds: read at that q-degree instead, 69 of these 113
+    # forgeries would pass every other part of the certificate.  On the
+    # empty complement the forgery is chi-bar itself, 1
     for ideal in iter_ideals(root_poset(root_system_type(family, None))):
+        if ideal.complement_mask():
+            with pytest.raises(InconsistencyError, match="degree bounds"):
+                certify_coboundary(ideal, rank_forgery(ideal, coboundary_of_ideal(ideal)))
+
+
+@pytest.mark.parametrize("family, rank", [("B", 4), ("F4", None)])
+def test_a_chi_bar_whose_tutte_has_a_negative_coefficient_is_refused(family, rank):
+    # chi-bar + 1000 t (q - 1)(t - 1)^r passes every linear part of the
+    # certificate when r >= 2 and m >= r + 2, and only T's signs refuse it
+    forged = 0
+    for ideal in iter_ideals(root_poset(root_system_type(family, rank))):
         cb = coboundary_of_ideal(ideal)
-        rank = cb.degree(0)
-        with pytest.raises(InconsistencyError, match=f"claims rank {rank + 1}, not the {rank} "):
-            certify_coboundary(ideal, rank_forgery(ideal, cb), rank + 1)
+        r, m = cb.degree(0), ideal.complement_mask().bit_count()
+        if r >= 2 and m >= r + 2:
+            forged += 1
+            with pytest.raises(InconsistencyError, match="negative coefficient"):
+                certify_coboundary(ideal, plus_t_minus_1_power(cb, NEGATIVE_T))
+    assert forged == {"B": 42, "F4": 77}[family]
