@@ -7,8 +7,10 @@ Every result comes from one of two objects.  Exceptional types, and the
 classical ones of at most 25 positive roots (A1-A6, B2-B5, C2-C5, D4, D5),
 read the coboundary polynomial off the lattice of flats of their full
 arrangement, built once per root system and process (0.4-2.3 ms on
-those classical systems, then a fraction of a DP per ideal).  Larger
-classical types go through the finite field method: one dynamic program
+those classical systems, then a fraction of a DP per ideal).  So do the
+components of a larger classical complement whose own system, the one
+their simple roots span, has at most 25 roots; the other components go
+through the finite field method: one dynamic program
 over the blocks of exchangeable coordinates gives the coboundary polynomial
 directly, with no primes and no interpolation.  The basis-activity formula
 and a corank-nullity brute-force oracle give the Tutte polynomial instead,

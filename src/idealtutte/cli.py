@@ -4,14 +4,16 @@ engines, verify engine pairs, emit JSON/LaTeX/text, and cache results.
 The argument parser is built on the first ``main`` call and reused by every
 later one in the process (``build_parser``).  ``--format json`` prints one
 line, compact and with sorted keys.  The cache holds one entry per ideal
-and engine, its coboundary polynomial chi-bar as a JSON list of [dq, dt, c]
-int triples; its reader checks that format itself and serves an entry only
-if it also passes ``specialize.certify_coboundary``, the certificate of
-every computed result, which forms T and refuses a negative coefficient;
-a hit and a miss both give chi-bar and that T.  The JSON
-provenance is built on every call, never stored, and says whether the
-cache was hit.  A cache that cannot be written costs only a warning on
-stderr.  ``parse_ideal_spec`` checks an ideal spec itself to the terms of
+and route (``specialize.resolve_engine``: auto's own route past the lattice
+cut is not ffmethod's), its coboundary polynomial chi-bar as a JSON list of
+[dq, dt, c] int triples; its reader checks that format itself, column by
+column, and serves an entry only if it also passes
+``specialize.certify_coboundary``, the certificate of every computed
+result, which forms T and refuses a negative coefficient; a hit and a miss
+both give chi-bar and that T.  The JSON provenance is built on every call,
+never stored, says whether the cache was hit, and lists the system and
+engine of each piece the route reads.  A cache that cannot be written
+costs only a warning on stderr.  ``parse_ideal_spec`` checks an ideal spec itself to the terms of
 the packaged ``schemas/ideal-spec.schema.json``, which the tests hold it to
 and no code reads.  A one-shot call loads only what it runs: the engine its
 request needs, ``hashlib`` only to name a cache entry (never under
@@ -20,8 +22,8 @@ request needs, ``hashlib`` only to name a cache entry (never under
 Each engine's guard is one constant of its own, and no option overrides it;
 ``verify`` compares the engines' certified chi-bar, ``auto`` against ``crapo``
 unless ``--engines`` names others, which must resolve to at least two
-distinct engines, running crapo and oracle first, so that their guards
-refuse before any other engine works.
+distinct routes; it runs each route once per ideal, crapo and oracle first,
+so that their guards refuse before any other engine works.
 
 Exit codes: 0 success, 1 validation error (or an ``--ideal-file`` that
 cannot be read, or an ``--out`` file that cannot be written), 2 guard refusal
@@ -172,10 +174,10 @@ class _Cache:
             os.path.expanduser("~"), ".cache", "idealtutte"
         )
 
-    def key(self, ideal, engine):
+    def key(self, ideal, route):
         """The entry's name: a hash of the cache format, the package version
         (so no release serves another's results), the system, the complement
-        and the engine."""
+        and the route, as ``specialize.resolve_engine`` names it."""
         import hashlib  # only a call that reads or writes the cache hashes
 
         raw = json.dumps(
@@ -184,7 +186,7 @@ class _Cache:
                 __version__,
                 str(ideal.rst),
                 format(ideal.complement_mask(), "x"),
-                engine,
+                route,
             ]
         )
         return hashlib.sha256(raw.encode()).hexdigest()
@@ -201,11 +203,16 @@ class _Cache:
         try:
             with open(os.path.join(self.dir, key + ".json")) as fh:
                 terms = json.load(fh)
-            if type(terms) is not list or not all(
-                    type(t) is list and len(t) == 3 and all(type(v) is int for v in t)
-                    and t[0] >= 0 and t[1] >= 0 and t[2] for t in terms):
-                return None  # type(v) is int refuses bools
-            coeffs = {(dq, dt): c for dq, dt, c in terms}
+            # checked by column: rows, their lengths, then the values' types
+            # (type is int refuses bools), signs and distinct degrees
+            if (type(terms) is not list or set(map(type, terms)) != {list}
+                    or set(map(len, terms)) != {3}):
+                return None
+            dq, dt, c = zip(*terms)
+            if (set(map(type, dq + dt + c)) != {int} or min(dq) < 0 or min(dt) < 0
+                    or 0 in c):
+                return None
+            coeffs = dict(zip(zip(dq, dt), c))
             if len(coeffs) != len(terms):
                 return None  # a degree given twice
             cb = BivariatePolynomial._of(coeffs, ("q", "t"))  # canonical once checked
@@ -244,25 +251,31 @@ class _Cache:
 
 def cmd_polynomial(args, command):
     """Emit the ideal's ``command`` polynomial and this call's provenance:
-    ``cache`` says whether its chi-bar came from the cache, and
-    ``wall_time_s`` is this call's time to read or compute the polynomial.
-    A hit and a miss both give chi-bar and the T its certificate formed, and
-    a miss stores chi-bar.  ``--no-cache`` builds no key."""
+    ``cache`` says whether its chi-bar came from the cache, ``engine`` names
+    the route (``specialize.resolve_engine``), ``components`` lists each
+    piece it reads chi-bar off as [system, engine]
+    (``specialize.component_engines``), and ``wall_time_s`` is this call's
+    time to read or compute the polynomial.  A hit and a miss both give
+    chi-bar and the T its certificate formed, and a miss stores chi-bar.
+    ``--no-cache`` builds no key."""
     ideal = _ideal_from_args(args)
-    engine = specialize.resolve_engine(args.engine, ideal.rst)
+    route = specialize.resolve_engine(args.engine, ideal.rst)
     t0 = time.perf_counter()
     cache = _Cache(args)
-    key = cache.key(ideal, engine) if cache.enabled else None
+    key = cache.key(ideal, route) if cache.enabled else None
     hit = cache.get(key, ideal)
-    cb, tutte = hit or specialize.polynomials_of_ideal(ideal, engine)
+    cb, tutte = hit or specialize.polynomials_of_ideal(ideal, route)
     if hit is None:
         cache.put(key, cb)
+    wall = round(time.perf_counter() - t0, 4)
     _emit(args, tutte if command == "tutte" else cb, {
         "cache": "miss" if hit is None else "hit",
-        "engine": engine,
+        "components": [[str(system) if system else None, engine]
+                       for system, engine in specialize.component_engines(ideal, route)],
+        "engine": route,
         "system": str(ideal.rst),
         "hyperplanes": ideal.complement_mask().bit_count(),
-        "wall_time_s": round(time.perf_counter() - t0, 4),
+        "wall_time_s": wall,
     })
     return 0
 
@@ -360,38 +373,41 @@ def _verify_brute_force(ideal, cb):
 
 
 def cmd_verify(args):
+    """Compare the certified chi-bar of the engines named in ``--engines``
+    on one ideal or all of them, each distinct route
+    (``specialize.resolve_engine``) run once per ideal and every engine
+    compared with the first named through its route."""
     rst = root_system_type(args.type, args.rank)
     poset = root_poset(rst)
     engines = [e.strip() for e in args.engines.split(",")]
     resolved = [specialize.resolve_engine(e, rst) for e in engines]
-    if len(set(resolved)) < 2:
+    routes = list(dict.fromkeys(resolved))
+    if len(routes) < 2:
         raise ConstraintError(f"verify needs two distinct engines, and --engines {args.engines} "
-                              f"runs only {', '.join(dict.fromkeys(resolved))}")
+                              f"runs only {', '.join(routes)}")
     if args.all_ideals:
         ideals = enumerate_ideals(poset)
     else:
         ideals = [_ideal_from_args(args)]
     # crapo and oracle refuse past their guards before any work, so they run
     # first: a refusal then costs no other engine's full computation
-    order = sorted(range(len(engines)), key=lambda k: resolved[k] not in ("crapo", "oracle"))
+    routes.sort(key=lambda route: route not in ("crapo", "oracle"))
     checked = 0
     counted = 0
     for ideal in ideals:
-        polys = [None] * len(engines)
-        for k in order:
-            polys[k] = specialize.coboundary_of_ideal(ideal, engine=resolved[k])
-        base = polys[0]
-        for name, poly in zip(engines[1:], polys[1:]):
-            if poly != base:
+        polys = {route: specialize.coboundary_of_ideal(ideal, engine=route) for route in routes}
+        base = polys[resolved[0]]
+        for name, route in zip(engines[1:], resolved[1:]):
+            if polys[route] != base:
                 raise VerificationMismatch(
                     f"{engines[0]} and {name} disagree on {ideal!r}: "
-                    f"{base.to_text()} vs {poly.to_text()}"
+                    f"{base.to_text()} vs {polys[route].to_text()}"
                 )
-        if "ffmethod" in resolved:
+        if "ffmethod" in routes:
             counted += _verify_brute_force(ideal, base)
         checked += 1
     extra = ""
-    if "ffmethod" in resolved:
+    if "ffmethod" in routes:
         extra = f" (+{counted} brute-force point-count checks)"
     print(
         f"verified {checked} ideal(s) of {rst} across engines "

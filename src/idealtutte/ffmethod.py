@@ -47,9 +47,8 @@ over the codes in order, each from a smaller state's, so a round only
 multiplies, shifts, adds and divides.
 
 The rank that chi-bar is relative to is read off the tuples as a signed
-graph (Zaslavsky's frame matroid), by the union-find that also splits an
-ideal's complement into components (``ideals.signed_classes``), apart from
-the DP, so the division of the count by q^(m - rank) still checks the DP;
+graph (Zaslavsky's frame matroid), by one union-find
+(``ideals.signed_classes``), apart from the DP, so the division of the count by q^(m - rank) still checks the DP;
 the brute-force oracle takes its rank by Gaussian elimination instead.
 """
 

@@ -17,8 +17,9 @@ and keeps it for the process, and each ideal then costs one pass over the
 flats (``FlatLattice.restrict``, which returns chi-bar_D to the engine
 dispatcher in ``specialize``).  G2 has 8 flats, F4 268 and E6 4598.
 auto also serves the classical systems of at most
-``specialize.AUTO_MAX_CLASSICAL_ROOTS`` positive roots from here: D4 has 72
-flats, B4 and C4 116, A5 203, D5 403, B5 and C5 648 and A6 877.  Any system
+``specialize.AUTO_MAX_CLASSICAL_ROOTS`` positive roots from here, and each
+component of a larger classical complement whose own system has at most
+that many (``ideals.IdealComponent``): D4 has 72 flats, B4 and C4 116, A5 203, D5 403, B5 and C5 648 and A6 877.  Any system
 of at most ``MAX_VECTORS`` roots is served when the flats engine is named.
 The dispatcher imports this module on the first request that reads a
 lattice, so no other request loads it.
@@ -336,9 +337,10 @@ def _reflect(masks, network, r):
 def flat_lattice(rst):
     """The ``FlatLattice`` of the full arrangement of a root system, over its
     simple coordinates in root-poset order (``orbit_lattice``), built on the
-    first call and kept for the process.  auto serves G2, F4, E6 and the
+    first call and kept for the process.  auto serves G2, F4, E6, the
     classical systems of at most ``specialize.AUTO_MAX_CLASSICAL_ROOTS``
-    roots from it.
+    roots and the components of larger classical complements whose own
+    system has at most that many from it.
 
     Besides the build's own check, chi_M(q) must split over the exponents of
     the empty ideal (``ideals.check_exponent_factorization``);

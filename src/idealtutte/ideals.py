@@ -1,10 +1,11 @@
 """Ideals of positive root systems: enumeration, construction from roots or
 from generating boxes, ideal arrangements, a tuple set's blocks of
 exchangeable coordinates and their flags (``block_flags``), the classes of
-the tuples' signed graph (which give both the components and the counting
-model's rank), component decomposition, and the ideal exponents read off
-the complement's heights, with the one check that a characteristic
-polynomial splits over them.
+the tuples' signed graph (which give the counting model's rank), component
+decomposition by the complement's connected sets of simple roots, each
+component named as the complement of an ideal of its own system, and the
+ideal exponents read off the complement's heights, with the one check that
+a characteristic polynomial splits over them.
 
 Classical roots are named throughout by the hyperplane tuple notation:
 (i, j) is x_i = x_j, (i, -j) is x_i = -x_j, (i, 0) is x_i = 0, always with
@@ -24,7 +25,7 @@ from collections import namedtuple
 
 from .errors import ConstraintError, InconsistencyError, UnsupportedTypeError
 from .exactpoly import UnivariatePolynomial
-from .rootsystems import root_poset
+from .rootsystems import RootSystemType, root_poset
 
 
 class Ideal:
@@ -397,41 +398,134 @@ def tuple_normal(t, n):
     return tuple(v)
 
 
-class IdealComponent(namedtuple("IdealComponent", "index_map tuples size")):
+class IdealComponent(namedtuple("IdealComponent", "index_map tuples size rst mask")):
     """One connected component of an ideal complement, relabeled to compressed
     coordinates: the old index of each new coordinate (1-based), the
-    relabeled hyperplane tuples and the number of compressed coordinates."""
+    relabeled hyperplane tuples and the number of compressed coordinates.
+    The component is also the complement of an ideal of its own irreducible
+    system ``rst``, the one its connected set of simple roots spans, and
+    ``mask`` is that complement over ``rst``'s root poset.  Both are None
+    for the one component that is no such complement: alpha_(n-1) and
+    alpha_n of D_n without alpha_(n-2), two hyperplanes that share
+    coordinates n - 1 and n."""
 
     __slots__ = ()
 
 
-def decompose_components(ideal):
-    """Split the ideal's complement into independent subarrangements with compressed labels.
+def _connected_simple_sets(rst, simple):
+    """The connected sets of the simple roots in the bitmask ``simple``
+    (bit k for alpha_(k+1)), each a bitmask, in ascending order of their
+    least coordinate; in D_n, alpha_(n-1) and alpha_n without alpha_(n-2)
+    form one set, as they share coordinates.  The Dynkin diagram is the path
+    alpha_1 ... alpha_n, except in D_n, where alpha_n hangs off alpha_(n-2),
+    so each set is a run of bits along the path (one AND with the run's
+    carry), alpha_n of D_n then joined to its neighbour's run."""
+    n = rst.rank
+    fork = 1 << n - 1 if rst.family == "D" and simple >> n - 1 & 1 else 0
+    chain, runs = simple ^ fork, []
+    while chain:
+        run = chain & ~(chain + (chain & -chain))
+        runs.append(run)
+        chain ^= run
+    if fork:
+        # alpha_n joins the run of alpha_(n-2), else that of alpha_(n-1)
+        # (which it shares coordinates with), else stands alone
+        for near in (1 << n - 3, 1 << n - 2):
+            at = next((k for k, run in enumerate(runs) if run & near), None)
+            if at is not None:
+                runs[at] |= fork
+                break
+        else:
+            runs.append(fork)
+    return runs
 
-    Components are the classes of the coordinate-interaction graph
+
+@functools.lru_cache(maxsize=None)
+def _parabolic(rst, subset):
+    """(support, system, index_map, rows) of a connected set ``subset`` of
+    the simple roots of ``rst`` (``_connected_simple_sets``): the mask of
+    the roots supported on it, the irreducible system they form (None for
+    the pair alpha_(n-1), alpha_n of D_n), the coordinates its roots touch,
+    ascending, and rows[i] = (root i's tuple relabeled to those
+    coordinates, its bit in ``system``'s root poset, 0 without a system)
+    for every root i of ``support``.  A run of simple roots is A_k; a B or C
+    run that holds alpha_n is B_k or C_k, or A_1 alone; a D run that holds
+    alpha_(n-2), alpha_(n-1) and alpha_n is D_k for k >= 4, and for k = 3 it
+    is A_3 with alpha_(n-2) in the middle; a D run through one of
+    alpha_(n-1), alpha_n is A_k, in the order of the path."""
+    poset = root_poset(rst)
+    f, n = rst.family, rst.rank
+    order = [k for k in range(n) if subset >> k & 1]
+    k = len(order)
+    system = RootSystemType("A", k)
+    if f in ("B", "C") and k > 1 and order[-1] == n - 1:
+        system = RootSystemType(f, k)
+    elif f == "D" and {n - 3, n - 2, n - 1} <= set(order):
+        if k > 3:
+            system = RootSystemType(f, k)
+        else:
+            order = [n - 2, n - 3, n - 1]  # D_3 is A_3, alpha_(n-2) in the middle
+    elif f == "D" and order == [n - 2, n - 1]:
+        system = None
+    sub = root_poset(system) if system is not None else None
+    support, coords, rows = 0, set(), {}
+    for root, t in zip(poset.roots, poset.tuples):
+        c = root.simple_coords
+        if any(c[j] for j in range(n) if not subset >> j & 1):
+            continue
+        support |= 1 << root.index
+        coords.update((t[0], abs(t[1])))
+        rows[root.index] = (t, 1 << sub.index_of([c[j] for j in order]) if sub else 0)
+    coords.discard(0)
+    index_map = tuple(sorted(coords))
+    remap = {old: new + 1 for new, old in enumerate(index_map)}
+    remap[0] = 0
+    rows = {i: ((remap[a], remap[b] if b >= 0 else -remap[-b]), bit)
+            for i, ((a, b), bit) in rows.items()}
+    return support, system, index_map, rows
+
+
+def decompose_components(ideal):
+    """Split the ideal's complement into independent subarrangements with
+    compressed labels, each named as the complement of an ideal of its own
+    system (``IdealComponent``).
+
+    The complement is a lower set, so it spans what its simple roots span,
+    and each of its roots is supported on one connected set of them.  Each
+    connected set (``_connected_simple_sets``) takes its roots with one AND
+    against the mask of the roots it supports (``_parabolic``, kept per
+    system and set).  Components come in ascending order of their least
+    coordinate, ``index_map[0]``, and their coordinate sets are disjoint:
+    hyperplanes on disjoint coordinate sets are matroid-independent, so
+    Tutte and coboundary polynomials multiply across the returned
+    components.  These are the classes of the coordinate-interaction graph
     (``signed_classes`` on the ambient coordinates) that carry a hyperplane,
-    in ascending order of their least coordinate, ``index_map[0]``:
-    hyperplanes on disjoint coordinate sets are matroid-independent, so Tutte
-    and coboundary polynomials multiply across the returned components.
-    (This can be coarser than the drawn diagram's grid components, which for
-    the D family may split dependent hyperplanes.)
+    which can be coarser than the drawn diagram's grid components: for the
+    D family those may split dependent hyperplanes.  UnsupportedTypeError on
+    an exceptional type.
     """
-    boxes = complement(ideal)
-    classes, _ = signed_classes(ideal.rst.ambient_dim, boxes)
-    groups = {}
-    for i, j in boxes:
-        groups.setdefault(classes[i - 1], []).append((i, j))
+    rst, poset = ideal.rst, ideal.poset
+    if poset.tuples is None:
+        raise UnsupportedTypeError(f"{rst.family} has no shifted-diagram tuple form")
+    comp = ideal.complement_mask()
+    simple = sum(1 << k for k, i in enumerate(_simple_indices(rst)) if comp >> i & 1)
     out = []
-    for _, boxset in sorted(groups.items()):
-        indices = sorted(
-            {i for (i, j) in boxset} | {abs(j) for (i, j) in boxset if j != 0}
-        )
-        remap = {old: new + 1 for new, old in enumerate(indices)}
-        tuples = tuple(
-            sorted(
-                (remap[i], (remap[j] if j > 0 else (-remap[-j] if j < 0 else 0)))
-                for (i, j) in boxset
-            )
-        )
-        out.append(IdealComponent(tuple(indices), tuples, len(indices)))
+    for subset in _connected_simple_sets(rst, simple):
+        support, system, index_map, rows = _parabolic(rst, subset)
+        tuples, mask, rest = [], 0, comp & support
+        while rest:
+            low = rest & -rest
+            t, bit = rows[low.bit_length() - 1]
+            tuples.append(t)
+            mask |= bit
+            rest ^= low
+        out.append(IdealComponent(index_map, tuple(tuples), len(index_map), system,
+                                  mask if system is not None else None))
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _simple_indices(rst):
+    """The root-poset index of each simple root, alpha_1 first."""
+    poset = root_poset(rst)
+    return tuple(poset.index_of([int(j == k) for j in range(rst.rank)]) for k in range(rst.rank))

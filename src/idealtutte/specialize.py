@@ -11,15 +11,24 @@ gives of a stored chi-bar.
 ``characteristic_polynomial`` reads chi(q) off chi-bar(q, 0), as the
 certificate does.  Also region counts.
 
-``resolve_engine`` picks auto's engine from the root system alone: the
+``resolve_engine`` picks auto's route from the root system alone: the
 lattice of flats on G2, F4, E6 and the classical systems of at most
 ``AUTO_MAX_CLASSICAL_ROOTS`` (25) positive roots (A1-A6, B2-B5, C2-C5,
-D4, D5), the finite-field pipeline on larger classical ones.  The lattice is
-built on a system's first request and kept for the process: one build of
-0.4-2.3 ms on those classical systems, after which each request costs a
-fraction of a DP.  Picking loads no engine: each engine's module is
-imported by the first request that runs it, so a fresh process loads only
-the one it needs.
+D4, D5), and on larger classical ones a route of its own, named auto,
+that applies the same cut per component.  The components of a classical
+complement multiply, and each is the complement of an ideal of its own
+system, the one its connected set of simple roots spans
+(``ideals.decompose_components``): a component whose own system has at
+most 25 roots (an A3 x A3 of A7, a B5 tail of B7) is read off that
+system's lattice, a larger one by the counting DP, and the product passes
+the one certificate on the whole ideal.  Named engines keep their routes:
+ffmethod runs the DP on every component, flats restricts the whole
+system's lattice.  A lattice is built on a system's first request and kept
+for the process: one build of 0.4-2.3 ms on those classical systems, after
+which each request costs a fraction of a DP; auto builds none of more
+than 25 roots.  Picking loads no engine: each engine's module is imported
+by the first request that runs it, so a fresh process loads only the ones
+it needs.
 """
 
 from __future__ import annotations
@@ -27,12 +36,18 @@ from __future__ import annotations
 import functools
 
 from .errors import ConstraintError, InconsistencyError
-from .exactpoly import coboundary_to_characteristic, coboundary_to_tutte, tutte_to_coboundary
-from .ideals import check_exponent_factorization
+from .exactpoly import (
+    BivariatePolynomial,
+    coboundary_to_characteristic,
+    coboundary_to_tutte,
+    tutte_to_coboundary,
+)
+from .ideals import check_exponent_factorization, decompose_components
 
 
 ENGINES = ("auto", "ffmethod", "flats", "crapo", "oracle")
-# auto reads a classical system off its lattice of flats when its full
+# auto reads a classical system, or a component of a larger one's complement
+# by its own system, off its lattice of flats when that system's full
 # arrangement has at most this many positive roots: A1-A6, B and C up to
 # rank 5, D4 and D5, at most 877 flats built in 0.4-2.3 ms, after which a
 # request costs 3.7-7x less than on the counting DP.  The next lattices, D6,
@@ -43,24 +58,49 @@ AUTO_MAX_CLASSICAL_ROOTS = 25
 
 
 def resolve_engine(engine, rst):
-    """The engine that computes for ``engine`` on the root system ``rst``.
+    """The route that computes for ``engine`` on the root system ``rst``.
 
     auto is the lattice of flats on exceptional types and on classical ones
-    of at most ``AUTO_MAX_CLASSICAL_ROOTS`` positive roots, whose
-    lattice is cheap to build once per process, and the finite-field
-    pipeline on larger classical ones.  flats is accepted on any system and
-    refused by its own guard (``flats.MAX_VECTORS`` roots, GuardExceeded) when
-    it runs.  ConstraintError for an unknown engine and for ffmethod on an
+    of at most ``AUTO_MAX_CLASSICAL_ROOTS`` positive roots, whose lattice is
+    cheap to build once per process.  On larger classical ones it is its
+    own route, named auto, that picks per component of the complement
+    (``component_engines``).  A name it returns resolves to itself.  flats
+    is accepted on any system and refused by its own guard
+    (``flats.MAX_VECTORS`` roots, GuardExceeded) when it runs.
+    ConstraintError for an unknown engine and for ffmethod on an
     exceptional type.
     """
     if engine not in ENGINES:
         raise ConstraintError(f"unknown engine {engine!r}")
     if engine == "auto":
-        small = rst.positive_root_count() <= AUTO_MAX_CLASSICAL_ROOTS
-        engine = "flats" if small or not rst.is_classical else "ffmethod"
-    elif engine == "ffmethod" and not rst.is_classical:
+        return "flats" if _lattice_is_cheap(rst) or not rst.is_classical else "auto"
+    if engine == "ffmethod" and not rst.is_classical:
         raise ConstraintError(f"engine ffmethod rejects exceptional type {rst.family}")
     return engine
+
+
+def _lattice_is_cheap(rst):
+    return rst is not None and rst.positive_root_count() <= AUTO_MAX_CLASSICAL_ROOTS
+
+
+def component_engines(ideal, route):
+    """[(system, engine)]: the pieces that ``route`` (as ``resolve_engine``
+    returns it) reads ``ideal``'s chi-bar off, each with the root system it
+    is read in (None for the pair alpha_(n-1), alpha_n of D_n, which is no
+    complement of an ideal of its own system) and the engine that reads it.
+    auto's own route and ffmethod take the components of the complement
+    (``ideals.decompose_components``): ffmethod runs the counting DP on
+    each, and auto reads a component off its own system's lattice of flats
+    when that system has at most ``AUTO_MAX_CLASSICAL_ROOTS`` roots, else
+    runs the DP.  Every other route reads the whole arrangement, one piece
+    of the ideal's own system."""
+    if route not in ("auto", "ffmethod"):
+        return [(ideal.rst, route)]
+    return [(c.rst, _component_engine(c, route)) for c in decompose_components(ideal)]
+
+
+def _component_engine(component, route):
+    return "flats" if route == "auto" and _lattice_is_cheap(component.rst) else "ffmethod"
 
 
 def certify_coboundary(ideal, cb):
@@ -113,18 +153,38 @@ def _engine_module(engine):
     return module
 
 
+def _coboundary_by_component(ideal):
+    """chi-bar of a classical ideal on auto's own route: the product over the
+    components of the complement of each one's chi-bar, read off its own
+    system's lattice of flats, restricted to its mask, or by its counting
+    DP, as ``component_engines`` says.  Only the engines it runs are
+    loaded."""
+    result = None
+    for c in decompose_components(ideal):
+        if _component_engine(c, "auto") == "flats":
+            cb = _engine_module("flats").flat_lattice(c.rst).restrict(c.mask)
+        else:
+            cb = _engine_module("ffmethod").CountingModel(c.size, c.tuples).coboundary()
+        result = cb if result is None else result * cb
+    return BivariatePolynomial.one(("q", "t")) if result is None else result
+
+
 def polynomials_of_ideal(ideal, engine="auto"):
-    """(chi-bar(q, t), T(x, y)) of an ideal arrangement by the engine that
+    """(chi-bar(q, t), T(x, y)) of an ideal arrangement on the route that
     ``resolve_engine`` picks, once chi-bar passes ``certify_coboundary``,
     which forms T: a Tutte polynomial from crapo or oracle is converted by
-    ``exactpoly.tutte_to_coboundary`` first.  Every command reads this."""
+    ``exactpoly.tutte_to_coboundary`` first, and auto's own route multiplies
+    its components' chi-bar before the one certificate on the whole ideal.
+    Every command reads this."""
     engine = resolve_engine(engine, ideal.rst)
-    module = _engine_module(engine)
-    if engine == "ffmethod":
-        cb = module.coboundary_of_ideal(ideal)
+    if engine == "auto":
+        cb = _coboundary_by_component(ideal)
+    elif engine == "ffmethod":
+        cb = _engine_module(engine).coboundary_of_ideal(ideal)
     elif engine == "flats":
-        cb = module.flat_lattice(ideal.rst).restrict(ideal.complement_mask())
+        cb = _engine_module(engine).flat_lattice(ideal.rst).restrict(ideal.complement_mask())
     else:
+        module = _engine_module(engine)
         cfg = module.VectorConfig([r.simple_coords for r in ideal.complement_roots()])
         tutte = module.tutte_crapo if engine == "crapo" else module.tutte_corank_nullity
         cb = tutte_to_coboundary(tutte(cfg))

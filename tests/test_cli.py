@@ -106,7 +106,8 @@ def test_unsupported_exceptional_type_without_rank(capsys):
 
 
 def test_json_round_trip_and_provenance(capsys, tmp_path):
-    # B6, of 36 roots, is past auto's lattice cut and stays on the DP
+    # B6, of 36 roots, is past auto's lattice cut: auto takes its own route,
+    # and the one component, B6 itself, stays on the DP
     code, out, _ = run(
         capsys, "tutte", "--type", "B", "--rank", "6", "--full",
         "--format", "json", "--cache-dir", str(tmp_path),
@@ -115,8 +116,10 @@ def test_json_round_trip_and_provenance(capsys, tmp_path):
     data = json.loads(out)
     poly = BivariatePolynomial.from_json_dict(data)
     assert poly.evaluate(2, 2) == 2 ** 36
-    assert data["provenance"]["engine"] == "ffmethod"
-    assert set(data["provenance"]) == {"cache", "engine", "system", "hyperplanes", "wall_time_s"}
+    assert data["provenance"]["engine"] == "auto"
+    assert data["provenance"]["components"] == [["B6", "ffmethod"]]
+    assert set(data["provenance"]) == {"cache", "components", "engine", "system", "hyperplanes",
+                                       "wall_time_s"}
     assert data["provenance"]["cache"] == "miss"
 
 
@@ -275,7 +278,7 @@ def test_verify_runs_the_counting_dp_per_component(capsys, monkeypatch):
     roots = json.dumps([list(r.simple_coords) for r in ideal.roots()])
     monkeypatch.setattr(ffmethod, "DEFAULT_MAX_POINTS", 3 ** 15 - 1)
     code, out, _ = run(capsys, "verify", "--type", "A", "--rank", "14", "--roots", roots,
-                       "--engines", "auto,crapo")
+                       "--engines", "ffmethod,crapo")
     assert code == 0 and "(+0 brute-force point-count checks)" in out
 
 
@@ -800,6 +803,45 @@ def test_verify_refuses_fewer_than_two_distinct_engines(capsys, engines, runs):
                            f"runs only {runs}")
 
 
+def test_verify_runs_each_distinct_route_once(capsys, monkeypatch):
+    # auto is flats on B4, so the lattice is restricted once per ideal
+    calls = []
+    real = flats.FlatLattice.restrict
+    monkeypatch.setattr(flats.FlatLattice, "restrict",
+                        lambda self, mask: calls.append(mask) or real(self, mask))
+    code, out, _ = run(capsys, "verify", "--type", "B", "--rank", "4", "--all-ideals",
+                       "--engines", "auto,flats,crapo")
+    assert code == 0 and out.strip() == "verified 70 ideal(s) of B4 across engines auto, flats, crapo"
+    assert len(calls) == 70
+
+
+def test_verify_holds_auto_past_the_cut_to_the_dp(capsys):
+    # on A7, auto reads A3 x A3 off the A3 lattice: a route of its own
+    code, out, _ = run(capsys, "verify", "--type", "A", "--rank", "7", "--boxes",
+                       "[[1,4],[5,8]]", "--engines", "auto,ffmethod")
+    assert code == 0
+    assert out.strip() == ("verified 1 ideal(s) of A7 across engines auto, ffmethod "
+                           "(+1 brute-force point-count checks)")
+
+
+def test_auto_and_ffmethod_keep_their_own_cache_entries(capsys, tmp_path):
+    # auto's route on A7 and the named DP give one chi-bar but two entries:
+    # neither reads what the other wrote
+    args = ("coboundary", "--type", "A", "--rank", "7", "--boxes", "[[1,4],[5,8]]",
+            "--format", "json", "--cache-dir", str(tmp_path))
+    pieces = {"auto": [["A3", "flats"]] * 2, "ffmethod": [["A3", "ffmethod"]] * 2}
+    terms = set()
+    for engine, cache in (("auto", "miss"), ("ffmethod", "miss"), ("auto", "hit"),
+                          ("ffmethod", "hit")):
+        code, out, _ = run(capsys, *args, "--engine", engine)
+        doc = json.loads(out)
+        assert code == 0 and doc["provenance"]["cache"] == cache
+        assert doc["provenance"]["engine"] == engine
+        assert doc["provenance"]["components"] == pieces[engine]
+        terms.add(json.dumps(doc["terms"]))
+    assert len(terms) == 1 and len(list(tmp_path.glob("*.json"))) == 2
+
+
 def test_verify_f4_all_ideals_against_crapo(capsys):
     # auto, crapo is verify's default pair
     code, out, _ = run(capsys, "verify", "--type", "F4", "--all-ideals")
@@ -858,6 +900,31 @@ def test_json_provenance_names_the_flats_engine(capsys, tmp_path):
     ],
 )
 def test_bad_cache_entry_is_a_miss(capsys, monkeypatch, tmp_path, entry):
+    assert_refused_before_decoding(capsys, monkeypatch, tmp_path, entry)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "[]",  # no row: the zero polynomial
+        '[[0, 0, 3], [0, 1, -4], [0, 4, 1], [1, 0, -4], [1, 1, 4], "abc"]',
+        '[{"dq": 0, "dt": 0, "c": 1}]',
+        "[[0, 0, 3], [0, 1, -4], [0, 4, 1], [1, 0, -4], [1, 1, 4], [2, 0, 1, 0]]",
+        "[[0, 0, 3], [0, 1, -4], [0, 4, 1], [1, 0, -4], [1, 1, 4], [2, 0, null]]",
+        "[[0, 0, 3], [0, 1, -4], [0, 4, 1], [1, 0, -4], [1, 1, 4], [2, 0, 1], [true, 3, 1]]",
+        "[[0, 0, 3], [0, 1, -4], [0, 4, 1], [1, 0, -4], [1, 1, 4], [2, 0, 1], [0, 2.5, 1]]",
+    ],
+    ids=["empty", "string-row", "object-row", "long-row", "null", "bool-degree",
+         "float-degree"],
+)
+def test_cache_rows_of_another_shape_are_a_miss(capsys, monkeypatch, tmp_path, entry):
+    # the column check sees every row, whatever its position or kind
+    assert_refused_before_decoding(capsys, monkeypatch, tmp_path, entry)
+
+
+def assert_refused_before_decoding(capsys, monkeypatch, tmp_path, entry):
+    """A G2 entry overwritten with ``entry`` is a miss that the reader's
+    format check refuses, and is recomputed and overwritten."""
     from idealtutte import cli
 
     args = ("tutte", "--type", "G2", "--roots", "[[3,1],[3,2]]", "--cache-dir", str(tmp_path))
@@ -1206,6 +1273,9 @@ def test_every_function_is_run_or_pinned(capsys, tmp_path):
         ["ideals", *b3],
         ["minors", *b3],
         ["tutte", *b3, "--boxes", "[[1, -2]]", "--no-cache"],
+        # auto's own route on A7, past the lattice cut: A3 x A3, each A3 read
+        # off its own lattice
+        ["tutte", "--type", "A", "--rank", "7", "--boxes", "[[1, 4], [5, 8]]", "--no-cache"],
     ]
     functions, caches = _package_functions()
     for cached in caches:  # so what earlier tests cached is built again

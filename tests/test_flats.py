@@ -84,12 +84,13 @@ CLASSICAL_UP_TO_RANK_8 = [
 
 
 def test_auto_routing_table():
-    # auto's engine on every supported system up to rank 8, and flats named
-    # on any of them; every classical lattice auto builds has at most 1000
-    # flats, the cost the root-count cut bounds
+    # auto's route on every supported system up to rank 8, its own
+    # per-component route past the cut, and flats named on any of them; every
+    # classical lattice auto builds has at most 1000 flats, the cost the
+    # root-count cut bounds
     systems = [root_system_type(f) for f in ("G2", "F4", "E6")] + CLASSICAL_UP_TO_RANK_8
     for rst in systems:
-        want = "flats" if str(rst) in AUTO_FLATS else "ffmethod"
+        want = "flats" if str(rst) in AUTO_FLATS else "auto"
         assert resolve_engine("auto", rst) == want, rst
         assert resolve_engine("flats", rst) == "flats"
         if rst.is_classical and want == "flats":

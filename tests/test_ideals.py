@@ -15,6 +15,7 @@ from idealtutte.ideals import (
     ideal_from_mask,
     ideal_from_root_coords,
     iter_ideals,
+    signed_classes,
 )
 from idealtutte.paper import (
     generating_boxes,
@@ -554,6 +555,58 @@ def test_component_tutte_products():
                 assert whole == BivariatePolynomial.one()
             else:
                 assert product == whole, (family, ideal)
+
+
+def _components_by_union_find(ideal):
+    """The reference decomposition: (index_map, tuples, size) of each class
+    of the complement's coordinate graph (``signed_classes``) that carries
+    a hyperplane, in ascending order of its least coordinate, relabeled to
+    its coordinates in ascending order."""
+    boxes = complement(ideal)
+    classes, _ = signed_classes(ideal.rst.ambient_dim, boxes)
+    groups = {}
+    for i, j in boxes:
+        groups.setdefault(classes[i - 1], []).append((i, j))
+    out = []
+    for _, boxset in sorted(groups.items()):
+        coords = sorted({i for i, _ in boxset} | {abs(j) for _, j in boxset if j})
+        new = {old: k + 1 for k, old in enumerate(coords)} | {0: 0}
+        tuples = sorted((new[i], new[j] if j >= 0 else -new[-j]) for i, j in boxset)
+        out.append((tuple(coords), tuple(tuples), len(coords)))
+    return out
+
+
+@pytest.mark.parametrize("family, low, high", [("A", 1, 7), ("B", 2, 6), ("C", 2, 6),
+                                               ("D", 4, 6)])
+def test_components_are_the_classes_of_the_coordinate_graph(family, low, high):
+    # the connected sets of simple roots cut the complement exactly as the
+    # union-find over its coordinates does, on every ideal
+    for rank in range(low, high + 1):
+        for ideal in iter_ideals(root_poset(root_system_type(family, rank))):
+            got = [(c.index_map, c.tuples, c.size) for c in decompose_components(ideal)]
+            assert got == _components_by_union_find(ideal), ideal
+
+
+def test_components_of_d_name_their_own_systems():
+    # D6 less the up-set of alpha_4 leaves A3 (alpha_1..alpha_3) and the pair
+    # alpha_5, alpha_6, which shares coordinates 5 and 6 and has no system;
+    # less the up-set of alpha_3, the tail alpha_4..alpha_6 is D3 = A3, with
+    # alpha_4 in the middle
+    poset = root_poset(root_system_type("D", 6))
+
+    def less_up_set(k):
+        coords = tuple(int(j == k - 1) for j in range(6))
+        return ideal_from_mask(poset, poset.up_masks[poset.index_of(coords)])
+
+    a3, pair = decompose_components(less_up_set(4))
+    assert (a3.rst, a3.mask, a3.index_map) == (root_system_type("A", 3), 63, (1, 2, 3, 4))
+    assert (pair.rst, pair.mask, pair.tuples, pair.index_map) == (None, None, ((1, -2), (1, 2)),
+                                                                  (5, 6))
+    a2, tail = decompose_components(less_up_set(3))
+    assert (a2.rst, tail.rst, tail.mask) == (root_system_type("A", 2),
+                                             root_system_type("A", 3), 63)
+    with pytest.raises(UnsupportedTypeError):
+        decompose_components(exceptional_ideal("F4", []))
 
 
 def test_diagram_box_counts():

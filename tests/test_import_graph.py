@@ -140,6 +140,12 @@ def test_a_fresh_process_loads_only_what_its_request_runs():
     dp = ["tutte", "--type", "A", "--rank", "7", "--roots", "[[1,1,1,1,1,1,1]]", "--no-cache"]
     dp = loaded_by(one_shot.format(dp))
     assert "idealtutte.ffmethod" in dp and not dp & (ENGINES - {"idealtutte.ffmethod"} | NEVER)
+    # an A7 ideal that holds alpha_4 leaves A3 x A3, which auto reads off the
+    # A3 lattice: no counting DP is loaded
+    a3_a3 = ["tutte", "--type", "A", "--rank", "7", "--boxes", "[[1,4],[5,8]]", "--no-cache"]
+    a3_a3 = loaded_by(one_shot.format(a3_a3))
+    assert "idealtutte.flats" in a3_a3
+    assert not a3_a3 & (ENGINES - {"idealtutte.flats"} | NEVER)
     # minors runs the paper's reference module, which loads no engine and no
     # heavy stdlib
     minors = loaded_by(one_shot.format(["minors", "--type", "B", "--rank", "3"]))

@@ -16,7 +16,7 @@ from conftest import (
     tamper_engine,
     worked_ideal,
 )
-from idealtutte import specialize
+from idealtutte import flats, specialize
 from idealtutte.errors import InconsistencyError
 from idealtutte.exactpoly import (
     BivariatePolynomial,
@@ -28,8 +28,10 @@ from idealtutte.exactpoly import (
 from idealtutte.ideals import (
     arrangement_of,
     check_exponent_factorization,
+    decompose_components,
     enumerate_ideals,
     ideal_exponents,
+    ideal_from_boxes,
     ideal_from_mask,
     iter_ideals,
 )
@@ -325,3 +327,63 @@ def test_a_chi_bar_whose_tutte_has_a_negative_coefficient_is_refused(family, ran
             with pytest.raises(InconsistencyError, match="negative coefficient"):
                 certify_coboundary(ideal, plus_t_minus_1_power(cb, NEGATIVE_T))
     assert forged == {"B": 42, "F4": 77}[family]
+
+
+# every classical system up to A7, B6, C6 and D6, whose 5502 ideals auto's
+# own route is held to the counting DP on; the ideals of D4, D5 and D6 whose
+# complement holds alpha_(n-1) and alpha_n but not alpha_(n-2), which stay
+# one component on the DP, number Catalan(n - 2)
+ROUTE_SYSTEMS = [
+    root_system_type(family, rank)
+    for family, low, high in (("A", 1, 7), ("B", 2, 6), ("C", 2, 6), ("D", 4, 6))
+    for rank in range(low, high + 1)
+]
+D_PAIRS = {"D4": 2, "D5": 5, "D6": 14}
+
+
+@pytest.mark.parametrize("rst", ROUTE_SYSTEMS, ids=str)
+def test_auto_reads_each_component_off_its_own_system(rst):
+    # each component names its own system and its complement there, which
+    # must be the complement of an ideal of that system; the product of the
+    # components' chi-bar, each read off its own lattice or by the DP, is the
+    # DP's chi-bar of the whole ideal
+    from idealtutte import ffmethod
+
+    poset, pairs = root_poset(rst), 0
+    for ideal in iter_ideals(poset):
+        for c in decompose_components(ideal):
+            if c.rst is None:
+                assert rst.family == "D" and c.mask is None and c.size == 2
+                pairs += 1
+                continue
+            own = root_poset(c.rst)
+            ideal_from_mask(own, ((1 << len(own)) - 1) ^ c.mask)  # raises unless an ideal
+            assert c.mask.bit_count() == len(c.tuples)
+        assert specialize._coboundary_by_component(ideal) == ffmethod.coboundary_of_ideal(ideal)
+    assert pairs == D_PAIRS.get(str(rst), 0)
+
+
+def test_auto_takes_its_own_route_past_the_cut_and_certifies_the_product(monkeypatch):
+    # A7 less the up-set of alpha_4 leaves A3 x A3: auto reads both off the
+    # A3 lattice, names its route auto, and a tampered restriction fails the
+    # one certificate on the whole ideal
+    ideal = ideal_from_boxes(root_poset(root_system_type("A", 7)), [(1, 4), (5, 8)])
+    assert specialize.resolve_engine("auto", ideal.rst) == "auto"
+    assert specialize.component_engines(ideal, "auto") == [
+        (root_system_type("A", 3), "flats")] * 2
+    assert specialize.component_engines(ideal, "ffmethod") == [
+        (root_system_type("A", 3), "ffmethod")] * 2
+    assert coboundary_of_ideal(ideal) == coboundary_of_ideal(ideal, engine="ffmethod")
+    tamper_engine(monkeypatch, flats.FlatLattice, "restrict")
+    with pytest.raises(InconsistencyError, match="the auto result fails its certificate"):
+        tutte_of_ideal(ideal)
+
+
+def test_every_route_resolves_to_itself():
+    # the CLI and verify pass a resolved name on, so each must name its route
+    for rst in ROUTE_SYSTEMS + [root_system_type(f) for f in ("G2", "F4", "E6")]:
+        for engine in specialize.ENGINES:
+            if engine == "ffmethod" and not rst.is_classical:
+                continue
+            route = specialize.resolve_engine(engine, rst)
+            assert specialize.resolve_engine(route, rst) == route
