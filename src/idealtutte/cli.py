@@ -6,14 +6,14 @@ later one in the process (``build_parser``).  ``--format json`` prints one
 line, compact and with sorted keys.  The cache holds one entry per ideal
 and route (``specialize.resolve_engine``: auto's own route past the lattice
 cut is not ffmethod's), its coboundary polynomial chi-bar as a JSON list of
-[dq, dt, c] int triples; its reader checks that format itself, column by
-column, and serves an entry only if it also passes
-``specialize.certify_coboundary``, the certificate of every computed
-result, which forms T and refuses a negative coefficient; a hit and a miss
-both give chi-bar and that T.  The JSON provenance is built on every call,
-never stored, says whether the cache was hit, and lists the system and
-engine of each piece the route reads.  A cache that cannot be written
-costs only a warning on stderr.  ``parse_ideal_spec`` checks an ideal spec itself to the terms of
+[dq, dt, c] int triples; its reader checks that format itself and serves
+an entry only if it also passes ``specialize.certify_coboundary``, the
+certificate of every computed result, which forms T and refuses a negative
+coefficient; a hit and a miss both give chi-bar and that T.  The JSON
+provenance is built on every call, never stored, says whether the cache
+was hit, and lists the system and engine of each piece the route reads.
+A cache that cannot be written costs only a warning on stderr.
+``parse_ideal_spec`` checks an ideal spec itself to the terms of
 the packaged ``schemas/ideal-spec.schema.json``, which the tests hold it to
 and no code reads.  A one-shot call loads only what it runs: the engine its
 request needs, ``hashlib`` only to name a cache entry (never under
@@ -203,16 +203,11 @@ class _Cache:
         try:
             with open(os.path.join(self.dir, key + ".json")) as fh:
                 terms = json.load(fh)
-            # checked by column: rows, their lengths, then the values' types
-            # (type is int refuses bools), signs and distinct degrees
-            if (type(terms) is not list or set(map(type, terms)) != {list}
-                    or set(map(len, terms)) != {3}):
-                return None
-            dq, dt, c = zip(*terms)
-            if (set(map(type, dq + dt + c)) != {int} or min(dq) < 0 or min(dt) < 0
-                    or 0 in c):
-                return None
-            coeffs = dict(zip(zip(dq, dt), c))
+            if type(terms) is not list or not all(
+                    type(t) is list and len(t) == 3 and all(type(v) is int for v in t)
+                    and t[0] >= 0 and t[1] >= 0 and t[2] for t in terms):
+                return None  # type(v) is int refuses bools
+            coeffs = {(dq, dt): c for dq, dt, c in terms}
             if len(coeffs) != len(terms):
                 return None  # a degree given twice
             cb = BivariatePolynomial._of(coeffs, ("q", "t"))  # canonical once checked
@@ -254,28 +249,27 @@ def cmd_polynomial(args, command):
     ``cache`` says whether its chi-bar came from the cache, ``engine`` names
     the route (``specialize.resolve_engine``), ``components`` lists each
     piece it reads chi-bar off as [system, engine]
-    (``specialize.component_engines``), and ``wall_time_s`` is this call's
-    time to read or compute the polynomial.  A hit and a miss both give
-    chi-bar and the T its certificate formed, and a miss stores chi-bar.
-    ``--no-cache`` builds no key."""
+    (``specialize.route_pieces``, which a miss computes from), and
+    ``wall_time_s`` is this call's time to read or compute the polynomial.
+    A hit and a miss both give chi-bar and the T its certificate formed,
+    and a miss stores chi-bar.  ``--no-cache`` builds no key."""
     ideal = _ideal_from_args(args)
     route = specialize.resolve_engine(args.engine, ideal.rst)
     t0 = time.perf_counter()
+    pieces = specialize.route_pieces(ideal, route)
     cache = _Cache(args)
     key = cache.key(ideal, route) if cache.enabled else None
     hit = cache.get(key, ideal)
-    cb, tutte = hit or specialize.polynomials_of_ideal(ideal, route)
+    cb, tutte = hit or specialize.polynomials_of_pieces(ideal, route, pieces)
     if hit is None:
         cache.put(key, cb)
-    wall = round(time.perf_counter() - t0, 4)
     _emit(args, tutte if command == "tutte" else cb, {
         "cache": "miss" if hit is None else "hit",
-        "components": [[str(system) if system else None, engine]
-                       for system, engine in specialize.component_engines(ideal, route)],
+        "components": [[str(system) if system else None, engine] for system, engine, _ in pieces],
         "engine": route,
         "system": str(ideal.rst),
         "hyperplanes": ideal.complement_mask().bit_count(),
-        "wall_time_s": wall,
+        "wall_time_s": round(time.perf_counter() - t0, 4),
     })
     return 0
 
@@ -392,6 +386,9 @@ def cmd_verify(args):
     # crapo and oracle refuse past their guards before any work, so they run
     # first: a refusal then costs no other engine's full computation
     routes.sort(key=lambda route: route not in ("crapo", "oracle"))
+    # a classical route that counts (ffmethod, or auto's own past the
+    # lattice cut) has its agreed chi-bar held to a brute-force count
+    counting = not {"ffmethod", "auto"}.isdisjoint(routes)
     checked = 0
     counted = 0
     for ideal in ideals:
@@ -403,11 +400,11 @@ def cmd_verify(args):
                     f"{engines[0]} and {name} disagree on {ideal!r}: "
                     f"{base.to_text()} vs {polys[route].to_text()}"
                 )
-        if "ffmethod" in routes:
+        if counting:
             counted += _verify_brute_force(ideal, base)
         checked += 1
     extra = ""
-    if "ffmethod" in routes:
+    if counting:
         extra = f" (+{counted} brute-force point-count checks)"
     print(
         f"verified {checked} ideal(s) of {rst} across engines "

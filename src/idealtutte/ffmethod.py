@@ -461,7 +461,7 @@ def coboundary_of_ideal(ideal):
     multiply).  Each component's chi-bar comes straight from its counting
     model's rounds (``CountingModel.coboundary``), which checks them against
     the model's own rank.  An exceptional type has no tuples, and
-    ``ideals.complement`` refuses it with UnsupportedTypeError.
+    ``ideals.decompose_components`` refuses it with UnsupportedTypeError.
     """
     result = None
     for component in decompose_components(ideal):

@@ -19,9 +19,10 @@ dispatcher in ``specialize``).  G2 has 8 flats, F4 268 and E6 4598.
 auto also serves the classical systems of at most
 ``specialize.AUTO_MAX_CLASSICAL_ROOTS`` positive roots from here, and each
 component of a larger classical complement whose own system has at most
-that many (``ideals.IdealComponent``): D4 has 72 flats, B4 and C4 116, A5 203, D5 403, B5 and C5 648 and A6 877.  Any system
-of at most ``MAX_VECTORS`` roots is served when the flats engine is named.
-The dispatcher imports this module on the first request that reads a
+that many (``ideals.IdealComponent``): D4 has 72 flats, B4 and C4 116, A5
+203, D5 403, B5 and C5 648 and A6 877.  Any system of at most
+``MAX_VECTORS`` roots is served when the flats engine is named.  The
+dispatcher imports this module on the first request that reads a
 lattice, so no other request loads it.
 
 The lattice comes from the Weyl group W (``orbit_lattice``).  The fixator of

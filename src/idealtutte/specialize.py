@@ -3,11 +3,12 @@
 Each engine returns one polynomial: chi-bar(q, t) from the finite-field
 pipeline and the lattice of flats, T(x, y) from Crapo's basis activities
 and the corank-nullity oracle.  None returns a rank: the transforms read it
-off the polynomial.  ``polynomials_of_ideal`` takes every result, converts
-each T to chi-bar, and returns chi-bar with the T that
-``certify_coboundary`` forms while it certifies chi-bar.  Every command
-reads that pair, and a CLI cache hit is the pair that the certificate
-gives of a stored chi-bar.
+off the polynomial.  ``polynomials_of_ideal`` reads chi-bar off the
+pieces of the route (``route_pieces``: the whole arrangement, or each
+component of the complement), converting each T to chi-bar, and returns
+chi-bar with the T that ``certify_coboundary`` forms while it certifies
+chi-bar.  Every command reads that pair, and a CLI cache hit is the pair
+that the certificate gives of a stored chi-bar.
 ``characteristic_polynomial`` reads chi(q) off chi-bar(q, 0), as the
 certificate does.  Also region counts.
 
@@ -64,7 +65,7 @@ def resolve_engine(engine, rst):
     of at most ``AUTO_MAX_CLASSICAL_ROOTS`` positive roots, whose lattice is
     cheap to build once per process.  On larger classical ones it is its
     own route, named auto, that picks per component of the complement
-    (``component_engines``).  A name it returns resolves to itself.  flats
+    (``route_pieces``).  A name it returns resolves to itself.  flats
     is accepted on any system and refused by its own guard
     (``flats.MAX_VECTORS`` roots, GuardExceeded) when it runs.
     ConstraintError for an unknown engine and for ffmethod on an
@@ -83,24 +84,23 @@ def _lattice_is_cheap(rst):
     return rst is not None and rst.positive_root_count() <= AUTO_MAX_CLASSICAL_ROOTS
 
 
-def component_engines(ideal, route):
-    """[(system, engine)]: the pieces that ``route`` (as ``resolve_engine``
-    returns it) reads ``ideal``'s chi-bar off, each with the root system it
-    is read in (None for the pair alpha_(n-1), alpha_n of D_n, which is no
-    complement of an ideal of its own system) and the engine that reads it.
-    auto's own route and ffmethod take the components of the complement
-    (``ideals.decompose_components``): ffmethod runs the counting DP on
-    each, and auto reads a component off its own system's lattice of flats
-    when that system has at most ``AUTO_MAX_CLASSICAL_ROOTS`` roots, else
-    runs the DP.  Every other route reads the whole arrangement, one piece
-    of the ideal's own system."""
-    if route not in ("auto", "ffmethod"):
-        return [(ideal.rst, route)]
-    return [(c.rst, _component_engine(c, route)) for c in decompose_components(ideal)]
-
-
-def _component_engine(component, route):
-    return "flats" if route == "auto" and _lattice_is_cheap(component.rst) else "ffmethod"
+def route_pieces(ideal, route):
+    """[(system, engine, component)]: the pieces that ``route`` (as
+    ``resolve_engine`` returns it) reads ``ideal``'s chi-bar off, each with
+    the root system it is read in and the engine that reads it; the one
+    place where an engine is picked per piece.  auto's own route takes the
+    components of the complement (``ideals.decompose_components``; the
+    system is None for the pair alpha_(n-1), alpha_n of D_n, which is no
+    complement of an ideal of its own system) and reads each off its own
+    system's lattice of flats when that system has at most
+    ``AUTO_MAX_CLASSICAL_ROOTS`` roots, else by the counting DP.  Every
+    other route reads the whole arrangement: one piece of the ideal's own
+    system, with component None (ffmethod's runs the DP on each component
+    itself, ``ffmethod.coboundary_of_ideal``)."""
+    if route != "auto":
+        return [(ideal.rst, route, None)]
+    return [(c.rst, "flats" if _lattice_is_cheap(c.rst) else "ffmethod", c)
+            for c in decompose_components(ideal)]
 
 
 def certify_coboundary(ideal, cb):
@@ -153,45 +153,52 @@ def _engine_module(engine):
     return module
 
 
-def _coboundary_by_component(ideal):
-    """chi-bar of a classical ideal on auto's own route: the product over the
-    components of the complement of each one's chi-bar, read off its own
-    system's lattice of flats, restricted to its mask, or by its counting
-    DP, as ``component_engines`` says.  Only the engines it runs are
-    loaded."""
-    result = None
-    for c in decompose_components(ideal):
-        if _component_engine(c, "auto") == "flats":
-            cb = _engine_module("flats").flat_lattice(c.rst).restrict(c.mask)
-        else:
-            cb = _engine_module("ffmethod").CountingModel(c.size, c.tuples).coboundary()
-        result = cb if result is None else result * cb
-    return BivariatePolynomial.one(("q", "t")) if result is None else result
+def _coboundary_of_piece(ideal, system, engine, component):
+    """chi-bar of one piece of ``route_pieces``: a component of auto's own
+    route, restricted from its own system's lattice of flats or counted by
+    its DP, or the whole arrangement on the named engine, whose T (crapo,
+    oracle) is converted by ``exactpoly.tutte_to_coboundary``."""
+    module = _engine_module(engine)
+    if component is not None:
+        if engine == "flats":
+            return module.flat_lattice(system).restrict(component.mask)
+        return module.CountingModel(component.size, component.tuples).coboundary()
+    if engine == "ffmethod":
+        return module.coboundary_of_ideal(ideal)
+    if engine == "flats":
+        return module.flat_lattice(system).restrict(ideal.complement_mask())
+    cfg = module.VectorConfig([r.simple_coords for r in ideal.complement_roots()])
+    tutte = module.tutte_crapo if engine == "crapo" else module.tutte_corank_nullity
+    return tutte_to_coboundary(tutte(cfg))
+
+
+def polynomials_of_pieces(ideal, route, pieces):
+    """(chi-bar(q, t), T(x, y)) of ``ideal`` on ``route``, read off its
+    ``pieces`` (``route_pieces(ideal, route)``): the product of the pieces'
+    chi-bar (1 for no piece, the empty complement), once it passes
+    ``certify_coboundary`` on the whole ideal, which forms T.  Only the
+    engines the pieces name are loaded."""
+    cb = None
+    for piece in pieces:
+        factor = _coboundary_of_piece(ideal, *piece)
+        cb = factor if cb is None else cb * factor
+    if cb is None:
+        cb = BivariatePolynomial.one(("q", "t"))
+    try:
+        return cb, certify_coboundary(ideal, cb)
+    except InconsistencyError as exc:
+        raise InconsistencyError(f"the {route} result fails its certificate: {exc}") from None
 
 
 def polynomials_of_ideal(ideal, engine="auto"):
     """(chi-bar(q, t), T(x, y)) of an ideal arrangement on the route that
-    ``resolve_engine`` picks, once chi-bar passes ``certify_coboundary``,
-    which forms T: a Tutte polynomial from crapo or oracle is converted by
-    ``exactpoly.tutte_to_coboundary`` first, and auto's own route multiplies
-    its components' chi-bar before the one certificate on the whole ideal.
-    Every command reads this."""
-    engine = resolve_engine(engine, ideal.rst)
-    if engine == "auto":
-        cb = _coboundary_by_component(ideal)
-    elif engine == "ffmethod":
-        cb = _engine_module(engine).coboundary_of_ideal(ideal)
-    elif engine == "flats":
-        cb = _engine_module(engine).flat_lattice(ideal.rst).restrict(ideal.complement_mask())
-    else:
-        module = _engine_module(engine)
-        cfg = module.VectorConfig([r.simple_coords for r in ideal.complement_roots()])
-        tutte = module.tutte_crapo if engine == "crapo" else module.tutte_corank_nullity
-        cb = tutte_to_coboundary(tutte(cfg))
-    try:
-        return cb, certify_coboundary(ideal, cb)
-    except InconsistencyError as exc:
-        raise InconsistencyError(f"the {engine} result fails its certificate: {exc}") from None
+    ``resolve_engine`` picks, read off that route's pieces
+    (``route_pieces``) and certified once on the whole ideal
+    (``polynomials_of_pieces``): a Tutte polynomial from crapo or oracle is
+    converted to chi-bar first, and auto's own route multiplies its
+    components' chi-bar.  Every command reads this."""
+    route = resolve_engine(engine, ideal.rst)
+    return polynomials_of_pieces(ideal, route, route_pieces(ideal, route))
 
 
 def tutte_of_ideal(ideal, engine="auto"):

@@ -359,7 +359,9 @@ def test_auto_reads_each_component_off_its_own_system(rst):
             own = root_poset(c.rst)
             ideal_from_mask(own, ((1 << len(own)) - 1) ^ c.mask)  # raises unless an ideal
             assert c.mask.bit_count() == len(c.tuples)
-        assert specialize._coboundary_by_component(ideal) == ffmethod.coboundary_of_ideal(ideal)
+        pieces = specialize.route_pieces(ideal, "auto")
+        assert specialize.polynomials_of_pieces(ideal, "auto", pieces)[0] == \
+            ffmethod.coboundary_of_ideal(ideal)
     assert pairs == D_PAIRS.get(str(rst), 0)
 
 
@@ -369,10 +371,9 @@ def test_auto_takes_its_own_route_past_the_cut_and_certifies_the_product(monkeyp
     # one certificate on the whole ideal
     ideal = ideal_from_boxes(root_poset(root_system_type("A", 7)), [(1, 4), (5, 8)])
     assert specialize.resolve_engine("auto", ideal.rst) == "auto"
-    assert specialize.component_engines(ideal, "auto") == [
-        (root_system_type("A", 3), "flats")] * 2
-    assert specialize.component_engines(ideal, "ffmethod") == [
-        (root_system_type("A", 3), "ffmethod")] * 2
+    a3 = root_system_type("A", 3)
+    assert [piece[:2] for piece in specialize.route_pieces(ideal, "auto")] == [(a3, "flats")] * 2
+    assert specialize.route_pieces(ideal, "ffmethod") == [(ideal.rst, "ffmethod", None)]
     assert coboundary_of_ideal(ideal) == coboundary_of_ideal(ideal, engine="ffmethod")
     tamper_engine(monkeypatch, flats.FlatLattice, "restrict")
     with pytest.raises(InconsistencyError, match="the auto result fails its certificate"):
